@@ -3,13 +3,8 @@
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, TypeVar
 
 import numpy as np
-
-T = TypeVar("T")
-U = TypeVar("U")
 
 
 def child_rng(seed: int, label: str) -> np.random.Generator:
@@ -19,16 +14,3 @@ def child_rng(seed: int, label: str) -> np.random.Generator:
     not on the order stages run in.
     """
     return np.random.default_rng([seed, zlib.crc32(label.encode("utf-8"))])
-
-
-def map_ordered(fn: Callable[[T], U], items: Iterable[T], workers: int = 1) -> list[U]:
-    """Apply fn to items, optionally across threads, preserving input order.
-
-    Results are collected in submission order so downstream float reductions
-    stay deterministic regardless of worker count.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

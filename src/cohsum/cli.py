@@ -73,6 +73,15 @@ def _extractor_config_from_meta(cfg: dict) -> ex.ExtractorConfig:
     return ex.ExtractorConfig(**cfg)
 
 
+def _check_vocab(vocab: cp.Vocabulary, config, ckpt_path: str) -> None:
+    """Token ids index the checkpoint's embedding table, so the sizes must agree."""
+    if vocab.size != config.vocab_size:
+        raise CheckpointError(
+            f"{ckpt_path}: model has a {config.vocab_size}-entry vocabulary, "
+            f"the vocabulary file has {vocab.size} entries"
+        )
+
+
 def _load_docs(args, vocab=None) -> list[cp.Document]:
     return list(
         cp.load_corpus(
@@ -131,9 +140,7 @@ def cmd_train_coherence(args) -> int:
         batch_size=args.batch_size,
         epochs=args.epochs,
     )
-    params = coh.train_coherence(
-        triplets, config, child_rng(args.seed, "coherence-train"), workers=args.threads
-    )
+    params = coh.train_coherence(triplets, config, child_rng(args.seed, "coherence-train"))
     save_checkpoint(params, args.out)
     _write_meta(args.out, "coherence", config)
     log.info("trained on %d triplets; checkpoint at %s", len(triplets), args.out)
@@ -185,7 +192,7 @@ def cmd_pretrain(args) -> int:
     )
     rng = child_rng(args.seed, "pretrain")
     params = ex.init_extractor_params(config, rng)
-    ex.pretrain(labeled, config, rng, params=params, workers=args.threads)
+    ex.pretrain(labeled, config, rng, params=params)
     save_checkpoint(params, args.out)
     _write_meta(args.out, "extractor", config)
     log.info("pretrained on %d documents; checkpoint at %s", len(labeled), args.out)
@@ -195,6 +202,7 @@ def cmd_pretrain(args) -> int:
 def cmd_train_rnes(args) -> int:
     vocab = cp.load_vocab(args.vocab)
     ext_config = _extractor_config_from_meta(_read_meta(args.pretrain_checkpoint, "extractor"))
+    _check_vocab(vocab, ext_config, args.pretrain_checkpoint)
     params = load_checkpoint(args.pretrain_checkpoint)
     docs = list(
         cp.load_corpus(
@@ -211,6 +219,7 @@ def cmd_train_rnes(args) -> int:
         coh_config = _coherence_config_from_meta(
             _read_meta(args.coherence_checkpoint, "coherence")
         )
+        _check_vocab(vocab, coh_config, args.coherence_checkpoint)
         scorer = coh.make_scorer(load_checkpoint(args.coherence_checkpoint), coh_config)
     rl_config = rl.RLConfig(
         lam=args.lam,
@@ -231,6 +240,7 @@ def cmd_summarize(args) -> int:
         if not args.checkpoint:
             raise ValueError("--checkpoint is required for beam decoding")
         config = _extractor_config_from_meta(_read_meta(args.checkpoint, "extractor"))
+        _check_vocab(vocab, config, args.checkpoint)
         params = load_checkpoint(args.checkpoint)
         max_tokens, max_sentences = config.max_tokens, config.max_sentences
     else:
@@ -302,6 +312,7 @@ def cmd_evaluate(args) -> int:
 def cmd_score_coherence(args) -> int:
     vocab = cp.load_vocab(args.vocab)
     config = _coherence_config_from_meta(_read_meta(args.checkpoint, "coherence"))
+    _check_vocab(vocab, config, args.checkpoint)
     params = load_checkpoint(args.checkpoint)
     source = sys.stdin if args.pairs == "-" else open(args.pairs, "r", encoding="utf-8")
     sink = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
@@ -383,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fc", type=_int_tuple, default=(512, 256),
                    help="fully-connected widths (default 512,256)")
     p.add_argument("--triplets-per-doc", type=int, default=1)
-    p.add_argument("--threads", type=int, default=1,
-                   help="concurrent in-batch loss evaluations")
     p.set_defaults(func=cmd_train_coherence)
 
     p = sub.add_parser("pretrain", help="supervised pretraining of the extractor")
@@ -406,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--doc-dim", type=int, default=512)
     p.add_argument("--mlp", type=_int_tuple, default=(512, 256),
                    help="MLP hidden widths (default 512,256)")
-    p.add_argument("--threads", type=int, default=1)
     _add_reward_flags(p)
     p.set_defaults(func=cmd_pretrain)
 

@@ -17,9 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import numeric as nm
-from ._util import map_ordered
 from .corpus import CoherenceTriplet
-from .extractor import _window_indices
 from .numeric import ParamStore, Tensor
 
 log = logging.getLogger(__name__)
@@ -99,6 +97,14 @@ def init_coherence_params(config: CoherenceConfig, rng: np.random.Generator) -> 
     params.init_uniform("out_w", (prev, 1), rng)
     params.init_zeros("out_b", (1,))
     return params
+
+
+@lru_cache(maxsize=None)
+def _window_indices(rows: int, kernel: int, width: int) -> np.ndarray:
+    """Flat indices of kernel-length row windows in a [rows+kernel-1, width] matrix."""
+    starts = np.arange(rows)[:, None] + np.arange(kernel)[None, :]
+    idx = starts[:, :, None] * width + np.arange(width)[None, None, :]
+    return idx.reshape(rows, kernel * width)
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +192,6 @@ def train_coherence(
     rng: np.random.Generator,
     params: ParamStore | None = None,
     batch_losses: list[float] | None = None,
-    workers: int = 1,
 ) -> ParamStore:
     """SGD on the mean hinge loss over shuffled batches for config.epochs."""
     if not triplets:
@@ -198,7 +203,7 @@ def train_coherence(
         epoch_total, seen = 0.0, 0
         for start in range(0, len(order), config.batch_size):
             batch = [triplets[i] for i in order[start : start + config.batch_size]]
-            losses = map_ordered(lambda tr: triplet_loss(tr, params, config), batch, workers)
+            losses = [triplet_loss(tr, params, config) for tr in batch]
             batch_loss = losses[0]
             for term in losses[1:]:
                 batch_loss = batch_loss + term

@@ -4,6 +4,10 @@ Hypotheses are scored by the cumulative log-probability of every decision
 taken (selections and skips alike), with no length normalization. Ties
 prefer skipping, then the lower-ranked parent hypothesis, so decoding is
 fully deterministic.
+
+Every hypothesis of a step is scored in one batch by the extractor's
+`PolicyHead` on arrays: the context and document part of its first layer is
+computed once per document, and each step adds only the history term.
 """
 
 from __future__ import annotations
@@ -13,49 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Document, Sentence
-from .extractor import ExtractorConfig, encode_document
+from .extractor import ExtractorConfig, encode_document, policy_head
 from .numeric import ParamStore
 
 DEFAULT_MAX_SELECTED = 4
-
-
-class _FastPolicy:
-    """Vectorized per-step logits for many hypotheses against one document.
-
-    Mirrors extraction_logit exactly but works on raw arrays: the first MLP
-    layer splits into context/selection/document blocks so the context and
-    document contributions are precomputed once per sentence.
-    """
-
-    def __init__(self, doc: Document, params: ParamStore, config: ExtractorConfig):
-        enc = encode_document(doc, params, config)
-        self.contexts = np.stack([c.data for c in enc.contexts])  # [n, ctx]
-        self.doc_vec = enc.doc.data
-        ctx, sel = config.context_dim, config.select_dim
-        w1 = params["mlp_w1"].data
-        self._w1_sel = w1[ctx : ctx + sel]
-        self._w2 = params["mlp_w2"].data
-        self._b2 = params["mlp_b2"].data
-        self._w3 = params["mlp_w3"].data
-        self._b3 = params["mlp_b3"].data
-        self._fixed = (
-            self.contexts @ w1[:ctx]
-            + self.doc_vec @ w1[ctx + sel :]
-            + params["mlp_b1"].data
-        )  # [n, m1]
-        # per-sentence increment applied to g when the sentence is selected
-        self.increments = np.tanh(self.contexts @ params["select_w"].data)
-        self.select_dim = sel
-
-    @property
-    def n_sentences(self) -> int:
-        return self.contexts.shape[0]
-
-    def logits(self, t: int, g: np.ndarray) -> np.ndarray:
-        """Pre-sigmoid scores at step t for a [B, select_dim] batch of histories."""
-        a1 = np.tanh(self._fixed[t] + g @ self._w1_sel)
-        a2 = np.tanh(a1 @ self._w2 + self._b2)
-        return (a2 @ self._w3 + self._b3)[:, 0]
 
 
 def _log_probs(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,15 +50,16 @@ def beam_search(
         raise ValueError(f"beam size must be >= 1, got {beam_size}")
     if doc.n_sentences == 0:
         raise ValueError(f"document {doc.id!r} has no sentences")
-    policy = _FastPolicy(doc, params, config)
+    enc = encode_document(doc, params, config)
+    head = policy_head(enc.contexts.data, enc.doc.data, params)
     beam = Beam(
         decisions=[()],
         scores=np.zeros(1),
-        histories=np.zeros((1, policy.select_dim)),
+        histories=np.zeros((1, head.increments.shape[1])),
         selected=np.zeros(1, dtype=np.int64),
     )
-    for t in range(policy.n_sentences):
-        logp1, logp0 = _log_probs(policy.logits(t, beam.histories))
+    for t in range(doc.n_sentences):
+        logp1, logp0 = _log_probs(head.logits(beam.histories, t))
         # candidate key: maximize score; ties prefer y=0, then the earlier parent
         candidates = []
         for parent in range(len(beam.decisions)):
@@ -107,7 +73,7 @@ def beam_search(
             scores=np.array([-neg for neg, _, _ in kept]),
             histories=np.stack(
                 [
-                    beam.histories[p] + (policy.increments[t] if y else 0.0)
+                    beam.histories[p] + (head.increments[t] if y else 0.0)
                     for _, y, p in kept
                 ]
             ),

@@ -1,23 +1,37 @@
 """Sentence-extraction policy: word convolutions, Bi-GRU context, MLP head.
 
-Word features come from linear convolution kernels over the embedded
-sentence (no activation on this stage), sentence vectors are means over the
-true token count, a bidirectional GRU supplies per-sentence context, and a
-sigmoid MLP over [context; selection history; document vector] yields the
-per-sentence extraction probability. Supervised pretraining teacher-forces
-the selection history with the oracle labels.
+Each document runs as a few batched ops rather than one op per token
+window, GRU step or decision:
+
+- Sentence vectors. The word convolutions are linear (no activation) and
+  only their mean over a sentence's m real positions is used, so
+  mean_i(conv_k(E)_i) = window_means_k(E) @ W_k + b_k exactly, where
+  window_means_k averages the k-row embedding windows at those positions
+  (`numeric.window_means`: one batched band matmul over one embedding
+  gather per document; per-word features are never built).
+- Context. Each GRU direction projects all sentence vectors with one
+  matmul and runs the recurrence as one fused node (`numeric.gru_sequence`)
+  whose backward is hand-written backpropagation through time.
+- Head. A sigmoid MLP over [context; selection history; document vector]
+  gives the per-sentence extraction probability (`PolicyHead`). For a known
+  decision sequence (teacher-forced pretraining, the policy-gradient replay)
+  the history is an exclusive cumulative sum, so the head runs as three
+  matmuls over all sentences. Sampling and decoding run the same head on
+  arrays, adding only the history term per step.
+
+The per-step form this replaces (per-sentence word features, a GRU cell
+loop, a step-by-step head replay) is kept in tests/reference_policy.py as
+the reference the batched ops are tested against.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import numeric as nm
-from ._util import map_ordered
 from .corpus import Document, ExtractionLabels
 from .numeric import ParamStore, Tensor
 
@@ -88,101 +102,136 @@ def init_extractor_params(config: ExtractorConfig, rng: np.random.Generator) -> 
     return params
 
 
-@lru_cache(maxsize=None)
-def _window_indices(rows: int, kernel: int, width: int) -> np.ndarray:
-    """Flat indices of kernel-length row windows in a [rows+kernel-1, width] matrix."""
-    starts = np.arange(rows)[:, None] + np.arange(kernel)[None, :]
-    idx = starts[:, :, None] * width + np.arange(width)[None, None, :]
-    return idx.reshape(rows, kernel * width)
+def sentence_vectors(doc: Document, params: ParamStore, config: ExtractorConfig) -> Tensor:
+    """Mean word-convolution features of every sentence, [n, word_dim].
 
-
-def word_features(sentence, params: ParamStore, config: ExtractorConfig) -> tuple[Tensor, Tensor]:
-    """Per-word convolution features [m, word_dim] and their mean vector.
-
-    Windows beyond the encoded length are zero-padded so every one of the
-    m real positions owns a window; the mean runs over m, not max_tokens.
+    One embedding gather covers the whole document. The convolutions have no
+    activation, so each kernel's mean over a sentence's m real positions is
+    window_means(E) @ W_k + b_k; windows read PAD ids inside max_tokens and
+    zeros past it, and the mean runs over m, not max_tokens.
     """
-    if sentence.length == 0:
-        raise ValueError("cannot featurize an empty sentence")
-    if sentence.ids is None:
-        raise ValueError("sentence has no ids; encode the corpus with a vocabulary first")
-    m = min(sentence.length, config.max_tokens)
-    embedded = nm.gather_rows(params["embed"], sentence.ids)
-    per_kernel = []
-    for k in config.word_kernels:
-        padded = nm.concat([embedded, Tensor(np.zeros((k - 1, config.embed_dim)))], axis=0)
-        windows = nm.gather_flat(padded, _window_indices(m, k, config.embed_dim))
-        per_kernel.append(nm.linear(windows, params[f"conv{k}_w"], params[f"conv{k}_b"]))
-    features = nm.concat(per_kernel, axis=1)
-    return features, features.mean(axis=0)
+    for sent in doc.sentences:
+        if sent.length == 0:
+            raise ValueError(f"document {doc.id!r}: cannot featurize an empty sentence")
+        if sent.ids is None:
+            raise ValueError("sentence has no ids; encode the corpus with a vocabulary first")
+    ids = np.stack([sent.ids for sent in doc.sentences])
+    n, width = ids.shape
+    lengths = [min(sent.length, config.max_tokens, width) for sent in doc.sentences]
+    embedded = nm.gather_rows(params["embed"], ids.reshape(-1)).reshape(n, width, config.embed_dim)
+    per_kernel = [
+        nm.linear(nm.window_means(embedded, lengths, k), params[f"conv{k}_w"], params[f"conv{k}_b"])
+        for k in config.word_kernels
+    ]
+    return nm.concat(per_kernel, axis=1)
 
 
-def gru_cell(x: Tensor, h_prev: Tensor, params: ParamStore, direction: str) -> Tensor:
-    """One gated-recurrent step; h stays in (-1, 1) when h_prev does."""
+def gru_states(x: Tensor, params: ParamStore, direction: str) -> Tensor:
+    """One GRU direction over all rows of x: one input projection, one fused recurrence."""
     p = lambda gate, kind: params[f"gru_{direction}_{gate}_{kind}"]
-    z = nm.sigmoid(nm.linear(x, p("z", "w"), p("z", "b")) + h_prev @ p("z", "v"))
-    r = nm.sigmoid(nm.linear(x, p("r", "w"), p("r", "b")) + h_prev @ p("r", "v"))
-    h_hat = nm.tanh(nm.linear(x, p("h", "w"), p("h", "b")) + (r * h_prev) @ p("h", "v"))
-    return (1.0 - z) * h_hat + z * h_prev
+    weight = nm.concat([p(gate, "w") for gate in _GRU_GATES], axis=1)
+    bias = nm.concat([p(gate, "b") for gate in _GRU_GATES])
+    return nm.gru_sequence(
+        nm.linear(x, weight, bias), *(p(gate, "v") for gate in _GRU_GATES),
+        reverse=direction == "bwd",
+    )
 
 
 @dataclass
 class DocumentEncoding:
-    """Bi-GRU context vectors per sentence plus the pooled document vector."""
+    """Bi-GRU context vectors, one [fwd; bwd] row per sentence, plus the document vector."""
 
-    contexts: list[Tensor]
-    doc: Tensor
+    contexts: Tensor  # [n, context_dim]
+    doc: Tensor  # [doc_dim]
 
 
 def encode_document(doc: Document, params: ParamStore, config: ExtractorConfig) -> DocumentEncoding:
     """Run both GRU directions from zero states and pool into the doc vector."""
     if doc.n_sentences == 0:
         raise ValueError(f"document {doc.id!r} has no sentences")
-    sent_vecs = [word_features(s, params, config)[1] for s in doc.sentences]
-    n = len(sent_vecs)
-    zero = Tensor(np.zeros(config.gru_hidden))
-
-    forward: list[Tensor] = []
-    h = zero
-    for vec in sent_vecs:
-        h = gru_cell(vec, h, params, "fwd")
-        forward.append(h)
-    backward: list[Tensor] = [None] * n
-    h = zero
-    for t in range(n - 1, -1, -1):
-        h = gru_cell(sent_vecs[t], h, params, "bwd")
-        backward[t] = h
-
-    contexts = [nm.concat([forward[t], backward[t]]) for t in range(n)]
-    total = contexts[0]
-    for ctx in contexts[1:]:
-        total = total + ctx
-    doc_vec = nm.tanh(nm.linear(total / n, params["doc_w"], params["doc_b"]))
+    x = sentence_vectors(doc, params, config)
+    contexts = nm.concat([gru_states(x, params, "fwd"), gru_states(x, params, "bwd")], axis=1)
+    doc_vec = nm.tanh(nm.linear(contexts.mean(axis=0), params["doc_w"], params["doc_b"]))
     return DocumentEncoding(contexts=contexts, doc=doc_vec)
 
 
-def extraction_logit(h_t: Tensor, g_prev: Tensor, d: Tensor, params: ParamStore) -> Tensor:
-    """Pre-sigmoid extraction score; feed to log_sigmoid for stable losses."""
-    x = nm.concat([h_t, g_prev, d])
-    a1 = nm.tanh(nm.linear(x, params["mlp_w1"], params["mlp_b1"]))
-    a2 = nm.tanh(nm.linear(a1, params["mlp_w2"], params["mlp_b2"]))
-    return nm.linear(a2, params["mlp_w3"], params["mlp_b3"])
+def _tanh(x):
+    return nm.tanh(x) if isinstance(x, Tensor) else np.tanh(x)
 
 
-def extraction_probability(h_t: Tensor, g_prev: Tensor, d: Tensor, params: ParamStore) -> Tensor:
+@dataclass(frozen=True)
+class PolicyHead:
+    """The MLP over [context; selection history; document], split at its first layer.
+
+    With fixed_t = h_t W1_ctx + d W1_doc + b1, which the history does not touch,
+        logit_t = tanh(tanh(fixed_t + g_{t-1} W1_sel) W2 + b2) W3 + b3,
+        g_t = g_{t-1} + y_t * increment_t,  increment_t = tanh(h_t W_g),  g_{-1} = 0.
+    Built from Tensors the head is on the tape (pretraining, policy gradient);
+    built from arrays it runs in plain numpy (sampling, decoding). Both are
+    this one piece of arithmetic.
+    """
+
+    fixed: Tensor | np.ndarray  # [n, m1]
+    increments: Tensor | np.ndarray  # [n, select_dim]
+    w1_sel: Tensor | np.ndarray
+    w2: Tensor | np.ndarray
+    b2: Tensor | np.ndarray
+    w3: Tensor | np.ndarray
+    b3: Tensor | np.ndarray
+
+    def logits(self, histories, t: int | None = None):
+        """Logits for histories [..., select_dim]: of sentence t, or row-wise of all sentences."""
+        fixed = self.fixed if t is None else self.fixed[t]
+        a1 = _tanh(fixed + histories @ self.w1_sel)
+        a2 = _tanh(a1 @ self.w2 + self.b2)
+        return (a2 @ self.w3 + self.b3)[..., 0]
+
+    def histories(self, decisions):
+        """g_{t-1} for every t of a known decision sequence: an exclusive cumulative sum."""
+        y = np.asarray(decisions, dtype=np.float64)
+        taken_before = np.tril(np.ones((len(y), len(y))), k=-1) * y  # [t, s]: y_s if s < t
+        if isinstance(self.increments, Tensor):
+            return nm.matmul(taken_before, self.increments)
+        return taken_before @ self.increments
+
+
+def policy_head(contexts, doc_vec, params: ParamStore) -> PolicyHead:
+    """The head for one document; Tensor inputs keep it on the tape, arrays do not."""
+    tape = isinstance(contexts, Tensor)
+    w = (lambda name: params[name]) if tape else (lambda name: params[name].data)
+    ctx, sel = contexts.shape[-1], params["select_w"].shape[1]
+    w1 = w("mlp_w1")
+    return PolicyHead(
+        fixed=contexts @ w1[:ctx] + doc_vec @ w1[ctx + sel :] + w("mlp_b1"),
+        increments=_tanh(contexts @ w("select_w")),
+        w1_sel=w1[ctx : ctx + sel],
+        w2=w("mlp_w2"),
+        b2=w("mlp_b2"),
+        w3=w("mlp_w3"),
+        b3=w("mlp_b3"),
+    )
+
+
+def extraction_logit(h_t, g_prev, d, params: ParamStore):
+    """Pre-sigmoid extraction score of one sentence; feed to log_sigmoid for stable losses."""
+    return policy_head(h_t, d, params).logits(g_prev)
+
+
+def extraction_probability(h_t, g_prev, d, params: ParamStore):
     """Probability of extracting the current sentence, strictly inside (0, 1)."""
     return nm.sigmoid(extraction_logit(h_t, g_prev, d, params))
 
 
-def initial_selection(config: ExtractorConfig) -> Tensor:
-    return Tensor(np.zeros(config.select_dim))
+def decision_log_probs(enc: DocumentEncoding, decisions, params: ParamStore) -> Tensor:
+    """log pi(y_t | state_t) of every step of a known decision sequence, [n], on the tape.
 
-
-def selection_update(g_prev: Tensor, h_t: Tensor, y_t: int, params: ParamStore) -> Tensor:
-    """g_t = g_{t-1} + y_t * tanh(W_g h_t); unchanged object when y_t = 0."""
-    if y_t == 0:
-        return g_prev
-    return g_prev + nm.tanh(h_t @ params["select_w"])
+    The history of a known sequence has a closed form, so the head runs once
+    over all n rows instead of once per step.
+    """
+    head = policy_head(enc.contexts, enc.doc, params)
+    z = head.logits(head.histories(decisions))
+    signs = np.where(np.asarray(decisions) == 1, 1.0, -1.0)
+    return nm.log_sigmoid(z * signs)
 
 
 def pretrain_loss(
@@ -198,14 +247,7 @@ def pretrain_loss(
             f"document {doc.id!r}: {len(labels.labels)} labels for {doc.n_sentences} sentences"
         )
     enc = encoding or encode_document(doc, params, config)
-    g = initial_selection(config)
-    loss = None
-    for t, y in enumerate(labels.labels):
-        z = extraction_logit(enc.contexts[t], g, enc.doc, params)
-        step = -nm.log_sigmoid(z) if y == 1 else -nm.log_sigmoid(-z)
-        loss = step if loss is None else loss + step
-        g = selection_update(g, enc.contexts[t], y, params)
-    return loss
+    return -decision_log_probs(enc, labels.labels, params).sum()
 
 
 def teacher_forced_probabilities(
@@ -213,12 +255,8 @@ def teacher_forced_probabilities(
 ) -> list[float]:
     """p_t conditioned on the ground-truth selection history, as plain floats."""
     enc = encode_document(doc, params, config)
-    g = initial_selection(config)
-    probs = []
-    for t, y in enumerate(labels.labels):
-        probs.append(extraction_probability(enc.contexts[t], g, enc.doc, params).item())
-        g = selection_update(g, enc.contexts[t], y, params)
-    return probs
+    head = policy_head(enc.contexts.data, enc.doc.data, params)
+    return nm.sigmoid(head.logits(head.histories(labels.labels))).data.tolist()
 
 
 def pretrain(
@@ -227,7 +265,6 @@ def pretrain(
     rng: np.random.Generator,
     params: ParamStore | None = None,
     epoch_losses: list[float] | None = None,
-    workers: int = 1,
 ) -> ParamStore:
     """Minimize the mean teacher-forced NLL with plain SGD.
 
@@ -243,9 +280,7 @@ def pretrain(
         epoch_total, seen = 0.0, 0
         for start in range(0, len(order), config.batch_size):
             batch = [labeled_docs[i] for i in order[start : start + config.batch_size]]
-            losses = map_ordered(
-                lambda pair: pretrain_loss(pair[0], pair[1], params, config), batch, workers
-            )
+            losses = [pretrain_loss(doc, labels, params, config) for doc, labels in batch]
             batch_loss = losses[0]
             for term in losses[1:]:
                 batch_loss = batch_loss + term

@@ -29,6 +29,8 @@ __all__ = [
     "gather_rows",
     "gather_flat",
     "max_pool_2x2",
+    "window_means",
+    "gru_sequence",
     "gradients",
     "sgd_step",
     "save_checkpoint",
@@ -88,6 +90,9 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
+
+    def __len__(self):
+        return len(self.data)
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -176,8 +181,9 @@ def _wrap(x) -> Tensor:
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64)  # a copy: g may be a view of another buffer
+    else:
+        t.grad += g
 
 
 def _needs_grad(*tensors: Tensor) -> bool:
@@ -308,12 +314,9 @@ def tsum(x, axis=None, keepdims=False) -> Tensor:
     data = _as_array(x.data.sum(axis=axis, keepdims=keepdims))
 
     def backward(g):
-        if axis is None:
-            _accumulate(x, np.broadcast_to(g, x.data.shape).copy())
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(g, x.data.shape).copy())
+        _accumulate(x, np.broadcast_to(g, x.data.shape))
 
     return _node(data, (x,), backward)
 
@@ -427,6 +430,100 @@ def max_pool_2x2(x) -> Tensor:
     return _node(_as_array(data), (x,), backward)
 
 
+# -- fused sequence ops -------------------------------------------------------
+
+
+def window_means(x, lengths, kernel: int) -> Tensor:
+    """Mean of the kernel-row windows at the first m_s positions of each [T, d] slab.
+
+    For x of shape [n, T, d], row s of the [n, kernel * d] result is
+    (1 / m_s) * sum_{i < m_s} concat(x[s, i], ..., x[s, i + kernel - 1]), where
+    rows at or past T read as zero. A linear convolution's mean over those
+    positions is then window_means(x) @ W + b, without building a window per
+    position. Block j of row s sums x[s] over the span [j, m_s + j), a
+    difference of two prefix sums, taken here as one [kernel, T] 0/1 band
+    matrix per slab, so forward and backward are each one batched matmul.
+    """
+    x = _wrap(x)
+    if x.data.ndim != 3:
+        raise ShapeError(f"window_means: expected [n, T, d], got {x.data.shape}")
+    n, t, d = x.data.shape
+    m = np.asarray(lengths, dtype=np.intp)
+    if m.shape != (n,) or np.any(m < 1) or np.any(m > t):
+        raise ShapeError(f"window_means: lengths must be {n} values in [1, {t}], got {m}")
+    start = np.arange(kernel)[None, :, None]  # [1, kernel, 1]
+    positions = np.arange(t)
+    band = (positions >= start) & (positions < m[:, None, None] + start)
+    band = band / m[:, None, None].astype(np.float64)  # [n, kernel, T]
+    data = band @ x.data
+
+    def backward(g):
+        _accumulate(x, band.transpose(0, 2, 1) @ g.reshape(n, kernel, d))
+
+    return _node(_as_array(data.reshape(n, kernel * d)), (x,), backward)
+
+
+def gru_sequence(x_proj, v_z, v_r, v_h, reverse: bool = False) -> Tensor:
+    """States of a GRU run over the rows of x_proj from a zero state, as one node.
+
+    x_proj is [n, 3h]: the input projections [x W_z + b_z | x W_r + b_r | x W_h + b_h]
+    of all n steps. With s the previous state, one step is
+        z = sigmoid(x_z + s V_z), r = sigmoid(x_r + s V_r),
+        c = tanh(x_h + (r * s) V_h), s' = (1 - z) * c + z * s.
+    With reverse the run starts at the last row; row t of the [n, h] result is
+    always the state after reading row t. Backward is backpropagation through
+    time in numpy, with the weight gradients taken as one matmul each.
+    """
+    x_proj, v_z, v_r, v_h = (_wrap(a) for a in (x_proj, v_z, v_r, v_h))
+    h = v_h.data.shape[0]
+    if (
+        x_proj.data.ndim != 2
+        or x_proj.data.shape[1] != 3 * h
+        or any(v.data.shape != (h, h) for v in (v_z, v_r, v_h))
+    ):
+        raise ShapeError(
+            f"gru_sequence: x_proj {x_proj.data.shape} with V {v_z.data.shape}, "
+            f"{v_r.data.shape}, {v_h.data.shape}"
+        )
+    n = x_proj.data.shape[0]
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    v_zr = np.concatenate([v_z.data, v_r.data], axis=1)
+    xp = x_proj.data
+    prev = np.zeros((n, h))  # state before step t
+    zr = np.zeros((n, 2 * h))
+    cand = np.zeros((n, h))
+    out = np.zeros((n, h))
+    s = np.zeros(h)
+    for t in order:
+        prev[t] = s
+        zr[t] = _sigmoid_np(xp[t, : 2 * h] + s @ v_zr)
+        z, r = zr[t, :h], zr[t, h:]
+        cand[t] = np.tanh(xp[t, 2 * h :] + (r * s) @ v_h.data)
+        s = (1.0 - z) * cand[t] + z * s
+        out[t] = s
+
+    def backward(g):
+        z, r = zr[:, :h], zr[:, h:]
+        d_proj = np.zeros((n, 3 * h))  # [a_z | a_r | a_h] per step
+        v_zr_t = v_zr.T
+        v_h_t = v_h.data.T
+        ds = np.zeros(h)
+        for t in reversed(order):
+            ds = ds + g[t]
+            a_h = ds * (1.0 - z[t]) * (1.0 - cand[t] * cand[t])
+            a_z = ds * (prev[t] - cand[t]) * z[t] * (1.0 - z[t])
+            d_rs = a_h @ v_h_t
+            a_r = d_rs * prev[t] * r[t] * (1.0 - r[t])
+            d_proj[t, :h], d_proj[t, h : 2 * h], d_proj[t, 2 * h :] = a_z, a_r, a_h
+            ds = ds * z[t] + d_rs * r[t] + d_proj[t, : 2 * h] @ v_zr_t
+        _accumulate(x_proj, d_proj)
+        _accumulate(v_z, prev.T @ d_proj[:, :h])
+        _accumulate(v_r, prev.T @ d_proj[:, h : 2 * h])
+        _accumulate(v_h, (r * prev).T @ d_proj[:, 2 * h :])
+
+    return _node(_as_array(out), (x_proj, v_z, v_r, v_h), backward)
+
+
 # -- spec-level conveniences --------------------------------------------------
 
 
@@ -513,9 +610,10 @@ def gradients(loss: Tensor, params: ParamStore) -> dict[str, np.ndarray]:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
     params.zero_grads()
     loss.backward()
+    # the store drops its references below, so each buffer is handed out, not copied
     out = {}
     for name, p in params.items():
-        out[name] = p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
+        out[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
     params.zero_grads()
     return out
 

@@ -5,6 +5,10 @@ selected sentences with the frozen coherence model (immediate rewards) and
 the finished summary with the combined ROUGE measure (final reward), turns
 those into per-step returns, and takes one ascent step on the sampled
 log-likelihood weighted by the returns.
+
+Sampling and the update share the extractor's one `PolicyHead`: sampling runs
+it on arrays, one step at a time, since each decision feeds the next; the
+update replays the sampled decisions on the tape in one batched pass.
 """
 
 from __future__ import annotations
@@ -21,12 +25,11 @@ from .corpus import Document, placeholder_sentence
 from .extractor import (
     DocumentEncoding,
     ExtractorConfig,
+    decision_log_probs,
     encode_document,
-    extraction_logit,
-    initial_selection,
-    selection_update,
+    policy_head,
 )
-from .numeric import ParamStore
+from .numeric import ParamStore, Tensor
 from .rouge import RewardWeights, combined_rouge
 
 log = logging.getLogger(__name__)
@@ -38,15 +41,12 @@ CoherenceScorer = Callable[[np.ndarray, np.ndarray], float]
 @dataclass
 class RLConfig:
     lam: float = 0.01  # weight of coherence rewards in the return
-    gamma: float = 1.0  # kept explicit; only the undiscounted form is supported
     alpha: float = 0.001  # ascent step size
     steps: int = 1000
     weights: RewardWeights = field(default_factory=RewardWeights)
     moving_window: int = 100
 
     def __post_init__(self):
-        if self.gamma != 1.0:
-            raise ValueError(f"only gamma = 1.0 is supported, got {self.gamma}")
         if self.lam < 0:
             raise ValueError(f"lambda must be non-negative, got {self.lam}")
         if self.alpha < 0:
@@ -73,16 +73,18 @@ def sample_episode(
 ) -> Episode:
     """Draw y_t ~ Bernoulli(p_t) sequentially, threading the selection history."""
     enc = encoding or encode_document(doc, params, config)
-    g = initial_selection(config)
+    head = policy_head(enc.contexts.data, enc.doc.data, params)
+    g = np.zeros(head.increments.shape[1])
     decisions: list[int] = []
     probs: list[float] = []
     for t in range(doc.n_sentences):
-        z = extraction_logit(enc.contexts[t], g, enc.doc, params).item()
+        z = float(head.logits(g, t))
         p = float(np.exp(-np.logaddexp(0.0, -z)))
         y = 1 if rng.random() < p else 0
         decisions.append(y)
         probs.append(p if y == 1 else 1.0 - p)
-        g = selection_update(g, enc.contexts[t], y, params)
+        if y == 1:
+            g = g + head.increments[t]
     return Episode(decisions=decisions, probs=probs)
 
 
@@ -124,6 +126,24 @@ def compute_returns(rewards: list[float], r_final: float, lam: float) -> list[fl
     return returns
 
 
+def surrogate_objective(
+    params: ParamStore,
+    doc: Document,
+    episode: Episode,
+    config: ExtractorConfig,
+    encoding: DocumentEncoding | None = None,
+) -> Tensor:
+    """sum_t R_t * log pi(y_t | state_t) on the tape, returns held constant."""
+    if len(episode.decisions) != doc.n_sentences or len(episode.returns) != doc.n_sentences:
+        raise ValueError(
+            f"episode with {len(episode.decisions)} decisions / {len(episode.returns)} returns "
+            f"does not match document {doc.id!r} with {doc.n_sentences} sentences"
+        )
+    enc = encoding or encode_document(doc, params, config)
+    log_probs = decision_log_probs(enc, episode.decisions, params)
+    return (log_probs * np.asarray(episode.returns, dtype=np.float64)).sum()
+
+
 def policy_gradient_step(
     params: ParamStore,
     doc: Document,
@@ -132,26 +152,13 @@ def policy_gradient_step(
     config: ExtractorConfig,
     encoding: DocumentEncoding | None = None,
 ) -> ParamStore:
-    """One ascent step on sum_t R_t * log pi(y_t | state_t).
+    """One ascent step on the surrogate sum_t R_t * log pi(y_t | state_t).
 
     All returns are treated as constants and gradients are evaluated at the
     pre-update parameters, so the step equals the per-t update loop applied
     jointly.
     """
-    if len(episode.decisions) != doc.n_sentences or len(episode.returns) != doc.n_sentences:
-        raise ValueError(
-            f"episode with {len(episode.decisions)} decisions / {len(episode.returns)} returns "
-            f"does not match document {doc.id!r} with {doc.n_sentences} sentences"
-        )
-    enc = encoding or encode_document(doc, params, config)
-    g = initial_selection(config)
-    surrogate = None
-    for t, y in enumerate(episode.decisions):
-        z = extraction_logit(enc.contexts[t], g, enc.doc, params)
-        log_prob = nm.log_sigmoid(z) if y == 1 else nm.log_sigmoid(-z)
-        term = episode.returns[t] * log_prob
-        surrogate = term if surrogate is None else surrogate + term
-        g = selection_update(g, enc.contexts[t], y, params)
+    surrogate = surrogate_objective(params, doc, episode, config, encoding)
     grads = nm.gradients(-surrogate, params)
     return nm.sgd_step(params, grads, alpha)
 

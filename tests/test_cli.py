@@ -227,3 +227,67 @@ def test_pipeline_is_byte_identical_across_runs(tmp_path):
     out_b, ckpt_b = _run_pipeline(corpus_b, tmp_path / "b")
     assert out_a.read_bytes() == out_b.read_bytes()
     assert ckpt_a.read_bytes() == ckpt_b.read_bytes()
+
+
+# -- vocabulary larger than the checkpoint's ------------------------------------
+
+
+@pytest.fixture
+def larger_vocab(tmp_path):
+    """A vocabulary built from the corpus words plus words the corpus never uses."""
+    extra = tmp_path / "extra.jsonl"
+    sentences = [" ".join(WORDS + ["ember", "field", "meadow", "harbor"])]
+    extra.write_text(json.dumps({"id": "x", "sentences": sentences, "highlights": sentences}) + "\n")
+    path = tmp_path / "larger_vocab.txt"
+    assert run(["preprocess", "--corpus", str(extra), "--out", str(path)]) == 0
+    return path
+
+
+def _assert_one_line_vocab_error(caplog):
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0] and "vocabulary" in errors[0]
+
+
+def _pretrained(corpus, tmp_path):
+    vocab = tmp_path / "vocab.txt"
+    ckpt = tmp_path / "pre.ckpt"
+    assert run(["preprocess", "--corpus", str(corpus), "--out", str(vocab)]) == 0
+    assert run(["pretrain", "--corpus", str(corpus), "--vocab", str(vocab), "--out", str(ckpt),
+                "--epochs", "0"] + TINY_EXTRACTOR) == 0
+    return ckpt
+
+
+def test_train_rnes_rejects_vocabulary_larger_than_checkpoint(corpus, tmp_path, larger_vocab,
+                                                              caplog):
+    ckpt = _pretrained(corpus, tmp_path)
+    code = run(["train-rnes", "--corpus", str(corpus), "--vocab", str(larger_vocab),
+                "--pretrain-checkpoint", str(ckpt), "--out", str(tmp_path / "rl.ckpt"),
+                "--lambda", "0", "--steps", "1"])
+    assert code == 1
+    _assert_one_line_vocab_error(caplog)
+    assert not (tmp_path / "rl.ckpt").exists()
+
+
+def test_summarize_rejects_vocabulary_larger_than_checkpoint(corpus, tmp_path, larger_vocab,
+                                                             caplog):
+    ckpt = _pretrained(corpus, tmp_path)
+    code = run(["summarize", "--corpus", str(corpus), "--vocab", str(larger_vocab),
+                "--checkpoint", str(ckpt), "--out", str(tmp_path / "s.jsonl"),
+                "--max-tokens", "10"])
+    assert code == 1
+    _assert_one_line_vocab_error(caplog)
+
+
+def test_score_coherence_rejects_vocabulary_larger_than_checkpoint(corpus, tmp_path, larger_vocab,
+                                                                   caplog):
+    vocab = tmp_path / "vocab.txt"
+    ckpt = tmp_path / "coh.ckpt"
+    assert run(["preprocess", "--corpus", str(corpus), "--out", str(vocab)]) == 0
+    assert run(["train-coherence", "--corpus", str(corpus), "--vocab", str(vocab),
+                "--out", str(ckpt), "--epochs", "1"] + TINY_COHERENCE) == 0
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("meadow harbor\triver stone\n")
+    code = run(["score-coherence", "--checkpoint", str(ckpt), "--vocab", str(larger_vocab),
+                "--pairs", str(pairs), "--out", str(tmp_path / "scores.txt")])
+    assert code == 1
+    _assert_one_line_vocab_error(caplog)

@@ -237,15 +237,6 @@ def test_train_rejects_empty_stream(config):
         train_coherence([], config, np.random.default_rng(0))
 
 
-def test_threaded_training_matches_sequential(vocab):
-    cfg = tiny_coherence_config(small_vocab().size, epochs=2, batch_size=4, conv_filters=(4,))
-    triplets = _synthetic_triplets(vocab, cfg, np.random.default_rng(2), 12)
-    sequential = train_coherence(triplets, cfg, np.random.default_rng(4), workers=1)
-    threaded = train_coherence(triplets, cfg, np.random.default_rng(4), workers=4)
-    for name, p in sequential.items():
-        assert np.array_equal(p.data, threaded[name].data)
-
-
 # -- pairwise accuracy ---------------------------------------------------------------------
 
 

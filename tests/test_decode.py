@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
-from cohsum.decode import _FastPolicy, beam_search, extract_summary, lead3
-from cohsum.extractor import (
-    encode_document,
-    extraction_probability,
-    init_extractor_params,
-    initial_selection,
-    selection_update,
-)
+from cohsum.decode import beam_search, extract_summary, lead3
+from cohsum.extractor import encode_document, extraction_probability, init_extractor_params
 from cohsum.corpus import make_document
+from reference_policy import _FastPolicy, initial_selection, selection_update
 
 from conftest import small_vocab, tiny_extractor_config, toy_document
 

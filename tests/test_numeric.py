@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohsum import numeric as nm
 from cohsum.numeric import (
@@ -207,6 +209,99 @@ def test_fd_composed_small_network(rng):
     def loss():
         h = nm.tanh(linear(Tensor(x), params["w1"], params["b1"]))
         return nm.sigmoid(linear(h, params["w2"], params["b2"])).mean()
+
+    _fd_check(loss, params)
+
+
+# -- fused sequence ops -------------------------------------------------------------
+
+
+def _explicit_window_means(x, lengths, kernel):
+    # zero-pad past T, build every window at the first m positions, average them
+    n, t, d = x.shape
+    padded = np.concatenate([x, np.zeros((n, kernel - 1, d))], axis=1)
+    return np.stack([
+        np.mean([padded[s, i : i + kernel].reshape(-1) for i in range(m)], axis=0)
+        for s, m in enumerate(lengths)
+    ])
+
+
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=60, deadline=None)
+def test_window_means_match_explicit_windows(n, t, kernel, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, t, 3))
+    lengths = rng.integers(1, t + 1, size=n)
+    out = nm.window_means(Tensor(x), lengths, kernel)
+    assert out.shape == (n, kernel * 3)
+    assert np.allclose(out.data, _explicit_window_means(x, lengths, kernel), rtol=1e-12, atol=1e-14)
+
+
+def test_window_means_rejects_lengths_outside_slab():
+    x = Tensor(np.zeros((2, 4, 3)))
+    for lengths in ([0, 2], [2, 5], [1, 1, 1]):
+        with pytest.raises(ShapeError, match="lengths"):
+            nm.window_means(x, lengths, 2)
+
+
+def test_fd_window_means(rng):
+    params = ParamStore()
+    params.init_uniform("x", (3, 5, 2), rng, scale=1.0)
+    weights = rng.normal(size=(3, 4 * 2))
+    # kernel 4 over T = 5: lengths 1, 3 and 5 reach the zero rows past T differently
+    _fd_check(lambda: nm.tanh(nm.window_means(params["x"], [1, 3, 5], 4) * weights).sum(), params)
+
+
+def _gru_loop(x_proj, v_z, v_r, v_h, reverse):
+    n, h = x_proj.shape[0], v_h.shape[0]
+    sig = lambda a: 1.0 / (1.0 + np.exp(-a))
+    out = np.zeros((n, h))
+    s = np.zeros(h)
+    for t in (range(n - 1, -1, -1) if reverse else range(n)):
+        xz, xr, xh = np.split(x_proj[t], 3)
+        z, r = sig(xz + s @ v_z), sig(xr + s @ v_r)
+        s = (1.0 - z) * np.tanh(xh + (r * s) @ v_h) + z * s
+        out[t] = s
+    return out
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_gru_sequence_matches_step_loop(rng, reverse):
+    x_proj, v_z, v_r, v_h = (rng.normal(size=shape) for shape in ((6, 12), (4, 4), (4, 4), (4, 4)))
+    out = nm.gru_sequence(Tensor(x_proj), Tensor(v_z), Tensor(v_r), Tensor(v_h), reverse=reverse)
+    assert np.allclose(out.data, _gru_loop(x_proj, v_z, v_r, v_h, reverse), rtol=1e-12, atol=1e-14)
+
+
+def test_gru_sequence_reverse_reads_rows_backwards(rng):
+    x_proj, v_z, v_r, v_h = (Tensor(rng.normal(size=s)) for s in ((5, 9), (3, 3), (3, 3), (3, 3)))
+    flipped = Tensor(x_proj.data[::-1].copy())
+    backward = nm.gru_sequence(x_proj, v_z, v_r, v_h, reverse=True)
+    forward_of_flipped = nm.gru_sequence(flipped, v_z, v_r, v_h)
+    assert np.array_equal(backward.data, forward_of_flipped.data[::-1])
+
+
+def test_gru_sequence_rejects_mismatched_shapes():
+    with pytest.raises(ShapeError, match="gru_sequence"):
+        nm.gru_sequence(Tensor(np.zeros((3, 8))), *(Tensor(np.zeros((3, 3))) for _ in range(3)))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_fd_gru_sequence(rng, reverse):
+    params = ParamStore()
+    params.init_uniform("x_proj", (4, 9), rng, scale=1.0)
+    for name in ("v_z", "v_r", "v_h"):
+        params.init_uniform(name, (3, 3), rng, scale=1.0)
+    weights = rng.normal(size=(4, 3))
+
+    def loss():
+        states = nm.gru_sequence(params["x_proj"], params["v_z"], params["v_r"], params["v_h"],
+                                 reverse=reverse)
+        return (states * weights).sum()
 
     _fd_check(loss, params)
 

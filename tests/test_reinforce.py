@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from cohsum.corpus import make_document, placeholder_sentence
-from cohsum.extractor import (
-    encode_document,
-    extraction_probability,
-    init_extractor_params,
-    initial_selection,
-)
+from cohsum.extractor import encode_document, extraction_probability, init_extractor_params
 from cohsum.reinforce import (
     Episode,
     RLConfig,
@@ -23,6 +18,7 @@ from cohsum.reinforce import (
 from cohsum.rouge import RewardWeights
 
 from conftest import small_vocab, tiny_extractor_config, toy_document
+from reference_policy import initial_selection
 
 
 @pytest.fixture
@@ -45,11 +41,6 @@ def _doc(vocab, config, texts, highlights):
 
 
 # -- config invariants -------------------------------------------------------------
-
-
-def test_rl_config_rejects_discounting():
-    with pytest.raises(ValueError, match="gamma"):
-        RLConfig(gamma=0.9)
 
 
 def test_rl_config_rejects_negative_lambda():
@@ -97,7 +88,7 @@ def test_episode_probs_are_action_probabilities(vocab, config, params, rng):
     enc = encode_document(doc, params, config)
     episode = sample_episode(doc, params, config, rng, encoding=enc)
     g = initial_selection(config)
-    from cohsum.extractor import selection_update
+    from reference_policy import selection_update
 
     for t, (y, prob) in enumerate(zip(episode.decisions, episode.probs)):
         p = extraction_probability(enc.contexts[t], g, enc.doc, params).item()
