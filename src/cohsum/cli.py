@@ -246,6 +246,7 @@ def cmd_summarize(args) -> int:
     else:
         params, config = None, None
         max_tokens, max_sentences = args.max_tokens, args.max_sentences
+    counts = []
     with open(args.out, "w", encoding="utf-8") as fh:
         for doc in cp.load_corpus(args.corpus, vocab=vocab, max_tokens=max_tokens,
                                   max_sentences=max_sentences):
@@ -263,7 +264,14 @@ def cmd_summarize(args) -> int:
                 "summary": [s.text for s in summary],
             }
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            counts.append(len(selected))
     log.info("wrote summaries to %s", args.out)
+    if counts:
+        empty = counts.count(0)
+        if empty:
+            log.warning("%d of %d summaries are empty", empty, len(counts))
+        log.info("selected sentences per summary: min %d, median %g, max %d",
+                 min(counts), np.median(counts), max(counts))
     return 0
 
 
@@ -474,6 +482,10 @@ def run(argv: list[str]) -> int:
         return args.func(args)
     except (cp.CorpusFormatError, CheckpointError, OSError, ValueError) as exc:
         log.error("%s", exc)
+        return 1
+    except FloatingPointError as exc:
+        log.error("%s: a value overflowed or became NaN; for training, try a smaller step size "
+                  "(--lr, --alpha)", exc)
         return 1
 
 

@@ -6,6 +6,16 @@ valid 3x3 convolution stages, two ReLU fully-connected layers, and a tanh
 readout in (-1, 1). Stages that no longer fit the shrinking grid are
 omitted, so small test geometries and the full-size stack share one code
 path.
+
+Layer 1 and the first pool are fused. Cell (i, j) of the grid is
+relu(P_A[i] + P_B[j] + b), where P_A and P_B are the projections of the
+windows of each sentence alone. Float addition and relu are monotone in each
+argument, so the max over a 2x2 block {2I, 2I+1} x {2J, 2J+1} equals
+relu(max(P_A[2I], P_A[2I+1]) + max(P_B[2J], P_B[2J+1]) + b) bit for bit. The
+forward pass therefore builds the [T/2, T/2, F] pooled grid from the pairwise
+row maxima and never the [T, T, F] one. The cells that reach the block max
+form a product set of rows and columns, so the gradient goes to the cell
+that comes first in block scan order, as pooling the full grid sends it.
 """
 
 from __future__ import annotations
@@ -127,8 +137,15 @@ def _check_ids(ids, config: CoherenceConfig, which: str) -> np.ndarray:
     return arr
 
 
-def interaction_layer1(sa_ids, sb_ids, params: ParamStore, config: CoherenceConfig) -> Tensor:
-    """ReLU grid of all window pairs: cell (i, j) sees window i of A and j of B."""
+def interaction_layer1(
+    sa_ids, sb_ids, params: ParamStore, config: CoherenceConfig, pooled: bool = False
+) -> Tensor:
+    """ReLU grid of all window pairs: cell (i, j) sees window i of A and j of B.
+
+    With pooled, the grid is the 2x2 max-pool of that grid, built from the
+    pairwise row maxima of the two per-sentence projections (see the module
+    docstring); the result is bit-identical to pooling the full grid.
+    """
     sa_ids = _check_ids(sa_ids, config, "first sentence")
     sb_ids = _check_ids(sb_ids, config, "second sentence")
     t, de, k = config.grid_size, config.embed_dim, config.window
@@ -138,14 +155,17 @@ def interaction_layer1(sa_ids, sb_ids, params: ParamStore, config: CoherenceConf
     half = k * de
     pa = wa @ params["layer1_w"][:half, :]
     pb = wb @ params["layer1_w"][half:, :]
-    f = config.conv_filters[0]
-    return nm.relu(pa.reshape(t, 1, f) + pb.reshape(1, t, f) + params["layer1_b"])
+    if pooled:
+        pa, pb = nm.pair_max(pa), nm.pair_max(pb)
+    n, f = pa.shape
+    return nm.relu(pa.reshape(n, 1, f) + pb.reshape(1, n, f) + params["layer1_b"])
 
 
 def _forward(sa_ids, sb_ids, params: ParamStore, config: CoherenceConfig) -> Tensor:
-    x = interaction_layer1(sa_ids, sb_ids, params, config)
     stages, _ = stack_plan(config)
-    for stage in stages:
+    pooled = stages[:1] == [("pool",)]
+    x = interaction_layer1(sa_ids, sb_ids, params, config, pooled=pooled)
+    for stage in stages[1:] if pooled else stages:
         if stage[0] == "pool":
             x = nm.max_pool_2x2(x)
         else:
@@ -173,11 +193,6 @@ def make_scorer(params: ParamStore, config: CoherenceConfig):
         return coherence_forward(sa_ids, sb_ids, params, config)
 
     return scorer
-
-
-def hinge_loss(coh_pos: float, coh_neg: float) -> float:
-    """Ranking margin: zero only when the positive leads by at least 1."""
-    return max(0.0, 1.0 + coh_neg - coh_pos)
 
 
 def triplet_loss(triplet: CoherenceTriplet, params: ParamStore, config: CoherenceConfig) -> Tensor:

@@ -4,21 +4,36 @@ A deliberately small tape-based autograd over numpy arrays: enough ops to
 express word/sentence convolutions, GRU recurrences, the interaction grid
 of the coherence scorer, and the training losses built on them. Everything
 is 64-bit so finite-difference gradient checks are decisive.
+
+- Finite checks: every op result is checked once for NaN/Inf, when `_node`
+  wraps it in a Tensor; op bodies do not check again.
+- Row-sparse table gradients: `gather_rows` backward records (indices, g)
+  segments on the table instead of scattering into a zero-filled table.
+  `gradients` hands a leaf reached only that way out as a `RowGrad` (the
+  touched rows and their summed gradient) and `sgd_step` updates those rows
+  only. The segments are summed with `np.add.at` in the order they were
+  recorded, so every entry is bit-identical to the dense scatter. A table that
+  a dense op also reaches, or that is not a leaf, is densified first.
+- Checkpoints stream: each tensor is written from its own buffer and read
+  straight into its own array, after its declared size is checked against
+  the bytes left in the file. Writes go to a temporary file moved into place.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
 
 __all__ = [
     "Tensor",
+    "RowGrad",
     "ParamStore",
     "ShapeError",
     "CheckpointError",
     "linear",
-    "activation",
     "tanh",
     "sigmoid",
     "relu",
@@ -29,6 +44,7 @@ __all__ = [
     "gather_rows",
     "gather_flat",
     "max_pool_2x2",
+    "pair_max",
     "window_means",
     "gru_sequence",
     "gradients",
@@ -105,7 +121,11 @@ class Tensor:
     # -- graph construction ------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode pass from a scalar; accumulates into .grad fields."""
+        """Reverse-mode pass from a scalar; accumulates into .grad fields.
+
+        A leaf reached only through `gather_rows` is left holding its list of
+        (indices, g) row segments; `gradients` collects them into a `RowGrad`.
+        """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar, got shape {self.data.shape}")
         topo: list[Tensor] = []
@@ -127,7 +147,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+                node._backward_fn(_dense_grad(node))
             if node is not self and node._backward_fn is not None:
                 node.grad = None  # free intermediate buffers early
 
@@ -179,11 +199,21 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _dense_grad(t: Tensor) -> np.ndarray:
+    """t.grad as a dense array: zero-filled when absent, row segments scattered in order."""
+    if not isinstance(t.grad, np.ndarray):
+        dense = np.zeros_like(t.data)
+        for idx, g in t.grad or ():
+            np.add.at(dense, idx, g)
+        t.grad = dense
+    return t.grad
+
+
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64)  # a copy: g may be a view of another buffer
     else:
-        t.grad += g
+        _dense_grad(t)[...] += g
 
 
 def _needs_grad(*tensors: Tensor) -> bool:
@@ -213,7 +243,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    data = _as_array(a.data + b.data)
+    data = a.data + b.data
 
     def backward(g):
         _accumulate(a, _unbroadcast(g, a.data.shape))
@@ -224,7 +254,7 @@ def add(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    data = _as_array(a.data * b.data)
+    data = a.data * b.data
 
     def backward(g):
         _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
@@ -237,7 +267,7 @@ def matmul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if b.data.ndim != 2 or a.data.ndim < 1 or a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} @ {b.data.shape}")
-    data = _as_array(a.data @ b.data)
+    data = a.data @ b.data
 
     def backward(g):
         _accumulate(a, g @ b.data.T)
@@ -250,7 +280,7 @@ def matmul(a, b) -> Tensor:
 
 def tanh(x) -> Tensor:
     x = _wrap(x)
-    out_data = _as_array(np.tanh(x.data))
+    out_data = np.tanh(x.data)
 
     def backward(g):
         _accumulate(x, g * (1.0 - out_data * out_data))
@@ -265,7 +295,7 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(x) -> Tensor:
     x = _wrap(x)
-    out_data = _as_array(_sigmoid_np(x.data))
+    out_data = _sigmoid_np(x.data)
 
     def backward(g):
         _accumulate(x, g * out_data * (1.0 - out_data))
@@ -275,7 +305,7 @@ def sigmoid(x) -> Tensor:
 
 def relu(x) -> Tensor:
     x = _wrap(x)
-    out_data = _as_array(np.maximum(x.data, 0.0))
+    out_data = np.maximum(x.data, 0.0)
 
     def backward(g):
         _accumulate(x, g * (x.data > 0))
@@ -285,7 +315,7 @@ def relu(x) -> Tensor:
 
 def log(x) -> Tensor:
     x = _wrap(x)
-    out_data = _as_array(np.log(x.data))
+    out_data = np.log(x.data)
 
     def backward(g):
         _accumulate(x, g / x.data)
@@ -296,7 +326,7 @@ def log(x) -> Tensor:
 def softplus(x) -> Tensor:
     """log(1 + e^x), computed without overflow."""
     x = _wrap(x)
-    out_data = _as_array(np.logaddexp(0.0, x.data))
+    out_data = np.logaddexp(0.0, x.data)
 
     def backward(g):
         _accumulate(x, g * _sigmoid_np(x.data))
@@ -311,7 +341,7 @@ def log_sigmoid(x) -> Tensor:
 
 def tsum(x, axis=None, keepdims=False) -> Tensor:
     x = _wrap(x)
-    data = _as_array(x.data.sum(axis=axis, keepdims=keepdims))
+    data = x.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
         if axis is not None and not keepdims:
@@ -339,7 +369,7 @@ def reshape(x, shape) -> Tensor:
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
-    data = _as_array(np.concatenate([t.data for t in tensors], axis=axis))
+    data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -355,18 +385,21 @@ def concat(tensors, axis: int = 0) -> Tensor:
 def take_slice(x, key) -> Tensor:
     """Basic indexing only (ints and slices); use gather_* for index arrays."""
     x = _wrap(x)
-    data = _as_array(x.data[key])
+    data = x.data[key]
 
     def backward(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[key] += g
+        _dense_grad(x)[key] += g
 
     return _node(data, (x,), backward)
 
 
 def gather_rows(table, indices) -> Tensor:
-    """Rows of a 2-D table selected by an integer vector (embedding lookup)."""
+    """Rows of a 2-D table selected by an integer vector (embedding lookup).
+
+    Backward records (indices, g) as a row segment of the table's gradient
+    instead of scattering into a zero-filled [rows, d] array; `gradients`
+    turns a leaf's segments into a `RowGrad`.
+    """
     table = _wrap(table)
     idx = np.asarray(indices, dtype=np.intp)
     if table.data.ndim != 2 or idx.ndim != 1:
@@ -375,8 +408,11 @@ def gather_rows(table, indices) -> Tensor:
 
     def backward(g):
         if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx, g)
+            table.grad = []
+        if isinstance(table.grad, list):
+            table.grad.append((idx, g))
+        else:
+            np.add.at(table.grad, idx, g)
 
     return _node(data, (table,), backward)
 
@@ -388,9 +424,32 @@ def gather_flat(x, flat_indices) -> Tensor:
     data = x.data.reshape(-1)[idx]
 
     def backward(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        np.add.at(x.grad.reshape(-1), idx.reshape(-1), g.reshape(-1))
+        np.add.at(_dense_grad(x).reshape(-1), idx.reshape(-1), g.reshape(-1))
+
+    return _node(data, (x,), backward)
+
+
+def _block_max(x: Tensor, views_of) -> Tensor:
+    """Elementwise max over the same-shape strided views `views_of(array)` of x.
+
+    Ties take the earliest view in the order views_of lists them, in value
+    and in gradient. The forward pass keeps no winner indices: backward finds
+    each output's winner as the first view equal to it, so a forward-only
+    pass never pays for the search.
+    """
+    views = views_of(x.data)
+    data = views[0].copy()
+    for v in views[1:]:
+        np.copyto(data, v, where=v > data)  # strict: an equal later value never replaces
+
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        open_ = np.ones(data.shape, dtype=bool)
+        for gv, v in zip(views_of(gx), views):
+            win = open_ & (v == data)
+            np.add(gv, g, out=gv, where=win)
+            open_ &= ~win
+        _accumulate(x, gx)
 
     return _node(data, (x,), backward)
 
@@ -399,35 +458,28 @@ def max_pool_2x2(x) -> Tensor:
     """Channelwise max over disjoint 2x2 blocks of an [H, W, C] grid.
 
     Trailing odd row/column is dropped; ties route gradient to the first
-    participant in block scan order.
+    participant in block scan order (0,0), (0,1), (1,0), (1,1).
     """
     x = _wrap(x)
     if x.data.ndim != 3:
         raise ShapeError(f"max_pool_2x2: expected [H, W, C], got {x.data.shape}")
-    h, w, c = x.data.shape
+    h, w, _ = x.data.shape
     if h < 2 or w < 2:
         raise ShapeError(f"max_pool_2x2: grid {x.data.shape} smaller than 2x2")
-    h2, w2 = h // 2, w // 2
-    blocks = (
-        x.data[: 2 * h2, : 2 * w2]
-        .reshape(h2, 2, w2, 2, c)
-        .transpose(0, 2, 4, 1, 3)
-        .reshape(h2, w2, c, 4)
-    )
-    winner = blocks.argmax(axis=-1)
-    data = np.take_along_axis(blocks, winner[..., None], axis=-1)[..., 0]
+    even_h, even_w = h - h % 2, w - w % 2
+    return _block_max(x, lambda a: [a[i:even_h:2, j:even_w:2] for i in (0, 1) for j in (0, 1)])
 
-    ii, jj, cc = np.indices((h2, w2, c))
-    rows = 2 * ii + winner // 2
-    cols = 2 * jj + winner % 2
-    flat = (rows * w + cols) * c + cc
 
-    def backward(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        np.add.at(x.grad.reshape(-1), flat.reshape(-1), g.reshape(-1))
+def pair_max(x) -> Tensor:
+    """Max of each disjoint pair of rows: out[i] = max(x[2i], x[2i + 1]), elementwise.
 
-    return _node(_as_array(data), (x,), backward)
+    A trailing odd row is dropped; ties route gradient to the even row.
+    """
+    x = _wrap(x)
+    if x.data.ndim < 1 or x.data.shape[0] < 2:
+        raise ShapeError(f"pair_max: need at least 2 rows, got shape {x.data.shape}")
+    even = x.data.shape[0] - x.data.shape[0] % 2
+    return _block_max(x, lambda a: [a[0:even:2], a[1:even:2]])
 
 
 # -- fused sequence ops -------------------------------------------------------
@@ -460,7 +512,7 @@ def window_means(x, lengths, kernel: int) -> Tensor:
     def backward(g):
         _accumulate(x, band.transpose(0, 2, 1) @ g.reshape(n, kernel, d))
 
-    return _node(_as_array(data.reshape(n, kernel * d)), (x,), backward)
+    return _node(data.reshape(n, kernel * d), (x,), backward)
 
 
 def gru_sequence(x_proj, v_z, v_r, v_h, reverse: bool = False) -> Tensor:
@@ -521,7 +573,7 @@ def gru_sequence(x_proj, v_z, v_r, v_h, reverse: bool = False) -> Tensor:
         _accumulate(v_r, prev.T @ d_proj[:, h : 2 * h])
         _accumulate(v_h, (r * prev).T @ d_proj[:, 2 * h :])
 
-    return _node(_as_array(out), (x_proj, v_z, v_r, v_h), backward)
+    return _node(out, (x_proj, v_z, v_r, v_h), backward)
 
 
 # -- spec-level conveniences --------------------------------------------------
@@ -539,17 +591,6 @@ def linear(x, weight, bias) -> Tensor:
             f"linear: x {x.data.shape} @ W {weight.data.shape} + b {bias.data.shape}"
         )
     return matmul(x, weight) + bias
-
-
-_ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
-
-
-def activation(x, kind: str) -> Tensor:
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}; expected one of {sorted(_ACTIVATIONS)}")
-    return fn(x)
 
 
 # -- parameters ---------------------------------------------------------------
@@ -600,11 +641,36 @@ class ParamStore:
         return dup
 
 
-def gradients(loss: Tensor, params: ParamStore) -> dict[str, np.ndarray]:
+class RowGrad:
+    """Gradient of a table of which only some rows were gathered.
+
+    Row rows[k] of the gradient is values[k]; every other row is zero.
+    `rows` is sorted and unique. np.asarray(g) gives the dense array.
+    """
+
+    __slots__ = ("rows", "values", "shape")
+
+    def __init__(self, segments, shape: tuple):
+        idx = np.concatenate([i for i, _ in segments])
+        self.rows, where = np.unique(idx, return_inverse=True)
+        self.values = np.zeros((len(self.rows),) + tuple(shape[1:]))
+        # one add.at in segment order gives each row the same additions from
+        # 0.0, in the same order, as scattering the segments into a dense table
+        np.add.at(self.values, where, np.concatenate([g for _, g in segments]))
+        self.shape = tuple(shape)
+
+    def __array__(self, dtype=None, copy=None):
+        dense = np.zeros(self.shape)
+        dense[self.rows] = self.values
+        return dense if dtype is None else dense.astype(dtype)
+
+
+def gradients(loss: Tensor, params: ParamStore) -> dict[str, np.ndarray | RowGrad]:
     """Exact reverse-mode d(loss)/d(p) for every parameter in the store.
 
-    Parameters not touched by the loss get zero gradients, so the result
-    always mirrors the store's keyset.
+    A table reached only through `gather_rows` gets a `RowGrad`; every other
+    parameter gets a dense array. Parameters not touched by the loss get
+    zero gradients, so the result always mirrors the store's keyset.
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -613,13 +679,21 @@ def gradients(loss: Tensor, params: ParamStore) -> dict[str, np.ndarray]:
     # the store drops its references below, so each buffer is handed out, not copied
     out = {}
     for name, p in params.items():
-        out[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
+        if p.grad is None:
+            out[name] = np.zeros_like(p.data)
+        elif isinstance(p.grad, list):
+            out[name] = RowGrad(p.grad, p.data.shape)
+        else:
+            out[name] = p.grad
     params.zero_grads()
     return out
 
 
-def sgd_step(params: ParamStore, grads: dict[str, np.ndarray], lr: float) -> ParamStore:
-    """p <- p - lr * g in place. Pass negated gradients for an ascent step."""
+def sgd_step(params: ParamStore, grads: dict[str, np.ndarray | RowGrad], lr: float) -> ParamStore:
+    """p <- p - lr * g in place; a RowGrad updates only its rows.
+
+    Pass negated gradients for an ascent step.
+    """
     if set(grads) != set(params.names()):
         missing = set(params.names()) - set(grads)
         extra = set(grads) - set(params.names())
@@ -628,7 +702,10 @@ def sgd_step(params: ParamStore, grads: dict[str, np.ndarray], lr: float) -> Par
         g = grads[name]
         if g.shape != p.data.shape:
             raise ShapeError(f"gradient for {name!r} has shape {g.shape}, parameter {p.data.shape}")
-        p.data -= lr * g
+        if isinstance(g, RowGrad):
+            p.data[g.rows] -= lr * g.values
+        else:
+            p.data -= lr * g
     return params
 
 
@@ -639,46 +716,68 @@ _CKPT_VERSION = 1
 
 
 def save_checkpoint(params: ParamStore, path) -> None:
-    """Binary dump: magic, version, count, then name/shape/float64-LE data per tensor."""
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<II", _CKPT_VERSION, len(params)))
-        for name, p in params.items():
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<I", p.data.ndim))
-            fh.write(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
-            fh.write(p.data.astype("<f8").tobytes())
+    """Binary dump: magic, version, count, then name/shape/float64-LE data per tensor.
+
+    Each tensor's bytes are written from its own buffer, without a copy when
+    it is already contiguous little-endian float64. The file is written under
+    a temporary name in the same directory and moved over `path` only once
+    complete, so a failed write leaves any previous checkpoint intact.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CKPT_MAGIC)
+            fh.write(struct.pack("<II", _CKPT_VERSION, len(params)))
+            for name, p in params.items():
+                raw = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(raw)))
+                fh.write(raw)
+                fh.write(struct.pack("<I", p.data.ndim))
+                fh.write(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
+                fh.write(np.ascontiguousarray(p.data, dtype="<f8").data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> ParamStore:
+    """Read a checkpoint tensor by tensor, each straight into its own array.
+
+    Every read is checked against the bytes left in the file before anything
+    is allocated, so a corrupt size field fails as truncation.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
-        raise CheckpointError(f"{path}: not a parameter checkpoint")
-    offset = len(_CKPT_MAGIC)
+        size = os.fstat(fh.fileno()).st_size
 
-    def read(count: int, what: str) -> bytes:
-        nonlocal offset
-        chunk = blob[offset : offset + count]
-        if len(chunk) != count:
-            raise CheckpointError(f"{path}: truncated while reading {what}")
-        offset += count
-        return chunk
+        def need(count: int, what: str) -> None:
+            # checked before count bytes are allocated: a corrupt size is not a MemoryError
+            if count > size - fh.tell():
+                raise CheckpointError(f"{path}: truncated while reading {what}")
 
-    version, n_tensors = struct.unpack("<II", read(8, "header"))
-    if version != _CKPT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    params = ParamStore()
-    for k in range(n_tensors):
-        (name_len,) = struct.unpack("<I", read(4, f"tensor {k} name length"))
-        name = read(name_len, f"tensor {k} name").decode("utf-8")
-        (rank,) = struct.unpack("<I", read(4, f"tensor {name!r} rank"))
-        shape = struct.unpack(f"<{rank}I", read(4 * rank, f"tensor {name!r} shape"))
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        data = np.frombuffer(read(8 * count, f"tensor {name!r} data"), dtype="<f8")
-        params.add(name, data.reshape(shape).copy())
-    if offset != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes after last tensor")
+        def read(count: int, what: str) -> bytes:
+            need(count, what)
+            return fh.read(count)
+
+        if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
+            raise CheckpointError(f"{path}: not a parameter checkpoint")
+        version, n_tensors = struct.unpack("<II", read(8, "header"))
+        if version != _CKPT_VERSION:
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        params = ParamStore()
+        for k in range(n_tensors):
+            (name_len,) = struct.unpack("<I", read(4, f"tensor {k} name length"))
+            name = read(name_len, f"tensor {k} name").decode("utf-8")
+            (rank,) = struct.unpack("<I", read(4, f"tensor {name!r} rank"))
+            shape = struct.unpack(f"<{rank}I", read(4 * rank, f"tensor {name!r} shape"))
+            need(8 * math.prod(shape), f"tensor {name!r} data")
+            data = np.empty(shape, dtype="<f8")
+            if fh.readinto(data.reshape(-1).view(np.uint8)) != data.nbytes:
+                raise CheckpointError(f"{path}: truncated while reading tensor {name!r} data")
+            params.add(name, data)
+        trailing = size - fh.tell()
+    if trailing:
+        raise CheckpointError(f"{path}: {trailing} trailing bytes after last tensor")
     return params

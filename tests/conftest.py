@@ -42,7 +42,7 @@ def assert_grads_close(analytic: dict, numeric: dict, rel_tol: float = 1e-4,
     """
     assert set(analytic) == set(numeric)
     for name in analytic:
-        a, f = analytic[name].reshape(-1), numeric[name].reshape(-1)
+        a, f = np.asarray(analytic[name]).reshape(-1), np.asarray(numeric[name]).reshape(-1)
         for av, fv in zip(a, f):
             scale = max(abs(av), abs(fv))
             assert abs(av - fv) <= rel_tol * scale + abs_tol, (

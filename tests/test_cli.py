@@ -1,10 +1,15 @@
 """CLI contracts: exit codes, file formats, determinism, stage wiring."""
 
 import json
+import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cohsum
 from cohsum.cli import run
 from cohsum.corpus import load_vocab
 from cohsum.extractor import init_extractor_params
@@ -291,3 +296,41 @@ def test_score_coherence_rejects_vocabulary_larger_than_checkpoint(corpus, tmp_p
                 "--pairs", str(pairs), "--out", str(tmp_path / "scores.txt")])
     assert code == 1
     _assert_one_line_vocab_error(caplog)
+
+
+# -- diverging runs and summary statistics ---------------------------------------
+
+
+def test_diverging_pretrain_exits_1_with_one_error_line(corpus, tmp_path):
+    vocab = tmp_path / "vocab.txt"
+    assert run(["preprocess", "--corpus", str(corpus), "--out", str(vocab)]) == 0
+    package_root = os.path.dirname(os.path.dirname(cohsum.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from cohsum.cli import main; main()",
+         "pretrain", "--corpus", str(corpus), "--vocab", str(vocab),
+         "--out", str(tmp_path / "p.ckpt"), "--lr", "1e300"] + TINY_EXTRACTOR,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=package_root),
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if " ERROR " in line]
+    assert len(errors) == 1 and "non-finite" in errors[0]
+    assert not (tmp_path / "p.ckpt").exists()
+
+
+@pytest.mark.parametrize("method", ["beam", "lead3"])
+def test_summarize_reports_empty_summaries_and_selected_counts(corpus, tmp_path, caplog, method):
+    ckpt = _pretrained(corpus, tmp_path)  # untrained: beam search selects nothing
+    out = tmp_path / "s.jsonl"
+    with caplog.at_level(logging.INFO):
+        assert run(["summarize", "--corpus", str(corpus), "--vocab", str(tmp_path / "vocab.txt"),
+                    "--checkpoint", str(ckpt), "--out", str(out), "--max-tokens", "10",
+                    "--method", method]) == 0
+    counts = [len(json.loads(line)["selected_indices"]) for line in out.read_text().splitlines()]
+    messages = [(r.levelname, r.getMessage()) for r in caplog.records]
+    empty = counts.count(0)
+    warnings = [m for level, m in messages if level == "WARNING"]
+    assert warnings == ([f"{empty} of {len(counts)} summaries are empty"] if empty else [])
+    assert (method == "beam") == (empty > 0)
+    assert ("INFO", f"selected sentences per summary: min {min(counts)}, "
+            f"median {np.median(counts):g}, max {max(counts)}") in messages

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from cohsum import coherence
 from cohsum import numeric as nm
 from cohsum.coherence import (
     CoherenceConfig,
     coherence_forward,
-    hinge_loss,
     init_coherence_params,
     interaction_layer1,
     make_scorer,
@@ -158,13 +158,28 @@ def test_forward_bitwise_repeatable(vocab, config, rng):
 # -- hinge loss --------------------------------------------------------------------------
 
 
-def test_hinge_examples():
+@pytest.fixture
+def hinge_loss(vocab, config, params, monkeypatch):
+    """triplet_loss with the scorer stubbed to return fixed (positive, negative) scores."""
+    triplet = _triplet(vocab, config, "alpha beta", "gamma delta", "epsilon zeta")
+
+    def loss(coh_pos, coh_neg):
+        def scores(sa_ids, sb_ids, *_):
+            return nm.Tensor(coh_pos if sb_ids is triplet.positive.ids else coh_neg)
+
+        monkeypatch.setattr(coherence, "_forward", scores)
+        return triplet_loss(triplet, params, config).item()
+
+    return loss
+
+
+def test_hinge_examples(hinge_loss):
     assert hinge_loss(0.9, -0.5) == 0.0
     assert hinge_loss(0.2, 0.2) == 1.0
     assert hinge_loss(-0.3, 0.4) == pytest.approx(1.7)
 
 
-def test_hinge_zero_iff_margin_met():
+def test_hinge_zero_iff_margin_met(hinge_loss):
     assert hinge_loss(0.6, -0.5) == 0.0  # lead of 1.1
     assert hinge_loss(0.5, -0.4) == pytest.approx(0.1)  # lead of 0.9 costs the shortfall
 

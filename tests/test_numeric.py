@@ -1,5 +1,9 @@
 """Autodiff primitives vs finite differences, optimizer and checkpoint contracts."""
 
+import os
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +15,6 @@ from cohsum.numeric import (
     ParamStore,
     ShapeError,
     Tensor,
-    activation,
     gradients,
     linear,
     load_checkpoint,
@@ -42,19 +45,14 @@ def test_linear_shape_error_names_both_shapes():
 
 
 def test_activation_values():
-    assert activation(Tensor(0.0), "sigmoid").item() == pytest.approx(0.5)
-    assert activation(Tensor(0.0), "tanh").item() == 0.0
-    assert activation(Tensor(-3.0), "relu").item() == 0.0
-    assert activation(Tensor(3.0), "relu").item() == 3.0
-
-
-def test_activation_unknown_kind():
-    with pytest.raises(ValueError):
-        activation(Tensor(0.0), "swish")
+    assert nm.sigmoid(Tensor(0.0)).item() == pytest.approx(0.5)
+    assert nm.tanh(Tensor(0.0)).item() == 0.0
+    assert nm.relu(Tensor(-3.0)).item() == 0.0
+    assert nm.relu(Tensor(3.0)).item() == 3.0
 
 
 def test_sigmoid_saturation_is_finite():
-    assert activation(Tensor(1000.0), "sigmoid").item() == 1.0
+    assert nm.sigmoid(Tensor(1000.0)).item() == 1.0
     assert nm.log_sigmoid(Tensor(-1000.0)).item() == -1000.0
 
 
@@ -134,8 +132,8 @@ def test_fd_linear_and_activations(rng):
     params.init_uniform("b", (3,), rng, scale=0.5)
     x = rng.normal(size=(2, 4))
 
-    for kind in ("sigmoid", "tanh", "relu"):
-        _fd_check(lambda: activation(linear(Tensor(x), params["w"], params["b"]), kind).sum(), params)
+    for act in (nm.sigmoid, nm.tanh, nm.relu):
+        _fd_check(lambda: act(linear(Tensor(x), params["w"], params["b"])).sum(), params)
 
 
 def test_fd_mul_add_mean_concat_reshape_slice(rng):
@@ -189,6 +187,20 @@ def test_fd_max_pool(rng):
     params = ParamStore()
     params.init_uniform("g", (5, 6, 2), rng, scale=1.0)
     _fd_check(lambda: max_pool_2x2(params["g"]).sum(), params)
+
+
+def test_fd_pair_max(rng):
+    params = ParamStore()
+    params.init_uniform("x", (5, 3), rng, scale=1.0)  # odd: the last row is dropped
+    weights = rng.normal(size=(2, 3))
+    _fd_check(lambda: nm.tanh(nm.pair_max(params["x"]) * weights).sum(), params)
+
+
+def test_pair_max_values_and_small_input():
+    out = nm.pair_max(Tensor([[1.0, 5.0], [2.0, 4.0], [9.0, 9.0]]))
+    assert np.array_equal(out.data, [[2.0, 5.0]])
+    with pytest.raises(ShapeError, match="pair_max"):
+        nm.pair_max(Tensor(np.zeros((1, 3))))
 
 
 def test_fd_matmul_batched(rng):
@@ -371,6 +383,7 @@ def test_checkpoint_round_trip(tmp_path, rng):
     params.init_uniform("alpha", (3, 4), rng)
     params.init_uniform("beta", (7,), rng)
     params.add("gamma", 0.125)
+    params.add("empty", np.zeros((0, 3)))
     path = tmp_path / "model.ckpt"
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
@@ -408,3 +421,72 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"garbagegarbage")
     with pytest.raises(CheckpointError, match="not a parameter checkpoint"):
         load_checkpoint(path)
+
+
+def test_checkpoint_trailing_bytes(tmp_path, rng):
+    params = ParamStore()
+    params.init_uniform("w", (3,), rng)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, path)
+    path.write_bytes(path.read_bytes() + b"xyz")
+    with pytest.raises(CheckpointError, match="3 trailing bytes"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_shape_larger_than_file_fails_before_allocating(tmp_path, rng):
+    params = ParamStore()
+    params.init_uniform("w", (2, 2), rng)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, path)
+    blob = bytearray(path.read_bytes())
+    shape_at = 8 + 8 + 4 + len(b"w") + 4  # magic, version+count, name length, name, rank
+    blob[shape_at : shape_at + 8] = struct.pack("<II", 4096, 4096)  # declares 128 MiB
+    path.write_bytes(bytes(blob))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="truncated while reading tensor 'w' data"):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_checkpoint_bytes_follow_the_documented_layout(tmp_path):
+    params = ParamStore()
+    params.add("matrix", np.arange(6.0).reshape(2, 3))
+    params.add("transposed", np.arange(6.0).reshape(2, 3).T)  # not C-contiguous
+    params.add("scalar", -0.5)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, path)
+    expected = b"COHSUMCK" + struct.pack("<II", 1, 3)
+    for name, array in (("matrix", np.arange(6.0).reshape(2, 3)),
+                        ("transposed", np.arange(6.0).reshape(2, 3).T),
+                        ("scalar", np.array(-0.5))):
+        expected += struct.pack("<I", len(name)) + name.encode()
+        expected += struct.pack("<I", array.ndim) + struct.pack(f"<{array.ndim}I", *array.shape)
+        expected += array.astype("<f8").tobytes()
+    assert path.read_bytes() == expected
+
+
+class _FailingData:
+    """Tensor data whose bytes cannot be produced: a write that fails mid-tensor."""
+
+    ndim, shape = 1, (3,)
+
+    def __array__(self, dtype=None, copy=None):
+        raise OSError("device full")
+
+
+def test_failed_checkpoint_write_keeps_old_file_and_leaves_no_temp_file(tmp_path, rng):
+    params = ParamStore()
+    params.init_uniform("a", (4,), rng)
+    params.init_uniform("b", (3,), rng)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, path)
+    before = path.read_bytes()
+    params["b"].data = _FailingData()
+    with pytest.raises(OSError, match="device full"):
+        save_checkpoint(params, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.ckpt"]
