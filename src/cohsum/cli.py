@@ -37,49 +37,34 @@ def _int_tuple(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _write_meta(path: str, kind: str, config) -> None:
-    meta = {"model": kind, "config": dataclasses.asdict(config)}
-    with open(path + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _describe(params, kind: str, config, vocab: cp.Vocabulary) -> None:
+    """Set the checkpoint header that `_load_model` reads back."""
+    params.meta = {"model": kind, "config": dataclasses.asdict(config),
+                   "vocab": {"size": vocab.size, "sha256": vocab.fingerprint()}}
 
 
-def _read_meta(ckpt_path: str, kind: str) -> dict:
-    meta_path = ckpt_path + ".meta.json"
-    try:
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except FileNotFoundError:
-        raise CheckpointError(f"{meta_path}: missing sidecar with the model configuration")
+def _load_model(path: str, kind: str, config_cls, vocab: cp.Vocabulary):
+    """Parameters and config of a `kind` checkpoint whose embedding rows are these tokens."""
+    params = load_checkpoint(path)
+    meta = params.meta
     if meta.get("model") != kind:
-        raise CheckpointError(
-            f"{meta_path}: checkpoint holds a {meta.get('model')!r} model, expected {kind!r}"
-        )
-    return meta["config"]
-
-
-def _coherence_config_from_meta(cfg: dict) -> coh.CoherenceConfig:
-    cfg = dict(cfg)
-    cfg["conv_filters"] = tuple(cfg["conv_filters"])
-    cfg["fc_units"] = tuple(cfg["fc_units"])
-    return coh.CoherenceConfig(**cfg)
-
-
-def _extractor_config_from_meta(cfg: dict) -> ex.ExtractorConfig:
-    cfg = dict(cfg)
-    cfg["word_kernels"] = tuple(cfg["word_kernels"])
-    cfg["word_filters"] = tuple(cfg["word_filters"])
-    cfg["mlp_hidden"] = tuple(cfg["mlp_hidden"])
-    return ex.ExtractorConfig(**cfg)
-
-
-def _check_vocab(vocab: cp.Vocabulary, config, ckpt_path: str) -> None:
-    """Token ids index the checkpoint's embedding table, so the sizes must agree."""
+        raise CheckpointError(f"{path}: holds a {meta.get('model')!r} model, expected {kind!r}")
+    try:
+        cfg = meta["config"]
+        odd = sorted(set(cfg) ^ {f.name for f in dataclasses.fields(config_cls)})
+        if odd:  # a missing field would silently take its default
+            raise ValueError(f"config fields {odd} missing or unknown")
+        config = config_cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items()})
+        digest = meta["vocab"]["sha256"]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad {kind} header ({type(exc).__name__}: {exc})") from None
     if vocab.size != config.vocab_size:
-        raise CheckpointError(
-            f"{ckpt_path}: model has a {config.vocab_size}-entry vocabulary, "
-            f"the vocabulary file has {vocab.size} entries"
-        )
+        raise CheckpointError(f"{path}: model has a {config.vocab_size}-entry vocabulary, "
+                              f"the vocabulary file has {vocab.size} entries")
+    if vocab.fingerprint() != digest:
+        raise CheckpointError(f"{path}: model was trained on another vocabulary of the same size "
+                              f"(the tokens or their order differ)")
+    return params, config
 
 
 def _load_docs(args, vocab=None) -> list[cp.Document]:
@@ -141,8 +126,8 @@ def cmd_train_coherence(args) -> int:
         epochs=args.epochs,
     )
     params = coh.train_coherence(triplets, config, child_rng(args.seed, "coherence-train"))
+    _describe(params, "coherence", config, vocab)
     save_checkpoint(params, args.out)
-    _write_meta(args.out, "coherence", config)
     log.info("trained on %d triplets; checkpoint at %s", len(triplets), args.out)
     return 0
 
@@ -193,17 +178,27 @@ def cmd_pretrain(args) -> int:
     rng = child_rng(args.seed, "pretrain")
     params = ex.init_extractor_params(config, rng)
     ex.pretrain(labeled, config, rng, params=params)
+    _describe(params, "extractor", config, vocab)
     save_checkpoint(params, args.out)
-    _write_meta(args.out, "extractor", config)
     log.info("pretrained on %d documents; checkpoint at %s", len(labeled), args.out)
     return 0
 
 
 def cmd_train_rnes(args) -> int:
     vocab = cp.load_vocab(args.vocab)
-    ext_config = _extractor_config_from_meta(_read_meta(args.pretrain_checkpoint, "extractor"))
-    _check_vocab(vocab, ext_config, args.pretrain_checkpoint)
-    params = load_checkpoint(args.pretrain_checkpoint)
+    params, ext_config = _load_model(args.pretrain_checkpoint, "extractor", ex.ExtractorConfig,
+                                     vocab)
+    scorer = None
+    if args.lam > 0:
+        if not args.coherence_checkpoint:
+            raise ValueError("--coherence-checkpoint is required when --lambda > 0")
+        coh_params, coh_config = _load_model(args.coherence_checkpoint, "coherence",
+                                             coh.CoherenceConfig, vocab)
+        if coh_config.max_tokens != ext_config.max_tokens:
+            raise CheckpointError(f"{args.coherence_checkpoint}: coherence model reads "
+                                  f"{coh_config.max_tokens}-token sentences, "
+                                  f"{args.pretrain_checkpoint} reads {ext_config.max_tokens}")
+        scorer = coh.make_scorer(coh_params, coh_config)
     docs = list(
         cp.load_corpus(
             args.corpus,
@@ -212,15 +207,6 @@ def cmd_train_rnes(args) -> int:
             max_sentences=ext_config.max_sentences,
         )
     )
-    scorer = None
-    if args.lam > 0:
-        if not args.coherence_checkpoint:
-            raise ValueError("--coherence-checkpoint is required when --lambda > 0")
-        coh_config = _coherence_config_from_meta(
-            _read_meta(args.coherence_checkpoint, "coherence")
-        )
-        _check_vocab(vocab, coh_config, args.coherence_checkpoint)
-        scorer = coh.make_scorer(load_checkpoint(args.coherence_checkpoint), coh_config)
     rl_config = rl.RLConfig(
         lam=args.lam,
         alpha=args.alpha,
@@ -228,8 +214,7 @@ def cmd_train_rnes(args) -> int:
         weights=RewardWeights(args.w1, args.w2, args.wl),
     )
     rl.train_rnes(docs, params, scorer, rl_config, ext_config, child_rng(args.seed, "train-rnes"))
-    save_checkpoint(params, args.out)
-    _write_meta(args.out, "extractor", ext_config)
+    save_checkpoint(params, args.out)  # params.meta still describes the model as loaded
     log.info("policy checkpoint at %s", args.out)
     return 0
 
@@ -239,9 +224,7 @@ def cmd_summarize(args) -> int:
     if args.method == "beam":
         if not args.checkpoint:
             raise ValueError("--checkpoint is required for beam decoding")
-        config = _extractor_config_from_meta(_read_meta(args.checkpoint, "extractor"))
-        _check_vocab(vocab, config, args.checkpoint)
-        params = load_checkpoint(args.checkpoint)
+        params, config = _load_model(args.checkpoint, "extractor", ex.ExtractorConfig, vocab)
         max_tokens, max_sentences = config.max_tokens, config.max_sentences
     else:
         params, config = None, None
@@ -266,18 +249,22 @@ def cmd_summarize(args) -> int:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
             counts.append(len(selected))
     log.info("wrote summaries to %s", args.out)
+    _report_selected(counts)
+    return 0
+
+
+def _report_selected(counts: list[int]) -> None:
     if counts:
         empty = counts.count(0)
         if empty:
             log.warning("%d of %d summaries are empty", empty, len(counts))
         log.info("selected sentences per summary: min %d, median %g, max %d",
                  min(counts), np.median(counts), max(counts))
-    return 0
 
 
 def cmd_evaluate(args) -> int:
     reference = {doc.id: doc for doc in cp.load_corpus(args.reference)}
-    rows = []
+    rows, counts = [], []
     with open(args.system, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -300,8 +287,10 @@ def cmd_evaluate(args) -> int:
                 rouge_l(candidate, ref_tokens),
             )
             rows.append((doc_id, scores))
+            counts.append(len(summary))
     if not rows:
         raise ValueError(f"{args.system}: no system records to evaluate")
+    _report_selected(counts)
     header = ["id"]
     for variant in ("r1", "r2", "rl"):
         header += [f"{variant}_recall", f"{variant}_precision", f"{variant}_f1"]
@@ -319,9 +308,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_score_coherence(args) -> int:
     vocab = cp.load_vocab(args.vocab)
-    config = _coherence_config_from_meta(_read_meta(args.checkpoint, "coherence"))
-    _check_vocab(vocab, config, args.checkpoint)
-    params = load_checkpoint(args.checkpoint)
+    params, config = _load_model(args.checkpoint, "coherence", coh.CoherenceConfig, vocab)
     source = sys.stdin if args.pairs == "-" else open(args.pairs, "r", encoding="utf-8")
     sink = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     try:

@@ -8,6 +8,7 @@ PAD / UNK / BOUNDARY specials, so line number equals id.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import string
 import unicodedata
@@ -85,6 +86,11 @@ class Vocabulary:
     def decode_ids(self, ids: Iterable[int]) -> list[str]:
         """Tokens for the given ids, dropping PAD fill."""
         return [self.id_to_token[i] for i in ids if i != PAD_ID]
+
+    def fingerprint(self) -> str:
+        """SHA-256 hex digest of the tokens in id order, as `save_vocab` writes them."""
+        text = "\n".join(self.id_to_token) + "\n"
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def build_vocab(documents: Iterable["Document"], max_size: int) -> Vocabulary:

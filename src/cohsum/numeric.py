@@ -13,14 +13,18 @@ is 64-bit so finite-difference gradient checks are decisive.
   touched rows and their summed gradient) and `sgd_step` updates those rows
   only. The segments are summed with `np.add.at` in the order they were
   recorded, so every entry is bit-identical to the dense scatter. A table that
-  a dense op also reaches, or that is not a leaf, is densified first.
-- Checkpoints stream: each tensor is written from its own buffer and read
-  straight into its own array, after its declared size is checked against
-  the bytes left in the file. Writes go to a temporary file moved into place.
+  a dense op also reaches, that is not a leaf, or whose segments hold as many
+  rows as the table itself, is densified first.
+- Checkpoints (format v2, laid out in `save_checkpoint`) carry a JSON header,
+  `ParamStore.meta`, before the tensors. Each tensor is written from its own
+  buffer and read straight into its own array, after its declared size is
+  checked against the bytes left in the file. Writes go to a temporary file
+  moved into place.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import struct
@@ -51,7 +55,6 @@ __all__ = [
     "sgd_step",
     "save_checkpoint",
     "load_checkpoint",
-    "set_finite_checks",
 ]
 
 
@@ -63,18 +66,9 @@ class CheckpointError(RuntimeError):
     """Checkpoint file is missing, corrupt, or has the wrong version."""
 
 
-_FINITE_CHECKS = True
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle the NaN/Inf assertion applied to every op result."""
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
-
-
 def _as_array(data) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
-    if _FINITE_CHECKS and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise FloatingPointError("non-finite value produced")
     return arr
 
@@ -398,7 +392,8 @@ def gather_rows(table, indices) -> Tensor:
 
     Backward records (indices, g) as a row segment of the table's gradient
     instead of scattering into a zero-filled [rows, d] array; `gradients`
-    turns a leaf's segments into a `RowGrad`.
+    turns a leaf's segments into a `RowGrad`. Segments that hold as many rows
+    as the table are scattered into a dense gradient, which they would outgrow.
     """
     table = _wrap(table)
     idx = np.asarray(indices, dtype=np.intp)
@@ -411,6 +406,8 @@ def gather_rows(table, indices) -> Tensor:
             table.grad = []
         if isinstance(table.grad, list):
             table.grad.append((idx, g))
+            if sum(len(i) for i, _ in table.grad) >= len(table.data):
+                _dense_grad(table)
         else:
             np.add.at(table.grad, idx, g)
 
@@ -601,6 +598,7 @@ class ParamStore:
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        self.meta: dict = {}  # JSON-ready model description, a checkpoint's header
 
     def add(self, name: str, data) -> Tensor:
         if name in self._params:
@@ -633,12 +631,6 @@ class ParamStore:
     def zero_grads(self) -> None:
         for p in self._params.values():
             p.grad = None
-
-    def copy(self) -> "ParamStore":
-        dup = ParamStore()
-        for name, p in self._params.items():
-            dup.add(name, p.data.copy())
-        return dup
 
 
 class RowGrad:
@@ -712,23 +704,28 @@ def sgd_step(params: ParamStore, grads: dict[str, np.ndarray | RowGrad], lr: flo
 # -- checkpoints --------------------------------------------------------------
 
 _CKPT_MAGIC = b"COHSUMCK"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 
 
 def save_checkpoint(params: ParamStore, path) -> None:
-    """Binary dump: magic, version, count, then name/shape/float64-LE data per tensor.
+    """Binary dump of the tensors behind a JSON header holding `params.meta`.
 
-    Each tensor's bytes are written from its own buffer, without a copy when
-    it is already contiguous little-endian float64. The file is written under
-    a temporary name in the same directory and moved over `path` only once
+    Layout, integers `<I`: b"COHSUMCK", version 2, header byte count, header
+    (UTF-8 JSON, keys sorted), tensor count, then per tensor the name byte
+    count, UTF-8 name, rank, each dimension and the float64-LE values in C
+    order, each written from its own buffer. The file is written under a
+    temporary name in the same directory and moved over `path` only once
     complete, so a failed write leaves any previous checkpoint intact.
     """
     path = os.fspath(path)
+    header = json.dumps(params.meta, sort_keys=True).encode("utf-8")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(_CKPT_MAGIC)
-            fh.write(struct.pack("<II", _CKPT_VERSION, len(params)))
+            fh.write(struct.pack("<II", _CKPT_VERSION, len(header)))
+            fh.write(header)
+            fh.write(struct.pack("<I", len(params)))
             for name, p in params.items():
                 raw = name.encode("utf-8")
                 fh.write(struct.pack("<I", len(raw)))
@@ -746,8 +743,9 @@ def save_checkpoint(params: ParamStore, path) -> None:
 def load_checkpoint(path) -> ParamStore:
     """Read a checkpoint tensor by tensor, each straight into its own array.
 
-    Every read is checked against the bytes left in the file before anything
-    is allocated, so a corrupt size field fails as truncation.
+    The returned store's `meta` is the checkpoint's header. Every read is
+    checked against the bytes left in the file before anything is allocated,
+    so a corrupt size field fails as truncation.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -763,10 +761,18 @@ def load_checkpoint(path) -> ParamStore:
 
         if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
             raise CheckpointError(f"{path}: not a parameter checkpoint")
-        version, n_tensors = struct.unpack("<II", read(8, "header"))
+        version, header_len = struct.unpack("<II", read(8, "version and header length"))
         if version != _CKPT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        try:
+            meta = json.loads(read(header_len, "header").decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 or bad JSON
+            raise CheckpointError(f"{path}: header is not valid JSON ({exc})") from None
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"{path}: header is not a JSON object")
+        (n_tensors,) = struct.unpack("<I", read(4, "tensor count"))
         params = ParamStore()
+        params.meta = meta
         for k in range(n_tensors):
             (name_len,) = struct.unpack("<I", read(4, f"tensor {k} name length"))
             name = read(name_len, f"tensor {k} name").decode("utf-8")

@@ -37,6 +37,8 @@ log = logging.getLogger(__name__)
 # scorer signature: (first_sentence_ids, second_sentence_ids) -> float
 CoherenceScorer = Callable[[np.ndarray, np.ndarray], float]
 
+MOVING_WINDOW = 100  # steps in the logged moving averages of the rewards
+
 
 @dataclass
 class RLConfig:
@@ -44,7 +46,6 @@ class RLConfig:
     alpha: float = 0.001  # ascent step size
     steps: int = 1000
     weights: RewardWeights = field(default_factory=RewardWeights)
-    moving_window: int = 100
 
     def __post_init__(self):
         if self.lam < 0:
@@ -182,10 +183,9 @@ def train_rnes(
         raise ValueError("cannot run policy-gradient training on an empty corpus")
     if rl_config.lam > 0 and coherence_scorer is None:
         raise ValueError("lambda > 0 requires a coherence scorer")
-    window = rl_config.moving_window
-    recent_rouge: deque[float] = deque(maxlen=window)
-    recent_coh: deque[float] = deque(maxlen=window)
-    recent_combined: deque[float] = deque(maxlen=window)
+    recent_rouge: deque[float] = deque(maxlen=MOVING_WINDOW)
+    recent_coh: deque[float] = deque(maxlen=MOVING_WINDOW)
+    recent_combined: deque[float] = deque(maxlen=MOVING_WINDOW)
     for step in range(1, rl_config.steps + 1):
         doc = docs[int(rng.integers(0, len(docs)))]
         enc = encode_document(doc, params, config)

@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import struct
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ import cohsum
 from cohsum.cli import run
 from cohsum.corpus import load_vocab
 from cohsum.extractor import init_extractor_params
-from cohsum.numeric import load_checkpoint
+from cohsum.numeric import load_checkpoint, save_checkpoint
 
 from conftest import tiny_extractor_config
 
@@ -228,10 +229,11 @@ def test_pipeline_is_byte_identical_across_runs(tmp_path):
         (tmp_path / sub).mkdir()
     _make_corpus(corpus_a, seed=2)
     _make_corpus(corpus_b, seed=2)
-    out_a, ckpt_a = _run_pipeline(corpus_a, tmp_path / "a")
-    out_b, ckpt_b = _run_pipeline(corpus_b, tmp_path / "b")
-    assert out_a.read_bytes() == out_b.read_bytes()
-    assert ckpt_a.read_bytes() == ckpt_b.read_bytes()
+    _run_pipeline(corpus_a, tmp_path / "a")
+    _run_pipeline(corpus_b, tmp_path / "b")
+    # the checkpoint headers describe the models, so they must not vary either
+    for name in ("summaries.jsonl", "coherence.ckpt", "pretrained.ckpt", "policy.ckpt"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
 # -- vocabulary larger than the checkpoint's ------------------------------------
@@ -248,9 +250,16 @@ def larger_vocab(tmp_path):
     return path
 
 
+def _one_error_line(caplog):
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None  # no traceback logged either
+    message = errors[0].getMessage()
+    assert "\n" not in message
+    return message
+
+
 def _assert_one_line_vocab_error(caplog):
-    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and "\n" not in errors[0] and "vocabulary" in errors[0]
+    assert "vocabulary" in _one_error_line(caplog)
 
 
 def _pretrained(corpus, tmp_path):
@@ -318,8 +327,7 @@ def test_diverging_pretrain_exits_1_with_one_error_line(corpus, tmp_path):
     assert not (tmp_path / "p.ckpt").exists()
 
 
-@pytest.mark.parametrize("method", ["beam", "lead3"])
-def test_summarize_reports_empty_summaries_and_selected_counts(corpus, tmp_path, caplog, method):
+def _summarize(corpus, tmp_path, caplog, method):
     ckpt = _pretrained(corpus, tmp_path)  # untrained: beam search selects nothing
     out = tmp_path / "s.jsonl"
     with caplog.at_level(logging.INFO):
@@ -327,6 +335,10 @@ def test_summarize_reports_empty_summaries_and_selected_counts(corpus, tmp_path,
                     "--checkpoint", str(ckpt), "--out", str(out), "--max-tokens", "10",
                     "--method", method]) == 0
     counts = [len(json.loads(line)["selected_indices"]) for line in out.read_text().splitlines()]
+    return out, counts
+
+
+def _assert_selected_counts_reported(caplog, counts, method):
     messages = [(r.levelname, r.getMessage()) for r in caplog.records]
     empty = counts.count(0)
     warnings = [m for level, m in messages if level == "WARNING"]
@@ -334,3 +346,94 @@ def test_summarize_reports_empty_summaries_and_selected_counts(corpus, tmp_path,
     assert (method == "beam") == (empty > 0)
     assert ("INFO", f"selected sentences per summary: min {min(counts)}, "
             f"median {np.median(counts):g}, max {max(counts)}") in messages
+
+
+@pytest.mark.parametrize("method", ["beam", "lead3"])
+def test_summarize_reports_empty_summaries_and_selected_counts(corpus, tmp_path, caplog, method):
+    _, counts = _summarize(corpus, tmp_path, caplog, method)
+    _assert_selected_counts_reported(caplog, counts, method)
+
+
+@pytest.mark.parametrize("method", ["beam", "lead3"])
+def test_evaluate_reports_empty_summaries_and_selected_counts(corpus, tmp_path, caplog, capsys,
+                                                              method):
+    out, counts = _summarize(corpus, tmp_path, caplog, method)
+    caplog.clear()
+    with caplog.at_level(logging.INFO):
+        assert run(["evaluate", "--system", str(out), "--reference", str(corpus)]) == 0
+    _assert_selected_counts_reported(caplog, counts, method)
+    assert capsys.readouterr().out.splitlines()[-1].startswith("MEAN\t")
+
+
+# -- self-describing checkpoints ---------------------------------------------------
+
+
+@pytest.mark.parametrize("case, expected", [
+    ("missing config field", "'gru_hidden'"),
+    ("unknown config field", "'dropout'"),
+    ("coherence model", "holds a 'coherence' model, expected 'extractor'"),
+    ("reordered vocabulary", "another vocabulary of the same size"),
+    ("version 1 file", "unsupported checkpoint version 1"),
+    ("truncated header", "truncated while reading header"),
+])
+def test_bad_checkpoint_exits_1_with_one_error_line(corpus, tmp_path, caplog, case, expected):
+    ckpt = _pretrained(corpus, tmp_path)
+    vocab = tmp_path / "vocab.txt"
+    params = load_checkpoint(ckpt)
+    if case == "missing config field":
+        del params.meta["config"]["gru_hidden"]  # has a default, so it would go unnoticed
+    elif case == "unknown config field":
+        params.meta["config"]["dropout"] = 0.5
+    save_checkpoint(params, ckpt)
+    if case == "coherence model":
+        assert run(["train-coherence", "--corpus", str(corpus), "--vocab", str(vocab),
+                    "--out", str(ckpt), "--epochs", "0"] + TINY_COHERENCE[:-2]) == 0
+    elif case == "reordered vocabulary":
+        tokens = vocab.read_text().splitlines()
+        vocab.write_text("\n".join(tokens[:3] + tokens[:2:-1]) + "\n")
+    elif case == "version 1 file":
+        ckpt.write_bytes(b"COHSUMCK" + struct.pack("<II", 1, 0))  # the v1 layout, no tensors
+    elif case == "truncated header":
+        ckpt.write_bytes(ckpt.read_bytes()[:8 + 8 + 20])
+    caplog.clear()
+    code = run(["summarize", "--corpus", str(corpus), "--vocab", str(vocab),
+                "--checkpoint", str(ckpt), "--out", str(tmp_path / "s.jsonl"),
+                "--max-tokens", "10"])
+    assert code == 1
+    message = _one_error_line(caplog)
+    assert str(ckpt) in message and expected in message
+
+
+def test_train_rnes_rejects_models_of_different_sentence_lengths(corpus, tmp_path, caplog):
+    pre = _pretrained(corpus, tmp_path)  # reads 10-token sentences
+    coh = tmp_path / "coh.ckpt"
+    assert run(["train-coherence", "--corpus", str(corpus), "--vocab", str(tmp_path / "vocab.txt"),
+                "--out", str(coh), "--epochs", "0"] + TINY_COHERENCE[2:-2]
+               + ["--max-tokens", "12"]) == 0
+    caplog.clear()
+    code = run(["train-rnes", "--corpus", str(corpus), "--vocab", str(tmp_path / "vocab.txt"),
+                "--pretrain-checkpoint", str(pre), "--coherence-checkpoint", str(coh),
+                "--out", str(tmp_path / "rl.ckpt"), "--lambda", "0.01", "--steps", "1"])
+    assert code == 1
+    message = _one_error_line(caplog)
+    assert "12-token" in message and "reads 10" in message
+    assert not (tmp_path / "rl.ckpt").exists()
+
+
+def test_training_stages_write_only_their_checkpoint(corpus, tmp_path):
+    vocab = tmp_path / "vocab.txt"
+    assert run(["preprocess", "--corpus", str(corpus), "--out", str(vocab)]) == 0
+    outs = {stage: tmp_path / stage / "model.ckpt" for stage in ("coh", "pre", "rl")}
+    for path in outs.values():
+        path.parent.mkdir()
+    assert run(["train-coherence", "--corpus", str(corpus), "--vocab", str(vocab),
+                "--out", str(outs["coh"]), "--epochs", "1"] + TINY_COHERENCE) == 0
+    assert run(["pretrain", "--corpus", str(corpus), "--vocab", str(vocab),
+                "--out", str(outs["pre"]), "--epochs", "1"] + TINY_EXTRACTOR) == 0
+    assert run(["train-rnes", "--corpus", str(corpus), "--vocab", str(vocab),
+                "--pretrain-checkpoint", str(outs["pre"]),
+                "--coherence-checkpoint", str(outs["coh"]), "--out", str(outs["rl"]),
+                "--steps", "2"]) == 0
+    for path in outs.values():
+        assert os.listdir(path.parent) == ["model.ckpt"]  # no sidecar, no temporary file
+    assert load_checkpoint(outs["rl"]).meta == load_checkpoint(outs["pre"]).meta

@@ -385,12 +385,16 @@ def test_checkpoint_round_trip(tmp_path, rng):
     params.add("gamma", 0.125)
     params.add("empty", np.zeros((0, 3)))
     path = tmp_path / "model.ckpt"
-    save_checkpoint(params, path)
-    loaded = load_checkpoint(path)
-    assert loaded.names() == params.names()
-    for name, p in params.items():
-        assert np.array_equal(loaded[name].data, p.data)
-        assert loaded[name].data.dtype == np.float64
+    for meta in ({}, {"model": "x", "config": {"dims": [3, 4], "lr": 0.1},
+                      "vocab": {"size": 7, "sha256": "ab"}, "note": "\u00e9"}):
+        params.meta = meta
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
+        assert loaded.meta == meta
+        assert loaded.names() == params.names()
+        for name, p in params.items():
+            assert np.array_equal(loaded[name].data, p.data)
+            assert loaded[name].data.dtype == np.float64
 
 
 def test_checkpoint_truncated_file_names_tensor(tmp_path, rng):
@@ -439,7 +443,8 @@ def test_checkpoint_shape_larger_than_file_fails_before_allocating(tmp_path, rng
     path = tmp_path / "model.ckpt"
     save_checkpoint(params, path)
     blob = bytearray(path.read_bytes())
-    shape_at = 8 + 8 + 4 + len(b"w") + 4  # magic, version+count, name length, name, rank
+    # magic, version + header length, header "{}", count, name length, name, rank
+    shape_at = 8 + 8 + len(b"{}") + 4 + 4 + len(b"w") + 4
     blob[shape_at : shape_at + 8] = struct.pack("<II", 4096, 4096)  # declares 128 MiB
     path.write_bytes(bytes(blob))
     tracemalloc.start()
@@ -457,9 +462,11 @@ def test_checkpoint_bytes_follow_the_documented_layout(tmp_path):
     params.add("matrix", np.arange(6.0).reshape(2, 3))
     params.add("transposed", np.arange(6.0).reshape(2, 3).T)  # not C-contiguous
     params.add("scalar", -0.5)
+    params.meta = {"model": "m", "config": {"b": [1, 2], "a": 0.5}}
     path = tmp_path / "model.ckpt"
     save_checkpoint(params, path)
-    expected = b"COHSUMCK" + struct.pack("<II", 1, 3)
+    header = b'{"config": {"a": 0.5, "b": [1, 2]}, "model": "m"}'  # UTF-8 JSON, keys sorted
+    expected = b"COHSUMCK" + struct.pack("<II", 2, len(header)) + header + struct.pack("<I", 3)
     for name, array in (("matrix", np.arange(6.0).reshape(2, 3)),
                         ("transposed", np.arange(6.0).reshape(2, 3).T),
                         ("scalar", np.array(-0.5))):
@@ -467,6 +474,42 @@ def test_checkpoint_bytes_follow_the_documented_layout(tmp_path):
         expected += struct.pack("<I", array.ndim) + struct.pack(f"<{array.ndim}I", *array.shape)
         expected += array.astype("<f8").tobytes()
     assert path.read_bytes() == expected
+
+
+def _checkpoint_with_header(path, header: bytes, declared_len=None):
+    params = ParamStore()
+    params.add("w", [1.0, 2.0])
+    save_checkpoint(params, path)
+    tensors = path.read_bytes()[8 + 8 + len(b"{}"):]  # count and tensors after the empty header
+    length = len(header) if declared_len is None else declared_len
+    path.write_bytes(b"COHSUMCK" + struct.pack("<II", 2, length) + header + tensors)
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"[1, 2]", "header is not a JSON object"),
+    (b'"text"', "header is not a JSON object"),
+    (b'{"model": ', "header is not valid JSON"),
+    (b'{"\xff": 1}', "header is not valid JSON"),
+])
+def test_checkpoint_header_must_be_a_json_object(tmp_path, header, message):
+    path = tmp_path / "model.ckpt"
+    _checkpoint_with_header(path, header)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+def test_checkpoint_header_length_larger_than_file_is_truncation(tmp_path):
+    path = tmp_path / "model.ckpt"
+    _checkpoint_with_header(path, b"{}", declared_len=1 << 31)
+    with pytest.raises(CheckpointError, match="truncated while reading header"):
+        load_checkpoint(path)
+
+
+def test_version_1_checkpoint_is_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(b"COHSUMCK" + struct.pack("<II", 1, 0))  # the v1 layout, no tensors
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        load_checkpoint(path)
 
 
 class _FailingData:

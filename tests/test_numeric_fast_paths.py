@@ -108,9 +108,12 @@ def test_fused_layer1_pool_matches_pooling_the_full_grid(a_words, b_words, windo
 # -- row-sparse embedding gradients -------------------------------------------------------
 
 
+TABLE_ROWS = 9
+
+
 def _table_store(seed):
     params = ParamStore()
-    params.add("table", np.random.default_rng(seed).normal(size=(9, 4)))
+    params.add("table", np.random.default_rng(seed).normal(size=(TABLE_ROWS, 4)))
     params.add("w", np.random.default_rng(seed + 1).normal(size=(4,)))
     return params
 
@@ -126,8 +129,10 @@ def _gather_loss(gather, params, index_lists, dense_use=False, through_op=False)
     return loss
 
 
-indices_st = st.lists(st.lists(st.integers(min_value=0, max_value=8), min_size=1, max_size=12),
-                      min_size=1, max_size=4)
+row_st = st.integers(min_value=0, max_value=TABLE_ROWS - 1)
+indices_st = st.lists(st.lists(row_st, min_size=1, max_size=12), min_size=1, max_size=4)
+# at most TABLE_ROWS - 1 ids in all, so the gradient stays a RowGrad
+few_indices_st = st.lists(st.lists(row_st, min_size=1, max_size=4), min_size=1, max_size=2)
 
 
 @given(indices_st, st.booleans(), st.booleans(), seed_st)
@@ -140,15 +145,27 @@ def test_row_grad_matches_dense_scatter(index_lists, dense_use, through_op, seed
                          params)
     for name in ("table", "w"):
         assert _bits(sparse[name]) == _bits(dense[name])
-    if dense_use or through_op:
+    if dense_use or through_op or sum(map(len, index_lists)) >= TABLE_ROWS:
         assert isinstance(sparse["table"], np.ndarray)
     else:
         grad = sparse["table"]
-        assert isinstance(grad, RowGrad) and grad.shape == (9, 4)
+        assert isinstance(grad, RowGrad) and grad.shape == (TABLE_ROWS, 4)
         assert np.array_equal(grad.rows, np.unique(np.concatenate(index_lists)))
 
 
-@given(indices_st, st.floats(min_value=-2.0, max_value=2.0), seed_st)
+@pytest.mark.parametrize("n_ids", [TABLE_ROWS - 1, TABLE_ROWS, TABLE_ROWS + 1, 5 * TABLE_ROWS])
+def test_gathers_with_as_many_ids_as_table_rows_give_a_dense_gradient(n_ids):
+    # ids spread over several gathers, with repeats, so segments cross the row count mid-way
+    ids = np.random.default_rng(n_ids).integers(0, TABLE_ROWS, size=n_ids)
+    index_lists = np.array_split(ids, 3)
+    params = _table_store(n_ids)
+    sparse = nm.gradients(_gather_loss(nm.gather_rows, params, index_lists), params)["table"]
+    dense = nm.gradients(_gather_loss(ref.gather_rows, params, index_lists), params)["table"]
+    assert isinstance(sparse, np.ndarray if n_ids >= TABLE_ROWS else RowGrad)
+    assert _bits(sparse) == _bits(dense)
+
+
+@given(few_indices_st, st.floats(min_value=-2.0, max_value=2.0), seed_st)
 @settings(max_examples=40, deadline=None)
 def test_sparse_sgd_step_matches_dense(index_lists, lr, seed):
     sparse_params, dense_params = _table_store(seed % 1000), _table_store(seed % 1000)
