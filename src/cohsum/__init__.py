@@ -8,7 +8,6 @@ fine-tuning on mixed coherence/ROUGE rewards, and beam-search decoding.
 """
 
 from . import coherence, corpus, decode, extractor, numeric, reinforce, rouge
-from .cli import run
 
 __all__ = [
     "coherence",
@@ -18,7 +17,6 @@ __all__ = [
     "numeric",
     "reinforce",
     "rouge",
-    "run",
 ]
 
 __version__ = "0.1.0"

@@ -3,8 +3,10 @@
 Stages: preprocess, label, train-coherence, pretrain, train-rnes, summarize,
 evaluate, score-coherence. All randomness flows from --seed through named
 per-stage child generators, so identical argv produce identical artifacts.
-Numeric defaults mirror the reference experiment setup (see --help per
-subcommand).
+A flag that sets a config field (`CoherenceConfig`, `ExtractorConfig`,
+`RLConfig`, `RewardWeights`) takes that field's name as its dest and its
+default from the dataclass, so the defaults are written once; they mirror
+the reference experiment setup (see --help per subcommand).
 """
 
 from __future__ import annotations
@@ -67,13 +69,19 @@ def _load_model(path: str, kind: str, config_cls, vocab: cp.Vocabulary):
     return params, config
 
 
+def _config(cls, args, **given):
+    """A `cls` config from the parsed flags named after its fields, and `given` for the rest."""
+    flags = vars(args)
+    return cls(**{f.name: flags[f.name] for f in dataclasses.fields(cls) if f.name in flags} | given)
+
+
 def _load_docs(args, vocab=None) -> list[cp.Document]:
     return list(
         cp.load_corpus(
             args.corpus,
             vocab=vocab,
             max_tokens=args.max_tokens,
-            max_sentences=getattr(args, "max_sentences", cp.DEFAULT_MAX_SENTENCES),
+            max_sentences=args.max_sentences,
         )
     )
 
@@ -90,8 +98,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_label(args) -> int:
-    weights = RewardWeights(args.w1, args.w2, args.wl)
-    scorer = partial(cp.combined_rouge, weights=weights)
+    scorer = partial(cp.combined_rouge, weights=_config(RewardWeights, args))
     with open(args.out, "w", encoding="utf-8") as fh:
         for doc in cp.load_corpus(args.corpus, max_tokens=args.max_tokens,
                                   max_sentences=args.max_sentences):
@@ -113,18 +120,7 @@ def cmd_train_coherence(args) -> int:
                 triplets.append(triplet)
     if not triplets:
         raise ValueError("no documents long enough to sample coherence triplets from")
-    config = coh.CoherenceConfig(
-        vocab_size=vocab.size,
-        embed_dim=args.embed_dim,
-        window=args.window,
-        conv_filters=args.filters,
-        conv_kernel=args.kernel,
-        fc_units=args.fc,
-        max_tokens=args.max_tokens,
-        lr=args.lr,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-    )
+    config = _config(coh.CoherenceConfig, args, vocab_size=vocab.size)
     params = coh.train_coherence(triplets, config, child_rng(args.seed, "coherence-train"))
     _describe(params, "coherence", config, vocab)
     save_checkpoint(params, args.out)
@@ -140,7 +136,12 @@ def _read_labels(path) -> dict[str, list[int]]:
                 continue
             try:
                 record = json.loads(line)
-                labels[str(record["id"])] = [int(v) for v in record["labels"]]
+                values = record["labels"]
+                if not isinstance(values, list) or any(v not in (0, 1) for v in values):
+                    raise cp.CorpusFormatError(
+                        f"{path}: line {lineno}: labels must be an array of 0 and 1, got {values!r}"
+                    )
+                labels[str(record["id"])] = [int(v) for v in values]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise cp.CorpusFormatError(f"{path}: line {lineno}: bad label record ({exc})")
     return labels
@@ -149,7 +150,7 @@ def _read_labels(path) -> dict[str, list[int]]:
 def cmd_pretrain(args) -> int:
     vocab = cp.load_vocab(args.vocab)
     docs = _load_docs(args, vocab)
-    weights = RewardWeights(args.w1, args.w2, args.wl)
+    weights = _config(RewardWeights, args)
     if args.labels:
         by_id = _read_labels(args.labels)
         labeled = []
@@ -161,23 +162,8 @@ def cmd_pretrain(args) -> int:
         scorer = partial(cp.combined_rouge, weights=weights)
         labeled = [(doc, cp.generate_oracle_labels(doc, rouge_fn=scorer, max_selected=args.cap))
                    for doc in docs]
-    config = ex.ExtractorConfig(
-        vocab_size=vocab.size,
-        embed_dim=args.embed_dim,
-        word_kernels=args.kernels,
-        word_filters=args.filters,
-        gru_hidden=args.gru_hidden,
-        doc_dim=args.doc_dim,
-        mlp_hidden=args.mlp,
-        max_tokens=args.max_tokens,
-        max_sentences=args.max_sentences,
-        lr=args.lr,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-    )
-    rng = child_rng(args.seed, "pretrain")
-    params = ex.init_extractor_params(config, rng)
-    ex.pretrain(labeled, config, rng, params=params)
+    config = _config(ex.ExtractorConfig, args, vocab_size=vocab.size)
+    params = ex.pretrain(labeled, config, child_rng(args.seed, "pretrain"))
     _describe(params, "extractor", config, vocab)
     save_checkpoint(params, args.out)
     log.info("pretrained on %d documents; checkpoint at %s", len(labeled), args.out)
@@ -207,12 +193,7 @@ def cmd_train_rnes(args) -> int:
             max_sentences=ext_config.max_sentences,
         )
     )
-    rl_config = rl.RLConfig(
-        lam=args.lam,
-        alpha=args.alpha,
-        steps=args.steps,
-        weights=RewardWeights(args.w1, args.w2, args.wl),
-    )
+    rl_config = _config(rl.RLConfig, args, weights=_config(RewardWeights, args))
     rl.train_rnes(docs, params, scorer, rl_config, ext_config, child_rng(args.seed, "train-rnes"))
     save_checkpoint(params, args.out)  # params.meta still describes the model as loaded
     log.info("policy checkpoint at %s", args.out)
@@ -272,8 +253,8 @@ def cmd_evaluate(args) -> int:
             try:
                 record = json.loads(line)
                 doc_id = str(record["id"])
-                summary = list(record["summary"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                summary = cp.string_array(record, "summary")
+            except (json.JSONDecodeError, KeyError, TypeError, cp.CorpusFormatError) as exc:
                 raise cp.CorpusFormatError(f"{args.system}: line {lineno}: bad record ({exc})")
             if doc_id not in reference:
                 raise ValueError(f"system output {doc_id!r} not present in the reference corpus")
@@ -335,19 +316,36 @@ def cmd_score_coherence(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
-def _add_corpus_flags(p, sentences: bool = True):
+def _add_corpus_flags(p):
     p.add_argument("--corpus", required=True, help="JSONL corpus file")
     p.add_argument("--max-tokens", type=int, default=cp.DEFAULT_MAX_TOKENS,
                    help="encoded sentence length (default %(default)s)")
-    if sentences:
-        p.add_argument("--max-sentences", type=int, default=cp.DEFAULT_MAX_SENTENCES,
-                       help="sentence-count truncation (default %(default)s)")
+    p.add_argument("--max-sentences", type=int, default=cp.DEFAULT_MAX_SENTENCES,
+                   help="sentence-count truncation (default %(default)s)")
+
+
+def _add_field_flag(p, flag: str, cls, field: str, help: str = "") -> None:
+    """A flag for config field `cls.<field>` whose default is the field's default."""
+    default = getattr(cls, field)
+    tuple_valued = isinstance(default, tuple)
+    shown = ",".join(map(str, default)) if tuple_valued else "%(default)s"
+    p.add_argument(flag, dest=field, type=_int_tuple if tuple_valued else type(default),
+                   default=default, metavar=flag[2:].replace("-", "_").upper(),
+                   help=f"{help} (default {shown})".lstrip())
+
+
+def _add_training_flags(p, cls):
+    _add_field_flag(p, "--epochs", cls, "epochs")
+    p.add_argument("--seed", type=int, default=0)
+    _add_field_flag(p, "--lr", cls, "lr")
+    _add_field_flag(p, "--batch-size", cls, "batch_size")
+    _add_field_flag(p, "--embed-dim", cls, "embed_dim")
 
 
 def _add_reward_flags(p):
-    p.add_argument("--w1", type=float, default=0.4, help="R-1 weight (default %(default)s)")
-    p.add_argument("--w2", type=float, default=1.0, help="R-2 weight (default %(default)s)")
-    p.add_argument("--wl", type=float, default=0.5, help="R-L weight (default %(default)s)")
+    _add_field_flag(p, "--w1", RewardWeights, "w1", "R-1 weight")
+    _add_field_flag(p, "--w2", RewardWeights, "w2", "R-2 weight")
+    _add_field_flag(p, "--wl", RewardWeights, "wl", "R-L weight")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,43 +371,33 @@ def build_parser() -> argparse.ArgumentParser:
     _add_reward_flags(p)
     p.set_defaults(func=cmd_label)
 
+    coherence = coh.CoherenceConfig
     p = sub.add_parser("train-coherence", help="train the sentence-pair coherence scorer")
     _add_corpus_flags(p)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--embed-dim", type=int, default=64)
-    p.add_argument("--window", type=int, default=3, help="layer-1 window per sentence")
-    p.add_argument("--filters", type=_int_tuple, default=(128, 256, 512),
-                   help="conv filter counts, comma-separated (default 128,256,512)")
-    p.add_argument("--kernel", type=int, default=3, help="spatial kernel of later convs")
-    p.add_argument("--fc", type=_int_tuple, default=(512, 256),
-                   help="fully-connected widths (default 512,256)")
+    _add_training_flags(p, coherence)
+    _add_field_flag(p, "--window", coherence, "window", "layer-1 window per sentence")
+    _add_field_flag(p, "--filters", coherence, "conv_filters",
+                    "conv filter counts, comma-separated")
+    _add_field_flag(p, "--kernel", coherence, "conv_kernel", "spatial kernel of later convs")
+    _add_field_flag(p, "--fc", coherence, "fc_units", "fully-connected widths")
     p.add_argument("--triplets-per-doc", type=int, default=1)
     p.set_defaults(func=cmd_train_coherence)
 
+    extractor = ex.ExtractorConfig
     p = sub.add_parser("pretrain", help="supervised pretraining of the extractor")
     _add_corpus_flags(p)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--labels", help="labels JSONL; generated greedily when omitted")
     p.add_argument("--cap", type=int, default=4, help="oracle label cap when generating")
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--embed-dim", type=int, default=128)
-    p.add_argument("--kernels", type=_int_tuple, default=(3, 5, 7),
-                   help="word conv kernel sizes (default 3,5,7)")
-    p.add_argument("--filters", type=_int_tuple, default=(128, 256, 256),
-                   help="word conv filter counts (default 128,256,256)")
-    p.add_argument("--gru-hidden", type=int, default=256)
-    p.add_argument("--doc-dim", type=int, default=512)
-    p.add_argument("--mlp", type=_int_tuple, default=(512, 256),
-                   help="MLP hidden widths (default 512,256)")
+    _add_training_flags(p, extractor)
+    _add_field_flag(p, "--kernels", extractor, "word_kernels", "word conv kernel sizes")
+    _add_field_flag(p, "--filters", extractor, "word_filters", "word conv filter counts")
+    _add_field_flag(p, "--gru-hidden", extractor, "gru_hidden")
+    _add_field_flag(p, "--doc-dim", extractor, "doc_dim")
+    _add_field_flag(p, "--mlp", extractor, "mlp_hidden", "MLP hidden widths")
     _add_reward_flags(p)
     p.set_defaults(func=cmd_pretrain)
 
@@ -419,10 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pretrain-checkpoint", required=True)
     p.add_argument("--coherence-checkpoint", help="required unless --lambda is 0")
     p.add_argument("--out", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.01,
-                   help="coherence reward weight (default %(default)s)")
-    p.add_argument("--alpha", type=float, default=0.001, help="ascent step size")
-    p.add_argument("--steps", type=int, default=1000)
+    _add_field_flag(p, "--lambda", rl.RLConfig, "lam", "coherence reward weight")
+    _add_field_flag(p, "--alpha", rl.RLConfig, "alpha", "ascent step size")
+    _add_field_flag(p, "--steps", rl.RLConfig, "steps")
     p.add_argument("--seed", type=int, default=0)
     _add_reward_flags(p)
     p.set_defaults(func=cmd_train_rnes)

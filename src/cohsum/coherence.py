@@ -20,17 +20,14 @@ that comes first in block scan order, as pooling the full grid sends it.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import numeric as nm
-from .corpus import CoherenceTriplet
+from .corpus import DEFAULT_MAX_TOKENS, CoherenceTriplet
 from .numeric import ParamStore, Tensor
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -41,7 +38,7 @@ class CoherenceConfig:
     conv_filters: tuple[int, ...] = (128, 256, 512)
     conv_kernel: int = 3
     fc_units: tuple[int, ...] = (512, 256)
-    max_tokens: int = 50
+    max_tokens: int = DEFAULT_MAX_TOKENS
     lr: float = 0.1
     batch_size: int = 64
     epochs: int = 5
@@ -202,35 +199,14 @@ def triplet_loss(triplet: CoherenceTriplet, params: ParamStore, config: Coherenc
 
 
 def train_coherence(
-    triplets: list[CoherenceTriplet],
-    config: CoherenceConfig,
-    rng: np.random.Generator,
-    params: ParamStore | None = None,
-    batch_losses: list[float] | None = None,
+    triplets: list[CoherenceTriplet], config: CoherenceConfig, rng: np.random.Generator
 ) -> ParamStore:
-    """SGD on the mean hinge loss over shuffled batches for config.epochs."""
+    """Fresh parameters from `rng`, then SGD on the mean hinge loss for config.epochs."""
     if not triplets:
         raise ValueError("cannot train the coherence model on an empty triplet set")
-    if params is None:
-        params = init_coherence_params(config, rng)
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(triplets))
-        epoch_total, seen = 0.0, 0
-        for start in range(0, len(order), config.batch_size):
-            batch = [triplets[i] for i in order[start : start + config.batch_size]]
-            losses = [triplet_loss(tr, params, config) for tr in batch]
-            batch_loss = losses[0]
-            for term in losses[1:]:
-                batch_loss = batch_loss + term
-            batch_loss = batch_loss / len(losses)
-            grads = nm.gradients(batch_loss, params)
-            nm.sgd_step(params, grads, config.lr)
-            if batch_losses is not None:
-                batch_losses.append(batch_loss.item())
-            epoch_total += batch_loss.item() * len(losses)
-            seen += len(losses)
-        log.info("coherence epoch %d: mean hinge loss %.6f", epoch + 1, epoch_total / seen)
-    return params
+    params = init_coherence_params(config, rng)
+    return nm.minibatch_sgd(triplets, lambda tr, p: triplet_loss(tr, p, config), params, rng,
+                            config.lr, config.batch_size, config.epochs, "coherence")
 
 
 def pairwise_accuracy(

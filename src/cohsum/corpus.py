@@ -179,6 +179,14 @@ def make_document(
     return Document(id=doc_id, sentences=sents, highlights=highs)
 
 
+def string_array(record: dict, key: str) -> list[str]:
+    """`record[key]` if it is a JSON array of strings; a CorpusFormatError naming `key` if not."""
+    value = record[key]
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise CorpusFormatError(f"field {key!r} is not an array of strings")
+    return value
+
+
 def load_corpus(
     path,
     vocab: Vocabulary | None = None,
@@ -202,13 +210,13 @@ def load_corpus(
             try:
                 yield make_document(
                     str(record["id"]),
-                    list(record["sentences"]),
-                    list(record["highlights"]),
+                    string_array(record, "sentences"),
+                    string_array(record, "highlights"),
                     vocab=vocab,
                     max_tokens=max_tokens,
                     max_sentences=max_sentences,
                 )
-            except (TypeError, CorpusFormatError) as exc:
+            except CorpusFormatError as exc:
                 raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from exc
 
 

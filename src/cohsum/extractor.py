@@ -26,16 +26,13 @@ the reference the batched ops are tested against.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numeric as nm
-from .corpus import Document, ExtractionLabels
+from .corpus import DEFAULT_MAX_SENTENCES, DEFAULT_MAX_TOKENS, Document, ExtractionLabels
 from .numeric import ParamStore, Tensor
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -47,8 +44,8 @@ class ExtractorConfig:
     gru_hidden: int = 256
     doc_dim: int = 512
     mlp_hidden: tuple[int, int] = (512, 256)
-    max_tokens: int = 50
-    max_sentences: int = 80
+    max_tokens: int = DEFAULT_MAX_TOKENS
+    max_sentences: int = DEFAULT_MAX_SENTENCES
     lr: float = 0.1
     batch_size: int = 64
     epochs: int = 5
@@ -239,14 +236,13 @@ def pretrain_loss(
     labels: ExtractionLabels,
     params: ParamStore,
     config: ExtractorConfig,
-    encoding: DocumentEncoding | None = None,
 ) -> Tensor:
     """Teacher-forced negative log-likelihood of the oracle labels."""
     if len(labels.labels) != doc.n_sentences:
         raise ValueError(
             f"document {doc.id!r}: {len(labels.labels)} labels for {doc.n_sentences} sentences"
         )
-    enc = encoding or encode_document(doc, params, config)
+    enc = encode_document(doc, params, config)
     return -decision_log_probs(enc, labels.labels, params).sum()
 
 
@@ -263,33 +259,10 @@ def pretrain(
     labeled_docs: list[tuple[Document, ExtractionLabels]],
     config: ExtractorConfig,
     rng: np.random.Generator,
-    params: ParamStore | None = None,
-    epoch_losses: list[float] | None = None,
 ) -> ParamStore:
-    """Minimize the mean teacher-forced NLL with plain SGD.
-
-    Batch gradients are means over per-document gradients; document order is
-    reshuffled every epoch from the supplied generator.
-    """
+    """Fresh parameters from `rng`, then SGD on the mean teacher-forced NLL for config.epochs."""
     if not labeled_docs:
         raise ValueError("pretraining needs a non-empty labeled corpus")
-    if params is None:
-        params = init_extractor_params(config, rng)
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(labeled_docs))
-        epoch_total, seen = 0.0, 0
-        for start in range(0, len(order), config.batch_size):
-            batch = [labeled_docs[i] for i in order[start : start + config.batch_size]]
-            losses = [pretrain_loss(doc, labels, params, config) for doc, labels in batch]
-            batch_loss = losses[0]
-            for term in losses[1:]:
-                batch_loss = batch_loss + term
-            batch_loss = batch_loss / len(losses)
-            grads = nm.gradients(batch_loss, params)
-            nm.sgd_step(params, grads, config.lr)
-            epoch_total += batch_loss.item() * len(losses)
-            seen += len(losses)
-        if epoch_losses is not None:
-            epoch_losses.append(epoch_total / seen)
-        log.info("pretrain epoch %d: mean loss %.6f", epoch + 1, epoch_total / seen)
-    return params
+    params = init_extractor_params(config, rng)
+    return nm.minibatch_sgd(labeled_docs, lambda item, p: pretrain_loss(*item, p, config), params,
+                            rng, config.lr, config.batch_size, config.epochs, "pretrain")

@@ -25,11 +25,14 @@ is 64-bit so finite-difference gradient checks are decisive.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 import struct
 
 import numpy as np
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "Tensor",
@@ -41,7 +44,6 @@ __all__ = [
     "tanh",
     "sigmoid",
     "relu",
-    "log",
     "softplus",
     "log_sigmoid",
     "concat",
@@ -53,6 +55,7 @@ __all__ = [
     "gru_sequence",
     "gradients",
     "sgd_step",
+    "minibatch_sgd",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -303,16 +306,6 @@ def relu(x) -> Tensor:
 
     def backward(g):
         _accumulate(x, g * (x.data > 0))
-
-    return _node(out_data, (x,), backward)
-
-
-def log(x) -> Tensor:
-    x = _wrap(x)
-    out_data = np.log(x.data)
-
-    def backward(g):
-        _accumulate(x, g / x.data)
 
     return _node(out_data, (x,), backward)
 
@@ -698,6 +691,29 @@ def sgd_step(params: ParamStore, grads: dict[str, np.ndarray | RowGrad], lr: flo
             p.data[g.rows] -= lr * g.values
         else:
             p.data -= lr * g
+    return params
+
+
+def minibatch_sgd(items, loss_fn, params: ParamStore, rng: np.random.Generator, lr: float,
+                  batch_size: int, epochs: int, name: str) -> ParamStore:
+    """Plain SGD on the mean of `loss_fn(item, params)` over shuffled batches, in place.
+
+    The item order is reshuffled from `rng` every epoch. After each epoch the
+    mean loss per item is logged as "<name> epoch k: mean loss x"; the record's
+    args carry the exact float.
+    """
+    for epoch in range(epochs):
+        order = rng.permutation(len(items))
+        epoch_total = 0.0
+        for start in range(0, len(order), batch_size):
+            losses = [loss_fn(items[i], params) for i in order[start : start + batch_size]]
+            batch_loss = losses[0]
+            for term in losses[1:]:
+                batch_loss = batch_loss + term
+            batch_loss = batch_loss / len(losses)
+            sgd_step(params, gradients(batch_loss, params), lr)
+            epoch_total += batch_loss.item() * len(losses)
+        log.info("%s epoch %d: mean loss %.6f", name, epoch + 1, epoch_total / len(items))
     return params
 
 

@@ -37,7 +37,7 @@ log = logging.getLogger(__name__)
 # scorer signature: (first_sentence_ids, second_sentence_ids) -> float
 CoherenceScorer = Callable[[np.ndarray, np.ndarray], float]
 
-MOVING_WINDOW = 100  # steps in the logged moving averages of the rewards
+MOVING_WINDOW = 100  # steps in the logged moving average of the combined reward
 
 
 @dataclass
@@ -171,20 +171,17 @@ def train_rnes(
     rl_config: RLConfig,
     config: ExtractorConfig,
     rng: np.random.Generator,
-    metrics: list[dict] | None = None,
 ) -> ParamStore:
     """REINFORCE loop: sample, score, return, update; documents drawn uniformly.
 
-    The coherence scorer is never invoked when lambda is zero. Per-step and
-    moving-average rewards go to the module logger; pass `metrics` to capture
-    them programmatically.
+    The coherence scorer is never invoked when lambda is zero. Each step's
+    rewards and the moving average of the combined reward go to the module
+    logger as one INFO record whose args carry the exact floats.
     """
     if not docs:
         raise ValueError("cannot run policy-gradient training on an empty corpus")
     if rl_config.lam > 0 and coherence_scorer is None:
         raise ValueError("lambda > 0 requires a coherence scorer")
-    recent_rouge: deque[float] = deque(maxlen=MOVING_WINDOW)
-    recent_coh: deque[float] = deque(maxlen=MOVING_WINDOW)
     recent_combined: deque[float] = deque(maxlen=MOVING_WINDOW)
     for step in range(1, rl_config.steps + 1):
         doc = docs[int(rng.integers(0, len(docs)))]
@@ -200,8 +197,6 @@ def train_rnes(
 
         coh_sum = sum(episode.rewards)
         combined = episode.final_reward + rl_config.lam * coh_sum
-        recent_rouge.append(episode.final_reward)
-        recent_coh.append(coh_sum)
         recent_combined.append(combined)
         log.info(
             "step %d: rouge %.4f coherence %.4f combined %.4f (avg %.4f)",
@@ -211,17 +206,4 @@ def train_rnes(
             combined,
             sum(recent_combined) / len(recent_combined),
         )
-        if metrics is not None:
-            metrics.append(
-                {
-                    "step": step,
-                    "doc": doc.id,
-                    "rouge": episode.final_reward,
-                    "coherence_sum": coh_sum,
-                    "combined": combined,
-                    "avg_rouge": sum(recent_rouge) / len(recent_rouge),
-                    "avg_coherence": sum(recent_coh) / len(recent_coh),
-                    "avg_combined": sum(recent_combined) / len(recent_combined),
-                }
-            )
     return params

@@ -112,3 +112,9 @@ def toy_document(doc_id: str, rng: np.random.Generator, vocab: Vocabulary | None
     ]
     highlights = [sentences[i] for i in highlight_sentences if i < n_sentences]
     return make_document(doc_id, sentences, highlights, vocab=vocab, max_tokens=max_tokens)
+
+
+def logged_epoch_losses(caplog, name: str) -> list[float]:
+    """The exact per-epoch mean losses that `numeric.minibatch_sgd` logged for `name`."""
+    return [r.args[2] for r in caplog.records
+            if r.name == "cohsum.numeric" and r.msg.startswith("%s epoch") and r.args[0] == name]

@@ -11,10 +11,13 @@ import numpy as np
 import pytest
 
 import cohsum
-from cohsum.cli import run
+from cohsum.cli import _config, build_parser, run
+from cohsum.coherence import CoherenceConfig
 from cohsum.corpus import load_vocab
-from cohsum.extractor import init_extractor_params
+from cohsum.extractor import ExtractorConfig, init_extractor_params
 from cohsum.numeric import load_checkpoint, save_checkpoint
+from cohsum.reinforce import RLConfig
+from cohsum.rouge import RewardWeights
 
 from conftest import tiny_extractor_config
 
@@ -437,3 +440,79 @@ def test_training_stages_write_only_their_checkpoint(corpus, tmp_path):
     for path in outs.values():
         assert os.listdir(path.parent) == ["model.ckpt"]  # no sidecar, no temporary file
     assert load_checkpoint(outs["rl"]).meta == load_checkpoint(outs["pre"]).meta
+
+
+# -- malformed records from outside the program -------------------------------------
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sentences", [1, 2]),
+    ("sentences", "abc def. ghi"),
+    ("highlights", [["nested"]]),
+    ("highlights", "abc def"),
+])
+def test_corpus_field_that_is_not_an_array_of_strings_exits_1(tmp_path, caplog, field, value):
+    corpus = tmp_path / "corpus.jsonl"
+    good = {"id": "a", "sentences": ["river stone"], "highlights": ["river"]}
+    corpus.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b", field: value}) + "\n")
+    caplog.clear()
+    assert run(["label", "--corpus", str(corpus), "--out", str(tmp_path / "labels.jsonl")]) == 1
+    message = _one_error_line(caplog)
+    assert str(corpus) in message and "line 2" in message and repr(field) in message
+
+
+@pytest.mark.parametrize("summary", [[1, 2], "alpha beta", None])
+def test_evaluate_summary_that_is_not_an_array_of_strings_exits_1(corpus, tmp_path, caplog,
+                                                                   summary):
+    system = tmp_path / "system.jsonl"
+    system.write_text(json.dumps({"id": "doc0", "summary": ["river stone"]}) + "\n"
+                      + json.dumps({"id": "doc1", "summary": summary}) + "\n")
+    caplog.clear()
+    assert run(["evaluate", "--system", str(system), "--reference", str(corpus)]) == 1
+    message = _one_error_line(caplog)
+    assert str(system) in message and "line 2" in message and "'summary'" in message
+
+
+@pytest.mark.parametrize("bad", [[2, 0, 2, 0, 0], [0, -1, 0, 0, 0], [0, 0.5, 0, 0, 1], "10000"])
+def test_pretrain_rejects_labels_other_than_0_or_1(corpus, tmp_path, caplog, bad):
+    vocab = tmp_path / "vocab.txt"
+    labels = tmp_path / "labels.jsonl"
+    assert run(["preprocess", "--corpus", str(corpus), "--out", str(vocab)]) == 0
+    assert run(["label", "--corpus", str(corpus), "--out", str(labels)]) == 0
+    records = [json.loads(line) for line in labels.read_text().splitlines()]
+    records[2]["labels"] = bad
+    labels.write_text("".join(json.dumps(r) + "\n" for r in records))
+    caplog.clear()
+    code = run(["pretrain", "--corpus", str(corpus), "--vocab", str(vocab), "--labels", str(labels),
+                "--out", str(tmp_path / "p.ckpt"), "--epochs", "0"] + TINY_EXTRACTOR)
+    assert code == 1
+    message = _one_error_line(caplog)
+    assert str(labels) in message and "line 3" in message
+    assert not (tmp_path / "p.ckpt").exists()
+
+
+# -- parser and packaging --------------------------------------------------------------
+
+
+def test_flag_defaults_are_the_config_defaults():
+    parser = build_parser()
+    required = ["--corpus", "c", "--vocab", "v", "--out", "o"]
+    args = parser.parse_args(["train-coherence"] + required)
+    assert _config(CoherenceConfig, args, vocab_size=7) == CoherenceConfig(vocab_size=7)
+    args = parser.parse_args(["pretrain"] + required)
+    assert _config(ExtractorConfig, args, vocab_size=7) == ExtractorConfig(vocab_size=7)
+    assert _config(RewardWeights, args) == RewardWeights()
+    args = parser.parse_args(["train-rnes", "--pretrain-checkpoint", "p"] + required)
+    weights = _config(RewardWeights, args)
+    assert weights == RewardWeights()
+    assert _config(RLConfig, args, weights=weights) == RLConfig()
+
+
+def test_module_entry_point_runs_without_runtime_warnings():
+    package_root = os.path.dirname(os.path.dirname(cohsum.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "cohsum.cli", "--help"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=package_root),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: cohsum" in proc.stdout

@@ -1,5 +1,7 @@
 """Coherence scorer: interaction grid, stack arithmetic, hinge training."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,13 @@ from cohsum.coherence import (
 )
 from cohsum.corpus import CoherenceTriplet, Vocabulary, make_sentence
 
-from conftest import assert_grads_close, finite_difference_grads, small_vocab, tiny_coherence_config
+from conftest import (
+    assert_grads_close,
+    finite_difference_grads,
+    logged_epoch_losses,
+    small_vocab,
+    tiny_coherence_config,
+)
 
 
 @pytest.fixture
@@ -216,16 +224,15 @@ def _synthetic_triplets(vocab, config, rng, count):
     return triplets
 
 
-def test_training_reduces_hinge_loss(vocab, config, rng):
+def test_training_reduces_hinge_loss(vocab, config, rng, caplog):
     cfg = tiny_coherence_config(vocab.size, epochs=20, batch_size=16, conv_filters=(4,),
                                 fc_units=(8,))
     triplets = _synthetic_triplets(vocab, cfg, rng, 200)
-    batch_losses = []
-    train_coherence(triplets, cfg, np.random.default_rng(3), batch_losses=batch_losses)
-    n_batches = (len(triplets) + cfg.batch_size - 1) // cfg.batch_size
-    first_epoch = np.mean(batch_losses[:n_batches])
-    last_epoch = np.mean(batch_losses[-n_batches:])
-    assert last_epoch < first_epoch
+    with caplog.at_level(logging.INFO, logger="cohsum.numeric"):
+        train_coherence(triplets, cfg, np.random.default_rng(3))
+    losses = logged_epoch_losses(caplog, "coherence")
+    assert len(losses) == 20
+    assert losses[-1] < losses[0]
 
 
 def test_zero_epochs_returns_initialization(vocab, config):
@@ -237,14 +244,15 @@ def test_zero_epochs_returns_initialization(vocab, config):
         assert np.array_equal(p.data, fresh[name].data)
 
 
-def test_zero_lr_keeps_loss_trajectory_constant(vocab):
+def test_zero_lr_keeps_loss_trajectory_constant(vocab, caplog):
     cfg = tiny_coherence_config(small_vocab().size, epochs=3, lr=0.0, batch_size=64)
     triplets = _synthetic_triplets(vocab, cfg, np.random.default_rng(2), 10)
-    batch_losses = []
-    train_coherence(triplets, cfg, np.random.default_rng(4), batch_losses=batch_losses)
-    assert len(batch_losses) == 3  # batch covers the whole set, one loss per epoch
-    assert batch_losses[0] == pytest.approx(batch_losses[1], abs=1e-15)
-    assert batch_losses[1] == pytest.approx(batch_losses[2], abs=1e-15)
+    with caplog.at_level(logging.INFO, logger="cohsum.numeric"):
+        train_coherence(triplets, cfg, np.random.default_rng(4))
+    losses = logged_epoch_losses(caplog, "coherence")
+    assert len(losses) == 3  # batch covers the whole set, one loss per epoch
+    assert losses[0] == pytest.approx(losses[1], abs=1e-15)
+    assert losses[1] == pytest.approx(losses[2], abs=1e-15)
 
 
 def test_train_rejects_empty_stream(config):

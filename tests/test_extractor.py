@@ -1,5 +1,6 @@
 """Policy network components: word features, GRU, encoding, MLP head, pretraining."""
 
+import logging
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from reference_policy import gru_cell, initial_selection, selection_update, word
 from conftest import (
     assert_grads_close,
     finite_difference_grads,
+    logged_epoch_losses,
     small_vocab,
     tiny_extractor_config,
     toy_document,
@@ -305,20 +307,24 @@ def test_pretrain_zero_epochs_returns_initialization(vocab, config, rng):
         assert np.array_equal(p.data, fresh[name].data)
 
 
-def test_pretrain_zero_lr_keeps_loss_constant(vocab, rng):
+def test_pretrain_zero_lr_keeps_loss_constant(vocab, rng, caplog):
     cfg = tiny_extractor_config(small_vocab().size, lr=0.0, epochs=3, batch_size=64)
     corpus = _labeled_corpus(vocab, cfg, rng)
-    losses = []
-    pretrain(corpus, cfg, np.random.default_rng(5), epoch_losses=losses)
+    with caplog.at_level(logging.INFO, logger="cohsum.numeric"):
+        pretrain(corpus, cfg, np.random.default_rng(5))
+    losses = logged_epoch_losses(caplog, "pretrain")
+    assert len(losses) == 3
     assert losses[0] == pytest.approx(losses[1], abs=1e-12)
     assert losses[1] == pytest.approx(losses[2], abs=1e-12)
 
 
-def test_pretrain_reduces_loss(vocab, rng):
+def test_pretrain_reduces_loss(vocab, rng, caplog):
     cfg = tiny_extractor_config(vocab.size, epochs=10, batch_size=4, lr=0.2)
     corpus = _labeled_corpus(vocab, cfg, rng)
-    losses = []
-    pretrain(corpus, cfg, np.random.default_rng(5), epoch_losses=losses)
+    with caplog.at_level(logging.INFO, logger="cohsum.numeric"):
+        pretrain(corpus, cfg, np.random.default_rng(5))
+    losses = logged_epoch_losses(caplog, "pretrain")
+    assert len(losses) == 10
     assert losses[-1] < losses[0]
 
 

@@ -157,12 +157,6 @@ def test_fd_softplus_log_sigmoid(rng):
     _fd_check(lambda: (nm.softplus(params["z"]) + nm.log_sigmoid(-params["z"])).sum(), params)
 
 
-def test_fd_log(rng):
-    params = ParamStore()
-    params.add("p", rng.uniform(0.2, 0.9, size=4))
-    _fd_check(lambda: nm.log(params["p"]).sum(), params)
-
-
 def test_fd_gather_rows_with_repeats(rng):
     params = ParamStore()
     params.init_uniform("table", (5, 3), rng, scale=0.5)

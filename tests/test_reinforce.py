@@ -1,5 +1,7 @@
 """Episode sampling, reward plumbing, returns, and the policy-gradient step."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -293,13 +295,14 @@ def test_empty_corpus_rejected(config, params, rng):
         train_rnes([], params, None, RLConfig(lam=0.0, steps=1), config, rng)
 
 
-def test_metrics_capture_combined_objective(vocab, config, params, rng):
+def test_metrics_capture_combined_objective(vocab, config, params, rng, caplog):
     docs = _toy_corpus(vocab, config, rng)
     scorer = lambda a, b: 0.5
-    metrics = []
     rl_config = RLConfig(lam=0.01, alpha=0.0, steps=10)
-    train_rnes(docs, params, scorer, rl_config, config, rng, metrics=metrics)
-    assert len(metrics) == 10
-    for record in metrics:
-        expected = record["rouge"] + 0.01 * record["coherence_sum"]
-        assert record["combined"] == pytest.approx(expected)
+    with caplog.at_level(logging.INFO, logger="cohsum.reinforce"):
+        train_rnes(docs, params, scorer, rl_config, config, rng)
+    steps = [r.args for r in caplog.records
+             if r.name == "cohsum.reinforce" and r.msg.startswith("step")]
+    assert [args[0] for args in steps] == list(range(1, 11))
+    for _, rouge, coherence_sum, combined, _ in steps:
+        assert combined == pytest.approx(rouge + 0.01 * coherence_sum)
