@@ -7,16 +7,4 @@ Bi-GRU extraction policy with supervised pretraining, policy-gradient
 fine-tuning on mixed coherence/ROUGE rewards, and beam-search decoding.
 """
 
-from . import coherence, corpus, decode, extractor, numeric, reinforce, rouge
-
-__all__ = [
-    "coherence",
-    "corpus",
-    "decode",
-    "extractor",
-    "numeric",
-    "reinforce",
-    "rouge",
-]
-
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ import dataclasses
 import json
 import logging
 import sys
+import zlib
 from functools import partial
 
 import numpy as np
@@ -25,7 +26,6 @@ from . import corpus as cp
 from . import decode as dc
 from . import extractor as ex
 from . import reinforce as rl
-from ._util import child_rng
 from .numeric import CheckpointError, load_checkpoint, save_checkpoint
 from .rouge import RewardWeights, rouge_l, rouge_n
 
@@ -37,6 +37,15 @@ def _int_tuple(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def child_rng(seed: int, label: str) -> np.random.Generator:
+    """Independent generator for one pipeline stage, derived from the global seed.
+
+    The label is hashed with crc32 so the stream depends only on (seed, label),
+    not on the order stages run in.
+    """
+    return np.random.default_rng([seed, zlib.crc32(label.encode("utf-8"))])
 
 
 def _describe(params, kind: str, config, vocab: cp.Vocabulary) -> None:
@@ -97,12 +106,31 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
+def _read_by_id(path, parse) -> dict:
+    """`parse(record)` of every record of a JSONL file, keyed by its unique id, in file order."""
+    values = {}
+    for lineno, doc_id, record in cp.jsonl_records(path):
+        try:
+            values[doc_id] = parse(record)
+        except (KeyError, cp.CorpusFormatError) as exc:
+            raise cp.CorpusFormatError(f"{path}: line {lineno}: bad record ({exc})") from None
+    return values
+
+
+def _labels(record) -> list[int]:
+    values = record["labels"]
+    # bool is an int subclass and 1.0 == 1, so compare types, not values
+    if not isinstance(values, list) or any(type(v) is not int or v not in (0, 1) for v in values):
+        raise cp.CorpusFormatError(f"labels must be an array of integers 0 and 1, got {values!r}")
+    return values
+
+
 def cmd_label(args) -> int:
-    scorer = partial(cp.combined_rouge, weights=_config(RewardWeights, args))
+    weights = _config(RewardWeights, args)
     with open(args.out, "w", encoding="utf-8") as fh:
         for doc in cp.load_corpus(args.corpus, max_tokens=args.max_tokens,
                                   max_sentences=args.max_sentences):
-            labels = cp.generate_oracle_labels(doc, rouge_fn=scorer, max_selected=args.cap)
+            labels = cp.generate_oracle_labels(doc, weights, args.cap)
             fh.write(json.dumps({"id": doc.id, "labels": labels.labels}) + "\n")
     log.info("wrote oracle labels to %s", args.out)
     return 0
@@ -128,40 +156,19 @@ def cmd_train_coherence(args) -> int:
     return 0
 
 
-def _read_labels(path) -> dict[str, list[int]]:
-    labels = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                values = record["labels"]
-                if not isinstance(values, list) or any(v not in (0, 1) for v in values):
-                    raise cp.CorpusFormatError(
-                        f"{path}: line {lineno}: labels must be an array of 0 and 1, got {values!r}"
-                    )
-                labels[str(record["id"])] = [int(v) for v in values]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise cp.CorpusFormatError(f"{path}: line {lineno}: bad label record ({exc})")
-    return labels
-
-
 def cmd_pretrain(args) -> int:
     vocab = cp.load_vocab(args.vocab)
     docs = _load_docs(args, vocab)
-    weights = _config(RewardWeights, args)
     if args.labels:
-        by_id = _read_labels(args.labels)
+        by_id = _read_by_id(args.labels, _labels)
         labeled = []
         for doc in docs:
             if doc.id not in by_id:
                 raise ValueError(f"label file {args.labels} has no entry for document {doc.id!r}")
             labeled.append((doc, cp.ExtractionLabels(by_id[doc.id])))
     else:
-        scorer = partial(cp.combined_rouge, weights=weights)
-        labeled = [(doc, cp.generate_oracle_labels(doc, rouge_fn=scorer, max_selected=args.cap))
-                   for doc in docs]
+        weights = _config(RewardWeights, args)
+        labeled = [(doc, cp.generate_oracle_labels(doc, weights, args.cap)) for doc in docs]
     config = _config(ex.ExtractorConfig, args, vocab_size=vocab.size)
     params = ex.pretrain(labeled, config, child_rng(args.seed, "pretrain"))
     _describe(params, "extractor", config, vocab)
@@ -184,7 +191,7 @@ def cmd_train_rnes(args) -> int:
             raise CheckpointError(f"{args.coherence_checkpoint}: coherence model reads "
                                   f"{coh_config.max_tokens}-token sentences, "
                                   f"{args.pretrain_checkpoint} reads {ext_config.max_tokens}")
-        scorer = coh.make_scorer(coh_params, coh_config)
+        scorer = partial(coh.coherence_forward, params=coh_params, config=coh_config)
     docs = list(
         cp.load_corpus(
             args.corpus,
@@ -245,30 +252,22 @@ def _report_selected(counts: list[int]) -> None:
 
 def cmd_evaluate(args) -> int:
     reference = {doc.id: doc for doc in cp.load_corpus(args.reference)}
+    system = _read_by_id(args.system, partial(cp.string_array, key="summary"))
     rows, counts = [], []
-    with open(args.system, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                doc_id = str(record["id"])
-                summary = cp.string_array(record, "summary")
-            except (json.JSONDecodeError, KeyError, TypeError, cp.CorpusFormatError) as exc:
-                raise cp.CorpusFormatError(f"{args.system}: line {lineno}: bad record ({exc})")
-            if doc_id not in reference:
-                raise ValueError(f"system output {doc_id!r} not present in the reference corpus")
-            candidate: list[str] = []
-            for sent in summary:
-                candidate.extend(cp.tokenize(sent))
-            ref_tokens = reference[doc_id].highlight_tokens()
-            scores = (
-                rouge_n(candidate, ref_tokens, 1),
-                rouge_n(candidate, ref_tokens, 2),
-                rouge_l(candidate, ref_tokens),
-            )
-            rows.append((doc_id, scores))
-            counts.append(len(summary))
+    for doc_id, summary in system.items():
+        if doc_id not in reference:
+            raise ValueError(f"system output {doc_id!r} not present in the reference corpus")
+        candidate: list[str] = []
+        for sent in summary:
+            candidate.extend(cp.tokenize(sent))
+        ref_tokens = reference[doc_id].highlight_tokens()
+        scores = (
+            rouge_n(candidate, ref_tokens, 1),
+            rouge_n(candidate, ref_tokens, 2),
+            rouge_l(candidate, ref_tokens),
+        )
+        rows.append((doc_id, scores))
+        counts.append(len(summary))
     if not rows:
         raise ValueError(f"{args.system}: no system records to evaluate")
     _report_selected(counts)

@@ -183,15 +183,6 @@ def coherence_forward(sa_ids, sb_ids, params: ParamStore, config: CoherenceConfi
     return _forward(sa_ids, sb_ids, params, config).item()
 
 
-def make_scorer(params: ParamStore, config: CoherenceConfig):
-    """Bind frozen parameters into a (sa_ids, sb_ids) -> float callable."""
-
-    def scorer(sa_ids, sb_ids) -> float:
-        return coherence_forward(sa_ids, sb_ids, params, config)
-
-    return scorer
-
-
 def triplet_loss(triplet: CoherenceTriplet, params: ParamStore, config: CoherenceConfig) -> Tensor:
     pos = _forward(triplet.anchor.ids, triplet.positive.ids, params, config)
     neg = _forward(triplet.anchor.ids, triplet.negative.ids, params, config)

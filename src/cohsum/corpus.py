@@ -1,24 +1,24 @@
 """Corpus loading, tokenization, vocabulary, oracle labels, triplet sampling.
 
-Corpus files are JSON Lines: one record per line with fields `id` (string),
-`sentences` (array of sentence strings) and `highlights` (array of strings).
+Corpus files are JSON Lines: one record per line with fields `id` (string,
+unique within the file), `sentences` (array of sentence strings) and
+`highlights` (array of strings).
 The vocabulary file is one token per line behind a three-line header for the
 PAD / UNK / BOUNDARY specials, so line number equals id.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import string
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .rouge import combined_rouge
+from .rouge import RewardWeights, combined_rouge
 
 PAD_ID = 0
 UNK_ID = 1
@@ -77,18 +77,13 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.id_to_token)
 
-    def __len__(self) -> int:
-        return len(self.id_to_token)
-
     def lookup(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 
-    def decode_ids(self, ids: Iterable[int]) -> list[str]:
-        """Tokens for the given ids, dropping PAD fill."""
-        return [self.id_to_token[i] for i in ids if i != PAD_ID]
-
     def fingerprint(self) -> str:
         """SHA-256 hex digest of the tokens in id order, as `save_vocab` writes them."""
+        import hashlib  # loads OpenSSL; only the stages that save or load a model need it
+
         text = "\n".join(self.id_to_token) + "\n"
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -187,13 +182,13 @@ def string_array(record: dict, key: str) -> list[str]:
     return value
 
 
-def load_corpus(
-    path,
-    vocab: Vocabulary | None = None,
-    max_tokens: int = DEFAULT_MAX_TOKENS,
-    max_sentences: int = DEFAULT_MAX_SENTENCES,
-) -> Iterator[Document]:
-    """Yield documents in file order; ids stay unencoded when vocab is None."""
+def jsonl_records(path) -> Iterator[tuple[int, str, dict]]:
+    """(line number, id, record) of each non-blank line of a JSON Lines file.
+
+    Every record must be a JSON object with an `id`, and no two records may
+    share one: files are paired with each other by document id.
+    """
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -204,32 +199,38 @@ def load_corpus(
                 raise CorpusFormatError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
             if not isinstance(record, dict):
                 raise CorpusFormatError(f"{path}: line {lineno}: record is not an object")
-            for key in ("id", "sentences", "highlights"):
-                if key not in record:
-                    raise CorpusFormatError(f"{path}: line {lineno}: missing field {key!r}")
-            try:
-                yield make_document(
-                    str(record["id"]),
-                    string_array(record, "sentences"),
-                    string_array(record, "highlights"),
-                    vocab=vocab,
-                    max_tokens=max_tokens,
-                    max_sentences=max_sentences,
-                )
-            except CorpusFormatError as exc:
-                raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from exc
+            if "id" not in record:
+                raise CorpusFormatError(f"{path}: line {lineno}: missing field 'id'")
+            doc_id = str(record["id"])
+            if doc_id in first_line:
+                raise CorpusFormatError(f"{path}: line {lineno}: id {doc_id!r} already used on "
+                                        f"line {first_line[doc_id]}")
+            first_line[doc_id] = lineno
+            yield lineno, doc_id, record
 
 
-def write_corpus(documents: Iterable[Document], path) -> None:
-    """Inverse of load_corpus (modulo truncation already applied)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in documents:
-            record = {
-                "id": doc.id,
-                "sentences": [s.text for s in doc.sentences],
-                "highlights": [h.text for h in doc.highlights],
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+def load_corpus(
+    path,
+    vocab: Vocabulary | None = None,
+    max_tokens: int = DEFAULT_MAX_TOKENS,
+    max_sentences: int = DEFAULT_MAX_SENTENCES,
+) -> Iterator[Document]:
+    """Yield documents in file order; ids stay unencoded when vocab is None."""
+    for lineno, doc_id, record in jsonl_records(path):
+        for key in ("sentences", "highlights"):
+            if key not in record:
+                raise CorpusFormatError(f"{path}: line {lineno}: missing field {key!r}")
+        try:
+            yield make_document(
+                doc_id,
+                string_array(record, "sentences"),
+                string_array(record, "highlights"),
+                vocab=vocab,
+                max_tokens=max_tokens,
+                max_sentences=max_sentences,
+            )
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from exc
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:
@@ -297,11 +298,9 @@ class ExtractionLabels:
 
 
 def generate_oracle_labels(
-    doc: Document,
-    rouge_fn: Callable[[list[str], list[str]], float] = combined_rouge,
-    max_selected: int = 4,
+    doc: Document, weights: RewardWeights, max_selected: int
 ) -> ExtractionLabels:
-    """Greedy labels: repeatedly add the sentence that most improves the score.
+    """Greedy labels: repeatedly add the sentence that most improves the combined ROUGE.
 
     Stops when no addition strictly increases the score against the
     highlights, or after max_selected sentences.
@@ -310,7 +309,7 @@ def generate_oracle_labels(
         raise ValueError(f"document {doc.id!r} has no highlights to label against")
     reference = doc.highlight_tokens()
     selected: set[int] = set()
-    best_score = rouge_fn([], reference)
+    best_score = combined_rouge([], reference, weights)
     while len(selected) < max_selected:
         best_gain, best_idx, best_total = 0.0, None, best_score
         for i in range(doc.n_sentences):
@@ -320,7 +319,7 @@ def generate_oracle_labels(
             for j in range(doc.n_sentences):
                 if j in selected or j == i:
                     candidate.extend(doc.sentences[j].tokens)
-            score = rouge_fn(candidate, reference)
+            score = combined_rouge(candidate, reference, weights)
             if score - best_score > best_gain:
                 best_gain, best_idx, best_total = score - best_score, i, score
         if best_idx is None:

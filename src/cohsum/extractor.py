@@ -21,7 +21,8 @@ window, GRU step or decision:
 
 The per-step form this replaces (per-sentence word features, a GRU cell
 loop, a step-by-step head replay) is kept in tests/reference_policy.py as
-the reference the batched ops are tested against.
+the reference the batched ops are tested against, and so is the head
+evaluated for one sentence and one history at a time.
 """
 
 from __future__ import annotations
@@ -183,13 +184,11 @@ class PolicyHead:
         a2 = _tanh(a1 @ self.w2 + self.b2)
         return (a2 @ self.w3 + self.b3)[..., 0]
 
-    def histories(self, decisions):
-        """g_{t-1} for every t of a known decision sequence: an exclusive cumulative sum."""
+    def histories(self, decisions) -> Tensor:
+        """g_{t-1} for every t of a known decision sequence, on the tape: an exclusive cumsum."""
         y = np.asarray(decisions, dtype=np.float64)
         taken_before = np.tril(np.ones((len(y), len(y))), k=-1) * y  # [t, s]: y_s if s < t
-        if isinstance(self.increments, Tensor):
-            return nm.matmul(taken_before, self.increments)
-        return taken_before @ self.increments
+        return nm.matmul(taken_before, self.increments)
 
 
 def policy_head(contexts, doc_vec, params: ParamStore) -> PolicyHead:
@@ -207,16 +206,6 @@ def policy_head(contexts, doc_vec, params: ParamStore) -> PolicyHead:
         w3=w("mlp_w3"),
         b3=w("mlp_b3"),
     )
-
-
-def extraction_logit(h_t, g_prev, d, params: ParamStore):
-    """Pre-sigmoid extraction score of one sentence; feed to log_sigmoid for stable losses."""
-    return policy_head(h_t, d, params).logits(g_prev)
-
-
-def extraction_probability(h_t, g_prev, d, params: ParamStore):
-    """Probability of extracting the current sentence, strictly inside (0, 1)."""
-    return nm.sigmoid(extraction_logit(h_t, g_prev, d, params))
 
 
 def decision_log_probs(enc: DocumentEncoding, decisions, params: ParamStore) -> Tensor:
@@ -244,15 +233,6 @@ def pretrain_loss(
         )
     enc = encode_document(doc, params, config)
     return -decision_log_probs(enc, labels.labels, params).sum()
-
-
-def teacher_forced_probabilities(
-    doc: Document, labels: ExtractionLabels, params: ParamStore, config: ExtractorConfig
-) -> list[float]:
-    """p_t conditioned on the ground-truth selection history, as plain floats."""
-    enc = encode_document(doc, params, config)
-    head = policy_head(enc.contexts.data, enc.doc.data, params)
-    return nm.sigmoid(head.logits(head.histories(labels.labels))).data.tolist()
 
 
 def pretrain(

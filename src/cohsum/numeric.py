@@ -42,7 +42,6 @@ __all__ = [
     "CheckpointError",
     "linear",
     "tanh",
-    "sigmoid",
     "relu",
     "softplus",
     "log_sigmoid",
@@ -288,16 +287,6 @@ def tanh(x) -> Tensor:
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     # exp(log sigmoid(x)); stable for any magnitude and any array shape
     return np.exp(-np.logaddexp(0.0, -x))
-
-
-def sigmoid(x) -> Tensor:
-    x = _wrap(x)
-    out_data = _sigmoid_np(x.data)
-
-    def backward(g):
-        _accumulate(x, g * out_data * (1.0 - out_data))
-
-    return _node(out_data, (x,), backward)
 
 
 def relu(x) -> Tensor:
@@ -608,9 +597,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def __len__(self) -> int:
         return len(self._params)

@@ -6,8 +6,9 @@ the finished summary with the combined ROUGE measure (final reward), turns
 those into per-step returns, and takes one ascent step on the sampled
 log-likelihood weighted by the returns.
 
-Sampling and the update share the extractor's one `PolicyHead`: sampling runs
-it on arrays, one step at a time, since each decision feeds the next; the
+The document is encoded once per step. Sampling and the update share that
+`DocumentEncoding` and the extractor's one `PolicyHead`: sampling runs the
+head on arrays, one step at a time, since each decision feeds the next; the
 update replays the sampled decisions on the tape in one batched pass.
 """
 
@@ -59,34 +60,24 @@ class Episode:
     """One sampled trajectory of extraction decisions over a document."""
 
     decisions: list[int]
-    probs: list[float]  # probability of the action actually taken
     rewards: list[float] = field(default_factory=list)
     final_reward: float = 0.0
     returns: list[float] = field(default_factory=list)
 
 
-def sample_episode(
-    doc: Document,
-    params: ParamStore,
-    config: ExtractorConfig,
-    rng: np.random.Generator,
-    encoding: DocumentEncoding | None = None,
-) -> Episode:
-    """Draw y_t ~ Bernoulli(p_t) sequentially, threading the selection history."""
-    enc = encoding or encode_document(doc, params, config)
+def sample_episode(enc: DocumentEncoding, params: ParamStore, rng: np.random.Generator) -> Episode:
+    """Draw y_t ~ Bernoulli(p_t) for each encoded sentence in turn, threading the history."""
     head = policy_head(enc.contexts.data, enc.doc.data, params)
     g = np.zeros(head.increments.shape[1])
     decisions: list[int] = []
-    probs: list[float] = []
-    for t in range(doc.n_sentences):
+    for t in range(len(enc.contexts)):
         z = float(head.logits(g, t))
         p = float(np.exp(-np.logaddexp(0.0, -z)))
         y = 1 if rng.random() < p else 0
         decisions.append(y)
-        probs.append(p if y == 1 else 1.0 - p)
         if y == 1:
             g = g + head.increments[t]
-    return Episode(decisions=decisions, probs=probs)
+    return Episode(decisions=decisions)
 
 
 def immediate_rewards(doc: Document, decisions: list[int], scorer: CoherenceScorer) -> list[float]:
@@ -128,11 +119,7 @@ def compute_returns(rewards: list[float], r_final: float, lam: float) -> list[fl
 
 
 def surrogate_objective(
-    params: ParamStore,
-    doc: Document,
-    episode: Episode,
-    config: ExtractorConfig,
-    encoding: DocumentEncoding | None = None,
+    params: ParamStore, doc: Document, enc: DocumentEncoding, episode: Episode
 ) -> Tensor:
     """sum_t R_t * log pi(y_t | state_t) on the tape, returns held constant."""
     if len(episode.decisions) != doc.n_sentences or len(episode.returns) != doc.n_sentences:
@@ -140,26 +127,21 @@ def surrogate_objective(
             f"episode with {len(episode.decisions)} decisions / {len(episode.returns)} returns "
             f"does not match document {doc.id!r} with {doc.n_sentences} sentences"
         )
-    enc = encoding or encode_document(doc, params, config)
     log_probs = decision_log_probs(enc, episode.decisions, params)
     return (log_probs * np.asarray(episode.returns, dtype=np.float64)).sum()
 
 
 def policy_gradient_step(
-    params: ParamStore,
-    doc: Document,
-    episode: Episode,
-    alpha: float,
-    config: ExtractorConfig,
-    encoding: DocumentEncoding | None = None,
+    params: ParamStore, doc: Document, enc: DocumentEncoding, episode: Episode, alpha: float
 ) -> ParamStore:
     """One ascent step on the surrogate sum_t R_t * log pi(y_t | state_t).
 
-    All returns are treated as constants and gradients are evaluated at the
-    pre-update parameters, so the step equals the per-t update loop applied
-    jointly.
+    `enc` is `doc` encoded under `params`; the gradient flows back through
+    its tape. All returns are treated as constants and gradients are
+    evaluated at the pre-update parameters, so the step equals the per-t
+    update loop applied jointly.
     """
-    surrogate = surrogate_objective(params, doc, episode, config, encoding)
+    surrogate = surrogate_objective(params, doc, enc, episode)
     grads = nm.gradients(-surrogate, params)
     return nm.sgd_step(params, grads, alpha)
 
@@ -186,14 +168,14 @@ def train_rnes(
     for step in range(1, rl_config.steps + 1):
         doc = docs[int(rng.integers(0, len(docs)))]
         enc = encode_document(doc, params, config)
-        episode = sample_episode(doc, params, config, rng, encoding=enc)
+        episode = sample_episode(enc, params, rng)
         if rl_config.lam > 0:
             episode.rewards = immediate_rewards(doc, episode.decisions, coherence_scorer)
         else:
             episode.rewards = [0.0] * doc.n_sentences
         episode.final_reward = final_reward(doc, episode.decisions, rl_config.weights)
         episode.returns = compute_returns(episode.rewards, episode.final_reward, rl_config.lam)
-        policy_gradient_step(params, doc, episode, rl_config.alpha, config, encoding=enc)
+        policy_gradient_step(params, doc, enc, episode, rl_config.alpha)
 
         coh_sum = sum(episode.rewards)
         combined = episode.final_reward + rl_config.lam * coh_sum

@@ -4,7 +4,8 @@ These are the ops as they were before the fast paths: `max_pool_2x2` takes
 an argmax over a transposed copy of the 2x2 blocks and keeps flat winner
 indices for backward; `gather_rows` scatters every backward into a
 zero-filled dense table; `sgd_step` sweeps the whole dense gradient. The
-code in `cohsum.numeric` is tested against these functions.
+code in `cohsum.numeric` is tested against these functions. `sigmoid` is
+here because only the tests and the per-step policy reference use it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,16 @@ import numpy as np
 
 from cohsum import numeric as nm
 from cohsum.numeric import ParamStore, Tensor
+
+
+def sigmoid(x) -> Tensor:
+    x = nm._wrap(x)
+    out_data = nm._sigmoid_np(x.data)
+
+    def backward(g):
+        nm._accumulate(x, g * out_data * (1.0 - out_data))
+
+    return nm._node(out_data, (x,), backward)
 
 
 def max_pool_2x2(x) -> Tensor:

@@ -19,6 +19,7 @@ from cohsum import numeric as nm
 from cohsum.corpus import Document, ExtractionLabels
 from cohsum.extractor import ExtractorConfig
 from cohsum.numeric import ParamStore, Tensor
+from reference_numeric import sigmoid
 
 
 def _window_indices(rows: int, kernel: int, width: int) -> np.ndarray:
@@ -52,8 +53,8 @@ def word_features(sentence, params: ParamStore, config: ExtractorConfig) -> tupl
 def gru_cell(x: Tensor, h_prev: Tensor, params: ParamStore, direction: str) -> Tensor:
     """One gated-recurrent step; h stays in (-1, 1) when h_prev does."""
     p = lambda gate, kind: params[f"gru_{direction}_{gate}_{kind}"]
-    z = nm.sigmoid(nm.linear(x, p("z", "w"), p("z", "b")) + h_prev @ p("z", "v"))
-    r = nm.sigmoid(nm.linear(x, p("r", "w"), p("r", "b")) + h_prev @ p("r", "v"))
+    z = sigmoid(nm.linear(x, p("z", "w"), p("z", "b")) + h_prev @ p("z", "v"))
+    r = sigmoid(nm.linear(x, p("r", "w"), p("r", "b")) + h_prev @ p("r", "v"))
     h_hat = nm.tanh(nm.linear(x, p("h", "w"), p("h", "b")) + (r * h_prev) @ p("h", "v"))
     return (1.0 - z) * h_hat + z * h_prev
 
@@ -95,6 +96,11 @@ def extraction_logit(h_t: Tensor, g_prev: Tensor, d: Tensor, params: ParamStore)
     a1 = nm.tanh(nm.linear(x, params["mlp_w1"], params["mlp_b1"]))
     a2 = nm.tanh(nm.linear(a1, params["mlp_w2"], params["mlp_b2"]))
     return nm.linear(a2, params["mlp_w3"], params["mlp_b3"])
+
+
+def extraction_probability(h_t, g_prev, d, params: ParamStore) -> Tensor:
+    """Probability of extracting the current sentence, strictly inside (0, 1)."""
+    return sigmoid(extraction_logit(h_t, g_prev, d, params))
 
 
 def initial_selection(config: ExtractorConfig) -> Tensor:
@@ -142,20 +148,18 @@ def pg_surrogate(doc: Document, decisions, returns, params: ParamStore,
 
 
 def sample_episode(doc: Document, params: ParamStore, config: ExtractorConfig,
-                   rng: np.random.Generator) -> tuple[list[int], list[float]]:
-    """Decisions and taken-action probabilities, one tape head step per sentence."""
+                   rng: np.random.Generator) -> list[int]:
+    """Decisions drawn as y_t ~ Bernoulli(p_t), one tape head step per sentence."""
     enc = encode_document(doc, params, config)
     g = initial_selection(config)
     decisions: list[int] = []
-    probs: list[float] = []
     for t in range(doc.n_sentences):
         z = extraction_logit(enc.contexts[t], g, enc.doc, params).item()
         p = float(np.exp(-np.logaddexp(0.0, -z)))
         y = 1 if rng.random() < p else 0
         decisions.append(y)
-        probs.append(p if y == 1 else 1.0 - p)
         g = selection_update(g, enc.contexts[t], y, params)
-    return decisions, probs
+    return decisions
 
 
 class _FastPolicy:

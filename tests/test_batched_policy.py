@@ -21,7 +21,6 @@ from cohsum.extractor import (
     policy_head,
     pretrain_loss,
     sentence_vectors,
-    teacher_forced_probabilities,
 )
 from cohsum.reinforce import Episode, sample_episode, surrogate_objective
 
@@ -94,8 +93,6 @@ def test_replayed_logits_and_pretrain_loss_match_reference(sentences, seed, kind
                                      params, CONFIG)
     _assert_close(head.logits(head.histories(labels.labels)).data,
                   [z.item() for z in ref_logits])
-    _assert_close(teacher_forced_probabilities(doc, labels, params, CONFIG),
-                  [nm.sigmoid(z).item() for z in ref_logits])
 
     loss = pretrain_loss(doc, labels, params, CONFIG)
     ref_loss = ref.pretrain_loss(doc, labels, params, CONFIG)
@@ -110,8 +107,8 @@ def test_policy_gradient_surrogate_matches_reference(sentences, seed, kind):
     params = _params(seed)
     decisions = _decisions(doc.n_sentences, seed, kind)
     returns = np.random.default_rng(seed).normal(size=doc.n_sentences).tolist()
-    episode = Episode(decisions=decisions, probs=[0.5] * doc.n_sentences, returns=returns)
-    surrogate = surrogate_objective(params, doc, episode, CONFIG)
+    episode = Episode(decisions=decisions, returns=returns)
+    surrogate = surrogate_objective(params, doc, encode_document(doc, params, CONFIG), episode)
     expected = ref.pg_surrogate(doc, decisions, returns, params, CONFIG)
     _assert_close(surrogate.item(), expected.item())
     _assert_grads_close(nm.gradients(surrogate, params), nm.gradients(expected, params))
@@ -122,10 +119,10 @@ def test_policy_gradient_surrogate_matches_reference(sentences, seed, kind):
 def test_sampled_episode_matches_reference_under_one_rng(sentences, seed):
     doc = _document(sentences)
     params = _params(seed)
-    episode = sample_episode(doc, params, CONFIG, np.random.default_rng(seed))
-    decisions, probs = ref.sample_episode(doc, params, CONFIG, np.random.default_rng(seed))
-    assert episode.decisions == decisions
-    _assert_close(episode.probs, probs)
+    episode = sample_episode(encode_document(doc, params, CONFIG), params,
+                             np.random.default_rng(seed))
+    assert episode.decisions == ref.sample_episode(doc, params, CONFIG,
+                                                   np.random.default_rng(seed))
 
 
 @given(document_st, seed_st, st.sampled_from([1, 3, 10]), st.sampled_from([1, 2, 4]))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cohsum
-from cohsum.cli import _config, build_parser, run
+from cohsum.cli import _config, build_parser, child_rng, run
 from cohsum.coherence import CoherenceConfig
 from cohsum.corpus import load_vocab
 from cohsum.extractor import ExtractorConfig, init_extractor_params
@@ -110,8 +110,6 @@ def test_pretrain_zero_epochs_equals_fresh_initialization(corpus, tmp_path):
         gru_hidden=4, doc_dim=6, mlp_hidden=(8, 4), max_tokens=10,
         max_sentences=80, batch_size=8, epochs=0, lr=0.1,
     )
-    from cohsum._util import child_rng
-
     fresh = init_extractor_params(config, child_rng(7, "pretrain"))
     assert loaded.names() == fresh.names()
     for name, p in fresh.items():
@@ -473,7 +471,8 @@ def test_evaluate_summary_that_is_not_an_array_of_strings_exits_1(corpus, tmp_pa
     assert str(system) in message and "line 2" in message and "'summary'" in message
 
 
-@pytest.mark.parametrize("bad", [[2, 0, 2, 0, 0], [0, -1, 0, 0, 0], [0, 0.5, 0, 0, 1], "10000"])
+@pytest.mark.parametrize("bad", [[2, 0, 2, 0, 0], [0, -1, 0, 0, 0], [0, 0.5, 0, 0, 1], "10000",
+                                 [True, False, 0, 0, 0], [1.0, 0, 0, 0, 0]])
 def test_pretrain_rejects_labels_other_than_0_or_1(corpus, tmp_path, caplog, bad):
     vocab = tmp_path / "vocab.txt"
     labels = tmp_path / "labels.jsonl"
@@ -488,6 +487,32 @@ def test_pretrain_rejects_labels_other_than_0_or_1(corpus, tmp_path, caplog, bad
     assert code == 1
     message = _one_error_line(caplog)
     assert str(labels) in message and "line 3" in message
+    assert not (tmp_path / "p.ckpt").exists()
+
+
+@pytest.mark.parametrize("kind", ["corpus", "labels", "system"])
+def test_repeated_id_exits_1_naming_both_lines(corpus, tmp_path, caplog, kind):
+    vocab = tmp_path / "vocab.txt"
+    labels = tmp_path / "labels.jsonl"
+    system = tmp_path / "system.jsonl"
+    assert run(["preprocess", "--corpus", str(corpus), "--out", str(vocab)]) == 0
+    assert run(["label", "--corpus", str(corpus), "--out", str(labels)]) == 0
+    assert run(["summarize", "--corpus", str(corpus), "--vocab", str(vocab), "--method", "lead3",
+                "--out", str(system)]) == 0
+    path = {"corpus": corpus, "labels": labels, "system": system}[kind]
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[3]["id"] = records[1]["id"]  # the id of line 2 again on line 4
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    caplog.clear()
+    if kind == "system":
+        code = run(["evaluate", "--system", str(system), "--reference", str(corpus)])
+    else:
+        code = run(["pretrain", "--corpus", str(corpus), "--vocab", str(vocab),
+                    "--labels", str(labels), "--out", str(tmp_path / "p.ckpt"),
+                    "--epochs", "0"] + TINY_EXTRACTOR)
+    assert code == 1
+    message = _one_error_line(caplog)
+    assert str(path) in message and "line 4" in message and "line 2" in message
     assert not (tmp_path / "p.ckpt").exists()
 
 
@@ -516,3 +541,15 @@ def test_module_entry_point_runs_without_runtime_warnings():
     )
     assert proc.returncode == 0, proc.stderr
     assert "usage: cohsum" in proc.stdout
+
+
+def test_importing_corpus_loads_neither_hashlib_nor_the_autodiff_core():
+    # preprocess, label and evaluate need neither; hashlib maps OpenSSL into the process
+    package_root = os.path.dirname(os.path.dirname(cohsum.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cohsum.corpus; "
+         "print(sorted({'hashlib', 'cohsum.numeric'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=package_root),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -12,7 +12,6 @@ from cohsum.coherence import (
     coherence_forward,
     init_coherence_params,
     interaction_layer1,
-    make_scorer,
     pairwise_accuracy,
     stack_plan,
     train_coherence,
@@ -88,8 +87,8 @@ def test_shrunken_stack_skips_unfittable_layers():
 
 
 def test_parameters_exist_only_for_realized_layers(config, params):
-    assert "conv2_w" in params
-    assert "conv3_w" not in params
+    assert "conv2_w" in params.names()
+    assert "conv3_w" not in params.names()
 
 
 # -- interaction layer --------------------------------------------------------------
@@ -297,9 +296,3 @@ def _synthetic_triplets_random(vocab, config, rng, count):
     words = list(vocab.token_to_id)
     make = lambda: " ".join(rng.choice(words, size=5))
     return [_triplet(vocab, config, make(), make(), make()) for _ in range(count)]
-
-
-def test_scorer_closure_matches_forward(vocab, config, params):
-    scorer = make_scorer(params, config)
-    a, b = _ids("alpha beta", vocab, config), _ids("gamma delta", vocab, config)
-    assert scorer(a, b) == coherence_forward(a, b, params, config)

@@ -8,16 +8,15 @@ import pytest
 
 from cohsum import numeric as nm
 from cohsum.corpus import ExtractionLabels, Vocabulary, make_document, make_sentence
-from cohsum.extractor import (
-    encode_document,
-    extraction_probability,
-    init_extractor_params,
-    pretrain,
-    pretrain_loss,
-    teacher_forced_probabilities,
-)
+from cohsum.extractor import encode_document, init_extractor_params, pretrain, pretrain_loss
 from cohsum.numeric import ParamStore, Tensor
-from reference_policy import gru_cell, initial_selection, selection_update, word_features
+from reference_policy import (
+    extraction_probability,
+    gru_cell,
+    initial_selection,
+    selection_update,
+    word_features,
+)
 
 from conftest import (
     assert_grads_close,
@@ -215,11 +214,12 @@ def test_selection_update_accumulates_tanh_terms(vocab, config, params, rng):
 def test_backward_context_feeds_earlier_probabilities(vocab, config, params):
     base = ["alpha beta", "gamma delta", "epsilon zeta"]
     changed = ["alpha beta", "gamma delta", "kappa iota"]
-    labels = ExtractionLabels([0, 0, 0])
 
     def p_first(texts, prms):
         doc = make_document("d", texts, ["alpha"], vocab=vocab, max_tokens=config.max_tokens)
-        return teacher_forced_probabilities(doc, labels, prms, config)[0]
+        enc = encode_document(doc, prms, config)
+        return extraction_probability(enc.contexts[0], initial_selection(config), enc.doc,
+                                      prms).item()
 
     assert p_first(base, params) != pytest.approx(p_first(changed, params), abs=1e-12)
 

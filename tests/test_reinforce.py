@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cohsum.corpus import make_document, placeholder_sentence
-from cohsum.extractor import encode_document, extraction_probability, init_extractor_params
+from cohsum.extractor import encode_document, init_extractor_params
 from cohsum.reinforce import (
     Episode,
     RLConfig,
@@ -20,7 +20,7 @@ from cohsum.reinforce import (
 from cohsum.rouge import RewardWeights
 
 from conftest import small_vocab, tiny_extractor_config, toy_document
-from reference_policy import initial_selection
+from reference_policy import extraction_probability, initial_selection
 
 
 @pytest.fixture
@@ -56,17 +56,15 @@ def test_rl_config_rejects_negative_lambda():
 def test_saturated_policy_selects_everything(vocab, config, params, rng):
     params["mlp_b3"].data[:] = 25.0
     doc = toy_document("d", rng, vocab, n_sentences=4, max_tokens=config.max_tokens)
-    episode = sample_episode(doc, params, config, rng)
+    episode = sample_episode(encode_document(doc, params, config), params, rng)
     assert episode.decisions == [1, 1, 1, 1]
-    assert all(p > 0.999 for p in episode.probs)
 
 
 def test_saturated_policy_selects_nothing(vocab, config, params, rng):
     params["mlp_b3"].data[:] = -25.0
     doc = toy_document("d", rng, vocab, n_sentences=4, max_tokens=config.max_tokens)
-    episode = sample_episode(doc, params, config, rng)
+    episode = sample_episode(encode_document(doc, params, config), params, rng)
     assert episode.decisions == [0, 0, 0, 0]
-    assert all(p > 0.999 for p in episode.probs)  # probability of the taken action
 
 
 def test_unbiased_coin_at_zero_params(vocab, config, rng):
@@ -78,24 +76,11 @@ def test_unbiased_coin_at_zero_params(vocab, config, rng):
     counts = np.zeros(4)
     n_samples = 4000
     for _ in range(n_samples):
-        episode = sample_episode(doc, params, config, rng, encoding=enc)
+        episode = sample_episode(enc, params, rng)
         counts += episode.decisions
     freq = counts / n_samples
     # 3 standard errors of a fair coin over 4000 draws is ~0.024
     assert np.all(np.abs(freq - 0.5) < 0.024)
-
-
-def test_episode_probs_are_action_probabilities(vocab, config, params, rng):
-    doc = toy_document("d", rng, vocab, n_sentences=5, max_tokens=config.max_tokens)
-    enc = encode_document(doc, params, config)
-    episode = sample_episode(doc, params, config, rng, encoding=enc)
-    g = initial_selection(config)
-    from reference_policy import selection_update
-
-    for t, (y, prob) in enumerate(zip(episode.decisions, episode.probs)):
-        p = extraction_probability(enc.contexts[t], g, enc.doc, params).item()
-        assert prob == pytest.approx(p if y == 1 else 1.0 - p)
-        g = selection_update(g, enc.contexts[t], y, params)
 
 
 # -- immediate rewards -----------------------------------------------------------------
@@ -146,8 +131,9 @@ def test_reward_chain_threads_previous_selection(vocab, config):
 def test_reward_placement_only_on_selected_steps(vocab, config, params, rng):
     doc = toy_document("d", rng, vocab, n_sentences=6, max_tokens=config.max_tokens)
     scorer = lambda a, b: 0.7
+    enc = encode_document(doc, params, config)
     for _ in range(10):
-        episode = sample_episode(doc, params, config, rng)
+        episode = sample_episode(enc, params, rng)
         rewards = immediate_rewards(doc, episode.decisions, scorer)
         for y, r in zip(episode.decisions, rewards):
             if r != 0.0:
@@ -212,7 +198,7 @@ def test_return_recurrence_property(rng):
 
 
 def _episode_for(doc, params, config, rng):
-    episode = sample_episode(doc, params, config, rng)
+    episode = sample_episode(encode_document(doc, params, config), params, rng)
     episode.rewards = [0.0] * doc.n_sentences
     return episode
 
@@ -222,7 +208,7 @@ def test_zero_returns_leave_parameters_unchanged(vocab, config, params, rng):
     episode = _episode_for(doc, params, config, rng)
     episode.returns = [0.0] * doc.n_sentences
     before = {name: p.data.copy() for name, p in params.items()}
-    policy_gradient_step(params, doc, episode, alpha=0.05, config=config)
+    policy_gradient_step(params, doc, encode_document(doc, params, config), episode, alpha=0.05)
     for name, p in params.items():
         assert np.array_equal(p.data, before[name])
 
@@ -232,7 +218,7 @@ def test_zero_alpha_leaves_parameters_unchanged(vocab, config, params, rng):
     episode = _episode_for(doc, params, config, rng)
     episode.returns = [1.0] * doc.n_sentences
     before = {name: p.data.copy() for name, p in params.items()}
-    policy_gradient_step(params, doc, episode, alpha=0.0, config=config)
+    policy_gradient_step(params, doc, encode_document(doc, params, config), episode, alpha=0.0)
     for name, p in params.items():
         assert np.array_equal(p.data, before[name])
 
@@ -245,16 +231,17 @@ def test_positive_return_raises_probability_of_taken_selection(vocab, config, pa
         return extraction_probability(enc.contexts[0], initial_selection(config), enc.doc, params).item()
 
     before = p_select()
-    episode = Episode(decisions=[1], probs=[before], rewards=[0.0], final_reward=1.0, returns=[1.0])
-    policy_gradient_step(params, doc, episode, alpha=0.01, config=config)
+    episode = Episode(decisions=[1], rewards=[0.0], final_reward=1.0, returns=[1.0])
+    policy_gradient_step(params, doc, encode_document(doc, params, config), episode, alpha=0.01)
     assert p_select() > before
 
 
 def test_step_validates_episode_document_match(vocab, config, params, rng):
     doc = toy_document("d", rng, vocab, n_sentences=3, max_tokens=config.max_tokens)
-    episode = Episode(decisions=[1], probs=[0.5], rewards=[0.0], final_reward=0.0, returns=[0.0])
+    episode = Episode(decisions=[1], rewards=[0.0], final_reward=0.0, returns=[0.0])
     with pytest.raises(ValueError, match="does not match"):
-        policy_gradient_step(params, doc, episode, alpha=0.1, config=config)
+        policy_gradient_step(params, doc, encode_document(doc, params, config), episode,
+                             alpha=0.1)
 
 
 # -- training loop ------------------------------------------------------------------------------
