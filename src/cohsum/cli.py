@@ -7,6 +7,26 @@ A flag that sets a config field (`CoherenceConfig`, `ExtractorConfig`,
 `RLConfig`, `RewardWeights`) takes that field's name as its dest and its
 default from the dataclass, so the defaults are written once; they mirror
 the reference experiment setup (see --help per subcommand).
+
+Every flag can change what its stage writes; `pretrain`'s oracle flags
+(--cap and the reward weights) do so when it labels the corpus itself,
+without --labels. Sentence geometry comes from one place per stage:
+
+- `train-coherence` and `pretrain` build a model, so --max-tokens is a
+  config field there (as is `pretrain`'s --max-sentences), and the
+  checkpoint header records it.
+- `train-rnes`, `summarize --method beam` and `score-coherence` read the
+  geometry from the checkpoint they load.
+- `preprocess` and `label` read tokens, never encoded ids, so they take
+  only --max-sentences; `train-coherence` also truncates documents at
+  --max-sentences before it samples triplets.
+- `summarize --method lead3` reads only the text of the first three
+  sentences, so it loads the corpus unencoded at the default truncation.
+
+Files paired with the corpus by document id (the `pretrain --labels` file
+and the `evaluate --system` file) must hold exactly the corpus ids: a
+missing or an unknown id fails with one error line naming the file and
+the id.
 """
 
 from __future__ import annotations
@@ -84,36 +104,37 @@ def _config(cls, args, **given):
     return cls(**{f.name: flags[f.name] for f in dataclasses.fields(cls) if f.name in flags} | given)
 
 
-def _load_docs(args, vocab=None) -> list[cp.Document]:
-    return list(
-        cp.load_corpus(
-            args.corpus,
-            vocab=vocab,
-            max_tokens=args.max_tokens,
-            max_sentences=args.max_sentences,
-        )
-    )
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
 def cmd_preprocess(args) -> int:
-    docs = cp.load_corpus(args.corpus, max_tokens=args.max_tokens, max_sentences=args.max_sentences)
+    docs = cp.load_corpus(args.corpus, max_sentences=args.max_sentences)
     vocab = cp.build_vocab(docs, args.max_vocab)
     cp.save_vocab(vocab, args.out)
     log.info("wrote vocabulary of %d entries to %s", vocab.size, args.out)
     return 0
 
 
-def _read_by_id(path, parse) -> dict:
-    """`parse(record)` of every record of a JSONL file, keyed by its unique id, in file order."""
+def _read_by_id(path, parse, ids) -> dict:
+    """`parse(record)` of every record of a JSONL file, keyed by its unique id, in file order.
+
+    The file's ids must be exactly `ids`, the ids of the corpus it is paired with.
+    """
     values = {}
     for lineno, doc_id, record in cp.jsonl_records(path):
         try:
             values[doc_id] = parse(record)
         except (KeyError, cp.CorpusFormatError) as exc:
             raise cp.CorpusFormatError(f"{path}: line {lineno}: bad record ({exc})") from None
+    expected = dict.fromkeys(ids)
+    missing = [doc_id for doc_id in expected if doc_id not in values]
+    if missing:
+        raise cp.CorpusFormatError(f"{path}: no record for {len(missing)} corpus document(s), "
+                                   f"the first is {missing[0]!r}")
+    unknown = [doc_id for doc_id in values if doc_id not in expected]
+    if unknown:
+        raise cp.CorpusFormatError(f"{path}: {len(unknown)} id(s) not in the corpus, "
+                                   f"the first is {unknown[0]!r}")
     return values
 
 
@@ -128,17 +149,18 @@ def _labels(record) -> list[int]:
 def cmd_label(args) -> int:
     weights = _config(RewardWeights, args)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for doc in cp.load_corpus(args.corpus, max_tokens=args.max_tokens,
-                                  max_sentences=args.max_sentences):
+        for doc in cp.load_corpus(args.corpus, max_sentences=args.max_sentences):
             labels = cp.generate_oracle_labels(doc, weights, args.cap)
-            fh.write(json.dumps({"id": doc.id, "labels": labels.labels}) + "\n")
+            fh.write(json.dumps({"id": doc.id, "labels": labels}) + "\n")
     log.info("wrote oracle labels to %s", args.out)
     return 0
 
 
 def cmd_train_coherence(args) -> int:
     vocab = cp.load_vocab(args.vocab)
-    docs = _load_docs(args, vocab)
+    config = _config(coh.CoherenceConfig, args, vocab_size=vocab.size)
+    docs = list(cp.load_corpus(args.corpus, vocab=vocab, max_tokens=config.max_tokens,
+                               max_sentences=args.max_sentences))
     sample_rng = child_rng(args.seed, "coherence-triplets")
     triplets = []
     for _ in range(args.triplets_per_doc):
@@ -148,7 +170,6 @@ def cmd_train_coherence(args) -> int:
                 triplets.append(triplet)
     if not triplets:
         raise ValueError("no documents long enough to sample coherence triplets from")
-    config = _config(coh.CoherenceConfig, args, vocab_size=vocab.size)
     params = coh.train_coherence(triplets, config, child_rng(args.seed, "coherence-train"))
     _describe(params, "coherence", config, vocab)
     save_checkpoint(params, args.out)
@@ -158,18 +179,15 @@ def cmd_train_coherence(args) -> int:
 
 def cmd_pretrain(args) -> int:
     vocab = cp.load_vocab(args.vocab)
-    docs = _load_docs(args, vocab)
+    config = _config(ex.ExtractorConfig, args, vocab_size=vocab.size)
+    docs = list(cp.load_corpus(args.corpus, vocab=vocab, max_tokens=config.max_tokens,
+                               max_sentences=config.max_sentences))
     if args.labels:
-        by_id = _read_by_id(args.labels, _labels)
-        labeled = []
-        for doc in docs:
-            if doc.id not in by_id:
-                raise ValueError(f"label file {args.labels} has no entry for document {doc.id!r}")
-            labeled.append((doc, cp.ExtractionLabels(by_id[doc.id])))
+        by_id = _read_by_id(args.labels, _labels, (doc.id for doc in docs))
+        labeled = [(doc, by_id[doc.id]) for doc in docs]
     else:
         weights = _config(RewardWeights, args)
         labeled = [(doc, cp.generate_oracle_labels(doc, weights, args.cap)) for doc in docs]
-    config = _config(ex.ExtractorConfig, args, vocab_size=vocab.size)
     params = ex.pretrain(labeled, config, child_rng(args.seed, "pretrain"))
     _describe(params, "extractor", config, vocab)
     save_checkpoint(params, args.out)
@@ -192,14 +210,8 @@ def cmd_train_rnes(args) -> int:
                                   f"{coh_config.max_tokens}-token sentences, "
                                   f"{args.pretrain_checkpoint} reads {ext_config.max_tokens}")
         scorer = partial(coh.coherence_forward, params=coh_params, config=coh_config)
-    docs = list(
-        cp.load_corpus(
-            args.corpus,
-            vocab=vocab,
-            max_tokens=ext_config.max_tokens,
-            max_sentences=ext_config.max_sentences,
-        )
-    )
+    docs = list(cp.load_corpus(args.corpus, vocab=vocab, max_tokens=ext_config.max_tokens,
+                               max_sentences=ext_config.max_sentences))
     rl_config = _config(rl.RLConfig, args, weights=_config(RewardWeights, args))
     rl.train_rnes(docs, params, scorer, rl_config, ext_config, child_rng(args.seed, "train-rnes"))
     save_checkpoint(params, args.out)  # params.meta still describes the model as loaded
@@ -213,14 +225,13 @@ def cmd_summarize(args) -> int:
         if not args.checkpoint:
             raise ValueError("--checkpoint is required for beam decoding")
         params, config = _load_model(args.checkpoint, "extractor", ex.ExtractorConfig, vocab)
-        max_tokens, max_sentences = config.max_tokens, config.max_sentences
+        docs = cp.load_corpus(args.corpus, vocab=vocab, max_tokens=config.max_tokens,
+                              max_sentences=config.max_sentences)
     else:
-        params, config = None, None
-        max_tokens, max_sentences = args.max_tokens, args.max_sentences
+        docs = cp.load_corpus(args.corpus)
     counts = []
     with open(args.out, "w", encoding="utf-8") as fh:
-        for doc in cp.load_corpus(args.corpus, vocab=vocab, max_tokens=max_tokens,
-                                  max_sentences=max_sentences):
+        for doc in docs:
             if args.method == "lead3":
                 summary = dc.lead3(doc)
                 selected = list(range(len(summary)))
@@ -252,11 +263,9 @@ def _report_selected(counts: list[int]) -> None:
 
 def cmd_evaluate(args) -> int:
     reference = {doc.id: doc for doc in cp.load_corpus(args.reference)}
-    system = _read_by_id(args.system, partial(cp.string_array, key="summary"))
+    system = _read_by_id(args.system, partial(cp.string_array, key="summary"), reference)
     rows, counts = [], []
     for doc_id, summary in system.items():
-        if doc_id not in reference:
-            raise ValueError(f"system output {doc_id!r} not present in the reference corpus")
         candidate: list[str] = []
         for sent in summary:
             candidate.extend(cp.tokenize(sent))
@@ -317,8 +326,6 @@ def cmd_score_coherence(args) -> int:
 
 def _add_corpus_flags(p):
     p.add_argument("--corpus", required=True, help="JSONL corpus file")
-    p.add_argument("--max-tokens", type=int, default=cp.DEFAULT_MAX_TOKENS,
-                   help="encoded sentence length (default %(default)s)")
     p.add_argument("--max-sentences", type=int, default=cp.DEFAULT_MAX_SENTENCES,
                    help="sentence-count truncation (default %(default)s)")
 
@@ -347,12 +354,17 @@ def _add_reward_flags(p):
     _add_field_flag(p, "--wl", RewardWeights, "wl", "R-L weight")
 
 
+def _add_oracle_flags(p):
+    p.add_argument("--cap", type=int, default=4,
+                   help="max sentences per oracle summary (default %(default)s)")
+    _add_reward_flags(p)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cohsum",
         description="Coherence-rewarded extractive summarization pipeline.",
     )
-    parser.add_argument("--verbose", action="store_true", help="debug-level logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("preprocess", help="build the vocabulary file from a corpus")
@@ -365,14 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("label", help="generate greedy oracle extraction labels")
     _add_corpus_flags(p)
     p.add_argument("--out", required=True, help="labels JSONL output path")
-    p.add_argument("--cap", type=int, default=4,
-                   help="max sentences per oracle summary (default %(default)s)")
-    _add_reward_flags(p)
+    _add_oracle_flags(p)
     p.set_defaults(func=cmd_label)
 
     coherence = coh.CoherenceConfig
     p = sub.add_parser("train-coherence", help="train the sentence-pair coherence scorer")
     _add_corpus_flags(p)
+    _add_field_flag(p, "--max-tokens", coherence, "max_tokens", "encoded sentence length")
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True, help="checkpoint output path")
     _add_training_flags(p, coherence)
@@ -386,18 +397,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     extractor = ex.ExtractorConfig
     p = sub.add_parser("pretrain", help="supervised pretraining of the extractor")
-    _add_corpus_flags(p)
+    p.add_argument("--corpus", required=True, help="JSONL corpus file")
+    _add_field_flag(p, "--max-tokens", extractor, "max_tokens", "encoded sentence length")
+    _add_field_flag(p, "--max-sentences", extractor, "max_sentences", "sentence-count truncation")
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--labels", help="labels JSONL; generated greedily when omitted")
-    p.add_argument("--cap", type=int, default=4, help="oracle label cap when generating")
     _add_training_flags(p, extractor)
     _add_field_flag(p, "--kernels", extractor, "word_kernels", "word conv kernel sizes")
     _add_field_flag(p, "--filters", extractor, "word_filters", "word conv filter counts")
     _add_field_flag(p, "--gru-hidden", extractor, "gru_hidden")
     _add_field_flag(p, "--doc-dim", extractor, "doc_dim")
     _add_field_flag(p, "--mlp", extractor, "mlp_hidden", "MLP hidden widths")
-    _add_reward_flags(p)
+    _add_oracle_flags(p)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("train-rnes", help="policy-gradient training with mixed rewards")
@@ -414,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train_rnes)
 
     p = sub.add_parser("summarize", help="decode summaries with beam search or lead-3")
-    _add_corpus_flags(p)
+    p.add_argument("--corpus", required=True, help="JSONL corpus file")
     p.add_argument("--vocab", required=True)
     p.add_argument("--checkpoint", help="extractor checkpoint (beam method)")
     p.add_argument("--out", required=True, help="summaries JSONL output path")
@@ -447,7 +459,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
+        level=logging.INFO,
         stream=sys.stderr,
         format="%(asctime)s %(levelname)s %(name)s: %(message)s",
     )

@@ -44,6 +44,7 @@ class CoherenceConfig:
     epochs: int = 5
 
     def __post_init__(self):
+        nm.check_config(self)
         if self.max_tokens < self.window:
             raise ValueError(
                 f"max_tokens {self.max_tokens} shorter than the layer-1 window {self.window}"

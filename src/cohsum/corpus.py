@@ -216,6 +216,8 @@ def load_corpus(
     max_sentences: int = DEFAULT_MAX_SENTENCES,
 ) -> Iterator[Document]:
     """Yield documents in file order; ids stay unencoded when vocab is None."""
+    if max_sentences < 1:
+        raise ValueError(f"max_sentences must be >= 1, got {max_sentences}")
     for lineno, doc_id, record in jsonl_records(path):
         for key in ("sentences", "highlights"):
             if key not in record:
@@ -290,16 +292,7 @@ def sample_coherence_triplet(doc: Document, rng: np.random.Generator) -> Coheren
     )
 
 
-@dataclass
-class ExtractionLabels:
-    """Per-sentence binary targets for supervised pretraining."""
-
-    labels: list[int]
-
-
-def generate_oracle_labels(
-    doc: Document, weights: RewardWeights, max_selected: int
-) -> ExtractionLabels:
+def generate_oracle_labels(doc: Document, weights: RewardWeights, max_selected: int) -> list[int]:
     """Greedy labels: repeatedly add the sentence that most improves the combined ROUGE.
 
     Stops when no addition strictly increases the score against the
@@ -326,4 +319,4 @@ def generate_oracle_labels(
             break
         selected.add(best_idx)
         best_score = best_total
-    return ExtractionLabels(labels=[1 if i in selected else 0 for i in range(doc.n_sentences)])
+    return [1 if i in selected else 0 for i in range(doc.n_sentences)]

@@ -12,8 +12,6 @@ computed once per document, and each step adds only the history term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .corpus import Document, Sentence
@@ -26,16 +24,6 @@ DEFAULT_MAX_SELECTED = 4
 def _log_probs(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(log p(select), log p(skip)) computed stably from logits."""
     return -np.logaddexp(0.0, -logits), -np.logaddexp(0.0, logits)
-
-
-@dataclass
-class Beam:
-    """Hypotheses kept at one step, best score first."""
-
-    decisions: list[tuple[int, ...]]
-    scores: np.ndarray  # cumulative log-probability per hypothesis
-    histories: np.ndarray  # [B, select_dim] selection vectors
-    selected: np.ndarray  # count of 1-decisions per hypothesis
 
 
 def beam_search(
@@ -52,34 +40,28 @@ def beam_search(
         raise ValueError(f"document {doc.id!r} has no sentences")
     enc = encode_document(doc, params, config)
     head = policy_head(enc.contexts.data, enc.doc.data, params)
-    beam = Beam(
-        decisions=[()],
-        scores=np.zeros(1),
-        histories=np.zeros((1, head.increments.shape[1])),
-        selected=np.zeros(1, dtype=np.int64),
-    )
+    # the hypotheses kept at each step, best score first
+    decisions: list[tuple[int, ...]] = [()]
+    scores = np.zeros(1)  # cumulative log-probability per hypothesis
+    histories = np.zeros((1, head.increments.shape[1]))  # [B, select_dim] selection vectors
+    selected = np.zeros(1, dtype=np.int64)  # count of 1-decisions per hypothesis
     for t in range(doc.n_sentences):
-        logp1, logp0 = _log_probs(head.logits(beam.histories, t))
+        logp1, logp0 = _log_probs(head.logits(histories, t))
         # candidate key: maximize score; ties prefer y=0, then the earlier parent
         candidates = []
-        for parent in range(len(beam.decisions)):
-            candidates.append((-(beam.scores[parent] + logp0[parent]), 0, parent))
-            if beam.selected[parent] < max_selected:
-                candidates.append((-(beam.scores[parent] + logp1[parent]), 1, parent))
+        for parent in range(len(decisions)):
+            candidates.append((-(scores[parent] + logp0[parent]), 0, parent))
+            if selected[parent] < max_selected:
+                candidates.append((-(scores[parent] + logp1[parent]), 1, parent))
         candidates.sort()
         kept = candidates[:beam_size]
-        beam = Beam(
-            decisions=[beam.decisions[p] + (y,) for _, y, p in kept],
-            scores=np.array([-neg for neg, _, _ in kept]),
-            histories=np.stack(
-                [
-                    beam.histories[p] + (head.increments[t] if y else 0.0)
-                    for _, y, p in kept
-                ]
-            ),
-            selected=np.array([beam.selected[p] + y for _, y, p in kept]),
+        decisions = [decisions[p] + (y,) for _, y, p in kept]
+        scores = np.array([-neg for neg, _, _ in kept])
+        histories = np.stack(
+            [histories[p] + (head.increments[t] if y else 0.0) for _, y, p in kept]
         )
-    return list(beam.decisions[0])
+        selected = np.array([selected[p] + y for _, y, p in kept])
+    return list(decisions[0])
 
 
 def extract_summary(doc: Document, decisions: list[int]) -> list[Sentence]:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numeric as nm
-from .corpus import DEFAULT_MAX_SENTENCES, DEFAULT_MAX_TOKENS, Document, ExtractionLabels
+from .corpus import DEFAULT_MAX_SENTENCES, DEFAULT_MAX_TOKENS, Document
 from .numeric import ParamStore, Tensor
 
 
@@ -52,6 +52,11 @@ class ExtractorConfig:
     epochs: int = 5
 
     def __post_init__(self):
+        nm.check_config(self)
+        if len(self.mlp_hidden) != 2:
+            raise ValueError(f"mlp_hidden must be exactly two widths, got {self.mlp_hidden}")
+        if not self.word_kernels:
+            raise ValueError("word_kernels must name at least one kernel size")
         if len(self.word_kernels) != len(self.word_filters):
             raise ValueError(
                 f"word_kernels {self.word_kernels} and word_filters {self.word_filters} differ in length"
@@ -222,21 +227,21 @@ def decision_log_probs(enc: DocumentEncoding, decisions, params: ParamStore) -> 
 
 def pretrain_loss(
     doc: Document,
-    labels: ExtractionLabels,
+    labels: list[int],
     params: ParamStore,
     config: ExtractorConfig,
 ) -> Tensor:
     """Teacher-forced negative log-likelihood of the oracle labels."""
-    if len(labels.labels) != doc.n_sentences:
+    if len(labels) != doc.n_sentences:
         raise ValueError(
-            f"document {doc.id!r}: {len(labels.labels)} labels for {doc.n_sentences} sentences"
+            f"document {doc.id!r}: {len(labels)} labels for {doc.n_sentences} sentences"
         )
     enc = encode_document(doc, params, config)
-    return -decision_log_probs(enc, labels.labels, params).sum()
+    return -decision_log_probs(enc, labels, params).sum()
 
 
 def pretrain(
-    labeled_docs: list[tuple[Document, ExtractionLabels]],
+    labeled_docs: list[tuple[Document, list[int]]],
     config: ExtractorConfig,
     rng: np.random.Generator,
 ) -> ParamStore:

@@ -24,6 +24,7 @@ is 64-bit so finite-difference gradient checks are decisive.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import math
@@ -55,6 +56,7 @@ __all__ = [
     "gradients",
     "sgd_step",
     "minibatch_sgd",
+    "check_config",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -701,6 +703,24 @@ def minibatch_sgd(items, loss_fn, params: ParamStore, rng: np.random.Generator, 
             epoch_total += batch_loss.item() * len(losses)
         log.info("%s epoch %d: mean loss %.6f", name, epoch + 1, epoch_total / len(items))
     return params
+
+
+def check_config(config) -> None:
+    """Reject a model config with a size below 1 or a negative `lr` or `epochs`.
+
+    Every other field is a size: an int, or a tuple of ints such as the
+    per-layer filter counts. The error names the field.
+    """
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.name in ("lr", "epochs"):
+            if value < 0:
+                raise ValueError(f"{f.name} must be >= 0, got {value}")
+        elif isinstance(value, tuple):
+            if any(v < 1 for v in value):
+                raise ValueError(f"{f.name} entries must be >= 1, got {value}")
+        elif value < 1:
+            raise ValueError(f"{f.name} must be >= 1, got {value}")
 
 
 # -- checkpoints --------------------------------------------------------------

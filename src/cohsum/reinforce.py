@@ -53,6 +53,8 @@ class RLConfig:
             raise ValueError(f"lambda must be non-negative, got {self.lam}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
+        if self.steps < 0:
+            raise ValueError(f"steps must be non-negative, got {self.steps}")
 
 
 @dataclass

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cohsum import numeric as nm
-from cohsum.corpus import Document, ExtractionLabels
+from cohsum.corpus import Document
 from cohsum.extractor import ExtractorConfig
 from cohsum.numeric import ParamStore, Tensor
 from reference_numeric import sigmoid
@@ -124,12 +124,12 @@ def decision_logits(enc, decisions, params: ParamStore, config: ExtractorConfig)
     return logits
 
 
-def pretrain_loss(doc: Document, labels: ExtractionLabels, params: ParamStore,
+def pretrain_loss(doc: Document, labels: list[int], params: ParamStore,
                   config: ExtractorConfig) -> Tensor:
     """Teacher-forced negative log-likelihood, one tape step per sentence."""
     enc = encode_document(doc, params, config)
     loss = None
-    for z, y in zip(decision_logits(enc, labels.labels, params, config), labels.labels):
+    for z, y in zip(decision_logits(enc, labels, params, config), labels):
         step = -nm.log_sigmoid(z) if y == 1 else -nm.log_sigmoid(-z)
         loss = step if loss is None else loss + step
     return loss

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import reference_policy as ref
 from cohsum import numeric as nm
-from cohsum.corpus import ExtractionLabels, make_document
+from cohsum.corpus import make_document
 from cohsum.decode import beam_search
 from cohsum.extractor import (
     encode_document,
@@ -86,12 +86,12 @@ def test_encoding_matches_reference(sentences, seed):
 def test_replayed_logits_and_pretrain_loss_match_reference(sentences, seed, kind):
     doc = _document(sentences)
     params = _params(seed)
-    labels = ExtractionLabels(_decisions(doc.n_sentences, seed, kind))
+    labels = _decisions(doc.n_sentences, seed, kind)
     enc = encode_document(doc, params, CONFIG)
     head = policy_head(enc.contexts, enc.doc, params)
-    ref_logits = ref.decision_logits(ref.encode_document(doc, params, CONFIG), labels.labels,
+    ref_logits = ref.decision_logits(ref.encode_document(doc, params, CONFIG), labels,
                                      params, CONFIG)
-    _assert_close(head.logits(head.histories(labels.labels)).data,
+    _assert_close(head.logits(head.histories(labels)).data,
                   [z.item() for z in ref_logits])
 
     loss = pretrain_loss(doc, labels, params, CONFIG)
@@ -137,7 +137,7 @@ def test_beam_search_decisions_match_reference(sentences, seed, beam_size, cap):
 def test_single_sentence_document_matches_reference():
     doc = _document([["alpha", "beta"]])
     params = _params(3)
-    labels = ExtractionLabels([1])
+    labels = [1]
     _assert_close(pretrain_loss(doc, labels, params, CONFIG).item(),
                   ref.pretrain_loss(doc, labels, params, CONFIG).item())
     assert beam_search(doc, params, CONFIG, beam_size=4) == \

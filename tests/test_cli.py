@@ -1,5 +1,6 @@
 """CLI contracts: exit codes, file formats, determinism, stage wiring."""
 
+import argparse
 import json
 import logging
 import os
@@ -134,7 +135,7 @@ def _run_pipeline(corpus, workdir, seed=3, lam="0.01", steps="6"):
          "--pretrain-checkpoint", str(pre_ckpt), "--coherence-checkpoint", str(coh_ckpt),
          "--out", str(rl_ckpt), "--lambda", lam, "--steps", steps, "--seed", str(seed)],
         ["summarize", "--corpus", str(corpus), "--vocab", str(vocab),
-         "--checkpoint", str(rl_ckpt), "--out", str(out), "--beam", "4", "--max-tokens", "10"],
+         "--checkpoint", str(rl_ckpt), "--out", str(out), "--beam", "4"],
     ]
     for argv in steps_list:
         assert run(argv) == 0, argv
@@ -287,8 +288,7 @@ def test_summarize_rejects_vocabulary_larger_than_checkpoint(corpus, tmp_path, l
                                                              caplog):
     ckpt = _pretrained(corpus, tmp_path)
     code = run(["summarize", "--corpus", str(corpus), "--vocab", str(larger_vocab),
-                "--checkpoint", str(ckpt), "--out", str(tmp_path / "s.jsonl"),
-                "--max-tokens", "10"])
+                "--checkpoint", str(ckpt), "--out", str(tmp_path / "s.jsonl")])
     assert code == 1
     _assert_one_line_vocab_error(caplog)
 
@@ -333,8 +333,7 @@ def _summarize(corpus, tmp_path, caplog, method):
     out = tmp_path / "s.jsonl"
     with caplog.at_level(logging.INFO):
         assert run(["summarize", "--corpus", str(corpus), "--vocab", str(tmp_path / "vocab.txt"),
-                    "--checkpoint", str(ckpt), "--out", str(out), "--max-tokens", "10",
-                    "--method", method]) == 0
+                    "--checkpoint", str(ckpt), "--out", str(out), "--method", method]) == 0
     counts = [len(json.loads(line)["selected_indices"]) for line in out.read_text().splitlines()]
     return out, counts
 
@@ -398,8 +397,7 @@ def test_bad_checkpoint_exits_1_with_one_error_line(corpus, tmp_path, caplog, ca
         ckpt.write_bytes(ckpt.read_bytes()[:8 + 8 + 20])
     caplog.clear()
     code = run(["summarize", "--corpus", str(corpus), "--vocab", str(vocab),
-                "--checkpoint", str(ckpt), "--out", str(tmp_path / "s.jsonl"),
-                "--max-tokens", "10"])
+                "--checkpoint", str(ckpt), "--out", str(tmp_path / "s.jsonl")])
     assert code == 1
     message = _one_error_line(caplog)
     assert str(ckpt) in message and expected in message
@@ -490,8 +488,12 @@ def test_pretrain_rejects_labels_other_than_0_or_1(corpus, tmp_path, caplog, bad
     assert not (tmp_path / "p.ckpt").exists()
 
 
-@pytest.mark.parametrize("kind", ["corpus", "labels", "system"])
-def test_repeated_id_exits_1_naming_both_lines(corpus, tmp_path, caplog, kind):
+def _run_on_edited_file(corpus, tmp_path, caplog, kind, edit):
+    """(path, exit code) of the stage reading the `kind` file after `edit` changed its records.
+
+    `kind` is the corpus or the label file, both read by `pretrain`, or the
+    system file that `evaluate` reads.
+    """
     vocab = tmp_path / "vocab.txt"
     labels = tmp_path / "labels.jsonl"
     system = tmp_path / "system.jsonl"
@@ -501,7 +503,7 @@ def test_repeated_id_exits_1_naming_both_lines(corpus, tmp_path, caplog, kind):
                 "--out", str(system)]) == 0
     path = {"corpus": corpus, "labels": labels, "system": system}[kind]
     records = [json.loads(line) for line in path.read_text().splitlines()]
-    records[3]["id"] = records[1]["id"]  # the id of line 2 again on line 4
+    edit(records)
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
     caplog.clear()
     if kind == "system":
@@ -510,10 +512,80 @@ def test_repeated_id_exits_1_naming_both_lines(corpus, tmp_path, caplog, kind):
         code = run(["pretrain", "--corpus", str(corpus), "--vocab", str(vocab),
                     "--labels", str(labels), "--out", str(tmp_path / "p.ckpt"),
                     "--epochs", "0"] + TINY_EXTRACTOR)
+    return path, code
+
+
+@pytest.mark.parametrize("kind", ["corpus", "labels", "system"])
+def test_repeated_id_exits_1_naming_both_lines(corpus, tmp_path, caplog, kind):
+    def repeat(records):
+        records[3]["id"] = records[1]["id"]  # the id of line 2 again on line 4
+
+    path, code = _run_on_edited_file(corpus, tmp_path, caplog, kind, repeat)
     assert code == 1
     message = _one_error_line(caplog)
     assert str(path) in message and "line 4" in message and "line 2" in message
     assert not (tmp_path / "p.ckpt").exists()
+
+
+@pytest.mark.parametrize("kind", ["labels", "system"])
+@pytest.mark.parametrize("change", ["missing", "unknown"])
+def test_file_paired_by_id_must_hold_exactly_the_corpus_ids(corpus, tmp_path, caplog, kind,
+                                                            change):
+    def edit(records):
+        if change == "missing":
+            del records[1:]  # only doc0 is left
+        else:
+            records.append({**records[0], "id": "zz"})
+
+    path, code = _run_on_edited_file(corpus, tmp_path, caplog, kind, edit)
+    assert code == 1
+    message = _one_error_line(caplog)
+    assert str(path) in message and ("'doc1'" if change == "missing" else "'zz'") in message
+    assert not (tmp_path / "p.ckpt").exists()
+
+
+# a flag value outside the range of the config field it sets, and that field
+OUT_OF_RANGE = [
+    (["pretrain", "--batch-size", "0"], "batch_size"),
+    (["train-coherence", "--batch-size", "0"], "batch_size"),
+    (["pretrain", "--embed-dim", "0"], "embed_dim"),
+    (["train-coherence", "--embed-dim", "0"], "embed_dim"),
+    (["pretrain", "--kernels", "0,3"], "word_kernels"),
+    (["pretrain", "--kernels", ",", "--filters", ","], "word_kernels"),
+    (["pretrain", "--filters", "0,4"], "word_filters"),
+    (["pretrain", "--gru-hidden", "0"], "gru_hidden"),
+    (["pretrain", "--doc-dim", "0"], "doc_dim"),
+    (["pretrain", "--mlp", "8"], "mlp_hidden"),
+    (["pretrain", "--max-tokens", "0"], "max_tokens"),
+    (["pretrain", "--max-sentences", "0"], "max_sentences"),
+    (["pretrain", "--lr", "-0.1"], "lr"),
+    (["pretrain", "--epochs", "-1"], "epochs"),
+    (["train-coherence", "--window", "0"], "window"),
+    (["train-coherence", "--filters", "0"], "conv_filters"),
+    (["train-coherence", "--kernel", "0"], "conv_kernel"),
+    (["train-coherence", "--fc", "0"], "fc_units"),
+    (["train-coherence", "--max-sentences", "0"], "max_sentences"),
+    (["label", "--max-sentences", "0"], "max_sentences"),
+    (["train-rnes", "--steps", "-1"], "steps"),
+]
+
+
+@pytest.mark.parametrize("argv, field", OUT_OF_RANGE, ids=[" ".join(a) for a, _ in OUT_OF_RANGE])
+def test_config_value_out_of_range_exits_1_naming_the_field(corpus, tmp_path, caplog, argv,
+                                                            field):
+    ckpt = _pretrained(corpus, tmp_path)
+    given = {
+        "label": [],
+        "train-coherence": ["--vocab", str(tmp_path / "vocab.txt"), "--epochs", "0"]
+                           + TINY_COHERENCE[:-2],
+        "pretrain": ["--vocab", str(tmp_path / "vocab.txt"), "--epochs", "0"] + TINY_EXTRACTOR,
+        "train-rnes": ["--vocab", str(tmp_path / "vocab.txt"), "--pretrain-checkpoint", str(ckpt),
+                       "--lambda", "0"],
+    }[argv[0]]
+    caplog.clear()
+    assert run(argv[:1] + ["--corpus", str(corpus), "--out", str(tmp_path / "out")] + given
+               + argv[1:]) == 1
+    assert field in _one_error_line(caplog)
 
 
 # -- parser and packaging --------------------------------------------------------------
@@ -531,6 +603,49 @@ def test_flag_defaults_are_the_config_defaults():
     weights = _config(RewardWeights, args)
     assert weights == RewardWeights()
     assert _config(RLConfig, args, weights=weights) == RLConfig()
+
+
+# Every option each subcommand declares; a new flag is added here on purpose.
+CLI_SURFACE = {
+    "preprocess": {"--corpus", "--max-sentences", "--out", "--max-vocab"},
+    "label": {"--corpus", "--max-sentences", "--out", "--cap", "--w1", "--w2", "--wl"},
+    "train-coherence": {"--corpus", "--max-sentences", "--max-tokens", "--vocab", "--out",
+                        "--epochs", "--seed", "--lr", "--batch-size", "--embed-dim", "--window",
+                        "--filters", "--kernel", "--fc", "--triplets-per-doc"},
+    "pretrain": {"--corpus", "--max-tokens", "--max-sentences", "--vocab", "--out", "--labels",
+                 "--epochs", "--seed", "--lr", "--batch-size", "--embed-dim", "--kernels",
+                 "--filters", "--gru-hidden", "--doc-dim", "--mlp", "--cap", "--w1", "--w2",
+                 "--wl"},
+    "train-rnes": {"--corpus", "--vocab", "--pretrain-checkpoint", "--coherence-checkpoint",
+                   "--out", "--lambda", "--alpha", "--steps", "--seed", "--w1", "--w2", "--wl"},
+    "summarize": {"--corpus", "--vocab", "--checkpoint", "--out", "--method", "--beam", "--cap"},
+    "evaluate": {"--system", "--reference", "--per-doc"},
+    "score-coherence": {"--checkpoint", "--vocab", "--pairs", "--out"},
+}
+
+
+def _options(parser) -> set[str]:
+    return {option for action in parser._actions for option in action.option_strings
+            if not isinstance(action, argparse._HelpAction)}
+
+
+def test_cli_surface_is_the_table():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert _options(parser) == set()
+    assert {name: _options(p) for name, p in subparsers.choices.items()} == CLI_SURFACE
+
+
+@pytest.mark.parametrize("argv", [
+    ["--verbose", "label", "--corpus", "c", "--out", "o"],
+    ["preprocess", "--corpus", "c", "--out", "o", "--max-tokens", "10"],
+    ["label", "--corpus", "c", "--out", "o", "--max-tokens", "10"],
+    ["summarize", "--corpus", "c", "--vocab", "v", "--out", "o", "--max-tokens", "10"],
+    ["summarize", "--corpus", "c", "--vocab", "v", "--out", "o", "--max-sentences", "10"],
+])
+def test_flags_that_changed_no_output_are_unknown(argv, capsys):
+    assert run(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs_without_runtime_warnings():

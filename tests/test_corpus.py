@@ -241,12 +241,12 @@ def test_oracle_picks_verbatim_highlight_first():
         ["the exact highlight sentence"],
     )
     labels = generate_oracle_labels(doc, WEIGHTS, 4)
-    assert labels.labels[1] == 1
+    assert labels[1] == 1
 
 
 def test_oracle_all_zero_when_nothing_overlaps():
     doc = make_document("d", ["aaa bbb", "ccc ddd"], ["xxx yyy zzz"])
-    assert generate_oracle_labels(doc, WEIGHTS, 4).labels == [0, 0]
+    assert generate_oracle_labels(doc, WEIGHTS, 4) == [0, 0]
 
 
 def test_oracle_requires_highlights():
@@ -284,7 +284,7 @@ def test_oracle_matches_exhaustive_search_on_separable_document():
         ["first half of the story", "second half of the tale"],
     )
     labels = generate_oracle_labels(doc, WEIGHTS, 2)
-    chosen = {i for i, y in enumerate(labels.labels) if y == 1}
+    chosen = {i for i, y in enumerate(labels) if y == 1}
     assert chosen == {1, 3}
     assert _subset_score(doc, chosen) == pytest.approx(_subset_score(doc, _exhaustive_best(doc, 2)))
 
@@ -304,7 +304,7 @@ def test_oracle_greedy_gap_is_bounded_by_exhaustive_optimum():
         ["beta gamma delta epsilon zeta"],
     )
     labels = generate_oracle_labels(doc, WEIGHTS, 2)
-    chosen = {i for i, y in enumerate(labels.labels) if y == 1}
+    chosen = {i for i, y in enumerate(labels) if y == 1}
     assert len(chosen) <= 2
     greedy_score = _subset_score(doc, chosen)
     exhaustive_score = _subset_score(doc, _exhaustive_best(doc, 2))
@@ -320,7 +320,7 @@ def test_oracle_score_strictly_increases_at_each_step(rng):
         doc = toy_document(f"d{trial}", rng, None, n_sentences=6, tokens_per_sentence=4,
                            highlight_sentences=(1, 3))
         labels = generate_oracle_labels(doc, WEIGHTS, 4)
-        chosen = [i for i, y in enumerate(labels.labels) if y == 1]
+        chosen = [i for i, y in enumerate(labels) if y == 1]
         # rebuild greedy order: add chosen sentences one at a time in the greedy's order
         remaining = set(chosen)
         selected = set()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cohsum import numeric as nm
-from cohsum.corpus import ExtractionLabels, Vocabulary, make_document, make_sentence
+from cohsum.corpus import Vocabulary, make_document, make_sentence
 from cohsum.extractor import encode_document, init_extractor_params, pretrain, pretrain_loss
 from cohsum.numeric import ParamStore, Tensor
 from reference_policy import (
@@ -237,7 +237,7 @@ def test_pretrain_loss_zero_params_is_n_log2(vocab, config):
     params = _zeroed(init_extractor_params(config, np.random.default_rng(0)))
     doc = make_document("d", ["alpha", "beta gamma", "delta"], ["alpha"], vocab=vocab,
                         max_tokens=config.max_tokens)
-    loss = pretrain_loss(doc, ExtractionLabels([1, 0, 1]), params, config)
+    loss = pretrain_loss(doc, [1, 0, 1], params, config)
     assert loss.item() == pytest.approx(3 * math.log(2))
 
 
@@ -246,14 +246,14 @@ def test_pretrain_loss_vanishes_when_saturated(vocab, config, params):
     params["mlp_b3"].data[:] = 30.0
     doc = make_document("d", ["alpha beta", "gamma"], ["alpha"], vocab=vocab,
                         max_tokens=config.max_tokens)
-    loss = pretrain_loss(doc, ExtractionLabels([1, 1]), params, config)
+    loss = pretrain_loss(doc, [1, 1], params, config)
     assert loss.item() < 1e-9
 
 
 def test_pretrain_loss_length_mismatch(vocab, config, params):
     doc = make_document("d", ["alpha"], ["alpha"], vocab=vocab, max_tokens=config.max_tokens)
     with pytest.raises(ValueError, match="labels"):
-        pretrain_loss(doc, ExtractionLabels([1, 0]), params, config)
+        pretrain_loss(doc, [1, 0], params, config)
 
 
 def test_pretrain_loss_gradient_matches_finite_differences(vocab, rng):
@@ -262,7 +262,7 @@ def test_pretrain_loss_gradient_matches_finite_differences(vocab, rng):
     params = init_extractor_params(config, rng)
     doc = make_document("d", ["alpha beta gamma", "delta epsilon", "zeta eta theta"],
                         ["alpha beta"], vocab=vocab, max_tokens=config.max_tokens)
-    labels = ExtractionLabels([1, 0, 1])
+    labels = [1, 0, 1]
     analytic = nm.gradients(pretrain_loss(doc, labels, params, config), params)
     numeric_grads = finite_difference_grads(
         lambda: pretrain_loss(doc, labels, params, config).item(), params
@@ -277,7 +277,7 @@ def test_full_model_gradient_check_spec_dims(rng):
     params = init_extractor_params(config, rng)
     doc = make_document("d", ["alpha beta gamma delta", "epsilon zeta", "eta theta iota"],
                         ["alpha beta"], vocab=vocab, max_tokens=config.max_tokens)
-    labels = ExtractionLabels([0, 1, 1])
+    labels = [0, 1, 1]
     analytic = nm.gradients(pretrain_loss(doc, labels, params, config), params)
     numeric_grads = finite_difference_grads(
         lambda: pretrain_loss(doc, labels, params, config).item(), params
@@ -294,7 +294,7 @@ def _labeled_corpus(vocab, config, rng, n_docs=6):
         doc = toy_document(f"d{i}", rng, vocab, n_sentences=4, max_tokens=config.max_tokens,
                            highlight_sentences=(i % 4,))
         labels = [1 if t == i % 4 else 0 for t in range(doc.n_sentences)]
-        docs.append((doc, ExtractionLabels(labels)))
+        docs.append((doc, labels))
     return docs
 
 
