@@ -21,17 +21,23 @@ without --labels. Sentence geometry comes from one place per stage:
   only --max-sentences; `train-coherence` also truncates documents at
   --max-sentences before it samples triplets.
 - `summarize --method lead3` reads only the text of the first three
-  sentences, so it loads the corpus unencoded at the default truncation.
+  sentences, so it loads the corpus unencoded at the default truncation
+  and reads no vocabulary; `--vocab` is required for beam decoding only.
 
 Files paired with the corpus by document id (the `pretrain --labels` file
 and the `evaluate --system` file) must hold exactly the corpus ids: a
 missing or an unknown id fails with one error line naming the file and
 the id.
+
+Every output file is written through `atomic.atomic_write`, so a stage that
+fails leaves no partial output and no temporary file; `score-coherence
+--out -` streams to stdout instead.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -46,6 +52,7 @@ from . import corpus as cp
 from . import decode as dc
 from . import extractor as ex
 from . import reinforce as rl
+from .atomic import atomic_write
 from .numeric import CheckpointError, load_checkpoint, save_checkpoint
 from .rouge import RewardWeights, rouge_l, rouge_n
 
@@ -98,6 +105,14 @@ def _load_model(path: str, kind: str, config_cls, vocab: cp.Vocabulary):
     return params, config
 
 
+def _at_least_1(args, *flags: str) -> None:
+    """Reject a value below 1 of each named integer flag, naming the flag."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
+
+
 def _config(cls, args, **given):
     """A `cls` config from the parsed flags named after its fields, and `given` for the rest."""
     flags = vars(args)
@@ -147,8 +162,9 @@ def _labels(record) -> list[int]:
 
 
 def cmd_label(args) -> int:
+    _at_least_1(args, "--cap")
     weights = _config(RewardWeights, args)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_write(args.out) as fh:
         for doc in cp.load_corpus(args.corpus, max_sentences=args.max_sentences):
             labels = cp.generate_oracle_labels(doc, weights, args.cap)
             fh.write(json.dumps({"id": doc.id, "labels": labels}) + "\n")
@@ -157,6 +173,7 @@ def cmd_label(args) -> int:
 
 
 def cmd_train_coherence(args) -> int:
+    _at_least_1(args, "--triplets-per-doc")
     vocab = cp.load_vocab(args.vocab)
     config = _config(coh.CoherenceConfig, args, vocab_size=vocab.size)
     docs = list(cp.load_corpus(args.corpus, vocab=vocab, max_tokens=config.max_tokens,
@@ -178,6 +195,7 @@ def cmd_train_coherence(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
+    _at_least_1(args, "--cap")
     vocab = cp.load_vocab(args.vocab)
     config = _config(ex.ExtractorConfig, args, vocab_size=vocab.size)
     docs = list(cp.load_corpus(args.corpus, vocab=vocab, max_tokens=config.max_tokens,
@@ -220,17 +238,20 @@ def cmd_train_rnes(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    vocab = cp.load_vocab(args.vocab)
     if args.method == "beam":
         if not args.checkpoint:
             raise ValueError("--checkpoint is required for beam decoding")
+        if not args.vocab:
+            raise ValueError("--vocab is required for beam decoding")
+        _at_least_1(args, "--beam", "--cap")
+        vocab = cp.load_vocab(args.vocab)
         params, config = _load_model(args.checkpoint, "extractor", ex.ExtractorConfig, vocab)
         docs = cp.load_corpus(args.corpus, vocab=vocab, max_tokens=config.max_tokens,
                               max_sentences=config.max_sentences)
     else:
         docs = cp.load_corpus(args.corpus)
     counts = []
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_write(args.out) as fh:
         for doc in docs:
             if args.method == "lead3":
                 summary = dc.lead3(doc)
@@ -298,26 +319,22 @@ def cmd_evaluate(args) -> int:
 def cmd_score_coherence(args) -> int:
     vocab = cp.load_vocab(args.vocab)
     params, config = _load_model(args.checkpoint, "coherence", coh.CoherenceConfig, vocab)
-    source = sys.stdin if args.pairs == "-" else open(args.pairs, "r", encoding="utf-8")
-    sink = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
-    try:
-        for lineno, line in enumerate(source, start=1):
+    name = "stdin" if args.pairs == "-" else args.pairs
+    source = (contextlib.nullcontext(sys.stdin) if args.pairs == "-"
+              else open(args.pairs, "r", encoding="utf-8"))
+    sink = contextlib.nullcontext(sys.stdout) if args.out == "-" else atomic_write(args.out)
+    with source as pairs, sink as out:
+        for lineno, line in enumerate(pairs, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise cp.CorpusFormatError(
-                    f"line {lineno}: expected two tab-separated sentences, got {len(parts)} fields"
-                )
+                raise cp.CorpusFormatError(f"{name}: line {lineno}: expected two tab-separated "
+                                           f"sentences, got {len(parts)} fields")
             sa = cp.encode_sentence(cp.tokenize(parts[0]), vocab, config.max_tokens)
             sb = cp.encode_sentence(cp.tokenize(parts[1]), vocab, config.max_tokens)
-            sink.write(f"{coh.coherence_forward(sa, sb, params, config):.6f}\n")
-    finally:
-        if source is not sys.stdin:
-            source.close()
-        if sink is not sys.stdout:
-            sink.close()
+            out.write(f"{coh.coherence_forward(sa, sb, params, config):.6f}\n")
     return 0
 
 
@@ -427,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("summarize", help="decode summaries with beam search or lead-3")
     p.add_argument("--corpus", required=True, help="JSONL corpus file")
-    p.add_argument("--vocab", required=True)
+    p.add_argument("--vocab", help="vocabulary file (beam method)")
     p.add_argument("--checkpoint", help="extractor checkpoint (beam method)")
     p.add_argument("--out", required=True, help="summaries JSONL output path")
     p.add_argument("--method", choices=("beam", "lead3"), default="beam")

@@ -5,23 +5,25 @@ ReLU features; the grid then runs through alternating 2x2 max-pool and
 valid 3x3 convolution stages, two ReLU fully-connected layers, and a tanh
 readout in (-1, 1). Stages that no longer fit the shrinking grid are
 omitted, so small test geometries and the full-size stack share one code
-path.
+path. Every sliding window, of a sentence in layer 1 and of the grid in each
+convolution, is a row of `numeric.windows`, a copy of a strided view.
 
-Layer 1 and the first pool are fused. Cell (i, j) of the grid is
-relu(P_A[i] + P_B[j] + b), where P_A and P_B are the projections of the
-windows of each sentence alone. Float addition and relu are monotone in each
-argument, so the max over a 2x2 block {2I, 2I+1} x {2J, 2J+1} equals
-relu(max(P_A[2I], P_A[2I+1]) + max(P_B[2J], P_B[2J+1]) + b) bit for bit. The
-forward pass therefore builds the [T/2, T/2, F] pooled grid from the pairwise
-row maxima and never the [T, T, F] one. The cells that reach the block max
-form a product set of rows and columns, so the gradient goes to the cell
-that comes first in block scan order, as pooling the full grid sends it.
+Layer 1 and the first pool are fused. `max_tokens` must exceed the window, so
+the grid is at least 2 x 2 and the stack always starts with that pool. Cell
+(i, j) of the grid is relu(P_A[i] + P_B[j] + b), where P_A and P_B are the
+projections of the windows of each sentence alone. Float addition and relu
+are monotone in each argument, so the max over a 2x2 block {2I, 2I+1} x
+{2J, 2J+1} equals relu(max(P_A[2I], P_A[2I+1]) + max(P_B[2J], P_B[2J+1]) + b)
+bit for bit. The forward pass therefore builds the [T/2, T/2, F] pooled grid
+from the pairwise row maxima and never the [T, T, F] one. The cells that
+reach the block max form a product set of rows and columns, so the gradient
+goes to the cell that comes first in block scan order, as pooling the full
+grid sends it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,10 +47,9 @@ class CoherenceConfig:
 
     def __post_init__(self):
         nm.check_config(self)
-        if self.max_tokens < self.window:
-            raise ValueError(
-                f"max_tokens {self.max_tokens} shorter than the layer-1 window {self.window}"
-            )
+        if self.max_tokens <= self.window:  # a grid of at least 2x2 starts with a pool
+            raise ValueError(f"max_tokens {self.max_tokens} must exceed the layer-1 window "
+                             f"{self.window}")
         if not self.conv_filters:
             raise ValueError("conv_filters must name at least the layer-1 filter count")
 
@@ -107,25 +108,6 @@ def init_coherence_params(config: CoherenceConfig, rng: np.random.Generator) -> 
     return params
 
 
-@lru_cache(maxsize=None)
-def _window_indices(rows: int, kernel: int, width: int) -> np.ndarray:
-    """Flat indices of kernel-length row windows in a [rows+kernel-1, width] matrix."""
-    starts = np.arange(rows)[:, None] + np.arange(kernel)[None, :]
-    idx = starts[:, :, None] * width + np.arange(width)[None, None, :]
-    return idx.reshape(rows, kernel * width)
-
-
-@lru_cache(maxsize=None)
-def _im2col_indices(h: int, w: int, c: int, k: int) -> np.ndarray:
-    """Flat indices turning an [h, w, c] grid into [(h-k+1)(w-k+1), k*k*c] rows."""
-    out_h, out_w = h - k + 1, w - k + 1
-    di, dj, dc = np.meshgrid(np.arange(k), np.arange(k), np.arange(c), indexing="ij")
-    patch = (di * w + dj) * c + dc  # offsets within one window
-    base = (np.arange(out_h)[:, None] * w + np.arange(out_w)[None, :]) * c
-    idx = base.reshape(-1, 1) + patch.reshape(1, -1)
-    return idx
-
-
 def _check_ids(ids, config: CoherenceConfig, which: str) -> np.ndarray:
     arr = np.asarray(ids)
     if arr.shape != (config.max_tokens,):
@@ -135,42 +117,36 @@ def _check_ids(ids, config: CoherenceConfig, which: str) -> np.ndarray:
     return arr
 
 
-def interaction_layer1(
-    sa_ids, sb_ids, params: ParamStore, config: CoherenceConfig, pooled: bool = False
-) -> Tensor:
-    """ReLU grid of all window pairs: cell (i, j) sees window i of A and j of B.
+def interaction_layer1(sa_ids, sb_ids, params: ParamStore, config: CoherenceConfig) -> Tensor:
+    """The 2x2 max-pool of the ReLU grid of all window pairs, [T/2, T/2, F].
 
-    With pooled, the grid is the 2x2 max-pool of that grid, built from the
-    pairwise row maxima of the two per-sentence projections (see the module
-    docstring); the result is bit-identical to pooling the full grid.
+    Cell (i, j) of the unpooled grid sees window i of A and window j of B; the
+    pooled grid is built from the pairwise row maxima of the two per-sentence
+    projections (see the module docstring), bit-identical to pooling the grid.
     """
     sa_ids = _check_ids(sa_ids, config, "first sentence")
     sb_ids = _check_ids(sb_ids, config, "second sentence")
-    t, de, k = config.grid_size, config.embed_dim, config.window
-    idx = _window_indices(t, k, de)
-    wa = nm.gather_flat(nm.gather_rows(params["embed"], sa_ids), idx)
-    wb = nm.gather_flat(nm.gather_rows(params["embed"], sb_ids), idx)
-    half = k * de
-    pa = wa @ params["layer1_w"][:half, :]
-    pb = wb @ params["layer1_w"][half:, :]
-    if pooled:
-        pa, pb = nm.pair_max(pa), nm.pair_max(pb)
+    k = config.window
+    wa = nm.windows(nm.gather_rows(params["embed"], sa_ids), k, 1)
+    wb = nm.windows(nm.gather_rows(params["embed"], sb_ids), k, 1)
+    half = k * config.embed_dim
+    pa = nm.pair_max(wa @ params["layer1_w"][:half, :])
+    pb = nm.pair_max(wb @ params["layer1_w"][half:, :])
     n, f = pa.shape
     return nm.relu(pa.reshape(n, 1, f) + pb.reshape(1, n, f) + params["layer1_b"])
 
 
 def _forward(sa_ids, sb_ids, params: ParamStore, config: CoherenceConfig) -> Tensor:
     stages, _ = stack_plan(config)
-    pooled = stages[:1] == [("pool",)]
-    x = interaction_layer1(sa_ids, sb_ids, params, config, pooled=pooled)
-    for stage in stages[1:] if pooled else stages:
+    x = interaction_layer1(sa_ids, sb_ids, params, config)
+    for stage in stages[1:]:  # stages[0] is the pool that layer 1 fuses
         if stage[0] == "pool":
             x = nm.max_pool_2x2(x)
         else:
-            _, layer, in_ch, out_ch = stage
+            _, layer, _, out_ch = stage
             h, w, _ = x.shape
             k = config.conv_kernel
-            cols = nm.gather_flat(x, _im2col_indices(h, w, in_ch, k))
+            cols = nm.windows(x, k, 2)
             conv = nm.linear(cols, params[f"conv{layer}_w"], params[f"conv{layer}_b"])
             x = nm.relu(conv).reshape(h - k + 1, w - k + 1, out_ch)
     h = x.reshape(x.size)

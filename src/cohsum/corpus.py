@@ -18,6 +18,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .atomic import atomic_write
 from .rouge import RewardWeights, combined_rouge
 
 PAD_ID = 0
@@ -236,7 +237,7 @@ def load_corpus(
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for token in vocab.id_to_token:
             fh.write(token + "\n")
 

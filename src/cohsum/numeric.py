@@ -18,13 +18,14 @@ is 64-bit so finite-difference gradient checks are decisive.
 - Checkpoints (format v2, laid out in `save_checkpoint`) carry a JSON header,
   `ParamStore.meta`, before the tensors. Each tensor is written from its own
   buffer and read straight into its own array, after its declared size is
-  checked against the bytes left in the file. Writes go to a temporary file
-  moved into place.
+  checked against the bytes left in the file. Writes go through
+  `atomic.atomic_write`, a temporary file moved into place.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -33,33 +34,9 @@ import struct
 
 import numpy as np
 
-log = logging.getLogger(__name__)
+from .atomic import atomic_write
 
-__all__ = [
-    "Tensor",
-    "RowGrad",
-    "ParamStore",
-    "ShapeError",
-    "CheckpointError",
-    "linear",
-    "tanh",
-    "relu",
-    "softplus",
-    "log_sigmoid",
-    "concat",
-    "gather_rows",
-    "gather_flat",
-    "max_pool_2x2",
-    "pair_max",
-    "window_means",
-    "gru_sequence",
-    "gradients",
-    "sgd_step",
-    "minibatch_sgd",
-    "check_config",
-    "save_checkpoint",
-    "load_checkpoint",
-]
+log = logging.getLogger(__name__)
 
 
 class ShapeError(ValueError):
@@ -398,14 +375,38 @@ def gather_rows(table, indices) -> Tensor:
     return _node(data, (table,), backward)
 
 
-def gather_flat(x, flat_indices) -> Tensor:
-    """Windowed gather: out[k] = x.flat[flat_indices[k]], any index shape."""
+def windows(x, kernel: int, axes: int) -> Tensor:
+    """Sliding windows over the leading `axes` axes of x, one row per window position.
+
+    For x of shape [n_1, ..., n_axes, *rest] the result is
+    [prod(n_i - kernel + 1), kernel**axes * prod(rest)]: row p holds the
+    window at position p (positions in C order) flattened with its offsets in
+    front of the trailing axes. With axes=1 on [T + k - 1, d] that is
+    concat(x[p], ..., x[p + k - 1]); with axes=2 on an [H, W, C] grid it is the
+    im2col row of a valid k x k convolution. The forward pass copies a strided
+    view, so no index table is built. Backward adds one gradient slice per
+    window offset, offsets in reverse lexicographic order, so every entry of
+    the gradient gets its terms in ascending window position, the order a
+    scatter-add over the flat indices would apply them.
+    """
     x = _wrap(x)
-    idx = np.asarray(flat_indices, dtype=np.intp)
-    data = x.data.reshape(-1)[idx]
+    shape = x.data.shape
+    if x.data.ndim < axes or any(n < kernel for n in shape[:axes]):
+        raise ShapeError(f"windows: {axes} axes of kernel {kernel} do not fit shape {shape}")
+    positions = tuple(n - kernel + 1 for n in shape[:axes])
+    view = np.lib.stride_tricks.sliding_window_view(x.data, (kernel,) * axes,
+                                                     axis=tuple(range(axes)))
+    # view is [*positions, *rest, *offsets]; move the offsets in front of rest
+    nd = x.data.ndim
+    order = (*range(axes), *range(nd, nd + axes), *range(axes, nd))
+    data = view.transpose(order).reshape(math.prod(positions), -1)
 
     def backward(g):
-        np.add.at(_dense_grad(x).reshape(-1), idx.reshape(-1), g.reshape(-1))
+        gx = _dense_grad(x)
+        gw = g.reshape(positions + (kernel,) * axes + shape[axes:])
+        lead = (slice(None),) * axes
+        for offset in itertools.product(range(kernel - 1, -1, -1), repeat=axes):
+            gx[tuple(slice(o, o + n) for o, n in zip(offset, positions))] += gw[lead + offset]
 
     return _node(data, (x,), backward)
 
@@ -735,31 +736,22 @@ def save_checkpoint(params: ParamStore, path) -> None:
     Layout, integers `<I`: b"COHSUMCK", version 2, header byte count, header
     (UTF-8 JSON, keys sorted), tensor count, then per tensor the name byte
     count, UTF-8 name, rank, each dimension and the float64-LE values in C
-    order, each written from its own buffer. The file is written under a
-    temporary name in the same directory and moved over `path` only once
-    complete, so a failed write leaves any previous checkpoint intact.
+    order, each written from its own buffer. The file is written through
+    `atomic_write`, so a failed write leaves any previous checkpoint intact.
     """
-    path = os.fspath(path)
     header = json.dumps(params.meta, sort_keys=True).encode("utf-8")
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_CKPT_MAGIC)
-            fh.write(struct.pack("<II", _CKPT_VERSION, len(header)))
-            fh.write(header)
-            fh.write(struct.pack("<I", len(params)))
-            for name, p in params.items():
-                raw = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<I", p.data.ndim))
-                fh.write(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
-                fh.write(np.ascontiguousarray(p.data, dtype="<f8").data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_write(path, "wb") as fh:
+        fh.write(_CKPT_MAGIC)
+        fh.write(struct.pack("<II", _CKPT_VERSION, len(header)))
+        fh.write(header)
+        fh.write(struct.pack("<I", len(params)))
+        for name, p in params.items():
+            raw = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(raw)))
+            fh.write(raw)
+            fh.write(struct.pack("<I", p.data.ndim))
+            fh.write(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
+            fh.write(np.ascontiguousarray(p.data, dtype="<f8").data)
 
 
 def load_checkpoint(path) -> ParamStore:

@@ -3,9 +3,13 @@
 These are the ops as they were before the fast paths: `max_pool_2x2` takes
 an argmax over a transposed copy of the 2x2 blocks and keeps flat winner
 indices for backward; `gather_rows` scatters every backward into a
-zero-filled dense table; `sgd_step` sweeps the whole dense gradient. The
-code in `cohsum.numeric` is tested against these functions. `sigmoid` is
-here because only the tests and the per-step policy reference use it.
+zero-filled dense table; `sgd_step` sweeps the whole dense gradient;
+`gather_flat` with `window_indices` or `im2col_indices` builds sliding
+windows from a flat index table and scatters backward with `np.add.at`;
+`layer1_grid` is the full [T, T, F] interaction grid of the coherence scorer,
+before the fused first pool. The code in `cohsum` is tested against these
+functions. `sigmoid` is here because only the tests and the per-step policy
+reference use it.
 """
 
 from __future__ import annotations
@@ -72,3 +76,43 @@ def sgd_step(params: ParamStore, grads: dict, lr: float) -> ParamStore:
     for name, p in params.items():
         p.data -= lr * np.asarray(grads[name])
     return params
+
+
+def gather_flat(x, flat_indices) -> Tensor:
+    """Windowed gather: out[k] = x.flat[flat_indices[k]], any index shape."""
+    x = nm._wrap(x)
+    idx = np.asarray(flat_indices, dtype=np.intp)
+    data = x.data.reshape(-1)[idx]
+
+    def backward(g):
+        np.add.at(nm._dense_grad(x).reshape(-1), idx.reshape(-1), g.reshape(-1))
+
+    return nm._node(data, (x,), backward)
+
+
+def window_indices(rows: int, kernel: int, width: int) -> np.ndarray:
+    """Flat indices of kernel-length row windows in a [rows+kernel-1, width] matrix."""
+    starts = np.arange(rows)[:, None] + np.arange(kernel)[None, :]
+    idx = starts[:, :, None] * width + np.arange(width)[None, None, :]
+    return idx.reshape(rows, kernel * width)
+
+
+def im2col_indices(h: int, w: int, c: int, k: int) -> np.ndarray:
+    """Flat indices turning an [h, w, c] grid into [(h-k+1)(w-k+1), k*k*c] rows."""
+    out_h, out_w = h - k + 1, w - k + 1
+    di, dj, dc = np.meshgrid(np.arange(k), np.arange(k), np.arange(c), indexing="ij")
+    patch = (di * w + dj) * c + dc  # offsets within one window
+    base = (np.arange(out_h)[:, None] * w + np.arange(out_w)[None, :]) * c
+    return base.reshape(-1, 1) + patch.reshape(1, -1)
+
+
+def layer1_grid(sa_ids, sb_ids, params: ParamStore, config) -> Tensor:
+    """The unpooled [T, T, F] ReLU grid of all window pairs of a coherence config."""
+    t, de, k = config.grid_size, config.embed_dim, config.window
+    idx = window_indices(t, k, de)
+    wa = gather_flat(nm.gather_rows(params["embed"], np.asarray(sa_ids)), idx)
+    wb = gather_flat(nm.gather_rows(params["embed"], np.asarray(sb_ids)), idx)
+    half = k * de
+    pa = wa @ params["layer1_w"][:half, :]
+    pb = wb @ params["layer1_w"][half:, :]
+    return nm.relu(pa.reshape(t, 1, -1) + pb.reshape(1, t, -1) + params["layer1_b"])

@@ -19,14 +19,7 @@ from cohsum import numeric as nm
 from cohsum.corpus import Document
 from cohsum.extractor import ExtractorConfig
 from cohsum.numeric import ParamStore, Tensor
-from reference_numeric import sigmoid
-
-
-def _window_indices(rows: int, kernel: int, width: int) -> np.ndarray:
-    """Flat indices of kernel-length row windows in a [rows+kernel-1, width] matrix."""
-    starts = np.arange(rows)[:, None] + np.arange(kernel)[None, :]
-    idx = starts[:, :, None] * width + np.arange(width)[None, None, :]
-    return idx.reshape(rows, kernel * width)
+from reference_numeric import gather_flat, sigmoid, window_indices
 
 
 def word_features(sentence, params: ParamStore, config: ExtractorConfig) -> tuple[Tensor, Tensor]:
@@ -44,7 +37,7 @@ def word_features(sentence, params: ParamStore, config: ExtractorConfig) -> tupl
     per_kernel = []
     for k in config.word_kernels:
         padded = nm.concat([embedded, Tensor(np.zeros((k - 1, config.embed_dim)))], axis=0)
-        windows = nm.gather_flat(padded, _window_indices(m, k, config.embed_dim))
+        windows = gather_flat(padded, window_indices(m, k, config.embed_dim))
         per_kernel.append(nm.linear(windows, params[f"conv{k}_w"], params[f"conv{k}_b"]))
     features = nm.concat(per_kernel, axis=1)
     return features, features.mean(axis=0)

@@ -200,16 +200,55 @@ def test_score_coherence_six_decimals(corpus, tmp_path, capsys):
         assert len(line.split(".")[1]) == 6
 
 
-def test_score_coherence_rejects_malformed_pair(corpus, tmp_path):
+def test_score_coherence_rejects_malformed_pair(corpus, tmp_path, caplog):
     vocab = tmp_path / "vocab.txt"
     ckpt = tmp_path / "coh.ckpt"
     run(["preprocess", "--corpus", str(corpus), "--out", str(vocab)])
     run(["train-coherence", "--corpus", str(corpus), "--vocab", str(vocab),
          "--out", str(ckpt), "--seed", "1"] + TINY_COHERENCE)
     pairs = tmp_path / "pairs.tsv"
-    pairs.write_text("only one field\n")
+    pairs.write_text("river stone\tlight cloud\nonly one field\n")
+    caplog.clear()
     assert run(["score-coherence", "--checkpoint", str(ckpt), "--vocab", str(vocab),
                 "--pairs", str(pairs), "--out", str(tmp_path / "s.txt")]) == 1
+    assert f"{pairs}: line 2:" in _one_error_line(caplog)
+    assert sorted(os.listdir(tmp_path)) == ["coh.ckpt", "corpus.jsonl", "pairs.tsv", "vocab.txt"]
+
+
+def _corpus_with_bad_third_record(corpus, tmp_path):
+    lines = corpus.read_text().splitlines()
+    lines[2] = json.dumps({**json.loads(lines[2]), "sentences": 5})
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    return bad
+
+
+@pytest.mark.parametrize("argv", [["label"], ["summarize", "--method", "lead3"]],
+                         ids=["label", "summarize lead3"])
+def test_stage_failing_part_way_leaves_no_output(corpus, tmp_path, caplog, argv):
+    # the first two records are written before the third fails to parse
+    bad = _corpus_with_bad_third_record(corpus, tmp_path)
+    caplog.clear()
+    assert run(argv + ["--corpus", str(bad), "--out", str(tmp_path / "out.jsonl")]) == 1
+    assert f"{bad}: line 3:" in _one_error_line(caplog)
+    assert sorted(os.listdir(tmp_path)) == ["bad.jsonl", "corpus.jsonl"]
+
+
+def test_lead3_reads_no_vocabulary(corpus, tmp_path):
+    out = tmp_path / "lead3.jsonl"
+    for vocab in (["--vocab", str(tmp_path / "no-such-vocab.txt")], []):
+        assert run(["summarize", "--corpus", str(corpus), "--method", "lead3",
+                    "--out", str(out)] + vocab) == 0
+        assert len(out.read_text().splitlines()) == 8
+
+
+def test_beam_decoding_requires_a_vocabulary(corpus, tmp_path, caplog):
+    ckpt = _pretrained(corpus, tmp_path)
+    caplog.clear()
+    assert run(["summarize", "--corpus", str(corpus), "--checkpoint", str(ckpt),
+                "--out", str(tmp_path / "s.jsonl")]) == 1
+    assert "--vocab" in _one_error_line(caplog)
+    assert not (tmp_path / "s.jsonl").exists()
 
 
 def test_train_rnes_lambda_positive_needs_coherence_checkpoint(corpus, tmp_path):
@@ -567,6 +606,13 @@ OUT_OF_RANGE = [
     (["train-coherence", "--max-sentences", "0"], "max_sentences"),
     (["label", "--max-sentences", "0"], "max_sentences"),
     (["train-rnes", "--steps", "-1"], "steps"),
+    (["train-coherence", "--max-tokens", "3"], "max_tokens 3 must exceed the layer-1 window 3"),
+    (["train-coherence", "--triplets-per-doc", "0"], "--triplets-per-doc"),
+    (["label", "--cap", "-1"], "--cap"),
+    (["pretrain", "--cap", "-1"], "--cap"),
+    (["summarize", "--cap", "-1"], "--cap"),
+    (["summarize", "--cap", "0"], "--cap"),
+    (["summarize", "--beam", "0"], "--beam"),
 ]
 
 
@@ -581,11 +627,13 @@ def test_config_value_out_of_range_exits_1_naming_the_field(corpus, tmp_path, ca
         "pretrain": ["--vocab", str(tmp_path / "vocab.txt"), "--epochs", "0"] + TINY_EXTRACTOR,
         "train-rnes": ["--vocab", str(tmp_path / "vocab.txt"), "--pretrain-checkpoint", str(ckpt),
                        "--lambda", "0"],
+        "summarize": ["--vocab", str(tmp_path / "vocab.txt"), "--checkpoint", str(ckpt)],
     }[argv[0]]
     caplog.clear()
     assert run(argv[:1] + ["--corpus", str(corpus), "--out", str(tmp_path / "out")] + given
                + argv[1:]) == 1
     assert field in _one_error_line(caplog)
+    assert not [name for name in os.listdir(tmp_path) if name.startswith("out")]
 
 
 # -- parser and packaging --------------------------------------------------------------

@@ -86,6 +86,20 @@ def test_shrunken_stack_skips_unfittable_layers():
     assert flat == 4
 
 
+@pytest.mark.parametrize("max_tokens", [2, 3])
+def test_max_tokens_must_exceed_the_window(max_tokens):
+    with pytest.raises(ValueError, match=f"max_tokens {max_tokens} .* window 3"):
+        CoherenceConfig(vocab_size=10, window=3, max_tokens=max_tokens)
+
+
+@pytest.mark.parametrize("filters", [(4,), (4, 4), (4, 4, 4)])
+@pytest.mark.parametrize("window, max_tokens", [(1, 2), (3, 4), (3, 5), (2, 10), (3, 50)])
+def test_every_stack_starts_with_the_pool_layer1_fuses(window, max_tokens, filters):
+    config = CoherenceConfig(vocab_size=10, window=window, max_tokens=max_tokens,
+                             conv_filters=filters)
+    assert stack_plan(config)[0][0] == ("pool",)
+
+
 def test_parameters_exist_only_for_realized_layers(config, params):
     assert "conv2_w" in params.names()
     assert "conv3_w" not in params.names()
@@ -101,7 +115,8 @@ def test_layer1_zero_params_zero_grid(vocab, config, params):
         _zeroed(params),
         config,
     )
-    assert grid.shape == (config.grid_size, config.grid_size, 4)
+    half = config.grid_size // 2  # the grid comes out pooled
+    assert grid.shape == (half, half, 4)
     assert np.all(grid.data == 0.0)
 
 
@@ -115,7 +130,7 @@ def test_layer1_full_size_grid_shape(rng):
         params,
         config,
     )
-    assert grid.shape == (48, 48, 128)
+    assert grid.shape == (24, 24, 128)  # the 48 x 48 grid, pooled
 
 
 def test_layer1_length_mismatch(vocab, config, params):

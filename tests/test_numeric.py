@@ -170,12 +170,16 @@ def test_fd_gather_rows_with_repeats(rng):
     _fd_check(loss, params)
 
 
-def test_fd_gather_flat_windows(rng):
+def test_fd_windows(rng):
     params = ParamStore()
-    params.init_uniform("m", (6, 4), rng, scale=0.5)
-    starts = np.arange(4)[:, None] + np.arange(3)[None, :]
-    idx = (starts[:, :, None] * 4 + np.arange(4)).reshape(4, 12)
-    _fd_check(lambda: nm.tanh(nm.gather_flat(params["m"], idx)).sum(), params)
+    params.init_uniform("rows", (6, 4), rng, scale=0.5)  # sentence windows, one axis
+    params.init_uniform("grid", (5, 4, 2), rng, scale=0.5)  # conv windows, two axes
+
+    def loss():
+        return (nm.tanh(nm.windows(params["rows"], 3, 1)).sum()
+                + nm.tanh(nm.windows(params["grid"], 3, 2)).sum())
+
+    _fd_check(loss, params)
 
 
 def test_fd_max_pool(rng):

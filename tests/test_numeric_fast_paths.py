@@ -1,15 +1,16 @@
 """Numeric fast paths vs the dense reference forms they replace.
 
 The reference (tests/reference_numeric.py) pools by argmax over a copy of the
-2x2 blocks, scatters embedding gradients into a dense table, and sweeps the
-whole table in SGD. The fast paths do the same arithmetic in the same order,
-so values and gradients must agree bit for bit; only the fused layer-1 pool
-sums its gradients over fewer (all-zero) terms and is held to rel 1e-12.
+2x2 blocks, scatters embedding gradients into a dense table, sweeps the
+whole table in SGD, and gathers sliding windows through flat index tables.
+The fast paths do the same arithmetic in the same order, so values and
+gradients must agree bit for bit; only the fused layer-1 pool sums its
+gradients over fewer (all-zero) terms and is held to rel 1e-12.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_numeric as ref
@@ -79,6 +80,53 @@ def test_pool_ties_match_reference(kind, rng):
     _assert_pool_matches_reference(x, 7)
 
 
+# -- sliding windows -------------------------------------------------------------------
+
+
+def _reference_windows(x, kernel, axes):
+    if axes == 1:
+        n, width = x.shape
+        return ref.gather_flat(x, ref.window_indices(n - kernel + 1, kernel, width))
+    return ref.gather_flat(x, ref.im2col_indices(*x.shape, kernel))
+
+
+@st.composite
+def window_cases(draw):
+    axes = draw(st.sampled_from([1, 2]))
+    kernel = draw(st.integers(min_value=1, max_value=4))
+    # sizes from kernel (one window) up, odd and even alike
+    sizes = [draw(st.integers(min_value=kernel, max_value=kernel + 5)) for _ in range(axes)]
+    channels = draw(st.integers(min_value=1, max_value=3))
+    return tuple(sizes) + (channels,), kernel, axes
+
+
+@given(window_cases(), st.booleans(), seed_st)
+@example(((50, 64), 3, 1), True, 0)  # layer 1 at paper geometry
+@example(((24, 24, 128), 3, 2), True, 0)  # the grid conv2 reads at paper geometry
+@settings(max_examples=100, deadline=None)
+def test_windows_match_the_flat_index_gather(case, prefilled, seed):
+    shape, kernel, axes = case
+    rng = np.random.default_rng(seed)
+    params = _grid_store(rng.normal(size=shape))
+    lean = nm.windows(params["x"], kernel, axes)
+    dense = _reference_windows(params["x"], kernel, axes)
+    assert lean.shape == dense.shape
+    assert _bits(lean.data) == _bits(dense.data)
+    weights = rng.normal(size=lean.shape)
+    # with prefilled, a dense use of x, whose backward runs first, fills its
+    # gradient and the windows add into it
+    extra = (params["x"] * rng.normal(size=shape)).sum() if prefilled else Tensor(0.0)
+    lean_grad = nm.gradients(extra + (lean * weights).sum(), params)["x"]
+    dense_grad = nm.gradients(extra + (dense * weights).sum(), params)["x"]
+    assert _bits(lean_grad) == _bits(dense_grad)
+
+
+@pytest.mark.parametrize("shape, axes", [((2, 3), 1), ((3, 2, 1), 2), ((), 1)])
+def test_windows_larger_than_the_input_are_a_shape_error(shape, axes):
+    with pytest.raises(nm.ShapeError, match="windows"):
+        nm.windows(Tensor(np.zeros(shape)), 3, axes)
+
+
 # -- layer 1 fused with the first pool --------------------------------------------------
 
 VOCAB = small_vocab()
@@ -96,8 +144,8 @@ def test_fused_layer1_pool_matches_pooling_the_full_grid(a_words, b_words, windo
         p.data[:] = rng.uniform(-0.5, 0.5, size=p.data.shape)
     a = make_sentence(" ".join(a_words), VOCAB, config.max_tokens).ids
     b = make_sentence(" ".join(b_words), VOCAB, config.max_tokens).ids
-    fused = interaction_layer1(a, b, params, config, pooled=True)
-    unfused = ref.max_pool_2x2(interaction_layer1(a, b, params, config))
+    fused = interaction_layer1(a, b, params, config)
+    unfused = ref.max_pool_2x2(ref.layer1_grid(a, b, params, config))
     assert _bits(fused.data) == _bits(unfused.data)
     weights = rng.normal(size=fused.shape)
     assert_grads_close(nm.gradients((fused * weights).sum(), params),
