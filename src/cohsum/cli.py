@@ -27,7 +27,9 @@ without --labels. Sentence geometry comes from one place per stage:
 Files paired with the corpus by document id (the `pretrain --labels` file
 and the `evaluate --system` file) must hold exactly the corpus ids: a
 missing or an unknown id fails with one error line naming the file and
-the id.
+the id. `evaluate` and `train-rnes` score against each document's
+highlights, so they reject a corpus holding a document with none before
+any work, naming the file and the id.
 
 Every output file is written through `atomic.atomic_write`, so a stage that
 fails leaves no partial output and no temporary file; `score-coherence
@@ -44,6 +46,7 @@ import logging
 import sys
 import zlib
 from functools import partial
+from typing import Iterable
 
 import numpy as np
 
@@ -153,6 +156,17 @@ def _read_by_id(path, parse, ids) -> dict:
     return values
 
 
+def _require_highlights(docs: Iterable[cp.Document], path) -> None:
+    """Reject a corpus holding a document with no highlights, naming the file and the id.
+
+    Such a document cannot be scored or rewarded against its reference.
+    """
+    bare = [doc.id for doc in docs if not doc.highlights]
+    if bare:
+        raise cp.CorpusFormatError(f"{path}: {len(bare)} document(s) with no highlights, "
+                                   f"the first is {bare[0]!r}")
+
+
 def _labels(record) -> list[int]:
     values = record["labels"]
     # bool is an int subclass and 1.0 == 1, so compare types, not values
@@ -230,6 +244,7 @@ def cmd_train_rnes(args) -> int:
         scorer = partial(coh.coherence_forward, params=coh_params, config=coh_config)
     docs = list(cp.load_corpus(args.corpus, vocab=vocab, max_tokens=ext_config.max_tokens,
                                max_sentences=ext_config.max_sentences))
+    _require_highlights(docs, args.corpus)
     rl_config = _config(rl.RLConfig, args, weights=_config(RewardWeights, args))
     rl.train_rnes(docs, params, scorer, rl_config, ext_config, child_rng(args.seed, "train-rnes"))
     save_checkpoint(params, args.out)  # params.meta still describes the model as loaded
@@ -284,6 +299,7 @@ def _report_selected(counts: list[int]) -> None:
 
 def cmd_evaluate(args) -> int:
     reference = {doc.id: doc for doc in cp.load_corpus(args.reference)}
+    _require_highlights(reference.values(), args.reference)
     system = _read_by_id(args.system, partial(cp.string_array, key="summary"), reference)
     rows, counts = [], []
     for doc_id, summary in system.items():

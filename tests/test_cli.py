@@ -583,6 +583,42 @@ def test_file_paired_by_id_must_hold_exactly_the_corpus_ids(corpus, tmp_path, ca
     assert not (tmp_path / "p.ckpt").exists()
 
 
+def test_evaluate_rejects_a_reference_document_without_highlights(tmp_path, caplog, capsys):
+    reference = tmp_path / "reference.jsonl"
+    reference.write_text(
+        json.dumps({"id": "a", "sentences": ["river stone wind"], "highlights": ["river stone"]})
+        + "\n" + json.dumps({"id": "b", "sentences": ["light cloud"], "highlights": []}) + "\n")
+    system = tmp_path / "system.jsonl"
+    assert run(["summarize", "--corpus", str(reference), "--method", "lead3",
+                "--out", str(system)]) == 0
+    capsys.readouterr()
+    caplog.clear()
+    assert run(["evaluate", "--system", str(system), "--reference", str(reference),
+                "--per-doc"]) == 1
+    message = _one_error_line(caplog)
+    assert str(reference) in message and "'b'" in message and "highlights" in message
+    assert capsys.readouterr().out == ""  # no table, not even its header
+
+
+def test_train_rnes_rejects_a_document_without_highlights_before_step_1(corpus, tmp_path,
+                                                                        caplog):
+    pre = _pretrained(corpus, tmp_path)
+    records = [json.loads(line) for line in corpus.read_text().splitlines()]
+    records[5]["highlights"] = []
+    bare = tmp_path / "bare.jsonl"
+    bare.write_text("".join(json.dumps(r) + "\n" for r in records))
+    caplog.clear()
+    with caplog.at_level(logging.INFO):
+        code = run(["train-rnes", "--corpus", str(bare), "--vocab", str(tmp_path / "vocab.txt"),
+                    "--pretrain-checkpoint", str(pre), "--out", str(tmp_path / "rl.ckpt"),
+                    "--lambda", "0", "--steps", "50"])
+    assert code == 1
+    message = _one_error_line(caplog)
+    assert str(bare) in message and "'doc5'" in message and "highlights" in message
+    assert not [r for r in caplog.records if r.name == "cohsum.reinforce"]  # no step ran
+    assert not (tmp_path / "rl.ckpt").exists()
+
+
 # a flag value outside the range of the config field it sets, and that field
 OUT_OF_RANGE = [
     (["pretrain", "--batch-size", "0"], "batch_size"),

@@ -2,12 +2,14 @@
 
 import json
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohsum import rouge
 from cohsum.corpus import (
     BOUNDARY_ID,
     PAD_ID,
@@ -27,6 +29,7 @@ from cohsum.corpus import (
     tokenize,
 )
 from cohsum.rouge import RewardWeights, combined_rouge
+from reference_rouge import lcs_length as lcs_by_dp
 
 WEIGHTS = RewardWeights()
 
@@ -332,3 +335,18 @@ def test_oracle_score_strictly_increases_at_each_step(rng):
             selected.add(best)
             score = gains[best]
             remaining.discard(best)
+
+
+_sentence = st.lists(st.sampled_from("a b c d".split()), min_size=1, max_size=12).map(" ".join)
+
+
+@given(st.lists(_sentence, min_size=1, max_size=10), st.lists(_sentence, min_size=1, max_size=4),
+       st.integers(min_value=1, max_value=4))
+@settings(max_examples=150, deadline=None)
+def test_oracle_labels_are_those_of_the_dp_lcs(sentences, highlights, cap):
+    # a four-token alphabet makes repeated tokens and tied gains common
+    doc = make_document("d", sentences, highlights)
+    labels = generate_oracle_labels(doc, WEIGHTS, cap)
+    with mock.patch.object(rouge, "lcs_length", wraps=lcs_by_dp) as dp:
+        assert generate_oracle_labels(doc, WEIGHTS, cap) == labels
+    assert dp.called

@@ -3,6 +3,7 @@
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from cohsum.rouge import (
     rouge_l,
     rouge_n,
 )
+from reference_rouge import lcs_length as lcs_by_dp
 
 # -- independent oracles -------------------------------------------------------
 
@@ -144,6 +146,37 @@ def test_lcs_empty_side():
 @settings(max_examples=150)
 def test_lcs_matches_enumeration(a, b):
     assert lcs_length(a, b) == lcs_by_enumeration(a, b)
+
+
+def _tokens(alphabet_size):
+    """Token lists of every length from 0 to 200 over the first `alphabet_size` letters."""
+    token = st.sampled_from("abcde"[:alphabet_size])
+    return st.integers(0, 200).flatmap(lambda n: st.lists(token, min_size=n, max_size=n))
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(lambda k: st.tuples(_tokens(k), _tokens(k))))
+@settings(max_examples=200, deadline=None)
+def test_lcs_matches_dp(pair):
+    a, b = pair
+    assert lcs_length(a, b) == lcs_by_dp(a, b)
+
+
+def _word_boundary_cases():
+    # reference lengths at and across the 64-bit word boundaries of the bit vector
+    rng = np.random.default_rng(0)
+    for n in (63, 64, 65, 128):
+        b = [str(t) for t in rng.choice(list("abc"), size=n)]
+        for name, a in [("a-shorter", rng.choice(list("abc"), size=n // 2)),
+                        ("a-longer", rng.choice(list("abc"), size=n + 37)),
+                        ("identical", b),
+                        ("disjoint", rng.choice(list("xyz"), size=n))]:
+            yield pytest.param([str(t) for t in a], b, id=f"b{n}-{name}")
+        yield pytest.param(["a"] * (n + 5), ["a"] * n, id=f"b{n}-all-equal")
+
+
+@pytest.mark.parametrize("a, b", list(_word_boundary_cases()))
+def test_lcs_matches_dp_across_word_boundaries(a, b):
+    assert lcs_length(a, b) == lcs_by_dp(a, b)
 
 
 @given(tokens_strategy, tokens_strategy)
