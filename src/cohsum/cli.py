@@ -178,8 +178,10 @@ def _labels(record) -> list[int]:
 def cmd_label(args) -> int:
     _at_least_1(args, "--cap")
     weights = _config(RewardWeights, args)
+    docs = list(cp.load_corpus(args.corpus, max_sentences=args.max_sentences))
+    _require_highlights(docs, args.corpus)
     with atomic_write(args.out) as fh:
-        for doc in cp.load_corpus(args.corpus, max_sentences=args.max_sentences):
+        for doc in docs:
             labels = cp.generate_oracle_labels(doc, weights, args.cap)
             fh.write(json.dumps({"id": doc.id, "labels": labels}) + "\n")
     log.info("wrote oracle labels to %s", args.out)
@@ -218,6 +220,7 @@ def cmd_pretrain(args) -> int:
         by_id = _read_by_id(args.labels, _labels, (doc.id for doc in docs))
         labeled = [(doc, by_id[doc.id]) for doc in docs]
     else:
+        _require_highlights(docs, args.corpus)
         weights = _config(RewardWeights, args)
         labeled = [(doc, cp.generate_oracle_labels(doc, weights, args.cap)) for doc in docs]
     params = ex.pretrain(labeled, config, child_rng(args.seed, "pretrain"))
@@ -350,7 +353,7 @@ def cmd_score_coherence(args) -> int:
                                            f"sentences, got {len(parts)} fields")
             sa = cp.encode_sentence(cp.tokenize(parts[0]), vocab, config.max_tokens)
             sb = cp.encode_sentence(cp.tokenize(parts[1]), vocab, config.max_tokens)
-            out.write(f"{coh.coherence_forward(sa, sb, params, config):.6f}\n")
+            out.write(f"{coh.coherence_forward([(sa, sb)], params, config)[0]:.6f}\n")
     return 0
 
 

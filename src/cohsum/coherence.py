@@ -19,6 +19,15 @@ from the pairwise row maxima and never the [T, T, F] one. The cells that
 reach the block max form a product set of rows and columns, so the gradient
 goes to the cell that comes first in block scan order, as pooling the full
 grid sends it.
+
+The conv stacks run one pair at a time and the FC head once per batch. Each
+pair's stack ends in a flattened [1, flat] row; the rows of a batch are
+stacked and go through `fc1`, `fc2` and the readout together, so the
+[flat, 512] `fc1` weight is read once per batch in a GEMM, not once per pair
+in a GEMV, and its backward is one product instead of one outer product per
+pair. The conv stacks stay per pair because a batched im2col over a whole
+RL episode is about 71 MB; it falls out of cache and ran slower than the
+per-pair stacks.
 """
 
 from __future__ import annotations
@@ -136,7 +145,8 @@ def interaction_layer1(sa_ids, sb_ids, params: ParamStore, config: CoherenceConf
     return nm.relu(pa.reshape(n, 1, f) + pb.reshape(1, n, f) + params["layer1_b"])
 
 
-def _forward(sa_ids, sb_ids, params: ParamStore, config: CoherenceConfig) -> Tensor:
+def _pair_features(sa_ids, sb_ids, params: ParamStore, config: CoherenceConfig) -> Tensor:
+    """Layer 1 and the pool/conv stack of one pair, flattened to a [1, flat] row."""
     stages, _ = stack_plan(config)
     x = interaction_layer1(sa_ids, sb_ids, params, config)
     for stage in stages[1:]:  # stages[0] is the pool that layer 1 fuses
@@ -149,21 +159,35 @@ def _forward(sa_ids, sb_ids, params: ParamStore, config: CoherenceConfig) -> Ten
             cols = nm.windows(x, k, 2)
             conv = nm.linear(cols, params[f"conv{layer}_w"], params[f"conv{layer}_b"])
             x = nm.relu(conv).reshape(h - k + 1, w - k + 1, out_ch)
-    h = x.reshape(x.size)
+    return x.reshape(1, x.size)
+
+
+def _head(rows, params: ParamStore, config: CoherenceConfig) -> Tensor:
+    """The FC layers and the tanh readout over [P, flat] rows: one score per row, [P]."""
+    h = rows
     for j in range(1, len(config.fc_units) + 1):
         h = nm.relu(nm.linear(h, params[f"fc{j}_w"], params[f"fc{j}_b"]))
-    return nm.tanh(nm.linear(h, params["out_w"], params["out_b"]))
+    out = nm.tanh(nm.linear(h, params["out_w"], params["out_b"]))
+    return out.reshape(len(out))
 
 
-def coherence_forward(sa_ids, sb_ids, params: ParamStore, config: CoherenceConfig) -> float:
-    """Coherence of the ordered pair (S_A, S_B), strictly inside (-1, 1)."""
-    return _forward(sa_ids, sb_ids, params, config).item()
+def coherence_forward(pairs, params: ParamStore, config: CoherenceConfig) -> np.ndarray:
+    """Coherence of each ordered pair (S_A ids, S_B ids), strictly inside (-1, 1).
+
+    Each pair's row is copied out of its tape before the next pair runs, so
+    only one pair's conv stack is alive at a time.
+    """
+    rows = np.concatenate([_pair_features(sa, sb, params, config).data for sa, sb in pairs])
+    return _head(rows, params, config).data
 
 
-def triplet_loss(triplet: CoherenceTriplet, params: ParamStore, config: CoherenceConfig) -> Tensor:
-    pos = _forward(triplet.anchor.ids, triplet.positive.ids, params, config)
-    neg = _forward(triplet.anchor.ids, triplet.negative.ids, params, config)
-    return nm.relu(1.0 + neg - pos)
+def triplet_loss(triplets: list[CoherenceTriplet], params: ParamStore,
+                 config: CoherenceConfig) -> Tensor:
+    """Hinge max(0, 1 - pos + neg) summed over the triplets, their 2T pairs through one head."""
+    rows = nm.concat([_pair_features(tr.anchor.ids, second.ids, params, config)
+                      for tr in triplets for second in (tr.positive, tr.negative)])
+    scores = _head(rows, params, config).reshape(len(triplets), 2)
+    return nm.relu(1.0 + scores[:, 1] - scores[:, 0]).sum()
 
 
 def train_coherence(
@@ -173,8 +197,8 @@ def train_coherence(
     if not triplets:
         raise ValueError("cannot train the coherence model on an empty triplet set")
     params = init_coherence_params(config, rng)
-    return nm.minibatch_sgd(triplets, lambda tr, p: triplet_loss(tr, p, config), params, rng,
-                            config.lr, config.batch_size, config.epochs, "coherence")
+    return nm.minibatch_sgd(triplets, lambda batch, p: triplet_loss(batch, p, config), params,
+                            rng, config.lr, config.batch_size, config.epochs, "coherence")
 
 
 def pairwise_accuracy(
@@ -183,10 +207,7 @@ def pairwise_accuracy(
     """Fraction of triplets ranking the true successor first; ties count wrong."""
     if not triplets:
         raise ValueError("pairwise accuracy needs at least one triplet")
-    correct = 0
-    for tr in triplets:
-        pos = coherence_forward(tr.anchor.ids, tr.positive.ids, params, config)
-        neg = coherence_forward(tr.anchor.ids, tr.negative.ids, params, config)
-        if pos > neg:
-            correct += 1
-    return correct / len(triplets)
+    pairs = [(tr.anchor.ids, second.ids)
+             for tr in triplets for second in (tr.positive, tr.negative)]
+    scores = coherence_forward(pairs, params, config).reshape(len(triplets), 2)
+    return np.count_nonzero(scores[:, 0] > scores[:, 1]) / len(triplets)

@@ -249,5 +249,6 @@ def pretrain(
     if not labeled_docs:
         raise ValueError("pretraining needs a non-empty labeled corpus")
     params = init_extractor_params(config, rng)
-    return nm.minibatch_sgd(labeled_docs, lambda item, p: pretrain_loss(*item, p, config), params,
-                            rng, config.lr, config.batch_size, config.epochs, "pretrain")
+    return nm.minibatch_sgd(labeled_docs,
+                            lambda batch, p: sum(pretrain_loss(*item, p, config) for item in batch),
+                            params, rng, config.lr, config.batch_size, config.epochs, "pretrain")

@@ -685,23 +685,21 @@ def sgd_step(params: ParamStore, grads: dict[str, np.ndarray | RowGrad], lr: flo
 
 def minibatch_sgd(items, loss_fn, params: ParamStore, rng: np.random.Generator, lr: float,
                   batch_size: int, epochs: int, name: str) -> ParamStore:
-    """Plain SGD on the mean of `loss_fn(item, params)` over shuffled batches, in place.
+    """Plain SGD on the mean loss per item over shuffled batches, in place.
 
-    The item order is reshuffled from `rng` every epoch. After each epoch the
-    mean loss per item is logged as "<name> epoch k: mean loss x"; the record's
-    args carry the exact float.
+    `loss_fn(batch, params)` returns the summed loss of a list of items; each
+    step divides it by the batch size. The item order is reshuffled from `rng`
+    every epoch. After each epoch the mean loss per item is logged as
+    "<name> epoch k: mean loss x"; the record's args carry the exact float.
     """
     for epoch in range(epochs):
         order = rng.permutation(len(items))
         epoch_total = 0.0
         for start in range(0, len(order), batch_size):
-            losses = [loss_fn(items[i], params) for i in order[start : start + batch_size]]
-            batch_loss = losses[0]
-            for term in losses[1:]:
-                batch_loss = batch_loss + term
-            batch_loss = batch_loss / len(losses)
+            batch = [items[i] for i in order[start : start + batch_size]]
+            batch_loss = loss_fn(batch, params) / len(batch)
             sgd_step(params, gradients(batch_loss, params), lr)
-            epoch_total += batch_loss.item() * len(losses)
+            epoch_total += batch_loss.item() * len(batch)
         log.info("%s epoch %d: mean loss %.6f", name, epoch + 1, epoch_total / len(items))
     return params
 

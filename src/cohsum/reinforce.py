@@ -35,8 +35,8 @@ from .rouge import RewardWeights, combined_rouge
 
 log = logging.getLogger(__name__)
 
-# scorer signature: (first_sentence_ids, second_sentence_ids) -> float
-CoherenceScorer = Callable[[np.ndarray, np.ndarray], float]
+# scorer signature: [(first_sentence_ids, second_sentence_ids), ...] -> one score per pair
+CoherenceScorer = Callable[[list[tuple[np.ndarray, np.ndarray]]], np.ndarray]
 
 MOVING_WINDOW = 100  # steps in the logged moving average of the combined reward
 
@@ -86,16 +86,19 @@ def immediate_rewards(doc: Document, decisions: list[int], scorer: CoherenceScor
     """Coherence of each selected sentence with the previously selected one.
 
     The chain starts from the boundary placeholder; skipped sentences earn
-    zero and do not advance the chain.
+    zero and do not advance the chain. The chain's pairs go to the scorer in
+    one call, or in none when nothing was selected.
     """
     if len(decisions) != doc.n_sentences:
         raise ValueError(f"{len(decisions)} decisions for {doc.n_sentences} sentences")
-    previous = placeholder_sentence(len(doc.sentences[0].ids))
+    selected = [t for t, y in enumerate(decisions) if y == 1]
     rewards = [0.0] * doc.n_sentences
-    for t, y in enumerate(decisions):
-        if y == 1:
-            rewards[t] = scorer(previous.ids, doc.sentences[t].ids)
-            previous = doc.sentences[t]
+    if selected:
+        chain = [placeholder_sentence(len(doc.sentences[0].ids))]
+        chain += [doc.sentences[t] for t in selected]
+        scores = scorer([(a.ids, b.ids) for a, b in zip(chain, chain[1:])])
+        for t, score in zip(selected, scores):
+            rewards[t] = float(score)
     return rewards
 
 

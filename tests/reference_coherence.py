@@ -1,0 +1,51 @@
+"""Per-pair coherence forward and hinge loss, kept as test oracles.
+
+This is the scorer as it was before the FC head ran once per batch: each
+pair goes through layer 1, the pool/conv stack and its own `fc1`, `fc2` and
+readout, so every pair ends in a GEMV against `fc1` and its backward in an
+outer product. `coherence.coherence_forward` and `coherence.triplet_loss`
+are tested against these functions.
+"""
+
+from __future__ import annotations
+
+from cohsum import numeric as nm
+from cohsum.coherence import CoherenceConfig, interaction_layer1, stack_plan
+from cohsum.corpus import CoherenceTriplet
+from cohsum.numeric import ParamStore, Tensor
+
+
+def forward(sa_ids, sb_ids, params: ParamStore, config: CoherenceConfig) -> Tensor:
+    """Coherence of one ordered pair as a [1] tensor on the tape."""
+    stages, _ = stack_plan(config)
+    x = interaction_layer1(sa_ids, sb_ids, params, config)
+    for stage in stages[1:]:  # stages[0] is the pool that layer 1 fuses
+        if stage[0] == "pool":
+            x = nm.max_pool_2x2(x)
+        else:
+            _, layer, _, out_ch = stage
+            h, w, _ = x.shape
+            k = config.conv_kernel
+            cols = nm.windows(x, k, 2)
+            conv = nm.linear(cols, params[f"conv{layer}_w"], params[f"conv{layer}_b"])
+            x = nm.relu(conv).reshape(h - k + 1, w - k + 1, out_ch)
+    h = x.reshape(x.size)
+    for j in range(1, len(config.fc_units) + 1):
+        h = nm.relu(nm.linear(h, params[f"fc{j}_w"], params[f"fc{j}_b"]))
+    return nm.tanh(nm.linear(h, params["out_w"], params["out_b"]))
+
+
+def triplet_loss(triplet: CoherenceTriplet, params: ParamStore, config: CoherenceConfig) -> Tensor:
+    """Hinge max(0, 1 - pos + neg) of one triplet, each pair scored alone."""
+    pos = forward(triplet.anchor.ids, triplet.positive.ids, params, config)
+    neg = forward(triplet.anchor.ids, triplet.negative.ids, params, config)
+    return nm.relu(1.0 + neg - pos)
+
+
+def batch_loss(triplets: list[CoherenceTriplet], params: ParamStore,
+               config: CoherenceConfig) -> Tensor:
+    """Sum of the per-triplet losses, chained in order, as the SGD loop once built it."""
+    total = triplet_loss(triplets[0], params, config)
+    for triplet in triplets[1:]:
+        total = total + triplet_loss(triplet, params, config)
+    return total

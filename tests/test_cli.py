@@ -619,6 +619,31 @@ def test_train_rnes_rejects_a_document_without_highlights_before_step_1(corpus, 
     assert not (tmp_path / "rl.ckpt").exists()
 
 
+@pytest.mark.parametrize("command", ["label", "pretrain"])
+def test_oracle_labelling_rejects_a_document_without_highlights_before_labelling(
+        command, tmp_path, caplog, monkeypatch):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        json.dumps({"id": "a", "sentences": ["river stone wind", "light cloud"],
+                    "highlights": ["river stone"]}) + "\n"
+        + json.dumps({"id": "b", "sentences": ["branch valley"], "highlights": []}) + "\n")
+    vocab = tmp_path / "vocab.txt"
+    assert run(["preprocess", "--corpus", str(corpus), "--out", str(vocab)]) == 0
+    labelled = []
+    monkeypatch.setattr(cohsum.corpus, "generate_oracle_labels",
+                        lambda doc, *_: labelled.append(doc.id))
+    out = tmp_path / "out"
+    args = {"label": ["label", "--corpus", str(corpus), "--out", str(out)],
+            "pretrain": ["pretrain", "--corpus", str(corpus), "--vocab", str(vocab),
+                         "--out", str(out), "--epochs", "0"] + TINY_EXTRACTOR}[command]
+    caplog.clear()
+    assert run(args) == 1
+    message = _one_error_line(caplog)
+    assert str(corpus) in message and "'b'" in message and "highlights" in message
+    assert labelled == []  # document 'a' was not labelled first
+    assert not out.exists()
+
+
 # a flag value outside the range of the config field it sets, and that field
 OUT_OF_RANGE = [
     (["pretrain", "--batch-size", "0"], "batch_size"),

@@ -1,9 +1,12 @@
 """Coherence scorer: interaction grid, stack arithmetic, hinge training."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cohsum import coherence
 from cohsum import numeric as nm
@@ -17,7 +20,7 @@ from cohsum.coherence import (
     train_coherence,
     triplet_loss,
 )
-from cohsum.corpus import CoherenceTriplet, Vocabulary, make_sentence
+from cohsum.corpus import CoherenceTriplet, Vocabulary, make_sentence, placeholder_sentence
 
 from conftest import (
     assert_grads_close,
@@ -26,6 +29,7 @@ from conftest import (
     small_vocab,
     tiny_coherence_config,
 )
+import reference_coherence
 
 
 @pytest.fixture
@@ -156,25 +160,133 @@ def test_layer1_symmetric_weights_transpose_grid(vocab, config, rng):
 
 
 def test_forward_zero_params_scores_zero(vocab, config, params):
-    score = coherence_forward(
-        _ids("alpha", vocab, config), _ids("beta", vocab, config), _zeroed(params), config
-    )
-    assert score == 0.0
+    pair = (_ids("alpha", vocab, config), _ids("beta", vocab, config))
+    assert coherence_forward([pair], _zeroed(params), config).tolist() == [0.0]
 
 
 def test_forward_strictly_inside_range(vocab, config, params, rng):
     words = list(vocab.token_to_id)
-    for _ in range(20):
-        a = " ".join(rng.choice(words, size=5))
-        b = " ".join(rng.choice(words, size=5))
-        score = coherence_forward(_ids(a, vocab, config), _ids(b, vocab, config), params, config)
-        assert -1.0 < score < 1.0
+    pairs = [(_ids(" ".join(rng.choice(words, size=5)), vocab, config),
+              _ids(" ".join(rng.choice(words, size=5)), vocab, config)) for _ in range(20)]
+    scores = coherence_forward(pairs, params, config)
+    assert scores.shape == (20,)
+    assert np.all((-1.0 < scores) & (scores < 1.0))
 
 
 def test_forward_bitwise_repeatable(vocab, config, rng):
     params = init_coherence_params(config, rng)
-    a, b = _ids("alpha beta gamma", vocab, config), _ids("delta epsilon", vocab, config)
-    assert coherence_forward(a, b, params, config) == coherence_forward(a, b, params, config)
+    pairs = [(_ids("alpha beta gamma", vocab, config), _ids("delta epsilon", vocab, config))]
+    assert np.array_equal(coherence_forward(pairs, params, config),
+                          coherence_forward(pairs, params, config))
+
+
+# -- the batched head against the per-pair reference ---------------------------------
+
+
+def _spread(params, rng):
+    """Every parameter, biases included, drawn from U(-0.5, 0.5): no layer is near-linear."""
+    for _, p in params.items():
+        p.data[:] = rng.uniform(-0.5, 0.5, size=p.data.shape)
+    return params
+
+
+def _pair_gradient_scales(triplets, params, config) -> dict:
+    """Per parameter, the largest entry of any one pair's score gradient.
+
+    A hinge gradient is a signed sum of pair gradients. When they cancel, as
+    for a triplet whose positive and negative are the same sentence, the sum
+    is roundoff, so rounding is measured against the terms, not the sum.
+    """
+    scales = dict.fromkeys(params.names(), 0.0)
+    for tr in triplets:
+        for second in (tr.positive, tr.negative):
+            score = reference_coherence.forward(tr.anchor.ids, second.ids, params, config)
+            for name, g in nm.gradients(score.sum(), params).items():
+                scales[name] = max(scales[name], float(np.max(np.abs(np.asarray(g)))))
+    return scales
+
+
+_WORDS = list(small_vocab().token_to_id)
+# a sentence is the placeholder that starts the RL chain (a boundary token, then
+# PAD), or 1 to 12 words, up to longer than max_tokens 10, so truncation is covered
+_sentence = st.one_of(st.none(), st.lists(st.sampled_from(_WORDS), min_size=1, max_size=12))
+
+
+def _make(words, vocab, config):
+    if words is None:
+        return placeholder_sentence(config.max_tokens)
+    return make_sentence(" ".join(words), vocab, config.max_tokens)
+
+
+@given(st.lists(st.tuples(_sentence, _sentence), min_size=1, max_size=6),
+       st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+@example([(None, ["alpha", "beta"]), (["gamma"], None), (None, None), (["delta"], ["zeta"])],
+         0, True, True)
+@settings(max_examples=40, deadline=None)
+def test_batched_scores_match_the_per_pair_reference(pairs, seed, repeat, spread):
+    vocab = small_vocab()
+    config = tiny_coherence_config(vocab.size)
+    rng = np.random.default_rng(seed)
+    params = init_coherence_params(config, rng)
+    if spread:
+        _spread(params, rng)
+    ids = [(_make(a, vocab, config).ids, _make(b, vocab, config).ids) for a, b in pairs]
+    if repeat and len(ids) > 1:
+        ids[-1] = ids[0]  # the same pair twice in one batch
+    fast = coherence_forward(ids, params, config)
+    ref = [reference_coherence.forward(a, b, params, config).item() for a, b in ids]
+    assert fast.shape == (len(ids),)
+    np.testing.assert_allclose(fast, ref, rtol=1e-10, atol=1e-15)
+    if repeat:
+        assert fast[0] == fast[-1]
+
+
+@given(st.lists(st.tuples(_sentence, _sentence, _sentence), min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1), st.booleans())
+@example([(None, ["alpha"], ["beta", "gamma"]), (["delta"], None, None)], 0, True)
+@settings(max_examples=30, deadline=None)
+def test_batched_triplet_loss_and_gradients_match_the_per_triplet_reference(sentences, seed,
+                                                                           spread):
+    vocab = small_vocab()
+    config = tiny_coherence_config(vocab.size)
+    rng = np.random.default_rng(seed)
+    params = init_coherence_params(config, rng)
+    if spread:
+        _spread(params, rng)
+    triplets = [CoherenceTriplet(*(_make(w, vocab, config) for w in words), positions=(0, 1, 2))
+                for words in sentences]
+    fast_loss = triplet_loss(triplets, params, config)
+    fast_grads = nm.gradients(fast_loss, params)
+    ref_loss = reference_coherence.batch_loss(triplets, params, config)
+    ref_grads = nm.gradients(ref_loss, params)
+    assert fast_loss.item() == pytest.approx(ref_loss.item(), rel=1e-10, abs=1e-15)
+    scales = _pair_gradient_scales(triplets, params, config)
+    for name in params.names():
+        diff = np.max(np.abs(np.asarray(fast_grads[name]) - np.asarray(ref_grads[name])))
+        assert diff <= 1e-10 * scales[name], name
+
+
+def _traced_peak(fn) -> int:
+    """Bytes allocated at the peak of fn(), above what was live when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_scorer_keeps_one_pair_tape_alive_at_a_time(rng):
+    # the rows are copied off their tapes before the head runs; a head over
+    # the taped rows would keep every pair's conv stack alive at once
+    config = tiny_coherence_config(200, max_tokens=50, conv_filters=(16, 32, 32))
+    params = init_coherence_params(config, rng)
+    pairs = [(rng.integers(0, 200, size=50), rng.integers(0, 200, size=50)) for _ in range(16)]
+    coherence_forward(pairs[:1], params, config)  # warm up before measuring
+    one = _traced_peak(lambda: coherence_forward(pairs[:1], params, config))
+    sixteen = _traced_peak(lambda: coherence_forward(pairs, params, config))
+    assert sixteen < 2 * one
 
 
 # -- hinge loss --------------------------------------------------------------------------
@@ -182,15 +294,16 @@ def test_forward_bitwise_repeatable(vocab, config, rng):
 
 @pytest.fixture
 def hinge_loss(vocab, config, params, monkeypatch):
-    """triplet_loss with the scorer stubbed to return fixed (positive, negative) scores."""
+    """triplet_loss with the head stubbed to return fixed (positive, negative) scores."""
     triplet = _triplet(vocab, config, "alpha beta", "gamma delta", "epsilon zeta")
 
     def loss(coh_pos, coh_neg):
-        def scores(sa_ids, sb_ids, *_):
-            return nm.Tensor(coh_pos if sb_ids is triplet.positive.ids else coh_neg)
+        def scores(rows, *_):
+            assert rows.shape[0] == 2  # the positive pair's row, then the negative's
+            return nm.Tensor([coh_pos, coh_neg])
 
-        monkeypatch.setattr(coherence, "_forward", scores)
-        return triplet_loss(triplet, params, config).item()
+        monkeypatch.setattr(coherence, "_head", scores)
+        return triplet_loss([triplet], params, config).item()
 
     return loss
 
@@ -214,12 +327,45 @@ def test_triplet_loss_gradient_matches_finite_differences(vocab, rng):
     params = init_coherence_params(config, rng)
     # move every parameter (biases included) away from the ReLU kinks, which the
     # default near-zero init straddles at finite-difference step size
-    for _, p in params.items():
-        p.data[:] = rng.uniform(-0.5, 0.5, size=p.data.shape)
+    _spread(params, rng)
     triplet = _triplet(vocab, config, "alpha beta gamma delta", "beta gamma", "zeta eta theta")
-    analytic = nm.gradients(triplet_loss(triplet, params, config), params)
+    analytic = nm.gradients(triplet_loss([triplet], params, config), params)
     numeric_grads = finite_difference_grads(
-        lambda: triplet_loss(triplet, params, config).item(), params
+        lambda: triplet_loss([triplet], params, config).item(), params
+    )
+    assert_grads_close(analytic, numeric_grads)
+
+
+def test_batch_triplet_loss_gradient_matches_finite_differences(vocab, rng):
+    config = tiny_coherence_config(vocab.size)
+    params = _spread(init_coherence_params(config, rng), rng)
+    texts = ["alpha beta gamma delta", "beta gamma", "zeta eta theta", "iota kappa alpha",
+             "delta delta epsilon", "theta beta", "kappa zeta eta iota"]
+    sentences = [make_sentence(t, vocab, config.max_tokens) for t in texts]
+    pairs = [(a, b) for a in sentences for b in sentences if a is not b]
+    ids = [(a.ids, b.ids) for a, b in pairs]
+    # centre the readout's logits over these pairs and stretch them to a range
+    # of 4, so that some triplets meet the margin and others do not
+    logits = np.arctanh(coherence_forward(ids, params, config))
+    params["out_b"].data -= logits.mean()
+    for name in ("out_w", "out_b"):
+        params[name].data *= 4.0 / np.ptp(logits)
+    scores = dict(zip(((a.text, b.text) for a, b in pairs), coherence_forward(ids, params, config)))
+
+    def lead(anchor, pos, neg):
+        return scores[anchor, pos] - scores[anchor, neg]
+
+    candidates = [(a, p, n) for a in texts for p in texts for n in texts
+                  if len({a, p, n}) == 3]
+    met = max(candidates, key=lambda c: lead(*c))  # hinge inactive: its margin is met
+    active = [c for c in candidates if lead(*c) < 0.9][:2]
+    assert lead(*met) > 1.1 and len(active) == 2
+    triplets = [_triplet(vocab, config, *c) for c in (active[0], met, active[1])]
+    assert [reference_coherence.triplet_loss(t, params, config).item() == 0.0
+            for t in triplets] == [False, True, False]
+    analytic = nm.gradients(triplet_loss(triplets, params, config), params)
+    numeric_grads = finite_difference_grads(
+        lambda: triplet_loss(triplets, params, config).item(), params
     )
     assert_grads_close(analytic, numeric_grads)
 
@@ -286,8 +432,8 @@ def test_pairwise_accuracy_perfect_on_oracle_ordering(vocab, config, rng):
     params = init_coherence_params(config, rng)
     triplets = _synthetic_triplets(vocab, config, rng, 1)
     tr = triplets[0]
-    pos = coherence_forward(tr.anchor.ids, tr.positive.ids, params, config)
-    neg = coherence_forward(tr.anchor.ids, tr.negative.ids, params, config)
+    pos, neg = coherence_forward([(tr.anchor.ids, tr.positive.ids),
+                                  (tr.anchor.ids, tr.negative.ids)], params, config)
     expected = 1.0 if pos > neg else 0.0
     assert pairwise_accuracy(params, triplets, config) == expected
 

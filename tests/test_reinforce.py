@@ -87,21 +87,28 @@ def test_unbiased_coin_at_zero_params(vocab, config, rng):
 
 
 class RecordingScorer:
-    """Deterministic stand-in that logs every pair it was asked to score."""
+    """Deterministic stand-in that logs every pair and every batch it was asked to score."""
 
     def __init__(self):
         self.calls = []
+        self.batches = 0
 
-    def __call__(self, first_ids, second_ids):
-        self.calls.append((tuple(first_ids), tuple(second_ids)))
-        return 0.25 * len(self.calls)
+    def __call__(self, pairs):
+        self.batches += 1
+        for first_ids, second_ids in pairs:
+            self.calls.append((tuple(first_ids), tuple(second_ids)))
+        return 0.25 * np.arange(len(self.calls) - len(pairs) + 1, len(self.calls) + 1)
+
+
+def constant_scorer(value):
+    return lambda pairs: np.full(len(pairs), value)
 
 
 def test_no_selection_no_rewards(vocab, config):
     doc = _doc(vocab, config, ["alpha beta", "gamma delta"], ["alpha"])
     scorer = RecordingScorer()
     assert immediate_rewards(doc, [0, 0], scorer) == [0.0, 0.0]
-    assert scorer.calls == []
+    assert scorer.batches == 0
 
 
 def test_single_selection_scores_against_placeholder(vocab, config):
@@ -126,11 +133,12 @@ def test_reward_chain_threads_previous_selection(vocab, config):
         (tuple(chi.ids), tuple(doc.sentences[2].ids)),
         (tuple(doc.sentences[2].ids), tuple(doc.sentences[5].ids)),
     ]
+    assert scorer.batches == 1  # the whole chain in one call
 
 
 def test_reward_placement_only_on_selected_steps(vocab, config, params, rng):
     doc = toy_document("d", rng, vocab, n_sentences=6, max_tokens=config.max_tokens)
-    scorer = lambda a, b: 0.7
+    scorer = constant_scorer(0.7)
     enc = encode_document(doc, params, config)
     for _ in range(10):
         episode = sample_episode(enc, params, rng)
@@ -284,7 +292,7 @@ def test_empty_corpus_rejected(config, params, rng):
 
 def test_metrics_capture_combined_objective(vocab, config, params, rng, caplog):
     docs = _toy_corpus(vocab, config, rng)
-    scorer = lambda a, b: 0.5
+    scorer = constant_scorer(0.5)
     rl_config = RLConfig(lam=0.01, alpha=0.0, steps=10)
     with caplog.at_level(logging.INFO, logger="cohsum.reinforce"):
         train_rnes(docs, params, scorer, rl_config, config, rng)
