@@ -351,8 +351,12 @@ def cmd_score_coherence(args) -> int:
             if len(parts) != 2:
                 raise cp.CorpusFormatError(f"{name}: line {lineno}: expected two tab-separated "
                                            f"sentences, got {len(parts)} fields")
-            sa = cp.encode_sentence(cp.tokenize(parts[0]), vocab, config.max_tokens)
-            sb = cp.encode_sentence(cp.tokenize(parts[1]), vocab, config.max_tokens)
+            tokens = [cp.tokenize(part) for part in parts]
+            for side, toks in zip(("first", "second"), tokens):
+                if not toks:
+                    raise cp.CorpusFormatError(f"{name}: line {lineno}: the {side} sentence "
+                                               f"has no tokens")
+            sa, sb = (cp.encode_sentence(toks, vocab, config.max_tokens) for toks in tokens)
             out.write(f"{coh.coherence_forward([(sa, sb)], params, config)[0]:.6f}\n")
     return 0
 

@@ -174,11 +174,13 @@ def _head(rows, params: ParamStore, config: CoherenceConfig) -> Tensor:
 def coherence_forward(pairs, params: ParamStore, config: CoherenceConfig) -> np.ndarray:
     """Coherence of each ordered pair (S_A ids, S_B ids), strictly inside (-1, 1).
 
-    Each pair's row is copied out of its tape before the next pair runs, so
-    only one pair's conv stack is alive at a time.
+    A forward-only pass: it runs under `numeric.no_tape()`, so each op's
+    result is freed once the next op has read it, and only one pair's conv
+    stack is alive at a time.
     """
-    rows = np.concatenate([_pair_features(sa, sb, params, config).data for sa, sb in pairs])
-    return _head(rows, params, config).data
+    with nm.no_tape():
+        rows = np.concatenate([_pair_features(sa, sb, params, config).data for sa, sb in pairs])
+        return _head(rows, params, config).data
 
 
 def triplet_loss(triplets: list[CoherenceTriplet], params: ParamStore,

@@ -5,15 +5,24 @@ taken (selections and skips alike), with no length normalization. Ties
 prefer skipping, then the lower-ranked parent hypothesis, so decoding is
 fully deterministic.
 
-Every hypothesis of a step is scored in one batch by the extractor's
-`PolicyHead` on arrays: the context and document part of its first layer is
-computed once per document, and each step adds only the history term.
+The document is encoded under `numeric.no_tape()`: nothing runs backward
+over a decoding, so no tape is kept. Each step is a few array ops over the
+hypotheses. The extractor's `PolicyHead` scores every hypothesis at once,
+its history already folded into the first layer, so a step adds one [B, m1]
+history to the sentence's precomputed first-layer term. The 2B candidates
+(parent, y, -score) are then held as arrays, with a mask that drops y=1 from
+a hypothesis that already holds max_selected sentences, and one
+`np.lexsort((parent, y, -score))` ranks them: by score, then y=0 before
+y=1, then the earlier parent. Histories, decisions and selection counts of
+the kept candidates are gathered by parent index. The per-candidate loop
+this replaces is tests/reference_policy.py's `beam_search`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import numeric as nm
 from .corpus import Document, Sentence
 from .extractor import ExtractorConfig, encode_document, policy_head
 from .numeric import ParamStore
@@ -38,30 +47,33 @@ def beam_search(
         raise ValueError(f"beam size must be >= 1, got {beam_size}")
     if doc.n_sentences == 0:
         raise ValueError(f"document {doc.id!r} has no sentences")
-    enc = encode_document(doc, params, config)
+    with nm.no_tape():
+        enc = encode_document(doc, params, config)
     head = policy_head(enc.contexts.data, enc.doc.data, params)
+    n = doc.n_sentences
     # the hypotheses kept at each step, best score first
-    decisions: list[tuple[int, ...]] = [()]
+    decisions = np.zeros((1, n), dtype=np.int8)
     scores = np.zeros(1)  # cumulative log-probability per hypothesis
-    histories = np.zeros((1, head.increments.shape[1]))  # [B, select_dim] selection vectors
+    histories = np.zeros((1, head.increments.shape[1]))  # [B, m1] folded selection histories
     selected = np.zeros(1, dtype=np.int64)  # count of 1-decisions per hypothesis
-    for t in range(doc.n_sentences):
+    for t in range(n):
         logp1, logp0 = _log_probs(head.logits(histories, t))
-        # candidate key: maximize score; ties prefer y=0, then the earlier parent
-        candidates = []
-        for parent in range(len(decisions)):
-            candidates.append((-(scores[parent] + logp0[parent]), 0, parent))
-            if selected[parent] < max_selected:
-                candidates.append((-(scores[parent] + logp1[parent]), 1, parent))
-        candidates.sort()
-        kept = candidates[:beam_size]
-        decisions = [decisions[p] + (y,) for _, y, p in kept]
-        scores = np.array([-neg for neg, _, _ in kept])
-        histories = np.stack(
-            [histories[p] + (head.increments[t] if y else 0.0) for _, y, p in kept]
-        )
-        selected = np.array([selected[p] + y for _, y, p in kept])
-    return list(decisions[0])
+        beams = len(scores)
+        # candidate c < B skips and c >= B selects, each from parent c mod B
+        neg = -np.concatenate([scores + logp0, scores + logp1])
+        y = np.repeat(np.array([0, 1], dtype=np.int8), beams)
+        parent = np.tile(np.arange(beams), 2)
+        feasible = np.concatenate([np.ones(beams, dtype=bool), selected < max_selected])
+        neg, y, parent = neg[feasible], y[feasible], parent[feasible]
+        kept = np.lexsort((parent, y, neg))[:beam_size]
+        y, parent = y[kept], parent[kept]
+        scores = -neg[kept]
+        histories = histories[parent]
+        histories[y == 1] += head.increments[t]
+        decisions = decisions[parent]
+        decisions[:, t] = y
+        selected = selected[parent] + y
+    return decisions[0].tolist()
 
 
 def extract_summary(doc: Document, decisions: list[int]) -> list[Sentence]:

@@ -13,11 +13,15 @@ window, GRU step or decision:
   matmul and runs the recurrence as one fused node (`numeric.gru_sequence`)
   whose backward is hand-written backpropagation through time.
 - Head. A sigmoid MLP over [context; selection history; document vector]
-  gives the per-sentence extraction probability (`PolicyHead`). For a known
-  decision sequence (teacher-forced pretraining, the policy-gradient replay)
-  the history is an exclusive cumulative sum, so the head runs as three
-  matmuls over all sentences. Sampling and decoding run the same head on
-  arrays, adding only the history term per step.
+  gives the per-sentence extraction probability (`PolicyHead`). The history
+  enters the first layer linearly, so the head keeps each sentence's
+  selection increment already multiplied by the history block of that layer,
+  and a history is a sum of those [m1] rows. For a known decision sequence
+  (teacher-forced pretraining, the policy-gradient replay) the history is an
+  exclusive cumulative sum, so the head runs as three matmuls over all
+  sentences. Sampling and decoding run the same head on arrays and add the
+  history to the first layer's pre-activation: no product per step touches
+  the [select_dim, m1] block.
 
 The per-step form this replaces (per-sentence word features, a GRU cell
 loop, a step-by-step head replay) is kept in tests/reference_policy.py as
@@ -166,31 +170,34 @@ def _tanh(x):
 class PolicyHead:
     """The MLP over [context; selection history; document], split at its first layer.
 
-    With fixed_t = h_t W1_ctx + d W1_doc + b1, which the history does not touch,
-        logit_t = tanh(tanh(fixed_t + g_{t-1} W1_sel) W2 + b2) W3 + b3,
-        g_t = g_{t-1} + y_t * increment_t,  increment_t = tanh(h_t W_g),  g_{-1} = 0.
-    Built from Tensors the head is on the tape (pretraining, policy gradient);
-    built from arrays it runs in plain numpy (sampling, decoding). Both are
-    this one piece of arithmetic.
+    With the selection vector g_{t-1} = sum_{s<t} y_s tanh(h_s W_g), the first
+    layer is tanh(h_t W1_ctx + g_{t-1} W1_sel + d W1_doc + b1). The history
+    term is linear in the decisions, so it is kept folded into W1_sel:
+        fixed_t = h_t W1_ctx + d W1_doc + b1,  increment_t = tanh(h_t W_g) W1_sel,
+        logit_t = tanh(tanh(fixed_t + G_{t-1}) W2 + b2) W3 + b3,
+        G_t = G_{t-1} + y_t * increment_t,  G_{-1} = 0,
+    where G_t = g_t W1_sel is the history as the first layer sees it, [m1].
+    This is the unsplit MLP up to rounding. Built from Tensors the head is on
+    the tape (pretraining, policy gradient); built from arrays it runs in
+    plain numpy (sampling, decoding). Both are this one piece of arithmetic.
     """
 
     fixed: Tensor | np.ndarray  # [n, m1]
-    increments: Tensor | np.ndarray  # [n, select_dim]
-    w1_sel: Tensor | np.ndarray
+    increments: Tensor | np.ndarray  # [n, m1]
     w2: Tensor | np.ndarray
     b2: Tensor | np.ndarray
     w3: Tensor | np.ndarray
     b3: Tensor | np.ndarray
 
     def logits(self, histories, t: int | None = None):
-        """Logits for histories [..., select_dim]: of sentence t, or row-wise of all sentences."""
+        """Logits for histories G [..., m1]: of sentence t, or row-wise of all sentences."""
         fixed = self.fixed if t is None else self.fixed[t]
-        a1 = _tanh(fixed + histories @ self.w1_sel)
+        a1 = _tanh(fixed + histories)
         a2 = _tanh(a1 @ self.w2 + self.b2)
         return (a2 @ self.w3 + self.b3)[..., 0]
 
     def histories(self, decisions) -> Tensor:
-        """g_{t-1} for every t of a known decision sequence, on the tape: an exclusive cumsum."""
+        """G_{t-1} for every t of a known decision sequence, on the tape: an exclusive cumsum."""
         y = np.asarray(decisions, dtype=np.float64)
         taken_before = np.tril(np.ones((len(y), len(y))), k=-1) * y  # [t, s]: y_s if s < t
         return nm.matmul(taken_before, self.increments)
@@ -204,8 +211,7 @@ def policy_head(contexts, doc_vec, params: ParamStore) -> PolicyHead:
     w1 = w("mlp_w1")
     return PolicyHead(
         fixed=contexts @ w1[:ctx] + doc_vec @ w1[ctx + sel :] + w("mlp_b1"),
-        increments=_tanh(contexts @ w("select_w")),
-        w1_sel=w1[ctx : ctx + sel],
+        increments=_tanh(contexts @ w("select_w")) @ w1[ctx : ctx + sel],
         w2=w("mlp_w2"),
         b2=w("mlp_b2"),
         w3=w("mlp_w3"),

@@ -15,6 +15,16 @@ is 64-bit so finite-difference gradient checks are decisive.
   recorded, so every entry is bit-identical to the dense scatter. A table that
   a dense op also reaches, that is not a leaf, or whose segments hold as many
   rows as the table itself, is densified first.
+- Forward-only mode: inside `no_tape()` every op result is a plain Tensor
+  with no parents and no backward closure, so each intermediate is freed as
+  soon as nothing reads it. Inference (beam decoding, the frozen coherence
+  scorer) runs in it; a loss built there has no tape, and `gradients`
+  rejects it.
+- Owned gradient buffers: an op whose backward computes a fresh array for an
+  input hands it to `_accumulate` with `owned=True`, and the first gradient
+  of that input is stored without a copy. `reshape`, `concat` and `tsum`
+  pass on views of another buffer, and `add` passes one array to both of its
+  inputs, so the first gradient they give is copied.
 - Checkpoints (format v2, laid out in `save_checkpoint`) carry a JSON header,
   `ParamStore.meta`, before the tensors. Each tensor is written from its own
   buffer and read straight into its own array, after its declared size is
@@ -24,6 +34,8 @@ is 64-bit so finite-difference gradient checks are decisive.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import dataclasses
 import itertools
 import json
@@ -184,9 +196,13 @@ def _dense_grad(t: Tensor) -> np.ndarray:
     return t.grad
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add g to t.grad. With owned, the caller made g for t alone and it may become t.grad."""
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)  # a copy: g may be a view of another buffer
+        if owned and type(g) is np.ndarray and g.dtype == np.float64:
+            t.grad = g
+        else:
+            t.grad = np.array(g, dtype=np.float64)  # a copy: g may be a view of another buffer
     else:
         _dense_grad(t)[...] += g
 
@@ -195,9 +211,26 @@ def _needs_grad(*tensors: Tensor) -> bool:
     return any(t.requires_grad or t._parents or t._backward_fn for t in tensors)
 
 
+_RECORDING = contextvars.ContextVar("cohsum_tape_recording", default=True)
+
+
+@contextlib.contextmanager
+def no_tape():
+    """Build ops without a tape: results inside keep no parents and no backward closure.
+
+    Contexts nest, and recording resumes when the outermost one exits, also
+    through an exception.
+    """
+    token = _RECORDING.set(False)
+    try:
+        yield
+    finally:
+        _RECORDING.reset(token)
+
+
 def _node(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     out = Tensor(data)
-    if _needs_grad(*parents):
+    if _RECORDING.get() and _needs_grad(*parents):
         out._parents = parents
         out._backward_fn = backward_fn
     return out
@@ -232,8 +265,8 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        _accumulate(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
+        _accumulate(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return _node(data, (a, b), backward)
 
@@ -245,10 +278,10 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
+        _accumulate(a, g @ b.data.T, owned=True)
         a2 = a.data.reshape(-1, a.data.shape[-1])
         g2 = g.reshape(-1, b.data.shape[1])
-        _accumulate(b, a2.T @ g2)
+        _accumulate(b, a2.T @ g2, owned=True)
 
     return _node(data, (a, b), backward)
 
@@ -258,7 +291,7 @@ def tanh(x) -> Tensor:
     out_data = np.tanh(x.data)
 
     def backward(g):
-        _accumulate(x, g * (1.0 - out_data * out_data))
+        _accumulate(x, g * (1.0 - out_data * out_data), owned=True)
 
     return _node(out_data, (x,), backward)
 
@@ -273,7 +306,7 @@ def relu(x) -> Tensor:
     out_data = np.maximum(x.data, 0.0)
 
     def backward(g):
-        _accumulate(x, g * (x.data > 0))
+        _accumulate(x, g * (x.data > 0), owned=True)
 
     return _node(out_data, (x,), backward)
 
@@ -284,7 +317,7 @@ def softplus(x) -> Tensor:
     out_data = np.logaddexp(0.0, x.data)
 
     def backward(g):
-        _accumulate(x, g * _sigmoid_np(x.data))
+        _accumulate(x, g * _sigmoid_np(x.data), owned=True)
 
     return _node(out_data, (x,), backward)
 
@@ -431,7 +464,7 @@ def _block_max(x: Tensor, views_of) -> Tensor:
             win = open_ & (v == data)
             np.add(gv, g, out=gv, where=win)
             open_ &= ~win
-        _accumulate(x, gx)
+        _accumulate(x, gx, owned=True)
 
     return _node(data, (x,), backward)
 
@@ -492,7 +525,7 @@ def window_means(x, lengths, kernel: int) -> Tensor:
     data = band @ x.data
 
     def backward(g):
-        _accumulate(x, band.transpose(0, 2, 1) @ g.reshape(n, kernel, d))
+        _accumulate(x, band.transpose(0, 2, 1) @ g.reshape(n, kernel, d), owned=True)
 
     return _node(data.reshape(n, kernel * d), (x,), backward)
 
@@ -550,10 +583,10 @@ def gru_sequence(x_proj, v_z, v_r, v_h, reverse: bool = False) -> Tensor:
             a_r = d_rs * prev[t] * r[t] * (1.0 - r[t])
             d_proj[t, :h], d_proj[t, h : 2 * h], d_proj[t, 2 * h :] = a_z, a_r, a_h
             ds = ds * z[t] + d_rs * r[t] + d_proj[t, : 2 * h] @ v_zr_t
-        _accumulate(x_proj, d_proj)
-        _accumulate(v_z, prev.T @ d_proj[:, :h])
-        _accumulate(v_r, prev.T @ d_proj[:, h : 2 * h])
-        _accumulate(v_h, (r * prev).T @ d_proj[:, 2 * h :])
+        _accumulate(x_proj, d_proj, owned=True)
+        _accumulate(v_z, prev.T @ d_proj[:, :h], owned=True)
+        _accumulate(v_r, prev.T @ d_proj[:, h : 2 * h], owned=True)
+        _accumulate(v_h, (r * prev).T @ d_proj[:, 2 * h :], owned=True)
 
     return _node(out, (x_proj, v_z, v_r, v_h), backward)
 
@@ -648,6 +681,8 @@ def gradients(loss: Tensor, params: ParamStore) -> dict[str, np.ndarray | RowGra
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
+    if not _needs_grad(loss):
+        raise ValueError("loss has no tape: it was built from constants or under no_tape()")
     params.zero_grads()
     loss.backward()
     # the store drops its references below, so each buffer is handed out, not copied

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from cohsum import numeric as nm
 from cohsum.coherence import CoherenceConfig
 from cohsum.corpus import Document, Vocabulary, make_document
 from cohsum.extractor import ExtractorConfig
@@ -118,3 +119,17 @@ def logged_epoch_losses(caplog, name: str) -> list[float]:
     """The exact per-epoch mean losses that `numeric.minibatch_sgd` logged for `name`."""
     return [r.args[2] for r in caplog.records
             if r.name == "cohsum.numeric" and r.msg.startswith("%s epoch") and r.args[0] == name]
+
+
+def recording_nodes(monkeypatch) -> list:
+    """Every Tensor that an op builds from now on, in order, through `numeric._node`."""
+    built = []
+    node = nm._node
+
+    def recording(*args):
+        out = node(*args)
+        built.append(out)
+        return out
+
+    monkeypatch.setattr(nm, "_node", recording)
+    return built

@@ -5,8 +5,11 @@ built from explicit token windows, a GRU cell loop, and a head that runs one
 sentence at a time on the tape while the selection history is threaded
 through step by step. Sampling and beam search here use that step-by-step
 head too (beam search through `_FastPolicy`, the old per-document array
-evaluator). The batched code in `cohsum.extractor`, `cohsum.reinforce` and
-`cohsum.decode` is tested against these functions.
+evaluator, which applies W1_sel to the history at every step). The beam
+ranks its candidates as a sorted list of (-score, y, parent) tuples, the
+loop that `cohsum.decode` now runs as array ops. The batched code in
+`cohsum.extractor`, `cohsum.reinforce` and `cohsum.decode` is tested
+against these functions.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 The reference (tests/reference_policy.py) featurizes each sentence from
 explicit token windows, runs the GRU cell by cell and evaluates the head one
 step at a time. Sums are taken in another order by the batched ops, so values
-agree to a relative 1e-10; decisions must agree exactly.
+agree to a relative 1e-10; decisions must agree exactly. The head with its
+history folded into the first layer differs from the unfolded one only in
+rounding, so on the same encoding their logits agree to a relative 1e-12.
 """
 
 import numpy as np
@@ -22,9 +24,10 @@ from cohsum.extractor import (
     pretrain_loss,
     sentence_vectors,
 )
+from cohsum.numeric import Tensor
 from cohsum.reinforce import Episode, sample_episode, surrogate_objective
 
-from conftest import assert_grads_close, small_vocab, tiny_extractor_config
+from conftest import assert_grads_close, recording_nodes, small_vocab, tiny_extractor_config
 
 REL = 1e-10
 VOCAB = small_vocab()
@@ -132,6 +135,80 @@ def test_beam_search_decisions_match_reference(sentences, seed, beam_size, cap):
     params = _params(seed)
     assert beam_search(doc, params, CONFIG, beam_size=beam_size, max_selected=cap) == \
         ref.beam_search(doc, params, CONFIG, beam_size=beam_size, max_selected=cap)
+
+
+@given(document_st, seed_st, st.sampled_from(["random", "zeros", "ones"]))
+@settings(max_examples=30, deadline=None)
+def test_folded_head_matches_the_unfolded_reference_logits(sentences, seed, kind):
+    doc = _document(sentences)
+    params = _params(seed)
+    decisions = _decisions(doc.n_sentences, seed, kind)
+    policy = ref._FastPolicy(doc, params, CONFIG)  # W1_sel applied to the history per step
+    expected = []
+    g = np.zeros(CONFIG.select_dim)
+    for t, y in enumerate(decisions):
+        expected.append(policy.logits(t, g[None, :])[0])
+        g = g + policy.increments[t] if y else g
+    # on the same encoding: the array head step by step, and the tape head all at once
+    head = policy_head(policy.contexts, policy.doc_vec, params)
+    stepped = []
+    history = np.zeros(head.increments.shape[1])
+    for t, y in enumerate(decisions):
+        stepped.append(head.logits(history, t))
+        history = history + head.increments[t] if y else history
+    taped = policy_head(Tensor(policy.contexts), Tensor(policy.doc_vec), params)
+    for logits in (stepped, taped.logits(taped.histories(decisions)).data):
+        np.testing.assert_allclose(logits, expected, rtol=1e-12, atol=0)
+
+
+@given(document_st, seed_st)
+@settings(max_examples=20, deadline=None)
+def test_untaped_encoding_is_bit_identical_and_records_no_parents(sentences, seed):
+    doc = _document(sentences)
+    params = _params(seed)
+    taped = encode_document(doc, params, CONFIG)
+    with pytest.MonkeyPatch.context() as mp:
+        built = recording_nodes(mp)
+        with nm.no_tape():
+            untaped = encode_document(doc, params, CONFIG)
+    assert built and all(t._parents == () and t._backward_fn is None for t in built)
+    assert taped.contexts._parents
+    assert np.array_equal(untaped.contexts.data, taped.contexts.data)
+    assert np.array_equal(untaped.doc.data, taped.doc.data)
+
+
+def test_beam_search_builds_no_tape(monkeypatch):
+    doc = _document([["alpha", "beta"], ["gamma"], ["delta", "alpha", "kappa"]])
+    built = recording_nodes(monkeypatch)
+    beam_search(doc, _params(2), CONFIG, beam_size=3)
+    assert built and all(t._parents == () for t in built)
+
+
+# 60 to 80 sentences: many steps at full beam width, and the cap of 4 binds
+LONG = tiny_extractor_config(VOCAB.size, max_sentences=80)
+
+
+def _long_document(seed):
+    rng = np.random.default_rng(seed)
+    texts = [" ".join(rng.choice(WORDS, size=rng.integers(1, LONG.max_tokens + 4)))
+             for _ in range(rng.integers(60, 81))]
+    return make_document(f"long{seed}", texts, texts[:1], vocab=VOCAB,
+                         max_tokens=LONG.max_tokens, max_sentences=LONG.max_sentences)
+
+
+@pytest.mark.parametrize("kind", ["random", "zeros", "ones"])
+def test_beam_search_on_long_documents_equals_the_reference(kind):
+    # all-zero and all-one parameters make every candidate score tie
+    for seed in range(3):
+        doc = _long_document(seed)
+        assert 60 <= doc.n_sentences <= 80
+        params = _params(seed)
+        if kind != "random":
+            for _, p in params.items():
+                p.data[:] = 0.0 if kind == "zeros" else 1.0
+        decisions = beam_search(doc, params, LONG, beam_size=10, max_selected=4)
+        assert decisions == ref.beam_search(doc, params, LONG, beam_size=10, max_selected=4)
+        assert sum(decisions) <= 4
 
 
 def test_single_sentence_document_matches_reference():

@@ -215,6 +215,24 @@ def test_score_coherence_rejects_malformed_pair(corpus, tmp_path, caplog):
     assert sorted(os.listdir(tmp_path)) == ["coh.ckpt", "corpus.jsonl", "pairs.tsv", "vocab.txt"]
 
 
+@pytest.mark.parametrize("line, side", [("\t", "first"), ("river stone\t  ", "second")],
+                         ids=["both empty", "second empty"])
+def test_score_coherence_rejects_a_sentence_without_tokens(corpus, tmp_path, caplog, line,
+                                                          side):
+    vocab = tmp_path / "vocab.txt"
+    ckpt = tmp_path / "coh.ckpt"
+    run(["preprocess", "--corpus", str(corpus), "--out", str(vocab)])
+    run(["train-coherence", "--corpus", str(corpus), "--vocab", str(vocab),
+         "--out", str(ckpt), "--seed", "1"] + TINY_COHERENCE)
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text(f"river stone\tlight cloud\n{line}\n")
+    caplog.clear()
+    assert run(["score-coherence", "--checkpoint", str(ckpt), "--vocab", str(vocab),
+                "--pairs", str(pairs), "--out", str(tmp_path / "s.txt")]) == 1
+    assert f"{pairs}: line 2: the {side} sentence has no tokens" in _one_error_line(caplog)
+    assert sorted(os.listdir(tmp_path)) == ["coh.ckpt", "corpus.jsonl", "pairs.tsv", "vocab.txt"]
+
+
 def _corpus_with_bad_third_record(corpus, tmp_path):
     lines = corpus.read_text().splitlines()
     lines[2] = json.dumps({**json.loads(lines[2]), "sentences": 5})
@@ -777,3 +795,20 @@ def test_importing_corpus_loads_neither_hashlib_nor_the_autodiff_core():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_importing_the_cli_defaults_blas_to_one_thread_and_keeps_a_set_value(preset, expected):
+    package_root = os.path.dirname(os.path.dirname(cohsum.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = package_root
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, cohsum.cli; print(os.environ['OPENBLAS_NUM_THREADS'], "
+         "os.environ['OMP_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [expected, "1", "1"]

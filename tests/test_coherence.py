@@ -26,6 +26,7 @@ from conftest import (
     assert_grads_close,
     finite_difference_grads,
     logged_epoch_losses,
+    recording_nodes,
     small_vocab,
     tiny_coherence_config,
 )
@@ -239,6 +240,25 @@ def test_batched_scores_match_the_per_pair_reference(pairs, seed, repeat, spread
     np.testing.assert_allclose(fast, ref, rtol=1e-10, atol=1e-15)
     if repeat:
         assert fast[0] == fast[-1]
+
+
+@given(st.lists(st.tuples(_sentence, _sentence), min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_forward_builds_no_tape_and_matches_the_taped_pass_bit_for_bit(pairs, seed):
+    vocab = small_vocab()
+    config = tiny_coherence_config(vocab.size)
+    params = _spread(init_coherence_params(config, np.random.default_rng(seed)),
+                     np.random.default_rng(seed + 1))
+    ids = [(_make(a, vocab, config).ids, _make(b, vocab, config).ids) for a, b in pairs]
+    with pytest.MonkeyPatch.context() as mp:
+        built = recording_nodes(mp)
+        scores = coherence_forward(ids, params, config)
+    assert built and all(t._parents == () and t._backward_fn is None for t in built)
+    rows = [coherence._pair_features(a, b, params, config) for a, b in ids]
+    taped = coherence._head(np.concatenate([r.data for r in rows]), params, config)
+    assert all(r._parents for r in rows) and taped._parents
+    assert np.array_equal(scores, taped.data)
 
 
 @given(st.lists(st.tuples(_sentence, _sentence, _sentence), min_size=1, max_size=3),

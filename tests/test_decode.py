@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from cohsum import decode
 from cohsum.decode import beam_search, extract_summary, lead3
-from cohsum.extractor import encode_document, init_extractor_params
+from cohsum.extractor import PolicyHead, encode_document, init_extractor_params
 from cohsum.corpus import make_document
 from reference_policy import (
     _FastPolicy,
@@ -118,6 +119,20 @@ def test_wider_beam_never_scores_worse(vocab, config, params, rng):
         wide = beam_search(doc, params, config, beam_size=10)
         score = lambda seq: _sequence_score(doc, params, config, seq, 4)
         assert score(wide) >= score(narrow) - 1e-12
+
+
+def test_tie_between_a_skip_and_a_selection_from_an_earlier_parent_prefers_the_skip(
+        vocab, config, params, monkeypatch):
+    # step 0 has logit 0, so [0] and [1] tie and [0] ranks first; at step 1 the
+    # history drives [0]'s logit to about +760 and [1]'s to about -760, so [0]+select and
+    # [1]+skip both add -0.0 and tie at the top. Skipping wins the tie over
+    # the earlier parent, so the best sequence is [1, 0], not [0, 1].
+    head = PolicyHead(fixed=np.array([[0.0], [5.0]]), increments=np.array([[-10.0], [0.0]]),
+                      w2=np.eye(1), b2=np.zeros(1), w3=np.array([[1000.0]]), b3=np.zeros(1))
+    monkeypatch.setattr(decode, "policy_head", lambda *args: head)
+    doc = make_document("d", ["alpha beta", "gamma"], ["alpha"], vocab=vocab,
+                        max_tokens=config.max_tokens)
+    assert beam_search(doc, params, config, beam_size=2, max_selected=2) == [1, 0]
 
 
 def test_cap_limits_selection_count(vocab, config, params, rng):

@@ -224,6 +224,55 @@ def test_fd_composed_small_network(rng):
     _fd_check(loss, params)
 
 
+def test_fd_shared_operands_and_fan_out(rng):
+    # owned gradient buffers: a tensor that is both operands, or feeds two
+    # consumers, must sum its gradients into a buffer no other tensor holds
+    params = ParamStore()
+    params.init_uniform("x", (3, 3), rng, scale=0.7)
+    params.init_uniform("y", (3, 3), rng, scale=0.7)
+    x, y = lambda: params["x"], lambda: params["y"]
+    _fd_check(lambda: (x() + x()).sum(), params)
+    _fd_check(lambda: (x() * x()).sum(), params)
+    _fd_check(lambda: (x() @ x()).sum(), params)
+    # add hands one array to both inputs; a later term into x must not reach y
+    _fd_check(lambda: ((x() + y()) + x() * x()).sum(), params)
+    _fd_check(lambda: ((x() + y()) * (x() + y())).sum(), params)
+
+    def fan_out():
+        h = nm.tanh(x())  # read by a matmul, a mul and a relu
+        return ((h @ x()) * h + nm.relu(h) * 2.0).sum()
+
+    _fd_check(fan_out, params)
+
+
+def test_gradients_reject_a_loss_without_tape():
+    params = ParamStore()
+    w = params.add("w", np.ones(3))
+    with nm.no_tape():
+        untaped = (w * w).sum()
+    with pytest.raises(ValueError, match="no tape"):
+        gradients(untaped, params)
+    with pytest.raises(ValueError, match="no tape"):
+        gradients(Tensor(2.0) * 3.0, params)
+
+
+def test_no_tape_records_nothing_nests_and_restores_after_an_exception():
+    params = ParamStore()
+    w = params.add("w", np.ones(3))
+    taped = lambda: nm.tanh(w * 2.0).sum()
+    with nm.no_tape():
+        with nm.no_tape():
+            inner = taped()
+        outer = taped()
+    for t in (inner, outer):
+        assert t._parents == () and t._backward_fn is None
+    assert taped()._parents
+    with pytest.raises(RuntimeError, match="inside"):
+        with nm.no_tape():
+            raise RuntimeError("inside")
+    assert gradients(taped(), params)["w"].shape == (3,)
+
+
 # -- fused sequence ops -------------------------------------------------------------
 
 
