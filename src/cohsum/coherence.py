@@ -14,11 +14,30 @@ the grid is at least 2 x 2 and the stack always starts with that pool. Cell
 projections of the windows of each sentence alone. Float addition and relu
 are monotone in each argument, so the max over a 2x2 block {2I, 2I+1} x
 {2J, 2J+1} equals relu(max(P_A[2I], P_A[2I+1]) + max(P_B[2J], P_B[2J+1]) + b)
-bit for bit. The forward pass therefore builds the [T/2, T/2, F] pooled grid
-from the pairwise row maxima and never the [T, T, F] one. The cells that
+bit for bit. The forward pass therefore builds the pooled grid, at most
+[T/2, T/2, F], from the pairwise row maxima and never the [T, T, F] one. The cells that
 reach the block max form a product set of rows and columns, so the gradient
 goes to the cell that comes first in block scan order, as pooling the full
 grid sends it.
+
+Every stage runs on the rows and columns that differ, plus one for the tail.
+A sentence's ids end in a run of one id from index s on: its PAD tail (s = 1
+for the BOUNDARY-then-PAD placeholder of the RL chain), a repeated last word,
+or the whole sentence. Every window from s on is the same, so the pooled rows
+of layer 1 from ceil(s / 2) on are too, and layer 1 gathers, projects and
+pools only the windows up to the first such row. Row i of a stage's logical
+grid is then row min(i, m - 1) of the m rows it keeps, and the same holds for
+columns. The later stages keep this: a valid k x k convolution's output rows
+whose inputs are all tail rows are equal, and so are the 2x2 pool's. So before
+a convolution the last row is repeated until each output row up to the first
+all-tail one has its inputs, and before a pool until the pairs reach one pair
+of tail rows; both stop at the logical size, which `stack_plan` fixes. The
+last grid is expanded to its logical size just before the flatten, so the
+head sees the row it always saw. Each repeat is a slice of the grid
+concatenated again, so backward sums the copies' gradients into the row they
+copy. A sentence with no tail computes every row, as an untrimmed stack does.
+Each row that is kept is computed as before, and the gradients differ from an
+untrimmed stack's only in the order of their sums.
 
 The conv stacks run one pair at a time and the FC head once per batch. Each
 pair's stack ends in a flattened [1, flat] row; the rows of a batch are
@@ -126,39 +145,83 @@ def _check_ids(ids, config: CoherenceConfig, which: str) -> np.ndarray:
     return arr
 
 
+def _pooled_rows(ids: np.ndarray, config: CoherenceConfig) -> int:
+    """Rows of the pooled layer-1 grid one sentence needs: those that differ, then its tail.
+
+    The ids end in a run of one id from index s on (the PAD tail, a repeated
+    last word, or the whole sentence), so every window from s on is the same
+    and every pooled row from ceil(s / 2) on is too; the first of them stands
+    for the rest.
+    """
+    differs = np.flatnonzero(ids != ids[-1])
+    s = differs[-1] + 1 if differs.size else 0
+    return min((s + 1) // 2 + 1, config.grid_size // 2)
+
+
 def interaction_layer1(sa_ids, sb_ids, params: ParamStore, config: CoherenceConfig) -> Tensor:
-    """The 2x2 max-pool of the ReLU grid of all window pairs, [T/2, T/2, F].
+    """The 2x2 max-pool of the ReLU grid of all window pairs, trimmed to [m_A, m_B, F].
 
     Cell (i, j) of the unpooled grid sees window i of A and window j of B; the
     pooled grid is built from the pairwise row maxima of the two per-sentence
     projections (see the module docstring), bit-identical to pooling the grid.
+    Only the first m_A = `_pooled_rows(A)` rows and m_B columns are built, from
+    the windows of ids[:2m + window - 1]: row m_A - 1 stands for every pooled
+    row from there to T/2 - 1, and column m_B - 1 likewise.
     """
-    sa_ids = _check_ids(sa_ids, config, "first sentence")
-    sb_ids = _check_ids(sb_ids, config, "second sentence")
     k = config.window
-    wa = nm.windows(nm.gather_rows(params["embed"], sa_ids), k, 1)
-    wb = nm.windows(nm.gather_rows(params["embed"], sb_ids), k, 1)
     half = k * config.embed_dim
-    pa = nm.pair_max(wa @ params["layer1_w"][:half, :])
-    pb = nm.pair_max(wb @ params["layer1_w"][half:, :])
-    n, f = pa.shape
-    return nm.relu(pa.reshape(n, 1, f) + pb.reshape(1, n, f) + params["layer1_b"])
+
+    def pooled_projection(ids, which, w):
+        ids = _check_ids(ids, config, which)
+        m = _pooled_rows(ids, config)
+        rows = nm.gather_rows(params["embed"], ids[:2 * m + k - 1])
+        return nm.pair_max(nm.windows(rows, k, 1) @ w)
+
+    pa = pooled_projection(sa_ids, "first sentence", params["layer1_w"][:half, :])
+    pb = pooled_projection(sb_ids, "second sentence", params["layer1_w"][half:, :])
+    return nm.relu(pa.reshape(len(pa), 1, -1) + pb.reshape(1, len(pb), -1) + params["layer1_b"])
+
+
+def _repeat_tail(x: Tensor, rows: int, cols: int) -> Tensor:
+    """x [h, w, C] with its last row repeated up to `rows` rows, its last column up to `cols`.
+
+    Each repeat is one slice of x concatenated again, so backward sums the
+    copies' gradients into the row or column they copy.
+    """
+    h, w, _ = x.shape
+    if rows > h:
+        x = nm.concat([x] + [x[h - 1:h]] * (rows - h), axis=0)
+    if cols > w:
+        x = nm.concat([x] + [x[:, w - 1:w]] * (cols - w), axis=1)
+    return x
 
 
 def _pair_features(sa_ids, sb_ids, params: ParamStore, config: CoherenceConfig) -> Tensor:
-    """Layer 1 and the pool/conv stack of one pair, flattened to a [1, flat] row."""
+    """Layer 1 and the pool/conv stack of one pair, flattened to a [1, flat] row.
+
+    Every stage runs on the trimmed grid (see the module docstring); `n` is the
+    side of the grid it stands for, and the last grid is expanded to n x n.
+    """
     stages, _ = stack_plan(config)
+    k = config.conv_kernel
     x = interaction_layer1(sa_ids, sb_ids, params, config)
+    n = config.grid_size // 2
     for stage in stages[1:]:  # stages[0] is the pool that layer 1 fuses
+        h, w, _ = x.shape
         if stage[0] == "pool":
-            x = nm.max_pool_2x2(x)
+            # a pooled row for each pair up to the tail row, then one pair of tail rows
+            x = nm.max_pool_2x2(_repeat_tail(x, 2 * min(h // 2 + 1, n // 2),
+                                             2 * min(w // 2 + 1, n // 2)))
+            n //= 2
         else:
             _, layer, _, out_ch = stage
-            h, w, _ = x.shape
-            k = config.conv_kernel
-            cols = nm.windows(x, k, 2)
+            # an output row for each row up to the tail row, the last one all tail
+            h, w = min(h, n - k + 1), min(w, n - k + 1)
+            cols = nm.windows(_repeat_tail(x, h + k - 1, w + k - 1), k, 2)
             conv = nm.linear(cols, params[f"conv{layer}_w"], params[f"conv{layer}_b"])
-            x = nm.relu(conv).reshape(h - k + 1, w - k + 1, out_ch)
+            x = nm.relu(conv).reshape(h, w, out_ch)
+            n -= k - 1
+    x = _repeat_tail(x, n, n)
     return x.reshape(1, x.size)
 
 

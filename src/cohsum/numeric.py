@@ -25,6 +25,9 @@ is 64-bit so finite-difference gradient checks are decisive.
   of that input is stored without a copy. `reshape`, `concat` and `tsum`
   pass on views of another buffer, and `add` passes one array to both of its
   inputs, so the first gradient they give is copied.
+- Constant operands: `add`, `mul` and `matmul` skip the gradient of an
+  operand that has no tape (no `requires_grad`, no parents), such as the
+  returns of a policy-gradient surrogate; its `.grad` stays None.
 - Checkpoints (format v2, laid out in `save_checkpoint`) carry a JSON header,
   `ParamStore.meta`, before the tensors. Each tensor is written from its own
   buffer and read straight into its own array, after its declared size is
@@ -254,8 +257,10 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if _needs_grad(a):
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if _needs_grad(b):
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _node(data, (a, b), backward)
 
@@ -265,8 +270,10 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
+        if _needs_grad(a):
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
+        if _needs_grad(b):
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return _node(data, (a, b), backward)
 
@@ -278,10 +285,11 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
 
     def backward(g):
-        _accumulate(a, g @ b.data.T, owned=True)
-        a2 = a.data.reshape(-1, a.data.shape[-1])
-        g2 = g.reshape(-1, b.data.shape[1])
-        _accumulate(b, a2.T @ g2, owned=True)
+        if _needs_grad(a):
+            _accumulate(a, g @ b.data.T, owned=True)
+        if _needs_grad(b):
+            a2 = a.data.reshape(-1, a.data.shape[-1])
+            _accumulate(b, a2.T @ g.reshape(-1, b.data.shape[1]), owned=True)
 
     return _node(data, (a, b), backward)
 

@@ -3,14 +3,17 @@
 This is the scorer as it was before the FC head ran once per batch: each
 pair goes through layer 1, the pool/conv stack and its own `fc1`, `fc2` and
 readout, so every pair ends in a GEMV against `fc1` and its backward in an
-outer product. `coherence.coherence_forward` and `coherence.triplet_loss`
-are tested against these functions.
+outer product. Nor is the grid trimmed: layer 1 builds the full [T, T, F]
+grid of every window pair and pools it, and every stage runs on every row and
+column, the PAD tail included. `coherence.coherence_forward` and
+`coherence.triplet_loss` are tested against these functions.
 """
 
 from __future__ import annotations
 
+import reference_numeric as ref
 from cohsum import numeric as nm
-from cohsum.coherence import CoherenceConfig, interaction_layer1, stack_plan
+from cohsum.coherence import CoherenceConfig, stack_plan
 from cohsum.corpus import CoherenceTriplet
 from cohsum.numeric import ParamStore, Tensor
 
@@ -18,7 +21,7 @@ from cohsum.numeric import ParamStore, Tensor
 def forward(sa_ids, sb_ids, params: ParamStore, config: CoherenceConfig) -> Tensor:
     """Coherence of one ordered pair as a [1] tensor on the tape."""
     stages, _ = stack_plan(config)
-    x = interaction_layer1(sa_ids, sb_ids, params, config)
+    x = ref.max_pool_2x2(ref.layer1_grid(sa_ids, sb_ids, params, config))
     for stage in stages[1:]:  # stages[0] is the pool that layer 1 fuses
         if stage[0] == "pool":
             x = nm.max_pool_2x2(x)

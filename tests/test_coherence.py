@@ -48,6 +48,12 @@ def params(config, rng):
     return init_coherence_params(config, rng)
 
 
+def _full_text(config):
+    """max_tokens real words, no two neighbours alike, so the ids have no tail."""
+    words = small_vocab().id_to_token[3:]  # past PAD, UNK and BOUNDARY
+    return " ".join(words[i % len(words)] for i in range(config.max_tokens))
+
+
 def _ids(text, vocab, config):
     return make_sentence(text, vocab, config.max_tokens).ids
 
@@ -120,8 +126,9 @@ def test_layer1_zero_params_zero_grid(vocab, config, params):
         _zeroed(params),
         config,
     )
-    half = config.grid_size // 2  # the grid comes out pooled
-    assert grid.shape == (half, half, 4)
+    # the pooled 4 x 4 grid trimmed to ceil(s / 2) + 1 rows, the last the first
+    # that pools PAD windows alone, for the s = 3 and 2 tokens before the PAD
+    assert grid.shape == (3, 2, 4)
     assert np.all(grid.data == 0.0)
 
 
@@ -129,13 +136,11 @@ def test_layer1_full_size_grid_shape(rng):
     vocab = small_vocab()
     config = CoherenceConfig(vocab_size=vocab.size)
     params = init_coherence_params(config, rng)
-    grid = interaction_layer1(
-        _ids("alpha beta gamma delta", vocab, config),
-        _ids("epsilon zeta", vocab, config),
-        params,
-        config,
-    )
-    assert grid.shape == (24, 24, 128)  # the 48 x 48 grid, pooled
+    short = (_ids("alpha beta gamma delta", vocab, config), _ids("epsilon zeta", vocab, config))
+    assert interaction_layer1(*short, params, config).shape == (3, 2, 128)
+    # a sentence with no tail builds all of the 48 x 48 grid, pooled
+    full = _ids(_full_text(config), vocab, config)
+    assert interaction_layer1(full, short[1], params, config).shape == (24, 2, 128)
 
 
 def test_layer1_length_mismatch(vocab, config, params):
@@ -209,24 +214,33 @@ def _pair_gradient_scales(triplets, params, config) -> dict:
 
 _WORDS = list(small_vocab().token_to_id)
 # a sentence is the placeholder that starts the RL chain (a boundary token, then
-# PAD), or 1 to 12 words, up to longer than max_tokens 10, so truncation is covered
-_sentence = st.one_of(st.none(), st.lists(st.sampled_from(_WORDS), min_size=1, max_size=12))
+# PAD), "full" (`_full_text`, no tail), one ending in a run of a real word, or
+# 1 to 12 words, up to longer than max_tokens 10, so truncation is covered
+_sentence = st.one_of(st.none(), st.just("full"), st.just(["alpha", "beta", "beta", "beta"]),
+                      st.lists(st.sampled_from(_WORDS), min_size=1, max_size=12))
+# layer-1 windows 3 and 2 give even and odd grids; the first three geometries
+# skip the third conv, and max_tokens 30 runs every stage down to a 2 x 2 grid,
+# so the expansion before the flatten repeats a row and a column
+_GEOMETRIES = [dict(), dict(window=2), dict(max_tokens=16, window=2), dict(max_tokens=30)]
 
 
 def _make(words, vocab, config):
     if words is None:
         return placeholder_sentence(config.max_tokens)
-    return make_sentence(" ".join(words), vocab, config.max_tokens)
+    text = _full_text(config) if words == "full" else " ".join(words)
+    return make_sentence(text, vocab, config.max_tokens)
 
 
 @given(st.lists(st.tuples(_sentence, _sentence), min_size=1, max_size=6),
-       st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+       st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.sampled_from(_GEOMETRIES))
 @example([(None, ["alpha", "beta"]), (["gamma"], None), (None, None), (["delta"], ["zeta"])],
-         0, True, True)
+         0, True, True, {})
+@example([("full", ["alpha", "beta", "beta", "beta"]), (None, "full"), (["gamma"], ["delta"])],
+         1, False, True, dict(max_tokens=30))
 @settings(max_examples=40, deadline=None)
-def test_batched_scores_match_the_per_pair_reference(pairs, seed, repeat, spread):
+def test_batched_scores_match_the_per_pair_reference(pairs, seed, repeat, spread, geometry):
     vocab = small_vocab()
-    config = tiny_coherence_config(vocab.size)
+    config = tiny_coherence_config(vocab.size, **geometry)
     rng = np.random.default_rng(seed)
     params = init_coherence_params(config, rng)
     if spread:
@@ -262,13 +276,15 @@ def test_forward_builds_no_tape_and_matches_the_taped_pass_bit_for_bit(pairs, se
 
 
 @given(st.lists(st.tuples(_sentence, _sentence, _sentence), min_size=1, max_size=3),
-       st.integers(0, 2**32 - 1), st.booleans())
-@example([(None, ["alpha"], ["beta", "gamma"]), (["delta"], None, None)], 0, True)
+       st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(_GEOMETRIES))
+@example([(None, ["alpha"], ["beta", "gamma"]), (["delta"], None, None)], 0, True, {})
+@example([("full", ["alpha", "beta", "beta", "beta"], None), (["gamma"], "full", ["delta"])],
+         1, True, dict(max_tokens=16, window=2))
 @settings(max_examples=30, deadline=None)
 def test_batched_triplet_loss_and_gradients_match_the_per_triplet_reference(sentences, seed,
-                                                                           spread):
+                                                                           spread, geometry):
     vocab = small_vocab()
-    config = tiny_coherence_config(vocab.size)
+    config = tiny_coherence_config(vocab.size, **geometry)
     rng = np.random.default_rng(seed)
     params = init_coherence_params(config, rng)
     if spread:
@@ -284,6 +300,50 @@ def test_batched_triplet_loss_and_gradients_match_the_per_triplet_reference(sent
     for name in params.names():
         diff = np.max(np.abs(np.asarray(fast_grads[name]) - np.asarray(ref_grads[name])))
         assert diff <= 1e-10 * scales[name], name
+
+
+def _rows_windowed(pair, params, config) -> dict:
+    """Rows of every `numeric.windows` result while the pair is scored, by the axes windowed."""
+    rows = {1: [], 2: []}
+    windows = nm.windows
+
+    def spy(x, kernel, axes):
+        out = windows(x, kernel, axes)
+        rows[axes].append(out.shape[0])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nm, "windows", spy)
+        coherence_forward([pair], params, config)
+    return rows
+
+
+def test_conv_gemms_get_fewer_rows_for_a_padded_pair_and_all_of_them_for_a_full_one(vocab):
+    # paper geometry, narrow channels: grid 48, pool 24, conv2 22, pool 11, conv3 9, pool 4
+    config = CoherenceConfig(vocab_size=vocab.size, embed_dim=4, conv_filters=(4, 4, 4),
+                             fc_units=(4, 4))
+    params = init_coherence_params(config, np.random.default_rng(0))
+    full = _ids(_full_text(config), vocab, config)
+    assert _rows_windowed((full, full), params, config) == {1: [48, 48], 2: [22 * 22, 9 * 9]}
+    # the RL placeholder pools into 2 rows, "alpha beta gamma" into 3 columns;
+    # conv2 keeps 2 x 3 of its 22 x 22 outputs, the pool 2 x 2, conv3 2 x 2
+    short = (placeholder_sentence(config.max_tokens).ids, _ids("alpha beta gamma", vocab, config))
+    assert _rows_windowed(short, params, config) == {1: [4, 6], 2: [2 * 3, 2 * 2]}
+
+
+def test_triplet_of_padded_sentences_gradient_matches_finite_differences(vocab, rng):
+    # the repeated tail rows and columns sum their gradients at every stage
+    config = tiny_coherence_config(vocab.size, max_tokens=30)
+    params = _spread(init_coherence_params(config, rng), rng)
+    triplet = CoherenceTriplet(placeholder_sentence(config.max_tokens),
+                               make_sentence("alpha beta gamma", vocab, config.max_tokens),
+                               make_sentence("delta epsilon epsilon", vocab, config.max_tokens),
+                               positions=(0, 1, 2))
+    analytic = nm.gradients(triplet_loss([triplet], params, config), params)
+    numeric_grads = finite_difference_grads(
+        lambda: triplet_loss([triplet], params, config).item(), params
+    )
+    assert_grads_close(analytic, numeric_grads)
 
 
 def _traced_peak(fn) -> int:

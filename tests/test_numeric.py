@@ -245,6 +245,24 @@ def test_fd_shared_operands_and_fan_out(rng):
     _fd_check(fan_out, params)
 
 
+def test_constant_operands_of_add_mul_and_matmul_get_no_gradient(rng):
+    # the policy-gradient surrogate multiplies by constant returns, and the
+    # policy head's histories multiply by a constant [n, n] matrix
+    params = ParamStore()
+    params.init_uniform("w", (4, 3), rng, scale=0.7)
+    returns, shift = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(3,)))
+    taken, proj = Tensor(np.tril(np.ones((4, 4)), -1)), Tensor(rng.normal(size=(3, 2)))
+
+    def loss():
+        w = params["w"]
+        return ((nm.tanh(w) * returns + shift).sum() + ((taken @ w) @ proj).sum()
+                + (2.0 * (w @ proj)).sum())
+
+    gradients(loss(), params)
+    assert all(t.grad is None for t in (returns, shift, taken, proj))
+    _fd_check(loss, params)
+
+
 def test_gradients_reject_a_loss_without_tape():
     params = ParamStore()
     w = params.add("w", np.ones(3))

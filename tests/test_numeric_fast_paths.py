@@ -5,7 +5,8 @@ The reference (tests/reference_numeric.py) pools by argmax over a copy of the
 whole table in SGD, and gathers sliding windows through flat index tables.
 The fast paths do the same arithmetic in the same order, so values and
 gradients must agree bit for bit; only the fused layer-1 pool sums its
-gradients over fewer (all-zero) terms and is held to rel 1e-12.
+gradients over fewer (all-zero) terms, and over the copies of its tail row
+and column, and is held to rel 1e-12.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import reference_numeric as ref
 from cohsum import numeric as nm
-from cohsum.coherence import init_coherence_params, interaction_layer1
+from cohsum.coherence import _repeat_tail, init_coherence_params, interaction_layer1
 from cohsum.corpus import make_sentence
 from cohsum.numeric import ParamStore, RowGrad, Tensor
 
@@ -144,7 +145,10 @@ def test_fused_layer1_pool_matches_pooling_the_full_grid(a_words, b_words, windo
         p.data[:] = rng.uniform(-0.5, 0.5, size=p.data.shape)
     a = make_sentence(" ".join(a_words), VOCAB, config.max_tokens).ids
     b = make_sentence(" ".join(b_words), VOCAB, config.max_tokens).ids
-    fused = interaction_layer1(a, b, params, config)
+    # layer 1 builds the pooled rows up to each sentence's tail; repeating the
+    # tail row and column gives the whole pooled grid
+    half = config.grid_size // 2
+    fused = _repeat_tail(interaction_layer1(a, b, params, config), half, half)
     unfused = ref.max_pool_2x2(ref.layer1_grid(a, b, params, config))
     assert _bits(fused.data) == _bits(unfused.data)
     weights = rng.normal(size=fused.shape)
