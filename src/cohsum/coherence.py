@@ -5,8 +5,10 @@ ReLU features; the grid then runs through alternating 2x2 max-pool and
 valid 3x3 convolution stages, two ReLU fully-connected layers, and a tanh
 readout in (-1, 1). Stages that no longer fit the shrinking grid are
 omitted, so small test geometries and the full-size stack share one code
-path. Every sliding window, of a sentence in layer 1 and of the grid in each
-convolution, is a row of `numeric.windows`, a copy of a strided view.
+path. Each window of a sentence in layer 1 is a row of `numeric.windows`, a
+copy of a strided view. Each convolution is one `numeric.conv2d`, which builds
+its im2col rows from the same strided view for one GEMM and does not keep
+them on the tape.
 
 Layer 1 and the first pool are fused. `max_tokens` must exceed the window, so
 the grid is at least 2 x 2 and the stack always starts with that pool. Cell
@@ -31,13 +33,19 @@ columns. The later stages keep this: a valid k x k convolution's output rows
 whose inputs are all tail rows are equal, and so are the 2x2 pool's. So before
 a convolution the last row is repeated until each output row up to the first
 all-tail one has its inputs, and before a pool until the pairs reach one pair
-of tail rows; both stop at the logical size, which `stack_plan` fixes. The
-last grid is expanded to its logical size just before the flatten, so the
-head sees the row it always saw. Each repeat is a slice of the grid
-concatenated again, so backward sums the copies' gradients into the row they
-copy. A sentence with no tail computes every row, as an untrimmed stack does.
-Each row that is kept is computed as before, and the gradients differ from an
-untrimmed stack's only in the order of their sums.
+of tail rows; both stop at the logical size. The last grid is expanded to its
+logical size just before the flatten, so the head sees the row it always saw.
+Each repeat is a slice of the grid concatenated again, so backward sums the
+copies' gradients into the row they copy. A sentence with no tail computes
+every row of the logical grid. Each row that is kept is computed as before,
+and the gradients differ from an untrimmed stack's only in the order of their
+sums and in the zero terms of rows that nothing reads.
+
+A stage's logical size is what the next stage reads, which `stack_plan`
+fixes from the last stage back. At paper geometry the final pool reads 8 of
+the 9 rows conv3 could compute, so conv3 computes 8, conv2 20 of 22, and
+layer 1 pools 44 of its 48 windows; a geometry whose last convolution ends
+below 2 x 2 has no final pool, and that convolution computes all it can.
 
 The conv stacks run one pair at a time and the FC head once per batch. Each
 pair's stack ends in a flattened [1, flat] row; the rows of a batch are
@@ -91,24 +99,32 @@ def stack_plan(config: CoherenceConfig) -> tuple[list[tuple], int]:
 
     Follows pool-then-convolve per extra filter spec, with a final pool,
     skipping any stage the current grid cannot support (valid convolution,
-    no padding).
+    no padding). Each stage is ("pool", n) or ("conv", layer, in_ch, out_ch, n),
+    where n is the side of the grid it leaves: the rows and columns the next
+    stage reads, which can be fewer than the stage could compute. A pool
+    that leaves n reads 2n, a k x k convolution n + k - 1; the last stage
+    leaves all it computes.
     """
-    h = w = config.grid_size
+    n = config.grid_size
     channels = config.conv_filters[0]
     k = config.conv_kernel
     stages: list[tuple] = []
     for layer, filters in enumerate(config.conv_filters[1:], start=2):
-        if h >= 2 and w >= 2:
+        if n >= 2:
             stages.append(("pool",))
-            h, w = h // 2, w // 2
-        if h >= k and w >= k:
+            n //= 2
+        if n >= k:
             stages.append(("conv", layer, channels, filters))
-            h, w = h - k + 1, w - k + 1
+            n -= k - 1
             channels = filters
-    if h >= 2 and w >= 2:
+    if n >= 2:
         stages.append(("pool",))
-        h, w = h // 2, w // 2
-    return stages, h * w * channels
+        n //= 2
+    flat = n * n * channels
+    for i in range(len(stages) - 1, -1, -1):  # from the last stage back, each side is read
+        stages[i] += (n,)
+        n = 2 * n if stages[i][0] == "pool" else n + k - 1
+    return stages, flat
 
 
 def init_coherence_params(config: CoherenceConfig, rng: np.random.Generator) -> ParamStore:
@@ -121,7 +137,7 @@ def init_coherence_params(config: CoherenceConfig, rng: np.random.Generator) -> 
     stages, flat = stack_plan(config)
     for stage in stages:
         if stage[0] == "conv":
-            _, layer, in_ch, out_ch = stage
+            _, layer, in_ch, out_ch, _ = stage
             params.init_uniform(
                 f"conv{layer}_w", (config.conv_kernel * config.conv_kernel * in_ch, out_ch), rng
             )
@@ -145,17 +161,17 @@ def _check_ids(ids, config: CoherenceConfig, which: str) -> np.ndarray:
     return arr
 
 
-def _pooled_rows(ids: np.ndarray, config: CoherenceConfig) -> int:
+def _pooled_rows(ids: np.ndarray, side: int) -> int:
     """Rows of the pooled layer-1 grid one sentence needs: those that differ, then its tail.
 
     The ids end in a run of one id from index s on (the PAD tail, a repeated
     last word, or the whole sentence), so every window from s on is the same
     and every pooled row from ceil(s / 2) on is too; the first of them stands
-    for the rest.
+    for the rest. No more than `side`, the rows the next stage reads.
     """
     differs = np.flatnonzero(ids != ids[-1])
     s = differs[-1] + 1 if differs.size else 0
-    return min((s + 1) // 2 + 1, config.grid_size // 2)
+    return min((s + 1) // 2 + 1, side)
 
 
 def interaction_layer1(sa_ids, sb_ids, params: ParamStore, config: CoherenceConfig) -> Tensor:
@@ -166,14 +182,16 @@ def interaction_layer1(sa_ids, sb_ids, params: ParamStore, config: CoherenceConf
     projections (see the module docstring), bit-identical to pooling the grid.
     Only the first m_A = `_pooled_rows(A)` rows and m_B columns are built, from
     the windows of ids[:2m + window - 1]: row m_A - 1 stands for every pooled
-    row from there to T/2 - 1, and column m_B - 1 likewise.
+    row from there to n - 1, n the side the pool leaves in `stack_plan`, and
+    column m_B - 1 likewise.
     """
     k = config.window
     half = k * config.embed_dim
+    side = stack_plan(config)[0][0][-1]
 
     def pooled_projection(ids, which, w):
         ids = _check_ids(ids, config, which)
-        m = _pooled_rows(ids, config)
+        m = _pooled_rows(ids, side)
         rows = nm.gather_rows(params["embed"], ids[:2 * m + k - 1])
         return nm.pair_max(nm.windows(rows, k, 1) @ w)
 
@@ -200,27 +218,24 @@ def _pair_features(sa_ids, sb_ids, params: ParamStore, config: CoherenceConfig) 
     """Layer 1 and the pool/conv stack of one pair, flattened to a [1, flat] row.
 
     Every stage runs on the trimmed grid (see the module docstring); `n` is the
-    side of the grid it stands for, and the last grid is expanded to n x n.
+    side of the grid it leaves, and the last grid is expanded to n x n.
     """
     stages, _ = stack_plan(config)
     k = config.conv_kernel
     x = interaction_layer1(sa_ids, sb_ids, params, config)
-    n = config.grid_size // 2
     for stage in stages[1:]:  # stages[0] is the pool that layer 1 fuses
         h, w, _ = x.shape
+        n = stage[-1]
         if stage[0] == "pool":
             # a pooled row for each pair up to the tail row, then one pair of tail rows
-            x = nm.max_pool_2x2(_repeat_tail(x, 2 * min(h // 2 + 1, n // 2),
-                                             2 * min(w // 2 + 1, n // 2)))
-            n //= 2
+            x = nm.max_pool_2x2(_repeat_tail(x, 2 * min(h // 2 + 1, n), 2 * min(w // 2 + 1, n)))
         else:
-            _, layer, _, out_ch = stage
+            layer = stage[1]
             # an output row for each row up to the tail row, the last one all tail
-            h, w = min(h, n - k + 1), min(w, n - k + 1)
-            cols = nm.windows(_repeat_tail(x, h + k - 1, w + k - 1), k, 2)
-            conv = nm.linear(cols, params[f"conv{layer}_w"], params[f"conv{layer}_b"])
-            x = nm.relu(conv).reshape(h, w, out_ch)
-            n -= k - 1
+            h, w = min(h, n), min(w, n)
+            x = nm.relu(nm.conv2d(_repeat_tail(x, h + k - 1, w + k - 1),
+                                  params[f"conv{layer}_w"], params[f"conv{layer}_b"], k))
+    n = stages[-1][-1]
     x = _repeat_tail(x, n, n)
     return x.reshape(1, x.size)
 

@@ -28,6 +28,13 @@ is 64-bit so finite-difference gradient checks are decisive.
 - Constant operands: `add`, `mul` and `matmul` skip the gradient of an
   operand that has no tape (no `requires_grad`, no parents), such as the
   returns of a policy-gradient surrogate; its `.grad` stays None.
+- Convolution without a kept im2col matrix: `conv2d` builds the window rows
+  of its input for one GEMM and drops them, and builds them again in backward
+  for the weight gradient. The tape holds the input and the [h, w, N] output,
+  not the [h * w, k * k * C] rows and not a separate pre-bias product.
+- Bounded optimizer temporaries: `sgd_step` updates a dense parameter
+  `SGD_BLOCK` elements at a time, so lr * g never takes a parameter's size in
+  memory, and it only reads the gradients it is handed.
 - Checkpoints (format v2, laid out in `save_checkpoint`) carry a JSON header,
   `ParamStore.meta`, before the tensors. Each tensor is written from its own
   buffer and read straight into its own array, after its declared size is
@@ -416,6 +423,33 @@ def gather_rows(table, indices) -> Tensor:
     return _node(data, (table,), backward)
 
 
+def _window_rows(a: np.ndarray, kernel: int, axes: int) -> np.ndarray:
+    """The windows of the leading `axes` axes of a, one row each: a copy of a strided view.
+
+    See `windows` for the layout. No index table is built.
+    """
+    positions = tuple(n - kernel + 1 for n in a.shape[:axes])
+    view = np.lib.stride_tricks.sliding_window_view(a, (kernel,) * axes, axis=tuple(range(axes)))
+    # view is [*positions, *rest, *offsets]; move the offsets in front of rest
+    nd = a.ndim
+    order = (*range(axes), *range(nd, nd + axes), *range(axes, nd))
+    return view.transpose(order).reshape(math.prod(positions), -1)
+
+
+def _add_window_grads(gx: np.ndarray, g: np.ndarray, kernel: int, axes: int) -> None:
+    """Add g, the gradient of the `_window_rows` of an array shaped like gx, into gx.
+
+    One slice of gx per window offset, offsets in reverse lexicographic order,
+    so every entry of gx gets its terms in ascending window position, the
+    order a scatter-add over the flat indices would apply them.
+    """
+    positions = tuple(n - kernel + 1 for n in gx.shape[:axes])
+    gw = g.reshape(positions + (kernel,) * axes + gx.shape[axes:])
+    lead = (slice(None),) * axes
+    for offset in itertools.product(range(kernel - 1, -1, -1), repeat=axes):
+        gx[tuple(slice(o, o + n) for o, n in zip(offset, positions))] += gw[lead + offset]
+
+
 def windows(x, kernel: int, axes: int) -> Tensor:
     """Sliding windows over the leading `axes` axes of x, one row per window position.
 
@@ -424,32 +458,56 @@ def windows(x, kernel: int, axes: int) -> Tensor:
     window at position p (positions in C order) flattened with its offsets in
     front of the trailing axes. With axes=1 on [T + k - 1, d] that is
     concat(x[p], ..., x[p + k - 1]); with axes=2 on an [H, W, C] grid it is the
-    im2col row of a valid k x k convolution. The forward pass copies a strided
-    view, so no index table is built. Backward adds one gradient slice per
-    window offset, offsets in reverse lexicographic order, so every entry of
-    the gradient gets its terms in ascending window position, the order a
-    scatter-add over the flat indices would apply them.
+    im2col row of a valid k x k convolution, which `conv2d` builds without
+    keeping it. The forward pass copies a strided view and backward adds one
+    gradient slice per window offset (`_window_rows`, `_add_window_grads`).
     """
     x = _wrap(x)
     shape = x.data.shape
     if x.data.ndim < axes or any(n < kernel for n in shape[:axes]):
         raise ShapeError(f"windows: {axes} axes of kernel {kernel} do not fit shape {shape}")
-    positions = tuple(n - kernel + 1 for n in shape[:axes])
-    view = np.lib.stride_tricks.sliding_window_view(x.data, (kernel,) * axes,
-                                                     axis=tuple(range(axes)))
-    # view is [*positions, *rest, *offsets]; move the offsets in front of rest
-    nd = x.data.ndim
-    order = (*range(axes), *range(nd, nd + axes), *range(axes, nd))
-    data = view.transpose(order).reshape(math.prod(positions), -1)
 
     def backward(g):
-        gx = _dense_grad(x)
-        gw = g.reshape(positions + (kernel,) * axes + shape[axes:])
-        lead = (slice(None),) * axes
-        for offset in itertools.product(range(kernel - 1, -1, -1), repeat=axes):
-            gx[tuple(slice(o, o + n) for o, n in zip(offset, positions))] += gw[lead + offset]
+        _add_window_grads(_dense_grad(x), g, kernel, axes)
 
-    return _node(data, (x,), backward)
+    return _node(_window_rows(x.data, kernel, axes), (x,), backward)
+
+
+def conv2d(x, weight, bias, kernel: int) -> Tensor:
+    """Valid kernel x kernel convolution of an [H, W, C] grid: [H - k + 1, W - k + 1, N].
+
+    weight is [k * k * C, N], bias [N]. Equal bit for bit to
+    linear(windows(x, kernel, 2), weight, bias) reshaped to the grid, but the
+    im2col rows are not kept: the forward pass builds them from x.data for one
+    GEMM, adds the bias in place and drops them, and backward builds them again
+    for the weight gradient. The tape holds x and the output only.
+    """
+    x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
+    shape = x.data.shape
+    if (
+        x.data.ndim != 3
+        or shape[0] < kernel
+        or shape[1] < kernel
+        or weight.data.ndim != 2
+        or weight.data.shape[0] != kernel * kernel * shape[2]
+        or bias.data.shape != (weight.data.shape[1],)
+    ):
+        raise ShapeError(f"conv2d: kernel {kernel} over x {shape} with W {weight.data.shape} "
+                         f"+ b {bias.data.shape}")
+    h, w = shape[0] - kernel + 1, shape[1] - kernel + 1
+    out = _window_rows(x.data, kernel, 2) @ weight.data
+    out += bias.data
+
+    def backward(g):
+        g = g.reshape(h * w, -1)
+        if _needs_grad(x):
+            _add_window_grads(_dense_grad(x), g @ weight.data.T, kernel, 2)
+        if _needs_grad(weight):
+            _accumulate(weight, _window_rows(x.data, kernel, 2).T @ g, owned=True)
+        if _needs_grad(bias):
+            _accumulate(bias, g.sum(axis=0), owned=True)
+
+    return _node(out.reshape(h, w, -1), (x, weight, bias), backward)
 
 
 def _block_max(x: Tensor, views_of) -> Tensor:
@@ -706,9 +764,14 @@ def gradients(loss: Tensor, params: ParamStore) -> dict[str, np.ndarray | RowGra
     return out
 
 
+SGD_BLOCK = 1 << 14  # elements of a dense update done at once: 128 KiB of lr * g
+
+
 def sgd_step(params: ParamStore, grads: dict[str, np.ndarray | RowGrad], lr: float) -> ParamStore:
     """p <- p - lr * g in place; a RowGrad updates only its rows.
 
+    A dense parameter is updated SGD_BLOCK elements at a time, so the
+    temporary lr * g is one block, not a copy of the parameter; g is only read.
     Pass negated gradients for an ascent step.
     """
     if set(grads) != set(params.names()):
@@ -722,7 +785,10 @@ def sgd_step(params: ParamStore, grads: dict[str, np.ndarray | RowGrad], lr: flo
         if isinstance(g, RowGrad):
             p.data[g.rows] -= lr * g.values
         else:
-            p.data -= lr * g
+            with np.nditer([p.data, g], flags=["external_loop", "buffered", "zerosize_ok"],
+                           op_flags=[["readwrite"], ["readonly"]], buffersize=SGD_BLOCK) as blocks:
+                for p_block, g_block in blocks:
+                    p_block -= lr * g_block
     return params
 
 

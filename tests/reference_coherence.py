@@ -5,7 +5,9 @@ pair goes through layer 1, the pool/conv stack and its own `fc1`, `fc2` and
 readout, so every pair ends in a GEMV against `fc1` and its backward in an
 outer product. Nor is the grid trimmed: layer 1 builds the full [T, T, F]
 grid of every window pair and pools it, and every stage runs on every row and
-column, the PAD tail included. `coherence.coherence_forward` and
+column, the PAD tail and the rows the next stage does not read included. Each
+convolution is `windows` + `linear`, whose im2col matrix stays on the tape.
+`coherence.coherence_forward` and
 `coherence.triplet_loss` are tested against these functions.
 """
 
@@ -26,7 +28,7 @@ def forward(sa_ids, sb_ids, params: ParamStore, config: CoherenceConfig) -> Tens
         if stage[0] == "pool":
             x = nm.max_pool_2x2(x)
         else:
-            _, layer, _, out_ch = stage
+            _, layer, _, out_ch, _ = stage
             h, w, _ = x.shape
             k = config.conv_kernel
             cols = nm.windows(x, k, 2)

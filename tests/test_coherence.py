@@ -79,12 +79,15 @@ def _triplet(vocab, config, anchor, pos, neg):
 def test_full_size_stack_arithmetic():
     config = CoherenceConfig(vocab_size=100)
     stages, flat = stack_plan(config)
+    # grid 48, pool 24, conv 22, pool 11, conv 9, pool 4; the last pool reads
+    # 8 of conv3's 9 rows, so conv3 computes 8, reads 10 of the 11 pooled rows,
+    # conv2 computes 20 and reads 22 rows: 44 layer-1 windows, not 48
     assert stages == [
-        ("pool",),
-        ("conv", 2, 128, 256),
-        ("pool",),
-        ("conv", 3, 256, 512),
-        ("pool",),
+        ("pool", 22),
+        ("conv", 2, 128, 256, 20),
+        ("pool", 10),
+        ("conv", 3, 256, 512, 8),
+        ("pool", 4),
     ]
     assert flat == 4 * 4 * 512
 
@@ -93,7 +96,16 @@ def test_shrunken_stack_skips_unfittable_layers():
     config = tiny_coherence_config(20)  # grid 8x8, filters (4, 4, 4)
     stages, flat = stack_plan(config)
     # 8x8 -> pool 4x4 -> conv 2x2 -> pool 1x1; the third conv no longer fits
-    assert stages == [("pool",), ("conv", 2, 4, 4), ("pool",)]
+    assert stages == [("pool", 4), ("conv", 2, 4, 4, 2), ("pool", 1)]
+    assert flat == 4
+
+
+def test_stack_whose_last_conv_ends_below_2x2_has_no_final_pool():
+    config = tiny_coherence_config(20, max_tokens=8)  # grid 6x6
+    stages, flat = stack_plan(config)
+    # 6x6 -> pool 3x3 -> conv 1x1, which neither a pool nor the third conv fits;
+    # the conv reads all 3 pooled rows
+    assert stages == [("pool", 3), ("conv", 2, 4, 4, 1)]
     assert flat == 4
 
 
@@ -108,7 +120,7 @@ def test_max_tokens_must_exceed_the_window(max_tokens):
 def test_every_stack_starts_with_the_pool_layer1_fuses(window, max_tokens, filters):
     config = CoherenceConfig(vocab_size=10, window=window, max_tokens=max_tokens,
                              conv_filters=filters)
-    assert stack_plan(config)[0][0] == ("pool",)
+    assert stack_plan(config)[0][0][0] == "pool"
 
 
 def test_parameters_exist_only_for_realized_layers(config, params):
@@ -138,9 +150,9 @@ def test_layer1_full_size_grid_shape(rng):
     params = init_coherence_params(config, rng)
     short = (_ids("alpha beta gamma delta", vocab, config), _ids("epsilon zeta", vocab, config))
     assert interaction_layer1(*short, params, config).shape == (3, 2, 128)
-    # a sentence with no tail builds all of the 48 x 48 grid, pooled
+    # a sentence with no tail builds the 22 pooled rows conv2 reads of the 24
     full = _ids(_full_text(config), vocab, config)
-    assert interaction_layer1(full, short[1], params, config).shape == (24, 2, 128)
+    assert interaction_layer1(full, short[1], params, config).shape == (22, 2, 128)
 
 
 def test_layer1_length_mismatch(vocab, config, params):
@@ -303,32 +315,64 @@ def test_batched_triplet_loss_and_gradients_match_the_per_triplet_reference(sent
 
 
 def _rows_windowed(pair, params, config) -> dict:
-    """Rows of every `numeric.windows` result while the pair is scored, by the axes windowed."""
-    rows = {1: [], 2: []}
-    windows = nm.windows
+    """GEMM rows while the pair is scored, by the axes windowed.
 
-    def spy(x, kernel, axes):
+    Axis 1: the rows of each layer-1 `numeric.windows`; axes 2: the im2col rows
+    of each `numeric.conv2d`, one per output cell.
+    """
+    rows = {1: [], 2: []}
+    windows, conv2d = nm.windows, nm.conv2d
+
+    def spy_windows(x, kernel, axes):
         out = windows(x, kernel, axes)
         rows[axes].append(out.shape[0])
         return out
 
+    def spy_conv2d(x, weight, bias, kernel):
+        out = conv2d(x, weight, bias, kernel)
+        rows[2].append(out.shape[0] * out.shape[1])
+        return out
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nm, "windows", spy)
+        mp.setattr(nm, "windows", spy_windows)
+        mp.setattr(nm, "conv2d", spy_conv2d)
         coherence_forward([pair], params, config)
     return rows
 
 
 def test_conv_gemms_get_fewer_rows_for_a_padded_pair_and_all_of_them_for_a_full_one(vocab):
-    # paper geometry, narrow channels: grid 48, pool 24, conv2 22, pool 11, conv3 9, pool 4
+    # paper geometry, narrow channels: grid 48, pool 24, conv2 22, pool 11, conv3 9, pool 4;
+    # a full pair computes the rows the next stage reads: 44 windows, conv2 20, conv3 8
     config = CoherenceConfig(vocab_size=vocab.size, embed_dim=4, conv_filters=(4, 4, 4),
                              fc_units=(4, 4))
     params = init_coherence_params(config, np.random.default_rng(0))
     full = _ids(_full_text(config), vocab, config)
-    assert _rows_windowed((full, full), params, config) == {1: [48, 48], 2: [22 * 22, 9 * 9]}
+    assert _rows_windowed((full, full), params, config) == {1: [44, 44], 2: [20 * 20, 8 * 8]}
     # the RL placeholder pools into 2 rows, "alpha beta gamma" into 3 columns;
     # conv2 keeps 2 x 3 of its 22 x 22 outputs, the pool 2 x 2, conv3 2 x 2
     short = (placeholder_sentence(config.max_tokens).ids, _ids("alpha beta gamma", vocab, config))
     assert _rows_windowed(short, params, config) == {1: [4, 6], 2: [2 * 3, 2 * 2]}
+
+
+def test_taped_triplet_loss_holds_no_im2col_matrix(vocab, rng):
+    # grid 28, pool 14, conv2 12, pool 6, conv3 4, pool 2: both convs run; an
+    # im2col matrix of a conv reading C channels is k * k * C wide
+    config = tiny_coherence_config(vocab.size, max_tokens=30, conv_filters=(4, 6, 8))
+    params = init_coherence_params(config, rng)
+    widths = {config.conv_kernel ** 2 * stage[2]
+              for stage in stack_plan(config)[0] if stage[0] == "conv"}
+    assert widths == {36, 54}
+    triplet = _triplet(vocab, config, _full_text(config), "alpha beta gamma", "delta")
+    loss = triplet_loss([triplet], params, config)
+    nodes, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    assert len(nodes) > 20
+    assert not [t.shape for t in nodes if t.ndim == 2 and t.shape[1] in widths]
 
 
 def test_triplet_of_padded_sentences_gradient_matches_finite_differences(vocab, rng):

@@ -182,6 +182,21 @@ def test_fd_windows(rng):
     _fd_check(loss, params)
 
 
+def test_fd_conv2d(rng):
+    params = ParamStore()
+    params.init_uniform("grid", (5, 4, 2), rng, scale=0.5)  # odd and even sides
+    params.init_uniform("w3", (3 * 3 * 2, 3), rng, scale=0.5)
+    params.init_uniform("w2", (2 * 2 * 2, 3), rng, scale=0.5)
+    params.init_uniform("b", (3,), rng, scale=0.5)
+
+    def loss():
+        grid, b = params["grid"], params["b"]
+        return (nm.tanh(nm.conv2d(grid, params["w3"], b, 3)).sum()
+                + nm.tanh(nm.conv2d(grid, params["w2"], b, 2)).sum())
+
+    _fd_check(loss, params)
+
+
 def test_fd_max_pool(rng):
     params = ParamStore()
     params.init_uniform("g", (5, 6, 2), rng, scale=1.0)
@@ -425,6 +440,30 @@ def test_sgd_two_small_steps_equal_one_double_step():
     b.add("p", np.array([1.0, 1.0]))
     sgd_step(b, grads, 0.2)
     assert np.allclose(a["p"].data, b["p"].data)
+
+
+def test_sgd_step_needs_no_parameter_sized_temporary_and_leaves_the_gradients(rng):
+    shapes = {"big": (1024, 1024), "vector": (5,), "scalar": ()}  # big is 8 MB
+    params = ParamStore()
+    for name, shape in shapes.items():
+        params.add(name, rng.normal(size=shape))
+    params.add("transposed", rng.normal(size=(4, 3)).T)  # not C-contiguous
+    grads = {name: rng.normal(size=p.data.shape) for name, p in params.items()}
+    handed = dict(grads)
+    before = {name: g.copy() for name, g in grads.items()}
+    expected = {name: p.data - 0.1 * grads[name] for name, p in params.items()}
+    tracemalloc.start()
+    try:
+        sgd_step(params, grads, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    for name, p in params.items():
+        assert p.data.shape == expected[name].shape
+        assert p.data.tobytes() == expected[name].tobytes(), name
+        assert grads[name] is handed[name] and grads[name].tobytes() == before[name].tobytes()
+    assert grads.keys() == handed.keys()
 
 
 def test_sgd_keyset_mismatch_names_parameter():

@@ -2,7 +2,8 @@
 
 The reference (tests/reference_numeric.py) pools by argmax over a copy of the
 2x2 blocks, scatters embedding gradients into a dense table, sweeps the
-whole table in SGD, and gathers sliding windows through flat index tables.
+whole table in SGD, and gathers sliding windows through flat index tables;
+`conv2d`, which keeps no im2col matrix, is held to `windows` + `linear`.
 The fast paths do the same arithmetic in the same order, so values and
 gradients must agree bit for bit; only the fused layer-1 pool sums its
 gradients over fewer (all-zero) terms, and over the copies of its tail row
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import reference_numeric as ref
 from cohsum import numeric as nm
-from cohsum.coherence import _repeat_tail, init_coherence_params, interaction_layer1
+from cohsum.coherence import _repeat_tail, init_coherence_params, interaction_layer1, stack_plan
 from cohsum.corpus import make_sentence
 from cohsum.numeric import ParamStore, RowGrad, Tensor
 
@@ -128,6 +129,55 @@ def test_windows_larger_than_the_input_are_a_shape_error(shape, axes):
         nm.windows(Tensor(np.zeros(shape)), 3, axes)
 
 
+# -- convolution without a kept im2col matrix --------------------------------------------
+
+
+@st.composite
+def conv_cases(draw):
+    kernel = draw(st.integers(min_value=1, max_value=4))
+    # from one output cell up, odd and even grids alike
+    h, w = (draw(st.integers(min_value=kernel, max_value=kernel + 5)) for _ in range(2))
+    channels, out_ch = (draw(st.integers(min_value=1, max_value=3)) for _ in range(2))
+    return (h, w, channels), out_ch, kernel
+
+
+@given(conv_cases(), st.booleans(), seed_st)
+@example(((22, 22, 64), 32, 3), True, 0)  # conv3's input at paper geometry, narrower
+@settings(max_examples=100, deadline=None)
+def test_conv2d_matches_windows_and_linear(case, prefilled, seed):
+    shape, out_ch, kernel = case
+    rng = np.random.default_rng(seed)
+    params = ParamStore()
+    params.add("x", rng.normal(size=shape))
+    params.add("w", rng.normal(size=(kernel * kernel * shape[2], out_ch)))
+    params.add("b", rng.normal(size=out_ch))
+    x, w, b = params["x"], params["w"], params["b"]
+    lean = nm.conv2d(x, w, b, kernel)
+    out_shape = (shape[0] - kernel + 1, shape[1] - kernel + 1, out_ch)
+    dense = nm.linear(nm.windows(x, kernel, 2), w, b).reshape(out_shape)
+    assert lean.shape == out_shape
+    assert _bits(lean.data) == _bits(dense.data)
+    weights = rng.normal(size=out_shape)
+    # with prefilled, a dense use of x, whose backward runs first, fills its
+    # gradient and the convolution adds into it
+    extra = (x * rng.normal(size=shape)).sum() if prefilled else Tensor(0.0)
+    lean_grads = nm.gradients(extra + (lean * weights).sum(), params)
+    dense_grads = nm.gradients(extra + (dense * weights).sum(), params)
+    for name in ("x", "w", "b"):
+        assert _bits(lean_grads[name]) == _bits(dense_grads[name]), name
+
+
+@pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+    ((2, 3, 1), (9, 2), (2,)),  # grid smaller than the kernel
+    ((3, 3), (9, 2), (2,)),  # no channel axis
+    ((3, 3, 2), (9, 2), (2,)),  # weight rows are not k * k * C
+    ((3, 3, 1), (9, 2), (3,)),  # bias does not match the filters
+])
+def test_conv2d_shape_errors_name_the_op(x_shape, w_shape, b_shape):
+    with pytest.raises(nm.ShapeError, match="conv2d"):
+        nm.conv2d(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_shape)), 3)
+
+
 # -- layer 1 fused with the first pool --------------------------------------------------
 
 VOCAB = small_vocab()
@@ -146,10 +196,10 @@ def test_fused_layer1_pool_matches_pooling_the_full_grid(a_words, b_words, windo
     a = make_sentence(" ".join(a_words), VOCAB, config.max_tokens).ids
     b = make_sentence(" ".join(b_words), VOCAB, config.max_tokens).ids
     # layer 1 builds the pooled rows up to each sentence's tail; repeating the
-    # tail row and column gives the whole pooled grid
-    half = config.grid_size // 2
-    fused = _repeat_tail(interaction_layer1(a, b, params, config), half, half)
-    unfused = ref.max_pool_2x2(ref.layer1_grid(a, b, params, config))
+    # tail row and column gives the pooled grid the next stage reads
+    side = stack_plan(config)[0][0][-1]
+    fused = _repeat_tail(interaction_layer1(a, b, params, config), side, side)
+    unfused = ref.max_pool_2x2(ref.layer1_grid(a, b, params, config))[:side, :side]
     assert _bits(fused.data) == _bits(unfused.data)
     weights = rng.normal(size=fused.shape)
     assert_grads_close(nm.gradients((fused * weights).sum(), params),
