@@ -6,9 +6,9 @@ valid 3x3 convolution stages, two ReLU fully-connected layers, and a tanh
 readout in (-1, 1). Stages that no longer fit the shrinking grid are
 omitted, so small test geometries and the full-size stack share one code
 path. Each window of a sentence in layer 1 is a row of `numeric.windows`, a
-copy of a strided view. Each convolution is one `numeric.conv2d`, which builds
-its im2col rows from the same strided view for one GEMM and does not keep
-them on the tape.
+copy of a strided view. Each convolution and its relu is one `numeric.conv2d`,
+which builds its im2col rows from the same strided view for one GEMM and does
+not keep them on the tape.
 
 Layer 1 and the first pool are fused. `max_tokens` must exceed the window, so
 the grid is at least 2 x 2 and the stack always starts with that pool. Cell
@@ -17,10 +17,11 @@ projections of the windows of each sentence alone. Float addition and relu
 are monotone in each argument, so the max over a 2x2 block {2I, 2I+1} x
 {2J, 2J+1} equals relu(max(P_A[2I], P_A[2I+1]) + max(P_B[2J], P_B[2J+1]) + b)
 bit for bit. The forward pass therefore builds the pooled grid, at most
-[T/2, T/2, F], from the pairwise row maxima and never the [T, T, F] one. The cells that
-reach the block max form a product set of rows and columns, so the gradient
-goes to the cell that comes first in block scan order, as pooling the full
-grid sends it.
+[T/2, T/2, F], from the pairwise row maxima and never the [T, T, F] one, as
+one `numeric.relu_cross_sum`, which keeps no sum before the relu. The cells
+that reach the block max form a product set of rows and columns, so the
+gradient goes to the cell that comes first in block scan order, as pooling
+the full grid sends it.
 
 Every stage runs on the rows and columns that differ, plus one for the tail.
 A sentence's ids end in a run of one id from index s on: its PAD tail (s = 1
@@ -30,16 +31,20 @@ of layer 1 from ceil(s / 2) on are too, and layer 1 gathers, projects and
 pools only the windows up to the first such row. Row i of a stage's logical
 grid is then row min(i, m - 1) of the m rows it keeps, and the same holds for
 columns. The later stages keep this: a valid k x k convolution's output rows
-whose inputs are all tail rows are equal, and so are the 2x2 pool's. So before
-a convolution the last row is repeated until each output row up to the first
-all-tail one has its inputs, and before a pool until the pairs reach one pair
-of tail rows; both stop at the logical size. The last grid is expanded to its
-logical size just before the flatten, so the head sees the row it always saw.
-Each repeat is a slice of the grid concatenated again, so backward sums the
-copies' gradients into the row they copy. A sentence with no tail computes
-every row of the logical grid. Each row that is kept is computed as before,
-and the gradients differ from an untrimmed stack's only in the order of their
-sums and in the zero terms of rows that nothing reads.
+whose inputs are all tail rows are equal, and so are the 2x2 pool's. So a
+convolution reads its input with the last row repeated until each output row
+up to the first all-tail one has its inputs, and a pool until its pairs reach
+one pair of tail rows; both stop at the logical size. `numeric.conv2d` and
+`numeric.max_pool_2x2` take that side and read the repeats from an
+edge-extended transient that they build, drop and build again in backward, so
+the tape keeps one array per stage, its output; backward adds the copies'
+gradients into the row or column they copy. The last grid is expanded to its
+logical size just before the flatten (`numeric.extend_edges`, a copy of at
+most [4, 4, 512] at paper geometry), so the head sees the row it always saw.
+A sentence with no tail computes every row of the logical grid. Each row that
+is kept is computed as before, and the gradients differ from an untrimmed
+stack's only in the order of their sums and in the zero terms of rows that
+nothing reads.
 
 A stage's logical size is what the next stage reads, which `stack_plan`
 fixes from the last stage back. At paper geometry the final pool reads 8 of
@@ -197,21 +202,7 @@ def interaction_layer1(sa_ids, sb_ids, params: ParamStore, config: CoherenceConf
 
     pa = pooled_projection(sa_ids, "first sentence", params["layer1_w"][:half, :])
     pb = pooled_projection(sb_ids, "second sentence", params["layer1_w"][half:, :])
-    return nm.relu(pa.reshape(len(pa), 1, -1) + pb.reshape(1, len(pb), -1) + params["layer1_b"])
-
-
-def _repeat_tail(x: Tensor, rows: int, cols: int) -> Tensor:
-    """x [h, w, C] with its last row repeated up to `rows` rows, its last column up to `cols`.
-
-    Each repeat is one slice of x concatenated again, so backward sums the
-    copies' gradients into the row or column they copy.
-    """
-    h, w, _ = x.shape
-    if rows > h:
-        x = nm.concat([x] + [x[h - 1:h]] * (rows - h), axis=0)
-    if cols > w:
-        x = nm.concat([x] + [x[:, w - 1:w]] * (cols - w), axis=1)
-    return x
+    return nm.relu_cross_sum(pa, pb, params["layer1_b"])
 
 
 def _pair_features(sa_ids, sb_ids, params: ParamStore, config: CoherenceConfig) -> Tensor:
@@ -228,15 +219,15 @@ def _pair_features(sa_ids, sb_ids, params: ParamStore, config: CoherenceConfig) 
         n = stage[-1]
         if stage[0] == "pool":
             # a pooled row for each pair up to the tail row, then one pair of tail rows
-            x = nm.max_pool_2x2(_repeat_tail(x, 2 * min(h // 2 + 1, n), 2 * min(w // 2 + 1, n)))
+            x = nm.max_pool_2x2(x, 2 * min(h // 2 + 1, n), 2 * min(w // 2 + 1, n))
         else:
             layer = stage[1]
             # an output row for each row up to the tail row, the last one all tail
             h, w = min(h, n), min(w, n)
-            x = nm.relu(nm.conv2d(_repeat_tail(x, h + k - 1, w + k - 1),
-                                  params[f"conv{layer}_w"], params[f"conv{layer}_b"], k))
+            x = nm.conv2d(x, params[f"conv{layer}_w"], params[f"conv{layer}_b"], k,
+                          h + k - 1, w + k - 1)
     n = stages[-1][-1]
-    x = _repeat_tail(x, n, n)
+    x = nm.extend_edges(x, n, n)
     return x.reshape(1, x.size)
 
 

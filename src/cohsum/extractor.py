@@ -10,8 +10,10 @@ window, GRU step or decision:
   (`numeric.window_means`: one batched band matmul over one embedding
   gather per document; per-word features are never built).
 - Context. Each GRU direction projects all sentence vectors with one
-  matmul and runs the recurrence as one fused node (`numeric.gru_sequence`)
-  whose backward is hand-written backpropagation through time.
+  GEMM over its three gate weights (`numeric.linear_blocks`, which joins
+  them for the GEMM only, so the tape keeps no per-document copy of them)
+  and runs the recurrence as one fused node (`numeric.gru_sequence`) whose
+  backward is hand-written backpropagation through time.
 - Head. A sigmoid MLP over [context; selection history; document vector]
   gives the per-sentence extraction probability (`PolicyHead`). The history
   enters the first layer linearly, so the head keeps each sentence's
@@ -136,12 +138,10 @@ def sentence_vectors(doc: Document, params: ParamStore, config: ExtractorConfig)
 def gru_states(x: Tensor, params: ParamStore, direction: str) -> Tensor:
     """One GRU direction over all rows of x: one input projection, one fused recurrence."""
     p = lambda gate, kind: params[f"gru_{direction}_{gate}_{kind}"]
-    weight = nm.concat([p(gate, "w") for gate in _GRU_GATES], axis=1)
-    bias = nm.concat([p(gate, "b") for gate in _GRU_GATES])
-    return nm.gru_sequence(
-        nm.linear(x, weight, bias), *(p(gate, "v") for gate in _GRU_GATES),
-        reverse=direction == "bwd",
-    )
+    x_proj = nm.linear_blocks(x, [p(gate, "w") for gate in _GRU_GATES],
+                              [p(gate, "b") for gate in _GRU_GATES])
+    return nm.gru_sequence(x_proj, *(p(gate, "v") for gate in _GRU_GATES),
+                           reverse=direction == "bwd")
 
 
 @dataclass

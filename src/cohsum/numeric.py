@@ -30,8 +30,21 @@ is 64-bit so finite-difference gradient checks are decisive.
   returns of a policy-gradient surrogate; its `.grad` stays None.
 - Convolution without a kept im2col matrix: `conv2d` builds the window rows
   of its input for one GEMM and drops them, and builds them again in backward
-  for the weight gradient. The tape holds the input and the [h, w, N] output,
-  not the [h * w, k * k * C] rows and not a separate pre-bias product.
+  for the weight gradient. It fuses the bias and the relu, so the tape holds
+  the input and the [h, w, N] output only: not the [h * w, k * k * C] rows,
+  not a pre-bias product and not a pre-relu one.
+- One array per coherence stage: `conv2d`, `max_pool_2x2` and
+  `relu_cross_sum` (layer 1's relu(P_A[i] + P_B[j] + b)) keep only their
+  output; backward recomputes what else it reads. `conv2d` and
+  `max_pool_2x2` take the logical side (rows, cols) of their input grid and
+  read rows and columns past its last ones as copies of them, from an
+  edge-extended transient (`_edge_extended`) that they build, drop, and
+  build again in backward, where the copies' gradients fold into the last
+  row and column. `extend_edges` keeps such a copy, for the last grid before
+  the flatten.
+- No joined weight: `linear_blocks` multiplies by the column blocks of
+  several weights (the GRU gates) as one GEMM, building the joined weight
+  for it and again in backward, never on the tape.
 - Bounded optimizer temporaries: `sgd_step` updates a dense parameter
   `SGD_BLOCK` elements at a time, so lr * g never takes a parameter's size in
   memory, and it only reads the gradients it is handed.
@@ -473,82 +486,193 @@ def windows(x, kernel: int, axes: int) -> Tensor:
     return _node(_window_rows(x.data, kernel, axes), (x,), backward)
 
 
-def conv2d(x, weight, bias, kernel: int) -> Tensor:
-    """Valid kernel x kernel convolution of an [H, W, C] grid: [H - k + 1, W - k + 1, N].
+def _edge_extended(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """a [h, w, ...] read as [rows, cols, ...]: rows and columns past its last ones copy them.
 
-    weight is [k * k * C, N], bias [N]. Equal bit for bit to
-    linear(windows(x, kernel, 2), weight, bias) reshaped to the grid, but the
-    im2col rows are not kept: the forward pass builds them from x.data for one
-    GEMM, adds the bias in place and drops them, and backward builds them again
-    for the weight gradient. The tape holds x and the output only.
+    a itself when (rows, cols) is (h, w); otherwise a new array, which callers
+    build for one use and drop.
     """
-    x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
+    h, w = a.shape[:2]
+    if (rows, cols) == (h, w):
+        return a
+    out = np.empty((rows, cols) + a.shape[2:])
+    out[:h, :w] = a
+    out[:h, w:] = a[:, w - 1 : w]
+    out[h:] = out[h - 1 : h]
+    return out
+
+
+def _fold_edges(g: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The [h, w, ...] gradient of a from g, the gradient of `_edge_extended(a, ...)`.
+
+    Each copy's gradient is added into the row or column it copies: columns
+    first, then rows, each axis's copies summed in order before the sum is
+    added, which is the order in which backward through a concatenation of
+    slices of the last column, then of the last row, added them. g is changed
+    in place; the result is a view of it.
+    """
+    rows, cols = g.shape[:2]
+    if cols > w:
+        tail = g[:, w].copy()
+        for j in range(w + 1, cols):
+            tail += g[:, j]
+        g[:, w - 1] += tail
+    if rows > h:
+        tail = g[h, :w].copy()
+        for i in range(h + 1, rows):
+            tail += g[i, :w]
+        g[h - 1, :w] += tail
+    return g[:h, :w]
+
+
+def _add_edge_grads(x: Tensor, g: np.ndarray) -> None:
+    """Add g, a fresh gradient of `_edge_extended(x.data, ...)`, into x's gradient."""
+    if g.shape == x.data.shape:
+        _accumulate(x, g, owned=True)
+    else:
+        _accumulate(x, _fold_edges(g, *x.data.shape[:2]))  # a view of g: copied
+
+
+def _check_side(op: str, x: Tensor, rows: int, cols: int, least: int) -> None:
     shape = x.data.shape
-    if (
-        x.data.ndim != 3
-        or shape[0] < kernel
-        or shape[1] < kernel
-        or weight.data.ndim != 2
-        or weight.data.shape[0] != kernel * kernel * shape[2]
-        or bias.data.shape != (weight.data.shape[1],)
-    ):
-        raise ShapeError(f"conv2d: kernel {kernel} over x {shape} with W {weight.data.shape} "
-                         f"+ b {bias.data.shape}")
-    h, w = shape[0] - kernel + 1, shape[1] - kernel + 1
-    out = _window_rows(x.data, kernel, 2) @ weight.data
-    out += bias.data
+    if (x.data.ndim != 3 or not (1 <= shape[0] <= rows and 1 <= shape[1] <= cols)
+            or min(rows, cols) < least):
+        raise ShapeError(f"{op}: [H, W, C] grid {shape} read as {rows} x {cols}, "
+                         f"which must cover it and be at least {least} x {least}")
+
+
+def extend_edges(x, rows: int, cols: int) -> Tensor:
+    """x [h, w, C] with its last row repeated up to `rows` rows and its last column up to `cols`.
+
+    Backward adds each copy's gradient into the row or column it copies.
+    """
+    x = _wrap(x)
+    _check_side("extend_edges", x, rows, cols, 1)
 
     def backward(g):
-        g = g.reshape(h * w, -1)
+        _add_edge_grads(x, np.array(g))  # a copy: the fold adds in place
+
+    return _node(_edge_extended(x.data, rows, cols), (x,), backward)
+
+
+def conv2d(x, weight, bias, kernel: int, rows: int, cols: int) -> Tensor:
+    """relu of the valid kernel x kernel convolution of an [H, W, C] grid read as [rows, cols, C].
+
+    Rows and columns of the grid past x's last one are copies of it (the
+    logical side may exceed x's, never fall short of it). weight is
+    [k * k * C, N], bias [N]; the result is [rows - k + 1, cols - k + 1, N].
+    Equal bit for bit to relu(linear(windows(x read as rows x cols, kernel, 2),
+    weight, bias)) reshaped to the grid, but only the output is kept: the
+    forward pass builds the edge-extended grid and its im2col rows for one
+    GEMM, adds the bias and takes the relu in place, and drops them; backward
+    builds them again for the weight gradient and folds the gradient of the
+    copied rows and columns into x's last row and column.
+    """
+    x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
+    _check_side("conv2d", x, rows, cols, kernel)
+    c = x.data.shape[2]
+    if (
+        weight.data.ndim != 2
+        or weight.data.shape[0] != kernel * kernel * c
+        or bias.data.shape != (weight.data.shape[1],)
+    ):
+        raise ShapeError(f"conv2d: kernel {kernel} over x {x.data.shape} "
+                         f"with W {weight.data.shape} + b {bias.data.shape}")
+    h, w = rows - kernel + 1, cols - kernel + 1
+    out = _window_rows(_edge_extended(x.data, rows, cols), kernel, 2) @ weight.data
+    out += bias.data
+    out = np.maximum(out, 0.0, out=out).reshape(h, w, -1)
+
+    def backward(g):
+        g = (g * (out > 0)).reshape(h * w, -1)
         if _needs_grad(x):
-            _add_window_grads(_dense_grad(x), g @ weight.data.T, kernel, 2)
+            g_rows = g @ weight.data.T
+            if (rows, cols) == x.data.shape[:2]:
+                _add_window_grads(_dense_grad(x), g_rows, kernel, 2)
+            else:
+                gx = np.zeros((rows, cols, c))
+                _add_window_grads(gx, g_rows, kernel, 2)
+                _add_edge_grads(x, gx)
         if _needs_grad(weight):
-            _accumulate(weight, _window_rows(x.data, kernel, 2).T @ g, owned=True)
+            im2col = _window_rows(_edge_extended(x.data, rows, cols), kernel, 2)
+            _accumulate(weight, im2col.T @ g, owned=True)
         if _needs_grad(bias):
             _accumulate(bias, g.sum(axis=0), owned=True)
 
-    return _node(out.reshape(h, w, -1), (x, weight, bias), backward)
+    return _node(out, (x, weight, bias), backward)
 
 
-def _block_max(x: Tensor, views_of) -> Tensor:
+def relu_cross_sum(a, b, bias) -> Tensor:
+    """relu(a[i] + b[j] + bias) for every row i of a [m, F] and j of b [n, F]: [m, n, F].
+
+    Equal bit for bit to relu(a.reshape(m, 1, F) + b.reshape(1, n, F) + bias),
+    but only the output is kept, not the two sums before the relu.
+    """
+    a, b, bias = _wrap(a), _wrap(b), _wrap(bias)
+    if a.data.ndim != 2 or not a.data.shape[1:] == b.data.shape[1:] == bias.data.shape:
+        raise ShapeError(f"relu_cross_sum: a {a.data.shape}, b {b.data.shape}, "
+                         f"bias {bias.data.shape}")
+    m, n = len(a.data), len(b.data)
+    out = a.data[:, None] + b.data[None]
+    out += bias.data
+    np.maximum(out, 0.0, out=out)
+
+    def backward(g):
+        g = g * (out > 0)
+        # the reductions of backward through the broadcasting adds, for the same bits
+        if _needs_grad(a):
+            _accumulate(a, _unbroadcast(g, (m, 1, g.shape[2])).reshape(m, -1), owned=True)
+        if _needs_grad(b):
+            _accumulate(b, _unbroadcast(g, (1, n, g.shape[2])).reshape(n, -1), owned=True)
+        if _needs_grad(bias):
+            _accumulate(bias, _unbroadcast(g, bias.data.shape), owned=True)
+
+    return _node(out, (a, b, bias), backward)
+
+
+def _block_max(x: Tensor, views_of, side=None) -> Tensor:
     """Elementwise max over the same-shape strided views `views_of(array)` of x.
 
     Ties take the earliest view in the order views_of lists them, in value
     and in gradient. The forward pass keeps no winner indices: backward finds
     each output's winner as the first view equal to it, so a forward-only
-    pass never pays for the search.
+    pass never pays for the search. With side (rows, cols) the views are
+    taken of x read as `_edge_extended(x.data, rows, cols)`, which is built
+    again in backward, not kept.
     """
-    views = views_of(x.data)
+    source = (lambda: x.data) if side is None else (lambda: _edge_extended(x.data, *side))
+    views = views_of(source())
     data = views[0].copy()
     for v in views[1:]:
         np.copyto(data, v, where=v > data)  # strict: an equal later value never replaces
+    del views
 
     def backward(g):
-        gx = np.zeros_like(x.data)
+        a = source()
+        gx = np.zeros_like(a)
         open_ = np.ones(data.shape, dtype=bool)
-        for gv, v in zip(views_of(gx), views):
+        for gv, v in zip(views_of(gx), views_of(a)):
             win = open_ & (v == data)
             np.add(gv, g, out=gv, where=win)
             open_ &= ~win
-        _accumulate(x, gx, owned=True)
+        _add_edge_grads(x, gx)
 
     return _node(data, (x,), backward)
 
 
-def max_pool_2x2(x) -> Tensor:
-    """Channelwise max over disjoint 2x2 blocks of an [H, W, C] grid.
+def max_pool_2x2(x, rows: int, cols: int) -> Tensor:
+    """Channelwise max over disjoint 2x2 blocks of an [H, W, C] grid read as [rows, cols, C].
 
-    Trailing odd row/column is dropped; ties route gradient to the first
-    participant in block scan order (0,0), (0,1), (1,0), (1,1).
+    Rows and columns past x's last one are copies of it, as in `conv2d`.
+    A trailing odd row/column is dropped; ties route gradient to the first
+    participant in block scan order (0,0), (0,1), (1,0), (1,1), and the
+    gradient of a copied row or column goes into the one it copies.
     """
     x = _wrap(x)
-    if x.data.ndim != 3:
-        raise ShapeError(f"max_pool_2x2: expected [H, W, C], got {x.data.shape}")
-    h, w, _ = x.data.shape
-    if h < 2 or w < 2:
-        raise ShapeError(f"max_pool_2x2: grid {x.data.shape} smaller than 2x2")
-    even_h, even_w = h - h % 2, w - w % 2
-    return _block_max(x, lambda a: [a[i:even_h:2, j:even_w:2] for i in (0, 1) for j in (0, 1)])
+    _check_side("max_pool_2x2", x, rows, cols, 2)
+    even_h, even_w = rows - rows % 2, cols - cols % 2
+    return _block_max(x, lambda a: [a[i:even_h:2, j:even_w:2] for i in (0, 1) for j in (0, 1)],
+                      (rows, cols))
 
 
 def pair_max(x) -> Tensor:
@@ -672,6 +796,44 @@ def linear(x, weight, bias) -> Tensor:
             f"linear: x {x.data.shape} @ W {weight.data.shape} + b {bias.data.shape}"
         )
     return matmul(x, weight) + bias
+
+
+def linear_blocks(x, weights, biases) -> Tensor:
+    """x @ [W_1 | ... | W_k] + [b_1 | ... | b_k] for an [n, d] x and [d, N_i] weights, as one GEMM.
+
+    Equal bit for bit to linear(x, concat(weights, axis=1), concat(biases)),
+    but the joined weight is not kept: the forward pass builds it for the
+    GEMM and drops it, and backward builds it again for x's gradient and
+    splits the one weight-gradient GEMM into the blocks.
+    """
+    x = _wrap(x)
+    weights, biases = [_wrap(w) for w in weights], [_wrap(b) for b in biases]
+    if (
+        x.data.ndim != 2
+        or not weights
+        or len(weights) != len(biases)
+        or any(w.data.ndim != 2 or w.data.shape[0] != x.data.shape[1]
+               or b.data.shape != (w.data.shape[1],) for w, b in zip(weights, biases))
+    ):
+        raise ShapeError(f"linear_blocks: x {x.data.shape} @ W {[w.data.shape for w in weights]} "
+                         f"+ b {[b.data.shape for b in biases]}")
+    joined = lambda: np.concatenate([w.data for w in weights], axis=1)
+    out = x.data @ joined()
+    out += np.concatenate([b.data for b in biases])
+    offsets = np.cumsum([0] + [w.data.shape[1] for w in weights])
+
+    def backward(g):
+        if _needs_grad(x):
+            _accumulate(x, g @ joined().T, owned=True)
+        dw = x.data.T @ g if _needs_grad(*weights) else None
+        db = g.sum(axis=0) if _needs_grad(*biases) else None
+        for w, b, lo, hi in zip(weights, biases, offsets[:-1], offsets[1:]):
+            if _needs_grad(w):
+                _accumulate(w, dw[:, lo:hi])  # a view of dw: copied
+            if _needs_grad(b):
+                _accumulate(b, db[lo:hi])
+
+    return _node(out, (x, *weights, *biases), backward)
 
 
 # -- parameters ---------------------------------------------------------------
@@ -800,6 +962,8 @@ def minibatch_sgd(items, loss_fn, params: ParamStore, rng: np.random.Generator, 
     step divides it by the batch size. The item order is reshuffled from `rng`
     every epoch. After each epoch the mean loss per item is logged as
     "<name> epoch k: mean loss x"; the record's args carry the exact float.
+    Each batch's loss, and with it its tape, is dropped after its step, before
+    the next batch's forward pass.
     """
     for epoch in range(epochs):
         order = rng.permutation(len(items))
@@ -809,6 +973,7 @@ def minibatch_sgd(items, loss_fn, params: ParamStore, rng: np.random.Generator, 
             batch_loss = loss_fn(batch, params) / len(batch)
             sgd_step(params, gradients(batch_loss, params), lr)
             epoch_total += batch_loss.item() * len(batch)
+            del batch_loss
         log.info("%s epoch %d: mean loss %.6f", name, epoch + 1, epoch_total / len(items))
     return params
 

@@ -181,6 +181,7 @@ def train_rnes(
         episode.final_reward = final_reward(doc, episode.decisions, rl_config.weights)
         episode.returns = compute_returns(episode.rewards, episode.final_reward, rl_config.lam)
         policy_gradient_step(params, doc, enc, episode, rl_config.alpha)
+        del enc  # its tape, before the next step encodes
 
         coh_sum = sum(episode.rewards)
         combined = episode.final_reward + rl_config.lam * coh_sum

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,74 @@ def recording_nodes(monkeypatch) -> list:
 
     monkeypatch.setattr(nm, "_node", recording)
     return built
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns a's memory: a itself, or the base at the end of its view chain."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _closure_arrays(fn) -> list[np.ndarray]:
+    arrays = []
+    for cell in fn.__closure__ or ():
+        try:
+            value = cell.cell_contents
+        except ValueError:  # a cell not yet bound
+            continue
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+    return arrays
+
+
+def tape_holdings(loss, params: ParamStore) -> list[tuple[str, object, list[np.ndarray]]]:
+    """(op, node, buffers) for every node of a loss's tape, each node after its parents.
+
+    A node holds its data and the arrays its backward closure reads; the op is
+    the function that built the closure ("leaf" for a node without one). A
+    view counts as the array that owns its memory, and each buffer goes to
+    the first node that holds it, so a reshape or a slice holds none of its
+    own. Parameter buffers are left out.
+    """
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((parent, False) for parent in node._parents if id(parent) not in seen)
+    owners = {id(_owner(p.data)) for _, p in params.items()}
+    holdings = []
+    for node in order:
+        fn = node._backward_fn
+        op = "leaf" if fn is None else fn.__qualname__.split(".")[0]
+        buffers = []
+        for a in [node.data] + ([] if fn is None else _closure_arrays(fn)):
+            a = _owner(a)
+            if id(a) not in owners:
+                owners.add(id(a))
+                buffers.append(a)
+        holdings.append((op, node, buffers))
+    return holdings
+
+
+def tape_bytes(loss, params: ParamStore) -> dict[str, int]:
+    """The bytes of the distinct buffers a loss's tape holds, summed by op, parameters excluded."""
+    total: dict[str, int] = {}
+    for op, _, buffers in tape_holdings(loss, params):
+        total[op] = total.get(op, 0) + sum(a.nbytes for a in buffers)
+    return total
+
+
+def traced_peak(fn) -> int:
+    """Bytes allocated at the peak of fn(), above what was live when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

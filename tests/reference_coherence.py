@@ -9,6 +9,10 @@ column, the PAD tail and the rows the next stage does not read included. Each
 convolution is `windows` + `linear`, whose im2col matrix stays on the tape.
 `coherence.coherence_forward` and
 `coherence.triplet_loss` are tested against these functions.
+
+`repeat_tail` is how the trimmed stack once read a grid past its last row
+and column: by concatenating slices of them. The edge-extending ops of
+`numeric` are tested against it.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ def forward(sa_ids, sb_ids, params: ParamStore, config: CoherenceConfig) -> Tens
     x = ref.max_pool_2x2(ref.layer1_grid(sa_ids, sb_ids, params, config))
     for stage in stages[1:]:  # stages[0] is the pool that layer 1 fuses
         if stage[0] == "pool":
-            x = nm.max_pool_2x2(x)
+            x = nm.max_pool_2x2(x, *x.shape[:2])
         else:
             _, layer, _, out_ch, _ = stage
             h, w, _ = x.shape
@@ -54,3 +58,18 @@ def batch_loss(triplets: list[CoherenceTriplet], params: ParamStore,
     for triplet in triplets[1:]:
         total = total + triplet_loss(triplet, params, config)
     return total
+
+
+def repeat_tail(x, rows: int, cols: int) -> Tensor:
+    """x [h, w, C] with its last row repeated up to `rows` rows, its last column up to `cols`.
+
+    Each repeat is one slice of x concatenated again, so backward sums the
+    copies' gradients into the row or column they copy.
+    """
+    x = nm._wrap(x)
+    h, w, _ = x.shape
+    if rows > h:
+        x = nm.concat([x] + [x[h - 1:h]] * (rows - h), axis=0)
+    if cols > w:
+        x = nm.concat([x] + [x[:, w - 1:w]] * (cols - w), axis=1)
+    return x

@@ -1,7 +1,6 @@
 """Coherence scorer: interaction grid, stack arithmetic, hinge training."""
 
 import logging
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +27,9 @@ from conftest import (
     logged_epoch_losses,
     recording_nodes,
     small_vocab,
+    tape_holdings,
     tiny_coherence_config,
+    traced_peak,
 )
 import reference_coherence
 
@@ -328,8 +329,8 @@ def _rows_windowed(pair, params, config) -> dict:
         rows[axes].append(out.shape[0])
         return out
 
-    def spy_conv2d(x, weight, bias, kernel):
-        out = conv2d(x, weight, bias, kernel)
+    def spy_conv2d(x, weight, bias, kernel, *side):
+        out = conv2d(x, weight, bias, kernel, *side)
         rows[2].append(out.shape[0] * out.shape[1])
         return out
 
@@ -354,25 +355,49 @@ def test_conv_gemms_get_fewer_rows_for_a_padded_pair_and_all_of_them_for_a_full_
     assert _rows_windowed(short, params, config) == {1: [4, 6], 2: [2 * 3, 2 * 2]}
 
 
-def test_taped_triplet_loss_holds_no_im2col_matrix(vocab, rng):
-    # grid 28, pool 14, conv2 12, pool 6, conv3 4, pool 2: both convs run; an
-    # im2col matrix of a conv reading C channels is k * k * C wide
+def _taped_one_triplet_loss(vocab, rng):
+    """(loss, params, config): a taped one-triplet loss at a geometry where both convs run.
+
+    Grid 28, pool 14, conv2 12, pool 6, conv3 4, pool 2. The anchor has no
+    tail; the other sentences end in PAD, so every stage reads tail rows.
+    """
     config = tiny_coherence_config(vocab.size, max_tokens=30, conv_filters=(4, 6, 8))
     params = init_coherence_params(config, rng)
+    triplet = _triplet(vocab, config, _full_text(config), "alpha beta gamma", "delta")
+    return triplet_loss([triplet], params, config), params, config
+
+
+def test_taped_triplet_loss_holds_no_im2col_matrix(vocab, rng):
+    loss, params, config = _taped_one_triplet_loss(vocab, rng)
+    # an im2col matrix of a conv reading C channels is k * k * C wide
     widths = {config.conv_kernel ** 2 * stage[2]
               for stage in stack_plan(config)[0] if stage[0] == "conv"}
     assert widths == {36, 54}
-    triplet = _triplet(vocab, config, _full_text(config), "alpha beta gamma", "delta")
-    loss = triplet_loss([triplet], params, config)
-    nodes, stack, seen = [], [loss], set()
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            nodes.append(node)
-            stack.extend(node._parents)
-    assert len(nodes) > 20
-    assert not [t.shape for t in nodes if t.ndim == 2 and t.shape[1] in widths]
+    held = [a for _, _, buffers in tape_holdings(loss, params) for a in buffers]
+    assert len(held) > 20
+    assert not [a.shape for a in held if a.ndim == 2 and a.shape[1] in widths]
+
+
+def test_taped_triplet_loss_holds_no_concat_but_the_batch_rows(vocab, rng):
+    # the tail rows and columns are read by the ops, not concatenated onto the grid
+    loss, params, config = _taped_one_triplet_loss(vocab, rng)
+    concats = [node.shape for op, node, _ in tape_holdings(loss, params) if op == "concat"]
+    assert concats == [(2, stack_plan(config)[1])]
+
+
+def test_each_coherence_stage_leaves_one_array_on_the_tape(vocab, rng):
+    # layer 1, each conv and each pool keep their output only: no sum before
+    # a relu, no separate relu output, no copy of a grid with its tail
+    loss, params, config = _taped_one_triplet_loss(vocab, rng)
+    stage_ops = {"relu_cross_sum", "conv2d", "_block_max"}  # _block_max builds the pools
+    kept = {}
+    for op, node, buffers in tape_holdings(loss, params):
+        if node.ndim == 3:  # a grid
+            floats = [a for a in buffers if a.dtype == np.float64]
+            assert len(floats) == (op in stage_ops), (op, node.shape)
+            kept[op] = kept.get(op, 0) + len(floats)
+    # two pairs: layer 1, conv2, conv3 and two pools each
+    assert kept == {"relu_cross_sum": 2, "conv2d": 4, "_block_max": 4, "extend_edges": 0}
 
 
 def test_triplet_of_padded_sentences_gradient_matches_finite_differences(vocab, rng):
@@ -390,17 +415,6 @@ def test_triplet_of_padded_sentences_gradient_matches_finite_differences(vocab, 
     assert_grads_close(analytic, numeric_grads)
 
 
-def _traced_peak(fn) -> int:
-    """Bytes allocated at the peak of fn(), above what was live when it started."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def test_scorer_keeps_one_pair_tape_alive_at_a_time(rng):
     # the rows are copied off their tapes before the head runs; a head over
     # the taped rows would keep every pair's conv stack alive at once
@@ -408,8 +422,8 @@ def test_scorer_keeps_one_pair_tape_alive_at_a_time(rng):
     params = init_coherence_params(config, rng)
     pairs = [(rng.integers(0, 200, size=50), rng.integers(0, 200, size=50)) for _ in range(16)]
     coherence_forward(pairs[:1], params, config)  # warm up before measuring
-    one = _traced_peak(lambda: coherence_forward(pairs[:1], params, config))
-    sixteen = _traced_peak(lambda: coherence_forward(pairs, params, config))
+    one = traced_peak(lambda: coherence_forward(pairs[:1], params, config))
+    sixteen = traced_peak(lambda: coherence_forward(pairs, params, config))
     assert sixteen < 2 * one
 
 

@@ -23,6 +23,7 @@ from conftest import (
     finite_difference_grads,
     logged_epoch_losses,
     small_vocab,
+    tape_holdings,
     tiny_extractor_config,
     toy_document,
 )
@@ -268,6 +269,16 @@ def test_pretrain_loss_gradient_matches_finite_differences(vocab, rng):
         lambda: pretrain_loss(doc, labels, params, config).item(), params
     )
     assert_grads_close(analytic, numeric_grads)
+
+
+def test_taped_pretrain_loss_holds_no_joined_gru_weight(vocab, config, params, rng):
+    # each GRU direction projects with its three gate weights read in place,
+    # not copied into one [word_dim, 3 * gru_hidden] weight per document
+    doc = toy_document("d", rng, vocab, n_sentences=4, max_tokens=config.max_tokens)
+    loss = pretrain_loss(doc, [1, 0, 0, 1], params, config)
+    joined = (config.word_dim, 3 * config.gru_hidden)
+    held = [a.shape for _, _, buffers in tape_holdings(loss, params) for a in buffers]
+    assert held and joined not in held
 
 
 def test_full_model_gradient_check_spec_dims(rng):

@@ -23,7 +23,7 @@ from cohsum.numeric import (
     sgd_step,
 )
 
-from conftest import assert_grads_close, finite_difference_grads
+from conftest import assert_grads_close, finite_difference_grads, traced_peak
 from reference_numeric import sigmoid
 
 
@@ -59,28 +59,28 @@ def test_sigmoid_saturation_is_finite():
 
 def test_max_pool_single_block():
     grid = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1))
-    assert max_pool_2x2(grid).data.reshape(()) == 4.0
+    assert max_pool_2x2(grid, 2, 2).data.reshape(()) == 4.0
 
 
 def test_max_pool_floor_rule():
-    out = max_pool_2x2(Tensor(np.arange(75, dtype=float).reshape(5, 5, 3)))
+    out = max_pool_2x2(Tensor(np.arange(75, dtype=float).reshape(5, 5, 3)), 5, 5)
     assert out.shape == (2, 2, 3)
 
 
 def test_max_pool_all_equal():
-    out = max_pool_2x2(Tensor(np.full((4, 6, 2), 7.0)))
+    out = max_pool_2x2(Tensor(np.full((4, 6, 2), 7.0)), 4, 6)
     assert out.shape == (2, 3, 2)
     assert np.all(out.data == 7.0)
 
 
 def test_max_pool_rejects_small_grid():
     with pytest.raises(ShapeError):
-        max_pool_2x2(Tensor(np.zeros((1, 4, 2))))
+        max_pool_2x2(Tensor(np.zeros((1, 4, 2))), 1, 4)
 
 
 def test_max_pool_output_dominates_block(rng):
     x = rng.normal(size=(6, 8, 3))
-    out = max_pool_2x2(Tensor(x)).data
+    out = max_pool_2x2(Tensor(x), 6, 8).data
     for i in range(3):
         for j in range(4):
             for c in range(3):
@@ -188,11 +188,15 @@ def test_fd_conv2d(rng):
     params.init_uniform("w3", (3 * 3 * 2, 3), rng, scale=0.5)
     params.init_uniform("w2", (2 * 2 * 2, 3), rng, scale=0.5)
     params.init_uniform("b", (3,), rng, scale=0.5)
+    weights = rng.normal(size=(7, 6, 3))
 
     def loss():
         grid, b = params["grid"], params["b"]
-        return (nm.tanh(nm.conv2d(grid, params["w3"], b, 3)).sum()
-                + nm.tanh(nm.conv2d(grid, params["w2"], b, 2)).sum())
+        # the grid as it is, then with tail rows, tail columns, and both
+        return sum((nm.tanh(nm.conv2d(grid, w, b, k, rows, cols))
+                    * weights[: rows - k + 1, : cols - k + 1]).sum()
+                   for w, k in ((params["w3"], 3), (params["w2"], 2))
+                   for rows, cols in ((5, 4), (7, 4), (5, 6), (6, 7)))
 
     _fd_check(loss, params)
 
@@ -200,7 +204,40 @@ def test_fd_conv2d(rng):
 def test_fd_max_pool(rng):
     params = ParamStore()
     params.init_uniform("g", (5, 6, 2), rng, scale=1.0)
-    _fd_check(lambda: max_pool_2x2(params["g"]).sum(), params)
+    weights = rng.normal(size=(4, 4, 2))
+    _fd_check(lambda: max_pool_2x2(params["g"], 5, 6).sum(), params)
+    # tail rows and columns: the gradient of each copy goes to the row or column it copies
+    _fd_check(lambda: (max_pool_2x2(params["g"], 8, 7) * weights[:, :3]).sum()
+              + (max_pool_2x2(params["g"], 6, 8) * weights[:3]).sum(), params)
+
+
+def test_fd_extend_edges(rng):
+    params = ParamStore()
+    params.init_uniform("g", (2, 3, 2), rng, scale=1.0)
+    weights = rng.normal(size=(4, 5, 2))
+    _fd_check(lambda: (nm.tanh(nm.extend_edges(params["g"], 4, 5)) * weights).sum(), params)
+
+
+def test_fd_relu_cross_sum(rng):
+    params = ParamStore()
+    params.init_uniform("a", (3, 4), rng, scale=1.0)
+    params.init_uniform("b", (2, 4), rng, scale=1.0)
+    params.init_uniform("bias", (4,), rng, scale=0.5)
+    weights = rng.normal(size=(3, 2, 4))
+    _fd_check(lambda: (nm.tanh(nm.relu_cross_sum(params["a"], params["b"], params["bias"]))
+                       * weights).sum(), params)
+
+
+def test_fd_linear_blocks(rng):
+    params = ParamStore()
+    params.init_uniform("x", (4, 5), rng, scale=0.7)
+    for gate, width in (("z", 3), ("r", 3), ("h", 2)):
+        params.init_uniform(f"w_{gate}", (5, width), rng, scale=0.7)
+        params.init_uniform(f"b_{gate}", (width,), rng, scale=0.7)
+    weights = rng.normal(size=(4, 8))
+    _fd_check(lambda: (nm.tanh(nm.linear_blocks(params["x"], [params[f"w_{g}"] for g in "zrh"],
+                                                [params[f"b_{g}"] for g in "zrh"]))
+                       * weights).sum(), params)
 
 
 def test_fd_pair_max(rng):
@@ -471,6 +508,25 @@ def test_sgd_keyset_mismatch_names_parameter():
     params.add("p", 1.0)
     with pytest.raises(ValueError, match="missing=\\['p'\\]"):
         sgd_step(params, {"q": np.array(1.0)}, 0.1)
+
+
+def test_minibatch_sgd_drops_each_batch_tape_before_the_next_forward(rng):
+    # each item's tape holds two [64, 1024] arrays (1 MB); the parameters are 32 KB
+    inputs = rng.normal(size=(8, 64, 1024))
+
+    def loss_fn(batch, p):
+        return sum(nm.tanh(p["w"] @ inputs[i]).sum() for i in batch)
+
+    def epoch_peak(n_items):
+        params = ParamStore()
+        params.init_uniform("w", (64, 64), np.random.default_rng(0))
+        return traced_peak(lambda: nm.minibatch_sgd(list(range(n_items)), loss_fn, params,
+                                                    np.random.default_rng(1), lr=0.1,
+                                                    batch_size=4, epochs=1, name="probe"))
+
+    one_batch, two_batches = epoch_peak(4), epoch_peak(8)
+    assert one_batch > 4 << 20  # the four items' tapes
+    assert two_batches <= 1.1 * one_batch
 
 
 def test_param_store_rejects_duplicates():

@@ -3,7 +3,11 @@
 The reference (tests/reference_numeric.py) pools by argmax over a copy of the
 2x2 blocks, scatters embedding gradients into a dense table, sweeps the
 whole table in SGD, and gathers sliding windows through flat index tables;
-`conv2d`, which keeps no im2col matrix, is held to `windows` + `linear`.
+`conv2d`, which keeps no im2col matrix and fuses the relu, is held to
+`windows` + `linear` + `relu`, and `linear_blocks` to `linear` over the
+concatenated weights. A grid read past its last row and column (by
+`conv2d`, `max_pool_2x2` and `extend_edges`) is held to the same op over
+`reference_coherence.repeat_tail`, the concatenation of copied slices.
 The fast paths do the same arithmetic in the same order, so values and
 gradients must agree bit for bit; only the fused layer-1 pool sums its
 gradients over fewer (all-zero) terms, and over the copies of its tail row
@@ -17,11 +21,12 @@ from hypothesis import strategies as st
 
 import reference_numeric as ref
 from cohsum import numeric as nm
-from cohsum.coherence import _repeat_tail, init_coherence_params, interaction_layer1, stack_plan
+from cohsum.coherence import init_coherence_params, interaction_layer1, stack_plan
 from cohsum.corpus import make_sentence
 from cohsum.numeric import ParamStore, RowGrad, Tensor
 
 from conftest import assert_grads_close, small_vocab, tiny_coherence_config
+from reference_coherence import repeat_tail
 
 seed_st = st.integers(min_value=0, max_value=2**31)
 
@@ -36,10 +41,13 @@ def _grid_store(x):
     return params
 
 
-def _assert_pool_matches_reference(x, seed):
-    weights = np.random.default_rng(seed).normal(size=(x.shape[0] // 2, x.shape[1] // 2, x.shape[2]))
+def _assert_pool_matches_reference(x, seed, row_tail=0, col_tail=0):
+    """The pool of x read with tail rows and columns against pooling the repeated grid."""
+    rows, cols = x.shape[0] + row_tail, x.shape[1] + col_tail
+    weights = np.random.default_rng(seed).normal(size=(rows // 2, cols // 2, x.shape[2]))
     params = _grid_store(x)
-    lean, dense = nm.max_pool_2x2(params["x"]), ref.max_pool_2x2(params["x"])
+    lean = nm.max_pool_2x2(params["x"], rows, cols)
+    dense = ref.max_pool_2x2(repeat_tail(params["x"], rows, cols))
     assert _bits(lean.data) == _bits(dense.data)
     lean_grad = nm.gradients((lean * weights).sum(), params)["x"]
     dense_grad = nm.gradients((dense * weights).sum(), params)["x"]
@@ -49,21 +57,27 @@ def _assert_pool_matches_reference(x, seed):
 # -- max pool ------------------------------------------------------------------------
 
 
+tail_st = st.sampled_from([0, 0, 1, 2, 3])
+
+
 @given(
-    st.integers(min_value=2, max_value=7),
-    st.integers(min_value=2, max_value=7),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=1, max_value=7),
     st.integers(min_value=1, max_value=3),
     st.sampled_from(["normal", "few values"]),
+    tail_st,
+    tail_st,
     seed_st,
 )
-@settings(max_examples=80, deadline=None)
-def test_pool_matches_reference(h, w, c, kind, seed):
+@settings(max_examples=120, deadline=None)
+def test_pool_matches_reference(h, w, c, kind, row_tail, col_tail, seed):
     rng = np.random.default_rng(seed)
     if kind == "normal":
         x = rng.normal(size=(h, w, c))
     else:  # many ties, signed zeros among them
         x = rng.choice([-1.0, -0.0, 0.0, 2.0], size=(h, w, c))
-    _assert_pool_matches_reference(x, seed)
+    row_tail, col_tail = max(row_tail, 2 - h), max(col_tail, 2 - w)  # read as at least 2 x 2
+    _assert_pool_matches_reference(x, seed, row_tail, col_tail)
 
 
 @pytest.mark.parametrize("kind", ["all equal", "all zero", "signed zeros", "pad rows"])
@@ -79,7 +93,8 @@ def test_pool_ties_match_reference(kind, rng):
         x = rng.normal(size=shape)
         x[3:] = x[3]
         x[:, 2:] = x[:, 2:3]
-    _assert_pool_matches_reference(x, 7)
+    for row_tail, col_tail in [(0, 0), (1, 0), (0, 1), (1, 3), (2, 2)]:
+        _assert_pool_matches_reference(x, 7, row_tail, col_tail)
 
 
 # -- sliding windows -------------------------------------------------------------------
@@ -135,26 +150,32 @@ def test_windows_larger_than_the_input_are_a_shape_error(shape, axes):
 @st.composite
 def conv_cases(draw):
     kernel = draw(st.integers(min_value=1, max_value=4))
-    # from one output cell up, odd and even grids alike
-    h, w = (draw(st.integers(min_value=kernel, max_value=kernel + 5)) for _ in range(2))
+    # from one output cell up, odd and even grids alike; the tail rows and
+    # columns read past x's last one make up the rest of the logical side
+    rows, cols = (draw(st.integers(min_value=kernel, max_value=kernel + 5)) for _ in range(2))
+    h, w = (draw(st.sampled_from(sorted({v for v in (n, n - 1, n // 2, 1) if v >= 1})))
+            for n in (rows, cols))
     channels, out_ch = (draw(st.integers(min_value=1, max_value=3)) for _ in range(2))
-    return (h, w, channels), out_ch, kernel
+    return (h, w, channels), (rows, cols), out_ch, kernel
 
 
 @given(conv_cases(), st.booleans(), seed_st)
-@example(((22, 22, 64), 32, 3), True, 0)  # conv3's input at paper geometry, narrower
-@settings(max_examples=100, deadline=None)
+@example(((22, 22, 64), (22, 22), 32, 3), True, 0)  # conv3's input at paper geometry, narrower
+@example(((3, 22, 8), (22, 22), 4, 3), False, 0)  # a short sentence against a full one
+@example(((2, 3, 2), (5, 4), 2, 2), True, 1)  # tails on both axes, prefilled
+@settings(max_examples=150, deadline=None)
 def test_conv2d_matches_windows_and_linear(case, prefilled, seed):
-    shape, out_ch, kernel = case
+    shape, (rows, cols), out_ch, kernel = case
     rng = np.random.default_rng(seed)
     params = ParamStore()
     params.add("x", rng.normal(size=shape))
     params.add("w", rng.normal(size=(kernel * kernel * shape[2], out_ch)))
     params.add("b", rng.normal(size=out_ch))
     x, w, b = params["x"], params["w"], params["b"]
-    lean = nm.conv2d(x, w, b, kernel)
-    out_shape = (shape[0] - kernel + 1, shape[1] - kernel + 1, out_ch)
-    dense = nm.linear(nm.windows(x, kernel, 2), w, b).reshape(out_shape)
+    lean = nm.conv2d(x, w, b, kernel, rows, cols)
+    out_shape = (rows - kernel + 1, cols - kernel + 1, out_ch)
+    dense = nm.relu(nm.linear(nm.windows(repeat_tail(x, rows, cols), kernel, 2), w, b))
+    dense = dense.reshape(out_shape)
     assert lean.shape == out_shape
     assert _bits(lean.data) == _bits(dense.data)
     weights = rng.normal(size=out_shape)
@@ -163,8 +184,14 @@ def test_conv2d_matches_windows_and_linear(case, prefilled, seed):
     extra = (x * rng.normal(size=shape)).sum() if prefilled else Tensor(0.0)
     lean_grads = nm.gradients(extra + (lean * weights).sum(), params)
     dense_grads = nm.gradients(extra + (dense * weights).sum(), params)
-    for name in ("x", "w", "b"):
+    for name in ("w", "b"):
         assert _bits(lean_grads[name]) == _bits(dense_grads[name]), name
+    if prefilled and (rows, cols) != shape[:2]:
+        # the reference adds x's share into the prefilled gradient before the
+        # copies' sum, the fold after it: the same terms in another order
+        np.testing.assert_allclose(lean_grads["x"], dense_grads["x"], rtol=1e-12, atol=1e-15)
+    else:
+        assert _bits(lean_grads["x"]) == _bits(dense_grads["x"])
 
 
 @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
@@ -175,7 +202,106 @@ def test_conv2d_matches_windows_and_linear(case, prefilled, seed):
 ])
 def test_conv2d_shape_errors_name_the_op(x_shape, w_shape, b_shape):
     with pytest.raises(nm.ShapeError, match="conv2d"):
-        nm.conv2d(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_shape)), 3)
+        nm.conv2d(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_shape)), 3,
+                  *x_shape[:2])
+
+
+@pytest.mark.parametrize("op", ["conv2d", "max_pool_2x2", "extend_edges"])
+def test_a_logical_side_short_of_the_grid_is_a_shape_error(op):
+    x = Tensor(np.zeros((4, 5, 1)))
+    call = {
+        "conv2d": lambda rows, cols: nm.conv2d(x, np.zeros((9, 2)), np.zeros(2), 3, rows, cols),
+        "max_pool_2x2": lambda rows, cols: nm.max_pool_2x2(x, rows, cols),
+        "extend_edges": lambda rows, cols: nm.extend_edges(x, rows, cols),
+    }[op]
+    call(4, 5)  # the grid's own side
+    for rows, cols in [(3, 5), (4, 4)]:
+        with pytest.raises(nm.ShapeError, match=op):
+            call(rows, cols)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), tail_st, tail_st, st.booleans(), seed_st)
+@settings(max_examples=60, deadline=None)
+def test_extend_edges_matches_the_repeated_slices(h, w, row_tail, col_tail, prefilled, seed):
+    rng = np.random.default_rng(seed)
+    params = _grid_store(rng.normal(size=(h, w, 2)))
+    rows, cols = h + row_tail, w + col_tail
+    lean = nm.extend_edges(params["x"], rows, cols)
+    dense = repeat_tail(params["x"], rows, cols)
+    assert _bits(lean.data) == _bits(dense.data)
+    weights = rng.normal(size=(rows, cols, 2))
+    extra = (params["x"] * rng.normal(size=(h, w, 2))).sum() if prefilled else Tensor(0.0)
+    lean_grad = nm.gradients(extra + (lean * weights).sum(), params)["x"]
+    dense_grad = nm.gradients(extra + (dense * weights).sum(), params)["x"]
+    if prefilled and (row_tail or col_tail):  # the fold before the prefilled sum, not after
+        np.testing.assert_allclose(lean_grad, dense_grad, rtol=1e-12, atol=1e-15)
+    else:
+        assert _bits(lean_grad) == _bits(dense_grad)
+
+
+# -- the layer-1 cross sum and the GRU input projection ----------------------------------
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 3), st.booleans(), seed_st)
+@example(1, 1, 2, True, 3)
+@settings(max_examples=60, deadline=None)
+def test_relu_cross_sum_matches_broadcast_adds(m, n, f, signed_zeros, seed):
+    rng = np.random.default_rng(seed)
+    params = ParamStore()
+    for name, shape in (("a", (m, f)), ("b", (n, f)), ("bias", (f,))):
+        params.add(name, rng.normal(size=shape))
+    a, b, bias = params["a"], params["b"], params["bias"]
+    lean = nm.relu_cross_sum(a, b, bias)
+    dense = nm.relu(a.reshape(m, 1, f) + b.reshape(1, n, f) + bias)
+    assert _bits(lean.data) == _bits(dense.data)
+    # negative upstream gradients on cells the relu cuts give signed zeros
+    weights = -np.abs(rng.normal(size=(m, n, f))) if signed_zeros else rng.normal(size=(m, n, f))
+    lean_grads = nm.gradients((nm.tanh(lean) * weights).sum(), params)
+    dense_grads = nm.gradients((nm.tanh(dense) * weights).sum(), params)
+    for name in ("a", "b", "bias"):
+        assert _bits(lean_grads[name]) == _bits(dense_grads[name]), name
+
+
+@pytest.mark.parametrize("a_shape, b_shape, bias_shape", [
+    ((2, 3), (2, 4), (3,)),  # a and b differ in width
+    ((2, 3), (2, 3), (4,)),  # the bias does not match them
+    ((2, 3), (3,), (3,)),  # b is not a matrix
+    ((2, 1, 3), (2, 3), (3,)),  # nor is a
+])
+def test_relu_cross_sum_shape_errors_name_the_op(a_shape, b_shape, bias_shape):
+    with pytest.raises(nm.ShapeError, match="relu_cross_sum"):
+        nm.relu_cross_sum(np.zeros(a_shape), np.zeros(b_shape), np.zeros(bias_shape))
+
+
+@given(st.integers(1, 6), st.integers(1, 5), st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       seed_st)
+@example(30, 64, [32, 32, 32], 0)
+@settings(max_examples=60, deadline=None)
+def test_linear_blocks_matches_linear_over_the_joined_weights(n, d, widths, seed):
+    rng = np.random.default_rng(seed)
+    params = ParamStore()
+    params.add("x", rng.normal(size=(n, d)))
+    for i, width in enumerate(widths):
+        params.add(f"w{i}", rng.normal(size=(d, width)))
+        params.add(f"b{i}", rng.normal(size=width))
+    ws = [params[f"w{i}"] for i in range(len(widths))]
+    bs = [params[f"b{i}"] for i in range(len(widths))]
+    lean = nm.linear_blocks(params["x"], ws, bs)
+    dense = nm.linear(params["x"], nm.concat(ws, axis=1), nm.concat(bs))
+    assert _bits(lean.data) == _bits(dense.data)
+    weights = rng.normal(size=lean.shape)
+    lean_grads = nm.gradients((nm.tanh(lean) * weights).sum(), params)
+    dense_grads = nm.gradients((nm.tanh(dense) * weights).sum(), params)
+    for name in params.names():
+        assert _bits(lean_grads[name]) == _bits(dense_grads[name]), name
+
+
+def test_linear_blocks_shape_errors_name_the_op():
+    x, w, b = np.zeros((2, 3)), np.zeros((3, 4)), np.zeros(4)
+    for args in [(x, [w], []), (x, [], []), (x, [np.zeros((2, 4))], [b]), (x, [w], [np.zeros(3)]),
+                 (np.zeros(3), [w], [b])]:
+        with pytest.raises(nm.ShapeError, match="linear_blocks"):
+            nm.linear_blocks(*args)
 
 
 # -- layer 1 fused with the first pool --------------------------------------------------
@@ -198,7 +324,7 @@ def test_fused_layer1_pool_matches_pooling_the_full_grid(a_words, b_words, windo
     # layer 1 builds the pooled rows up to each sentence's tail; repeating the
     # tail row and column gives the pooled grid the next stage reads
     side = stack_plan(config)[0][0][-1]
-    fused = _repeat_tail(interaction_layer1(a, b, params, config), side, side)
+    fused = repeat_tail(interaction_layer1(a, b, params, config), side, side)
     unfused = ref.max_pool_2x2(ref.layer1_grid(a, b, params, config))[:side, :side]
     assert _bits(fused.data) == _bits(unfused.data)
     weights = rng.normal(size=fused.shape)

@@ -19,7 +19,7 @@ from cohsum.reinforce import (
 )
 from cohsum.rouge import RewardWeights
 
-from conftest import small_vocab, tiny_extractor_config, toy_document
+from conftest import small_vocab, tiny_extractor_config, toy_document, traced_peak
 from reference_policy import extraction_probability, initial_selection
 
 
@@ -301,3 +301,19 @@ def test_metrics_capture_combined_objective(vocab, config, params, rng, caplog):
     assert [args[0] for args in steps] == list(range(1, 11))
     for _, rouge, coherence_sum, combined, _ in steps:
         assert combined == pytest.approx(rouge + 0.01 * coherence_sum)
+
+
+def test_each_step_drops_the_previous_encoding_before_it_encodes(vocab, rng):
+    # one long document: the encoding's tape, not the parameters, sets the peak
+    config = tiny_extractor_config(vocab.size, max_sentences=80, gru_hidden=48)
+    params = init_extractor_params(config, rng)
+    doc = toy_document("d", rng, vocab, n_sentences=80, max_tokens=config.max_tokens,
+                       highlight_sentences=(0,))
+
+    def peak(steps):
+        return traced_peak(lambda: train_rnes([doc], params, None,
+                                              RLConfig(lam=0.0, alpha=0.0, steps=steps), config,
+                                              np.random.default_rng(0)))
+
+    peak(1)  # warm up before measuring
+    assert peak(2) <= 1.1 * peak(1)
