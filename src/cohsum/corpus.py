@@ -249,7 +249,16 @@ def load_vocab(path) -> Vocabulary:
         raise CorpusFormatError(
             f"{path}: expected header lines {_SPECIALS}, got {tuple(lines[:3])}"
         )
-    return Vocabulary(lines[3:])
+    try:
+        return Vocabulary(lines[3:])
+    except ValueError:  # a repeated token: name the file and both of its lines
+        first_line: dict[str, int] = {}
+        for lineno, token in enumerate(lines, start=1):
+            if token in first_line:
+                raise CorpusFormatError(f"{path}: line {lineno}: token {token!r} already used on "
+                                        f"line {first_line[token]}") from None
+            first_line[token] = lineno
+        raise
 
 
 @dataclass

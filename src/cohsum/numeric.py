@@ -48,6 +48,19 @@ is 64-bit so finite-difference gradient checks are decisive.
 - Bounded optimizer temporaries: `sgd_step` updates a dense parameter
   `SGD_BLOCK` elements at a time, so lr * g never takes a parameter's size in
   memory, and it only reads the gradients it is handed.
+- Stepping inside backward: `gradients` is the one walk of the tape, and
+  given a step size it is also the optimizer. Before the walk it finds each
+  parameter's last consumer in reverse topological order; right after that
+  node's backward has run the parameter's gradient is complete, and
+  `sgd_step` applies it and drops it. So a large gradient (the coherence
+  scorer's 33.5 MB fc1 weight gradient, complete early in the walk) is freed
+  while the rest of the tape runs, not kept to its end. No backward reads a
+  stepped value: a node that reads a parameter's buffer, directly or through
+  a `take_slice` or `reshape` view of it, consumes the parameter or lies
+  downstream of a node that does, so its backward runs before the last
+  consumer's. An exception part-way through backward leaves the parameters
+  stepped so far stepped and the rest not; the CLI then exits 1 and writes no
+  checkpoint.
 - Checkpoints (format v2, laid out in `save_checkpoint`) carry a JSON header,
   `ParamStore.meta`, before the tensors. Each tensor is written from its own
   buffer and read straight into its own array, after its declared size is
@@ -90,10 +103,11 @@ def _as_array(data) -> np.ndarray:
 
 
 class Tensor:
-    """A float64 array plus the tape hooks needed for backward().
+    """A float64 array plus the tape hooks that `gradients` walks.
 
     Data is treated as immutable once the tensor participates in a graph;
-    only the optimizer writes `.data` in place, between graph builds.
+    only the optimizer writes `.data` in place, inside the backward walk once
+    every backward that reads it has run (see the module docstring).
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
@@ -127,39 +141,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # -- graph construction ------------------------------------------------
-
-    def backward(self) -> None:
-        """Reverse-mode pass from a scalar; accumulates into .grad fields.
-
-        A leaf reached only through `gather_rows` is left holding its list of
-        (indices, g) row segments; `gradients` collects them into a `RowGrad`.
-        """
-        if self.data.size != 1:
-            raise ValueError(f"backward() requires a scalar, got shape {self.data.shape}")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        # iterative DFS: recurrence graphs get deeper than the recursion limit
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(_dense_grad(node))
-            if node is not self and node._backward_fn is not None:
-                node.grad = None  # free intermediate buffers early
 
     # -- operators ----------------------------------------------------------
 
@@ -729,7 +710,9 @@ def gru_sequence(x_proj, v_z, v_r, v_h, reverse: bool = False) -> Tensor:
         c = tanh(x_h + (r * s) V_h), s' = (1 - z) * c + z * s.
     With reverse the run starts at the last row; row t of the [n, h] result is
     always the state after reading row t. Backward is backpropagation through
-    time in numpy, with the weight gradients taken as one matmul each.
+    time in numpy, with the weight gradients taken as one matmul each. The
+    forward pass joins V_z | V_r into one [h, 2h] weight for its step
+    products and drops it; backward joins them again, so the tape keeps no copy.
     """
     x_proj, v_z, v_r, v_h = (_wrap(a) for a in (x_proj, v_z, v_r, v_h))
     h = v_h.data.shape[0]
@@ -744,7 +727,8 @@ def gru_sequence(x_proj, v_z, v_r, v_h, reverse: bool = False) -> Tensor:
         )
     n = x_proj.data.shape[0]
     order = range(n - 1, -1, -1) if reverse else range(n)
-    v_zr = np.concatenate([v_z.data, v_r.data], axis=1)
+    joined = lambda: np.concatenate([v_z.data, v_r.data], axis=1)
+    v_zr = joined()
     xp = x_proj.data
     prev = np.zeros((n, h))  # state before step t
     zr = np.zeros((n, 2 * h))
@@ -762,7 +746,7 @@ def gru_sequence(x_proj, v_z, v_r, v_h, reverse: bool = False) -> Tensor:
     def backward(g):
         z, r = zr[:, :h], zr[:, h:]
         d_proj = np.zeros((n, 3 * h))  # [a_z | a_r | a_h] per step
-        v_zr_t = v_zr.T
+        v_zr_t = joined().T
         v_h_t = v_h.data.T
         ds = np.zeros(h)
         for t in reversed(order):
@@ -900,50 +884,93 @@ class RowGrad:
         return dense if dtype is None else dense.astype(dtype)
 
 
-def gradients(loss: Tensor, params: ParamStore) -> dict[str, np.ndarray | RowGrad]:
-    """Exact reverse-mode d(loss)/d(p) for every parameter in the store.
+def _take_grad(p: Tensor) -> np.ndarray | RowGrad | None:
+    """p's gradient, a `RowGrad` if it is still row segments, handed out: p keeps no reference."""
+    g = RowGrad(p.grad, p.data.shape) if isinstance(p.grad, list) else p.grad
+    p.grad = None
+    return g
 
-    A table reached only through `gather_rows` gets a `RowGrad`; every other
-    parameter gets a dense array. Parameters not touched by the loss get
-    zero gradients, so the result always mirrors the store's keyset.
+
+def gradients(loss: Tensor, params: ParamStore,
+              lr: float | None = None) -> dict[str, np.ndarray | RowGrad]:
+    """Exact reverse-mode d(loss)/d(p) for every parameter in the store, in one walk of the tape.
+
+    Without lr, a table reached only through `gather_rows` gets a `RowGrad`,
+    every other parameter a dense array, and one the loss does not reach
+    zeros, so the result mirrors the store's keyset. With lr, each parameter
+    instead takes its SGD step (`sgd_step` with its gradient alone) as soon
+    as that gradient is complete, right after the backward of the
+    parameter's last consumer, and the gradient is dropped; the result is
+    then empty, and a parameter the loss does not reach is left as it is.
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
     if not _needs_grad(loss):
         raise ValueError("loss has no tape: it was built from constants or under no_tape()")
+    topo: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    # iterative DFS: recurrence graphs get deeper than the recursion limit
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((parent, False) for parent in node._parents if id(parent) not in seen)
+    names = {id(p): name for name, p in params.items()}
+    # a parameter's first consumer in topological order is the last whose backward runs
+    complete_after: dict[int, list[str]] = {}
+    for node in topo:
+        for parent in node._parents:
+            name = names.pop(id(parent), None)
+            if name is not None:
+                complete_after.setdefault(id(node), []).append(name)
+    if id(loss) in names:  # the loss is itself a parameter
+        complete_after[id(loss)] = [names.pop(id(loss))]
     params.zero_grads()
-    loss.backward()
-    # the store drops its references below, so each buffer is handed out, not copied
-    out = {}
-    for name, p in params.items():
-        if p.grad is None:
-            out[name] = np.zeros_like(p.data)
-        elif isinstance(p.grad, list):
-            out[name] = RowGrad(p.grad, p.data.shape)
-        else:
-            out[name] = p.grad
-    params.zero_grads()
-    return out
+    out: dict[str, np.ndarray | RowGrad] = {}
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._backward_fn is not None:
+            if node.grad is not None:
+                node._backward_fn(_dense_grad(node))
+            if node is not loss:
+                node.grad = None  # free intermediate buffers early
+        for name in complete_after.get(id(node), ()):
+            # no name outlives the step: the gradient is freed as sgd_step returns
+            if lr is None:
+                out[name] = _take_grad(params[name])
+            elif params[name].grad is not None:
+                sgd_step(params, {name: _take_grad(params[name])}, lr)
+    if lr is not None:
+        return {}
+    return {name: np.zeros_like(p.data) if out.get(name) is None else out[name]
+            for name, p in params.items()}
 
 
 SGD_BLOCK = 1 << 14  # elements of a dense update done at once: 128 KiB of lr * g
 
 
 def sgd_step(params: ParamStore, grads: dict[str, np.ndarray | RowGrad], lr: float) -> ParamStore:
-    """p <- p - lr * g in place; a RowGrad updates only its rows.
+    """p <- p - lr * g in place for each parameter named in grads; a RowGrad updates only its rows.
 
-    A dense parameter is updated SGD_BLOCK elements at a time, so the
+    A parameter that grads does not name is left as it is; a name that is not
+    a parameter, or a gradient of the wrong shape, raises before anything is
+    updated. A dense parameter is updated SGD_BLOCK elements at a time, so the
     temporary lr * g is one block, not a copy of the parameter; g is only read.
     Pass negated gradients for an ascent step.
     """
-    if set(grads) != set(params.names()):
-        missing = set(params.names()) - set(grads)
-        extra = set(grads) - set(params.names())
-        raise ValueError(f"gradient keys do not match parameters (missing={sorted(missing)}, extra={sorted(extra)})")
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.data.shape:
-            raise ShapeError(f"gradient for {name!r} has shape {g.shape}, parameter {p.data.shape}")
+    unknown = sorted(set(grads) - set(params.names()))
+    if unknown:
+        raise ValueError(f"gradients name no parameter: {unknown}")
+    for name, g in grads.items():
+        if g.shape != params[name].data.shape:
+            raise ShapeError(f"gradient for {name!r} has shape {g.shape}, "
+                             f"parameter {params[name].data.shape}")
+    for name, g in grads.items():
+        p = params[name]
         if isinstance(g, RowGrad):
             p.data[g.rows] -= lr * g.values
         else:
@@ -971,7 +998,7 @@ def minibatch_sgd(items, loss_fn, params: ParamStore, rng: np.random.Generator, 
         for start in range(0, len(order), batch_size):
             batch = [items[i] for i in order[start : start + batch_size]]
             batch_loss = loss_fn(batch, params) / len(batch)
-            sgd_step(params, gradients(batch_loss, params), lr)
+            gradients(batch_loss, params, lr)
             epoch_total += batch_loss.item() * len(batch)
             del batch_loss
         log.info("%s epoch %d: mean loss %.6f", name, epoch + 1, epoch_total / len(items))

@@ -142,13 +142,13 @@ def policy_gradient_step(
     """One ascent step on the surrogate sum_t R_t * log pi(y_t | state_t).
 
     `enc` is `doc` encoded under `params`; the gradient flows back through
-    its tape. All returns are treated as constants and gradients are
-    evaluated at the pre-update parameters, so the step equals the per-t
-    update loop applied jointly.
+    its tape, and each parameter steps as soon as its gradient is complete
+    (`numeric.gradients` with a step size). All returns are treated as
+    constants and every gradient is evaluated at the pre-update parameters,
+    so the step equals the per-t update loop applied jointly.
     """
-    surrogate = surrogate_objective(params, doc, enc, episode)
-    grads = nm.gradients(-surrogate, params)
-    return nm.sgd_step(params, grads, alpha)
+    nm.gradients(-surrogate_objective(params, doc, enc, episode), params, alpha)
+    return params
 
 
 def train_rnes(

@@ -12,6 +12,7 @@ from cohsum.coherence import CoherenceConfig
 from cohsum.corpus import Document, Vocabulary, make_document
 from cohsum.extractor import ExtractorConfig
 from cohsum.numeric import ParamStore
+from reference_numeric import topological_order
 
 
 def finite_difference_grads(loss_fn, params: ParamStore, step: float = 1e-5) -> dict:
@@ -165,18 +166,9 @@ def tape_holdings(loss, params: ParamStore) -> list[tuple[str, object, list[np.n
     the first node that holds it, so a reshape or a slice holds none of its
     own. Parameter buffers are left out.
     """
-    order, seen, stack = [], set(), [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-        elif id(node) not in seen:
-            seen.add(id(node))
-            stack.append((node, True))
-            stack.extend((parent, False) for parent in node._parents if id(parent) not in seen)
     owners = {id(_owner(p.data)) for _, p in params.items()}
     holdings = []
-    for node in order:
+    for node in topological_order(loss):
         fn = node._backward_fn
         op = "leaf" if fn is None else fn.__qualname__.split(".")[0]
         buffers = []

@@ -7,9 +7,11 @@ zero-filled dense table; `sgd_step` sweeps the whole dense gradient;
 `gather_flat` with `window_indices` or `im2col_indices` builds sliding
 windows from a flat index table and scatters backward with `np.add.at`;
 `layer1_grid` is the full [T, T, F] interaction grid of the coherence scorer,
-before the fused first pool. The code in `cohsum` is tested against these
-functions. `sigmoid` is here because only the tests and the per-step policy
-reference use it.
+before the fused first pool; `two_pass_step` is training before parameters
+stepped inside backward: a walk of the whole tape that leaves every gradient
+on its parameter, then one `sgd_step` over all of them. The code in `cohsum`
+is tested against these functions. `sigmoid` is here because only the tests
+and the per-step policy reference use it.
 """
 
 from __future__ import annotations
@@ -76,6 +78,42 @@ def sgd_step(params: ParamStore, grads: dict, lr: float) -> ParamStore:
     for name, p in params.items():
         p.data -= lr * np.asarray(grads[name])
     return params
+
+
+def topological_order(loss: Tensor) -> list[Tensor]:
+    """Every node of a loss's tape, each after its parents (an iterative depth-first search)."""
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((parent, False) for parent in node._parents if id(parent) not in seen)
+    return order
+
+
+def two_pass_step(loss: Tensor, params: ParamStore, lr: float) -> ParamStore:
+    """One backward walk that leaves every gradient on its parameter, then one `sgd_step`.
+
+    The walk runs every node's backward in reverse topological order, as
+    `gradients` does, but steps nothing until it ends; then every parameter
+    steps at once, a table reached only through `gather_rows` by its `RowGrad`.
+    """
+    params.zero_grads()
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topological_order(loss)):
+        if node._backward_fn is not None:
+            if node.grad is not None:
+                node._backward_fn(nm._dense_grad(node))
+            if node is not loss:
+                node.grad = None
+    grads = {name: np.zeros_like(p.data) if p.grad is None
+             else nm.RowGrad(p.grad, p.data.shape) if isinstance(p.grad, list) else p.grad
+             for name, p in params.items()}
+    params.zero_grads()
+    return nm.sgd_step(params, grads, lr)
 
 
 def gather_flat(x, flat_indices) -> Tensor:

@@ -584,6 +584,22 @@ def test_repeated_id_exits_1_naming_both_lines(corpus, tmp_path, caplog, kind):
     assert not (tmp_path / "p.ckpt").exists()
 
 
+def test_repeated_vocabulary_token_exits_1_naming_both_lines(corpus, tmp_path, caplog):
+    vocab = tmp_path / "vocab.txt"
+    assert run(["preprocess", "--corpus", str(corpus), "--out", str(vocab)]) == 0
+    lines = vocab.read_text(encoding="utf-8").splitlines()
+    lines.append(lines[4])  # the token of line 5 again, on the last line
+    vocab.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    caplog.clear()
+    ckpt = tmp_path / "coh.ckpt"
+    assert run(["train-coherence", "--corpus", str(corpus), "--vocab", str(vocab),
+                "--out", str(ckpt)] + TINY_COHERENCE) == 1
+    message = _one_error_line(caplog)
+    assert str(vocab) in message and repr(lines[4]) in message
+    assert f"line {len(lines)}:" in message and message.endswith("line 5")
+    assert sorted(os.listdir(tmp_path)) == ["corpus.jsonl", "vocab.txt"]
+
+
 @pytest.mark.parametrize("kind", ["labels", "system"])
 @pytest.mark.parametrize("change", ["missing", "unknown"])
 def test_file_paired_by_id_must_hold_exactly_the_corpus_ids(corpus, tmp_path, caplog, kind,

@@ -32,6 +32,7 @@ from conftest import (
     traced_peak,
 )
 import reference_coherence
+import reference_numeric
 
 
 @pytest.fixture
@@ -551,6 +552,29 @@ def test_zero_lr_keeps_loss_trajectory_constant(vocab, caplog):
     assert len(losses) == 3  # batch covers the whole set, one loss per epoch
     assert losses[0] == pytest.approx(losses[1], abs=1e-15)
     assert losses[1] == pytest.approx(losses[2], abs=1e-15)
+
+
+# Bytes a paper-geometry 8-triplet batch step may allocate above what is live before it
+# (the parameters). Stepping each parameter as soon as its gradient is complete peaks at
+# the tape plus fc1's 33.5 MB weight gradient, about 53 MB; applying every gradient after
+# the walk keeps that gradient through the rest of backward, about 79 MB.
+BATCH_STEP_PEAK_BOUND = 64_000_000
+
+
+def test_paper_geometry_batch_step_frees_each_gradient_once_applied():
+    words = [f"w{i}" for i in range(1997)]
+    vocab = Vocabulary(words)
+    config = CoherenceConfig(vocab_size=vocab.size)
+    rng = np.random.default_rng(0)
+    sentence = lambda: make_sentence(" ".join(rng.choice(words, size=rng.integers(15, 36))),
+                                     vocab, config.max_tokens)
+    triplets = [CoherenceTriplet(sentence(), sentence(), sentence(), positions=(0, 1, 2))
+                for _ in range(8)]
+    params = init_coherence_params(config, rng)
+    batch_loss = lambda: triplet_loss(triplets, params, config) / len(triplets)
+    fused = traced_peak(lambda: nm.gradients(batch_loss(), params, config.lr))
+    two_pass = traced_peak(lambda: reference_numeric.two_pass_step(batch_loss(), params, config.lr))
+    assert fused < BATCH_STEP_PEAK_BOUND < two_pass, (fused, two_pass)
 
 
 def test_train_rejects_empty_stream(config):

@@ -281,6 +281,19 @@ def test_taped_pretrain_loss_holds_no_joined_gru_weight(vocab, config, params, r
     assert held and joined not in held
 
 
+def test_taped_gru_recurrence_holds_no_joined_state_weight(vocab, config, params, rng):
+    # each direction's recurrence reads V_z | V_r as one [h, 2h] weight, which
+    # backward joins again instead of keeping; 4 sentences, so no [n, 2h] array
+    # of per-step gates has that shape either
+    doc = toy_document("d", rng, vocab, n_sentences=4, max_tokens=config.max_tokens)
+    loss = pretrain_loss(doc, [1, 0, 0, 1], params, config)
+    h = config.gru_hidden
+    held = [[a.shape for a in buffers]
+            for op, _, buffers in tape_holdings(loss, params) if op == "gru_sequence"]
+    assert len(held) == 2 and all(held)
+    assert not [shapes for shapes in held if (h, 2 * h) in shapes]
+
+
 def test_full_model_gradient_check_spec_dims(rng):
     # embed 8, filters [4,4,4], gru 6, doc 8 per the shrunken geometry
     vocab = small_vocab()

@@ -504,10 +504,18 @@ def test_sgd_step_needs_no_parameter_sized_temporary_and_leaves_the_gradients(rn
 
 
 def test_sgd_keyset_mismatch_names_parameter():
+    # a name that is no parameter, or a gradient of the wrong shape, raises
+    # before anything moves; a parameter the gradients do not name stays put
     params = ParamStore()
     params.add("p", 1.0)
-    with pytest.raises(ValueError, match="missing=\\['p'\\]"):
-        sgd_step(params, {"q": np.array(1.0)}, 0.1)
+    params.add("w", np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="\\['q'\\]"):
+        sgd_step(params, {"p": np.array(1.0), "q": np.array(1.0)}, 0.1)
+    with pytest.raises(nm.ShapeError, match="'w'"):
+        sgd_step(params, {"p": np.array(1.0), "w": np.ones(3)}, 0.1)
+    assert params["p"].item() == 1.0 and params["w"].data.tolist() == [1.0, 2.0]
+    sgd_step(params, {"w": np.array([10.0, 10.0])}, 0.1)
+    assert params["p"].item() == 1.0 and params["w"].data.tolist() == [0.0, 1.0]
 
 
 def test_minibatch_sgd_drops_each_batch_tape_before_the_next_forward(rng):

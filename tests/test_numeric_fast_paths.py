@@ -8,6 +8,9 @@ whole table in SGD, and gathers sliding windows through flat index tables;
 concatenated weights. A grid read past its last row and column (by
 `conv2d`, `max_pool_2x2` and `extend_edges`) is held to the same op over
 `reference_coherence.repeat_tail`, the concatenation of copied slices.
+`gradients` with a step size, which steps each parameter once its last
+consumer's backward has run, is held to `two_pass_step`, every gradient
+first and then one `sgd_step`.
 The fast paths do the same arithmetic in the same order, so values and
 gradients must agree bit for bit; only the fused layer-1 pool sums its
 gradients over fewer (all-zero) terms, and over the copies of its tail row
@@ -21,11 +24,19 @@ from hypothesis import strategies as st
 
 import reference_numeric as ref
 from cohsum import numeric as nm
-from cohsum.coherence import init_coherence_params, interaction_layer1, stack_plan
-from cohsum.corpus import make_sentence
+from cohsum.coherence import init_coherence_params, interaction_layer1, stack_plan, triplet_loss
+from cohsum.corpus import CoherenceTriplet, make_sentence
+from cohsum.extractor import encode_document, init_extractor_params, pretrain_loss
 from cohsum.numeric import ParamStore, RowGrad, Tensor
+from cohsum.reinforce import Episode, policy_gradient_step, surrogate_objective
 
-from conftest import assert_grads_close, small_vocab, tiny_coherence_config
+from conftest import (
+    assert_grads_close,
+    small_vocab,
+    tiny_coherence_config,
+    tiny_extractor_config,
+    toy_document,
+)
 from reference_coherence import repeat_tail
 
 seed_st = st.integers(min_value=0, max_value=2**31)
@@ -404,3 +415,90 @@ def test_sparse_sgd_step_matches_dense(index_lists, lr, seed):
     for name, p in sparse_params.items():
         assert _bits(p.data) == _bits(dense_params[name].data)
 
+
+# -- stepping each parameter inside backward vs the two-pass step -------------------------
+
+
+def _assert_step_matches_two_pass(make_params, build_loss, lr=0.3):
+    """`gradients` with lr steps every parameter to the same bits as `ref.two_pass_step`."""
+    fused, two_pass, before = make_params(), make_params(), make_params()
+    assert nm.gradients(build_loss(fused), fused, lr) == {}
+    ref.two_pass_step(build_loss(two_pass), two_pass, lr)
+    moved = [name for name, p in fused.items() if _bits(p.data) != _bits(before[name].data)]
+    assert moved
+    for name, p in fused.items():
+        assert _bits(p.data) == _bits(two_pass[name].data), name
+    return moved
+
+
+def test_coherence_batch_step_matches_two_pass():
+    # both convolutions run and every stage reads tail rows
+    vocab = small_vocab()
+    config = tiny_coherence_config(vocab.size, max_tokens=30, conv_filters=(4, 6, 8))
+    sentence = lambda text: make_sentence(text, vocab, config.max_tokens)
+    triplets = [CoherenceTriplet(sentence(a), sentence(p), sentence(n), positions=(0, 1, 2))
+                for a, p, n in [("alpha beta gamma delta", "epsilon zeta", "eta"),
+                                ("theta iota kappa", "alpha alpha beta", "gamma delta zeta eta")]]
+    moved = _assert_step_matches_two_pass(
+        lambda: init_coherence_params(config, np.random.default_rng(5)),
+        lambda params: triplet_loss(triplets, params, config) / len(triplets))
+    assert {"embed", "fc1_w", "conv2_w", "conv3_w"} <= set(moved)
+
+
+def test_pretrain_batch_step_matches_two_pass():
+    vocab = small_vocab()
+    config = tiny_extractor_config(vocab.size)
+    rng = np.random.default_rng(6)
+    batch = [(toy_document(f"d{i}", rng, vocab, n_sentences=4 + i), [1, 0, 0, 1, 0][: 4 + i])
+             for i in range(2)]
+    moved = _assert_step_matches_two_pass(
+        lambda: init_extractor_params(config, np.random.default_rng(7)),
+        lambda params: sum(pretrain_loss(doc, labels, params, config)
+                           for doc, labels in batch) / len(batch))
+    assert {"embed", "gru_fwd_z_v", "mlp_w1"} <= set(moved)
+
+
+def test_policy_gradient_step_matches_two_pass():
+    # the embedding gets a RowGrad (a 200-row table, 50 ids gathered), the head
+    # reads `mlp_w1` through three slices, and the returns are constants
+    vocab = small_vocab()
+    config = tiny_extractor_config(200)
+    doc = toy_document("d", np.random.default_rng(8), vocab, n_sentences=5)
+    episode = Episode(decisions=[1, 0, 1, 1, 0], returns=[0.5, -0.25, 1.0, 0.75, 0.125])
+    make_params = lambda: init_extractor_params(config, np.random.default_rng(9))
+    surrogate = lambda params: surrogate_objective(
+        params, doc, encode_document(doc, params, config), episode)
+    fused, two_pass, before = make_params(), make_params(), make_params()
+    assert isinstance(nm.gradients(-surrogate(before), before)["embed"], RowGrad)
+    policy_gradient_step(fused, doc, encode_document(doc, fused, config), episode, 0.3)
+    ref.two_pass_step(-surrogate(two_pass), two_pass, 0.3)
+    for name, p in fused.items():
+        assert _bits(p.data) == _bits(two_pass[name].data), name
+    for name in ("embed", "mlp_w1"):
+        assert _bits(fused[name].data) != _bits(before[name].data)
+
+
+def _view_store():
+    params = ParamStore()
+    params.add("w", np.random.default_rng(10).normal(size=(3, 2)))
+    params.add("q", np.random.default_rng(11).normal(size=(2, 2)))
+    return params
+
+
+def _view_loss(params):
+    """w read through a `take_slice` view deep in the graph and directly near the loss.
+
+    The deep matmul reads the view's buffer, w's own, in backward for h's
+    gradient, after the shallow matmul's backward has run: stepping w at its
+    first consumer would hand q's gradient a stepped w.
+    """
+    w, q = params["w"], params["q"]
+    h = nm.tanh(Tensor(np.arange(8.0).reshape(4, 2) / 8.0) @ q)
+    deep = nm.tanh(h @ w[0:2])
+    shallow = nm.concat([deep, h[:, 0:1]], axis=1) @ w
+    return nm.tanh(shallow).sum()
+
+
+def test_parameter_read_through_a_view_steps_after_its_deepest_consumer():
+    moved = _assert_step_matches_two_pass(_view_store, _view_loss)
+    assert moved == ["w", "q"]

@@ -1,8 +1,17 @@
-"""What `src/cohsum` exposes: no public name without a caller, no lost trace target."""
+"""What `src/cohsum` exposes: no public name without a caller, no lost trace target.
+
+The trace targets are those of `perfbench/tracer.py`, loaded from its file,
+and every traced SGD step runs inside a traced backward walk.
+"""
 
 import ast
 import importlib.util
+import json
 from pathlib import Path
+
+import numpy as np
+
+from cohsum import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "cohsum").glob("*.py"))
@@ -40,14 +49,54 @@ def test_every_public_function_and_class_in_src_has_a_caller_in_src():
     assert unreferenced == set(ALLOWED_UNREFERENCED)
 
 
-def test_every_trace_target_exists():
+def _tracer_module():
     spec = importlib.util.spec_from_file_location("perfbench_tracer",
                                                   ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    t = tracer.Tracer("surface")
+    return tracer
+
+
+def test_every_trace_target_exists():
+    t = _tracer_module().Tracer("surface")
     try:
         t.install()
         assert t.missing == []
     finally:
         t.uninstall()
+
+
+def test_every_sgd_step_span_is_a_child_of_a_gradients_span(tmp_path):
+    # each parameter steps inside the backward walk, so the self time of
+    # `numeric.gradients` stays backward and that of `numeric.sgd_step` the update
+    tracer = _tracer_module()
+    rng = np.random.default_rng(0)
+    words = ["river", "stone", "wind", "light", "cloud", "branch", "valley", "shore"]
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fh:
+        for i in range(4):
+            sentences = [" ".join(rng.choice(words, size=4)) for _ in range(5)]
+            fh.write(json.dumps({"id": f"d{i}", "sentences": sentences,
+                                 "highlights": sentences[:1]}) + "\n")
+    c, v = str(corpus), str(tmp_path / "vocab.txt")
+    coh, pre = str(tmp_path / "coh.ckpt"), str(tmp_path / "pre.ckpt")
+    assert cli.run(["preprocess", "--corpus", c, "--out", v]) == 0
+    stages = {
+        "coh_train": ["train-coherence", "--corpus", c, "--vocab", v, "--out", coh,
+                      "--max-tokens", "10", "--embed-dim", "6", "--filters", "4", "--fc", "8",
+                      "--epochs", "1"],
+        "pretrain": ["pretrain", "--corpus", c, "--vocab", v, "--out", pre, "--max-tokens", "10",
+                     "--embed-dim", "6", "--kernels", "2,3", "--filters", "4,4",
+                     "--gru-hidden", "4", "--doc-dim", "6", "--mlp", "8,4", "--epochs", "1"],
+        "rl": ["train-rnes", "--corpus", c, "--vocab", v, "--pretrain-checkpoint", pre,
+               "--coherence-checkpoint", coh, "--out", str(tmp_path / "policy.ckpt"),
+               "--steps", "2"],
+    }
+    for stage, argv in stages.items():
+        t = tracer.Tracer(stage)
+        with t:
+            assert cli.run(argv) == 0, stage
+        assert t.missing == []
+        parents = [t.spans[span[3]][0] if span[3] >= 0 else None
+                   for span in t.spans if span[0] == "numeric.sgd_step"]
+        assert parents and set(parents) == {"numeric.gradients"}, stage
