@@ -31,6 +31,14 @@ the id. `evaluate` and `train-rnes` score against each document's
 highlights, so they reject a corpus holding a document with none before
 any work, naming the file and the id.
 
+`train-rnes` loads the vocabulary, the policy checkpoint and the corpus,
+and checks the highlights, before it reads the coherence checkpoint (only
+with --lambda > 0). The frozen scorer reads nothing but the corpus
+sentences and the chain's BOUNDARY placeholder, so it keeps only their
+embedding rows, PAD and BOUNDARY included (`_row_scorer`); the rows it
+drops are still checked to be finite. The policy's own table is trained
+and written back, so it is loaded whole.
+
 Every output file is written through `atomic.atomic_write`, so a stage that
 fails leaves no partial output and no temporary file; `score-coherence
 --out -` streams to stdout instead.
@@ -84,9 +92,12 @@ def _describe(params, kind: str, config, vocab: cp.Vocabulary) -> None:
                    "vocab": {"size": vocab.size, "sha256": vocab.fingerprint()}}
 
 
-def _load_model(path: str, kind: str, config_cls, vocab: cp.Vocabulary):
-    """Parameters and config of a `kind` checkpoint whose embedding rows are these tokens."""
-    params = load_checkpoint(path)
+def _load_model(path: str, kind: str, config_cls, vocab: cp.Vocabulary, rows=None):
+    """Parameters and config of a `kind` checkpoint whose embedding rows are these tokens.
+
+    `rows` is passed to `load_checkpoint` to keep only some rows of a tensor.
+    """
+    params = load_checkpoint(path, rows=rows)  # by keyword: tracers read the path as args[-1]
     meta = params.meta
     if meta.get("model") != kind:
         raise CheckpointError(f"{path}: holds a {meta.get('model')!r} model, expected {kind!r}")
@@ -230,24 +241,48 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
+def _row_scorer(params, config, used: np.ndarray):
+    """`coherence_forward` on a scorer whose embedding keeps only rows `used` (sorted ids).
+
+    Each id maps to its row's position in `used`; an id outside it raises
+    rather than score against another word's row.
+    """
+    def rows_of(ids):
+        ids = np.asarray(ids)
+        pos = np.searchsorted(used, ids)
+        missed = (pos == len(used)) | (used[np.minimum(pos, len(used) - 1)] != ids)
+        if missed.any():
+            raise ValueError(f"token id {ids[missed][0]} is not among the "
+                             f"{len(used)} coherence embedding rows loaded")
+        return pos
+
+    def scorer(pairs):
+        return coh.coherence_forward([(rows_of(a), rows_of(b)) for a, b in pairs],
+                                     params, config)
+    return scorer
+
+
 def cmd_train_rnes(args) -> int:
     vocab = cp.load_vocab(args.vocab)
     params, ext_config = _load_model(args.pretrain_checkpoint, "extractor", ex.ExtractorConfig,
                                      vocab)
+    if args.lam > 0 and not args.coherence_checkpoint:
+        raise ValueError("--coherence-checkpoint is required when --lambda > 0")
+    docs = list(cp.load_corpus(args.corpus, vocab=vocab, max_tokens=ext_config.max_tokens,
+                               max_sentences=ext_config.max_sentences))
+    _require_highlights(docs, args.corpus)
     scorer = None
     if args.lam > 0:
-        if not args.coherence_checkpoint:
-            raise ValueError("--coherence-checkpoint is required when --lambda > 0")
+        # the frozen scorer reads only the corpus sentences and the chain's placeholder
+        used = np.unique(np.concatenate(
+            [[cp.PAD_ID, cp.BOUNDARY_ID]] + [s.ids for doc in docs for s in doc.sentences]))
         coh_params, coh_config = _load_model(args.coherence_checkpoint, "coherence",
-                                             coh.CoherenceConfig, vocab)
+                                             coh.CoherenceConfig, vocab, rows={"embed": used})
         if coh_config.max_tokens != ext_config.max_tokens:
             raise CheckpointError(f"{args.coherence_checkpoint}: coherence model reads "
                                   f"{coh_config.max_tokens}-token sentences, "
                                   f"{args.pretrain_checkpoint} reads {ext_config.max_tokens}")
-        scorer = partial(coh.coherence_forward, params=coh_params, config=coh_config)
-    docs = list(cp.load_corpus(args.corpus, vocab=vocab, max_tokens=ext_config.max_tokens,
-                               max_sentences=ext_config.max_sentences))
-    _require_highlights(docs, args.corpus)
+        scorer = _row_scorer(coh_params, coh_config, used)
     rl_config = _config(rl.RLConfig, args, weights=_config(RewardWeights, args))
     rl.train_rnes(docs, params, scorer, rl_config, ext_config, child_rng(args.seed, "train-rnes"))
     save_checkpoint(params, args.out)  # params.meta still describes the model as loaded

@@ -64,8 +64,14 @@ is 64-bit so finite-difference gradient checks are decisive.
 - Checkpoints (format v2, laid out in `save_checkpoint`) carry a JSON header,
   `ParamStore.meta`, before the tensors. Each tensor is written from its own
   buffer and read straight into its own array, after its declared size is
-  checked against the bytes left in the file. Writes go through
-  `atomic.atomic_write`, a temporary file moved into place.
+  checked against the bytes left in the file. A loader that reads only some
+  rows of a 2-D tensor (the frozen coherence scorer's embedding table, of
+  which a corpus reads a few thousand rows) names them in `load_checkpoint`'s
+  `rows`: the tensor then passes through one buffer of `LOAD_BLOCK` elements,
+  every block is checked to be finite, and only those rows are kept. Every
+  load error is a `CheckpointError` naming the file, and the tensor when
+  there is one. Writes go through `atomic.atomic_write`, a temporary file
+  moved into place.
 """
 
 from __future__ import annotations
@@ -849,6 +855,9 @@ class ParamStore:
     def __len__(self) -> int:
         return len(self._params)
 
+    def __contains__(self, name: str) -> bool:
+        return name in self._params
+
     def names(self) -> list[str]:
         return list(self._params)
 
@@ -951,6 +960,7 @@ def gradients(loss: Tensor, params: ParamStore,
 
 
 SGD_BLOCK = 1 << 14  # elements of a dense update done at once: 128 KiB of lr * g
+LOAD_BLOCK = 1 << 16  # elements of a row-selected tensor read at once: 512 KiB
 
 
 def sgd_step(params: ParamStore, grads: dict[str, np.ndarray | RowGrad], lr: float) -> ParamStore:
@@ -1053,13 +1063,52 @@ def save_checkpoint(params: ParamStore, path) -> None:
             fh.write(np.ascontiguousarray(p.data, dtype="<f8").data)
 
 
-def load_checkpoint(path) -> ParamStore:
+def _read_rows(fh, path, name: str, shape: tuple, rows) -> np.ndarray:
+    """Rows `rows` (sorted, unique) of the [n, d] tensor `name` at fh, in order.
+
+    The tensor is read through one buffer of about LOAD_BLOCK elements and
+    every block is checked to be finite, also the rows that are not kept, so
+    the whole table is never allocated.
+    """
+    rows = np.asarray(rows)
+    if len(shape) != 2:
+        raise CheckpointError(f"{path}: cannot select rows of tensor {name!r} "
+                              f"of shape {shape}: it is not 2-D")
+    n, d = shape
+    if rows.ndim != 1 or rows.dtype.kind not in "iu" or np.any(rows[1:] <= rows[:-1]):
+        raise CheckpointError(f"{path}: row ids for tensor {name!r} must be a sorted "
+                              f"vector of unique integers")
+    if rows.size and (rows[0] < 0 or rows[-1] >= n):
+        raise CheckpointError(f"{path}: row ids for tensor {name!r} run from {rows[0]} "
+                              f"to {rows[-1]}, outside its {n} rows")
+    out = np.empty((len(rows), d), dtype="<f8")
+    block = np.empty((max(1, LOAD_BLOCK // max(d, 1)), d), dtype="<f8")
+    for start in range(0, n, len(block)):
+        buf = block[: min(len(block), n - start)]
+        if fh.readinto(buf.reshape(-1).view(np.uint8)) != buf.nbytes:
+            raise CheckpointError(f"{path}: truncated while reading tensor {name!r} data")
+        if not np.isfinite(buf).all():
+            raise CheckpointError(_non_finite(path, name))
+        lo, hi = np.searchsorted(rows, (start, start + len(buf)))
+        np.take(buf, rows[lo:hi] - start, axis=0, out=out[lo:hi])
+    return out
+
+
+def _non_finite(path, name: str) -> str:
+    return f"{path}: tensor {name!r} holds a NaN or infinite value"
+
+
+def load_checkpoint(path, rows: dict | None = None) -> ParamStore:
     """Read a checkpoint tensor by tensor, each straight into its own array.
 
     The returned store's `meta` is the checkpoint's header. Every read is
     checked against the bytes left in the file before anything is allocated,
-    so a corrupt size field fails as truncation.
+    so a corrupt size field fails as truncation. `rows` maps the name of a
+    2-D tensor to sorted unique row ids: only those rows are kept, in order
+    (see `_read_rows`). Every error is a `CheckpointError` naming the file,
+    and the tensor when there is one.
     """
+    rows = rows or {}
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -1088,15 +1137,29 @@ def load_checkpoint(path) -> ParamStore:
         params.meta = meta
         for k in range(n_tensors):
             (name_len,) = struct.unpack("<I", read(4, f"tensor {k} name length"))
-            name = read(name_len, f"tensor {k} name").decode("utf-8")
+            try:
+                name = read(name_len, f"tensor {k} name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: tensor {k} name is not valid UTF-8") from None
+            if name in params:
+                raise CheckpointError(f"{path}: tensor {name!r} appears twice")
             (rank,) = struct.unpack("<I", read(4, f"tensor {name!r} rank"))
             shape = struct.unpack(f"<{rank}I", read(4 * rank, f"tensor {name!r} shape"))
             need(8 * math.prod(shape), f"tensor {name!r} data")
-            data = np.empty(shape, dtype="<f8")
-            if fh.readinto(data.reshape(-1).view(np.uint8)) != data.nbytes:
-                raise CheckpointError(f"{path}: truncated while reading tensor {name!r} data")
-            params.add(name, data)
+            if name in rows:
+                data = _read_rows(fh, path, name, shape, rows[name])
+            else:
+                data = np.empty(shape, dtype="<f8")
+                if fh.readinto(data.reshape(-1).view(np.uint8)) != data.nbytes:
+                    raise CheckpointError(f"{path}: truncated while reading tensor {name!r} data")
+            try:
+                params.add(name, data)  # checks that every value is finite
+            except FloatingPointError:
+                raise CheckpointError(_non_finite(path, name)) from None
         trailing = size - fh.tell()
     if trailing:
         raise CheckpointError(f"{path}: {trailing} trailing bytes after last tensor")
+    missing = sorted(set(rows) - set(params.names()))
+    if missing:
+        raise CheckpointError(f"{path}: no tensor {missing[0]!r} to select rows of")
     return params

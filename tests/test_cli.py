@@ -7,17 +7,19 @@ import os
 import struct
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
 
 import cohsum
+from cohsum import cli
 from cohsum.cli import _config, build_parser, child_rng, run
-from cohsum.coherence import CoherenceConfig
-from cohsum.corpus import load_vocab
+from cohsum.coherence import CoherenceConfig, coherence_forward, init_coherence_params
+from cohsum.corpus import load_corpus, load_vocab
 from cohsum.extractor import ExtractorConfig, init_extractor_params
-from cohsum.numeric import load_checkpoint, save_checkpoint
-from cohsum.reinforce import RLConfig
+from cohsum.numeric import ParamStore, load_checkpoint, save_checkpoint
+from cohsum.reinforce import RLConfig, train_rnes
 from cohsum.rouge import RewardWeights
 
 from conftest import tiny_extractor_config
@@ -828,3 +830,140 @@ def test_importing_the_cli_defaults_blas_to_one_thread_and_keeps_a_set_value(pre
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [expected, "1", "1"]
+
+
+# -- the frozen scorer keeps only the embedding rows its corpus uses -----------------
+
+
+def _rl_models(corpus, tmp_path, vocab):
+    """Coherence and pretrained checkpoints at tiny geometry on `vocab`."""
+    coh_ckpt, pre_ckpt = tmp_path / "coh.ckpt", tmp_path / "pre.ckpt"
+    assert run(["train-coherence", "--corpus", str(corpus), "--vocab", str(vocab),
+                "--out", str(coh_ckpt), "--seed", "3"] + TINY_COHERENCE) == 0
+    assert run(["pretrain", "--corpus", str(corpus), "--vocab", str(vocab),
+                "--out", str(pre_ckpt), "--seed", "3", "--epochs", "1"] + TINY_EXTRACTOR) == 0
+    return coh_ckpt, pre_ckpt
+
+
+def _train_rnes(corpus, vocab, pre_ckpt, coh_ckpt, out, lam="0.01"):
+    return run(["train-rnes", "--corpus", str(corpus), "--vocab", str(vocab),
+                "--pretrain-checkpoint", str(pre_ckpt), "--coherence-checkpoint", str(coh_ckpt),
+                "--out", str(out), "--lambda", lam, "--steps", "6", "--seed", "3"])
+
+
+def test_train_rnes_writes_the_policy_of_the_full_table_scorer(corpus, tmp_path, larger_vocab,
+                                                               monkeypatch):
+    # the larger vocabulary holds words the corpus never uses, so rows are dropped
+    coh_ckpt, pre_ckpt = _rl_models(corpus, tmp_path, larger_vocab)
+    table_rows = {}
+
+    def recording_load(path, rows=None):
+        params = load_checkpoint(path, rows=rows)
+        table_rows[str(path)] = len(params["embed"].data)
+        return params
+
+    monkeypatch.setattr(cli, "load_checkpoint", recording_load)
+    out = tmp_path / "rl.ckpt"
+    assert _train_rnes(corpus, larger_vocab, pre_ckpt, coh_ckpt, out) == 0
+    vocab = load_vocab(larger_vocab)
+    assert table_rows[str(pre_ckpt)] == vocab.size  # the trained table is loaded whole
+    assert table_rows[str(coh_ckpt)] < vocab.size - 4  # UNK and the 4 unused words dropped
+
+    # the reference: rl.train_rnes in process, its scorer reading the whole table
+    policy = load_checkpoint(pre_ckpt)
+    ext_config = ExtractorConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                    for k, v in policy.meta["config"].items()})
+    coh_params = load_checkpoint(coh_ckpt)
+    coh_config = CoherenceConfig(**{k: tuple(v) if isinstance(v, list) else v
+                                    for k, v in coh_params.meta["config"].items()})
+    assert len(coh_params["embed"].data) == vocab.size
+    docs = list(load_corpus(corpus, vocab=vocab, max_tokens=ext_config.max_tokens,
+                            max_sentences=ext_config.max_sentences))
+    scorer = partial(coherence_forward, params=coh_params, config=coh_config)
+    train_rnes(docs, policy, scorer, RLConfig(lam=0.01, steps=6), ext_config,
+               child_rng(3, "train-rnes"))
+    reference = tmp_path / "reference.ckpt"
+    save_checkpoint(policy, reference)
+    assert out.read_bytes() == reference.read_bytes()
+    # and the coherence reward did reach the policy
+    assert _train_rnes(corpus, larger_vocab, pre_ckpt, coh_ckpt, tmp_path / "lam0.ckpt",
+                       lam="0") == 0
+    assert (tmp_path / "lam0.ckpt").read_bytes() != out.read_bytes()
+
+
+def test_row_scorer_maps_ids_to_their_rows_and_rejects_an_id_outside_them():
+    config = CoherenceConfig(vocab_size=30, embed_dim=6, conv_filters=(4,), fc_units=(8,),
+                             max_tokens=10)
+    full = init_coherence_params(config, np.random.default_rng(0))
+    used = np.array([0, 2, 5, 7, 11, 29])
+    kept = ParamStore()
+    for name, p in full.items():
+        kept.add(name, p.data[used] if name == "embed" else p.data)
+    a = np.array([2, 5, 7, 11, 0, 0, 0, 0, 0, 0])
+    b = np.array([29, 7, 5, 0, 0, 0, 0, 0, 0, 0])
+    scorer = cli._row_scorer(kept, config, used)
+    expected = coherence_forward([(a, b), (b, a)], full, config)
+    assert scorer([(a, b), (b, a)]).tobytes() == expected.tobytes()
+    for missing in (3, 30):  # between two kept ids, past the last one
+        with pytest.raises(ValueError, match=f"token id {missing} is not among the 6"):
+            scorer([(a, np.where(b == 29, missing, b))])
+
+
+@pytest.mark.parametrize("word", ["river", "ember"], ids=["kept row", "dropped row"])
+def test_train_rnes_exits_1_on_a_nan_in_any_coherence_embedding_row(corpus, tmp_path,
+                                                                    larger_vocab, caplog, word):
+    coh_ckpt, pre_ckpt = _rl_models(corpus, tmp_path, larger_vocab)
+    params = load_checkpoint(coh_ckpt)
+    params["embed"].data[load_vocab(larger_vocab).token_to_id[word], 2] = np.nan
+    save_checkpoint(params, coh_ckpt)
+    caplog.clear()
+    assert _train_rnes(corpus, larger_vocab, pre_ckpt, coh_ckpt, tmp_path / "rl.ckpt") == 1
+    message = _one_error_line(caplog)
+    assert str(coh_ckpt) in message and "'embed'" in message
+    assert not (tmp_path / "rl.ckpt").exists()
+
+
+@pytest.mark.parametrize("case, expected", [
+    ("nan", "tensor 'out_b' holds a NaN or infinite value"),
+    ("not utf-8", "name is not valid UTF-8"),
+    ("repeated name", "tensor 'fc1_w' appears twice"),
+])
+def test_corrupt_coherence_checkpoint_error_names_the_file(corpus, tmp_path, caplog, case,
+                                                           expected):
+    vocab, ckpt = tmp_path / "vocab.txt", tmp_path / "coh.ckpt"
+    assert run(["preprocess", "--corpus", str(corpus), "--out", str(vocab)]) == 0
+    assert run(["train-coherence", "--corpus", str(corpus), "--vocab", str(vocab),
+                "--out", str(ckpt), "--epochs", "0"] + TINY_COHERENCE[:-2]) == 0
+    if case == "nan":
+        params = load_checkpoint(ckpt)
+        params["out_b"].data[0] = np.nan
+        save_checkpoint(params, ckpt)
+    else:  # rename the tensor after fc1_w, keeping the name's length
+        blob = ckpt.read_bytes()
+        assert blob.count(b"fc1_b") == 1
+        ckpt.write_bytes(blob.replace(b"fc1_b", b"\xffc1_b" if case == "not utf-8" else b"fc1_w"))
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("river stone\tlight cloud\n")
+    caplog.clear()
+    assert run(["score-coherence", "--checkpoint", str(ckpt), "--vocab", str(vocab),
+                "--pairs", str(pairs), "--out", str(tmp_path / "s.txt")]) == 1
+    message = _one_error_line(caplog)
+    assert str(ckpt) in message and expected in message
+    assert not (tmp_path / "s.txt").exists()
+
+
+def test_train_rnes_rejects_a_coherence_model_of_a_smaller_vocabulary(corpus, tmp_path,
+                                                                      larger_vocab, caplog):
+    small = tmp_path / "vocab.txt"  # fewer rows than the corpus ids reach
+    assert run(["preprocess", "--corpus", str(corpus), "--out", str(small),
+                "--max-vocab", "6"]) == 0
+    coh_ckpt = tmp_path / "coh.ckpt"
+    assert run(["train-coherence", "--corpus", str(corpus), "--vocab", str(small),
+                "--out", str(coh_ckpt), "--epochs", "0"] + TINY_COHERENCE[:-2]) == 0
+    (tmp_path / "large").mkdir()
+    _, pre_ckpt = _rl_models(corpus, tmp_path / "large", larger_vocab)
+    caplog.clear()
+    assert _train_rnes(corpus, larger_vocab, pre_ckpt, coh_ckpt, tmp_path / "rl.ckpt") == 1
+    message = _one_error_line(caplog)
+    assert str(coh_ckpt) in message and "outside its 6 rows" in message
+    assert not (tmp_path / "rl.ckpt").exists()

@@ -702,3 +702,118 @@ def test_failed_checkpoint_write_keeps_old_file_and_leaves_no_temp_file(tmp_path
         save_checkpoint(params, path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["model.ckpt"]
+
+
+def _table_checkpoint(path, rng, n=10, d=4):
+    """A checkpoint holding a tensor before and after an [n, d] table named 'embed'."""
+    params = ParamStore()
+    params.init_uniform("first", (3,), rng)
+    params.init_uniform("embed", (n, d), rng)
+    params.init_uniform("last", (2, 5), rng)
+    save_checkpoint(params, path)
+    return params
+
+
+def _poke_table(path, row: int, col: int, value: float, d=4):
+    """Write value over entry [row, col] of the 'embed' table that `_table_checkpoint` saved."""
+    blob = bytearray(path.read_bytes())
+    tensor_at = blob.index(b"embed") + len(b"embed") + 4 + 8  # rank, then two dimensions
+    at = tensor_at + 8 * (row * d + col)
+    blob[at : at + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("kept", [
+    [0], [9], [0, 9], [2, 3], [3, 5, 6], [0, 2, 3, 5, 6, 8, 9], list(range(10)), [],
+])
+def test_row_selected_load_keeps_the_rows_of_a_full_load_bit_for_bit(tmp_path, rng, monkeypatch,
+                                                                     kept):
+    monkeypatch.setattr(nm, "LOAD_BLOCK", 3 * 4)  # blocks of 3 rows: edges at rows 3 and 6
+    path = tmp_path / "model.ckpt"
+    _table_checkpoint(path, rng)
+    full = load_checkpoint(path)
+    rows = np.array(kept, dtype=np.int64)
+    loaded = load_checkpoint(path, rows={"embed": rows})
+    assert loaded.names() == full.names() and loaded.meta == full.meta
+    assert loaded["embed"].data.shape == (len(kept), 4)
+    assert loaded["embed"].data.tobytes() == full["embed"].data[rows].tobytes()
+    for name in ("first", "last"):  # the tensors around the table are read as before
+        assert loaded[name].data.tobytes() == full[name].data.tobytes()
+
+
+@pytest.mark.parametrize("kept", [[1], [2, 7]])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_row_fails_naming_file_and_tensor_whether_or_not_it_is_kept(
+        tmp_path, rng, monkeypatch, kept, value):
+    monkeypatch.setattr(nm, "LOAD_BLOCK", 3 * 4)
+    path = tmp_path / "model.ckpt"
+    _table_checkpoint(path, rng)
+    _poke_table(path, 7, 3, value)  # row 7 is kept in one case and dropped in the other
+    for rows in ({"embed": np.array(kept)}, None):
+        with pytest.raises(CheckpointError) as excinfo:
+            load_checkpoint(path, rows=rows)
+        message = str(excinfo.value)
+        assert str(path) in message and "'embed'" in message and "NaN or infinite" in message
+
+
+def test_row_selected_load_of_a_truncated_table_fails_as_truncation(tmp_path, rng):
+    path = tmp_path / "model.ckpt"
+    _table_checkpoint(path, rng)
+    blob = path.read_bytes()
+    path.write_bytes(blob[: blob.index(b"last") - 4 - 8])  # cut inside the table's last row
+    with pytest.raises(CheckpointError, match="truncated while reading tensor 'embed' data"):
+        load_checkpoint(path, rows={"embed": np.array([0, 1])})
+
+
+@pytest.mark.parametrize("rows, message", [
+    ({"absent": np.array([0])}, "no tensor 'absent' to select rows of"),
+    ({"first": np.array([0])}, "tensor 'first' of shape \\(3,\\): it is not 2-D"),
+    ({"embed": np.array([4, 2])}, "must be a sorted vector of unique integers"),
+    ({"embed": np.array([2, 2])}, "must be a sorted vector of unique integers"),
+    ({"embed": np.array([0.0, 1.0])}, "must be a sorted vector of unique integers"),
+    ({"embed": np.array([[0, 1]])}, "must be a sorted vector of unique integers"),
+    ({"embed": np.array([3, 10])}, "run from 3 to 10, outside its 10 rows"),
+    ({"embed": np.array([-1, 3])}, "run from -1 to 3, outside its 10 rows"),
+])
+def test_bad_row_selection_raises_naming_file_and_tensor(tmp_path, rng, rows, message):
+    path = tmp_path / "model.ckpt"
+    _table_checkpoint(path, rng)
+    with pytest.raises(CheckpointError, match=message) as excinfo:
+        load_checkpoint(path, rows=rows)
+    assert str(path) in str(excinfo.value)
+
+
+def test_row_selected_load_never_allocates_the_whole_table(tmp_path):
+    n, d = 20000, 64
+    params = ParamStore()
+    params.add("embed", np.random.default_rng(0).uniform(-1, 1, size=(n, d)))
+    path = tmp_path / "table.ckpt"
+    save_checkpoint(params, path)
+    del params
+    kept = np.unique(np.random.default_rng(1).integers(0, n, size=1500))
+    peak = traced_peak(lambda: load_checkpoint(path, rows={"embed": kept}))
+    block_bytes = 8 * nm.LOAD_BLOCK
+    assert block_bytes * 8 < n * d * 8  # the table is far larger than one block
+    # one block, its finiteness mask (a byte per element) and the kept rows
+    assert peak < block_bytes + nm.LOAD_BLOCK + 8 * d * len(kept) + (64 << 10)
+
+
+def _tensor_record(name: bytes, values) -> bytes:
+    values = np.asarray(values, dtype="<f8")
+    return (struct.pack("<I", len(name)) + name + struct.pack("<I", values.ndim)
+            + struct.pack(f"<{values.ndim}I", *values.shape) + values.tobytes())
+
+
+@pytest.mark.parametrize("tensors, message", [
+    ([(b"embed", [1.0, np.nan])], "tensor 'embed' holds a NaN or infinite value"),
+    ([(b"embed", [np.inf])], "tensor 'embed' holds a NaN or infinite value"),
+    ([(b"w", [1.0]), (b"\xffw", [1.0])], "tensor 1 name is not valid UTF-8"),
+    ([(b"embed", [1.0]), (b"embed", [2.0])], "tensor 'embed' appears twice"),
+])
+def test_corrupt_tensor_fails_naming_file_and_tensor(tmp_path, tensors, message):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(b"COHSUMCK" + struct.pack("<II", 2, 2) + b"{}" + struct.pack("<I", len(tensors))
+                     + b"".join(_tensor_record(name, values) for name, values in tensors))
+    with pytest.raises(CheckpointError, match=message) as excinfo:
+        load_checkpoint(path)
+    assert str(path) in str(excinfo.value)

@@ -66,10 +66,8 @@ def test_every_trace_target_exists():
         t.uninstall()
 
 
-def test_every_sgd_step_span_is_a_child_of_a_gradients_span(tmp_path):
-    # each parameter steps inside the backward walk, so the self time of
-    # `numeric.gradients` stays backward and that of `numeric.sgd_step` the update
-    tracer = _tracer_module()
+def _tiny_stages(tmp_path) -> dict:
+    """argv of train-coherence, pretrain and train-rnes at tiny geometry, by trace stage."""
     rng = np.random.default_rng(0)
     words = ["river", "stone", "wind", "light", "cloud", "branch", "valley", "shore"]
     corpus = tmp_path / "corpus.jsonl"
@@ -81,7 +79,7 @@ def test_every_sgd_step_span_is_a_child_of_a_gradients_span(tmp_path):
     c, v = str(corpus), str(tmp_path / "vocab.txt")
     coh, pre = str(tmp_path / "coh.ckpt"), str(tmp_path / "pre.ckpt")
     assert cli.run(["preprocess", "--corpus", c, "--out", v]) == 0
-    stages = {
+    return {
         "coh_train": ["train-coherence", "--corpus", c, "--vocab", v, "--out", coh,
                       "--max-tokens", "10", "--embed-dim", "6", "--filters", "4", "--fc", "8",
                       "--epochs", "1"],
@@ -92,7 +90,13 @@ def test_every_sgd_step_span_is_a_child_of_a_gradients_span(tmp_path):
                "--coherence-checkpoint", coh, "--out", str(tmp_path / "policy.ckpt"),
                "--steps", "2"],
     }
-    for stage, argv in stages.items():
+
+
+def test_every_sgd_step_span_is_a_child_of_a_gradients_span(tmp_path):
+    # each parameter steps inside the backward walk, so the self time of
+    # `numeric.gradients` stays backward and that of `numeric.sgd_step` the update
+    tracer = _tracer_module()
+    for stage, argv in _tiny_stages(tmp_path).items():
         t = tracer.Tracer(stage)
         with t:
             assert cli.run(argv) == 0, stage
@@ -100,3 +104,20 @@ def test_every_sgd_step_span_is_a_child_of_a_gradients_span(tmp_path):
         parents = [t.spans[span[3]][0] if span[3] >= 0 else None
                    for span in t.spans if span[0] == "numeric.sgd_step"]
         assert parents and set(parents) == {"numeric.gradients"}, stage
+
+
+def test_traced_train_rnes_counts_the_bytes_of_every_checkpoint_it_reads_and_writes(tmp_path):
+    # the tracer reads a checkpoint's path as the last positional argument, so
+    # the row selection of the coherence load must be passed by keyword
+    tracer = _tracer_module()
+    stages = _tiny_stages(tmp_path)
+    for argv in (stages["coh_train"], stages["pretrain"]):
+        assert cli.run(argv) == 0
+    t = tracer.Tracer("rl")
+    with t:
+        assert cli.run(stages["rl"]) == 0
+    loads = [span for span in t.spans if span[0] == "numeric.load_checkpoint"]
+    assert len(loads) == 2
+    files = ("coh.ckpt", "pre.ckpt", "policy.ckpt")
+    assert t.counts["numeric.checkpoint_bytes"] == sum((tmp_path / f).stat().st_size
+                                                       for f in files)
