@@ -31,13 +31,15 @@ the id. `evaluate` and `train-rnes` score against each document's
 highlights, so they reject a corpus holding a document with none before
 any work, naming the file and the id.
 
-`train-rnes` loads the vocabulary, the policy checkpoint and the corpus,
-and checks the highlights, before it reads the coherence checkpoint (only
-with --lambda > 0). The frozen scorer reads nothing but the corpus
-sentences and the chain's BOUNDARY placeholder, so it keeps only their
-embedding rows, PAD and BOUNDARY included (`_row_scorer`); the rows it
-drops are still checked to be finite. The policy's own table is trained
-and written back, so it is loaded whole.
+`train-rnes` reads the vocabulary, the policy checkpoint's header and the
+corpus, and checks the highlights, before it reads any tensor. The policy
+and the frozen coherence scorer (read only with --lambda > 0) see nothing
+but the corpus sentences and the chain's BOUNDARY placeholder, so both keep
+only the embedding rows of the ids those hold, with PAD, UNK and BOUNDARY
+at rows 0, 1 and 2, and each sentence's ids are mapped once to their rows
+(`_rows_of`). The rows not kept are still checked to be finite, and the
+policy's are written back from its source checkpoint when the trained
+policy is saved, so `--out` may name that checkpoint.
 
 Every output file is written through `atomic.atomic_write`, so a stage that
 fails leaves no partial output and no temporary file; `score-coherence
@@ -64,7 +66,7 @@ from . import decode as dc
 from . import extractor as ex
 from . import reinforce as rl
 from .atomic import atomic_write
-from .numeric import CheckpointError, load_checkpoint, save_checkpoint
+from .numeric import CheckpointError, load_checkpoint, read_header, save_checkpoint
 from .rouge import RewardWeights, rouge_l, rouge_n
 
 log = logging.getLogger(__name__)
@@ -98,7 +100,11 @@ def _load_model(path: str, kind: str, config_cls, vocab: cp.Vocabulary, rows=Non
     `rows` is passed to `load_checkpoint` to keep only some rows of a tensor.
     """
     params = load_checkpoint(path, rows=rows)  # by keyword: tracers read the path as args[-1]
-    meta = params.meta
+    return params, _model_config(path, params.meta, kind, config_cls, vocab)
+
+
+def _model_config(path: str, meta: dict, kind: str, config_cls, vocab: cp.Vocabulary):
+    """The config in the header `meta` of checkpoint `path`, if it is a `kind` model of `vocab`."""
     if meta.get("model") != kind:
         raise CheckpointError(f"{path}: holds a {meta.get('model')!r} model, expected {kind!r}")
     try:
@@ -116,7 +122,7 @@ def _load_model(path: str, kind: str, config_cls, vocab: cp.Vocabulary, rows=Non
     if vocab.fingerprint() != digest:
         raise CheckpointError(f"{path}: model was trained on another vocabulary of the same size "
                               f"(the tokens or their order differ)")
-    return params, config
+    return config
 
 
 def _at_least_1(args, *flags: str) -> None:
@@ -241,48 +247,46 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _row_scorer(params, config, used: np.ndarray):
-    """`coherence_forward` on a scorer whose embedding keeps only rows `used` (sorted ids).
+def _rows_of(ids: np.ndarray, used: np.ndarray) -> np.ndarray:
+    """The rows of token ids in an embedding table that keeps the rows `used` (sorted ids).
 
-    Each id maps to its row's position in `used`; an id outside it raises
-    rather than score against another word's row.
+    Each id maps to its position in `used`; an id outside it raises rather
+    than read another word's row.
     """
-    def rows_of(ids):
-        ids = np.asarray(ids)
-        pos = np.searchsorted(used, ids)
-        missed = (pos == len(used)) | (used[np.minimum(pos, len(used) - 1)] != ids)
-        if missed.any():
-            raise ValueError(f"token id {ids[missed][0]} is not among the "
-                             f"{len(used)} coherence embedding rows loaded")
-        return pos
-
-    def scorer(pairs):
-        return coh.coherence_forward([(rows_of(a), rows_of(b)) for a, b in pairs],
-                                     params, config)
-    return scorer
+    pos = np.searchsorted(used, ids)
+    missed = (pos == len(used)) | (used[np.minimum(pos, len(used) - 1)] != ids)
+    if missed.any():
+        raise ValueError(f"token id {ids[missed][0]} is not among the "
+                         f"{len(used)} embedding rows kept")
+    return pos
 
 
 def cmd_train_rnes(args) -> int:
     vocab = cp.load_vocab(args.vocab)
-    params, ext_config = _load_model(args.pretrain_checkpoint, "extractor", ex.ExtractorConfig,
-                                     vocab)
+    ext_config = _model_config(args.pretrain_checkpoint, read_header(args.pretrain_checkpoint),
+                               "extractor", ex.ExtractorConfig, vocab)
     if args.lam > 0 and not args.coherence_checkpoint:
         raise ValueError("--coherence-checkpoint is required when --lambda > 0")
     docs = list(cp.load_corpus(args.corpus, vocab=vocab, max_tokens=ext_config.max_tokens,
                                max_sentences=ext_config.max_sentences))
     _require_highlights(docs, args.corpus)
+    # both models read only the corpus sentences and the chain's placeholder;
+    # the highlights are compared by their tokens
+    used = np.unique(np.concatenate([[cp.PAD_ID, cp.UNK_ID, cp.BOUNDARY_ID]]
+                                    + [s.ids for doc in docs for s in doc.sentences]))
+    for doc in docs:
+        for sent in doc.sentences:
+            sent.ids = _rows_of(sent.ids, used)
+    params = load_checkpoint(args.pretrain_checkpoint, rows={"embed": used})
     scorer = None
     if args.lam > 0:
-        # the frozen scorer reads only the corpus sentences and the chain's placeholder
-        used = np.unique(np.concatenate(
-            [[cp.PAD_ID, cp.BOUNDARY_ID]] + [s.ids for doc in docs for s in doc.sentences]))
         coh_params, coh_config = _load_model(args.coherence_checkpoint, "coherence",
                                              coh.CoherenceConfig, vocab, rows={"embed": used})
         if coh_config.max_tokens != ext_config.max_tokens:
             raise CheckpointError(f"{args.coherence_checkpoint}: coherence model reads "
                                   f"{coh_config.max_tokens}-token sentences, "
                                   f"{args.pretrain_checkpoint} reads {ext_config.max_tokens}")
-        scorer = _row_scorer(coh_params, coh_config, used)
+        scorer = partial(coh.coherence_forward, params=coh_params, config=coh_config)
     rl_config = _config(rl.RLConfig, args, weights=_config(RewardWeights, args))
     rl.train_rnes(docs, params, scorer, rl_config, ext_config, child_rng(args.seed, "train-rnes"))
     save_checkpoint(params, args.out)  # params.meta still describes the model as loaded

@@ -6,7 +6,10 @@ of the coherence scorer, and the training losses built on them. Everything
 is 64-bit so finite-difference gradient checks are decisive.
 
 - Finite checks: every op result is checked once for NaN/Inf, when `_node`
-  wraps it in a Tensor; op bodies do not check again.
+  wraps it in a Tensor; op bodies do not check again. A result of more than
+  `SGD_BLOCK` elements is checked through its sum, which is finite only if
+  every entry is, so no mask the size of a large result is made
+  (`_all_finite`).
 - Row-sparse table gradients: `gather_rows` backward records (indices, g)
   segments on the table instead of scattering into a zero-filled table.
   `gradients` hands a leaf reached only that way out as a `RowGrad` (the
@@ -62,16 +65,19 @@ is 64-bit so finite-difference gradient checks are decisive.
   stepped so far stepped and the rest not; the CLI then exits 1 and writes no
   checkpoint.
 - Checkpoints (format v2, laid out in `save_checkpoint`) carry a JSON header,
-  `ParamStore.meta`, before the tensors. Each tensor is written from its own
-  buffer and read straight into its own array, after its declared size is
-  checked against the bytes left in the file. A loader that reads only some
-  rows of a 2-D tensor (the frozen coherence scorer's embedding table, of
-  which a corpus reads a few thousand rows) names them in `load_checkpoint`'s
-  `rows`: the tensor then passes through one buffer of `LOAD_BLOCK` elements,
-  every block is checked to be finite, and only those rows are kept. Every
-  load error is a `CheckpointError` naming the file, and the tensor when
-  there is one. Writes go through `atomic.atomic_write`, a temporary file
-  moved into place.
+  `ParamStore.meta`, before the tensors; `read_header` reads it alone. Each
+  tensor is written from its own buffer and read straight into its own
+  array, after its declared size is checked against the bytes left in the
+  file. A loader that reads only some rows of a 2-D tensor (an embedding
+  table, of which a corpus reads a few thousand rows) names them in
+  `load_checkpoint`'s `rows`: the tensor then passes through one buffer of
+  `LOAD_BLOCK` elements, every block is checked to be finite, and only those
+  rows are kept. The store records where the tensor came from, and
+  `save_checkpoint` writes it whole: the same block loop reads the source
+  again and writes each block with the kept rows over it, so a trained table
+  is never whole in memory either. Every load error is a `CheckpointError`
+  naming the file, and the tensor when there is one. Writes go through
+  `atomic.atomic_write`, a temporary file moved into place.
 """
 
 from __future__ import annotations
@@ -79,12 +85,14 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import dataclasses
+import functools
 import itertools
 import json
 import logging
 import math
 import os
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,9 +109,27 @@ class CheckpointError(RuntimeError):
     """Checkpoint file is missing, corrupt, or has the wrong version."""
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of a float array is finite, with no mask over SGD_BLOCK elements.
+
+    An array of up to SGD_BLOCK elements is checked entry by entry. A larger
+    one is settled by its sum when that is finite, since a NaN or an infinity
+    makes the sum non-finite; only a sum that is not finite, which finite
+    entries can reach by overflowing, is settled entry by entry, SGD_BLOCK
+    elements at a time.
+    """
+    if arr.size <= SGD_BLOCK:
+        return bool(np.isfinite(arr).all())
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(arr.sum()):
+            return True
+    blocks = np.nditer(arr, flags=["external_loop", "buffered"], buffersize=SGD_BLOCK)
+    return all(np.isfinite(block).all() for block in blocks)
+
+
 def _as_array(data) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise FloatingPointError("non-finite value produced")
     return arr
 
@@ -835,6 +861,7 @@ class ParamStore:
     def __init__(self):
         self._params: dict[str, Tensor] = {}
         self.meta: dict = {}  # JSON-ready model description, a checkpoint's header
+        self.sources: dict[str, _RowSource] = {}  # tensors loaded with only some of their rows
 
     def add(self, name: str, data) -> Tensor:
         if name in self._params:
@@ -1039,14 +1066,32 @@ _CKPT_MAGIC = b"COHSUMCK"
 _CKPT_VERSION = 2
 
 
+class _RowSource(NamedTuple):
+    """The checkpoint a row-selected tensor was loaded from, which holds its other rows."""
+
+    path: str | os.PathLike
+    offset: int  # of the tensor's data in the file
+    shape: tuple  # the whole tensor's, [n, d]
+    rows: np.ndarray  # the rows kept, sorted and unique
+    stamp: tuple  # the file's identity, size and mtime at the load
+
+
+def _stamp(stat: os.stat_result) -> tuple:
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
 def save_checkpoint(params: ParamStore, path) -> None:
     """Binary dump of the tensors behind a JSON header holding `params.meta`.
 
     Layout, integers `<I`: b"COHSUMCK", version 2, header byte count, header
     (UTF-8 JSON, keys sorted), tensor count, then per tensor the name byte
     count, UTF-8 name, rank, each dimension and the float64-LE values in C
-    order, each written from its own buffer. The file is written through
-    `atomic_write`, so a failed write leaves any previous checkpoint intact.
+    order, each written from its own buffer. A tensor loaded with only some
+    of its rows (`load_checkpoint`'s `rows`) is written whole: its source is
+    read again block by block, each block checked to be finite, with the kept
+    rows written over it; a source that changed since the load raises
+    `CheckpointError`. The file is written through `atomic_write`, so a failed
+    write leaves any previous checkpoint intact, and the source may be `path`.
     """
     header = json.dumps(params.meta, sort_keys=True).encode("utf-8")
     with atomic_write(path, "wb") as fh:
@@ -1055,47 +1100,113 @@ def save_checkpoint(params: ParamStore, path) -> None:
         fh.write(header)
         fh.write(struct.pack("<I", len(params)))
         for name, p in params.items():
+            source = params.sources.get(name)
+            shape = p.data.shape if source is None else source.shape
             raw = name.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
-            fh.write(struct.pack("<I", p.data.ndim))
-            fh.write(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
-            fh.write(np.ascontiguousarray(p.data, dtype="<f8").data)
+            fh.write(struct.pack("<I", len(shape)))
+            fh.write(struct.pack(f"<{len(shape)}I", *shape))
+            if source is None:
+                fh.write(np.ascontiguousarray(p.data, dtype="<f8").data)
+            else:
+                _write_rows(fh, name, p.data, source)
 
 
-def _read_rows(fh, path, name: str, shape: tuple, rows) -> np.ndarray:
-    """Rows `rows` (sorted, unique) of the [n, d] tensor `name` at fh, in order.
+def _write_rows(out, name: str, kept: np.ndarray, source: _RowSource) -> None:
+    """Write tensor `name` whole: the rows of its source, with `kept` over the rows it holds."""
+    with open(source.path, "rb") as fh:
+        if _stamp(os.fstat(fh.fileno())) != source.stamp:
+            raise CheckpointError(f"{source.path}: changed since tensor {name!r} was loaded "
+                                  f"from it, so the rows not loaded cannot be written back")
+        fh.seek(source.offset)
+        for block, rows, span in _row_blocks(fh, source.path, name, source.shape, source.rows):
+            block[rows] = kept[span]
+            out.write(block.data)
 
-    The tensor is read through one buffer of about LOAD_BLOCK elements and
-    every block is checked to be finite, also the rows that are not kept, so
-    the whole table is never allocated.
+
+def _row_blocks(fh, path, name: str, shape: tuple, rows: np.ndarray):
+    """The [n, d] tensor `name` at fh, block by block, each with the kept rows that fall in it.
+
+    Yields (block, rows in the block, their slice of `rows`) for consecutive
+    blocks of about LOAD_BLOCK elements, all read into one buffer, so the
+    whole tensor is never allocated. Every block is checked to be finite,
+    also where no row is kept. `rows` is sorted and unique.
     """
-    rows = np.asarray(rows)
+    n, d = shape
+    buffer = np.empty((max(1, LOAD_BLOCK // max(d, 1)), d), dtype="<f8")
+    for start in range(0, n, len(buffer)):
+        block = buffer[: min(len(buffer), n - start)]
+        if fh.readinto(block.reshape(-1).view(np.uint8)) != block.nbytes:
+            raise CheckpointError(f"{path}: truncated while reading tensor {name!r} data")
+        if not _all_finite(block):
+            raise CheckpointError(_non_finite(path, name))
+        lo, hi = np.searchsorted(rows, (start, start + len(block)))
+        yield block, rows[lo:hi] - start, slice(lo, hi)
+
+
+def _read_rows(fh, path, name: str, shape: tuple, rows: np.ndarray) -> np.ndarray:
+    """Rows `rows` (sorted, unique) of the [n, d] tensor `name` at fh, in order (`_row_blocks`)."""
+    out = np.empty((len(rows), shape[1]), dtype="<f8")
+    for block, kept, span in _row_blocks(fh, path, name, shape, rows):
+        np.take(block, kept, axis=0, out=out[span])
+    return out
+
+
+def _check_rows(path, name: str, shape: tuple, rows) -> np.ndarray:
+    """`rows` as a copy, if they are sorted unique row ids of the [n, d] tensor `name`."""
+    rows = np.array(rows)
     if len(shape) != 2:
         raise CheckpointError(f"{path}: cannot select rows of tensor {name!r} "
                               f"of shape {shape}: it is not 2-D")
-    n, d = shape
     if rows.ndim != 1 or rows.dtype.kind not in "iu" or np.any(rows[1:] <= rows[:-1]):
         raise CheckpointError(f"{path}: row ids for tensor {name!r} must be a sorted "
                               f"vector of unique integers")
-    if rows.size and (rows[0] < 0 or rows[-1] >= n):
+    if rows.size and (rows[0] < 0 or rows[-1] >= shape[0]):
         raise CheckpointError(f"{path}: row ids for tensor {name!r} run from {rows[0]} "
-                              f"to {rows[-1]}, outside its {n} rows")
-    out = np.empty((len(rows), d), dtype="<f8")
-    block = np.empty((max(1, LOAD_BLOCK // max(d, 1)), d), dtype="<f8")
-    for start in range(0, n, len(block)):
-        buf = block[: min(len(block), n - start)]
-        if fh.readinto(buf.reshape(-1).view(np.uint8)) != buf.nbytes:
-            raise CheckpointError(f"{path}: truncated while reading tensor {name!r} data")
-        if not np.isfinite(buf).all():
-            raise CheckpointError(_non_finite(path, name))
-        lo, hi = np.searchsorted(rows, (start, start + len(buf)))
-        np.take(buf, rows[lo:hi] - start, axis=0, out=out[lo:hi])
-    return out
+                              f"to {rows[-1]}, outside its {shape[0]} rows")
+    return rows
 
 
 def _non_finite(path, name: str) -> str:
     return f"{path}: tensor {name!r} holds a NaN or infinite value"
+
+
+def _need(fh, path, size: int, count: int, what: str) -> None:
+    """Fail as truncation unless count bytes of fh's file, size bytes long, are left.
+
+    Checked before the count bytes are allocated: a corrupt size is not a MemoryError.
+    """
+    if count > size - fh.tell():
+        raise CheckpointError(f"{path}: truncated while reading {what}")
+
+
+def _read(fh, path, size: int, count: int, what: str) -> bytes:
+    _need(fh, path, size, count, what)
+    return fh.read(count)
+
+
+def _read_header(fh, path, size: int) -> dict:
+    """The JSON header of the checkpoint at the start of fh, which is left after it."""
+    if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
+        raise CheckpointError(f"{path}: not a parameter checkpoint")
+    version, header_len = struct.unpack("<II", _read(fh, path, size, 8,
+                                                     "version and header length"))
+    if version != _CKPT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    try:
+        meta = json.loads(_read(fh, path, size, header_len, "header").decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise CheckpointError(f"{path}: header is not valid JSON ({exc})") from None
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    return meta
+
+
+def read_header(path) -> dict:
+    """The JSON header of a checkpoint, the `meta` a load returns, read without any tensor."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path, os.fstat(fh.fileno()).st_size)
 
 
 def load_checkpoint(path, rows: dict | None = None) -> ParamStore:
@@ -1105,36 +1216,17 @@ def load_checkpoint(path, rows: dict | None = None) -> ParamStore:
     checked against the bytes left in the file before anything is allocated,
     so a corrupt size field fails as truncation. `rows` maps the name of a
     2-D tensor to sorted unique row ids: only those rows are kept, in order
-    (see `_read_rows`). Every error is a `CheckpointError` naming the file,
-    and the tensor when there is one.
+    (see `_row_blocks`), and the store's `sources` records where the tensor
+    came from, for `save_checkpoint` to write it whole. Every error is a
+    `CheckpointError` naming the file, and the tensor when there is one.
     """
     rows = rows or {}
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-
-        def need(count: int, what: str) -> None:
-            # checked before count bytes are allocated: a corrupt size is not a MemoryError
-            if count > size - fh.tell():
-                raise CheckpointError(f"{path}: truncated while reading {what}")
-
-        def read(count: int, what: str) -> bytes:
-            need(count, what)
-            return fh.read(count)
-
-        if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
-            raise CheckpointError(f"{path}: not a parameter checkpoint")
-        version, header_len = struct.unpack("<II", read(8, "version and header length"))
-        if version != _CKPT_VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        try:
-            meta = json.loads(read(header_len, "header").decode("utf-8"))
-        except ValueError as exc:  # bad UTF-8 or bad JSON
-            raise CheckpointError(f"{path}: header is not valid JSON ({exc})") from None
-        if not isinstance(meta, dict):
-            raise CheckpointError(f"{path}: header is not a JSON object")
-        (n_tensors,) = struct.unpack("<I", read(4, "tensor count"))
+        stat = os.fstat(fh.fileno())
+        read = functools.partial(_read, fh, path, stat.st_size)
         params = ParamStore()
-        params.meta = meta
+        params.meta = _read_header(fh, path, stat.st_size)
+        (n_tensors,) = struct.unpack("<I", read(4, "tensor count"))
         for k in range(n_tensors):
             (name_len,) = struct.unpack("<I", read(4, f"tensor {k} name length"))
             try:
@@ -1145,9 +1237,11 @@ def load_checkpoint(path, rows: dict | None = None) -> ParamStore:
                 raise CheckpointError(f"{path}: tensor {name!r} appears twice")
             (rank,) = struct.unpack("<I", read(4, f"tensor {name!r} rank"))
             shape = struct.unpack(f"<{rank}I", read(4 * rank, f"tensor {name!r} shape"))
-            need(8 * math.prod(shape), f"tensor {name!r} data")
+            _need(fh, path, stat.st_size, 8 * math.prod(shape), f"tensor {name!r} data")
             if name in rows:
-                data = _read_rows(fh, path, name, shape, rows[name])
+                kept = _check_rows(path, name, shape, rows[name])
+                params.sources[name] = _RowSource(path, fh.tell(), shape, kept, _stamp(stat))
+                data = _read_rows(fh, path, name, shape, kept)
             else:
                 data = np.empty(shape, dtype="<f8")
                 if fh.readinto(data.reshape(-1).view(np.uint8)) != data.nbytes:
@@ -1156,7 +1250,7 @@ def load_checkpoint(path, rows: dict | None = None) -> ParamStore:
                 params.add(name, data)  # checks that every value is finite
             except FloatingPointError:
                 raise CheckpointError(_non_finite(path, name)) from None
-        trailing = size - fh.tell()
+        trailing = stat.st_size - fh.tell()
     if trailing:
         raise CheckpointError(f"{path}: {trailing} trailing bytes after last tensor")
     missing = sorted(set(rows) - set(params.names()))

@@ -15,14 +15,14 @@ import pytest
 import cohsum
 from cohsum import cli
 from cohsum.cli import _config, build_parser, child_rng, run
-from cohsum.coherence import CoherenceConfig, coherence_forward, init_coherence_params
-from cohsum.corpus import load_corpus, load_vocab
+from cohsum.coherence import CoherenceConfig, coherence_forward
+from cohsum.corpus import load_corpus, load_vocab, placeholder_sentence
 from cohsum.extractor import ExtractorConfig, init_extractor_params
-from cohsum.numeric import ParamStore, load_checkpoint, save_checkpoint
+from cohsum.numeric import load_checkpoint, save_checkpoint
 from cohsum.reinforce import RLConfig, train_rnes
 from cohsum.rouge import RewardWeights
 
-from conftest import tiny_extractor_config
+from conftest import tiny_extractor_config, traced_peak
 
 
 WORDS = ["river", "stone", "wind", "light", "cloud", "branch", "valley", "shore"]
@@ -866,8 +866,8 @@ def test_train_rnes_writes_the_policy_of_the_full_table_scorer(corpus, tmp_path,
     out = tmp_path / "rl.ckpt"
     assert _train_rnes(corpus, larger_vocab, pre_ckpt, coh_ckpt, out) == 0
     vocab = load_vocab(larger_vocab)
-    assert table_rows[str(pre_ckpt)] == vocab.size  # the trained table is loaded whole
-    assert table_rows[str(coh_ckpt)] < vocab.size - 4  # UNK and the 4 unused words dropped
+    # both tables keep PAD, UNK, BOUNDARY and the corpus words: the 4 unused words are dropped
+    assert table_rows[str(pre_ckpt)] == table_rows[str(coh_ckpt)] == vocab.size - 4
 
     # the reference: rl.train_rnes in process, its scorer reading the whole table
     policy = load_checkpoint(pre_ckpt)
@@ -891,22 +891,16 @@ def test_train_rnes_writes_the_policy_of_the_full_table_scorer(corpus, tmp_path,
     assert (tmp_path / "lam0.ckpt").read_bytes() != out.read_bytes()
 
 
-def test_row_scorer_maps_ids_to_their_rows_and_rejects_an_id_outside_them():
-    config = CoherenceConfig(vocab_size=30, embed_dim=6, conv_filters=(4,), fc_units=(8,),
-                             max_tokens=10)
-    full = init_coherence_params(config, np.random.default_rng(0))
-    used = np.array([0, 2, 5, 7, 11, 29])
-    kept = ParamStore()
-    for name, p in full.items():
-        kept.add(name, p.data[used] if name == "embed" else p.data)
-    a = np.array([2, 5, 7, 11, 0, 0, 0, 0, 0, 0])
-    b = np.array([29, 7, 5, 0, 0, 0, 0, 0, 0, 0])
-    scorer = cli._row_scorer(kept, config, used)
-    expected = coherence_forward([(a, b), (b, a)], full, config)
-    assert scorer([(a, b), (b, a)]).tobytes() == expected.tobytes()
+def test_rows_of_keeps_the_reserved_rows_and_rejects_an_id_outside_the_kept_rows():
+    used = np.array([0, 1, 2, 5, 7, 11, 29])
+    ids = np.array([2, 5, 7, 11, 29, 1, 0, 0])
+    assert cli._rows_of(ids, used).tolist() == [2, 3, 4, 5, 6, 1, 0, 0]
+    # PAD, UNK and BOUNDARY keep their ids, so the chain's placeholder reads the same rows
+    placeholder = placeholder_sentence(8).ids
+    assert cli._rows_of(placeholder, used).tolist() == placeholder.tolist()
     for missing in (3, 30):  # between two kept ids, past the last one
-        with pytest.raises(ValueError, match=f"token id {missing} is not among the 6"):
-            scorer([(a, np.where(b == 29, missing, b))])
+        with pytest.raises(ValueError, match=f"token id {missing} is not among the 7"):
+            cli._rows_of(np.where(ids == 29, missing, ids), used)
 
 
 @pytest.mark.parametrize("word", ["river", "ember"], ids=["kept row", "dropped row"])
@@ -921,6 +915,50 @@ def test_train_rnes_exits_1_on_a_nan_in_any_coherence_embedding_row(corpus, tmp_
     message = _one_error_line(caplog)
     assert str(coh_ckpt) in message and "'embed'" in message
     assert not (tmp_path / "rl.ckpt").exists()
+
+
+# -- the policy keeps only those rows too, and writes the rest back from its source ------
+
+
+def test_train_rnes_may_write_over_its_pretrain_checkpoint(corpus, tmp_path, larger_vocab):
+    coh_ckpt, pre_ckpt = _rl_models(corpus, tmp_path, larger_vocab)
+    elsewhere = tmp_path / "rl.ckpt"
+    assert _train_rnes(corpus, larger_vocab, pre_ckpt, coh_ckpt, elsewhere) == 0
+    # the rows not kept are read from the source before the new file replaces it
+    assert _train_rnes(corpus, larger_vocab, pre_ckpt, coh_ckpt, pre_ckpt) == 0
+    assert pre_ckpt.read_bytes() == elsewhere.read_bytes()
+    assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("word", ["river", "ember"], ids=["kept row", "dropped row"])
+def test_train_rnes_exits_1_on_a_nan_in_any_policy_embedding_row(corpus, tmp_path, larger_vocab,
+                                                                 caplog, word):
+    coh_ckpt, pre_ckpt = _rl_models(corpus, tmp_path, larger_vocab)
+    params = load_checkpoint(pre_ckpt)
+    params["embed"].data[load_vocab(larger_vocab).token_to_id[word], 2] = np.nan
+    save_checkpoint(params, pre_ckpt)
+    caplog.clear()
+    assert _train_rnes(corpus, larger_vocab, pre_ckpt, coh_ckpt, tmp_path / "rl.ckpt") == 1
+    message = _one_error_line(caplog)
+    assert str(pre_ckpt) in message and "'embed'" in message
+    assert not (tmp_path / "rl.ckpt").exists()
+
+
+def test_train_rnes_never_holds_the_whole_policy_table(corpus, tmp_path):
+    vocab = tmp_path / "vocab.txt"  # the corpus words and 20000 it never uses
+    vocab.write_text("\n".join(["<PAD>", "<UNK>", "<BOUNDARY>"] + WORDS
+                               + [f"unused{i}" for i in range(20000)]) + "\n")
+    pre_ckpt = tmp_path / "pre.ckpt"
+    assert run(["pretrain", "--corpus", str(corpus), "--vocab", str(vocab), "--out", str(pre_ckpt),
+                "--epochs", "0"] + TINY_EXTRACTOR + ["--embed-dim", "128"]) == 0
+    table_bytes = load_checkpoint(pre_ckpt)["embed"].data.nbytes  # 20.5 MB
+    out = tmp_path / "rl.ckpt"
+    peak = traced_peak(lambda: run(["train-rnes", "--corpus", str(corpus), "--vocab", str(vocab),
+                                    "--pretrain-checkpoint", str(pre_ckpt), "--out", str(out),
+                                    "--lambda", "0", "--steps", "2"]))
+    assert out.stat().st_size == pre_ckpt.stat().st_size
+    # what is not the table (the vocabulary above all) peaks at about 3 MB
+    assert peak < table_bytes / 4
 
 
 @pytest.mark.parametrize("case, expected", [

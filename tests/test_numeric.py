@@ -1,8 +1,10 @@
 """Autodiff primitives vs finite differences, optimizer and checkpoint contracts."""
 
+import json
 import os
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from cohsum.numeric import (
     linear,
     load_checkpoint,
     max_pool_2x2,
+    read_header,
     save_checkpoint,
     sgd_step,
 )
@@ -544,6 +547,40 @@ def test_param_store_rejects_duplicates():
         params.add("p", 2.0)
 
 
+# -- the finiteness check -------------------------------------------------------------
+
+
+def _finite_data(n: int) -> np.ndarray:
+    """n values whose sum overflows: every entry is finite, but not their float64 total."""
+    return np.full(n, 1e308)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n, at", [(1, 0), (5, 2), (3 * nm.SGD_BLOCK + 7, 3 * nm.SGD_BLOCK + 3)])
+def test_non_finite_value_raises_wherever_it_is(value, n, at):
+    for data in (np.zeros(n), _finite_data(n)):  # a sum that is finite and one that overflows
+        data = data.copy()
+        data[at] = value
+        # .T is not contiguous, and the 0-d array is how a loss is wrapped
+        for shaped in (data, data.reshape(-1, 1), np.stack([data, data]).T, np.array(value)):
+            with pytest.raises(FloatingPointError, match="non-finite value produced"):
+                Tensor(shaped)
+
+
+@pytest.mark.parametrize("n", [2, 3 * nm.SGD_BLOCK + 7])
+def test_finite_values_whose_sum_overflows_do_not_raise_or_warn(n):
+    data = _finite_data(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Tensor(data).data is data
+        assert Tensor(np.stack([data, data]).T).shape == (n, 2)
+
+
+def test_finiteness_check_makes_no_mask_the_size_of_the_tensor():
+    data = np.random.default_rng(0).uniform(-1, 1, size=(20000, 64))
+    assert traced_peak(lambda: Tensor(data)) < 64 << 10  # the data is 10.24 MB, a mask 1.28 MB
+
+
 # -- checkpoints ----------------------------------------------------------------------
 
 
@@ -663,7 +700,22 @@ def _checkpoint_with_header(path, header: bytes, declared_len=None):
 def test_checkpoint_header_must_be_a_json_object(tmp_path, header, message):
     path = tmp_path / "model.ckpt"
     _checkpoint_with_header(path, header)
-    with pytest.raises(CheckpointError, match=message):
+    for read in (load_checkpoint, read_header):
+        with pytest.raises(CheckpointError, match=message):
+            read(path)
+
+
+def test_read_header_is_the_meta_of_a_load_and_reads_no_tensor(tmp_path, rng):
+    params = ParamStore()
+    params.init_uniform("w", (4, 4), rng)
+    params.meta = {"model": "m", "config": {"dims": [4, 4]}}
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, path)
+    assert read_header(path) == load_checkpoint(path).meta == params.meta
+    header = json.dumps(params.meta, sort_keys=True).encode()
+    path.write_bytes(path.read_bytes()[: 8 + 8 + len(header)])  # the tensors cut off
+    assert read_header(path) == params.meta
+    with pytest.raises(CheckpointError, match="truncated while reading tensor count"):
         load_checkpoint(path)
 
 
@@ -796,6 +848,96 @@ def test_row_selected_load_never_allocates_the_whole_table(tmp_path):
     assert block_bytes * 8 < n * d * 8  # the table is far larger than one block
     # one block, its finiteness mask (a byte per element) and the kept rows
     assert peak < block_bytes + nm.LOAD_BLOCK + 8 * d * len(kept) + (64 << 10)
+
+
+def _edit(params: ParamStore, rows) -> None:
+    """Change rows `rows` of 'embed' and the tensors around it, as a training step would."""
+    table = params["embed"].data
+    table[rows] += 0.5 * np.arange(1, len(table[rows]) + 1)[:, None]
+    params["first"].data[...] -= 0.25
+    params["last"].data[...] *= 2.0
+
+
+@pytest.mark.parametrize("kept", [
+    [0], [9], [0, 9], [2, 3], [3, 5, 6], [0, 2, 3, 5, 6, 8, 9], list(range(10)), [],
+])
+def test_row_selected_save_writes_the_bytes_of_a_whole_load_given_the_same_edits(
+        tmp_path, rng, monkeypatch, kept):
+    monkeypatch.setattr(nm, "LOAD_BLOCK", 3 * 4)  # blocks of 3 rows: edges at rows 3 and 6
+    path = tmp_path / "model.ckpt"
+    _table_checkpoint(path, rng)
+    rows = np.array(kept, dtype=np.int64)
+    whole = load_checkpoint(path)
+    _edit(whole, rows)
+    save_checkpoint(whole, tmp_path / "whole.ckpt")
+    selected = load_checkpoint(path, rows={"embed": rows})
+    _edit(selected, slice(None))
+    save_checkpoint(selected, tmp_path / "selected.ckpt")
+    assert (tmp_path / "selected.ckpt").read_bytes() == (tmp_path / "whole.ckpt").read_bytes()
+    save_checkpoint(selected, path)  # over its own source
+    assert path.read_bytes() == (tmp_path / "whole.ckpt").read_bytes()
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _replace(path):
+    """Another checkpoint of the same size moved over path: a new file."""
+    params = load_checkpoint(path)
+    params["embed"].data[...] += 1.0
+    save_checkpoint(params, path)
+
+
+def _rewrite_in_place(path):
+    """One byte of the file changed in place: the same inode and size, a later mtime."""
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 1
+    with open(path, "r+b") as fh:
+        fh.write(blob)
+
+
+@pytest.mark.parametrize("change", [_truncate, _replace, _rewrite_in_place])
+def test_row_selected_save_of_a_source_changed_since_the_load_fails_naming_it(tmp_path, rng,
+                                                                             change):
+    path = tmp_path / "model.ckpt"
+    _table_checkpoint(path, rng)
+    written = os.stat(path).st_mtime_ns - 1_000_000_000  # so an in-place write moves the mtime
+    os.utime(path, ns=(written, written))
+    params = load_checkpoint(path, rows={"embed": np.array([1, 4])})
+    change(path)
+    out = tmp_path / "out.ckpt"
+    with pytest.raises(CheckpointError, match="changed since tensor 'embed' was loaded") as excinfo:
+        save_checkpoint(params, out)
+    assert str(path) in str(excinfo.value)
+    assert sorted(os.listdir(tmp_path)) == ["model.ckpt"]  # no output, no temporary file
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_row_selected_save_checks_the_rows_it_reads_back_are_finite(tmp_path, rng, value):
+    path = tmp_path / "model.ckpt"
+    _table_checkpoint(path, rng)
+    params = load_checkpoint(path, rows={"embed": np.array([1, 4])})
+    stat = os.stat(path)
+    _poke_table(path, 7, 0, value)  # a dropped row, its file keeping its size, inode and mtime
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    with pytest.raises(CheckpointError, match="tensor 'embed' holds a NaN or infinite value"):
+        save_checkpoint(params, tmp_path / "out.ckpt")
+    assert sorted(os.listdir(tmp_path)) == ["model.ckpt"]
+
+
+def test_row_selected_save_never_allocates_the_whole_table(tmp_path):
+    n, d = 20000, 64
+    params = ParamStore()
+    params.add("embed", np.random.default_rng(0).uniform(-1, 1, size=(n, d)))
+    path = tmp_path / "table.ckpt"
+    save_checkpoint(params, path)
+    del params
+    kept = np.unique(np.random.default_rng(1).integers(0, n, size=1500))
+    params = load_checkpoint(path, rows={"embed": kept})
+    peak = traced_peak(lambda: save_checkpoint(params, tmp_path / "out.ckpt"))
+    assert peak < 8 * nm.LOAD_BLOCK + (64 << 10)  # one block; the table is 10.24 MB
+    assert (tmp_path / "out.ckpt").read_bytes() == path.read_bytes()
 
 
 def _tensor_record(name: bytes, values) -> bytes:
