@@ -89,22 +89,18 @@ def child_rng(seed: int, label: str) -> np.random.Generator:
 
 
 def _describe(params, kind: str, config, vocab: cp.Vocabulary) -> None:
-    """Set the checkpoint header that `_load_model` reads back."""
+    """Set the checkpoint header that `_model_config` reads back."""
     params.meta = {"model": kind, "config": dataclasses.asdict(config),
                    "vocab": {"size": vocab.size, "sha256": vocab.fingerprint()}}
 
 
-def _load_model(path: str, kind: str, config_cls, vocab: cp.Vocabulary, rows=None):
-    """Parameters and config of a `kind` checkpoint whose embedding rows are these tokens.
+def _model_config(path: str, kind: str, config_cls, vocab: cp.Vocabulary):
+    """The config in the header of checkpoint `path`, if it is a `kind` model of `vocab`.
 
-    `rows` is passed to `load_checkpoint` to keep only some rows of a tensor.
+    Only the header is read, so a command rejects the wrong checkpoint before
+    it reads any tensor.
     """
-    params = load_checkpoint(path, rows=rows)  # by keyword: tracers read the path as args[-1]
-    return params, _model_config(path, params.meta, kind, config_cls, vocab)
-
-
-def _model_config(path: str, meta: dict, kind: str, config_cls, vocab: cp.Vocabulary):
-    """The config in the header `meta` of checkpoint `path`, if it is a `kind` model of `vocab`."""
+    meta = read_header(path)
     if meta.get("model") != kind:
         raise CheckpointError(f"{path}: holds a {meta.get('model')!r} model, expected {kind!r}")
     try:
@@ -263,10 +259,16 @@ def _rows_of(ids: np.ndarray, used: np.ndarray) -> np.ndarray:
 
 def cmd_train_rnes(args) -> int:
     vocab = cp.load_vocab(args.vocab)
-    ext_config = _model_config(args.pretrain_checkpoint, read_header(args.pretrain_checkpoint),
-                               "extractor", ex.ExtractorConfig, vocab)
-    if args.lam > 0 and not args.coherence_checkpoint:
-        raise ValueError("--coherence-checkpoint is required when --lambda > 0")
+    ext_config = _model_config(args.pretrain_checkpoint, "extractor", ex.ExtractorConfig, vocab)
+    if args.lam > 0:
+        if not args.coherence_checkpoint:
+            raise ValueError("--coherence-checkpoint is required when --lambda > 0")
+        coh_config = _model_config(args.coherence_checkpoint, "coherence", coh.CoherenceConfig,
+                                   vocab)
+        if coh_config.max_tokens != ext_config.max_tokens:
+            raise CheckpointError(f"{args.coherence_checkpoint}: coherence model reads "
+                                  f"{coh_config.max_tokens}-token sentences, "
+                                  f"{args.pretrain_checkpoint} reads {ext_config.max_tokens}")
     docs = list(cp.load_corpus(args.corpus, vocab=vocab, max_tokens=ext_config.max_tokens,
                                max_sentences=ext_config.max_sentences))
     _require_highlights(docs, args.corpus)
@@ -280,12 +282,7 @@ def cmd_train_rnes(args) -> int:
     params = load_checkpoint(args.pretrain_checkpoint, rows={"embed": used})
     scorer = None
     if args.lam > 0:
-        coh_params, coh_config = _load_model(args.coherence_checkpoint, "coherence",
-                                             coh.CoherenceConfig, vocab, rows={"embed": used})
-        if coh_config.max_tokens != ext_config.max_tokens:
-            raise CheckpointError(f"{args.coherence_checkpoint}: coherence model reads "
-                                  f"{coh_config.max_tokens}-token sentences, "
-                                  f"{args.pretrain_checkpoint} reads {ext_config.max_tokens}")
+        coh_params = load_checkpoint(args.coherence_checkpoint, rows={"embed": used})
         scorer = partial(coh.coherence_forward, params=coh_params, config=coh_config)
     rl_config = _config(rl.RLConfig, args, weights=_config(RewardWeights, args))
     rl.train_rnes(docs, params, scorer, rl_config, ext_config, child_rng(args.seed, "train-rnes"))
@@ -302,7 +299,8 @@ def cmd_summarize(args) -> int:
             raise ValueError("--vocab is required for beam decoding")
         _at_least_1(args, "--beam", "--cap")
         vocab = cp.load_vocab(args.vocab)
-        params, config = _load_model(args.checkpoint, "extractor", ex.ExtractorConfig, vocab)
+        config = _model_config(args.checkpoint, "extractor", ex.ExtractorConfig, vocab)
+        params = load_checkpoint(args.checkpoint)
         docs = cp.load_corpus(args.corpus, vocab=vocab, max_tokens=config.max_tokens,
                               max_sentences=config.max_sentences)
     else:
@@ -376,7 +374,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_score_coherence(args) -> int:
     vocab = cp.load_vocab(args.vocab)
-    params, config = _load_model(args.checkpoint, "coherence", coh.CoherenceConfig, vocab)
+    config = _model_config(args.checkpoint, "coherence", coh.CoherenceConfig, vocab)
+    params = load_checkpoint(args.checkpoint)
     name = "stdin" if args.pairs == "-" else args.pairs
     source = (contextlib.nullcontext(sys.stdin) if args.pairs == "-"
               else open(args.pairs, "r", encoding="utf-8"))

@@ -26,31 +26,30 @@ the full grid sends it.
 Every stage runs on the rows and columns that differ, plus one for the tail.
 A sentence's ids end in a run of one id from index s on: its PAD tail (s = 1
 for the BOUNDARY-then-PAD placeholder of the RL chain), a repeated last word,
-or the whole sentence. Every window from s on is the same, so the pooled rows
-of layer 1 from ceil(s / 2) on are too, and layer 1 gathers, projects and
-pools only the windows up to the first such row. Row i of a stage's logical
-grid is then row min(i, m - 1) of the m rows it keeps, and the same holds for
-columns. The later stages keep this: a valid k x k convolution's output rows
-whose inputs are all tail rows are equal, and so are the 2x2 pool's. So a
-convolution reads its input with the last row repeated until each output row
-up to the first all-tail one has its inputs, and a pool until its pairs reach
-one pair of tail rows; both stop at the logical size. `numeric.conv2d` and
-`numeric.max_pool_2x2` take that side and read the repeats from an
-edge-extended transient that they build, drop and build again in backward, so
-the tape keeps one array per stage, its output; backward adds the copies'
-gradients into the row or column they copy. The last grid is expanded to its
-logical size just before the flatten (`numeric.extend_edges`, a copy of at
-most [4, 4, 512] at paper geometry), so the head sees the row it always saw.
-A sentence with no tail computes every row of the logical grid. Each row that
-is kept is computed as before, and the gradients differ from an untrimmed
-stack's only in the order of their sums and in the zero terms of rows that
-nothing reads.
+or the whole sentence. Every window from s on is the same, and so is every
+row of a later stage that reads only such rows. One rule, `_computed_side`,
+decides how many rows and columns each stage computes, layer 1 included:
+those up to and including its first all-tail row, no more than its reader
+needs, and, for the last stage, all that the head reads. Row i of a stage's logical grid is then row
+min(i, m - 1) of the m rows it computes, and the same holds for columns.
+`numeric.conv2d` and `numeric.max_pool_2x2` take the logical side of their
+input and read the rows and columns past its last ones as copies of them,
+from an edge-extended transient that they build, drop and build again in
+backward, so the tape keeps one array per stage, its output; backward adds
+the copies' gradients into the row or column they copy. The last stage
+computes its whole grid from such copies, so the head sees the rows it always
+saw. A sentence with no tail computes every row of the logical grid. Each row
+that is kept is computed as before, and the gradients differ from an
+untrimmed stack's only in the order of their sums and in the zero terms of
+rows that nothing reads.
 
 A stage's logical size is what the next stage reads, which `stack_plan`
 fixes from the last stage back. At paper geometry the final pool reads 8 of
 the 9 rows conv3 could compute, so conv3 computes 8, conv2 20 of 22, and
 layer 1 pools 44 of its 48 windows; a geometry whose last convolution ends
-below 2 x 2 has no final pool, and that convolution computes all it can.
+below 2 x 2 has no final pool, and that convolution computes all it can;
+with a single `conv_filters` entry layer 1's pool is the only stage and
+computes its whole side.
 
 The conv stacks run one pair at a time and the FC head once per batch. Each
 pair's stack ends in a flattened [1, flat] row; the rows of a batch are
@@ -166,17 +165,18 @@ def _check_ids(ids, config: CoherenceConfig, which: str) -> np.ndarray:
     return arr
 
 
-def _pooled_rows(ids: np.ndarray, side: int) -> int:
-    """Rows of the pooled layer-1 grid one sentence needs: those that differ, then its tail.
+def _computed_side(stage: str, tail: int, side: int, last: bool) -> int:
+    """Rows a stage computes when its input's rows are all the same from row `tail` on.
 
-    The ids end in a run of one id from index s on (the PAD tail, a repeated
-    last word, or the whole sentence), so every window from s on is the same
-    and every pooled row from ceil(s / 2) on is too; the first of them stands
-    for the rest. No more than `side`, the rows the next stage reads.
+    A pool's output row i reads input rows 2i and 2i + 1, so its rows are all
+    the same from ceil(tail / 2) on; a convolution's row i reads rows i to
+    i + k - 1, so its rows are from `tail` on. The stage computes its rows up
+    to and including the first such row, no more than `side`, the rows its
+    reader needs; the last stage computes all `side`, since the head reads
+    them. The same rule gives the columns.
     """
-    differs = np.flatnonzero(ids != ids[-1])
-    s = differs[-1] + 1 if differs.size else 0
-    return min((s + 1) // 2 + 1, side)
+    first = (tail + 1) // 2 if stage == "pool" else tail
+    return side if last else min(first + 1, side)
 
 
 def interaction_layer1(sa_ids, sb_ids, params: ParamStore, config: CoherenceConfig) -> Tensor:
@@ -185,18 +185,20 @@ def interaction_layer1(sa_ids, sb_ids, params: ParamStore, config: CoherenceConf
     Cell (i, j) of the unpooled grid sees window i of A and window j of B; the
     pooled grid is built from the pairwise row maxima of the two per-sentence
     projections (see the module docstring), bit-identical to pooling the grid.
-    Only the first m_A = `_pooled_rows(A)` rows and m_B columns are built, from
-    the windows of ids[:2m + window - 1]: row m_A - 1 stands for every pooled
-    row from there to n - 1, n the side the pool leaves in `stack_plan`, and
-    column m_B - 1 likewise.
+    A's ids end in a run of one id from index s on, so its windows are all the
+    same from s on; only the first m_A = `_computed_side("pool", s, ...)`
+    pooled rows are built, from the windows of ids[:2m + window - 1], and
+    likewise m_B columns.
     """
     k = config.window
     half = k * config.embed_dim
-    side = stack_plan(config)[0][0][-1]
+    stages, _ = stack_plan(config)
 
     def pooled_projection(ids, which, w):
         ids = _check_ids(ids, config, which)
-        m = _pooled_rows(ids, side)
+        differs = np.flatnonzero(ids != ids[-1])
+        tail = differs[-1] + 1 if differs.size else 0
+        m = _computed_side("pool", tail, stages[0][-1], len(stages) == 1)
         rows = nm.gather_rows(params["embed"], ids[:2 * m + k - 1])
         return nm.pair_max(nm.windows(rows, k, 1) @ w)
 
@@ -208,26 +210,22 @@ def interaction_layer1(sa_ids, sb_ids, params: ParamStore, config: CoherenceConf
 def _pair_features(sa_ids, sb_ids, params: ParamStore, config: CoherenceConfig) -> Tensor:
     """Layer 1 and the pool/conv stack of one pair, flattened to a [1, flat] row.
 
-    Every stage runs on the trimmed grid (see the module docstring); `n` is the
-    side of the grid it leaves, and the last grid is expanded to n x n.
+    Every stage computes the side `_computed_side` gives it (see the module
+    docstring); the last computes the whole grid the head reads.
     """
     stages, _ = stack_plan(config)
     k = config.conv_kernel
     x = interaction_layer1(sa_ids, sb_ids, params, config)
-    for stage in stages[1:]:  # stages[0] is the pool that layer 1 fuses
-        h, w, _ = x.shape
-        n = stage[-1]
+    for i, stage in enumerate(stages[1:], start=2):  # stages[0] is the pool that layer 1 fuses
+        # x's last row stands for every row past it, and its last column likewise
+        h, w = (_computed_side(stage[0], t - 1, stage[-1], i == len(stages))
+                for t in x.shape[:2])
         if stage[0] == "pool":
-            # a pooled row for each pair up to the tail row, then one pair of tail rows
-            x = nm.max_pool_2x2(x, 2 * min(h // 2 + 1, n), 2 * min(w // 2 + 1, n))
+            x = nm.max_pool_2x2(x, 2 * h, 2 * w)
         else:
             layer = stage[1]
-            # an output row for each row up to the tail row, the last one all tail
-            h, w = min(h, n), min(w, n)
             x = nm.conv2d(x, params[f"conv{layer}_w"], params[f"conv{layer}_b"], k,
                           h + k - 1, w + k - 1)
-    n = stages[-1][-1]
-    x = nm.extend_edges(x, n, n)
     return x.reshape(1, x.size)
 
 

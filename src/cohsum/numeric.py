@@ -43,8 +43,8 @@ is 64-bit so finite-difference gradient checks are decisive.
   read rows and columns past its last ones as copies of them, from an
   edge-extended transient (`_edge_extended`) that they build, drop, and
   build again in backward, where the copies' gradients fold into the last
-  row and column. `extend_edges` keeps such a copy, for the last grid before
-  the flatten.
+  row and column. No op keeps such a copy: the last stage reads the copies
+  to compute the whole grid before the flatten.
 - No joined weight: `linear_blocks` multiplies by the column blocks of
   several weights (the GRU gates) as one GEMM, building the joined weight
   for it and again in backward, never on the tape.
@@ -554,20 +554,6 @@ def _check_side(op: str, x: Tensor, rows: int, cols: int, least: int) -> None:
                          f"which must cover it and be at least {least} x {least}")
 
 
-def extend_edges(x, rows: int, cols: int) -> Tensor:
-    """x [h, w, C] with its last row repeated up to `rows` rows and its last column up to `cols`.
-
-    Backward adds each copy's gradient into the row or column it copies.
-    """
-    x = _wrap(x)
-    _check_side("extend_edges", x, rows, cols, 1)
-
-    def backward(g):
-        _add_edge_grads(x, np.array(g))  # a copy: the fold adds in place
-
-    return _node(_edge_extended(x.data, rows, cols), (x,), backward)
-
-
 def conv2d(x, weight, bias, kernel: int, rows: int, cols: int) -> Tensor:
     """relu of the valid kernel x kernel convolution of an [H, W, C] grid read as [rows, cols, C].
 
@@ -1043,21 +1029,23 @@ def minibatch_sgd(items, loss_fn, params: ParamStore, rng: np.random.Generator, 
 
 
 def check_config(config) -> None:
-    """Reject a model config with a size below 1 or a negative `lr` or `epochs`.
+    """Reject a model config with a size that is not an int >= 1, or a negative `lr` or `epochs`.
 
     Every other field is a size: an int, or a tuple of ints such as the
-    per-layer filter counts. The error names the field.
+    per-layer filter counts; a bool is not an int here. The error names the field.
     """
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         if f.name in ("lr", "epochs"):
             if value < 0:
                 raise ValueError(f"{f.name} must be >= 0, got {value}")
-        elif isinstance(value, tuple):
-            if any(v < 1 for v in value):
-                raise ValueError(f"{f.name} entries must be >= 1, got {value}")
-        elif value < 1:
-            raise ValueError(f"{f.name} must be >= 1, got {value}")
+            continue
+        entries = value if isinstance(value, tuple) else (value,)
+        what = f"{f.name} entries" if isinstance(value, tuple) else f.name
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in entries):
+            raise ValueError(f"{what} must be int, got {value!r}")
+        if any(v < 1 for v in entries):
+            raise ValueError(f"{what} must be >= 1, got {value}")
 
 
 # -- checkpoints --------------------------------------------------------------

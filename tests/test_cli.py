@@ -323,6 +323,18 @@ def _assert_one_line_vocab_error(caplog):
     assert "vocabulary" in _one_error_line(caplog)
 
 
+def _recorded_loads(monkeypatch) -> list:
+    """The paths the CLI passes to `load_checkpoint`, recorded as it runs."""
+    loads = []
+
+    def recording_load(path, rows=None):
+        loads.append(str(path))
+        return load_checkpoint(path, rows=rows)
+
+    monkeypatch.setattr(cli, "load_checkpoint", recording_load)
+    return loads
+
+
 def _pretrained(corpus, tmp_path):
     vocab = tmp_path / "vocab.txt"
     ckpt = tmp_path / "pre.ckpt"
@@ -333,27 +345,31 @@ def _pretrained(corpus, tmp_path):
 
 
 def test_train_rnes_rejects_vocabulary_larger_than_checkpoint(corpus, tmp_path, larger_vocab,
-                                                              caplog):
+                                                              caplog, monkeypatch):
     ckpt = _pretrained(corpus, tmp_path)
+    loads = _recorded_loads(monkeypatch)
     code = run(["train-rnes", "--corpus", str(corpus), "--vocab", str(larger_vocab),
                 "--pretrain-checkpoint", str(ckpt), "--out", str(tmp_path / "rl.ckpt"),
                 "--lambda", "0", "--steps", "1"])
     assert code == 1
     _assert_one_line_vocab_error(caplog)
+    assert loads == []  # the header is checked before any tensor is read
     assert not (tmp_path / "rl.ckpt").exists()
 
 
 def test_summarize_rejects_vocabulary_larger_than_checkpoint(corpus, tmp_path, larger_vocab,
-                                                             caplog):
+                                                             caplog, monkeypatch):
     ckpt = _pretrained(corpus, tmp_path)
+    loads = _recorded_loads(monkeypatch)
     code = run(["summarize", "--corpus", str(corpus), "--vocab", str(larger_vocab),
                 "--checkpoint", str(ckpt), "--out", str(tmp_path / "s.jsonl")])
     assert code == 1
     _assert_one_line_vocab_error(caplog)
+    assert loads == []  # the header is checked before any tensor is read
 
 
 def test_score_coherence_rejects_vocabulary_larger_than_checkpoint(corpus, tmp_path, larger_vocab,
-                                                                   caplog):
+                                                                   caplog, monkeypatch):
     vocab = tmp_path / "vocab.txt"
     ckpt = tmp_path / "coh.ckpt"
     assert run(["preprocess", "--corpus", str(corpus), "--out", str(vocab)]) == 0
@@ -361,10 +377,12 @@ def test_score_coherence_rejects_vocabulary_larger_than_checkpoint(corpus, tmp_p
                 "--out", str(ckpt), "--epochs", "1"] + TINY_COHERENCE) == 0
     pairs = tmp_path / "pairs.tsv"
     pairs.write_text("meadow harbor\triver stone\n")
+    loads = _recorded_loads(monkeypatch)
     code = run(["score-coherence", "--checkpoint", str(ckpt), "--vocab", str(larger_vocab),
                 "--pairs", str(pairs), "--out", str(tmp_path / "scores.txt")])
     assert code == 1
     _assert_one_line_vocab_error(caplog)
+    assert loads == []  # the header is checked before any tensor is read
 
 
 # -- diverging runs and summary statistics ---------------------------------------
@@ -434,8 +452,14 @@ def test_evaluate_reports_empty_summaries_and_selected_counts(corpus, tmp_path, 
     ("reordered vocabulary", "another vocabulary of the same size"),
     ("version 1 file", "unsupported checkpoint version 1"),
     ("truncated header", "truncated while reading header"),
+    ("max_tokens 10.5", "max_tokens must be int, got 10.5"),
+    ("max_sentences 2.5", "max_sentences must be int, got 2.5"),
+    ("gru_hidden 4.0", "gru_hidden must be int, got 4.0"),  # equal to an int, yet not one
+    ("word_filters [4, 4.0]", "word_filters entries must be int, got (4, 4.0)"),
+    ("doc_dim true", "doc_dim must be int, got True"),
 ])
-def test_bad_checkpoint_exits_1_with_one_error_line(corpus, tmp_path, caplog, case, expected):
+def test_bad_checkpoint_exits_1_with_one_error_line(corpus, tmp_path, caplog, monkeypatch, case,
+                                                    expected):
     ckpt = _pretrained(corpus, tmp_path)
     vocab = tmp_path / "vocab.txt"
     params = load_checkpoint(ckpt)
@@ -443,6 +467,9 @@ def test_bad_checkpoint_exits_1_with_one_error_line(corpus, tmp_path, caplog, ca
         del params.meta["config"]["gru_hidden"]  # has a default, so it would go unnoticed
     elif case == "unknown config field":
         params.meta["config"]["dropout"] = 0.5
+    elif " " in case and case.split()[0] in params.meta["config"]:  # a size set to a non-int
+        field, value = case.split(" ", 1)
+        params.meta["config"][field] = json.loads(value)
     save_checkpoint(params, ckpt)
     if case == "coherence model":
         assert run(["train-coherence", "--corpus", str(corpus), "--vocab", str(vocab),
@@ -455,26 +482,47 @@ def test_bad_checkpoint_exits_1_with_one_error_line(corpus, tmp_path, caplog, ca
     elif case == "truncated header":
         ckpt.write_bytes(ckpt.read_bytes()[:8 + 8 + 20])
     caplog.clear()
+    loads = _recorded_loads(monkeypatch)
     code = run(["summarize", "--corpus", str(corpus), "--vocab", str(vocab),
                 "--checkpoint", str(ckpt), "--out", str(tmp_path / "s.jsonl")])
     assert code == 1
     message = _one_error_line(caplog)
     assert str(ckpt) in message and expected in message
+    assert loads == []  # the header is checked before any tensor is read
 
 
-def test_train_rnes_rejects_models_of_different_sentence_lengths(corpus, tmp_path, caplog):
+def test_score_coherence_rejects_a_policy_checkpoint_before_reading_it(corpus, tmp_path, caplog,
+                                                                      monkeypatch):
+    ckpt = _pretrained(corpus, tmp_path)
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("meadow harbor\triver stone\n")
+    loads = _recorded_loads(monkeypatch)
+    code = run(["score-coherence", "--checkpoint", str(ckpt), "--vocab",
+                str(tmp_path / "vocab.txt"), "--pairs", str(pairs)])
+    assert code == 1
+    message = _one_error_line(caplog)
+    assert str(ckpt) in message and "holds a 'extractor' model, expected 'coherence'" in message
+    assert loads == []
+
+
+def test_train_rnes_rejects_models_of_different_sentence_lengths(corpus, tmp_path, caplog,
+                                                                 monkeypatch):
     pre = _pretrained(corpus, tmp_path)  # reads 10-token sentences
     coh = tmp_path / "coh.ckpt"
     assert run(["train-coherence", "--corpus", str(corpus), "--vocab", str(tmp_path / "vocab.txt"),
                 "--out", str(coh), "--epochs", "0"] + TINY_COHERENCE[2:-2]
                + ["--max-tokens", "12"]) == 0
     caplog.clear()
+    loads = _recorded_loads(monkeypatch)
+    corpora = []
+    monkeypatch.setattr(cli.cp, "load_corpus", lambda *a, **kw: corpora.append(a) or [])
     code = run(["train-rnes", "--corpus", str(corpus), "--vocab", str(tmp_path / "vocab.txt"),
                 "--pretrain-checkpoint", str(pre), "--coherence-checkpoint", str(coh),
                 "--out", str(tmp_path / "rl.ckpt"), "--lambda", "0.01", "--steps", "1"])
     assert code == 1
     message = _one_error_line(caplog)
     assert "12-token" in message and "reads 10" in message
+    assert loads == corpora == []  # both headers are checked before the corpus and any tensor
     assert not (tmp_path / "rl.ckpt").exists()
 
 
@@ -1000,6 +1048,17 @@ def test_train_rnes_rejects_a_coherence_model_of_a_smaller_vocabulary(corpus, tm
                 "--out", str(coh_ckpt), "--epochs", "0"] + TINY_COHERENCE[:-2]) == 0
     (tmp_path / "large").mkdir()
     _, pre_ckpt = _rl_models(corpus, tmp_path / "large", larger_vocab)
+    caplog.clear()
+    assert _train_rnes(corpus, larger_vocab, pre_ckpt, coh_ckpt, tmp_path / "rl.ckpt") == 1
+    message = _one_error_line(caplog)  # the header says so before a tensor is read
+    assert str(coh_ckpt) in message and "model has a 6-entry vocabulary" in message
+    assert not (tmp_path / "rl.ckpt").exists()
+    # a header that claims the larger vocabulary over the 6-row table: the row selection says so
+    params = load_checkpoint(coh_ckpt)
+    vocab = load_vocab(larger_vocab)
+    params.meta["config"]["vocab_size"] = vocab.size
+    params.meta["vocab"] = {"size": vocab.size, "sha256": vocab.fingerprint()}
+    save_checkpoint(params, coh_ckpt)
     caplog.clear()
     assert _train_rnes(corpus, larger_vocab, pre_ckpt, coh_ckpt, tmp_path / "rl.ckpt") == 1
     message = _one_error_line(caplog)

@@ -234,8 +234,11 @@ _sentence = st.one_of(st.none(), st.just("full"), st.just(["alpha", "beta", "bet
                       st.lists(st.sampled_from(_WORDS), min_size=1, max_size=12))
 # layer-1 windows 3 and 2 give even and odd grids; the first three geometries
 # skip the third conv, and max_tokens 30 runs every stage down to a 2 x 2 grid,
-# so the expansion before the flatten repeats a row and a column
-_GEOMETRIES = [dict(), dict(window=2), dict(max_tokens=16, window=2), dict(max_tokens=30)]
+# so the last pool reads copies of a tail row and column. The last two end in
+# the two other kinds of last stage: layer 1's pool alone (one filter entry),
+# and a convolution with no final pool (grid 6, pool 3, conv 1)
+_GEOMETRIES = [dict(), dict(window=2), dict(max_tokens=16, window=2), dict(max_tokens=30),
+               dict(conv_filters=(4,)), dict(max_tokens=8)]
 
 
 def _make(words, vocab, config):
@@ -398,7 +401,7 @@ def test_each_coherence_stage_leaves_one_array_on_the_tape(vocab, rng):
             assert len(floats) == (op in stage_ops), (op, node.shape)
             kept[op] = kept.get(op, 0) + len(floats)
     # two pairs: layer 1, conv2, conv3 and two pools each
-    assert kept == {"relu_cross_sum": 2, "conv2d": 4, "_block_max": 4, "extend_edges": 0}
+    assert kept == {"relu_cross_sum": 2, "conv2d": 4, "_block_max": 4}
 
 
 def test_triplet_of_padded_sentences_gradient_matches_finite_differences(vocab, rng):

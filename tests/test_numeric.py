@@ -214,13 +214,6 @@ def test_fd_max_pool(rng):
               + (max_pool_2x2(params["g"], 6, 8) * weights[:3]).sum(), params)
 
 
-def test_fd_extend_edges(rng):
-    params = ParamStore()
-    params.init_uniform("g", (2, 3, 2), rng, scale=1.0)
-    weights = rng.normal(size=(4, 5, 2))
-    _fd_check(lambda: (nm.tanh(nm.extend_edges(params["g"], 4, 5)) * weights).sum(), params)
-
-
 def test_fd_relu_cross_sum(rng):
     params = ParamStore()
     params.init_uniform("a", (3, 4), rng, scale=1.0)

@@ -6,7 +6,7 @@ whole table in SGD, and gathers sliding windows through flat index tables;
 `conv2d`, which keeps no im2col matrix and fuses the relu, is held to
 `windows` + `linear` + `relu`, and `linear_blocks` to `linear` over the
 concatenated weights. A grid read past its last row and column (by
-`conv2d`, `max_pool_2x2` and `extend_edges`) is held to the same op over
+`conv2d` and `max_pool_2x2`) is held to the same op over
 `reference_coherence.repeat_tail`, the concatenation of copied slices.
 `gradients` with a step size, which steps each parameter once its last
 consumer's backward has run, is held to `two_pass_step`, every gradient
@@ -217,37 +217,17 @@ def test_conv2d_shape_errors_name_the_op(x_shape, w_shape, b_shape):
                   *x_shape[:2])
 
 
-@pytest.mark.parametrize("op", ["conv2d", "max_pool_2x2", "extend_edges"])
+@pytest.mark.parametrize("op", ["conv2d", "max_pool_2x2"])
 def test_a_logical_side_short_of_the_grid_is_a_shape_error(op):
     x = Tensor(np.zeros((4, 5, 1)))
     call = {
         "conv2d": lambda rows, cols: nm.conv2d(x, np.zeros((9, 2)), np.zeros(2), 3, rows, cols),
         "max_pool_2x2": lambda rows, cols: nm.max_pool_2x2(x, rows, cols),
-        "extend_edges": lambda rows, cols: nm.extend_edges(x, rows, cols),
     }[op]
     call(4, 5)  # the grid's own side
     for rows, cols in [(3, 5), (4, 4)]:
         with pytest.raises(nm.ShapeError, match=op):
             call(rows, cols)
-
-
-@given(st.integers(1, 4), st.integers(1, 4), tail_st, tail_st, st.booleans(), seed_st)
-@settings(max_examples=60, deadline=None)
-def test_extend_edges_matches_the_repeated_slices(h, w, row_tail, col_tail, prefilled, seed):
-    rng = np.random.default_rng(seed)
-    params = _grid_store(rng.normal(size=(h, w, 2)))
-    rows, cols = h + row_tail, w + col_tail
-    lean = nm.extend_edges(params["x"], rows, cols)
-    dense = repeat_tail(params["x"], rows, cols)
-    assert _bits(lean.data) == _bits(dense.data)
-    weights = rng.normal(size=(rows, cols, 2))
-    extra = (params["x"] * rng.normal(size=(h, w, 2))).sum() if prefilled else Tensor(0.0)
-    lean_grad = nm.gradients(extra + (lean * weights).sum(), params)["x"]
-    dense_grad = nm.gradients(extra + (dense * weights).sum(), params)["x"]
-    if prefilled and (row_tail or col_tail):  # the fold before the prefilled sum, not after
-        np.testing.assert_allclose(lean_grad, dense_grad, rtol=1e-12, atol=1e-15)
-    else:
-        assert _bits(lean_grad) == _bits(dense_grad)
 
 
 # -- the layer-1 cross sum and the GRU input projection ----------------------------------
