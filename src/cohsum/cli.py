@@ -31,15 +31,16 @@ the id. `evaluate` and `train-rnes` score against each document's
 highlights, so they reject a corpus holding a document with none before
 any work, naming the file and the id.
 
-`train-rnes` reads the vocabulary, the policy checkpoint's header and the
-corpus, and checks the highlights, before it reads any tensor. The policy
-and the frozen coherence scorer (read only with --lambda > 0) see nothing
-but the corpus sentences and the chain's BOUNDARY placeholder, so both keep
-only the embedding rows of the ids those hold, with PAD, UNK and BOUNDARY
-at rows 0, 1 and 2, and each sentence's ids are mapped once to their rows
-(`_rows_of`). The rows not kept are still checked to be finite, and the
-policy's are written back from its source checkpoint when the trained
-policy is saved, so `--out` may name that checkpoint.
+`train-rnes` checks its flags, reads the vocabulary, the policy
+checkpoint's header and the corpus, and checks the highlights, before it
+reads any tensor. The policy and the frozen coherence scorer (read only
+with --lambda > 0) see nothing but the corpus sentences and the chain's
+BOUNDARY placeholder, so both keep only the embedding rows of the ids
+those hold, with PAD, UNK and BOUNDARY at rows 0, 1 and 2, and each
+sentence's ids are mapped once to their rows (`_rows_of`). The rows not
+kept are still checked to be finite, and the policy's are written back
+from its source checkpoint when the trained policy is saved, so `--out`
+may name that checkpoint.
 
 Every output file is written through `atomic.atomic_write`, so a stage that
 fails leaves no partial output and no temporary file; `score-coherence
@@ -121,12 +122,12 @@ def _model_config(path: str, kind: str, config_cls, vocab: cp.Vocabulary):
     return config
 
 
-def _at_least_1(args, *flags: str) -> None:
-    """Reject a value below 1 of each named integer flag, naming the flag."""
+def _at_least(args, least: int, *flags: str) -> None:
+    """Reject a value below `least` of each named integer flag, naming the flag."""
     for flag in flags:
         value = getattr(args, flag[2:].replace("-", "_"))
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
 
 
 def _config(cls, args, **given):
@@ -139,6 +140,7 @@ def _config(cls, args, **given):
 
 
 def cmd_preprocess(args) -> int:
+    _at_least(args, 4, "--max-vocab")  # the three specials and one word
     docs = cp.load_corpus(args.corpus, max_sentences=args.max_sentences)
     vocab = cp.build_vocab(docs, args.max_vocab)
     cp.save_vocab(vocab, args.out)
@@ -189,7 +191,7 @@ def _labels(record) -> list[int]:
 
 
 def cmd_label(args) -> int:
-    _at_least_1(args, "--cap")
+    _at_least(args, 1, "--cap")
     weights = _config(RewardWeights, args)
     docs = list(cp.load_corpus(args.corpus, max_sentences=args.max_sentences))
     _require_highlights(docs, args.corpus)
@@ -202,7 +204,7 @@ def cmd_label(args) -> int:
 
 
 def cmd_train_coherence(args) -> int:
-    _at_least_1(args, "--triplets-per-doc")
+    _at_least(args, 1, "--triplets-per-doc")
     vocab = cp.load_vocab(args.vocab)
     config = _config(coh.CoherenceConfig, args, vocab_size=vocab.size)
     docs = list(cp.load_corpus(args.corpus, vocab=vocab, max_tokens=config.max_tokens,
@@ -224,7 +226,7 @@ def cmd_train_coherence(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    _at_least_1(args, "--cap")
+    _at_least(args, 1, "--cap")
     vocab = cp.load_vocab(args.vocab)
     config = _config(ex.ExtractorConfig, args, vocab_size=vocab.size)
     docs = list(cp.load_corpus(args.corpus, vocab=vocab, max_tokens=config.max_tokens,
@@ -258,9 +260,10 @@ def _rows_of(ids: np.ndarray, used: np.ndarray) -> np.ndarray:
 
 
 def cmd_train_rnes(args) -> int:
+    rl_config = _config(rl.RLConfig, args, weights=_config(RewardWeights, args))
     vocab = cp.load_vocab(args.vocab)
     ext_config = _model_config(args.pretrain_checkpoint, "extractor", ex.ExtractorConfig, vocab)
-    if args.lam > 0:
+    if rl_config.lam > 0:
         if not args.coherence_checkpoint:
             raise ValueError("--coherence-checkpoint is required when --lambda > 0")
         coh_config = _model_config(args.coherence_checkpoint, "coherence", coh.CoherenceConfig,
@@ -281,10 +284,9 @@ def cmd_train_rnes(args) -> int:
             sent.ids = _rows_of(sent.ids, used)
     params = load_checkpoint(args.pretrain_checkpoint, rows={"embed": used})
     scorer = None
-    if args.lam > 0:
+    if rl_config.lam > 0:
         coh_params = load_checkpoint(args.coherence_checkpoint, rows={"embed": used})
         scorer = partial(coh.coherence_forward, params=coh_params, config=coh_config)
-    rl_config = _config(rl.RLConfig, args, weights=_config(RewardWeights, args))
     rl.train_rnes(docs, params, scorer, rl_config, ext_config, child_rng(args.seed, "train-rnes"))
     save_checkpoint(params, args.out)  # params.meta still describes the model as loaded
     log.info("policy checkpoint at %s", args.out)
@@ -297,7 +299,7 @@ def cmd_summarize(args) -> int:
             raise ValueError("--checkpoint is required for beam decoding")
         if not args.vocab:
             raise ValueError("--vocab is required for beam decoding")
-        _at_least_1(args, "--beam", "--cap")
+        _at_least(args, 1, "--beam", "--cap")
         vocab = cp.load_vocab(args.vocab)
         config = _model_config(args.checkpoint, "extractor", ex.ExtractorConfig, vocab)
         params = load_checkpoint(args.checkpoint)

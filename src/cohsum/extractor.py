@@ -9,11 +9,11 @@ window, GRU step or decision:
   window_means_k averages the k-row embedding windows at those positions
   (`numeric.window_means`: one batched band matmul over one embedding
   gather per document; per-word features are never built).
-- Context. Each GRU direction projects all sentence vectors with one
-  GEMM over its three gate weights (`numeric.linear_blocks`, which joins
-  them for the GEMM only, so the tape keeps no per-document copy of them)
-  and runs the recurrence as one fused node (`numeric.gru_sequence`) whose
-  backward is hand-written backpropagation through time.
+- Context. Each GRU direction is one node (`numeric.gru_sequence`): it
+  projects all sentence vectors with one GEMM over its three gate weights,
+  runs the recurrence, and backward is hand-written backpropagation through
+  time. The joined gate weights and the [n, 3h] projection are built for
+  the forward pass and dropped, so the tape keeps no per-document copy.
 - Head. A sigmoid MLP over [context; selection history; document vector]
   gives the per-sentence extraction probability (`PolicyHead`). The history
   enters the first layer linearly, so the head keeps each sentence's
@@ -136,12 +136,9 @@ def sentence_vectors(doc: Document, params: ParamStore, config: ExtractorConfig)
 
 
 def gru_states(x: Tensor, params: ParamStore, direction: str) -> Tensor:
-    """One GRU direction over all rows of x: one input projection, one fused recurrence."""
-    p = lambda gate, kind: params[f"gru_{direction}_{gate}_{kind}"]
-    x_proj = nm.linear_blocks(x, [p(gate, "w") for gate in _GRU_GATES],
-                              [p(gate, "b") for gate in _GRU_GATES])
-    return nm.gru_sequence(x_proj, *(p(gate, "v") for gate in _GRU_GATES),
-                           reverse=direction == "bwd")
+    """One GRU direction over all rows of x, as one node (`numeric.gru_sequence`)."""
+    gates = lambda kind: [params[f"gru_{direction}_{gate}_{kind}"] for gate in _GRU_GATES]
+    return nm.gru_sequence(x, gates("w"), gates("b"), gates("v"), reverse=direction == "bwd")
 
 
 @dataclass

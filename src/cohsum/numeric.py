@@ -45,12 +45,13 @@ is 64-bit so finite-difference gradient checks are decisive.
   build again in backward, where the copies' gradients fold into the last
   row and column. No op keeps such a copy: the last stage reads the copies
   to compute the whole grid before the flatten.
-- No joined weight: `linear_blocks` multiplies by the column blocks of
-  several weights (the GRU gates) as one GEMM, building the joined weight
-  for it and again in backward, never on the tape.
+- No joined weight: `gru_sequence`, a whole GRU direction in one op, joins
+  W_z | W_r | W_h and V_z | V_r for its GEMMs and again in backward, never on
+  the tape, and drops the [n, 3h] input projection, which no backward reads.
 - Bounded optimizer temporaries: `sgd_step` updates a dense parameter
   `SGD_BLOCK` elements at a time, so lr * g never takes a parameter's size in
-  memory, and it only reads the gradients it is handed.
+  memory, checks each block it writes to be finite, and only reads the
+  gradients it is handed.
 - Stepping inside backward: `gradients` is the one walk of the tape, and
   given a step size it is also the optimizer. Before the walk it finds each
   parameter's last consumer in reverse topological order; right after that
@@ -211,11 +212,11 @@ class Tensor:
             shape = tuple(shape[0])
         return reshape(self, shape)
 
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        return tsum(self, axis=axis)
 
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
+    def mean(self, axis=None):
+        return tmean(self, axis=axis)
 
 
 def _wrap(x) -> Tensor:
@@ -368,22 +369,22 @@ def log_sigmoid(x) -> Tensor:
     return -softplus(-_wrap(x))
 
 
-def tsum(x, axis=None, keepdims=False) -> Tensor:
+def tsum(x, axis=None) -> Tensor:
     x = _wrap(x)
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+    data = x.data.sum(axis=axis)
 
     def backward(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         _accumulate(x, np.broadcast_to(g, x.data.shape))
 
     return _node(data, (x,), backward)
 
 
-def tmean(x, axis=None, keepdims=False) -> Tensor:
+def tmean(x, axis=None) -> Tensor:
     x = _wrap(x)
     count = x.data.size if axis is None else x.data.shape[axis]
-    return tsum(x, axis=axis, keepdims=keepdims) * (1.0 / count)
+    return tsum(x, axis=axis) * (1.0 / count)
 
 
 def reshape(x, shape) -> Tensor:
@@ -719,35 +720,43 @@ def window_means(x, lengths, kernel: int) -> Tensor:
     return _node(data.reshape(n, kernel * d), (x,), backward)
 
 
-def gru_sequence(x_proj, v_z, v_r, v_h, reverse: bool = False) -> Tensor:
-    """States of a GRU run over the rows of x_proj from a zero state, as one node.
+def gru_sequence(x, weights, biases, recurrent, reverse: bool = False) -> Tensor:
+    """States of a GRU run over the rows of x from a zero state, as one node.
 
-    x_proj is [n, 3h]: the input projections [x W_z + b_z | x W_r + b_r | x W_h + b_h]
-    of all n steps. With s the previous state, one step is
+    x is [n, d]; weights are the gates' input weights [W_z, W_r, W_h], each
+    [d, h], biases [b_z, b_r, b_h], each [h], and recurrent [V_z, V_r, V_h],
+    each [h, h]. The input projections of all n steps are one GEMM,
+    x @ [W_z | W_r | W_h] + [b_z | b_r | b_h], giving [x_z | x_r | x_h]. With
+    s the previous state, one step is
         z = sigmoid(x_z + s V_z), r = sigmoid(x_r + s V_r),
         c = tanh(x_h + (r * s) V_h), s' = (1 - z) * c + z * s.
     With reverse the run starts at the last row; row t of the [n, h] result is
     always the state after reading row t. Backward is backpropagation through
     time in numpy, with the weight gradients taken as one matmul each. The
-    forward pass joins V_z | V_r into one [h, 2h] weight for its step
-    products and drops it; backward joins them again, so the tape keeps no copy.
+    tape keeps neither the joined weights, built again in backward, nor the
+    [n, 3h] projection.
     """
-    x_proj, v_z, v_r, v_h = (_wrap(a) for a in (x_proj, v_z, v_r, v_h))
+    x = _wrap(x)
+    weights, biases = [_wrap(w) for w in weights], [_wrap(b) for b in biases]
+    v_z, v_r, v_h = (_wrap(v) for v in recurrent)
     h = v_h.data.shape[0]
     if (
-        x_proj.data.ndim != 2
-        or x_proj.data.shape[1] != 3 * h
+        x.data.ndim != 2
+        or (len(weights), len(biases)) != (3, 3)
+        or any(w.data.shape != (x.data.shape[1], h) for w in weights)
+        or any(b.data.shape != (h,) for b in biases)
         or any(v.data.shape != (h, h) for v in (v_z, v_r, v_h))
     ):
-        raise ShapeError(
-            f"gru_sequence: x_proj {x_proj.data.shape} with V {v_z.data.shape}, "
-            f"{v_r.data.shape}, {v_h.data.shape}"
-        )
-    n = x_proj.data.shape[0]
+        raise ShapeError(f"gru_sequence: x {x.data.shape} @ W {[w.data.shape for w in weights]} "
+                         f"+ b {[b.data.shape for b in biases]} with V {v_z.data.shape}, "
+                         f"{v_r.data.shape}, {v_h.data.shape}")
+    n = x.data.shape[0]
     order = range(n - 1, -1, -1) if reverse else range(n)
-    joined = lambda: np.concatenate([v_z.data, v_r.data], axis=1)
-    v_zr = joined()
-    xp = x_proj.data
+    joined_w = lambda: np.concatenate([w.data for w in weights], axis=1)
+    joined_v = lambda: np.concatenate([v_z.data, v_r.data], axis=1)
+    proj = x.data @ joined_w()
+    proj += np.concatenate([b.data for b in biases])
+    v_zr = joined_v()
     prev = np.zeros((n, h))  # state before step t
     zr = np.zeros((n, 2 * h))
     cand = np.zeros((n, h))
@@ -755,16 +764,16 @@ def gru_sequence(x_proj, v_z, v_r, v_h, reverse: bool = False) -> Tensor:
     s = np.zeros(h)
     for t in order:
         prev[t] = s
-        zr[t] = _sigmoid_np(xp[t, : 2 * h] + s @ v_zr)
+        zr[t] = _sigmoid_np(proj[t, : 2 * h] + s @ v_zr)
         z, r = zr[t, :h], zr[t, h:]
-        cand[t] = np.tanh(xp[t, 2 * h :] + (r * s) @ v_h.data)
+        cand[t] = np.tanh(proj[t, 2 * h :] + (r * s) @ v_h.data)
         s = (1.0 - z) * cand[t] + z * s
         out[t] = s
 
     def backward(g):
         z, r = zr[:, :h], zr[:, h:]
         d_proj = np.zeros((n, 3 * h))  # [a_z | a_r | a_h] per step
-        v_zr_t = joined().T
+        v_zr_t = joined_v().T
         v_h_t = v_h.data.T
         ds = np.zeros(h)
         for t in reversed(order):
@@ -775,12 +784,17 @@ def gru_sequence(x_proj, v_z, v_r, v_h, reverse: bool = False) -> Tensor:
             a_r = d_rs * prev[t] * r[t] * (1.0 - r[t])
             d_proj[t, :h], d_proj[t, h : 2 * h], d_proj[t, 2 * h :] = a_z, a_r, a_h
             ds = ds * z[t] + d_rs * r[t] + d_proj[t, : 2 * h] @ v_zr_t
-        _accumulate(x_proj, d_proj, owned=True)
+        if _needs_grad(x):
+            _accumulate(x, d_proj @ joined_w().T, owned=True)
+        dw, db = x.data.T @ d_proj, d_proj.sum(axis=0)
+        for k, (w, b) in enumerate(zip(weights, biases)):
+            _accumulate(w, dw[:, k * h : (k + 1) * h])  # views of dw and db: copied
+            _accumulate(b, db[k * h : (k + 1) * h])
         _accumulate(v_z, prev.T @ d_proj[:, :h], owned=True)
         _accumulate(v_r, prev.T @ d_proj[:, h : 2 * h], owned=True)
         _accumulate(v_h, (r * prev).T @ d_proj[:, 2 * h :], owned=True)
 
-    return _node(out, (x_proj, v_z, v_r, v_h), backward)
+    return _node(out, (x, *weights, *biases, v_z, v_r, v_h), backward)
 
 
 # -- spec-level conveniences --------------------------------------------------
@@ -798,44 +812,6 @@ def linear(x, weight, bias) -> Tensor:
             f"linear: x {x.data.shape} @ W {weight.data.shape} + b {bias.data.shape}"
         )
     return matmul(x, weight) + bias
-
-
-def linear_blocks(x, weights, biases) -> Tensor:
-    """x @ [W_1 | ... | W_k] + [b_1 | ... | b_k] for an [n, d] x and [d, N_i] weights, as one GEMM.
-
-    Equal bit for bit to linear(x, concat(weights, axis=1), concat(biases)),
-    but the joined weight is not kept: the forward pass builds it for the
-    GEMM and drops it, and backward builds it again for x's gradient and
-    splits the one weight-gradient GEMM into the blocks.
-    """
-    x = _wrap(x)
-    weights, biases = [_wrap(w) for w in weights], [_wrap(b) for b in biases]
-    if (
-        x.data.ndim != 2
-        or not weights
-        or len(weights) != len(biases)
-        or any(w.data.ndim != 2 or w.data.shape[0] != x.data.shape[1]
-               or b.data.shape != (w.data.shape[1],) for w, b in zip(weights, biases))
-    ):
-        raise ShapeError(f"linear_blocks: x {x.data.shape} @ W {[w.data.shape for w in weights]} "
-                         f"+ b {[b.data.shape for b in biases]}")
-    joined = lambda: np.concatenate([w.data for w in weights], axis=1)
-    out = x.data @ joined()
-    out += np.concatenate([b.data for b in biases])
-    offsets = np.cumsum([0] + [w.data.shape[1] for w in weights])
-
-    def backward(g):
-        if _needs_grad(x):
-            _accumulate(x, g @ joined().T, owned=True)
-        dw = x.data.T @ g if _needs_grad(*weights) else None
-        db = g.sum(axis=0) if _needs_grad(*biases) else None
-        for w, b, lo, hi in zip(weights, biases, offsets[:-1], offsets[1:]):
-            if _needs_grad(w):
-                _accumulate(w, dw[:, lo:hi])  # a view of dw: copied
-            if _needs_grad(b):
-                _accumulate(b, db[lo:hi])
-
-    return _node(out, (x, *weights, *biases), backward)
 
 
 # -- parameters ---------------------------------------------------------------
@@ -983,7 +959,9 @@ def sgd_step(params: ParamStore, grads: dict[str, np.ndarray | RowGrad], lr: flo
     a parameter, or a gradient of the wrong shape, raises before anything is
     updated. A dense parameter is updated SGD_BLOCK elements at a time, so the
     temporary lr * g is one block, not a copy of the parameter; g is only read.
-    Pass negated gradients for an ascent step.
+    A step that makes a value NaN or infinite raises FloatingPointError: the
+    last step of a run has no next forward pass to catch it. Pass negated
+    gradients for an ascent step.
     """
     unknown = sorted(set(grads) - set(params.names()))
     if unknown:
@@ -994,14 +972,24 @@ def sgd_step(params: ParamStore, grads: dict[str, np.ndarray | RowGrad], lr: flo
                              f"parameter {params[name].data.shape}")
     for name, g in grads.items():
         p = params[name]
-        if isinstance(g, RowGrad):
-            p.data[g.rows] -= lr * g.values
-        else:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below, not warned
+            if isinstance(g, RowGrad):
+                rows = p.data[g.rows] - lr * g.values
+                if not _all_finite(rows):
+                    raise FloatingPointError(_stepped_non_finite(name))
+                p.data[g.rows] = rows
+                continue
             with np.nditer([p.data, g], flags=["external_loop", "buffered", "zerosize_ok"],
                            op_flags=[["readwrite"], ["readonly"]], buffersize=SGD_BLOCK) as blocks:
                 for p_block, g_block in blocks:
                     p_block -= lr * g_block
+                    if not _all_finite(p_block):
+                        raise FloatingPointError(_stepped_non_finite(name))
     return params
+
+
+def _stepped_non_finite(name: str) -> str:
+    return f"an SGD step made parameter {name!r} NaN or infinite"
 
 
 def minibatch_sgd(items, loss_fn, params: ParamStore, rng: np.random.Generator, lr: float,
@@ -1028,24 +1016,31 @@ def minibatch_sgd(items, loss_fn, params: ParamStore, rng: np.random.Generator, 
     return params
 
 
-def check_config(config) -> None:
-    """Reject a model config with a size that is not an int >= 1, or a negative `lr` or `epochs`.
+def check_rate(name: str, value) -> None:
+    """Reject a float setting (a step size, a weight) that is negative, NaN or infinite."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
-    Every other field is a size: an int, or a tuple of ints such as the
-    per-layer filter counts; a bool is not an int here. The error names the field.
+
+def check_config(config) -> None:
+    """Reject a model config with a size that is not an int >= 1, a bad `lr` or a bad `epochs`.
+
+    `lr` must be finite and >= 0 (`check_rate`), `epochs` an int >= 0. Every
+    other field is a size: an int, or a tuple of ints such as the per-layer
+    filter counts; a bool is not an int here. The error names the field.
     """
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
-        if f.name in ("lr", "epochs"):
-            if value < 0:
-                raise ValueError(f"{f.name} must be >= 0, got {value}")
+        if f.name == "lr":
+            check_rate(f.name, value)
             continue
         entries = value if isinstance(value, tuple) else (value,)
         what = f"{f.name} entries" if isinstance(value, tuple) else f.name
         if any(isinstance(v, bool) or not isinstance(v, int) for v in entries):
             raise ValueError(f"{what} must be int, got {value!r}")
-        if any(v < 1 for v in entries):
-            raise ValueError(f"{what} must be >= 1, got {value}")
+        least = 0 if f.name == "epochs" else 1
+        if any(v < least for v in entries):
+            raise ValueError(f"{what} must be >= {least}, got {value}")
 
 
 # -- checkpoints --------------------------------------------------------------

@@ -49,10 +49,8 @@ class RLConfig:
     weights: RewardWeights = field(default_factory=RewardWeights)
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lambda must be non-negative, got {self.lam}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
+        nm.check_rate("lambda", self.lam)
+        nm.check_rate("alpha", self.alpha)
         if self.steps < 0:
             raise ValueError(f"steps must be non-negative, got {self.steps}")
 

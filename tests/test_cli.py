@@ -405,6 +405,20 @@ def test_diverging_pretrain_exits_1_with_one_error_line(corpus, tmp_path):
     assert not (tmp_path / "p.ckpt").exists()
 
 
+def test_train_rnes_step_that_overflows_exits_1_and_writes_no_policy(corpus, tmp_path, caplog):
+    # the run's only step overflows, and no forward pass follows it to catch that;
+    # rewards 100 times the default weights make the step's gradient exceed 1
+    ckpt = _pretrained(corpus, tmp_path)
+    out = tmp_path / "rl.ckpt"
+    caplog.clear()
+    assert run(["train-rnes", "--corpus", str(corpus), "--vocab", str(tmp_path / "vocab.txt"),
+                "--pretrain-checkpoint", str(ckpt), "--out", str(out),
+                "--lambda", "0", "--steps", "1", "--alpha", "1e308",
+                "--w1", "40", "--w2", "100", "--wl", "50"]) == 1
+    assert "NaN or infinite" in _one_error_line(caplog)
+    assert not out.exists()
+
+
 def _summarize(corpus, tmp_path, caplog, method):
     ckpt = _pretrained(corpus, tmp_path)  # untrained: beam search selects nothing
     out = tmp_path / "s.jsonl"
@@ -457,6 +471,9 @@ def test_evaluate_reports_empty_summaries_and_selected_counts(corpus, tmp_path, 
     ("gru_hidden 4.0", "gru_hidden must be int, got 4.0"),  # equal to an int, yet not one
     ("word_filters [4, 4.0]", "word_filters entries must be int, got (4, 4.0)"),
     ("doc_dim true", "doc_dim must be int, got True"),
+    ("lr NaN", "lr must be finite and >= 0, got nan"),
+    ("lr Infinity", "lr must be finite and >= 0, got inf"),
+    ("epochs 1.5", "epochs must be int, got 1.5"),
 ])
 def test_bad_checkpoint_exits_1_with_one_error_line(corpus, tmp_path, caplog, monkeypatch, case,
                                                     expected):
@@ -751,6 +768,14 @@ OUT_OF_RANGE = [
     (["train-coherence", "--max-sentences", "0"], "max_sentences"),
     (["label", "--max-sentences", "0"], "max_sentences"),
     (["train-rnes", "--steps", "-1"], "steps"),
+    (["train-rnes", "--lambda", "-1"], "lambda"),
+    (["train-rnes", "--lambda", "nan"], "lambda"),
+    (["train-rnes", "--alpha", "-1"], "alpha"),
+    (["train-rnes", "--w1", "-1"], "w1"),
+    (["pretrain", "--lr", "nan", "--epochs", "1"], "lr"),
+    (["train-coherence", "--lr", "inf", "--epochs", "1"], "lr"),
+    (["label", "--w1", "nan"], "w1"),
+    (["preprocess", "--max-vocab", "3"], "--max-vocab"),
     (["train-coherence", "--max-tokens", "3"], "max_tokens 3 must exceed the layer-1 window 3"),
     (["train-coherence", "--triplets-per-doc", "0"], "--triplets-per-doc"),
     (["label", "--cap", "-1"], "--cap"),
@@ -766,6 +791,7 @@ def test_config_value_out_of_range_exits_1_naming_the_field(corpus, tmp_path, ca
                                                             field):
     ckpt = _pretrained(corpus, tmp_path)
     given = {
+        "preprocess": [],
         "label": [],
         "train-coherence": ["--vocab", str(tmp_path / "vocab.txt"), "--epochs", "0"]
                            + TINY_COHERENCE[:-2],

@@ -273,12 +273,14 @@ def test_pretrain_loss_gradient_matches_finite_differences(vocab, rng):
 
 def test_taped_pretrain_loss_holds_no_joined_gru_weight(vocab, config, params, rng):
     # each GRU direction projects with its three gate weights read in place,
-    # not copied into one [word_dim, 3 * gru_hidden] weight per document
+    # not copied into one [word_dim, 3 * gru_hidden] weight per document, and
+    # keeps no [n, 3 * gru_hidden] projection, which no backward reads
     doc = toy_document("d", rng, vocab, n_sentences=4, max_tokens=config.max_tokens)
     loss = pretrain_loss(doc, [1, 0, 0, 1], params, config)
     joined = (config.word_dim, 3 * config.gru_hidden)
+    projection = (4, 3 * config.gru_hidden)
     held = [a.shape for _, _, buffers in tape_holdings(loss, params) for a in buffers]
-    assert held and joined not in held
+    assert held and joined not in held and projection not in held
 
 
 def test_taped_gru_recurrence_holds_no_joined_state_weight(vocab, config, params, rng):

@@ -15,6 +15,7 @@ from cohsum import numeric as nm
 from cohsum.numeric import (
     CheckpointError,
     ParamStore,
+    RowGrad,
     ShapeError,
     Tensor,
     gradients,
@@ -224,18 +225,6 @@ def test_fd_relu_cross_sum(rng):
                        * weights).sum(), params)
 
 
-def test_fd_linear_blocks(rng):
-    params = ParamStore()
-    params.init_uniform("x", (4, 5), rng, scale=0.7)
-    for gate, width in (("z", 3), ("r", 3), ("h", 2)):
-        params.init_uniform(f"w_{gate}", (5, width), rng, scale=0.7)
-        params.init_uniform(f"b_{gate}", (width,), rng, scale=0.7)
-    weights = rng.normal(size=(4, 8))
-    _fd_check(lambda: (nm.tanh(nm.linear_blocks(params["x"], [params[f"w_{g}"] for g in "zrh"],
-                                                [params[f"b_{g}"] for g in "zrh"]))
-                       * weights).sum(), params)
-
-
 def test_fd_pair_max(rng):
     params = ParamStore()
     params.init_uniform("x", (5, 3), rng, scale=1.0)  # odd: the last row is dropped
@@ -396,37 +385,63 @@ def _gru_loop(x_proj, v_z, v_r, v_h, reverse):
     return out
 
 
+def _gru_arrays(rng, n, d, h):
+    """x [n, d], then W, b and V of the gates z, r and h, drawn in that order."""
+    x = rng.normal(size=(n, d))
+    ws = [rng.normal(size=(d, h)) for _ in range(3)]
+    bs = [rng.normal(size=h) for _ in range(3)]
+    vs = [rng.normal(size=(h, h)) for _ in range(3)]
+    return x, ws, bs, vs
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 def test_gru_sequence_matches_step_loop(rng, reverse):
-    x_proj, v_z, v_r, v_h = (rng.normal(size=shape) for shape in ((6, 12), (4, 4), (4, 4), (4, 4)))
-    out = nm.gru_sequence(Tensor(x_proj), Tensor(v_z), Tensor(v_r), Tensor(v_h), reverse=reverse)
-    assert np.allclose(out.data, _gru_loop(x_proj, v_z, v_r, v_h, reverse), rtol=1e-12, atol=1e-14)
+    x, ws, bs, vs = _gru_arrays(rng, 6, 5, 4)
+    out = nm.gru_sequence(Tensor(x), [Tensor(w) for w in ws], [Tensor(b) for b in bs],
+                          [Tensor(v) for v in vs], reverse=reverse)
+    x_proj = x @ np.concatenate(ws, axis=1) + np.concatenate(bs)
+    assert np.allclose(out.data, _gru_loop(x_proj, *vs, reverse), rtol=1e-12, atol=1e-14)
 
 
 def test_gru_sequence_reverse_reads_rows_backwards(rng):
-    x_proj, v_z, v_r, v_h = (Tensor(rng.normal(size=s)) for s in ((5, 9), (3, 3), (3, 3), (3, 3)))
-    flipped = Tensor(x_proj.data[::-1].copy())
-    backward = nm.gru_sequence(x_proj, v_z, v_r, v_h, reverse=True)
-    forward_of_flipped = nm.gru_sequence(flipped, v_z, v_r, v_h)
+    x, ws, bs, vs = _gru_arrays(rng, 5, 4, 3)
+    backward = nm.gru_sequence(x, ws, bs, vs, reverse=True)
+    forward_of_flipped = nm.gru_sequence(x[::-1].copy(), ws, bs, vs)
     assert np.array_equal(backward.data, forward_of_flipped.data[::-1])
 
 
-def test_gru_sequence_rejects_mismatched_shapes():
-    with pytest.raises(ShapeError, match="gru_sequence"):
-        nm.gru_sequence(Tensor(np.zeros((3, 8))), *(Tensor(np.zeros((3, 3))) for _ in range(3)))
+def test_gru_sequence_rejects_mismatched_shapes(rng):
+    for part, k, shape in [
+        ("x", None, (5,)),  # x is not [n, d]
+        ("w", 1, (4, 3)),  # W_r reads another d
+        ("w", 2, (5, 2)),  # W_h gives another h
+        ("b", 0, (4,)),
+        ("v", 1, (3, 4)),
+        ("v", 2, (4, 4)),  # V_h sets h: every other part then mismatches
+    ]:
+        x, ws, bs, vs = _gru_arrays(rng, 2, 5, 3)
+        if part == "x":
+            x = np.zeros(shape)
+        else:
+            {"w": ws, "b": bs, "v": vs}[part][k] = np.zeros(shape)
+        with pytest.raises(ShapeError, match="gru_sequence"):
+            nm.gru_sequence(x, ws, bs, vs)
 
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_fd_gru_sequence(rng, reverse):
+    # x and every gate's W, b and V against finite differences at once
     params = ParamStore()
-    params.init_uniform("x_proj", (4, 9), rng, scale=1.0)
-    for name in ("v_z", "v_r", "v_h"):
-        params.init_uniform(name, (3, 3), rng, scale=1.0)
+    params.init_uniform("x", (4, 5), rng, scale=1.0)
+    for gate in "zrh":
+        params.init_uniform(f"w_{gate}", (5, 3), rng, scale=1.0)
+        params.init_uniform(f"b_{gate}", (3,), rng, scale=1.0)
+        params.init_uniform(f"v_{gate}", (3, 3), rng, scale=1.0)
     weights = rng.normal(size=(4, 3))
 
     def loss():
-        states = nm.gru_sequence(params["x_proj"], params["v_z"], params["v_r"], params["v_h"],
-                                 reverse=reverse)
+        states = nm.gru_sequence(params["x"], *([params[f"{kind}_{g}"] for g in "zrh"]
+                                                for kind in "wbv"), reverse=reverse)
         return (states * weights).sum()
 
     _fd_check(loss, params)
@@ -512,6 +527,28 @@ def test_sgd_keyset_mismatch_names_parameter():
     assert params["p"].item() == 1.0 and params["w"].data.tolist() == [1.0, 2.0]
     sgd_step(params, {"w": np.array([10.0, 10.0])}, 0.1)
     assert params["p"].item() == 1.0 and params["w"].data.tolist() == [0.0, 1.0]
+
+
+def test_dense_sgd_step_that_overflows_raises():
+    # the overflow is in the last of three blocks; the step must not pass
+    # silently, and it raises rather than warns
+    params = ParamStore()
+    params.add("w", np.ones(3 * nm.SGD_BLOCK))
+    g = np.zeros(3 * nm.SGD_BLOCK)
+    g[-1] = -1e308
+    with warnings.catch_warnings(), pytest.raises(FloatingPointError, match="'w'"):
+        warnings.simplefilter("error")
+        sgd_step(params, {"w": g}, 1e308)
+
+
+def test_row_gradient_sgd_step_that_overflows_raises_and_writes_no_row():
+    params = ParamStore()
+    params.add("embed", np.ones((4, 2)))
+    g = RowGrad([(np.array([0, 2]), np.array([[1.0, 1.0], [-1e308, 1.0]]))], (4, 2))
+    with warnings.catch_warnings(), pytest.raises(FloatingPointError, match="'embed'"):
+        warnings.simplefilter("error")
+        sgd_step(params, {"embed": g}, 1e308)
+    assert np.array_equal(params["embed"].data, np.ones((4, 2)))
 
 
 def test_minibatch_sgd_drops_each_batch_tape_before_the_next_forward(rng):

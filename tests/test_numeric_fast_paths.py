@@ -4,8 +4,7 @@ The reference (tests/reference_numeric.py) pools by argmax over a copy of the
 2x2 blocks, scatters embedding gradients into a dense table, sweeps the
 whole table in SGD, and gathers sliding windows through flat index tables;
 `conv2d`, which keeps no im2col matrix and fuses the relu, is held to
-`windows` + `linear` + `relu`, and `linear_blocks` to `linear` over the
-concatenated weights. A grid read past its last row and column (by
+`windows` + `linear` + `relu`. A grid read past its last row and column (by
 `conv2d` and `max_pool_2x2`) is held to the same op over
 `reference_coherence.repeat_tail`, the concatenation of copied slices.
 `gradients` with a step size, which steps each parameter once its last
@@ -262,37 +261,6 @@ def test_relu_cross_sum_matches_broadcast_adds(m, n, f, signed_zeros, seed):
 def test_relu_cross_sum_shape_errors_name_the_op(a_shape, b_shape, bias_shape):
     with pytest.raises(nm.ShapeError, match="relu_cross_sum"):
         nm.relu_cross_sum(np.zeros(a_shape), np.zeros(b_shape), np.zeros(bias_shape))
-
-
-@given(st.integers(1, 6), st.integers(1, 5), st.lists(st.integers(1, 4), min_size=1, max_size=3),
-       seed_st)
-@example(30, 64, [32, 32, 32], 0)
-@settings(max_examples=60, deadline=None)
-def test_linear_blocks_matches_linear_over_the_joined_weights(n, d, widths, seed):
-    rng = np.random.default_rng(seed)
-    params = ParamStore()
-    params.add("x", rng.normal(size=(n, d)))
-    for i, width in enumerate(widths):
-        params.add(f"w{i}", rng.normal(size=(d, width)))
-        params.add(f"b{i}", rng.normal(size=width))
-    ws = [params[f"w{i}"] for i in range(len(widths))]
-    bs = [params[f"b{i}"] for i in range(len(widths))]
-    lean = nm.linear_blocks(params["x"], ws, bs)
-    dense = nm.linear(params["x"], nm.concat(ws, axis=1), nm.concat(bs))
-    assert _bits(lean.data) == _bits(dense.data)
-    weights = rng.normal(size=lean.shape)
-    lean_grads = nm.gradients((nm.tanh(lean) * weights).sum(), params)
-    dense_grads = nm.gradients((nm.tanh(dense) * weights).sum(), params)
-    for name in params.names():
-        assert _bits(lean_grads[name]) == _bits(dense_grads[name]), name
-
-
-def test_linear_blocks_shape_errors_name_the_op():
-    x, w, b = np.zeros((2, 3)), np.zeros((3, 4)), np.zeros(4)
-    for args in [(x, [w], []), (x, [], []), (x, [np.zeros((2, 4))], [b]), (x, [w], [np.zeros(3)]),
-                 (np.zeros(3), [w], [b])]:
-        with pytest.raises(nm.ShapeError, match="linear_blocks"):
-            nm.linear_blocks(*args)
 
 
 # -- layer 1 fused with the first pool --------------------------------------------------
