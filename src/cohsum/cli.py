@@ -27,9 +27,10 @@ without --labels. Sentence geometry comes from one place per stage:
 Files paired with the corpus by document id (the `pretrain --labels` file
 and the `evaluate --system` file) must hold exactly the corpus ids: a
 missing or an unknown id fails with one error line naming the file and
-the id. `evaluate` and `train-rnes` score against each document's
-highlights, so they reject a corpus holding a document with none before
-any work, naming the file and the id.
+the id, as does a label vector whose length is not its document's
+sentence count after truncation. `evaluate` and `train-rnes` score against
+each document's highlights, so they reject a corpus holding a document
+with none before any work, naming the file and the id.
 
 `train-rnes` checks its flags, reads the vocabulary, the policy
 checkpoint's header and the corpus, and checks the highlights, before it
@@ -204,6 +205,7 @@ def cmd_label(args) -> int:
 
 
 def cmd_train_coherence(args) -> int:
+    _at_least(args, 0, "--seed")
     _at_least(args, 1, "--triplets-per-doc")
     vocab = cp.load_vocab(args.vocab)
     config = _config(coh.CoherenceConfig, args, vocab_size=vocab.size)
@@ -226,6 +228,7 @@ def cmd_train_coherence(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
+    _at_least(args, 0, "--seed")
     _at_least(args, 1, "--cap")
     vocab = cp.load_vocab(args.vocab)
     config = _config(ex.ExtractorConfig, args, vocab_size=vocab.size)
@@ -234,6 +237,10 @@ def cmd_pretrain(args) -> int:
     if args.labels:
         by_id = _read_by_id(args.labels, _labels, (doc.id for doc in docs))
         labeled = [(doc, by_id[doc.id]) for doc in docs]
+        for doc, labels in labeled:
+            if len(labels) != doc.n_sentences:
+                raise cp.CorpusFormatError(f"{args.labels}: {len(labels)} labels for document "
+                                           f"{doc.id!r} of {doc.n_sentences} sentences")
     else:
         _require_highlights(docs, args.corpus)
         weights = _config(RewardWeights, args)
@@ -260,6 +267,7 @@ def _rows_of(ids: np.ndarray, used: np.ndarray) -> np.ndarray:
 
 
 def cmd_train_rnes(args) -> int:
+    _at_least(args, 0, "--seed")
     rl_config = _config(rl.RLConfig, args, weights=_config(RewardWeights, args))
     vocab = cp.load_vocab(args.vocab)
     ext_config = _model_config(args.pretrain_checkpoint, "extractor", ex.ExtractorConfig, vocab)

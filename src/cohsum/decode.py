@@ -30,11 +30,6 @@ from .numeric import ParamStore
 DEFAULT_MAX_SELECTED = 4
 
 
-def _log_probs(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log p(select), log p(skip)) computed stably from logits."""
-    return -np.logaddexp(0.0, -logits), -np.logaddexp(0.0, logits)
-
-
 def beam_search(
     doc: Document,
     params: ParamStore,
@@ -57,7 +52,8 @@ def beam_search(
     histories = np.zeros((1, head.increments.shape[1]))  # [B, m1] folded selection histories
     selected = np.zeros(1, dtype=np.int64)  # count of 1-decisions per hypothesis
     for t in range(n):
-        logp1, logp0 = _log_probs(head.logits(histories, t))
+        logits = head.logits(histories, t)
+        logp1, logp0 = nm.log_sigmoid_np(logits), nm.log_sigmoid_np(-logits)
         beams = len(scores)
         # candidate c < B skips and c >= B selects, each from parent c mod B
         neg = -np.concatenate([scores + logp0, scores + logp1])

@@ -338,9 +338,13 @@ def tanh(x) -> Tensor:
     return _node(out_data, (x,), backward)
 
 
+def log_sigmoid_np(x):
+    """log sigmoid(x) of an array or a float, exact for saturated logits; `log_sigmoid` on tape."""
+    return -np.logaddexp(0.0, -x)
+
+
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    # exp(log sigmoid(x)); stable for any magnitude and any array shape
-    return np.exp(-np.logaddexp(0.0, -x))
+    return np.exp(log_sigmoid_np(x))
 
 
 def relu(x) -> Tensor:
@@ -353,20 +357,14 @@ def relu(x) -> Tensor:
     return _node(out_data, (x,), backward)
 
 
-def softplus(x) -> Tensor:
-    """log(1 + e^x), computed without overflow."""
+def log_sigmoid(x) -> Tensor:
+    """log sigmoid(x), one node; d/dx log sigmoid(x) = sigmoid(-x)."""
     x = _wrap(x)
-    out_data = np.logaddexp(0.0, x.data)
 
     def backward(g):
-        _accumulate(x, g * _sigmoid_np(x.data), owned=True)
+        _accumulate(x, g * _sigmoid_np(-x.data), owned=True)
 
-    return _node(out_data, (x,), backward)
-
-
-def log_sigmoid(x) -> Tensor:
-    """log sigmoid(x) as -softplus(-x); exact for saturated logits."""
-    return -softplus(-_wrap(x))
+    return _node(log_sigmoid_np(x.data), (x,), backward)
 
 
 def tsum(x, axis=None) -> Tensor:
@@ -519,23 +517,17 @@ def _edge_extended(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
 def _fold_edges(g: np.ndarray, h: int, w: int) -> np.ndarray:
     """The [h, w, ...] gradient of a from g, the gradient of `_edge_extended(a, ...)`.
 
-    Each copy's gradient is added into the row or column it copies: columns
-    first, then rows, each axis's copies summed in order before the sum is
-    added, which is the order in which backward through a concatenation of
-    slices of the last column, then of the last row, added them. g is changed
+    Each copy's gradient is added into the row or column it copies, columns
+    first, the copies of each axis summed in order by a running sum, as
+    backward through a concatenation of their slices adds them (`sum` adds a
+    one-channel grid's copies pairwise and turns -0.0 into +0.0). g is changed
     in place; the result is a view of it.
     """
     rows, cols = g.shape[:2]
     if cols > w:
-        tail = g[:, w].copy()
-        for j in range(w + 1, cols):
-            tail += g[:, j]
-        g[:, w - 1] += tail
+        g[:, w - 1] += g[:, w:].cumsum(axis=1)[:, -1]
     if rows > h:
-        tail = g[h, :w].copy()
-        for i in range(h + 1, rows):
-            tail += g[i, :w]
-        g[h - 1, :w] += tail
+        g[h - 1, :w] += g[h:, :w].cumsum(axis=0)[-1]
     return g[:h, :w]
 
 

@@ -612,6 +612,34 @@ def test_pretrain_rejects_labels_other_than_0_or_1(corpus, tmp_path, caplog, bad
     assert not (tmp_path / "p.ckpt").exists()
 
 
+@pytest.mark.parametrize("label_flags, pretrain_flags, expected", [
+    (["--max-sentences", "6"], [], "6 labels for document 'd2' of 8 sentences"),  # too few
+    ([], ["--max-sentences", "4"], "5 labels for document 'd0' of 4 sentences"),  # too many
+])
+def test_pretrain_rejects_a_label_vector_of_another_length_before_training(
+        tmp_path, caplog, monkeypatch, label_flags, pretrain_flags, expected):
+    rng = np.random.default_rng(0)
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fh:
+        for i, n in enumerate([5, 6, 8, 5, 10, 6]):
+            sentences = [" ".join(rng.choice(WORDS, size=4)) for _ in range(n)]
+            fh.write(json.dumps({"id": f"d{i}", "sentences": sentences,
+                                 "highlights": sentences[:2]}) + "\n")
+    vocab, labels, out = tmp_path / "vocab.txt", tmp_path / "labels.jsonl", tmp_path / "p.ckpt"
+    assert run(["preprocess", "--corpus", str(corpus), "--out", str(vocab)]) == 0
+    assert run(["label", "--corpus", str(corpus), "--out", str(labels)] + label_flags) == 0
+    steps = []
+    monkeypatch.setattr(cohsum.numeric, "gradients", lambda *a, **kw: steps.append(a))
+    caplog.clear()
+    assert run(["pretrain", "--corpus", str(corpus), "--vocab", str(vocab),
+                "--labels", str(labels), "--out", str(out), "--epochs", "1"]
+               + TINY_EXTRACTOR + ["--batch-size", "1"] + pretrain_flags) == 1
+    message = _one_error_line(caplog)
+    assert message.startswith(f"{labels}: ") and expected in message
+    assert steps == []  # no document was trained on first
+    assert not out.exists()
+
+
 def _run_on_edited_file(corpus, tmp_path, caplog, kind, edit):
     """(path, exit code) of the stage reading the `kind` file after `edit` changed its records.
 
@@ -783,6 +811,9 @@ OUT_OF_RANGE = [
     (["summarize", "--cap", "-1"], "--cap"),
     (["summarize", "--cap", "0"], "--cap"),
     (["summarize", "--beam", "0"], "--beam"),
+    (["train-coherence", "--seed", "-1"], "--seed"),
+    (["pretrain", "--seed", "-1"], "--seed"),
+    (["train-rnes", "--seed", "-1"], "--seed"),
 ]
 
 

@@ -156,10 +156,18 @@ def test_fd_mul_add_mean_concat_reshape_slice(rng):
     _fd_check(loss, params)
 
 
-def test_fd_softplus_log_sigmoid(rng):
+def test_fd_log_sigmoid(rng):
     params = ParamStore()
-    params.init_uniform("z", (5,), rng, scale=2.0)
-    _fd_check(lambda: (nm.softplus(params["z"]) + nm.log_sigmoid(-params["z"])).sum(), params)
+    params.add("z", np.array([-30.0, -9.0, -2.5, -0.4, 0.0, 0.3, 1.7, 8.0, 29.5]))
+    weights = rng.normal(size=9)  # an upstream gradient other than ones
+    _fd_check(lambda: (nm.log_sigmoid(params["z"]) * weights).sum(), params)
+
+
+def test_log_sigmoid_is_one_node_whose_only_parent_is_its_input():
+    x = Tensor(np.array([-3.0, 0.5]), requires_grad=True)
+    y = nm.log_sigmoid(x)
+    assert len(y._parents) == 1 and y._parents[0] is x
+    np.testing.assert_array_equal(y.data, nm.log_sigmoid_np(x.data))
 
 
 def test_fd_gather_rows_with_repeats(rng):

@@ -229,6 +229,21 @@ def test_a_logical_side_short_of_the_grid_is_a_shape_error(op):
             call(rows, cols)
 
 
+@pytest.mark.parametrize("h, w, rows, cols, channels, kind", [
+    (1, 1, 10, 10, 1, "normal"),  # nine copies of a one-channel grid's last row and column
+    (3, 2, 12, 13, 1, "normal"),
+    (3, 2, 6, 7, 4, "signed zeros"),
+])
+def test_edge_fold_sums_the_copies_in_order(h, w, rows, cols, channels, kind, rng):
+    # what conv2d and max_pool_2x2 backward do with the gradient of a read past
+    # the grid's last row and column, against backward through `repeat_tail`
+    shape = (rows, cols, channels)
+    g = rng.normal(size=shape) if kind == "normal" else np.full(shape, -0.0)
+    params = _grid_store(rng.normal(size=(h, w, channels)))
+    dense = nm.gradients((repeat_tail(params["x"], rows, cols) * g).sum(), params)["x"]
+    assert _bits(nm._fold_edges(g.copy(), h, w)) == _bits(dense)
+
+
 # -- the layer-1 cross sum and the GRU input projection ----------------------------------
 
 

@@ -49,6 +49,28 @@ def test_every_public_function_and_class_in_src_has_a_caller_in_src():
     assert unreferenced == set(ALLOWED_UNREFERENCED)
 
 
+def _references(node, name: str, module: str, func=None) -> list[tuple[str, str]]:
+    """(module, innermost enclosing function) of each reference to `name` under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        func = node.name
+    found = []
+    if name in (getattr(node, "id", None), getattr(node, "attr", None),
+                getattr(node, "name", None)):
+        found.append((module, func))
+    for child in ast.iter_child_nodes(node):
+        found += _references(child, name, module, func)
+    return found
+
+
+def test_one_function_computes_log_sigmoid_for_every_policy_decision():
+    # pretraining, the REINFORCE surrogate, sampling and beam search all score a
+    # decision with log sigmoid(+-z); numeric.log_sigmoid_np is that formula
+    users = [ref for path in SOURCES
+             for ref in _references(ast.parse(path.read_text(encoding="utf-8")), "logaddexp",
+                                    path.stem)]
+    assert users == [("numeric", "log_sigmoid_np")]
+
+
 def _tracer_module():
     spec = importlib.util.spec_from_file_location("perfbench_tracer",
                                                   ROOT / "perfbench" / "tracer.py")
