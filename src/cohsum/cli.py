@@ -24,6 +24,10 @@ without --labels. Sentence geometry comes from one place per stage:
   sentences, so it loads the corpus unencoded at the default truncation
   and reads no vocabulary; `--vocab` is required for beam decoding only.
 
+`summarize --method beam` extracts exactly min(--cap, n) sentences of an
+n-sentence document, so its summaries are never empty. Both methods give
+sentence indices, and a record's summary is the text of those sentences.
+
 Files paired with the corpus by document id (the `pretrain --labels` file
 and the `evaluate --system` file) must hold exactly the corpus ids: a
 missing or an unknown id fails with one error line naming the file and
@@ -319,17 +323,15 @@ def cmd_summarize(args) -> int:
     with atomic_write(args.out) as fh:
         for doc in docs:
             if args.method == "lead3":
-                summary = dc.lead3(doc)
-                selected = list(range(len(summary)))
+                selected = dc.lead3(doc)
             else:
                 decisions = dc.beam_search(doc, params, config,
                                            beam_size=args.beam, max_selected=args.cap)
-                summary = dc.extract_summary(doc, decisions)
                 selected = [i for i, y in enumerate(decisions) if y == 1]
             record = {
                 "id": doc.id,
                 "selected_indices": selected,
-                "summary": [s.text for s in summary],
+                "summary": [doc.sentences[i].text for i in selected],
             }
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
             counts.append(len(selected))
@@ -353,9 +355,7 @@ def cmd_evaluate(args) -> int:
     system = _read_by_id(args.system, partial(cp.string_array, key="summary"), reference)
     rows, counts = [], []
     for doc_id, summary in system.items():
-        candidate: list[str] = []
-        for sent in summary:
-            candidate.extend(cp.tokenize(sent))
+        candidate = cp.tokens_of(map(cp.make_sentence, summary))
         ref_tokens = reference[doc_id].highlight_tokens()
         scores = (
             rouge_n(candidate, ref_tokens, 1),
@@ -521,7 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("beam", "lead3"), default="beam")
     p.add_argument("--beam", type=int, default=10, help="beam size (default %(default)s)")
     p.add_argument("--cap", type=int, default=dc.DEFAULT_MAX_SELECTED,
-                   help="max selected sentences (default %(default)s)")
+                   help="beam method: extract exactly min(cap, n) of a document's n sentences "
+                        "(default %(default)s)")
     p.set_defaults(func=cmd_summarize)
 
     p = sub.add_parser("evaluate", help="score system summaries against highlights")

@@ -121,14 +121,17 @@ class Sentence:
     def length(self) -> int:
         return len(self.tokens)
 
-    def encode(self, vocab: Vocabulary, max_tokens: int) -> "Sentence":
-        return Sentence(self.text, self.tokens, encode_sentence(self.tokens, vocab, max_tokens))
-
 
 def make_sentence(text: str, vocab: Vocabulary | None = None,
                   max_tokens: int = DEFAULT_MAX_TOKENS) -> Sentence:
-    sent = Sentence(text=text, tokens=tokenize(text))
-    return sent.encode(vocab, max_tokens) if vocab is not None else sent
+    tokens = tokenize(text)
+    ids = encode_sentence(tokens, vocab, max_tokens) if vocab is not None else None
+    return Sentence(text, tokens, ids)
+
+
+def tokens_of(sentences: Iterable[Sentence]) -> list[str]:
+    """The sentences' tokens joined in the given order, as ROUGE reads a summary."""
+    return [token for sent in sentences for token in sent.tokens]
 
 
 def placeholder_sentence(max_tokens: int = DEFAULT_MAX_TOKENS) -> Sentence:
@@ -151,10 +154,7 @@ class Document:
         return len(self.sentences)
 
     def highlight_tokens(self) -> list[str]:
-        out: list[str] = []
-        for sent in self.highlights:
-            out.extend(sent.tokens)
-        return out
+        return tokens_of(self.highlights)
 
 
 def make_document(
@@ -165,13 +165,15 @@ def make_document(
     max_tokens: int = DEFAULT_MAX_TOKENS,
     max_sentences: int = DEFAULT_MAX_SENTENCES,
 ) -> Document:
-    """Tokenize, drop empty sentences, truncate, and optionally encode."""
+    """Tokenize, drop empty sentences, truncate, and optionally encode the sentences.
+
+    Highlights are only tokenized: ROUGE compares them by their tokens.
+    """
     sents = [make_sentence(s, vocab, max_tokens) for s in sentences]
     sents = [s for s in sents if s.tokens][:max_sentences]
     if not sents:
         raise CorpusFormatError(f"document {doc_id!r} has no non-empty sentences")
-    highs = [make_sentence(h, vocab, max_tokens) for h in highlights]
-    highs = [h for h in highs if h.tokens]
+    highs = [h for h in map(make_sentence, highlights) if h.tokens]
     return Document(id=doc_id, sentences=sents, highlights=highs)
 
 
@@ -291,8 +293,6 @@ def sample_coherence_triplet(doc: Document, rng: np.random.Generator) -> Coheren
         p for p in range(n)
         if p != positive_pos and abs(p - positive_pos) < NEGATIVE_WINDOW
     ]
-    if not candidates:
-        return None
     negative_pos = candidates[int(rng.integers(0, len(candidates)))]
     return CoherenceTriplet(
         anchor=doc.sentences[anchor_pos],
@@ -318,10 +318,7 @@ def generate_oracle_labels(doc: Document, weights: RewardWeights, max_selected: 
         for i in range(doc.n_sentences):
             if i in selected:
                 continue
-            candidate: list[str] = []
-            for j in range(doc.n_sentences):
-                if j in selected or j == i:
-                    candidate.extend(doc.sentences[j].tokens)
+            candidate = tokens_of(doc.sentences[j] for j in sorted(selected | {i}))
             score = combined_rouge(candidate, reference, weights)
             if score - best_score > best_gain:
                 best_gain, best_idx, best_total = score - best_score, i, score

@@ -1,17 +1,20 @@
 """Inference: beam search over binary extraction sequences, plus Lead-3.
 
-Hypotheses are scored by the cumulative log-probability of every decision
-taken (selections and skips alike), with no length normalization. Ties
-prefer skipping, then the lower-ranked parent hypothesis, so decoding is
-fully deterministic.
+The beam extracts a fixed budget of k = min(max_selected, n) sentences of
+an n-sentence document: a hypothesis that could no longer reach k
+selections, or that would pass it, is dropped, so every kept sequence
+holds exactly k ones. Hypotheses are scored by the cumulative
+log-probability of every decision taken (selections and skips alike), with
+no length normalization. Ties prefer skipping, then the lower-ranked parent
+hypothesis, so decoding is fully deterministic.
 
 The document is encoded under `numeric.no_tape()`: nothing runs backward
 over a decoding, so no tape is kept. Each step is a few array ops over the
 hypotheses. The extractor's `PolicyHead` scores every hypothesis at once,
 its history already folded into the first layer, so a step adds one [B, m1]
 history to the sentence's precomputed first-layer term. The 2B candidates
-(parent, y, -score) are then held as arrays, with a mask that drops y=1 from
-a hypothesis that already holds max_selected sentences, and one
+(parent, y, -score) are then held as arrays, with a mask that drops the
+candidates outside the budget, and one
 `np.lexsort((parent, y, -score))` ranks them: by score, then y=0 before
 y=1, then the earlier parent. Histories, decisions and selection counts of
 the kept candidates are gathered by parent index. The per-candidate loop
@@ -23,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import numeric as nm
-from .corpus import Document, Sentence
+from .corpus import Document
 from .extractor import ExtractorConfig, encode_document, policy_head
 from .numeric import ParamStore
 
@@ -37,15 +40,14 @@ def beam_search(
     beam_size: int = 10,
     max_selected: int = DEFAULT_MAX_SELECTED,
 ) -> list[int]:
-    """Best decision sequence under the policy, at most max_selected ones."""
+    """Best decision sequence under the policy with exactly min(max_selected, n) ones."""
     if beam_size < 1:
         raise ValueError(f"beam size must be >= 1, got {beam_size}")
-    if doc.n_sentences == 0:
-        raise ValueError(f"document {doc.id!r} has no sentences")
     with nm.no_tape():
         enc = encode_document(doc, params, config)
     head = policy_head(enc.contexts.data, enc.doc.data, params)
     n = doc.n_sentences
+    k = min(max_selected, n)
     # the hypotheses kept at each step, best score first
     decisions = np.zeros((1, n), dtype=np.int8)
     scores = np.zeros(1)  # cumulative log-probability per hypothesis
@@ -59,7 +61,8 @@ def beam_search(
         neg = -np.concatenate([scores + logp0, scores + logp1])
         y = np.repeat(np.array([0, 1], dtype=np.int8), beams)
         parent = np.tile(np.arange(beams), 2)
-        feasible = np.concatenate([np.ones(beams, dtype=bool), selected < max_selected])
+        # a skip must leave enough sentences to reach k; a selection must not pass it
+        feasible = np.concatenate([selected + (n - t - 1) >= k, selected < k])
         neg, y, parent = neg[feasible], y[feasible], parent[feasible]
         kept = np.lexsort((parent, y, neg))[:beam_size]
         y, parent = y[kept], parent[kept]
@@ -72,15 +75,6 @@ def beam_search(
     return decisions[0].tolist()
 
 
-def extract_summary(doc: Document, decisions: list[int]) -> list[Sentence]:
-    """Sentences flagged 1, in original document order."""
-    if len(decisions) != doc.n_sentences:
-        raise ValueError(
-            f"{len(decisions)} decisions for document {doc.id!r} with {doc.n_sentences} sentences"
-        )
-    return [sent for sent, y in zip(doc.sentences, decisions) if y == 1]
-
-
-def lead3(doc: Document) -> list[Sentence]:
-    """First three sentences, the standard positional baseline."""
-    return doc.sentences[: min(3, doc.n_sentences)]
+def lead3(doc: Document) -> list[int]:
+    """Indices of the first three sentences, the standard positional baseline."""
+    return list(range(min(3, doc.n_sentences)))

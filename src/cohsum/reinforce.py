@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import numeric as nm
-from .corpus import Document, placeholder_sentence
+from .corpus import Document, placeholder_sentence, tokens_of
 from .extractor import (
     DocumentEncoding,
     ExtractorConfig,
@@ -104,10 +104,7 @@ def final_reward(doc: Document, decisions: list[int], weights: RewardWeights) ->
     """Combined ROUGE of the extracted summary against the highlights."""
     if not doc.highlights:
         raise ValueError(f"document {doc.id!r} has no highlights to reward against")
-    candidate: list[str] = []
-    for sent, y in zip(doc.sentences, decisions):
-        if y == 1:
-            candidate.extend(sent.tokens)
+    candidate = tokens_of(sent for sent, y in zip(doc.sentences, decisions) if y == 1)
     return combined_rouge(candidate, doc.highlight_tokens(), weights)
 
 

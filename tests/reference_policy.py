@@ -199,19 +199,22 @@ class _FastPolicy:
 
 def beam_search(doc: Document, params: ParamStore, config: ExtractorConfig,
                 beam_size: int, max_selected: int) -> list[int]:
-    """The beam decoder over `_FastPolicy`, with its tie-breaking rules."""
+    """The beam decoder over `_FastPolicy`, with its budget and tie-breaking rules."""
     policy = _FastPolicy(doc, params, config)
+    n = policy.n_sentences
+    k = min(max_selected, n)
     decisions = [()]
     scores = np.zeros(1)
     histories = np.zeros((1, policy.select_dim))
     selected = np.zeros(1, dtype=np.int64)
-    for t in range(policy.n_sentences):
+    for t in range(n):
         logits = policy.logits(t, histories)
         logp1, logp0 = -np.logaddexp(0.0, -logits), -np.logaddexp(0.0, logits)
         candidates = []
         for parent in range(len(decisions)):
-            candidates.append((-(scores[parent] + logp0[parent]), 0, parent))
-            if selected[parent] < max_selected:
+            if selected[parent] + (n - t - 1) >= k:
+                candidates.append((-(scores[parent] + logp0[parent]), 0, parent))
+            if selected[parent] < k:
                 candidates.append((-(scores[parent] + logp1[parent]), 1, parent))
         candidates.sort()
         kept = candidates[:beam_size]

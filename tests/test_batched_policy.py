@@ -198,7 +198,7 @@ def test_beam_search_builds_no_tape(monkeypatch):
     assert built and all(t._parents == () for t in built)
 
 
-# 60 to 80 sentences: many steps at full beam width, and the cap of 4 binds
+# 60 to 80 sentences: many steps at full beam width, and a budget of 4
 LONG = tiny_extractor_config(VOCAB.size, max_sentences=80)
 
 
@@ -222,7 +222,7 @@ def test_beam_search_on_long_documents_equals_the_reference(kind):
                 p.data[:] = 0.0 if kind == "zeros" else 1.0
         decisions = beam_search(doc, params, LONG, beam_size=10, max_selected=4)
         assert decisions == ref.beam_search(doc, params, LONG, beam_size=10, max_selected=4)
-        assert sum(decisions) <= 4
+        assert sum(decisions) == 4
 
 
 def test_single_sentence_document_matches_reference():

@@ -148,9 +148,12 @@ def test_full_pipeline_and_evaluate(corpus, tmp_path, capsys):
     out, _ = _run_pipeline(corpus, tmp_path)
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(records) == 8
+    docs = {doc.id: doc for doc in load_corpus(corpus)}
     for record in records:
         assert list(record) == ["id", "selected_indices", "summary"]
-        assert len(record["selected_indices"]) == len(record["summary"]) <= 4
+        selected = record["selected_indices"]
+        assert selected == sorted(set(selected)) and len(selected) == 4  # min(--cap, 5)
+        assert record["summary"] == [docs[record["id"]].sentences[i].text for i in selected]
     assert run(["evaluate", "--system", str(out), "--reference", str(corpus), "--per-doc"]) == 0
     captured = capsys.readouterr().out
     lines = captured.strip().splitlines()
@@ -420,7 +423,7 @@ def test_train_rnes_step_that_overflows_exits_1_and_writes_no_policy(corpus, tmp
 
 
 def _summarize(corpus, tmp_path, caplog, method):
-    ckpt = _pretrained(corpus, tmp_path)  # untrained: beam search selects nothing
+    ckpt = _pretrained(corpus, tmp_path)
     out = tmp_path / "s.jsonl"
     with caplog.at_level(logging.INFO):
         assert run(["summarize", "--corpus", str(corpus), "--vocab", str(tmp_path / "vocab.txt"),
@@ -429,30 +432,49 @@ def _summarize(corpus, tmp_path, caplog, method):
     return out, counts
 
 
-def _assert_selected_counts_reported(caplog, counts, method):
+def _assert_selected_counts_reported(caplog, counts):
     messages = [(r.levelname, r.getMessage()) for r in caplog.records]
     empty = counts.count(0)
     warnings = [m for level, m in messages if level == "WARNING"]
     assert warnings == ([f"{empty} of {len(counts)} summaries are empty"] if empty else [])
-    assert (method == "beam") == (empty > 0)
     assert ("INFO", f"selected sentences per summary: min {min(counts)}, "
             f"median {np.median(counts):g}, max {max(counts)}") in messages
+
+
+# the beam extracts min(--cap, n) sentences and lead-3 min(3, n); the documents have 5
+SELECTED = {"beam": 4, "lead3": 3}
 
 
 @pytest.mark.parametrize("method", ["beam", "lead3"])
 def test_summarize_reports_empty_summaries_and_selected_counts(corpus, tmp_path, caplog, method):
     _, counts = _summarize(corpus, tmp_path, caplog, method)
-    _assert_selected_counts_reported(caplog, counts, method)
+    assert counts == [SELECTED[method]] * 8
+    _assert_selected_counts_reported(caplog, counts)
 
 
 @pytest.mark.parametrize("method", ["beam", "lead3"])
 def test_evaluate_reports_empty_summaries_and_selected_counts(corpus, tmp_path, caplog, capsys,
                                                               method):
     out, counts = _summarize(corpus, tmp_path, caplog, method)
+    assert counts == [SELECTED[method]] * 8
     caplog.clear()
     with caplog.at_level(logging.INFO):
         assert run(["evaluate", "--system", str(out), "--reference", str(corpus)]) == 0
-    _assert_selected_counts_reported(caplog, counts, method)
+    _assert_selected_counts_reported(caplog, counts)
+    assert capsys.readouterr().out.splitlines()[-1].startswith("MEAN\t")
+
+
+def test_evaluate_warns_of_the_empty_summaries_of_a_system_file(corpus, tmp_path, caplog, capsys):
+    docs = list(load_corpus(corpus))
+    counts = [0, 2, 0, 1, 3, 0, 1, 2]
+    system = tmp_path / "system.jsonl"
+    system.write_text("".join(
+        json.dumps({"id": doc.id, "summary": [s.text for s in doc.sentences[:k]]}) + "\n"
+        for doc, k in zip(docs, counts)))
+    with caplog.at_level(logging.INFO):
+        assert run(["evaluate", "--system", str(system), "--reference", str(corpus)]) == 0
+    _assert_selected_counts_reported(caplog, counts)
+    assert "3 of 8 summaries are empty" in caplog.text
     assert capsys.readouterr().out.splitlines()[-1].startswith("MEAN\t")
 
 

@@ -27,6 +27,7 @@ from cohsum.corpus import (
     sample_coherence_triplet,
     save_vocab,
     tokenize,
+    tokens_of,
 )
 from cohsum.rouge import RewardWeights, combined_rouge
 from reference_rouge import lcs_length as lcs_by_dp
@@ -184,6 +185,20 @@ def test_encoding_applied_when_vocab_given(tmp_path):
     vocab = Vocabulary(["red", "green"])
     doc = next(load_corpus(path, vocab=vocab, max_tokens=4))
     assert list(doc.sentences[0].ids) == [3, 4, 0, 0]
+
+
+def test_highlights_are_tokenized_but_not_encoded():
+    doc = make_document("d", ["red green", "blue"], ["Red, green!", "  "],
+                        vocab=Vocabulary(["red", "green"]), max_tokens=4)
+    assert [(h.tokens, h.ids) for h in doc.highlights] == [(["red", ",", "green", "!"], None)]
+    assert doc.highlight_tokens() == tokens_of(doc.highlights)
+
+
+def test_tokens_of_joins_in_the_given_order():
+    doc = make_document("d", ["red green", "blue", "Gold."], [])
+    assert tokens_of(doc.sentences) == ["red", "green", "blue", "gold", "."]
+    assert tokens_of(doc.sentences[::-2]) == ["gold", ".", "red", "green"]
+    assert tokens_of([]) == []
 
 
 def test_make_document_rejects_all_empty():

@@ -71,6 +71,49 @@ def test_one_function_computes_log_sigmoid_for_every_policy_decision():
     assert users == [("numeric", "log_sigmoid_np")]
 
 
+def _token_joins(node, module: str, func=None, parent=None) -> list[tuple[str, str]]:
+    """(module, innermost enclosing function) of each place under node that joins `.tokens` lists.
+
+    A `.tokens` read joins when it is iterated (by a loop or a comprehension),
+    extended by, added with `+` or `+=`, built into a list of token lists, or
+    passed to `chain`, `from_iterable` or `sum`.
+    """
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        func = node.name
+    found = []
+    if isinstance(node, ast.Attribute) and node.attr == "tokens" and (
+            isinstance(parent, (ast.For, ast.comprehension)) and node is parent.iter
+            or isinstance(parent, (ast.BinOp, ast.AugAssign)) and isinstance(parent.op, ast.Add)
+            or isinstance(parent, (ast.ListComp, ast.GeneratorExp)) and node is parent.elt
+            or isinstance(parent, ast.Call) and node in parent.args
+            and getattr(parent.func, "attr", getattr(parent.func, "id", None))
+            in ("extend", "chain", "from_iterable", "sum")):
+        found.append((module, func))
+    for child in ast.iter_child_nodes(node):
+        found += _token_joins(child, module, func, node)
+    return found
+
+
+def test_the_token_join_guard_sees_every_form_of_a_join():
+    joins = ["out.extend(s.tokens)", "out += s.tokens", "out = a.tokens + b.tokens",
+             "for t in s.tokens: out.append(t)", "out = [t for s in x for t in s.tokens]",
+             "out = list(chain.from_iterable(s.tokens for s in x))",
+             "out = sum([s.tokens for s in x], [])"]
+    for source in joins:
+        assert _token_joins(ast.parse(f"def f():\n    {source}"), "m"), source
+    others = ["n = len(s.tokens)", "counts.update(s.tokens)", "kept = [s for s in x if s.tokens]"]
+    for source in others:
+        assert not _token_joins(ast.parse(f"def f():\n    {source}"), "m"), source
+
+
+def test_one_function_joins_the_tokens_of_sentences():
+    # the oracle, the final reward, the highlights and evaluate's system summaries
+    # are each read as their sentences' tokens in order; corpus.tokens_of joins them
+    joins = [ref for path in SOURCES
+             for ref in _token_joins(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+    assert joins == [("corpus", "tokens_of")]
+
+
 def _tracer_module():
     spec = importlib.util.spec_from_file_location("perfbench_tracer",
                                                   ROOT / "perfbench" / "tracer.py")
