@@ -127,6 +127,31 @@ def _model_config(path: str, kind: str, config_cls, vocab: cp.Vocabulary):
     return config
 
 
+def _load_model(path: str, layout, rows: dict | None = None):
+    """Checkpoint `path`, once its tensors are those of `layout`, each of its shape.
+
+    `layout` is the model of the header's config (`param_layout`). A
+    row-selected tensor is checked by the shape of the whole tensor in the
+    file. A missing, extra or misshapen tensor is a `CheckpointError` naming
+    the file and the tensor.
+    """
+    params = load_checkpoint(path, rows=rows)
+    shapes = {name: shape for name, shape, _ in layout}
+    for name, shape in shapes.items():
+        if name not in params:
+            raise CheckpointError(f"{path}: no tensor {name!r}, which the model in its header has")
+        source = params.sources.get(name)
+        found = params[name].data.shape if source is None else source.shape
+        if found != shape:
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {found}, "
+                                  f"the model in its header needs {shape}")
+    for name in params.names():
+        if name not in shapes:
+            raise CheckpointError(f"{path}: tensor {name!r} is not a parameter of the model "
+                                  f"in its header")
+    return params
+
+
 def _at_least(args, least: int, *flags: str) -> None:
     """Reject a value below `least` of each named integer flag, naming the flag."""
     for flag in flags:
@@ -294,10 +319,12 @@ def cmd_train_rnes(args) -> int:
     for doc in docs:
         for sent in doc.sentences:
             sent.ids = _rows_of(sent.ids, used)
-    params = load_checkpoint(args.pretrain_checkpoint, rows={"embed": used})
+    params = _load_model(args.pretrain_checkpoint, ex.param_layout(ext_config),
+                         rows={"embed": used})
     scorer = None
     if rl_config.lam > 0:
-        coh_params = load_checkpoint(args.coherence_checkpoint, rows={"embed": used})
+        coh_params = _load_model(args.coherence_checkpoint, coh.param_layout(coh_config),
+                                 rows={"embed": used})
         scorer = partial(coh.coherence_forward, params=coh_params, config=coh_config)
     rl.train_rnes(docs, params, scorer, rl_config, ext_config, child_rng(args.seed, "train-rnes"))
     save_checkpoint(params, args.out)  # params.meta still describes the model as loaded
@@ -314,7 +341,7 @@ def cmd_summarize(args) -> int:
         _at_least(args, 1, "--beam", "--cap")
         vocab = cp.load_vocab(args.vocab)
         config = _model_config(args.checkpoint, "extractor", ex.ExtractorConfig, vocab)
-        params = load_checkpoint(args.checkpoint)
+        params = _load_model(args.checkpoint, ex.param_layout(config))
         docs = cp.load_corpus(args.corpus, vocab=vocab, max_tokens=config.max_tokens,
                               max_sentences=config.max_sentences)
     else:
@@ -385,7 +412,7 @@ def cmd_evaluate(args) -> int:
 def cmd_score_coherence(args) -> int:
     vocab = cp.load_vocab(args.vocab)
     config = _model_config(args.checkpoint, "coherence", coh.CoherenceConfig, vocab)
-    params = load_checkpoint(args.checkpoint)
+    params = _load_model(args.checkpoint, coh.param_layout(config))
     name = "stdin" if args.pairs == "-" else args.pairs
     source = (contextlib.nullcontext(sys.stdin) if args.pairs == "-"
               else open(args.pairs, "r", encoding="utf-8"))

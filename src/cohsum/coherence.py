@@ -131,29 +131,29 @@ def stack_plan(config: CoherenceConfig) -> tuple[list[tuple], int]:
     return stages, flat
 
 
-def init_coherence_params(config: CoherenceConfig, rng: np.random.Generator) -> ParamStore:
-    params = ParamStore()
-    params.init_uniform("embed", (config.vocab_size, config.embed_dim), rng)
-    params.init_uniform(
-        "layer1_w", (2 * config.window * config.embed_dim, config.conv_filters[0]), rng
-    )
-    params.init_zeros("layer1_b", (config.conv_filters[0],))
+def param_layout(config: CoherenceConfig) -> list[tuple[str, tuple, str]]:
+    """Every parameter as (name, shape, init) in draw order (`numeric.init_params`)."""
+    layout = [
+        ("embed", (config.vocab_size, config.embed_dim), "uniform"),
+        ("layer1_w", (2 * config.window * config.embed_dim, config.conv_filters[0]), "uniform"),
+        ("layer1_b", (config.conv_filters[0],), "zeros"),
+    ]
     stages, flat = stack_plan(config)
     for stage in stages:
         if stage[0] == "conv":
             _, layer, in_ch, out_ch, _ = stage
-            params.init_uniform(
-                f"conv{layer}_w", (config.conv_kernel * config.conv_kernel * in_ch, out_ch), rng
-            )
-            params.init_zeros(f"conv{layer}_b", (out_ch,))
+            layout += [(f"conv{layer}_w", (config.conv_kernel * config.conv_kernel * in_ch, out_ch),
+                        "uniform"),
+                       (f"conv{layer}_b", (out_ch,), "zeros")]
     prev = flat
     for j, units in enumerate(config.fc_units, start=1):
-        params.init_uniform(f"fc{j}_w", (prev, units), rng)
-        params.init_zeros(f"fc{j}_b", (units,))
+        layout += [(f"fc{j}_w", (prev, units), "uniform"), (f"fc{j}_b", (units,), "zeros")]
         prev = units
-    params.init_uniform("out_w", (prev, 1), rng)
-    params.init_zeros("out_b", (1,))
-    return params
+    return layout + [("out_w", (prev, 1), "uniform"), ("out_b", (1,), "zeros")]
+
+
+def init_coherence_params(config: CoherenceConfig, rng: np.random.Generator) -> ParamStore:
+    return nm.init_params(param_layout(config), rng)
 
 
 def _check_ids(ids, config: CoherenceConfig, which: str) -> np.ndarray:

@@ -85,30 +85,36 @@ class ExtractorConfig:
 _GRU_GATES = ("z", "r", "h")
 
 
-def init_extractor_params(config: ExtractorConfig, rng: np.random.Generator) -> ParamStore:
-    """Fresh parameters: uniform [-0.08, 0.08] weights, zero biases."""
-    params = ParamStore()
-    params.init_uniform("embed", (config.vocab_size, config.embed_dim), rng)
+def param_layout(config: ExtractorConfig) -> list[tuple[str, tuple, str]]:
+    """Every parameter as (name, shape, init) in draw order (`numeric.init_params`)."""
+    layout = [("embed", (config.vocab_size, config.embed_dim), "uniform")]
     for k, f in zip(config.word_kernels, config.word_filters):
-        params.init_uniform(f"conv{k}_w", (k * config.embed_dim, f), rng)
-        params.init_zeros(f"conv{k}_b", (f,))
+        layout += [(f"conv{k}_w", (k * config.embed_dim, f), "uniform"),
+                   (f"conv{k}_b", (f,), "zeros")]
     for direction in ("fwd", "bwd"):
         for gate in _GRU_GATES:
-            params.init_uniform(f"gru_{direction}_{gate}_w", (config.word_dim, config.gru_hidden), rng)
-            params.init_uniform(f"gru_{direction}_{gate}_v", (config.gru_hidden, config.gru_hidden), rng)
-            params.init_zeros(f"gru_{direction}_{gate}_b", (config.gru_hidden,))
-    params.init_uniform("doc_w", (config.context_dim, config.doc_dim), rng)
-    params.init_zeros("doc_b", (config.doc_dim,))
-    params.init_uniform("select_w", (config.context_dim, config.select_dim), rng)
+            prefix = f"gru_{direction}_{gate}"
+            layout += [(f"{prefix}_w", (config.word_dim, config.gru_hidden), "uniform"),
+                       (f"{prefix}_v", (config.gru_hidden, config.gru_hidden), "uniform"),
+                       (f"{prefix}_b", (config.gru_hidden,), "zeros")]
     mlp_in = config.context_dim + config.select_dim + config.doc_dim
     m1, m2 = config.mlp_hidden
-    params.init_uniform("mlp_w1", (mlp_in, m1), rng)
-    params.init_zeros("mlp_b1", (m1,))
-    params.init_uniform("mlp_w2", (m1, m2), rng)
-    params.init_zeros("mlp_b2", (m2,))
-    params.init_uniform("mlp_w3", (m2, 1), rng)
-    params.init_zeros("mlp_b3", (1,))
-    return params
+    return layout + [
+        ("doc_w", (config.context_dim, config.doc_dim), "uniform"),
+        ("doc_b", (config.doc_dim,), "zeros"),
+        ("select_w", (config.context_dim, config.select_dim), "uniform"),
+        ("mlp_w1", (mlp_in, m1), "uniform"),
+        ("mlp_b1", (m1,), "zeros"),
+        ("mlp_w2", (m1, m2), "uniform"),
+        ("mlp_b2", (m2,), "zeros"),
+        ("mlp_w3", (m2, 1), "uniform"),
+        ("mlp_b3", (1,), "zeros"),
+    ]
+
+
+def init_extractor_params(config: ExtractorConfig, rng: np.random.Generator) -> ParamStore:
+    """Fresh parameters: uniform [-0.08, 0.08] weights, zero biases."""
+    return nm.init_params(param_layout(config), rng)
 
 
 def sentence_vectors(doc: Document, params: ParamStore, config: ExtractorConfig) -> Tensor:

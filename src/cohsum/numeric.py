@@ -11,13 +11,13 @@ is 64-bit so finite-difference gradient checks are decisive.
   every entry is, so no mask the size of a large result is made
   (`_all_finite`).
 - Row-sparse table gradients: `gather_rows` backward records (indices, g)
-  segments on the table instead of scattering into a zero-filled table.
-  `gradients` hands a leaf reached only that way out as a `RowGrad` (the
-  touched rows and their summed gradient) and `sgd_step` updates those rows
-  only. The segments are summed with `np.add.at` in the order they were
-  recorded, so every entry is bit-identical to the dense scatter. A table that
-  a dense op also reaches, that is not a leaf, or whose segments hold as many
-  rows as the table itself, is densified first.
+  segments on the table instead of scattering into a zero-filled table. A
+  leaf reached only that way is handed to `sgd_step` as those segments,
+  which sums them per touched row with one `np.add.at` in the order they
+  were recorded, so every entry is bit-identical to the dense scatter, and
+  updates those rows only. A table that a dense op also reaches, that is not
+  a leaf, or whose segments hold as many rows as the table itself, is
+  densified first.
 - Forward-only mode: inside `no_tape()` every op result is a plain Tensor
   with no parents and no backward closure, so each intermediate is freed as
   soon as nothing reads it. Inference (beam decoding, the frozen coherence
@@ -27,7 +27,10 @@ is 64-bit so finite-difference gradient checks are decisive.
   input hands it to `_accumulate` with `owned=True`, and the first gradient
   of that input is stored without a copy. `reshape`, `concat` and `tsum`
   pass on views of another buffer, and `add` passes one array to both of its
-  inputs, so the first gradient they give is copied.
+  inputs, so the first gradient they give is copied. Copying every first
+  gradient instead raised the supervised benchmark's `peak_rss_mb` from
+  132.1 to 165.0 MB (seed 1, two runs each), because the coherence scorer's
+  33.5 MB fc1 weight gradient is then copied.
 - Constant operands: `add`, `mul` and `matmul` skip the gradient of an
   operand that has no tape (no `requires_grad`, no parents), such as the
   returns of a policy-gradient surrogate; its `.grad` stays None.
@@ -52,8 +55,8 @@ is 64-bit so finite-difference gradient checks are decisive.
   `SGD_BLOCK` elements at a time, so lr * g never takes a parameter's size in
   memory, checks each block it writes to be finite, and only reads the
   gradients it is handed.
-- Stepping inside backward: `gradients` is the one walk of the tape, and
-  given a step size it is also the optimizer. Before the walk it finds each
+- Stepping inside backward: `gradients` is the one walk of the tape, and it
+  is also the optimizer: it returns nothing. Before the walk it finds each
   parameter's last consumer in reverse topological order; right after that
   node's backward has run the parameter's gradient is complete, and
   `sgd_step` applies it and drops it. So a large gradient (the coherence
@@ -425,9 +428,10 @@ def gather_rows(table, indices) -> Tensor:
     """Rows of a 2-D table selected by an integer vector (embedding lookup).
 
     Backward records (indices, g) as a row segment of the table's gradient
-    instead of scattering into a zero-filled [rows, d] array; `gradients`
-    turns a leaf's segments into a `RowGrad`. Segments that hold as many rows
-    as the table are scattered into a dense gradient, which they would outgrow.
+    instead of scattering into a zero-filled [rows, d] array; `sgd_step`
+    steps only the rows a leaf's segments touch. Segments that hold as many
+    rows as the table are scattered into a dense gradient, which they would
+    outgrow.
     """
     table = _wrap(table)
     idx = np.asarray(indices, dtype=np.intp)
@@ -850,48 +854,28 @@ class ParamStore:
             p.grad = None
 
 
-class RowGrad:
-    """Gradient of a table of which only some rows were gathered.
+def init_params(layout, rng: np.random.Generator) -> ParamStore:
+    """Fresh parameters from a model's (name, shape, init) layout, drawn from rng in its order.
 
-    Row rows[k] of the gradient is values[k]; every other row is zero.
-    `rows` is sorted and unique. np.asarray(g) gives the dense array.
+    init is "uniform", weights uniform in [-0.08, 0.08], or "zeros", which
+    draws nothing.
     """
-
-    __slots__ = ("rows", "values", "shape")
-
-    def __init__(self, segments, shape: tuple):
-        idx = np.concatenate([i for i, _ in segments])
-        self.rows, where = np.unique(idx, return_inverse=True)
-        self.values = np.zeros((len(self.rows),) + tuple(shape[1:]))
-        # one add.at in segment order gives each row the same additions from
-        # 0.0, in the same order, as scattering the segments into a dense table
-        np.add.at(self.values, where, np.concatenate([g for _, g in segments]))
-        self.shape = tuple(shape)
-
-    def __array__(self, dtype=None, copy=None):
-        dense = np.zeros(self.shape)
-        dense[self.rows] = self.values
-        return dense if dtype is None else dense.astype(dtype)
+    params = ParamStore()
+    for name, shape, init in layout:
+        if init == "uniform":
+            params.init_uniform(name, shape, rng)
+        else:
+            params.init_zeros(name, shape)
+    return params
 
 
-def _take_grad(p: Tensor) -> np.ndarray | RowGrad | None:
-    """p's gradient, a `RowGrad` if it is still row segments, handed out: p keeps no reference."""
-    g = RowGrad(p.grad, p.data.shape) if isinstance(p.grad, list) else p.grad
-    p.grad = None
-    return g
+def gradients(loss: Tensor, params: ParamStore, lr: float) -> None:
+    """One SGD step of size lr on every parameter the loss reaches, in one walk of the tape.
 
-
-def gradients(loss: Tensor, params: ParamStore,
-              lr: float | None = None) -> dict[str, np.ndarray | RowGrad]:
-    """Exact reverse-mode d(loss)/d(p) for every parameter in the store, in one walk of the tape.
-
-    Without lr, a table reached only through `gather_rows` gets a `RowGrad`,
-    every other parameter a dense array, and one the loss does not reach
-    zeros, so the result mirrors the store's keyset. With lr, each parameter
-    instead takes its SGD step (`sgd_step` with its gradient alone) as soon
-    as that gradient is complete, right after the backward of the
-    parameter's last consumer, and the gradient is dropped; the result is
-    then empty, and a parameter the loss does not reach is left as it is.
+    Each parameter's gradient is complete right after the backward of its
+    last consumer; it is then handed to `sgd_step` as the walk leaves it,
+    dense or as `gather_rows` row segments, and dropped. A parameter the loss
+    does not reach is left as it is.
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -917,10 +901,7 @@ def gradients(loss: Tensor, params: ParamStore,
             name = names.pop(id(parent), None)
             if name is not None:
                 complete_after.setdefault(id(node), []).append(name)
-    if id(loss) in names:  # the loss is itself a parameter
-        complete_after[id(loss)] = [names.pop(id(loss))]
     params.zero_grads()
-    out: dict[str, np.ndarray | RowGrad] = {}
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward_fn is not None:
@@ -929,55 +910,44 @@ def gradients(loss: Tensor, params: ParamStore,
             if node is not loss:
                 node.grad = None  # free intermediate buffers early
         for name in complete_after.get(id(node), ()):
-            # no name outlives the step: the gradient is freed as sgd_step returns
-            if lr is None:
-                out[name] = _take_grad(params[name])
-            elif params[name].grad is not None:
-                sgd_step(params, {name: _take_grad(params[name])}, lr)
-    if lr is not None:
-        return {}
-    return {name: np.zeros_like(p.data) if out.get(name) is None else out[name]
-            for name, p in params.items()}
+            p = params[name]
+            if p.grad is not None:
+                sgd_step(p, p.grad, lr, name)
+                p.grad = None  # no other name holds the gradient: it is freed here
 
 
 SGD_BLOCK = 1 << 14  # elements of a dense update done at once: 128 KiB of lr * g
 LOAD_BLOCK = 1 << 16  # elements of a row-selected tensor read at once: 512 KiB
 
 
-def sgd_step(params: ParamStore, grads: dict[str, np.ndarray | RowGrad], lr: float) -> ParamStore:
-    """p <- p - lr * g in place for each parameter named in grads; a RowGrad updates only its rows.
+def sgd_step(p: Tensor, g: np.ndarray | list, lr: float, name: str) -> None:
+    """p <- p - lr * g in place, with g as the backward walk leaves it on p.
 
-    A parameter that grads does not name is left as it is; a name that is not
-    a parameter, or a gradient of the wrong shape, raises before anything is
-    updated. A dense parameter is updated SGD_BLOCK elements at a time, so the
-    temporary lr * g is one block, not a copy of the parameter; g is only read.
-    A step that makes a value NaN or infinite raises FloatingPointError: the
-    last step of a run has no next forward pass to catch it. Pass negated
-    gradients for an ascent step.
+    g is a dense array, or the (indices, g) row segments that `gather_rows`
+    records, which update only the rows they touch. A dense parameter is
+    updated SGD_BLOCK elements at a time, so the temporary lr * g is one
+    block, not a copy of the parameter; g is only read. A step that makes a
+    value NaN or infinite raises FloatingPointError naming the parameter: the
+    last step of a run has no next forward pass to catch it.
     """
-    unknown = sorted(set(grads) - set(params.names()))
-    if unknown:
-        raise ValueError(f"gradients name no parameter: {unknown}")
-    for name, g in grads.items():
-        if g.shape != params[name].data.shape:
-            raise ShapeError(f"gradient for {name!r} has shape {g.shape}, "
-                             f"parameter {params[name].data.shape}")
-    for name, g in grads.items():
-        p = params[name]
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below, not warned
-            if isinstance(g, RowGrad):
-                rows = p.data[g.rows] - lr * g.values
-                if not _all_finite(rows):
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, not warned
+        if isinstance(g, list):
+            rows, where = np.unique(np.concatenate([i for i, _ in g]), return_inverse=True)
+            values = np.zeros((len(rows),) + p.data.shape[1:])
+            # one add.at in segment order gives each row the same additions from
+            # 0.0, in the same order, as scattering the segments into a dense table
+            np.add.at(values, where, np.concatenate([s for _, s in g]))
+            stepped = p.data[rows] - lr * values
+            if not _all_finite(stepped):
+                raise FloatingPointError(_stepped_non_finite(name))
+            p.data[rows] = stepped
+            return
+        with np.nditer([p.data, g], flags=["external_loop", "buffered", "zerosize_ok"],
+                       op_flags=[["readwrite"], ["readonly"]], buffersize=SGD_BLOCK) as blocks:
+            for p_block, g_block in blocks:
+                p_block -= lr * g_block
+                if not _all_finite(p_block):
                     raise FloatingPointError(_stepped_non_finite(name))
-                p.data[g.rows] = rows
-                continue
-            with np.nditer([p.data, g], flags=["external_loop", "buffered", "zerosize_ok"],
-                           op_flags=[["readwrite"], ["readonly"]], buffersize=SGD_BLOCK) as blocks:
-                for p_block, g_block in blocks:
-                    p_block -= lr * g_block
-                    if not _all_finite(p_block):
-                        raise FloatingPointError(_stepped_non_finite(name))
-    return params
 
 
 def _stepped_non_finite(name: str) -> str:

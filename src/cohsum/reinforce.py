@@ -137,8 +137,9 @@ def policy_gradient_step(
     """One ascent step on the surrogate sum_t R_t * log pi(y_t | state_t).
 
     `enc` is `doc` encoded under `params`; the gradient flows back through
-    its tape, and each parameter steps as soon as its gradient is complete
-    (`numeric.gradients` with a step size). All returns are treated as
+    its tape, and `numeric.gradients` steps each parameter by alpha times
+    the negated surrogate's gradient as soon as that gradient is complete,
+    so no gradient outlives its step. All returns are treated as
     constants and every gradient is evaluated at the pre-update parameters,
     so the step equals the per-t update loop applied jointly.
     """

@@ -37,6 +37,46 @@ def finite_difference_grads(loss_fn, params: ParamStore, step: float = 1e-5) -> 
     return grads
 
 
+def sgd_hand_offs(loss, params: ParamStore) -> list[tuple[str, object]]:
+    """(name, gradient) for every hand-off to `sgd_step` in `nm.gradients(loss, params, 1.0)`.
+
+    `nm.sgd_step` is replaced by a recorder for the walk, the same binding
+    the benchmark's tracer wraps, so nothing steps. Each gradient is as the
+    walk leaves it: a dense array, or `gather_rows`'s (indices, g) segments.
+    """
+    handed = []
+    step = nm.sgd_step
+    nm.sgd_step = lambda p, g, lr, name: handed.append((name, g))
+    try:
+        nm.gradients(loss, params, 1.0)
+    finally:
+        nm.sgd_step = step
+    return handed
+
+
+def dense_gradient(g, shape: tuple) -> np.ndarray:
+    """A handed-over gradient as a dense array: segments scattered in order, None as zeros."""
+    if isinstance(g, np.ndarray):
+        return g
+    dense = np.zeros(shape)
+    for idx, segment in g or ():
+        np.add.at(dense, idx, segment)
+    return dense
+
+
+def gradients_of(loss, params: ParamStore, dense: bool = True) -> dict:
+    """d(loss)/d(p) per parameter, as the walk of `nm.gradients` hands it to `sgd_step`.
+
+    By default every parameter is named, with a dense array (`dense_gradient`):
+    zeros for one the loss does not reach. With dense=False only the
+    parameters handed over are named, each gradient as it was handed.
+    """
+    handed = dict(sgd_hand_offs(loss, params))
+    if not dense:
+        return handed
+    return {name: dense_gradient(handed.get(name), p.data.shape) for name, p in params.items()}
+
+
 def assert_grads_close(analytic: dict, numeric: dict, rel_tol: float = 1e-4,
                        abs_tol: float = 1e-9) -> None:
     """Relative error below rel_tol, with an absolute floor for the FD noise.

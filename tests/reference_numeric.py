@@ -9,7 +9,7 @@ windows from a flat index table and scatters backward with `np.add.at`;
 `layer1_grid` is the full [T, T, F] interaction grid of the coherence scorer,
 before the fused first pool; `two_pass_step` is training before parameters
 stepped inside backward: a walk of the whole tape that leaves every gradient
-on its parameter, then one `sgd_step` over all of them. The code in `cohsum`
+on its parameter, then one `nm.sgd_step` per parameter. The code in `cohsum`
 is tested against these functions. `sigmoid` is here because only the tests
 and the per-step policy reference use it.
 """
@@ -95,11 +95,12 @@ def topological_order(loss: Tensor) -> list[Tensor]:
 
 
 def two_pass_step(loss: Tensor, params: ParamStore, lr: float) -> ParamStore:
-    """One backward walk that leaves every gradient on its parameter, then one `sgd_step`.
+    """One backward walk that leaves every gradient on its parameter, then the steps.
 
     The walk runs every node's backward in reverse topological order, as
-    `gradients` does, but steps nothing until it ends; then every parameter
-    steps at once, a table reached only through `gather_rows` by its `RowGrad`.
+    `gradients` does, but steps nothing until it ends; then `nm.sgd_step`
+    steps each parameter the loss reached with its gradient as the walk left
+    it, a table reached only through `gather_rows` by its row segments.
     """
     params.zero_grads()
     loss.grad = np.ones_like(loss.data)
@@ -109,11 +110,11 @@ def two_pass_step(loss: Tensor, params: ParamStore, lr: float) -> ParamStore:
                 node._backward_fn(nm._dense_grad(node))
             if node is not loss:
                 node.grad = None
-    grads = {name: np.zeros_like(p.data) if p.grad is None
-             else nm.RowGrad(p.grad, p.data.shape) if isinstance(p.grad, list) else p.grad
-             for name, p in params.items()}
-    params.zero_grads()
-    return nm.sgd_step(params, grads, lr)
+    for name, p in params.items():
+        g, p.grad = p.grad, None
+        if g is not None:
+            nm.sgd_step(p, g, lr, name)
+    return params
 
 
 def gather_flat(x, flat_indices) -> Tensor:

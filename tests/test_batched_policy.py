@@ -27,7 +27,13 @@ from cohsum.extractor import (
 from cohsum.numeric import Tensor
 from cohsum.reinforce import Episode, sample_episode, surrogate_objective
 
-from conftest import assert_grads_close, recording_nodes, small_vocab, tiny_extractor_config
+from conftest import (
+    assert_grads_close,
+    gradients_of,
+    recording_nodes,
+    small_vocab,
+    tiny_extractor_config,
+)
 
 REL = 1e-10
 VOCAB = small_vocab()
@@ -100,7 +106,7 @@ def test_replayed_logits_and_pretrain_loss_match_reference(sentences, seed, kind
     loss = pretrain_loss(doc, labels, params, CONFIG)
     ref_loss = ref.pretrain_loss(doc, labels, params, CONFIG)
     _assert_close(loss.item(), ref_loss.item())
-    _assert_grads_close(nm.gradients(loss, params), nm.gradients(ref_loss, params))
+    _assert_grads_close(gradients_of(loss, params), gradients_of(ref_loss, params))
 
 
 @given(document_st, seed_st, st.sampled_from(["random", "zeros", "ones"]))
@@ -114,7 +120,7 @@ def test_policy_gradient_surrogate_matches_reference(sentences, seed, kind):
     surrogate = surrogate_objective(params, doc, encode_document(doc, params, CONFIG), episode)
     expected = ref.pg_surrogate(doc, decisions, returns, params, CONFIG)
     _assert_close(surrogate.item(), expected.item())
-    _assert_grads_close(nm.gradients(surrogate, params), nm.gradients(expected, params))
+    _assert_grads_close(gradients_of(surrogate, params), gradients_of(expected, params))
 
 
 @given(document_st, seed_st)

@@ -18,7 +18,7 @@ from cohsum.cli import _config, build_parser, child_rng, run
 from cohsum.coherence import CoherenceConfig, coherence_forward
 from cohsum.corpus import load_corpus, load_vocab, placeholder_sentence
 from cohsum.extractor import ExtractorConfig, init_extractor_params
-from cohsum.numeric import load_checkpoint, save_checkpoint
+from cohsum.numeric import ParamStore, load_checkpoint, save_checkpoint
 from cohsum.reinforce import RLConfig, train_rnes
 from cohsum.rouge import RewardWeights
 
@@ -528,6 +528,63 @@ def test_bad_checkpoint_exits_1_with_one_error_line(corpus, tmp_path, caplog, mo
     message = _one_error_line(caplog)
     assert str(ckpt) in message and expected in message
     assert loads == []  # the header is checked before any tensor is read
+
+
+def _edit_tensor(ckpt, name, data):
+    """Rewrite checkpoint `ckpt` with tensor `name` set to data, or dropped if data is None."""
+    params = load_checkpoint(ckpt)
+    edited = ParamStore()
+    edited.meta = params.meta
+    for key, p in params.items():
+        if key != name:
+            edited.add(key, p.data)
+    if data is not None:
+        edited.add(name, data)
+    save_checkpoint(edited, ckpt)
+
+
+@pytest.mark.parametrize("command", ["summarize", "train-rnes"])
+@pytest.mark.parametrize("name, data, expected", [
+    ("mlp_b3", None, "no tensor 'mlp_b3', which the model in its header has"),
+    ("embed", np.zeros((3, 6)), "'embed'"),  # 3 rows for the 11-entry vocabulary
+    ("mlp_w3", np.zeros((4, 2)), "tensor 'mlp_w3' has shape (4, 2), the model in its header "
+                                 "needs (4, 1)"),
+    ("mlp_b4", np.zeros(1), "tensor 'mlp_b4' is not a parameter of the model in its header"),
+], ids=["missing", "too few rows", "misshapen", "extra"])
+def test_policy_checkpoint_whose_tensors_do_not_match_its_header_exits_1(
+        corpus, tmp_path, caplog, command, name, data, expected):
+    ckpt = _pretrained(corpus, tmp_path)
+    vocab = tmp_path / "vocab.txt"
+    assert load_vocab(vocab).size == 11
+    _edit_tensor(ckpt, name, data)
+    out = tmp_path / "out"
+    caplog.clear()
+    if command == "summarize":
+        argv = ["summarize", "--checkpoint", str(ckpt), "--out", str(out)]
+    else:
+        argv = ["train-rnes", "--pretrain-checkpoint", str(ckpt), "--out", str(out),
+                "--lambda", "0", "--steps", "1"]
+    assert run(argv + ["--corpus", str(corpus), "--vocab", str(vocab)]) == 1
+    message = _one_error_line(caplog)
+    assert str(ckpt) in message and expected in message
+    assert not out.exists()
+
+
+def test_coherence_checkpoint_whose_tensors_do_not_match_its_header_exits_1(corpus, tmp_path,
+                                                                           caplog):
+    vocab, ckpt = tmp_path / "vocab.txt", tmp_path / "coh.ckpt"
+    assert run(["preprocess", "--corpus", str(corpus), "--out", str(vocab)]) == 0
+    assert run(["train-coherence", "--corpus", str(corpus), "--vocab", str(vocab),
+                "--out", str(ckpt), "--epochs", "0"] + TINY_COHERENCE[:-2]) == 0
+    _edit_tensor(ckpt, "out_w", np.zeros((8, 2)))
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("river stone\tlight cloud\n")
+    caplog.clear()
+    assert run(["score-coherence", "--checkpoint", str(ckpt), "--vocab", str(vocab),
+                "--pairs", str(pairs), "--out", str(tmp_path / "s.txt")]) == 1
+    message = _one_error_line(caplog)
+    assert str(ckpt) in message and "tensor 'out_w' has shape (8, 2)" in message
+    assert not (tmp_path / "s.txt").exists()
 
 
 def test_score_coherence_rejects_a_policy_checkpoint_before_reading_it(corpus, tmp_path, caplog,

@@ -24,6 +24,7 @@ from cohsum.corpus import CoherenceTriplet, Vocabulary, make_sentence, placehold
 from conftest import (
     assert_grads_close,
     finite_difference_grads,
+    gradients_of,
     logged_epoch_losses,
     recording_nodes,
     small_vocab,
@@ -221,7 +222,7 @@ def _pair_gradient_scales(triplets, params, config) -> dict:
     for tr in triplets:
         for second in (tr.positive, tr.negative):
             score = reference_coherence.forward(tr.anchor.ids, second.ids, params, config)
-            for name, g in nm.gradients(score.sum(), params).items():
+            for name, g in gradients_of(score.sum(), params).items():
                 scales[name] = max(scales[name], float(np.max(np.abs(np.asarray(g)))))
     return scales
 
@@ -309,9 +310,9 @@ def test_batched_triplet_loss_and_gradients_match_the_per_triplet_reference(sent
     triplets = [CoherenceTriplet(*(_make(w, vocab, config) for w in words), positions=(0, 1, 2))
                 for words in sentences]
     fast_loss = triplet_loss(triplets, params, config)
-    fast_grads = nm.gradients(fast_loss, params)
+    fast_grads = gradients_of(fast_loss, params)
     ref_loss = reference_coherence.batch_loss(triplets, params, config)
-    ref_grads = nm.gradients(ref_loss, params)
+    ref_grads = gradients_of(ref_loss, params)
     assert fast_loss.item() == pytest.approx(ref_loss.item(), rel=1e-10, abs=1e-15)
     scales = _pair_gradient_scales(triplets, params, config)
     for name in params.names():
@@ -412,7 +413,7 @@ def test_triplet_of_padded_sentences_gradient_matches_finite_differences(vocab, 
                                make_sentence("alpha beta gamma", vocab, config.max_tokens),
                                make_sentence("delta epsilon epsilon", vocab, config.max_tokens),
                                positions=(0, 1, 2))
-    analytic = nm.gradients(triplet_loss([triplet], params, config), params)
+    analytic = gradients_of(triplet_loss([triplet], params, config), params)
     numeric_grads = finite_difference_grads(
         lambda: triplet_loss([triplet], params, config).item(), params
     )
@@ -471,7 +472,7 @@ def test_triplet_loss_gradient_matches_finite_differences(vocab, rng):
     # default near-zero init straddles at finite-difference step size
     _spread(params, rng)
     triplet = _triplet(vocab, config, "alpha beta gamma delta", "beta gamma", "zeta eta theta")
-    analytic = nm.gradients(triplet_loss([triplet], params, config), params)
+    analytic = gradients_of(triplet_loss([triplet], params, config), params)
     numeric_grads = finite_difference_grads(
         lambda: triplet_loss([triplet], params, config).item(), params
     )
@@ -505,7 +506,7 @@ def test_batch_triplet_loss_gradient_matches_finite_differences(vocab, rng):
     triplets = [_triplet(vocab, config, *c) for c in (active[0], met, active[1])]
     assert [reference_coherence.triplet_loss(t, params, config).item() == 0.0
             for t in triplets] == [False, True, False]
-    analytic = nm.gradients(triplet_loss(triplets, params, config), params)
+    analytic = gradients_of(triplet_loss(triplets, params, config), params)
     numeric_grads = finite_difference_grads(
         lambda: triplet_loss(triplets, params, config).item(), params
     )

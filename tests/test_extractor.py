@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from cohsum import numeric as nm
 from cohsum.corpus import Vocabulary, make_document, make_sentence
 from cohsum.extractor import encode_document, init_extractor_params, pretrain, pretrain_loss
 from cohsum.numeric import ParamStore, Tensor
@@ -21,6 +20,7 @@ from reference_policy import (
 from conftest import (
     assert_grads_close,
     finite_difference_grads,
+    gradients_of,
     logged_epoch_losses,
     small_vocab,
     tape_holdings,
@@ -264,7 +264,7 @@ def test_pretrain_loss_gradient_matches_finite_differences(vocab, rng):
     doc = make_document("d", ["alpha beta gamma", "delta epsilon", "zeta eta theta"],
                         ["alpha beta"], vocab=vocab, max_tokens=config.max_tokens)
     labels = [1, 0, 1]
-    analytic = nm.gradients(pretrain_loss(doc, labels, params, config), params)
+    analytic = gradients_of(pretrain_loss(doc, labels, params, config), params)
     numeric_grads = finite_difference_grads(
         lambda: pretrain_loss(doc, labels, params, config).item(), params
     )
@@ -304,7 +304,7 @@ def test_full_model_gradient_check_spec_dims(rng):
     doc = make_document("d", ["alpha beta gamma delta", "epsilon zeta", "eta theta iota"],
                         ["alpha beta"], vocab=vocab, max_tokens=config.max_tokens)
     labels = [0, 1, 1]
-    analytic = nm.gradients(pretrain_loss(doc, labels, params, config), params)
+    analytic = gradients_of(pretrain_loss(doc, labels, params, config), params)
     numeric_grads = finite_difference_grads(
         lambda: pretrain_loss(doc, labels, params, config).item(), params
     )

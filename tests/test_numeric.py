@@ -15,7 +15,6 @@ from cohsum import numeric as nm
 from cohsum.numeric import (
     CheckpointError,
     ParamStore,
-    RowGrad,
     ShapeError,
     Tensor,
     gradients,
@@ -27,7 +26,7 @@ from cohsum.numeric import (
     sgd_step,
 )
 
-from conftest import assert_grads_close, finite_difference_grads, traced_peak
+from conftest import assert_grads_close, finite_difference_grads, gradients_of, traced_peak
 from reference_numeric import sigmoid
 
 
@@ -99,20 +98,20 @@ def test_gradients_require_scalar_loss():
     params = ParamStore()
     w = params.add("w", np.ones((2, 2)))
     with pytest.raises(ValueError, match="scalar"):
-        gradients(w + 1.0, params)
+        gradients(w + 1.0, params, 0.1)
 
 
 def test_gradient_of_sum_is_ones():
     params = ParamStore()
     w = params.add("w", np.arange(4.0).reshape(2, 2))
-    grads = gradients(w.sum(), params)
+    grads = gradients_of(w.sum(), params)
     assert np.array_equal(grads["w"], np.ones((2, 2)))
 
 
 def test_gradient_sigmoid_at_zero():
     params = ParamStore()
     w = params.add("w", 0.0)
-    grads = gradients(sigmoid(w) * 3.0, params)
+    grads = gradients_of(sigmoid(w) * 3.0, params)
     assert grads["w"] == pytest.approx(0.25 * 3.0)
 
 
@@ -120,13 +119,17 @@ def test_unused_parameter_gets_zero_gradient():
     params = ParamStore()
     w = params.add("w", np.ones(3))
     params.add("unused", np.ones((2, 2)))
-    grads = gradients((w * w).sum(), params)
+    grads = gradients_of((w * w).sum(), params)
     assert set(grads) == {"w", "unused"}
     assert np.all(grads["unused"] == 0.0)
+    assert set(gradients_of((w * w).sum(), params, dense=False)) == {"w"}
+    gradients((w * w).sum(), params, 0.1)
+    assert np.array_equal(params["unused"].data, np.ones((2, 2)))
+    assert np.allclose(w.data, 0.8)
 
 
 def _fd_check(build_loss, params):
-    analytic = gradients(build_loss(), params)
+    analytic = gradients_of(build_loss(), params)
     numeric_grads = finite_difference_grads(lambda: build_loss().item(), params)
     assert_grads_close(analytic, numeric_grads)
 
@@ -303,7 +306,7 @@ def test_constant_operands_of_add_mul_and_matmul_get_no_gradient(rng):
         return ((nm.tanh(w) * returns + shift).sum() + ((taken @ w) @ proj).sum()
                 + (2.0 * (w @ proj)).sum())
 
-    gradients(loss(), params)
+    gradients_of(loss(), params)
     assert all(t.grad is None for t in (returns, shift, taken, proj))
     _fd_check(loss, params)
 
@@ -314,9 +317,9 @@ def test_gradients_reject_a_loss_without_tape():
     with nm.no_tape():
         untaped = (w * w).sum()
     with pytest.raises(ValueError, match="no tape"):
-        gradients(untaped, params)
+        gradients(untaped, params, 0.1)
     with pytest.raises(ValueError, match="no tape"):
-        gradients(Tensor(2.0) * 3.0, params)
+        gradients(Tensor(2.0) * 3.0, params, 0.1)
 
 
 def test_no_tape_records_nothing_nests_and_restores_after_an_exception():
@@ -333,7 +336,7 @@ def test_no_tape_records_nothing_nests_and_restores_after_an_exception():
     with pytest.raises(RuntimeError, match="inside"):
         with nm.no_tape():
             raise RuntimeError("inside")
-    assert gradients(taped(), params)["w"].shape == (3,)
+    assert gradients_of(taped(), params)["w"].shape == (3,)
 
 
 # -- fused sequence ops -------------------------------------------------------------
@@ -461,7 +464,7 @@ def test_backward_determinism(rng):
     x = rng.normal(size=(2, 4))
 
     def run():
-        return gradients(nm.tanh(Tensor(x) @ params["w"]).sum(), params)["w"]
+        return gradients_of(nm.tanh(Tensor(x) @ params["w"]).sum(), params)["w"]
 
     first, second = run(), run()
     assert np.array_equal(first, second)
@@ -471,31 +474,27 @@ def test_backward_determinism(rng):
 
 
 def test_sgd_basic_step():
-    params = ParamStore()
-    params.add("p", 1.0)
-    sgd_step(params, {"p": np.array(0.5)}, lr=0.1)
-    assert params["p"].item() == pytest.approx(0.95)
+    p = ParamStore().add("p", 1.0)
+    sgd_step(p, np.array(0.5), 0.1, "p")
+    assert p.item() == pytest.approx(0.95)
 
 
 def test_sgd_zero_gradient_and_zero_lr():
-    params = ParamStore()
-    params.add("p", np.array([1.0, -2.0]))
-    sgd_step(params, {"p": np.zeros(2)}, lr=0.1)
-    assert np.array_equal(params["p"].data, [1.0, -2.0])
-    sgd_step(params, {"p": np.ones(2)}, lr=0.0)
-    assert np.array_equal(params["p"].data, [1.0, -2.0])
+    p = ParamStore().add("p", np.array([1.0, -2.0]))
+    sgd_step(p, np.zeros(2), 0.1, "p")
+    assert np.array_equal(p.data, [1.0, -2.0])
+    sgd_step(p, np.ones(2), 0.0, "p")
+    assert np.array_equal(p.data, [1.0, -2.0])
 
 
 def test_sgd_two_small_steps_equal_one_double_step():
-    grads = {"p": np.array([0.25, -0.5])}
-    a = ParamStore()
-    a.add("p", np.array([1.0, 1.0]))
-    sgd_step(a, grads, 0.1)
-    sgd_step(a, grads, 0.1)
-    b = ParamStore()
-    b.add("p", np.array([1.0, 1.0]))
-    sgd_step(b, grads, 0.2)
-    assert np.allclose(a["p"].data, b["p"].data)
+    g = np.array([0.25, -0.5])
+    a = ParamStore().add("p", np.array([1.0, 1.0]))
+    sgd_step(a, g, 0.1, "p")
+    sgd_step(a, g, 0.1, "p")
+    b = ParamStore().add("p", np.array([1.0, 1.0]))
+    sgd_step(b, g, 0.2, "p")
+    assert np.allclose(a.data, b.data)
 
 
 def test_sgd_step_needs_no_parameter_sized_temporary_and_leaves_the_gradients(rng):
@@ -510,7 +509,8 @@ def test_sgd_step_needs_no_parameter_sized_temporary_and_leaves_the_gradients(rn
     expected = {name: p.data - 0.1 * grads[name] for name, p in params.items()}
     tracemalloc.start()
     try:
-        sgd_step(params, grads, 0.1)
+        for name, p in params.items():
+            sgd_step(p, grads[name], 0.1, name)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -522,21 +522,6 @@ def test_sgd_step_needs_no_parameter_sized_temporary_and_leaves_the_gradients(rn
     assert grads.keys() == handed.keys()
 
 
-def test_sgd_keyset_mismatch_names_parameter():
-    # a name that is no parameter, or a gradient of the wrong shape, raises
-    # before anything moves; a parameter the gradients do not name stays put
-    params = ParamStore()
-    params.add("p", 1.0)
-    params.add("w", np.array([1.0, 2.0]))
-    with pytest.raises(ValueError, match="\\['q'\\]"):
-        sgd_step(params, {"p": np.array(1.0), "q": np.array(1.0)}, 0.1)
-    with pytest.raises(nm.ShapeError, match="'w'"):
-        sgd_step(params, {"p": np.array(1.0), "w": np.ones(3)}, 0.1)
-    assert params["p"].item() == 1.0 and params["w"].data.tolist() == [1.0, 2.0]
-    sgd_step(params, {"w": np.array([10.0, 10.0])}, 0.1)
-    assert params["p"].item() == 1.0 and params["w"].data.tolist() == [0.0, 1.0]
-
-
 def test_dense_sgd_step_that_overflows_raises():
     # the overflow is in the last of three blocks; the step must not pass
     # silently, and it raises rather than warns
@@ -546,16 +531,16 @@ def test_dense_sgd_step_that_overflows_raises():
     g[-1] = -1e308
     with warnings.catch_warnings(), pytest.raises(FloatingPointError, match="'w'"):
         warnings.simplefilter("error")
-        sgd_step(params, {"w": g}, 1e308)
+        sgd_step(params["w"], g, 1e308, "w")
 
 
 def test_row_gradient_sgd_step_that_overflows_raises_and_writes_no_row():
     params = ParamStore()
     params.add("embed", np.ones((4, 2)))
-    g = RowGrad([(np.array([0, 2]), np.array([[1.0, 1.0], [-1e308, 1.0]]))], (4, 2))
+    g = [(np.array([0, 2]), np.array([[1.0, 1.0], [-1e308, 1.0]]))]  # row segments
     with warnings.catch_warnings(), pytest.raises(FloatingPointError, match="'embed'"):
         warnings.simplefilter("error")
-        sgd_step(params, {"embed": g}, 1e308)
+        sgd_step(params["embed"], g, 1e308, "embed")
     assert np.array_equal(params["embed"].data, np.ones((4, 2)))
 
 

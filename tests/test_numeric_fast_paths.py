@@ -7,9 +7,9 @@ whole table in SGD, and gathers sliding windows through flat index tables;
 `windows` + `linear` + `relu`. A grid read past its last row and column (by
 `conv2d` and `max_pool_2x2`) is held to the same op over
 `reference_coherence.repeat_tail`, the concatenation of copied slices.
-`gradients` with a step size, which steps each parameter once its last
-consumer's backward has run, is held to `two_pass_step`, every gradient
-first and then one `sgd_step`.
+`gradients`, which steps each parameter once its last consumer's backward
+has run, is held to `two_pass_step`, every gradient first and then the
+steps; it hands each parameter it reaches to `sgd_step` exactly once.
 The fast paths do the same arithmetic in the same order, so values and
 gradients must agree bit for bit; only the fused layer-1 pool sums its
 gradients over fewer (all-zero) terms, and over the copies of its tail row
@@ -26,11 +26,14 @@ from cohsum import numeric as nm
 from cohsum.coherence import init_coherence_params, interaction_layer1, stack_plan, triplet_loss
 from cohsum.corpus import CoherenceTriplet, make_sentence
 from cohsum.extractor import encode_document, init_extractor_params, pretrain_loss
-from cohsum.numeric import ParamStore, RowGrad, Tensor
+from cohsum.numeric import ParamStore, Tensor
 from cohsum.reinforce import Episode, policy_gradient_step, surrogate_objective
 
 from conftest import (
     assert_grads_close,
+    dense_gradient,
+    gradients_of,
+    sgd_hand_offs,
     small_vocab,
     tiny_coherence_config,
     tiny_extractor_config,
@@ -59,8 +62,8 @@ def _assert_pool_matches_reference(x, seed, row_tail=0, col_tail=0):
     lean = nm.max_pool_2x2(params["x"], rows, cols)
     dense = ref.max_pool_2x2(repeat_tail(params["x"], rows, cols))
     assert _bits(lean.data) == _bits(dense.data)
-    lean_grad = nm.gradients((lean * weights).sum(), params)["x"]
-    dense_grad = nm.gradients((dense * weights).sum(), params)["x"]
+    lean_grad = gradients_of((lean * weights).sum(), params)["x"]
+    dense_grad = gradients_of((dense * weights).sum(), params)["x"]
     assert _bits(lean_grad) == _bits(dense_grad)
 
 
@@ -143,8 +146,8 @@ def test_windows_match_the_flat_index_gather(case, prefilled, seed):
     # with prefilled, a dense use of x, whose backward runs first, fills its
     # gradient and the windows add into it
     extra = (params["x"] * rng.normal(size=shape)).sum() if prefilled else Tensor(0.0)
-    lean_grad = nm.gradients(extra + (lean * weights).sum(), params)["x"]
-    dense_grad = nm.gradients(extra + (dense * weights).sum(), params)["x"]
+    lean_grad = gradients_of(extra + (lean * weights).sum(), params)["x"]
+    dense_grad = gradients_of(extra + (dense * weights).sum(), params)["x"]
     assert _bits(lean_grad) == _bits(dense_grad)
 
 
@@ -192,8 +195,8 @@ def test_conv2d_matches_windows_and_linear(case, prefilled, seed):
     # with prefilled, a dense use of x, whose backward runs first, fills its
     # gradient and the convolution adds into it
     extra = (x * rng.normal(size=shape)).sum() if prefilled else Tensor(0.0)
-    lean_grads = nm.gradients(extra + (lean * weights).sum(), params)
-    dense_grads = nm.gradients(extra + (dense * weights).sum(), params)
+    lean_grads = gradients_of(extra + (lean * weights).sum(), params)
+    dense_grads = gradients_of(extra + (dense * weights).sum(), params)
     for name in ("w", "b"):
         assert _bits(lean_grads[name]) == _bits(dense_grads[name]), name
     if prefilled and (rows, cols) != shape[:2]:
@@ -240,7 +243,7 @@ def test_edge_fold_sums_the_copies_in_order(h, w, rows, cols, channels, kind, rn
     shape = (rows, cols, channels)
     g = rng.normal(size=shape) if kind == "normal" else np.full(shape, -0.0)
     params = _grid_store(rng.normal(size=(h, w, channels)))
-    dense = nm.gradients((repeat_tail(params["x"], rows, cols) * g).sum(), params)["x"]
+    dense = gradients_of((repeat_tail(params["x"], rows, cols) * g).sum(), params)["x"]
     assert _bits(nm._fold_edges(g.copy(), h, w)) == _bits(dense)
 
 
@@ -261,8 +264,8 @@ def test_relu_cross_sum_matches_broadcast_adds(m, n, f, signed_zeros, seed):
     assert _bits(lean.data) == _bits(dense.data)
     # negative upstream gradients on cells the relu cuts give signed zeros
     weights = -np.abs(rng.normal(size=(m, n, f))) if signed_zeros else rng.normal(size=(m, n, f))
-    lean_grads = nm.gradients((nm.tanh(lean) * weights).sum(), params)
-    dense_grads = nm.gradients((nm.tanh(dense) * weights).sum(), params)
+    lean_grads = gradients_of((nm.tanh(lean) * weights).sum(), params)
+    dense_grads = gradients_of((nm.tanh(dense) * weights).sum(), params)
     for name in ("a", "b", "bias"):
         assert _bits(lean_grads[name]) == _bits(dense_grads[name]), name
 
@@ -302,8 +305,8 @@ def test_fused_layer1_pool_matches_pooling_the_full_grid(a_words, b_words, windo
     unfused = ref.max_pool_2x2(ref.layer1_grid(a, b, params, config))[:side, :side]
     assert _bits(fused.data) == _bits(unfused.data)
     weights = rng.normal(size=fused.shape)
-    assert_grads_close(nm.gradients((fused * weights).sum(), params),
-                       nm.gradients((unfused * weights).sum(), params),
+    assert_grads_close(gradients_of((fused * weights).sum(), params),
+                       gradients_of((unfused * weights).sum(), params),
                        rel_tol=1e-12, abs_tol=1e-15)
 
 
@@ -333,7 +336,7 @@ def _gather_loss(gather, params, index_lists, dense_use=False, through_op=False)
 
 row_st = st.integers(min_value=0, max_value=TABLE_ROWS - 1)
 indices_st = st.lists(st.lists(row_st, min_size=1, max_size=12), min_size=1, max_size=4)
-# at most TABLE_ROWS - 1 ids in all, so the gradient stays a RowGrad
+# at most TABLE_ROWS - 1 ids in all, so the gradient stays row segments
 few_indices_st = st.lists(st.lists(row_st, min_size=1, max_size=4), min_size=1, max_size=2)
 
 
@@ -341,18 +344,18 @@ few_indices_st = st.lists(st.lists(row_st, min_size=1, max_size=4), min_size=1, 
 @settings(max_examples=80, deadline=None)
 def test_row_grad_matches_dense_scatter(index_lists, dense_use, through_op, seed):
     params = _table_store(seed % 1000)
-    sparse = nm.gradients(_gather_loss(nm.gather_rows, params, index_lists, dense_use, through_op),
-                          params)
-    dense = nm.gradients(_gather_loss(ref.gather_rows, params, index_lists, dense_use, through_op),
-                         params)
+    loss = lambda gather: _gather_loss(gather, params, index_lists, dense_use, through_op)
+    sparse = gradients_of(loss(nm.gather_rows), params, dense=False)
+    dense = gradients_of(loss(ref.gather_rows), params)
     for name in ("table", "w"):
-        assert _bits(sparse[name]) == _bits(dense[name])
+        assert _bits(dense_gradient(sparse[name], params[name].data.shape)) == _bits(dense[name])
     if dense_use or through_op or sum(map(len, index_lists)) >= TABLE_ROWS:
         assert isinstance(sparse["table"], np.ndarray)
     else:
-        grad = sparse["table"]
-        assert isinstance(grad, RowGrad) and grad.shape == (TABLE_ROWS, 4)
-        assert np.array_equal(grad.rows, np.unique(np.concatenate(index_lists)))
+        segments = sparse["table"]
+        assert isinstance(segments, list)
+        assert sorted(np.concatenate([idx for idx, _ in segments])) == sorted(
+            np.concatenate(index_lists))
 
 
 @pytest.mark.parametrize("n_ids", [TABLE_ROWS - 1, TABLE_ROWS, TABLE_ROWS + 1, 5 * TABLE_ROWS])
@@ -361,20 +364,24 @@ def test_gathers_with_as_many_ids_as_table_rows_give_a_dense_gradient(n_ids):
     ids = np.random.default_rng(n_ids).integers(0, TABLE_ROWS, size=n_ids)
     index_lists = np.array_split(ids, 3)
     params = _table_store(n_ids)
-    sparse = nm.gradients(_gather_loss(nm.gather_rows, params, index_lists), params)["table"]
-    dense = nm.gradients(_gather_loss(ref.gather_rows, params, index_lists), params)["table"]
-    assert isinstance(sparse, np.ndarray if n_ids >= TABLE_ROWS else RowGrad)
-    assert _bits(sparse) == _bits(dense)
+    sparse = gradients_of(_gather_loss(nm.gather_rows, params, index_lists), params,
+                          dense=False)["table"]
+    dense = gradients_of(_gather_loss(ref.gather_rows, params, index_lists), params)["table"]
+    assert isinstance(sparse, np.ndarray if n_ids >= TABLE_ROWS else list)
+    assert _bits(dense_gradient(sparse, (TABLE_ROWS, 4))) == _bits(dense)
 
 
 @given(few_indices_st, st.floats(min_value=-2.0, max_value=2.0), seed_st)
 @settings(max_examples=40, deadline=None)
 def test_sparse_sgd_step_matches_dense(index_lists, lr, seed):
     sparse_params, dense_params = _table_store(seed % 1000), _table_store(seed % 1000)
-    grads = nm.gradients(_gather_loss(nm.gather_rows, sparse_params, index_lists), sparse_params)
-    assert isinstance(grads["table"], RowGrad)
-    nm.sgd_step(sparse_params, grads, lr)
-    ref.sgd_step(dense_params, grads, lr)
+    grads = gradients_of(_gather_loss(nm.gather_rows, sparse_params, index_lists), sparse_params,
+                         dense=False)
+    assert isinstance(grads["table"], list)
+    for name, g in grads.items():
+        nm.sgd_step(sparse_params[name], g, lr, name)
+    ref.sgd_step(dense_params, {name: dense_gradient(g, dense_params[name].data.shape)
+                                for name, g in grads.items()}, lr)
     for name, p in sparse_params.items():
         assert _bits(p.data) == _bits(dense_params[name].data)
 
@@ -385,7 +392,7 @@ def test_sparse_sgd_step_matches_dense(index_lists, lr, seed):
 def _assert_step_matches_two_pass(make_params, build_loss, lr=0.3):
     """`gradients` with lr steps every parameter to the same bits as `ref.two_pass_step`."""
     fused, two_pass, before = make_params(), make_params(), make_params()
-    assert nm.gradients(build_loss(fused), fused, lr) == {}
+    assert nm.gradients(build_loss(fused), fused, lr) is None
     ref.two_pass_step(build_loss(two_pass), two_pass, lr)
     moved = [name for name, p in fused.items() if _bits(p.data) != _bits(before[name].data)]
     assert moved
@@ -422,7 +429,7 @@ def test_pretrain_batch_step_matches_two_pass():
 
 
 def test_policy_gradient_step_matches_two_pass():
-    # the embedding gets a RowGrad (a 200-row table, 50 ids gathered), the head
+    # the embedding gets row segments (a 200-row table, 50 ids gathered), the head
     # reads `mlp_w1` through three slices, and the returns are constants
     vocab = small_vocab()
     config = tiny_extractor_config(200)
@@ -432,13 +439,50 @@ def test_policy_gradient_step_matches_two_pass():
     surrogate = lambda params: surrogate_objective(
         params, doc, encode_document(doc, params, config), episode)
     fused, two_pass, before = make_params(), make_params(), make_params()
-    assert isinstance(nm.gradients(-surrogate(before), before)["embed"], RowGrad)
+    assert isinstance(gradients_of(-surrogate(before), before, dense=False)["embed"], list)
     policy_gradient_step(fused, doc, encode_document(doc, fused, config), episode, 0.3)
     ref.two_pass_step(-surrogate(two_pass), two_pass, 0.3)
     for name, p in fused.items():
         assert _bits(p.data) == _bits(two_pass[name].data), name
     for name in ("embed", "mlp_w1"):
         assert _bits(fused[name].data) != _bits(before[name].data)
+
+
+def _policy_case():
+    config = tiny_extractor_config(200)
+    doc = toy_document("d", np.random.default_rng(8), small_vocab(), n_sentences=5)
+    episode = Episode(decisions=[1, 0, 1, 1, 0], returns=[0.5, -0.25, 1.0, 0.75, 0.125])
+    params = init_extractor_params(config, np.random.default_rng(9))
+    return params, lambda: -surrogate_objective(
+        params, doc, encode_document(doc, params, config), episode)
+
+
+def _coherence_case():
+    vocab = small_vocab()
+    config = tiny_coherence_config(vocab.size, max_tokens=30, conv_filters=(4, 6, 8))
+    sentence = lambda text: make_sentence(text, vocab, config.max_tokens)
+    triplets = [CoherenceTriplet(sentence(a), sentence(p), sentence(n), positions=(0, 1, 2))
+                for a, p, n in [("alpha beta gamma", "delta epsilon", "zeta eta theta"),
+                                ("iota kappa", "alpha beta", "gamma")]]
+    params = init_coherence_params(config, np.random.default_rng(5))
+    return params, lambda: triplet_loss(triplets, params, config) / len(triplets)
+
+
+@pytest.mark.parametrize("case", [_policy_case, _coherence_case], ids=["policy", "coherence"])
+def test_each_reached_parameter_is_handed_to_sgd_step_once(case):
+    # the policy head reads `mlp_w1` through three slices and its `embed` stays
+    # row segments; the triplet loss gathers the coherence `embed` once per sentence
+    params, build_loss = case()
+    unused = params.add("unused", np.ones(3))
+    handed = sgd_hand_offs(build_loss(), params)
+    names = [name for name, _ in handed]
+    assert sorted(names) == sorted(set(params.names()) - {"unused"})
+    if case is _policy_case:
+        assert isinstance(dict(handed)["embed"], list)
+    before = {name: _bits(p.data) for name, p in params.items()}
+    nm.gradients(build_loss(), params, 0.3)
+    assert _bits(unused.data) == before["unused"]
+    assert all(_bits(p.data) != before[name] for name, p in params.items() if name != "unused")
 
 
 def _view_store():
