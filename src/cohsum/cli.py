@@ -28,13 +28,17 @@ without --labels. Sentence geometry comes from one place per stage:
 n-sentence document, so its summaries are never empty. Both methods give
 sentence indices, and a record's summary is the text of those sentences.
 
+Each input is checked once, where it enters, and not again by the library:
+`run` checks the integer flags that set no config field (`AT_LEAST`), each
+config its own fields, and `load_corpus` a corpus, which must hold a record.
 Files paired with the corpus by document id (the `pretrain --labels` file
 and the `evaluate --system` file) must hold exactly the corpus ids: a
 missing or an unknown id fails with one error line naming the file and
 the id, as does a label vector whose length is not its document's
-sentence count after truncation. `evaluate` and `train-rnes` score against
-each document's highlights, so they reject a corpus holding a document
-with none before any work, naming the file and the id.
+sentence count after truncation. The oracle of `label` and `pretrain`,
+`evaluate` and `train-rnes` score against each document's highlights, so
+they reject a corpus holding a document with none before any work, naming
+the file and the id.
 
 `train-rnes` checks its flags, reads the vocabulary, the policy
 checkpoint's header and the corpus, and checks the highlights, before it
@@ -152,12 +156,11 @@ def _load_model(path: str, layout, rows: dict | None = None):
     return params
 
 
-def _at_least(args, least: int, *flags: str) -> None:
-    """Reject a value below `least` of each named integer flag, naming the flag."""
-    for flag in flags:
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value < least:
-            raise ValueError(f"{flag} must be >= {least}, got {value}")
+# The least value of each integer flag that sets no config field (a config
+# checks its own fields, and `load_corpus` checks --max-sentences); `run`
+# checks each flag the command has before the command runs.
+AT_LEAST = {"--seed": 0, "--cap": 1, "--beam": 1, "--triplets-per-doc": 1,
+            "--max-vocab": 4}  # the three specials and one word
 
 
 def _config(cls, args, **given):
@@ -170,7 +173,6 @@ def _config(cls, args, **given):
 
 
 def cmd_preprocess(args) -> int:
-    _at_least(args, 4, "--max-vocab")  # the three specials and one word
     docs = cp.load_corpus(args.corpus, max_sentences=args.max_sentences)
     vocab = cp.build_vocab(docs, args.max_vocab)
     cp.save_vocab(vocab, args.out)
@@ -221,7 +223,6 @@ def _labels(record) -> list[int]:
 
 
 def cmd_label(args) -> int:
-    _at_least(args, 1, "--cap")
     weights = _config(RewardWeights, args)
     docs = list(cp.load_corpus(args.corpus, max_sentences=args.max_sentences))
     _require_highlights(docs, args.corpus)
@@ -234,8 +235,6 @@ def cmd_label(args) -> int:
 
 
 def cmd_train_coherence(args) -> int:
-    _at_least(args, 0, "--seed")
-    _at_least(args, 1, "--triplets-per-doc")
     vocab = cp.load_vocab(args.vocab)
     config = _config(coh.CoherenceConfig, args, vocab_size=vocab.size)
     docs = list(cp.load_corpus(args.corpus, vocab=vocab, max_tokens=config.max_tokens,
@@ -248,7 +247,8 @@ def cmd_train_coherence(args) -> int:
             if triplet is not None:
                 triplets.append(triplet)
     if not triplets:
-        raise ValueError("no documents long enough to sample coherence triplets from")
+        raise cp.CorpusFormatError(f"{args.corpus}: no documents long enough to sample "
+                                   f"coherence triplets from (each needs 3 sentences)")
     params = coh.train_coherence(triplets, config, child_rng(args.seed, "coherence-train"))
     _describe(params, "coherence", config, vocab)
     save_checkpoint(params, args.out)
@@ -257,8 +257,6 @@ def cmd_train_coherence(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    _at_least(args, 0, "--seed")
-    _at_least(args, 1, "--cap")
     vocab = cp.load_vocab(args.vocab)
     config = _config(ex.ExtractorConfig, args, vocab_size=vocab.size)
     docs = list(cp.load_corpus(args.corpus, vocab=vocab, max_tokens=config.max_tokens,
@@ -296,7 +294,6 @@ def _rows_of(ids: np.ndarray, used: np.ndarray) -> np.ndarray:
 
 
 def cmd_train_rnes(args) -> int:
-    _at_least(args, 0, "--seed")
     rl_config = _config(rl.RLConfig, args, weights=_config(RewardWeights, args))
     vocab = cp.load_vocab(args.vocab)
     ext_config = _model_config(args.pretrain_checkpoint, "extractor", ex.ExtractorConfig, vocab)
@@ -338,7 +335,6 @@ def cmd_summarize(args) -> int:
             raise ValueError("--checkpoint is required for beam decoding")
         if not args.vocab:
             raise ValueError("--vocab is required for beam decoding")
-        _at_least(args, 1, "--beam", "--cap")
         vocab = cp.load_vocab(args.vocab)
         config = _model_config(args.checkpoint, "extractor", ex.ExtractorConfig, vocab)
         params = _load_model(args.checkpoint, ex.param_layout(config))
@@ -368,12 +364,11 @@ def cmd_summarize(args) -> int:
 
 
 def _report_selected(counts: list[int]) -> None:
-    if counts:
-        empty = counts.count(0)
-        if empty:
-            log.warning("%d of %d summaries are empty", empty, len(counts))
-        log.info("selected sentences per summary: min %d, median %g, max %d",
-                 min(counts), np.median(counts), max(counts))
+    empty = counts.count(0)
+    if empty:
+        log.warning("%d of %d summaries are empty", empty, len(counts))
+    log.info("selected sentences per summary: min %d, median %g, max %d",
+             min(counts), np.median(counts), max(counts))
 
 
 def cmd_evaluate(args) -> int:
@@ -391,8 +386,6 @@ def cmd_evaluate(args) -> int:
         )
         rows.append((doc_id, scores))
         counts.append(len(summary))
-    if not rows:
-        raise ValueError(f"{args.system}: no system records to evaluate")
     _report_selected(counts)
     header = ["id"]
     for variant in ("r1", "r2", "rl"):
@@ -580,6 +573,10 @@ def run(argv: list[str]) -> int:
         format="%(asctime)s %(levelname)s %(name)s: %(message)s",
     )
     try:
+        for flag, least in AT_LEAST.items():
+            value = getattr(args, flag[2:].replace("-", "_"), least)
+            if value < least:
+                raise ValueError(f"{flag} must be >= {least}, got {value}")
         return args.func(args)
     except (cp.CorpusFormatError, CheckpointError, OSError, ValueError) as exc:
         log.error("%s", exc)

@@ -263,8 +263,6 @@ def train_coherence(
     triplets: list[CoherenceTriplet], config: CoherenceConfig, rng: np.random.Generator
 ) -> ParamStore:
     """Fresh parameters from `rng`, then SGD on the mean hinge loss for config.epochs."""
-    if not triplets:
-        raise ValueError("cannot train the coherence model on an empty triplet set")
     params = init_coherence_params(config, rng)
     return nm.minibatch_sgd(triplets, lambda batch, p: triplet_loss(batch, p, config), params,
                             rng, config.lr, config.batch_size, config.epochs, "coherence")

@@ -91,8 +91,6 @@ class Vocabulary:
 
 def build_vocab(documents: Iterable["Document"], max_size: int) -> Vocabulary:
     """Keep the (max_size - 3) most frequent tokens; ties break lexicographically."""
-    if max_size < 4:
-        raise ValueError(f"max_size must be >= 4 to fit the specials, got {max_size}")
     counts: Counter[str] = Counter()
     for doc in documents:
         for sent in list(doc.sentences) + list(doc.highlights):
@@ -218,9 +216,14 @@ def load_corpus(
     max_tokens: int = DEFAULT_MAX_TOKENS,
     max_sentences: int = DEFAULT_MAX_SENTENCES,
 ) -> Iterator[Document]:
-    """Yield documents in file order; ids stay unencoded when vocab is None."""
+    """Yield documents in file order; ids stay unencoded when vocab is None.
+
+    A file with no record is a `CorpusFormatError` naming it, raised once
+    the file is read to its end.
+    """
     if max_sentences < 1:
         raise ValueError(f"max_sentences must be >= 1, got {max_sentences}")
+    lineno = 0
     for lineno, doc_id, record in jsonl_records(path):
         for key in ("sentences", "highlights"):
             if key not in record:
@@ -236,6 +239,8 @@ def load_corpus(
             )
         except CorpusFormatError as exc:
             raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from exc
+    if not lineno:
+        raise CorpusFormatError(f"{path}: no records; a corpus needs at least one document")
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:
@@ -308,8 +313,6 @@ def generate_oracle_labels(doc: Document, weights: RewardWeights, max_selected: 
     Stops when no addition strictly increases the score against the
     highlights, or after max_selected sentences.
     """
-    if not doc.highlights:
-        raise ValueError(f"document {doc.id!r} has no highlights to label against")
     reference = doc.highlight_tokens()
     selected: set[int] = set()
     best_score = combined_rouge([], reference, weights)

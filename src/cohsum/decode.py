@@ -41,8 +41,6 @@ def beam_search(
     max_selected: int = DEFAULT_MAX_SELECTED,
 ) -> list[int]:
     """Best decision sequence under the policy with exactly min(max_selected, n) ones."""
-    if beam_size < 1:
-        raise ValueError(f"beam size must be >= 1, got {beam_size}")
     with nm.no_tape():
         enc = encode_document(doc, params, config)
     head = policy_head(enc.contexts.data, enc.doc.data, params)

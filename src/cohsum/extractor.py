@@ -63,6 +63,8 @@ class ExtractorConfig:
             raise ValueError(f"mlp_hidden must be exactly two widths, got {self.mlp_hidden}")
         if not self.word_kernels:
             raise ValueError("word_kernels must name at least one kernel size")
+        if len(set(self.word_kernels)) != len(self.word_kernels):  # one conv{k}_* per size
+            raise ValueError(f"word_kernels must not repeat a size, got {self.word_kernels}")
         if len(self.word_kernels) != len(self.word_filters):
             raise ValueError(
                 f"word_kernels {self.word_kernels} and word_filters {self.word_filters} differ in length"
@@ -241,10 +243,6 @@ def pretrain_loss(
     config: ExtractorConfig,
 ) -> Tensor:
     """Teacher-forced negative log-likelihood of the oracle labels."""
-    if len(labels) != doc.n_sentences:
-        raise ValueError(
-            f"document {doc.id!r}: {len(labels)} labels for {doc.n_sentences} sentences"
-        )
     enc = encode_document(doc, params, config)
     return -decision_log_probs(enc, labels, params).sum()
 
@@ -255,8 +253,6 @@ def pretrain(
     rng: np.random.Generator,
 ) -> ParamStore:
     """Fresh parameters from `rng`, then SGD on the mean teacher-forced NLL for config.epochs."""
-    if not labeled_docs:
-        raise ValueError("pretraining needs a non-empty labeled corpus")
     params = init_extractor_params(config, rng)
     return nm.minibatch_sgd(labeled_docs,
                             lambda batch, p: sum(pretrain_loss(*item, p, config) for item in batch),

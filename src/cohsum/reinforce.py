@@ -102,8 +102,6 @@ def immediate_rewards(doc: Document, decisions: list[int], scorer: CoherenceScor
 
 def final_reward(doc: Document, decisions: list[int], weights: RewardWeights) -> float:
     """Combined ROUGE of the extracted summary against the highlights."""
-    if not doc.highlights:
-        raise ValueError(f"document {doc.id!r} has no highlights to reward against")
     candidate = tokens_of(sent for sent, y in zip(doc.sentences, decisions) if y == 1)
     return combined_rouge(candidate, doc.highlight_tokens(), weights)
 
@@ -157,14 +155,11 @@ def train_rnes(
 ) -> ParamStore:
     """REINFORCE loop: sample, score, return, update; documents drawn uniformly.
 
-    The coherence scorer is never invoked when lambda is zero. Each step's
-    rewards and the moving average of the combined reward go to the module
-    logger as one INFO record whose args carry the exact floats.
+    The coherence scorer is None only when lambda is zero, and is never
+    invoked then. Each step's rewards and the moving average of the combined
+    reward go to the module logger as one INFO record whose args carry the
+    exact floats.
     """
-    if not docs:
-        raise ValueError("cannot run policy-gradient training on an empty corpus")
-    if rl_config.lam > 0 and coherence_scorer is None:
-        raise ValueError("lambda > 0 requires a coherence scorer")
     recent_combined: deque[float] = deque(maxlen=MOVING_WINDOW)
     for step in range(1, rl_config.steps + 1):
         doc = docs[int(rng.integers(0, len(docs)))]

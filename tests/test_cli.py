@@ -1,16 +1,20 @@
 """CLI contracts: exit codes, file formats, determinism, stage wiring."""
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cohsum
 from cohsum import cli
@@ -860,6 +864,7 @@ OUT_OF_RANGE = [
     (["train-coherence", "--embed-dim", "0"], "embed_dim"),
     (["pretrain", "--kernels", "0,3"], "word_kernels"),
     (["pretrain", "--kernels", ",", "--filters", ","], "word_kernels"),
+    (["pretrain", "--kernels", "3,3", "--filters", "4,4"], "word_kernels"),
     (["pretrain", "--filters", "0,4"], "word_filters"),
     (["pretrain", "--gru-hidden", "0"], "gru_hidden"),
     (["pretrain", "--doc-dim", "0"], "doc_dim"),
@@ -915,6 +920,176 @@ def test_config_value_out_of_range_exits_1_naming_the_field(corpus, tmp_path, ca
                + argv[1:]) == 1
     assert field in _one_error_line(caplog)
     assert not [name for name in os.listdir(tmp_path) if name.startswith("out")]
+
+
+def test_checkpoint_header_with_a_repeated_word_kernel_exits_1(corpus, tmp_path, caplog,
+                                                               monkeypatch):
+    ckpt = _pretrained(corpus, tmp_path)
+    params = load_checkpoint(ckpt)
+    params.meta["config"]["word_kernels"] = [3, 3]  # two kernels would share conv3_*
+    save_checkpoint(params, ckpt)
+    loads = _recorded_loads(monkeypatch)
+    caplog.clear()
+    assert run(["summarize", "--corpus", str(corpus), "--vocab", str(tmp_path / "vocab.txt"),
+                "--checkpoint", str(ckpt), "--out", str(tmp_path / "s.jsonl")]) == 1
+    message = _one_error_line(caplog)
+    assert str(ckpt) in message and "word_kernels must not repeat a size" in message
+    assert loads == []
+    assert not (tmp_path / "s.jsonl").exists()
+
+
+@pytest.mark.parametrize("stage", ["preprocess", "label", "train-coherence", "pretrain",
+                                   "train-rnes", "summarize beam", "summarize lead3", "evaluate"])
+def test_corpus_with_no_record_exits_1_naming_the_file(corpus, tmp_path, caplog, capsys,
+                                                       monkeypatch, stage):
+    ckpt = _pretrained(corpus, tmp_path)
+    vocab = str(tmp_path / "vocab.txt")
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")  # a blank line is no record
+    out = tmp_path / "out"
+    out.mkdir()
+    io = ["--corpus", str(empty), "--out", str(out / "result")]
+    argv = {
+        "preprocess": ["preprocess"] + io,
+        "label": ["label"] + io,
+        "train-coherence": ["train-coherence", "--vocab", vocab] + io + TINY_COHERENCE,
+        "pretrain": ["pretrain", "--vocab", vocab] + io + TINY_EXTRACTOR,
+        "train-rnes": ["train-rnes", "--vocab", vocab, "--pretrain-checkpoint", str(ckpt),
+                       "--lambda", "0"] + io,
+        "summarize beam": ["summarize", "--vocab", vocab, "--checkpoint", str(ckpt)] + io,
+        "summarize lead3": ["summarize", "--method", "lead3"] + io,
+        # the reference corpus is read before the system file
+        "evaluate": ["evaluate", "--reference", str(empty), "--system", str(empty)],
+    }[stage]
+    loads = _recorded_loads(monkeypatch)
+    capsys.readouterr()
+    caplog.clear()
+    assert run(argv) == 1
+    assert _one_error_line(caplog) == f"{empty}: no records; a corpus needs at least one document"
+    assert loads == [] or stage == "summarize beam"  # train-rnes reads no tensor first
+    assert os.listdir(out) == [] and capsys.readouterr().out == ""
+
+
+def test_train_coherence_on_documents_too_short_for_a_triplet_exits_1(tmp_path, caplog):
+    corpus = tmp_path / "short.jsonl"
+    corpus.write_text("".join(  # a triplet needs three sentences
+        json.dumps({"id": f"d{n}", "sentences": WORDS[:n], "highlights": WORDS[:1]}) + "\n"
+        for n in (1, 2)))
+    vocab = tmp_path / "vocab.txt"
+    assert run(["preprocess", "--corpus", str(corpus), "--out", str(vocab)]) == 0
+    caplog.clear()
+    assert run(["train-coherence", "--corpus", str(corpus), "--vocab", str(vocab),
+                "--out", str(tmp_path / "coh.ckpt")] + TINY_COHERENCE) == 1
+    message = _one_error_line(caplog)
+    assert message.startswith(f"{corpus}: no documents long enough to sample coherence "
+                              f"triplets from")
+    assert sorted(os.listdir(tmp_path)) == ["short.jsonl", "vocab.txt"]
+
+
+# -- generated flag values -----------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(tmp_path_factory):
+    """The base argv of each stage that has a numeric flag, at tiny geometry, sans --out."""
+    root = tmp_path_factory.mktemp("stage_inputs")
+    corpus, vocab = str(root / "corpus.jsonl"), str(root / "vocab.txt")
+    coh_ckpt, pre_ckpt = str(root / "coh.ckpt"), str(root / "pre.ckpt")
+    _make_corpus(corpus)
+    assert run(["preprocess", "--corpus", corpus, "--out", vocab]) == 0
+    assert run(["train-coherence", "--corpus", corpus, "--vocab", vocab, "--out", coh_ckpt,
+                "--epochs", "0"] + TINY_COHERENCE[:-2]) == 0
+    assert run(["pretrain", "--corpus", corpus, "--vocab", vocab, "--out", pre_ckpt,
+                "--epochs", "0"] + TINY_EXTRACTOR) == 0
+    return root, {
+        "preprocess": ["preprocess", "--corpus", corpus],
+        "label": ["label", "--corpus", corpus],
+        "train-coherence": ["train-coherence", "--corpus", corpus, "--vocab", vocab]
+                           + TINY_COHERENCE + ["--epochs", "1"],
+        "pretrain": ["pretrain", "--corpus", corpus, "--vocab", vocab, "--epochs", "1"]
+                    + TINY_EXTRACTOR,
+        "train-rnes": ["train-rnes", "--corpus", corpus, "--vocab", vocab,
+                       "--pretrain-checkpoint", pre_ckpt, "--coherence-checkpoint", coh_ckpt,
+                       "--steps", "2"],
+        "summarize beam": ["summarize", "--corpus", corpus, "--vocab", vocab,
+                           "--checkpoint", pre_ckpt],
+        "summarize lead3": ["summarize", "--corpus", corpus, "--method", "lead3"],
+    }
+
+
+# least values of the config fields that are not sizes (`numeric.check_config`, `RLConfig`);
+# every other config size is at least 1, and so is --max-sentences (`load_corpus`)
+LEAST_OF_FIELD = {"epochs": 0, "steps": 0}
+FLOAT_VALUES = ["-1", "0", "0.5", "nan", "inf", "-inf"]
+
+
+def _numeric_flags(parser) -> list[tuple[str, argparse.Action]]:
+    """(subcommand, action) of every int, float and int-tuple option of every subcommand."""
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [(name, action) for name, p in subparsers.choices.items() for action in p._actions
+            if action.type in (int, float, cli._int_tuple)]
+
+
+def _flag_value(parser, action, base, data) -> str:
+    """A drawn value of a flag: ints from its least value - 2 to + 1, floats from FLOAT_VALUES.
+
+    An int tuple keeps its base entries but one, which is drawn like an int.
+    """
+    if action.type is float:
+        return data.draw(st.sampled_from(FLOAT_VALUES))
+    flag = action.option_strings[0]
+    least = cli.AT_LEAST.get(flag, LEAST_OF_FIELD.get(action.dest, 1))
+    value = data.draw(st.integers(least - 2, least + 1))
+    if action.type is int:
+        return str(value)
+    entries = list(getattr(parser.parse_args(base + ["--out", "o"]), action.dest))
+    entries[data.draw(st.integers(0, len(entries) - 1))] = value
+    return ",".join(map(str, entries))
+
+
+# caplog is cleared at the start of each example
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_flag_value_exits_0_or_1_with_one_error_line_and_no_output(stage_inputs, caplog,
+                                                                       data):
+    root, bases = stage_inputs
+    parser = build_parser()
+    stage, action = data.draw(st.sampled_from(
+        [(stage, action) for name, action in _numeric_flags(parser) for stage in bases
+         if stage.split()[0] == name]), label="flag")
+    base = bases[stage]
+    value = _flag_value(parser, action, base, data)
+    out_dir = tempfile.mkdtemp(dir=root)
+    caplog.clear()
+    code = run(base + ["--out", os.path.join(out_dir, "out"),
+                       f"{action.option_strings[0]}={value}"])
+    left = os.listdir(out_dir)
+    assert code in (0, 1)
+    if code == 1:
+        _one_error_line(caplog)
+        assert left == []  # neither the output nor its temporary file
+    else:
+        assert not [r for r in caplog.records if r.levelname == "ERROR"] and left == ["out"]
+        os.remove(os.path.join(out_dir, "out"))
+    os.rmdir(out_dir)
+
+
+def test_every_integer_flag_that_sets_no_config_field_has_a_least_value():
+    fields = {f.name for cls in (CoherenceConfig, ExtractorConfig, RLConfig, RewardWeights)
+              for f in dataclasses.fields(cls)}
+    unbounded = {action.option_strings[0] for _, action in _numeric_flags(build_parser())
+                 if action.type is int and action.dest not in fields}
+    # load_corpus checks --max-sentences, and names the field
+    assert unbounded - {"--max-sentences"} == set(cli.AT_LEAST)
+
+
+def test_lead3_rejects_a_beam_size_it_does_not_use(corpus, tmp_path, caplog):
+    caplog.clear()
+    assert run(["summarize", "--corpus", str(corpus), "--method", "lead3", "--beam", "0",
+                "--out", str(tmp_path / "s.jsonl")]) == 1
+    assert _one_error_line(caplog) == "--beam must be >= 1, got 0"
+    assert not (tmp_path / "s.jsonl").exists()
 
 
 # -- parser and packaging --------------------------------------------------------------

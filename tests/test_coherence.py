@@ -581,11 +581,6 @@ def test_paper_geometry_batch_step_frees_each_gradient_once_applied():
     assert fused < BATCH_STEP_PEAK_BOUND < two_pass, (fused, two_pass)
 
 
-def test_train_rejects_empty_stream(config):
-    with pytest.raises(ValueError, match="empty"):
-        train_coherence([], config, np.random.default_rng(0))
-
-
 # -- pairwise accuracy ---------------------------------------------------------------------
 
 

@@ -267,12 +267,6 @@ def test_oracle_all_zero_when_nothing_overlaps():
     assert generate_oracle_labels(doc, WEIGHTS, 4) == [0, 0]
 
 
-def test_oracle_requires_highlights():
-    doc = make_document("d", ["something"], [])
-    with pytest.raises(ValueError, match="highlights"):
-        generate_oracle_labels(doc, WEIGHTS, 4)
-
-
 def _subset_score(doc, subset):
     tokens = []
     for i in sorted(subset):

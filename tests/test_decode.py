@@ -89,12 +89,6 @@ def test_single_sentence_document(vocab, config, params):
         assert beam_search(doc, params, config, beam_size=4, max_selected=cap) == [1]
 
 
-def test_beam_rejects_bad_size(vocab, config, params):
-    doc = make_document("d", ["alpha"], ["alpha"], vocab=vocab, max_tokens=config.max_tokens)
-    with pytest.raises(ValueError):
-        beam_search(doc, params, config, beam_size=0)
-
-
 def _sequence_score(enc, params, config, decisions):
     # log-probability of a decision sequence by the graph forward pass
     g = initial_selection(config)

@@ -251,12 +251,6 @@ def test_pretrain_loss_vanishes_when_saturated(vocab, config, params):
     assert loss.item() < 1e-9
 
 
-def test_pretrain_loss_length_mismatch(vocab, config, params):
-    doc = make_document("d", ["alpha"], ["alpha"], vocab=vocab, max_tokens=config.max_tokens)
-    with pytest.raises(ValueError, match="labels"):
-        pretrain_loss(doc, [1, 0], params, config)
-
-
 def test_pretrain_loss_gradient_matches_finite_differences(vocab, rng):
     config = tiny_extractor_config(vocab.size, word_kernels=(2, 3), word_filters=(3, 3),
                                    gru_hidden=3, doc_dim=4, mlp_hidden=(5, 3), max_tokens=6)
@@ -352,8 +346,3 @@ def test_pretrain_reduces_loss(vocab, rng, caplog):
     losses = logged_epoch_losses(caplog, "pretrain")
     assert len(losses) == 10
     assert losses[-1] < losses[0]
-
-
-def test_pretrain_rejects_empty_corpus(config):
-    with pytest.raises(ValueError, match="non-empty"):
-        pretrain([], config, np.random.default_rng(0))
