@@ -40,16 +40,18 @@ sentence count after truncation. The oracle of `label` and `pretrain`,
 they reject a corpus holding a document with none before any work, naming
 the file and the id.
 
-`train-rnes` checks its flags, reads the vocabulary, the policy
-checkpoint's header and the corpus, and checks the highlights, before it
-reads any tensor. The policy and the frozen coherence scorer (read only
-with --lambda > 0) see nothing but the corpus sentences and the chain's
-BOUNDARY placeholder, so both keep only the embedding rows of the ids
-those hold, with PAD, UNK and BOUNDARY at rows 0, 1 and 2, and each
-sentence's ids are mapped once to their rows (`_rows_of`). The rows not
-kept are still checked to be finite, and the policy's are written back
-from its source checkpoint when the trained policy is saved, so `--out`
-may name that checkpoint.
+`train-rnes` and `summarize --method beam` check their flags, then read
+the vocabulary, each checkpoint's header and the whole corpus before any
+tensor; `train-rnes` also checks the highlights. Each checkpoint is then
+loaded against the layout of its header's model, which checks every
+tensor's name and shape before its data is read. The policy and the frozen
+coherence scorer of `train-rnes` (read only with --lambda > 0) see nothing
+but the corpus sentences and the chain's BOUNDARY placeholder, so both keep
+only the embedding rows of the ids those hold, with PAD, UNK and BOUNDARY
+at rows 0, 1 and 2; one `np.unique` gives the kept rows and each
+sentence's ids as rows. The rows not kept are still checked to be finite,
+and the policy's are written back from its source checkpoint when the
+trained policy is saved, so `--out` may name that checkpoint.
 
 Every output file is written through `atomic.atomic_write`, so a stage that
 fails leaves no partial output and no temporary file; `score-coherence
@@ -129,31 +131,6 @@ def _model_config(path: str, kind: str, config_cls, vocab: cp.Vocabulary):
         raise CheckpointError(f"{path}: model was trained on another vocabulary of the same size "
                               f"(the tokens or their order differ)")
     return config
-
-
-def _load_model(path: str, layout, rows: dict | None = None):
-    """Checkpoint `path`, once its tensors are those of `layout`, each of its shape.
-
-    `layout` is the model of the header's config (`param_layout`). A
-    row-selected tensor is checked by the shape of the whole tensor in the
-    file. A missing, extra or misshapen tensor is a `CheckpointError` naming
-    the file and the tensor.
-    """
-    params = load_checkpoint(path, rows=rows)
-    shapes = {name: shape for name, shape, _ in layout}
-    for name, shape in shapes.items():
-        if name not in params:
-            raise CheckpointError(f"{path}: no tensor {name!r}, which the model in its header has")
-        source = params.sources.get(name)
-        found = params[name].data.shape if source is None else source.shape
-        if found != shape:
-            raise CheckpointError(f"{path}: tensor {name!r} has shape {found}, "
-                                  f"the model in its header needs {shape}")
-    for name in params.names():
-        if name not in shapes:
-            raise CheckpointError(f"{path}: tensor {name!r} is not a parameter of the model "
-                                  f"in its header")
-    return params
 
 
 # The least value of each integer flag that sets no config field (a config
@@ -279,20 +256,6 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _rows_of(ids: np.ndarray, used: np.ndarray) -> np.ndarray:
-    """The rows of token ids in an embedding table that keeps the rows `used` (sorted ids).
-
-    Each id maps to its position in `used`; an id outside it raises rather
-    than read another word's row.
-    """
-    pos = np.searchsorted(used, ids)
-    missed = (pos == len(used)) | (used[np.minimum(pos, len(used) - 1)] != ids)
-    if missed.any():
-        raise ValueError(f"token id {ids[missed][0]} is not among the "
-                         f"{len(used)} embedding rows kept")
-    return pos
-
-
 def cmd_train_rnes(args) -> int:
     rl_config = _config(rl.RLConfig, args, weights=_config(RewardWeights, args))
     vocab = cp.load_vocab(args.vocab)
@@ -311,17 +274,19 @@ def cmd_train_rnes(args) -> int:
     _require_highlights(docs, args.corpus)
     # both models read only the corpus sentences and the chain's placeholder;
     # the highlights are compared by their tokens
-    used = np.unique(np.concatenate([[cp.PAD_ID, cp.UNK_ID, cp.BOUNDARY_ID]]
-                                    + [s.ids for doc in docs for s in doc.sentences]))
-    for doc in docs:
-        for sent in doc.sentences:
-            sent.ids = _rows_of(sent.ids, used)
-    params = _load_model(args.pretrain_checkpoint, ex.param_layout(ext_config),
-                         rows={"embed": used})
+    specials = [cp.PAD_ID, cp.UNK_ID, cp.BOUNDARY_ID]
+    sentences = [sent for doc in docs for sent in doc.sentences]
+    used, rows = np.unique(np.concatenate([specials] + [sent.ids for sent in sentences]),
+                           return_inverse=True)
+    ends = np.cumsum([len(specials)] + [len(sent.ids) for sent in sentences])
+    for sent, lo, hi in zip(sentences, ends[:-1], ends[1:]):
+        sent.ids = rows[lo:hi]
+    params = load_checkpoint(args.pretrain_checkpoint, rows={"embed": used},
+                             layout=ex.param_layout(ext_config))
     scorer = None
     if rl_config.lam > 0:
-        coh_params = _load_model(args.coherence_checkpoint, coh.param_layout(coh_config),
-                                 rows={"embed": used})
+        coh_params = load_checkpoint(args.coherence_checkpoint, rows={"embed": used},
+                                     layout=coh.param_layout(coh_config))
         scorer = partial(coh.coherence_forward, params=coh_params, config=coh_config)
     rl.train_rnes(docs, params, scorer, rl_config, ext_config, child_rng(args.seed, "train-rnes"))
     save_checkpoint(params, args.out)  # params.meta still describes the model as loaded
@@ -337,9 +302,9 @@ def cmd_summarize(args) -> int:
             raise ValueError("--vocab is required for beam decoding")
         vocab = cp.load_vocab(args.vocab)
         config = _model_config(args.checkpoint, "extractor", ex.ExtractorConfig, vocab)
-        params = _load_model(args.checkpoint, ex.param_layout(config))
-        docs = cp.load_corpus(args.corpus, vocab=vocab, max_tokens=config.max_tokens,
-                              max_sentences=config.max_sentences)
+        docs = list(cp.load_corpus(args.corpus, vocab=vocab, max_tokens=config.max_tokens,
+                                   max_sentences=config.max_sentences))
+        params = load_checkpoint(args.checkpoint, layout=ex.param_layout(config))
     else:
         docs = cp.load_corpus(args.corpus)
     counts = []
@@ -405,7 +370,7 @@ def cmd_evaluate(args) -> int:
 def cmd_score_coherence(args) -> int:
     vocab = cp.load_vocab(args.vocab)
     config = _model_config(args.checkpoint, "coherence", coh.CoherenceConfig, vocab)
-    params = _load_model(args.checkpoint, coh.param_layout(config))
+    params = load_checkpoint(args.checkpoint, layout=coh.param_layout(config))
     name = "stdin" if args.pairs == "-" else args.pairs
     source = (contextlib.nullcontext(sys.stdin) if args.pairs == "-"
               else open(args.pairs, "r", encoding="utf-8"))

@@ -72,11 +72,14 @@ is 64-bit so finite-difference gradient checks are decisive.
   `ParamStore.meta`, before the tensors; `read_header` reads it alone. Each
   tensor is written from its own buffer and read straight into its own
   array, after its declared size is checked against the bytes left in the
-  file. A loader that reads only some rows of a 2-D tensor (an embedding
-  table, of which a corpus reads a few thousand rows) names them in
-  `load_checkpoint`'s `rows`: the tensor then passes through one buffer of
-  `LOAD_BLOCK` elements, every block is checked to be finite, and only those
-  rows are kept. The store records where the tensor came from, and
+  file. Given the model's layout (`load_checkpoint`'s `layout`), each
+  tensor's name and whole shape are checked before that size, so a tensor
+  the model lacks or misshapes fails before its data is read, and one the
+  file lacks fails after the last tensor. A loader that reads only some
+  rows of a 2-D tensor (an embedding table, of which a corpus reads a few
+  thousand rows) names them in `load_checkpoint`'s `rows`: the tensor then
+  passes through one buffer of `LOAD_BLOCK` elements, every block is checked
+  to be finite, and only those rows are kept. The store records where the tensor came from, and
   `save_checkpoint` writes it whole: the same block loop reads the source
   again and writes each block with the kept rows over it, so a trained table
   is never whole in memory either. Every load error is a `CheckpointError`
@@ -346,7 +349,8 @@ def log_sigmoid_np(x):
     return -np.logaddexp(0.0, -x)
 
 
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
+def sigmoid_np(x):
+    """sigmoid(x) of an array or a float, as exp of `log_sigmoid_np`."""
     return np.exp(log_sigmoid_np(x))
 
 
@@ -365,7 +369,7 @@ def log_sigmoid(x) -> Tensor:
     x = _wrap(x)
 
     def backward(g):
-        _accumulate(x, g * _sigmoid_np(-x.data), owned=True)
+        _accumulate(x, g * sigmoid_np(-x.data), owned=True)
 
     return _node(log_sigmoid_np(x.data), (x,), backward)
 
@@ -760,7 +764,7 @@ def gru_sequence(x, weights, biases, recurrent, reverse: bool = False) -> Tensor
     s = np.zeros(h)
     for t in order:
         prev[t] = s
-        zr[t] = _sigmoid_np(proj[t, : 2 * h] + s @ v_zr)
+        zr[t] = sigmoid_np(proj[t, : 2 * h] + s @ v_zr)
         z, r = zr[t, :h], zr[t, h:]
         cand[t] = np.tanh(proj[t, 2 * h :] + (r * s) @ v_h.data)
         s = (1.0 - z) * cand[t] + z * s
@@ -988,16 +992,21 @@ def check_config(config) -> None:
     """Reject a model config with a size that is not an int >= 1, a bad `lr` or a bad `epochs`.
 
     `lr` must be finite and >= 0 (`check_rate`), `epochs` an int >= 0. Every
-    other field is a size: an int, or a tuple of ints such as the per-layer
-    filter counts; a bool is not an int here. The error names the field.
+    other field is a size: an int, or a tuple of ints where the field's
+    default is a tuple, such as the per-layer filter counts; a bool is not an
+    int here. The error names the field.
     """
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         if f.name == "lr":
             check_rate(f.name, value)
             continue
-        entries = value if isinstance(value, tuple) else (value,)
-        what = f"{f.name} entries" if isinstance(value, tuple) else f.name
+        tuple_field = isinstance(f.default, tuple)
+        if isinstance(value, tuple) != tuple_field:
+            raise ValueError(f"{f.name} must be {'a tuple' if tuple_field else 'int'}, "
+                             f"got {value!r}")
+        entries = value if tuple_field else (value,)
+        what = f"{f.name} entries" if tuple_field else f.name
         if any(isinstance(v, bool) or not isinstance(v, int) for v in entries):
             raise ValueError(f"{what} must be int, got {value!r}")
         least = 0 if f.name == "epochs" else 1
@@ -1113,6 +1122,16 @@ def _check_rows(path, name: str, shape: tuple, rows) -> np.ndarray:
     return rows
 
 
+def _check_shape(path, name: str, shape: tuple, shapes: dict) -> None:
+    """Fail unless tensor `name` of the file is one of the model's, of the model's shape."""
+    if name not in shapes:
+        raise CheckpointError(f"{path}: tensor {name!r} is not a parameter of the model "
+                              f"in its header")
+    if shape != shapes[name]:
+        raise CheckpointError(f"{path}: tensor {name!r} has shape {shape}, "
+                              f"the model in its header needs {shapes[name]}")
+
+
 def _non_finite(path, name: str) -> str:
     return f"{path}: tensor {name!r} holds a NaN or infinite value"
 
@@ -1154,18 +1173,24 @@ def read_header(path) -> dict:
         return _read_header(fh, path, os.fstat(fh.fileno()).st_size)
 
 
-def load_checkpoint(path, rows: dict | None = None) -> ParamStore:
+def load_checkpoint(path, rows: dict | None = None, *, layout=None) -> ParamStore:
     """Read a checkpoint tensor by tensor, each straight into its own array.
 
     The returned store's `meta` is the checkpoint's header. Every read is
     checked against the bytes left in the file before anything is allocated,
-    so a corrupt size field fails as truncation. `rows` maps the name of a
-    2-D tensor to sorted unique row ids: only those rows are kept, in order
-    (see `_row_blocks`), and the store's `sources` records where the tensor
-    came from, for `save_checkpoint` to write it whole. Every error is a
-    `CheckpointError` naming the file, and the tensor when there is one.
+    so a corrupt size field fails as truncation. `layout` is the model's
+    (name, shape, init) list that `init_params` reads: each tensor's name and
+    whole shape are checked against it as soon as they are read, before its
+    data, and a tensor of the layout that the file lacks fails after the last
+    one. `rows` maps the name of a 2-D tensor to sorted unique row ids: only
+    those rows are kept, in order (see `_row_blocks`), and the store's
+    `sources` records where the tensor came from, for `save_checkpoint` to
+    write it whole. Every error is a `CheckpointError` naming the file, and
+    the tensor when there is one. `layout` is keyword-only, so the path stays
+    the last positional argument.
     """
     rows = rows or {}
+    shapes = None if layout is None else {name: shape for name, shape, _ in layout}
     with open(path, "rb") as fh:
         stat = os.fstat(fh.fileno())
         read = functools.partial(_read, fh, path, stat.st_size)
@@ -1182,6 +1207,8 @@ def load_checkpoint(path, rows: dict | None = None) -> ParamStore:
                 raise CheckpointError(f"{path}: tensor {name!r} appears twice")
             (rank,) = struct.unpack("<I", read(4, f"tensor {name!r} rank"))
             shape = struct.unpack(f"<{rank}I", read(4 * rank, f"tensor {name!r} shape"))
+            if shapes is not None:
+                _check_shape(path, name, shape, shapes)
             _need(fh, path, stat.st_size, 8 * math.prod(shape), f"tensor {name!r} data")
             if name in rows:
                 kept = _check_rows(path, name, shape, rows[name])
@@ -1198,6 +1225,9 @@ def load_checkpoint(path, rows: dict | None = None) -> ParamStore:
         trailing = stat.st_size - fh.tell()
     if trailing:
         raise CheckpointError(f"{path}: {trailing} trailing bytes after last tensor")
+    absent = [name for name in shapes or () if name not in params]
+    if absent:
+        raise CheckpointError(f"{path}: no tensor {absent[0]!r}, which the model in its header has")
     missing = sorted(set(rows) - set(params.names()))
     if missing:
         raise CheckpointError(f"{path}: no tensor {missing[0]!r} to select rows of")

@@ -72,7 +72,7 @@ def sample_episode(enc: DocumentEncoding, params: ParamStore, rng: np.random.Gen
     decisions: list[int] = []
     for t in range(len(enc.contexts)):
         z = float(head.logits(g, t))
-        p = float(np.exp(nm.log_sigmoid_np(z)))
+        p = float(nm.sigmoid_np(z))
         y = 1 if rng.random() < p else 0
         decisions.append(y)
         if y == 1:

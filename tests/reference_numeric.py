@@ -24,7 +24,7 @@ from cohsum.numeric import ParamStore, Tensor
 
 def sigmoid(x) -> Tensor:
     x = nm._wrap(x)
-    out_data = nm._sigmoid_np(x.data)
+    out_data = nm.sigmoid_np(x.data)
 
     def backward(g):
         nm._accumulate(x, g * out_data * (1.0 - out_data))

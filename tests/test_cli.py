@@ -20,9 +20,9 @@ import cohsum
 from cohsum import cli
 from cohsum.cli import _config, build_parser, child_rng, run
 from cohsum.coherence import CoherenceConfig, coherence_forward
-from cohsum.corpus import load_corpus, load_vocab, placeholder_sentence
+from cohsum.corpus import load_corpus, load_vocab
 from cohsum.extractor import ExtractorConfig, init_extractor_params
-from cohsum.numeric import ParamStore, load_checkpoint, save_checkpoint
+from cohsum.numeric import ParamStore, load_checkpoint, read_header, save_checkpoint
 from cohsum.reinforce import RLConfig, train_rnes
 from cohsum.rouge import RewardWeights
 
@@ -334,9 +334,9 @@ def _recorded_loads(monkeypatch) -> list:
     """The paths the CLI passes to `load_checkpoint`, recorded as it runs."""
     loads = []
 
-    def recording_load(path, rows=None):
+    def recording_load(path, rows=None, *, layout=None):
         loads.append(str(path))
-        return load_checkpoint(path, rows=rows)
+        return load_checkpoint(path, rows=rows, layout=layout)
 
     monkeypatch.setattr(cli, "load_checkpoint", recording_load)
     return loads
@@ -497,6 +497,8 @@ def test_evaluate_warns_of_the_empty_summaries_of_a_system_file(corpus, tmp_path
     ("gru_hidden 4.0", "gru_hidden must be int, got 4.0"),  # equal to an int, yet not one
     ("word_filters [4, 4.0]", "word_filters entries must be int, got (4, 4.0)"),
     ("doc_dim true", "doc_dim must be int, got True"),
+    ("gru_hidden [4]", "gru_hidden must be int, got (4,)"),  # read as a tuple of one size
+    ("word_kernels 3", "word_kernels must be a tuple, got 3"),
     ("lr NaN", "lr must be finite and >= 0, got nan"),
     ("lr Infinity", "lr must be finite and >= 0, got inf"),
     ("epochs 1.5", "epochs must be int, got 1.5"),
@@ -966,7 +968,7 @@ def test_corpus_with_no_record_exits_1_naming_the_file(corpus, tmp_path, caplog,
     caplog.clear()
     assert run(argv) == 1
     assert _one_error_line(caplog) == f"{empty}: no records; a corpus needs at least one document"
-    assert loads == [] or stage == "summarize beam"  # train-rnes reads no tensor first
+    assert loads == []  # train-rnes and summarize read no tensor first
     assert os.listdir(out) == [] and capsys.readouterr().out == ""
 
 
@@ -1060,10 +1062,18 @@ def test_any_flag_value_exits_0_or_1_with_one_error_line_and_no_output(stage_inp
          if stage.split()[0] == name]), label="flag")
     base = bases[stage]
     value = _flag_value(parser, action, base, data)
+    _assert_exits_0_or_1_cleanly(root, base + [f"{action.option_strings[0]}={value}"], caplog)
+
+
+def _assert_exits_0_or_1_cleanly(root, argv, caplog) -> None:
+    """Run argv with --out in a fresh directory under root, which is removed after.
+
+    It must exit 0 with no error, writing only the output, or exit 1 with
+    one error line and no traceback, leaving no file.
+    """
     out_dir = tempfile.mkdtemp(dir=root)
     caplog.clear()
-    code = run(base + ["--out", os.path.join(out_dir, "out"),
-                       f"{action.option_strings[0]}={value}"])
+    code = run(argv + ["--out", os.path.join(out_dir, "out")])
     left = os.listdir(out_dir)
     assert code in (0, 1)
     if code == 1:
@@ -1073,6 +1083,60 @@ def test_any_flag_value_exits_0_or_1_with_one_error_line_and_no_output(stage_inp
         assert not [r for r in caplog.records if r.levelname == "ERROR"] and left == ["out"]
         os.remove(os.path.join(out_dir, "out"))
     os.rmdir(out_dir)
+
+
+HEADER_VALUES = [-1, 0, 1, 1.5, "x", None, [], [1]]
+
+
+def _mutated_header(blob: bytes, meta: dict) -> bytes:
+    """Checkpoint bytes `blob` with its JSON header replaced by `meta` (see `save_checkpoint`)."""
+    (length,) = struct.unpack("<I", blob[12:16])
+    header = json.dumps(meta, sort_keys=True).encode("utf-8")
+    return blob[:8] + struct.pack("<II", 2, len(header)) + header + blob[16 + length:]
+
+
+def _mutated_checkpoint(blob: bytes, meta: dict, data) -> bytes:
+    """One drawn mutation of the checkpoint bytes `blob`, whose header is `meta`."""
+    kind = data.draw(st.sampled_from(["truncate", "byte", "config value", "drop field",
+                                      "model or digest"]), label="mutation")
+    if kind == "truncate":
+        return blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    if kind == "byte":
+        at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        return blob[:at] + bytes([data.draw(st.integers(0, 255), label="byte")]) + blob[at + 1:]
+    meta = json.loads(json.dumps(meta))
+    if kind == "config value":
+        field = data.draw(st.sampled_from(sorted(meta["config"])), label="field")
+        meta["config"][field] = data.draw(st.sampled_from(HEADER_VALUES), label="value")
+    elif kind == "drop field":
+        paths = [(key,) for key in meta] + [(key, sub) for key in ("config", "vocab")
+                                            for sub in meta[key]]
+        *parents, key = data.draw(st.sampled_from(sorted(paths)), label="field")
+        del (meta[parents[0]] if parents else meta)[key]
+    elif data.draw(st.booleans(), label="model"):
+        meta["model"] = data.draw(st.sampled_from(["coherence", "x", None]), label="value")
+    else:
+        meta["vocab"]["sha256"] = "0" * 64
+    return _mutated_header(blob, meta)
+
+
+# caplog is cleared at the start of each example
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_policy_checkpoint_mutation_exits_0_or_1_with_one_error_line_and_no_output(
+        stage_inputs, caplog, data):
+    root, _ = stage_inputs
+    source = root / "pre.ckpt"
+    blob = source.read_bytes()
+    ckpt = root / "mutated.ckpt"
+    ckpt.write_bytes(_mutated_checkpoint(blob, read_header(source), data))
+    io = ["--corpus", str(root / "corpus.jsonl"), "--vocab", str(root / "vocab.txt")]
+    argv = data.draw(st.sampled_from([
+        ["summarize", "--checkpoint", str(ckpt)],
+        ["train-rnes", "--pretrain-checkpoint", str(ckpt), "--lambda", "0", "--steps", "1"],
+    ]), label="stage")
+    _assert_exits_0_or_1_cleanly(root, argv + io, caplog)
 
 
 def test_every_integer_flag_that_sets_no_config_field_has_a_least_value():
@@ -1216,8 +1280,8 @@ def test_train_rnes_writes_the_policy_of_the_full_table_scorer(corpus, tmp_path,
     coh_ckpt, pre_ckpt = _rl_models(corpus, tmp_path, larger_vocab)
     table_rows = {}
 
-    def recording_load(path, rows=None):
-        params = load_checkpoint(path, rows=rows)
+    def recording_load(path, rows=None, *, layout=None):
+        params = load_checkpoint(path, rows=rows, layout=layout)
         table_rows[str(path)] = len(params["embed"].data)
         return params
 
@@ -1248,18 +1312,6 @@ def test_train_rnes_writes_the_policy_of_the_full_table_scorer(corpus, tmp_path,
     assert _train_rnes(corpus, larger_vocab, pre_ckpt, coh_ckpt, tmp_path / "lam0.ckpt",
                        lam="0") == 0
     assert (tmp_path / "lam0.ckpt").read_bytes() != out.read_bytes()
-
-
-def test_rows_of_keeps_the_reserved_rows_and_rejects_an_id_outside_the_kept_rows():
-    used = np.array([0, 1, 2, 5, 7, 11, 29])
-    ids = np.array([2, 5, 7, 11, 29, 1, 0, 0])
-    assert cli._rows_of(ids, used).tolist() == [2, 3, 4, 5, 6, 1, 0, 0]
-    # PAD, UNK and BOUNDARY keep their ids, so the chain's placeholder reads the same rows
-    placeholder = placeholder_sentence(8).ids
-    assert cli._rows_of(placeholder, used).tolist() == placeholder.tolist()
-    for missing in (3, 30):  # between two kept ids, past the last one
-        with pytest.raises(ValueError, match=f"token id {missing} is not among the 7"):
-            cli._rows_of(np.where(ids == 29, missing, ids), used)
 
 
 @pytest.mark.parametrize("word", ["river", "ember"], ids=["kept row", "dropped row"])
@@ -1364,7 +1416,8 @@ def test_train_rnes_rejects_a_coherence_model_of_a_smaller_vocabulary(corpus, tm
     message = _one_error_line(caplog)  # the header says so before a tensor is read
     assert str(coh_ckpt) in message and "model has a 6-entry vocabulary" in message
     assert not (tmp_path / "rl.ckpt").exists()
-    # a header that claims the larger vocabulary over the 6-row table: the row selection says so
+    # a header that claims the larger vocabulary over the 6-row table: the layout check says
+    # so from the table's shape, before any row is selected
     params = load_checkpoint(coh_ckpt)
     vocab = load_vocab(larger_vocab)
     params.meta["config"]["vocab_size"] = vocab.size
@@ -1373,5 +1426,6 @@ def test_train_rnes_rejects_a_coherence_model_of_a_smaller_vocabulary(corpus, tm
     caplog.clear()
     assert _train_rnes(corpus, larger_vocab, pre_ckpt, coh_ckpt, tmp_path / "rl.ckpt") == 1
     message = _one_error_line(caplog)
-    assert str(coh_ckpt) in message and "outside its 6 rows" in message
+    assert str(coh_ckpt) in message and (f"tensor 'embed' has shape (6, 6), the model in its "
+                                         f"header needs ({vocab.size}, 6)") in message
     assert not (tmp_path / "rl.ckpt").exists()

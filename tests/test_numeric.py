@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 import tracemalloc
 import warnings
@@ -871,6 +872,43 @@ def test_row_selected_load_never_allocates_the_whole_table(tmp_path):
     assert block_bytes * 8 < n * d * 8  # the table is far larger than one block
     # one block, its finiteness mask (a byte per element) and the kept rows
     assert peak < block_bytes + nm.LOAD_BLOCK + 8 * d * len(kept) + (64 << 10)
+
+
+def _big_table_checkpoint(path) -> list:
+    """A checkpoint of an 8 MB [1024, 1024] 'table' and a 'bias' [3]; returns their layout."""
+    params = ParamStore()
+    params.init_zeros("table", (1024, 1024))
+    params.init_zeros("bias", (3,))
+    save_checkpoint(params, path)
+    return [("table", (1024, 1024), "zeros"), ("bias", (3,), "zeros")]
+
+
+@pytest.mark.parametrize("entry, message", [
+    (None, "tensor 'table' is not a parameter of the model in its header"),
+    (("table", (1024, 1023), "zeros"),
+     r"tensor 'table' has shape \(1024, 1024\), the model in its header needs \(1024, 1023\)"),
+], ids=["extra", "misshapen"])
+def test_layout_check_rejects_a_tensor_before_reading_its_data(tmp_path, entry, message):
+    path = tmp_path / "model.ckpt"
+    layout = _big_table_checkpoint(path)
+    layout = ([] if entry is None else [entry]) + layout[1:]
+
+    def load():
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_checkpoint(path, layout=layout)
+
+    assert traced_peak(load) < 1 << 20  # the table alone is 8 MB
+
+
+def test_layout_check_names_a_tensor_the_file_lacks(tmp_path):
+    path = tmp_path / "model.ckpt"
+    layout = _big_table_checkpoint(path)
+    loaded = load_checkpoint(path, rows={"table": np.array([0, 5])}, layout=layout)
+    assert loaded.names() == ["table", "bias"] and loaded["table"].data.shape == (2, 1024)
+    with pytest.raises(CheckpointError,
+                       match=f"^{re.escape(str(path))}: no tensor 'scale', which the model in "
+                             f"its header has$"):
+        load_checkpoint(path, layout=layout + [("scale", (1,), "zeros")])
 
 
 def _edit(params: ParamStore, rows) -> None:

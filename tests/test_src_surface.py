@@ -62,13 +62,98 @@ def _references(node, name: str, module: str, func=None) -> list[tuple[str, str]
     return found
 
 
+def _called(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None))
+
+
+def _sigmoids(node, module: str, func=None) -> list[tuple[str, str]]:
+    """(module, innermost enclosing function) of each `exp` of a `log_sigmoid_np` call."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        func = node.name
+    found = []
+    if _called(node, "exp") and any(_called(inner, "log_sigmoid_np")
+                                    for arg in node.args for inner in ast.walk(arg)):
+        found.append((module, func))
+    for child in ast.iter_child_nodes(node):
+        found += _sigmoids(child, module, func)
+    return found
+
+
+def test_the_sigmoid_guard_sees_exp_of_a_log_sigmoid():
+    sigmoids = ["p = np.exp(nm.log_sigmoid_np(z))", "p = float(np.exp(log_sigmoid_np(-z)))",
+                "p = math.exp(nm.log_sigmoid_np(z) + 0.0)"]
+    for source in sigmoids:
+        assert _sigmoids(ast.parse(f"def f():\n    {source}"), "m"), source
+    others = ["p = nm.sigmoid_np(z)", "lp = nm.log_sigmoid_np(z)", "e = np.exp(z)"]
+    for source in others:
+        assert not _sigmoids(ast.parse(f"def f():\n    {source}"), "m"), source
+
+
 def test_one_function_computes_log_sigmoid_for_every_policy_decision():
     # pretraining, the REINFORCE surrogate, sampling and beam search all score a
-    # decision with log sigmoid(+-z); numeric.log_sigmoid_np is that formula
-    users = [ref for path in SOURCES
-             for ref in _references(ast.parse(path.read_text(encoding="utf-8")), "logaddexp",
-                                    path.stem)]
+    # decision with log sigmoid(+-z); numeric.log_sigmoid_np is that formula, and
+    # numeric.sigmoid_np the one sigmoid taken from it
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    users = [ref for module, tree in trees.items()
+             for ref in _references(tree, "logaddexp", module)]
     assert users == [("numeric", "log_sigmoid_np")]
+    sigmoids = [ref for module, tree in trees.items() for ref in _sigmoids(tree, module)]
+    assert sigmoids == [("numeric", "sigmoid_np")]
+
+
+def _reads_attribute(tree: ast.Module, attr: str) -> bool:
+    return any(isinstance(node, ast.Attribute) and node.attr == attr for node in ast.walk(tree))
+
+
+def test_the_sources_guard_sees_every_read_of_the_attribute():
+    reads = ["params.sources.get(name)", "source = params.sources[name]",
+             "for name, s in store.sources.items(): pass", "n = len(self.sources)"]
+    for source in reads:
+        assert _reads_attribute(ast.parse(source), "sources"), source
+    others = ["sources = {}", "def sources(): pass", "name = 'sources'"]
+    for source in others:
+        assert not _reads_attribute(ast.parse(source), "sources"), source
+
+
+def test_only_numeric_reads_where_a_row_selected_tensor_came_from():
+    # a row-selected tensor's whole shape and file are numeric's business: the
+    # loader checks the shape against the model's layout, the saver writes it whole
+    readers = [path.stem for path in SOURCES
+               if _reads_attribute(ast.parse(path.read_text(encoding="utf-8")), "sources")]
+    assert readers == ["numeric"]
+
+
+# positional arguments of each checkpoint call; the benchmark's tracer reads the
+# last one as the checkpoint's path, so everything after the path goes by keyword
+CHECKPOINT_POSITIONALS = {"load_checkpoint": 1, "save_checkpoint": 2}
+
+
+def _checkpoint_calls(tree: ast.Module) -> list[tuple[str, bool]]:
+    """(function, whether its path is the last positional argument) of each checkpoint call."""
+    return [(name, not any(isinstance(arg, ast.Starred) for arg in node.args)
+             and len(node.args) == count and "path" not in [kw.arg for kw in node.keywords])
+            for node in ast.walk(tree) for name, count in CHECKPOINT_POSITIONALS.items()
+            if _called(node, name)]
+
+
+def test_the_checkpoint_call_guard_sees_a_path_that_is_not_last():
+    misplaced = ["load_checkpoint(path, {'embed': rows})", "nm.load_checkpoint(path=p)",
+                 "load_checkpoint(*args)", "save_checkpoint(params, path=p)",
+                 "save_checkpoint(params, p, extra)"]
+    for source in misplaced:
+        assert _checkpoint_calls(ast.parse(source)) == [(source.split("(")[0].split(".")[-1],
+                                                         False)], source
+    placed = ["load_checkpoint(p, rows={'embed': rows}, layout=l)", "nm.save_checkpoint(params, p)"]
+    for source in placed:
+        assert [ok for _, ok in _checkpoint_calls(ast.parse(source))] == [True], source
+
+
+def test_every_checkpoint_call_in_src_passes_the_path_last():
+    calls = [call for path in SOURCES
+             for call in _checkpoint_calls(ast.parse(path.read_text(encoding="utf-8")))]
+    assert {name for name, _ in calls} == set(CHECKPOINT_POSITIONALS)
+    assert all(ok for _, ok in calls), calls
 
 
 def _token_joins(node, module: str, func=None, parent=None) -> list[tuple[str, str]]:
