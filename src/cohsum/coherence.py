@@ -55,8 +55,10 @@ The conv stacks run one pair at a time and the FC head once per batch. Each
 pair's stack ends in a flattened [1, flat] row; the rows of a batch are
 stacked and go through `fc1`, `fc2` and the readout together, so the
 [flat, 512] `fc1` weight is read once per batch in a GEMM, not once per pair
-in a GEMV, and its backward is one product instead of one outer product per
-pair. The conv stacks stay per pair because a batched im2col over a whole
+in a GEMV. Its gradient is one product, kept as its two factors, the
+[batch, flat] rows and their [batch, 512] gradient (`numeric._Product`), and
+applied a row block at a time, so the 33.5 MB [8192, 512] array is never
+built. The conv stacks stay per pair because a batched im2col over a whole
 RL episode is about 71 MB; it falls out of cache and ran slower than the
 per-pair stacks.
 """

@@ -66,13 +66,12 @@ class Vocabulary:
     """Token/id bijection with reserved PAD=0, UNK=1, BOUNDARY=2."""
 
     def __init__(self, tokens: Iterable[str] = ()):
-        self.id_to_token: list[str] = list(_SPECIALS)
-        self.token_to_id: dict[str, int] = {t: i for i, t in enumerate(_SPECIALS)}
-        for token in tokens:
-            if token in self.token_to_id:
-                raise ValueError(f"duplicate vocabulary token {token!r}")
-            self.token_to_id[token] = len(self.id_to_token)
-            self.id_to_token.append(token)
+        self.id_to_token: list[str] = [*_SPECIALS, *tokens]
+        self.token_to_id: dict[str, int] = dict(zip(self.id_to_token, range(len(self.id_to_token))))
+        if len(self.token_to_id) != len(self.id_to_token):
+            # a repeated token maps to its last id: the first that does not is repeated
+            token = next(t for i, t in enumerate(self.id_to_token) if self.token_to_id[t] != i)
+            raise ValueError(f"duplicate vocabulary token {token!r}")
 
     @property
     def size(self) -> int:

@@ -23,14 +23,24 @@ is 64-bit so finite-difference gradient checks are decisive.
   soon as nothing reads it. Inference (beam decoding, the frozen coherence
   scorer) runs in it; a loss built there has no tape, and `gradients`
   rejects it.
+- Three gradient forms: a dense array; the (indices, g) row segments of
+  `gather_rows` (below); and a `_Product` (a, g), the weight gradient
+  a.T @ g kept as its two factors. `matmul` (for its right operand),
+  `conv2d` (for its weight, with the im2col rows built again) and
+  `gru_sequence` (for W_z, W_r, W_h, V_z, V_r, V_h) hand their weight
+  gradients over as products. A leaf keeps a first product whose factors hold
+  fewer elements than the weight; `_accumulate` adds a product into a dense
+  gradient, and `sgd_step` steps with it, `SGD_BLOCK` elements at a time, each
+  block 2 rows or more, which equal those rows of the whole product bit for
+  bit. So the coherence scorer's [8192, 512] fc1 weight gradient (33.5 MB)
+  is never built, and conv3's [2304, 512] one is built once per batch, with
+  no second copy as the temporary of a sum. `_dense_grad` multiplies a
+  product out where an op reads a gradient dense.
 - Owned gradient buffers: an op whose backward computes a fresh array for an
   input hands it to `_accumulate` with `owned=True`, and the first gradient
   of that input is stored without a copy. `reshape`, `concat` and `tsum`
   pass on views of another buffer, and `add` passes one array to both of its
-  inputs, so the first gradient they give is copied. Copying every first
-  gradient instead raised the supervised benchmark's `peak_rss_mb` from
-  132.1 to 165.0 MB (seed 1, two runs each), because the coherence scorer's
-  33.5 MB fc1 weight gradient is then copied.
+  inputs, so the first gradient they give is copied.
 - Constant operands: `add`, `mul` and `matmul` skip the gradient of an
   operand that has no tape (no `requires_grad`, no parents), such as the
   returns of a policy-gradient surrogate; its `.grad` stays None.
@@ -60,12 +70,14 @@ is 64-bit so finite-difference gradient checks are decisive.
   parameter's last consumer in reverse topological order; right after that
   node's backward has run the parameter's gradient is complete, and
   `sgd_step` applies it and drops it. So a large gradient (the coherence
-  scorer's 33.5 MB fc1 weight gradient, complete early in the walk) is freed
-  while the rest of the tape runs, not kept to its end. No backward reads a
-  stepped value: a node that reads a parameter's buffer, directly or through
-  a `take_slice` or `reshape` view of it, consumes the parameter or lies
-  downstream of a node that does, so its backward runs before the last
-  consumer's. An exception part-way through backward leaves the parameters
+  scorer's 9.4 MB conv3 weight gradient, complete part-way through the walk)
+  is freed while the rest of the tape runs, not kept to its end. No backward
+  reads a stepped value: a node that reads a parameter's buffer, directly or
+  through a `take_slice` or `reshape` view of it, consumes the parameter or
+  lies downstream of a node that does, so its backward runs before the last
+  consumer's. Nor does a product: only a leaf keeps one, and it steps before
+  the other parameters complete at the same node, whose buffer may be its
+  factor a. An exception part-way through backward leaves the parameters
   stepped so far stepped and the rest not; the CLI then exits 1 and writes no
   checkpoint.
 - Checkpoints (format v2, laid out in `save_checkpoint`) carry a JSON header,
@@ -229,9 +241,44 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+class _Product(NamedTuple):
+    """The weight gradient a.T @ g of an [R, K] a and an [R, N] g, kept as its two factors.
+
+    `blocks` gives it a few rows at a time, so neither adding it into a dense
+    gradient nor stepping with it builds the [K, N] array.
+    """
+
+    a: np.ndarray
+    g: np.ndarray
+
+    def blocks(self):
+        """(rows, a.T[rows] @ g) for consecutive row blocks of about SGD_BLOCK elements.
+
+        A block has 2 rows or more, unless the product has one row: numpy
+        takes a 1-row product through gemv, whose bits can differ from the
+        gemm of the whole, while blocks of 2 rows or more equal the rows of
+        the whole product bit for bit.
+        """
+        k = self.a.shape[1]
+        step = max(2, SGD_BLOCK // max(self.g.shape[1], 1))
+        bounds = [*range(0, k, step), k]
+        if len(bounds) > 2 and bounds[-1] - bounds[-2] < 2:
+            del bounds[-2]  # a last block of one row joins the one before it
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            yield slice(lo, hi), self.a.T[lo:hi] @ self.g
+
+    def dense(self) -> np.ndarray:
+        return self.a.T @ self.g
+
+
 def _dense_grad(t: Tensor) -> np.ndarray:
-    """t.grad as a dense array: zero-filled when absent, row segments scattered in order."""
-    if not isinstance(t.grad, np.ndarray):
+    """t.grad as a dense array, which replaces it.
+
+    Zero-filled when absent, row segments scattered in order, a product multiplied out.
+    """
+    if isinstance(t.grad, _Product):
+        t.grad = t.grad.dense()
+    elif not isinstance(t.grad, np.ndarray):
         dense = np.zeros_like(t.data)
         for idx, g in t.grad or ():
             np.add.at(dense, idx, g)
@@ -239,9 +286,26 @@ def _dense_grad(t: Tensor) -> np.ndarray:
     return t.grad
 
 
-def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
-    """Add g to t.grad. With owned, the caller made g for t alone and it may become t.grad."""
-    if t.grad is None:
+def _accumulate(t: Tensor, g: np.ndarray | _Product, owned: bool = False) -> None:
+    """Add g, a dense array or a `_Product`, to t.grad.
+
+    With owned, the caller made the array g for t alone and it may become
+    t.grad. A product becomes the first gradient of a leaf as it is when its
+    factors hold fewer elements than t; any other first product is
+    multiplied out once. A product added to a gradient already there goes in
+    row block by row block, after that gradient is made dense. Only a leaf
+    keeps a product: an op's backward reads its gradient dense anyway, and by
+    then a parameter whose buffer is the product's factor a may have stepped.
+    """
+    if isinstance(g, _Product):
+        if t.grad is None:
+            keep = t._backward_fn is None and g.a.size + g.g.size < t.data.size
+            t.grad = g if keep else g.dense()
+        else:
+            dense = _dense_grad(t)
+            for rows, block in g.blocks():
+                dense[rows] += block
+    elif t.grad is None:
         if owned and type(g) is np.ndarray and g.dtype == np.float64:
             t.grad = g
         else:
@@ -328,8 +392,8 @@ def matmul(a, b) -> Tensor:
         if _needs_grad(a):
             _accumulate(a, g @ b.data.T, owned=True)
         if _needs_grad(b):
-            a2 = a.data.reshape(-1, a.data.shape[-1])
-            _accumulate(b, a2.T @ g.reshape(-1, b.data.shape[1]), owned=True)
+            _accumulate(b, _Product(a.data.reshape(-1, a.data.shape[-1]),
+                                    g.reshape(-1, b.data.shape[1])))
 
     return _node(data, (a, b), backward)
 
@@ -451,7 +515,7 @@ def gather_rows(table, indices) -> Tensor:
             if sum(len(i) for i, _ in table.grad) >= len(table.data):
                 _dense_grad(table)
         else:
-            np.add.at(table.grad, idx, g)
+            np.add.at(_dense_grad(table), idx, g)
 
     return _node(data, (table,), backward)
 
@@ -595,7 +659,7 @@ def conv2d(x, weight, bias, kernel: int, rows: int, cols: int) -> Tensor:
                 _add_edge_grads(x, gx)
         if _needs_grad(weight):
             im2col = _window_rows(_edge_extended(x.data, rows, cols), kernel, 2)
-            _accumulate(weight, im2col.T @ g, owned=True)
+            _accumulate(weight, _Product(im2col, g))
         if _needs_grad(bias):
             _accumulate(bias, g.sum(axis=0), owned=True)
 
@@ -786,13 +850,14 @@ def gru_sequence(x, weights, biases, recurrent, reverse: bool = False) -> Tensor
             ds = ds * z[t] + d_rs * r[t] + d_proj[t, : 2 * h] @ v_zr_t
         if _needs_grad(x):
             _accumulate(x, d_proj @ joined_w().T, owned=True)
-        dw, db = x.data.T @ d_proj, d_proj.sum(axis=0)
+        db = d_proj.sum(axis=0)
         for k, (w, b) in enumerate(zip(weights, biases)):
-            _accumulate(w, dw[:, k * h : (k + 1) * h])  # views of dw and db: copied
-            _accumulate(b, db[k * h : (k + 1) * h])
-        _accumulate(v_z, prev.T @ d_proj[:, :h], owned=True)
-        _accumulate(v_r, prev.T @ d_proj[:, h : 2 * h], owned=True)
-        _accumulate(v_h, (r * prev).T @ d_proj[:, 2 * h :], owned=True)
+            gate = slice(k * h, (k + 1) * h)
+            _accumulate(w, _Product(x.data, d_proj[:, gate]))
+            _accumulate(b, db[gate])  # a view of db: copied
+        _accumulate(v_z, _Product(prev, d_proj[:, :h]))
+        _accumulate(v_r, _Product(prev, d_proj[:, h : 2 * h]))
+        _accumulate(v_h, _Product(r * prev, d_proj[:, 2 * h :]))
 
     return _node(out, (x, *weights, *biases, v_z, v_r, v_h), backward)
 
@@ -877,9 +942,12 @@ def gradients(loss: Tensor, params: ParamStore, lr: float) -> None:
     """One SGD step of size lr on every parameter the loss reaches, in one walk of the tape.
 
     Each parameter's gradient is complete right after the backward of its
-    last consumer; it is then handed to `sgd_step` as the walk leaves it,
-    dense or as `gather_rows` row segments, and dropped. A parameter the loss
-    does not reach is left as it is.
+    last consumer; it is then handed to `sgd_step` as the walk leaves it, in
+    one of three forms (a dense array, `gather_rows` row segments, or a
+    `_Product` a.T @ g kept as its factors), and dropped. Of the parameters
+    complete at one node, those with a product step first: its factor a may
+    be the buffer of another of them. A parameter the loss does not reach is
+    left as it is.
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -913,7 +981,8 @@ def gradients(loss: Tensor, params: ParamStore, lr: float) -> None:
                 node._backward_fn(_dense_grad(node))
             if node is not loss:
                 node.grad = None  # free intermediate buffers early
-        for name in complete_after.get(id(node), ()):
+        for name in sorted(complete_after.get(id(node), ()),
+                           key=lambda name: not isinstance(params[name].grad, _Product)):
             p = params[name]
             if p.grad is not None:
                 sgd_step(p, p.grad, lr, name)
@@ -924,17 +993,26 @@ SGD_BLOCK = 1 << 14  # elements of a dense update done at once: 128 KiB of lr * 
 LOAD_BLOCK = 1 << 16  # elements of a row-selected tensor read at once: 512 KiB
 
 
-def sgd_step(p: Tensor, g: np.ndarray | list, lr: float, name: str) -> None:
+def sgd_step(p: Tensor, g: np.ndarray | list | _Product, lr: float, name: str) -> None:
     """p <- p - lr * g in place, with g as the backward walk leaves it on p.
 
-    g is a dense array, or the (indices, g) row segments that `gather_rows`
-    records, which update only the rows they touch. A dense parameter is
-    updated SGD_BLOCK elements at a time, so the temporary lr * g is one
-    block, not a copy of the parameter; g is only read. A step that makes a
-    value NaN or infinite raises FloatingPointError naming the parameter: the
-    last step of a run has no next forward pass to catch it.
+    g is a dense array; the (indices, g) row segments that `gather_rows`
+    records, which update only the rows they touch; or a `_Product`, which
+    steps its row blocks one by one, each multiplied out as it is applied.
+    A dense parameter is updated SGD_BLOCK elements at a time, so the
+    temporary lr * g is one block, not a copy of the parameter; g is only
+    read. A step that makes a value NaN or infinite raises FloatingPointError
+    naming the parameter: the last step of a run has no next forward pass to
+    catch it.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, not warned
+        if isinstance(g, _Product):
+            for rows, block in g.blocks():
+                stepped = p.data[rows]
+                stepped -= lr * block
+                if not _all_finite(stepped):
+                    raise FloatingPointError(_stepped_non_finite(name))
+            return
         if isinstance(g, list):
             rows, where = np.unique(np.concatenate([i for i, _ in g]), return_inverse=True)
             values = np.zeros((len(rows),) + p.data.shape[1:])

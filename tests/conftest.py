@@ -42,7 +42,8 @@ def sgd_hand_offs(loss, params: ParamStore) -> list[tuple[str, object]]:
 
     `nm.sgd_step` is replaced by a recorder for the walk, the same binding
     the benchmark's tracer wraps, so nothing steps. Each gradient is as the
-    walk leaves it: a dense array, or `gather_rows`'s (indices, g) segments.
+    walk leaves it: a dense array, `gather_rows`'s (indices, g) segments, or
+    a `numeric._Product`.
     """
     handed = []
     step = nm.sgd_step
@@ -55,9 +56,12 @@ def sgd_hand_offs(loss, params: ParamStore) -> list[tuple[str, object]]:
 
 
 def dense_gradient(g, shape: tuple) -> np.ndarray:
-    """A handed-over gradient as a dense array: segments scattered in order, None as zeros."""
+    """A handed-over gradient as a dense array: segments scattered in order, a product
+    multiplied out, None as zeros."""
     if isinstance(g, np.ndarray):
         return g
+    if isinstance(g, nm._Product):
+        return g.dense()
     dense = np.zeros(shape)
     for idx, segment in g or ():
         np.add.at(dense, idx, segment)

@@ -9,7 +9,8 @@ windows from a flat index table and scatters backward with `np.add.at`;
 `layer1_grid` is the full [T, T, F] interaction grid of the coherence scorer,
 before the fused first pool; `two_pass_step` is training before parameters
 stepped inside backward: a walk of the whole tape that leaves every gradient
-on its parameter, then one `nm.sgd_step` per parameter. The code in `cohsum`
+on its parameter, each weight gradient dense rather than as the two factors of
+a `numeric._Product`, then one `nm.sgd_step` per parameter. The code in `cohsum`
 is tested against these functions. `sigmoid` is here because only the tests
 and the per-step policy reference use it.
 """
@@ -98,9 +99,10 @@ def two_pass_step(loss: Tensor, params: ParamStore, lr: float) -> ParamStore:
     """One backward walk that leaves every gradient on its parameter, then the steps.
 
     The walk runs every node's backward in reverse topological order, as
-    `gradients` does, but steps nothing until it ends; then `nm.sgd_step`
-    steps each parameter the loss reached with its gradient as the walk left
-    it, a table reached only through `gather_rows` by its row segments.
+    `gradients` does, but steps nothing until it ends. Each parameter
+    gradient is made dense as the walk leaves it, but a table reached only
+    through `gather_rows` keeps its row segments; then `nm.sgd_step` steps
+    each parameter the loss reached.
     """
     params.zero_grads()
     loss.grad = np.ones_like(loss.data)
@@ -110,6 +112,9 @@ def two_pass_step(loss: Tensor, params: ParamStore, lr: float) -> ParamStore:
                 node._backward_fn(nm._dense_grad(node))
             if node is not loss:
                 node.grad = None
+        for p in node._parents:
+            if isinstance(p.grad, nm._Product):
+                nm._dense_grad(p)
     for name, p in params.items():
         g, p.grad = p.grad, None
         if g is not None:

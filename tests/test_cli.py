@@ -1114,7 +1114,8 @@ def _mutated_checkpoint(blob: bytes, meta: dict, data) -> bytes:
         *parents, key = data.draw(st.sampled_from(sorted(paths)), label="field")
         del (meta[parents[0]] if parents else meta)[key]
     elif data.draw(st.booleans(), label="model"):
-        meta["model"] = data.draw(st.sampled_from(["coherence", "x", None]), label="value")
+        other = {"extractor": "coherence", "coherence": "extractor"}[meta["model"]]
+        meta["model"] = data.draw(st.sampled_from([other, "x", None]), label="value")
     else:
         meta["vocab"]["sha256"] = "0" * 64
     return _mutated_header(blob, meta)
@@ -1137,6 +1138,28 @@ def test_any_policy_checkpoint_mutation_exits_0_or_1_with_one_error_line_and_no_
         ["train-rnes", "--pretrain-checkpoint", str(ckpt), "--lambda", "0", "--steps", "1"],
     ]), label="stage")
     _assert_exits_0_or_1_cleanly(root, argv + io, caplog)
+
+
+# caplog is cleared at the start of each example
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_coherence_checkpoint_mutation_exits_0_or_1_with_one_error_line_and_no_output(
+        stage_inputs, caplog, data):
+    root, _ = stage_inputs
+    source = root / "coh.ckpt"
+    ckpt = root / "mutated.ckpt"
+    ckpt.write_bytes(_mutated_checkpoint(source.read_bytes(), read_header(source), data))
+    pairs = root / "pairs.tsv"
+    pairs.write_text("river stone wind\tlight cloud\n")
+    vocab = ["--vocab", str(root / "vocab.txt")]
+    argv = data.draw(st.sampled_from([
+        ["score-coherence", "--checkpoint", str(ckpt), "--pairs", str(pairs)],
+        ["train-rnes", "--corpus", str(root / "corpus.jsonl"), "--pretrain-checkpoint",
+         str(root / "pre.ckpt"), "--coherence-checkpoint", str(ckpt), "--lambda", "0.01",
+         "--steps", "1"],
+    ]), label="stage")
+    _assert_exits_0_or_1_cleanly(root, argv + vocab, caplog)
 
 
 def test_every_integer_flag_that_sets_no_config_field_has_a_least_value():

@@ -9,12 +9,16 @@ whole table in SGD, and gathers sliding windows through flat index tables;
 `reference_coherence.repeat_tail`, the concatenation of copied slices.
 `gradients`, which steps each parameter once its last consumer's backward
 has run, is held to `two_pass_step`, every gradient first and then the
-steps; it hands each parameter it reaches to `sgd_step` exactly once.
+steps; it hands each parameter it reaches to `sgd_step` exactly once. A
+weight gradient kept as the two factors of a `numeric._Product` is held to
+the dense product, in the step and when added into another gradient.
 The fast paths do the same arithmetic in the same order, so values and
 gradients must agree bit for bit; only the fused layer-1 pool sums its
 gradients over fewer (all-zero) terms, and over the copies of its tail row
 and column, and is held to rel 1e-12.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -386,6 +390,97 @@ def test_sparse_sgd_step_matches_dense(index_lists, lr, seed):
         assert _bits(p.data) == _bits(dense_params[name].data)
 
 
+# -- weight gradients kept as their two factors -------------------------------------------
+
+
+PRODUCT_SHAPES = {
+    # (a, g): the product a.T @ g has a's columns as rows and g's columns
+    "rows leave a remainder": ((3, 37), (3, 1000)),  # 16-row blocks, then 5 rows
+    "a last row joins its block": ((3, 33), (3, 1000)),  # 16 and 17 rows, never 1
+    "wider than a block": ((3, 5), (3, nm.SGD_BLOCK + 3)),  # 2-row blocks, then 3 rows
+    "one row": ((4, 1), (4, 9)),
+    "1-D a": ((7,), (9,)),  # contexts.mean(axis=0) @ doc_w
+}
+
+
+def _product(a_shape, g_shape, seed=0):
+    """A `_Product` of the shapes and its dense form, as `matmul`'s backward pairs them."""
+    rng = np.random.default_rng(seed)
+    a, g = rng.normal(size=a_shape), rng.normal(size=g_shape)
+    a2, g2 = a.reshape(-1, a.shape[-1]), g.reshape(-1, g.shape[-1])
+    return nm._Product(a2, g2), a2.T @ g2
+
+
+@pytest.mark.parametrize("shapes", PRODUCT_SHAPES.values(), ids=PRODUCT_SHAPES.keys())
+def test_product_blocks_cover_its_rows_with_two_or_more_each(shapes):
+    product, dense = _product(*shapes)
+    spans = [(rows.start, rows.stop) for rows, _ in product.blocks()]
+    assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+    assert spans[-1][1] == len(dense)
+    assert all(hi - lo == max(2, nm.SGD_BLOCK // dense.shape[1]) for lo, hi in spans[:-1])
+    assert spans[-1][1] - spans[-1][0] >= min(2, len(dense))
+
+
+@pytest.mark.parametrize("shapes", PRODUCT_SHAPES.values(), ids=PRODUCT_SHAPES.keys())
+def test_product_step_and_accumulation_match_the_dense_product(shapes):
+    product, dense = _product(*shapes)
+    start = np.random.default_rng(1).normal(size=dense.shape)
+    fused, reference = ParamStore().add("w", start), ParamStore().add("w", start)
+    nm.sgd_step(fused, product, 0.3, "w")
+    nm.sgd_step(reference, dense, 0.3, "w")
+    assert _bits(fused.data) == _bits(reference.data)
+    # into a dense gradient, and into a product already there, which is made dense first
+    other, other_dense = _product(*shapes, seed=2)
+    for first, first_dense in ((start.copy(), start), (other, other_dense)):
+        t = Tensor(np.zeros(dense.shape), requires_grad=True)
+        t.grad = first
+        nm._accumulate(t, product)
+        assert _bits(t.grad) == _bits(first_dense + dense)
+    assert _bits(dense_gradient(product, dense.shape)) == _bits(dense)
+
+
+def test_a_leaf_keeps_a_first_product_only_when_its_factors_are_smaller():
+    small, dense = _product((2, 6), (2, 5))  # 12 + 10 factor elements for 30
+    large, large_dense = _product((6, 2), (6, 3))  # 12 + 18 for 6
+    leaf = Tensor(np.zeros((6, 5)), requires_grad=True)
+    nm._accumulate(leaf, small)
+    assert leaf.grad is small
+    op_output = nm.tanh(leaf)
+    nm._accumulate(op_output, small)
+    assert _bits(op_output.grad) == _bits(dense)
+    leaf = Tensor(np.zeros((2, 3)), requires_grad=True)
+    nm._accumulate(leaf, large)
+    assert _bits(leaf.grad) == _bits(large_dense)
+
+
+def test_product_step_that_overflows_raises():
+    # the overflow is in the last of three 2-row blocks; the step must raise, not warn
+    a = np.ones((1, 6))
+    a[0, -1] = -1e308
+    product = nm._Product(a, np.ones((1, nm.SGD_BLOCK)))
+    params = ParamStore()
+    params.add("w", np.ones((6, nm.SGD_BLOCK)))
+    with warnings.catch_warnings(), pytest.raises(FloatingPointError, match="'w'"):
+        warnings.simplefilter("error")
+        nm.sgd_step(params["w"], product, 1e308, "w")
+
+
+def _left_parameter_store():
+    params = ParamStore()
+    params.add("x", np.random.default_rng(12).normal(size=(1, 8)))
+    params.add("w", np.random.default_rng(13).normal(size=(8, 8)))
+    return params
+
+
+def test_a_product_steps_before_the_parameter_its_factor_reads():
+    # w's gradient is the product x.T @ g, and x and w are complete at the same
+    # matmul: stepping x first would multiply out w's gradient with the stepped x
+    params = _left_parameter_store()
+    loss = lambda params: nm.tanh(params["x"] @ params["w"]).sum()
+    assert isinstance(gradients_of(loss(params), params, dense=False)["w"], nm._Product)
+    assert _assert_step_matches_two_pass(_left_parameter_store, loss) == ["x", "w"]
+
+
 # -- stepping each parameter inside backward vs the two-pass step -------------------------
 
 
@@ -479,6 +574,8 @@ def test_each_reached_parameter_is_handed_to_sgd_step_once(case):
     assert sorted(names) == sorted(set(params.names()) - {"unused"})
     if case is _policy_case:
         assert isinstance(dict(handed)["embed"], list)
+    else:  # the FC head's weight gradients stay two factors
+        assert isinstance(dict(handed)["fc1_w"], nm._Product)
     before = {name: _bits(p.data) for name, p in params.items()}
     nm.gradients(build_loss(), params, 0.3)
     assert _bits(unused.data) == before["unused"]

@@ -199,6 +199,33 @@ def test_one_function_joins_the_tokens_of_sentences():
     assert joins == [("corpus", "tokens_of")]
 
 
+def _dense_weight_gradients(tree: ast.Module) -> list[int]:
+    """Lines of each `_accumulate` call whose gradient argument is an `<x>.T @ ...` product."""
+    return [node.lineno for node in ast.walk(tree)
+            if _called(node, "_accumulate") and len(node.args) > 1
+            and isinstance(node.args[1], ast.BinOp) and isinstance(node.args[1].op, ast.MatMult)
+            and isinstance(node.args[1].left, ast.Attribute) and node.args[1].left.attr == "T"]
+
+
+def test_the_weight_gradient_guard_sees_a_dense_product():
+    dense = ["_accumulate(w, x.T @ g)", "nm._accumulate(w, (r * prev).T @ g, owned=True)",
+             "_accumulate(b, a2.T @ g.reshape(-1, n), owned=True)"]
+    for source in dense:
+        assert _dense_weight_gradients(ast.parse(source)), source
+    others = ["_accumulate(x, g @ w.T, owned=True)", "_accumulate(w, _Product(x, g))",
+              "dw = x.T @ g", "_accumulate(b, g.sum(axis=0), owned=True)"]
+    for source in others:
+        assert not _dense_weight_gradients(ast.parse(source)), source
+
+
+def test_no_weight_gradient_in_src_is_built_dense_before_it_is_accumulated():
+    # an a.T @ g weight gradient goes to `_accumulate` as `numeric._Product(a, g)`,
+    # which adds it into a gradient, or steps with it, a row block at a time
+    found = {path.stem: lines for path in SOURCES
+             if (lines := _dense_weight_gradients(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert found == {}
+
+
 def _tracer_module():
     spec = importlib.util.spec_from_file_location("perfbench_tracer",
                                                   ROOT / "perfbench" / "tracer.py")
