@@ -372,12 +372,12 @@ def cmd_score_coherence(args) -> int:
     config = _model_config(args.checkpoint, "coherence", coh.CoherenceConfig, vocab)
     params = load_checkpoint(args.checkpoint, layout=coh.param_layout(config))
     name = "stdin" if args.pairs == "-" else args.pairs
-    source = (contextlib.nullcontext(sys.stdin) if args.pairs == "-"
-              else open(args.pairs, "r", encoding="utf-8"))
+    source = (contextlib.nullcontext(sys.stdin.buffer) if args.pairs == "-"
+              else open(args.pairs, "rb"))
     sink = contextlib.nullcontext(sys.stdout) if args.out == "-" else atomic_write(args.out)
     with source as pairs, sink as out:
-        for lineno, line in enumerate(pairs, start=1):
-            line = line.rstrip("\n")
+        for lineno, line in cp.utf8_lines(pairs, name):
+            line = line.rstrip("\r\n")
             if not line:
                 continue
             parts = line.split("\t")

@@ -182,6 +182,20 @@ def string_array(record: dict, key: str) -> list[str]:
     return value
 
 
+def utf8_lines(fh: Iterable[bytes], name) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line of a file opened in binary mode.
+
+    Each line is decoded as UTF-8 on its own, so one that is not valid UTF-8
+    is a `CorpusFormatError` naming the file and the line. The text keeps
+    its line end, which a CRLF file gives as a carriage return and a newline.
+    """
+    for lineno, raw in enumerate(fh, start=1):
+        try:
+            yield lineno, raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorpusFormatError(f"{name}: line {lineno}: not valid UTF-8") from None
+
+
 def jsonl_records(path) -> Iterator[tuple[int, str, dict]]:
     """(line number, id, record) of each non-blank line of a JSON Lines file.
 
@@ -189,8 +203,8 @@ def jsonl_records(path) -> Iterator[tuple[int, str, dict]]:
     share one: files are paired with each other by document id.
     """
     first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, line in utf8_lines(fh, path):
             if not line.strip():
                 continue
             try:
@@ -249,8 +263,8 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    with open(path, "rb") as fh:
+        lines = [line.rstrip("\r\n") for _, line in utf8_lines(fh, path)]
     if tuple(lines[:3]) != _SPECIALS:
         raise CorpusFormatError(
             f"{path}: expected header lines {_SPECIALS}, got {tuple(lines[:3])}"

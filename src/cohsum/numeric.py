@@ -36,11 +36,11 @@ is 64-bit so finite-difference gradient checks are decisive.
   is never built, and conv3's [2304, 512] one is built once per batch, with
   no second copy as the temporary of a sum. `_dense_grad` multiplies a
   product out where an op reads a gradient dense.
-- Owned gradient buffers: an op whose backward computes a fresh array for an
-  input hands it to `_accumulate` with `owned=True`, and the first gradient
-  of that input is stored without a copy. `reshape`, `concat` and `tsum`
-  pass on views of another buffer, and `add` passes one array to both of its
-  inputs, so the first gradient they give is copied.
+- One owner per gradient buffer: every dense gradient a tensor stores is its
+  own array, a copy of the first one it is handed, a zero-filled array or a
+  product multiplied out, so no two tensors share a gradient buffer and an
+  in-place add into one never changes another. A backward may hand the same
+  array, or views of one, to several inputs.
 - Constant operands: `add`, `mul` and `matmul` skip the gradient of an
   operand that has no tape (no `requires_grad`, no parents), such as the
   returns of a policy-gradient surrogate; its `.grad` stays None.
@@ -286,16 +286,17 @@ def _dense_grad(t: Tensor) -> np.ndarray:
     return t.grad
 
 
-def _accumulate(t: Tensor, g: np.ndarray | _Product, owned: bool = False) -> None:
+def _accumulate(t: Tensor, g: np.ndarray | _Product) -> None:
     """Add g, a dense array or a `_Product`, to t.grad.
 
-    With owned, the caller made the array g for t alone and it may become
-    t.grad. A product becomes the first gradient of a leaf as it is when its
-    factors hold fewer elements than t; any other first product is
-    multiplied out once. A product added to a gradient already there goes in
-    row block by row block, after that gradient is made dense. Only a leaf
-    keeps a product: an op's backward reads its gradient dense anyway, and by
-    then a parameter whose buffer is the product's factor a may have stepped.
+    A first dense g is stored as a copy, so t owns its gradient buffer (see
+    the module docstring). A product becomes the first gradient of a leaf as
+    it is when its factors hold fewer elements than t; any other first
+    product is multiplied out once. A product added to a gradient already
+    there goes in row block by row block, after that gradient is made dense.
+    Only a leaf keeps a product: an op's backward reads its gradient dense
+    anyway, and by then a parameter whose buffer is the product's factor a
+    may have stepped.
     """
     if isinstance(g, _Product):
         if t.grad is None:
@@ -306,10 +307,7 @@ def _accumulate(t: Tensor, g: np.ndarray | _Product, owned: bool = False) -> Non
             for rows, block in g.blocks():
                 dense[rows] += block
     elif t.grad is None:
-        if owned and type(g) is np.ndarray and g.dtype == np.float64:
-            t.grad = g
-        else:
-            t.grad = np.array(g, dtype=np.float64)  # a copy: g may be a view of another buffer
+        t.grad = np.array(g, dtype=np.float64)
     else:
         _dense_grad(t)[...] += g
 
@@ -375,9 +373,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if _needs_grad(a):
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         if _needs_grad(b):
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _node(data, (a, b), backward)
 
@@ -390,7 +388,7 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         if _needs_grad(a):
-            _accumulate(a, g @ b.data.T, owned=True)
+            _accumulate(a, g @ b.data.T)
         if _needs_grad(b):
             _accumulate(b, _Product(a.data.reshape(-1, a.data.shape[-1]),
                                     g.reshape(-1, b.data.shape[1])))
@@ -403,7 +401,7 @@ def tanh(x) -> Tensor:
     out_data = np.tanh(x.data)
 
     def backward(g):
-        _accumulate(x, g * (1.0 - out_data * out_data), owned=True)
+        _accumulate(x, g * (1.0 - out_data * out_data))
 
     return _node(out_data, (x,), backward)
 
@@ -423,7 +421,7 @@ def relu(x) -> Tensor:
     out_data = np.maximum(x.data, 0.0)
 
     def backward(g):
-        _accumulate(x, g * (x.data > 0), owned=True)
+        _accumulate(x, g * (x.data > 0))
 
     return _node(out_data, (x,), backward)
 
@@ -433,7 +431,7 @@ def log_sigmoid(x) -> Tensor:
     x = _wrap(x)
 
     def backward(g):
-        _accumulate(x, g * sigmoid_np(-x.data), owned=True)
+        _accumulate(x, g * sigmoid_np(-x.data))
 
     return _node(log_sigmoid_np(x.data), (x,), backward)
 
@@ -603,14 +601,6 @@ def _fold_edges(g: np.ndarray, h: int, w: int) -> np.ndarray:
     return g[:h, :w]
 
 
-def _add_edge_grads(x: Tensor, g: np.ndarray) -> None:
-    """Add g, a fresh gradient of `_edge_extended(x.data, ...)`, into x's gradient."""
-    if g.shape == x.data.shape:
-        _accumulate(x, g, owned=True)
-    else:
-        _accumulate(x, _fold_edges(g, *x.data.shape[:2]))  # a view of g: copied
-
-
 def _check_side(op: str, x: Tensor, rows: int, cols: int, least: int) -> None:
     shape = x.data.shape
     if (x.data.ndim != 3 or not (1 <= shape[0] <= rows and 1 <= shape[1] <= cols)
@@ -656,12 +646,12 @@ def conv2d(x, weight, bias, kernel: int, rows: int, cols: int) -> Tensor:
             else:
                 gx = np.zeros((rows, cols, c))
                 _add_window_grads(gx, g_rows, kernel, 2)
-                _add_edge_grads(x, gx)
+                _accumulate(x, _fold_edges(gx, *x.data.shape[:2]))
         if _needs_grad(weight):
             im2col = _window_rows(_edge_extended(x.data, rows, cols), kernel, 2)
             _accumulate(weight, _Product(im2col, g))
         if _needs_grad(bias):
-            _accumulate(bias, g.sum(axis=0), owned=True)
+            _accumulate(bias, g.sum(axis=0))
 
     return _node(out, (x, weight, bias), backward)
 
@@ -685,11 +675,11 @@ def relu_cross_sum(a, b, bias) -> Tensor:
         g = g * (out > 0)
         # the reductions of backward through the broadcasting adds, for the same bits
         if _needs_grad(a):
-            _accumulate(a, _unbroadcast(g, (m, 1, g.shape[2])).reshape(m, -1), owned=True)
+            _accumulate(a, _unbroadcast(g, (m, 1, g.shape[2])).reshape(m, -1))
         if _needs_grad(b):
-            _accumulate(b, _unbroadcast(g, (1, n, g.shape[2])).reshape(n, -1), owned=True)
+            _accumulate(b, _unbroadcast(g, (1, n, g.shape[2])).reshape(n, -1))
         if _needs_grad(bias):
-            _accumulate(bias, _unbroadcast(g, bias.data.shape), owned=True)
+            _accumulate(bias, _unbroadcast(g, bias.data.shape))
 
     return _node(out, (a, b, bias), backward)
 
@@ -719,7 +709,7 @@ def _block_max(x: Tensor, views_of, side=None) -> Tensor:
             win = open_ & (v == data)
             np.add(gv, g, out=gv, where=win)
             open_ &= ~win
-        _add_edge_grads(x, gx)
+        _accumulate(x, gx if side is None else _fold_edges(gx, *x.data.shape[:2]))
 
     return _node(data, (x,), backward)
 
@@ -779,7 +769,7 @@ def window_means(x, lengths, kernel: int) -> Tensor:
     data = band @ x.data
 
     def backward(g):
-        _accumulate(x, band.transpose(0, 2, 1) @ g.reshape(n, kernel, d), owned=True)
+        _accumulate(x, band.transpose(0, 2, 1) @ g.reshape(n, kernel, d))
 
     return _node(data.reshape(n, kernel * d), (x,), backward)
 
@@ -849,12 +839,12 @@ def gru_sequence(x, weights, biases, recurrent, reverse: bool = False) -> Tensor
             d_proj[t, :h], d_proj[t, h : 2 * h], d_proj[t, 2 * h :] = a_z, a_r, a_h
             ds = ds * z[t] + d_rs * r[t] + d_proj[t, : 2 * h] @ v_zr_t
         if _needs_grad(x):
-            _accumulate(x, d_proj @ joined_w().T, owned=True)
+            _accumulate(x, d_proj @ joined_w().T)
         db = d_proj.sum(axis=0)
         for k, (w, b) in enumerate(zip(weights, biases)):
             gate = slice(k * h, (k + 1) * h)
             _accumulate(w, _Product(x.data, d_proj[:, gate]))
-            _accumulate(b, db[gate])  # a view of db: copied
+            _accumulate(b, db[gate])
         _accumulate(v_z, _Product(prev, d_proj[:, :h]))
         _accumulate(v_r, _Product(prev, d_proj[:, h : 2 * h]))
         _accumulate(v_h, _Product(r * prev, d_proj[:, 2 * h :]))

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import io
 import json
 import logging
 import os
@@ -1160,6 +1161,89 @@ def test_any_coherence_checkpoint_mutation_exits_0_or_1_with_one_error_line_and_
          "--steps", "1"],
     ]), label="stage")
     _assert_exits_0_or_1_cleanly(root, argv + vocab, caplog)
+
+
+def _mutated_lines(blob: bytes, data) -> bytes:
+    """One drawn mutation of the text file bytes `blob`.
+
+    A line dropped, repeated or swapped with another, one byte replaced, or the file truncated.
+    """
+    kind = data.draw(st.sampled_from(["drop", "repeat", "swap", "byte", "truncate"]),
+                     label="mutation")
+    if kind == "truncate":
+        return blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    if kind == "byte":
+        at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        byte = data.draw(st.sampled_from(b"\xff\x00\n\r x"), label="byte")
+        return blob[:at] + bytes([byte]) + blob[at + 1:]
+    lines = blob.splitlines(keepends=True)
+    i, j = (data.draw(st.integers(0, len(lines) - 1), label=label) for label in ("line", "other"))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "repeat":
+        lines.insert(j, lines[i])
+    else:
+        lines[i], lines[j] = lines[j], lines[i]
+    return b"".join(lines)
+
+
+# caplog is cleared at the start of each example
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_vocabulary_mutation_exits_0_or_1_with_one_error_line_and_no_output(
+        stage_inputs, caplog, data):
+    root, _ = stage_inputs
+    vocab = root / "mutated.txt"
+    vocab.write_bytes(_mutated_lines((root / "vocab.txt").read_bytes(), data))
+    corpus = ["--corpus", str(root / "corpus.jsonl")]
+    pairs = root / "pairs.tsv"
+    pairs.write_text("river stone wind\tlight cloud\n")
+    argv = data.draw(st.sampled_from([
+        ["pretrain", "--epochs", "1"] + TINY_EXTRACTOR + corpus,
+        ["summarize", "--checkpoint", str(root / "pre.ckpt")] + corpus,
+        ["train-rnes", "--pretrain-checkpoint", str(root / "pre.ckpt"), "--lambda", "0",
+         "--steps", "1"] + corpus,
+        ["score-coherence", "--checkpoint", str(root / "coh.ckpt"), "--pairs", str(pairs)],
+    ]), label="stage")
+    _assert_exits_0_or_1_cleanly(root, argv + ["--vocab", str(vocab)], caplog)
+
+
+@pytest.mark.parametrize("name", ["corpus", "labels", "system", "vocab", "pairs", "stdin"])
+def test_a_line_that_is_not_utf8_exits_1_naming_the_file_and_the_line(
+        stage_inputs, tmp_path, monkeypatch, caplog, name):
+    root, _ = stage_inputs
+    corpus, vocab = str(root / "corpus.jsonl"), str(root / "vocab.txt")
+    good = {"corpus": corpus, "vocab": vocab}.get(name, tmp_path / "good")
+    if name == "labels":
+        assert run(["label", "--corpus", corpus, "--out", str(good)]) == 0
+    elif name == "system":
+        assert run(["summarize", "--corpus", corpus, "--method", "lead3", "--out", str(good)]) == 0
+    elif name in ("pairs", "stdin"):
+        good.write_text("river stone\tlight cloud\nwind shore\tvalley branch\n")
+    lines = open(good, "rb").readlines()
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"".join([lines[0], b"\xff" + lines[1], *lines[2:]]))
+    path, shown = str(bad), str(bad)
+    if name == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(bad.read_bytes())))
+        path, shown = "-", "stdin"
+    out = ["--out", str(tmp_path / "out")]
+    argv = {
+        "corpus": ["preprocess", "--corpus", path] + out,
+        "labels": ["pretrain", "--corpus", corpus, "--vocab", vocab, "--labels", path,
+                   "--epochs", "0"] + TINY_EXTRACTOR + out,
+        "system": ["evaluate", "--reference", corpus, "--system", path],
+        "vocab": ["pretrain", "--corpus", corpus, "--vocab", path, "--epochs", "0"]
+                 + TINY_EXTRACTOR + out,
+        "pairs": ["score-coherence", "--checkpoint", str(root / "coh.ckpt"), "--vocab", vocab,
+                  "--pairs", path] + out,
+    }
+    argv["stdin"] = argv["pairs"]
+    caplog.clear()
+    assert run(argv[name]) == 1
+    assert _one_error_line(caplog) == f"{shown}: line 2: not valid UTF-8"
+    assert not (tmp_path / "out").exists()
 
 
 def test_every_integer_flag_that_sets_no_config_field_has_a_least_value():

@@ -126,6 +126,8 @@ def test_vocab_file_round_trip(tmp_path):
     save_vocab(vocab, path)
     loaded = load_vocab(path)
     assert loaded.id_to_token == vocab.id_to_token
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))  # a CRLF file reads the same
+    assert load_vocab(path).id_to_token == vocab.id_to_token
 
 
 def test_vocab_file_rejects_bad_header(tmp_path):

@@ -242,6 +242,8 @@ def test_fd_pair_max(rng):
     params.init_uniform("x", (5, 3), rng, scale=1.0)  # odd: the last row is dropped
     weights = rng.normal(size=(2, 3))
     _fd_check(lambda: nm.tanh(nm.pair_max(params["x"]) * weights).sum(), params)
+    params.init_uniform("v", (5,), rng, scale=1.0)  # one axis: no grid side to fold
+    _fd_check(lambda: nm.tanh(nm.pair_max(params["v"]) * weights[:, 0]).sum(), params)
 
 
 def test_pair_max_values_and_small_input():
@@ -274,8 +276,8 @@ def test_fd_composed_small_network(rng):
 
 
 def test_fd_shared_operands_and_fan_out(rng):
-    # owned gradient buffers: a tensor that is both operands, or feeds two
-    # consumers, must sum its gradients into a buffer no other tensor holds
+    # one owner per gradient buffer: a tensor that is both operands, or feeds
+    # two consumers, must sum its gradients into a buffer no other tensor holds
     params = ParamStore()
     params.init_uniform("x", (3, 3), rng, scale=0.7)
     params.init_uniform("y", (3, 3), rng, scale=0.7)
@@ -292,6 +294,15 @@ def test_fd_shared_operands_and_fan_out(rng):
         return ((h @ x()) * h + nm.relu(h) * 2.0).sum()
 
     _fd_check(fan_out, params)
+
+    # on one-row inputs relu_cross_sum's backward hands a and b views of one
+    # array; the later terms of the mul must add into a and b apart
+    params.init_uniform("a", (1, 4), rng, scale=0.7)
+    params.init_uniform("b", (1, 4), rng, scale=0.7)
+    params.init_uniform("bias", (4,), rng, scale=0.7)
+    a, b = lambda: params["a"], lambda: params["b"]
+    _fd_check(lambda: (nm.relu_cross_sum(a(), b(), params["bias"]).sum()
+                       + (a() * 3.0 + b() * -2.0).sum()), params)
 
 
 def test_constant_operands_of_add_mul_and_matmul_get_no_gradient(rng):

@@ -208,12 +208,12 @@ def _dense_weight_gradients(tree: ast.Module) -> list[int]:
 
 
 def test_the_weight_gradient_guard_sees_a_dense_product():
-    dense = ["_accumulate(w, x.T @ g)", "nm._accumulate(w, (r * prev).T @ g, owned=True)",
-             "_accumulate(b, a2.T @ g.reshape(-1, n), owned=True)"]
+    dense = ["_accumulate(w, x.T @ g)", "nm._accumulate(w, (r * prev).T @ g)",
+             "_accumulate(b, a2.T @ g.reshape(-1, n))"]
     for source in dense:
         assert _dense_weight_gradients(ast.parse(source)), source
-    others = ["_accumulate(x, g @ w.T, owned=True)", "_accumulate(w, _Product(x, g))",
-              "dw = x.T @ g", "_accumulate(b, g.sum(axis=0), owned=True)"]
+    others = ["_accumulate(x, g @ w.T)", "_accumulate(w, _Product(x, g))",
+              "dw = x.T @ g", "_accumulate(b, g.sum(axis=0))"]
     for source in others:
         assert not _dense_weight_gradients(ast.parse(source)), source
 
@@ -223,6 +223,29 @@ def test_no_weight_gradient_in_src_is_built_dense_before_it_is_accumulated():
     # which adds it into a gradient, or steps with it, a row block at a time
     found = {path.stem: lines for path in SOURCES
              if (lines := _dense_weight_gradients(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert found == {}
+
+
+def _accumulate_calls_beyond_tensor_and_gradient(tree: ast.Module) -> list[int]:
+    """Lines of each `_accumulate` call with more than two arguments or with a keyword."""
+    return [node.lineno for node in ast.walk(tree)
+            if _called(node, "_accumulate") and (len(node.args) > 2 or node.keywords)]
+
+
+def test_the_accumulate_signature_guard_sees_a_third_argument_or_a_keyword():
+    for source in ["_accumulate(x, g, True)", "nm._accumulate(x, g, owned=True)",
+                   "_accumulate(x, g=g)", "_accumulate(*args, **kwargs)"]:
+        assert _accumulate_calls_beyond_tensor_and_gradient(ast.parse(source)), source
+    for source in ["_accumulate(x, g)", "nm._accumulate(w, _Product(x, g))", "accumulate(x, g, 1)"]:
+        assert not _accumulate_calls_beyond_tensor_and_gradient(ast.parse(source)), source
+
+
+def test_every_accumulate_call_in_src_passes_only_the_tensor_and_its_gradient():
+    # one owner per gradient buffer: `_accumulate` copies every first dense
+    # gradient, and no flag lets a caller hand over a buffer that another tensor holds
+    found = {path.stem: lines for path in SOURCES
+             if (lines := _accumulate_calls_beyond_tensor_and_gradient(
+                 ast.parse(path.read_text(encoding="utf-8"))))}
     assert found == {}
 
 
