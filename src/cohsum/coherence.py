@@ -60,7 +60,14 @@ in a GEMV. Its gradient is one product, kept as its two factors, the
 applied a row block at a time, so the 33.5 MB [8192, 512] array is never
 built. The conv stacks stay per pair because a batched im2col over a whole
 RL episode is about 71 MB; it falls out of cache and ran slower than the
-per-pair stacks.
+per-pair stacks. So each pair's convolution hands its weight gradient over
+as its own product: its input grid, which the tape holds, and the [h * w, N]
+gradient of its output. A batch's products are kept as a sum while their
+gradients take fewer bytes than the weight, and the step builds each row
+block's im2col columns from the grids (`numeric._Windows`). At paper
+geometry conv3's 16 products of an 8-triplet batch keep at most 262 KB each,
+so its 9.4 MB [2304, 512] gradient is never built; conv2's, about 800 KB
+each against its 2.4 MB weight, are multiplied out at the third pair.
 """
 
 from __future__ import annotations

@@ -193,7 +193,11 @@ def utf8_lines(fh: Iterable[bytes], name) -> Iterator[tuple[int, str]]:
         try:
             yield lineno, raw.decode("utf-8")
         except UnicodeDecodeError:
-            raise CorpusFormatError(f"{name}: line {lineno}: not valid UTF-8") from None
+            raise _not_utf8(name, lineno) from None
+
+
+def _not_utf8(name, lineno: int) -> CorpusFormatError:
+    return CorpusFormatError(f"{name}: line {lineno}: not valid UTF-8")
 
 
 def jsonl_records(path) -> Iterator[tuple[int, str, dict]]:
@@ -263,8 +267,23 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
+    """The vocabulary saved at path: the special tokens, then one token per line.
+
+    The file is decoded as UTF-8 whole, once, and split at each newline; a
+    line's trailing carriage returns are dropped, so a CRLF file reads the
+    same, and a carriage return elsewhere is part of the token. Bytes that are
+    not valid UTF-8 fail naming the line they are on, as `utf8_lines` does.
+    """
     with open(path, "rb") as fh:
-        lines = [line.rstrip("\r\n") for _, line in utf8_lines(fh, path)]
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, data.count(b"\n", 0, exc.start) + 1) from None
+    lines = text.split("\n")
+    if not lines[-1]:  # the empty text after a final newline is no line
+        lines.pop()
+    lines = [line.rstrip("\r") for line in lines]
     if tuple(lines[:3]) != _SPECIALS:
         raise CorpusFormatError(
             f"{path}: expected header lines {_SPECIALS}, got {tuple(lines[:3])}"

@@ -24,18 +24,28 @@ is 64-bit so finite-difference gradient checks are decisive.
   scorer) runs in it; a loss built there has no tape, and `gradients`
   rejects it.
 - Three gradient forms: a dense array; the (indices, g) row segments of
-  `gather_rows` (below); and a `_Product` (a, g), the weight gradient
-  a.T @ g kept as its two factors. `matmul` (for its right operand),
-  `conv2d` (for its weight, with the im2col rows built again) and
-  `gru_sequence` (for W_z, W_r, W_h, V_z, V_r, V_h) hand their weight
-  gradients over as products. A leaf keeps a first product whose factors hold
-  fewer elements than the weight; `_accumulate` adds a product into a dense
-  gradient, and `sgd_step` steps with it, `SGD_BLOCK` elements at a time, each
-  block 2 rows or more, which equal those rows of the whole product bit for
-  bit. So the coherence scorer's [8192, 512] fc1 weight gradient (33.5 MB)
-  is never built, and conv3's [2304, 512] one is built once per batch, with
-  no second copy as the temporary of a sum. `_dense_grad` multiplies a
-  product out where an op reads a gradient dense.
+  `gather_rows` (below); and a `_Sum` of `_Product`s (a, g), each the
+  weight gradient a.T @ g kept as its two factors. `matmul` (for its right
+  operand), `conv2d` (for its weight) and `gru_sequence` (for W_z, W_r, W_h,
+  V_z, V_r, V_h) hand their weight gradients over as products. `conv2d`'s
+  a is its input grid with the logical side (`_Windows`): the tape holds
+  that grid, and the im2col columns of a row block are copied from it when
+  the block is needed, so no product keeps an im2col matrix.
+- The keep rule: a leaf keeps the products it is handed, in order, as a
+  sum while the bytes that only they keep alive, each product's g and each
+  a that backward built for it (`_Product.nbytes`), stay below the leaf's
+  own bytes; an a that the tape holds anyway costs nothing. Past that, and
+  on an op's output, whose backward reads its gradient dense, the sum is
+  multiplied out once and each later product is added into it. Either way
+  a sum goes a row block of about `SGD_BLOCK` elements at a time, as
+  `sgd_step` steps with it: that block of the first product, then `+=`
+  that block of each later one. Blocks have 2 rows or more, and equal
+  those rows of the whole product bit for bit, so these are the additions
+  of the dense sum of dense products. So a batch's weight gradients are
+  not built: not the coherence scorer's [8192, 512] fc1 one (33.5 MB), nor
+  conv3's [2304, 512] one (9.4 MB, 16 products of at most 262 KB each for
+  an 8-triplet batch), nor the extractor's GRU and word-convolution ones.
+  `_dense_grad` multiplies a sum out where an op reads a gradient dense.
 - One owner per gradient buffer: every dense gradient a tensor stores is its
   own array, a copy of the first one it is handed, a zero-filled array or a
   product multiplied out, so no two tensors share a gradient buffer and an
@@ -45,10 +55,10 @@ is 64-bit so finite-difference gradient checks are decisive.
   operand that has no tape (no `requires_grad`, no parents), such as the
   returns of a policy-gradient surrogate; its `.grad` stays None.
 - Convolution without a kept im2col matrix: `conv2d` builds the window rows
-  of its input for one GEMM and drops them, and builds them again in backward
-  for the weight gradient. It fuses the bias and the relu, so the tape holds
-  the input and the [h, w, N] output only: not the [h * w, k * k * C] rows,
-  not a pre-bias product and not a pre-relu one.
+  of its input for one GEMM and drops them; its weight gradient builds them
+  again, a column block at a time (`_Windows`). It fuses the bias and the
+  relu, so the tape holds the input and the [h, w, N] output only: not the
+  [h * w, k * k * C] rows, not a pre-bias product and not a pre-relu one.
 - One array per coherence stage: `conv2d`, `max_pool_2x2` and
   `relu_cross_sum` (layer 1's relu(P_A[i] + P_B[j] + b)) keep only their
   output; backward recomputes what else it reads. `conv2d` and
@@ -70,16 +80,18 @@ is 64-bit so finite-difference gradient checks are decisive.
   parameter's last consumer in reverse topological order; right after that
   node's backward has run the parameter's gradient is complete, and
   `sgd_step` applies it and drops it. So a large gradient (the coherence
-  scorer's 9.4 MB conv3 weight gradient, complete part-way through the walk)
-  is freed while the rest of the tape runs, not kept to its end. No backward
-  reads a stepped value: a node that reads a parameter's buffer, directly or
-  through a `take_slice` or `reshape` view of it, consumes the parameter or
-  lies downstream of a node that does, so its backward runs before the last
-  consumer's. Nor does a product: only a leaf keeps one, and it steps before
-  the other parameters complete at the same node, whose buffer may be its
-  factor a. An exception part-way through backward leaves the parameters
-  stepped so far stepped and the rest not; the CLI then exits 1 and writes no
-  checkpoint.
+  scorer's conv3 weight gradient, complete part-way through the walk, and
+  the products it is kept as) is freed while the rest of the tape runs, not
+  kept to its end. No backward reads a stepped value: a node that reads a
+  parameter's buffer, directly or through a `take_slice` or `reshape` view
+  of it, consumes the parameter or lies downstream of a node that does, so
+  its backward runs before the last consumer's. Nor does a product, whose
+  factor a may be a parameter's buffer: only a leaf keeps one, a leaf with
+  a sum steps before the other parameters complete at the same node, and
+  before any parameter steps, every sum still kept that may read its buffer
+  is multiplied out. An exception part-way through backward leaves the
+  parameters stepped so far stepped and the rest not; the CLI then exits 1
+  and writes no checkpoint.
 - Checkpoints (format v2, laid out in `save_checkpoint`) carry a JSON header,
   `ParamStore.meta`, before the tensors; `read_header` reads it alone. Each
   tensor is written from its own buffer and read straight into its own
@@ -241,42 +253,140 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _row_spans(k: int, n: int) -> list[slice]:
+    """Consecutive row blocks of about SGD_BLOCK elements of a [k, n] product.
+
+    A block has 2 rows or more, unless the product has one row: numpy takes a
+    1-row product through gemv, whose bits can differ from the gemm of the
+    whole, while blocks of 2 rows or more equal the rows of the whole product
+    bit for bit.
+    """
+    step = max(2, SGD_BLOCK // max(n, 1))
+    bounds = [*range(0, k, step), k]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] < 2:
+        del bounds[-2]  # a last block of one row joins the one before it
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+class _Windows(NamedTuple):
+    """The im2col rows of a kernel x kernel convolution over an [H, W, C] grid read as [rows, cols].
+
+    The rows of `_window_rows(_edge_extended(x, rows, cols), kernel, 2)`,
+    of which `columns` gives a block of columns at a time, copied straight
+    from x: column (i * kernel + j) * C + c of window (p, q) is
+    x[p + i, q + j, c], with rows and columns past x's last ones read as
+    copies of them.
+    """
+
+    x: np.ndarray
+    kernel: int
+    rows: int
+    cols: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        k = self.kernel
+        return (self.rows - k + 1) * (self.cols - k + 1), k * k * self.x.shape[2]
+
+    def columns(self, span: slice) -> np.ndarray:
+        """Columns `span` of the window rows, copied from x, or a view when one window wide.
+
+        One window wide, `_window_rows` is a view of the edge-extended grid,
+        whose rows overlap, and numpy multiplies it without BLAS, in another
+        order of additions than a copy gets; so the block is a slice of that
+        view, which the whole window rows would give too.
+        """
+        k, (height, width, c) = self.kernel, self.x.shape
+        h, w = self.rows - k + 1, self.cols - k + 1
+        if w == 1:
+            return _window_rows(_edge_extended(self.x, self.rows, self.cols), k, 2)[:, span]
+        out = np.empty((h * w, span.stop - span.start))
+        for offset in range(span.start // c, (span.stop - 1) // c + 1):
+            i, j = divmod(offset, k)
+            lo, hi = max(span.start, offset * c), min(span.stop, (offset + 1) * c)
+            grid_rows = np.minimum(np.arange(i, i + h), height - 1)[:, None]
+            grid_cols = np.minimum(np.arange(j, j + w), width - 1)
+            channels = slice(lo - offset * c, hi - offset * c)
+            out[:, lo - span.start : hi - span.start] = (
+                self.x[grid_rows, grid_cols, channels].reshape(h * w, -1))
+        return out
+
+
 class _Product(NamedTuple):
     """The weight gradient a.T @ g of an [R, K] a and an [R, N] g, kept as its two factors.
 
-    `blocks` gives it a few rows at a time, so neither adding it into a dense
-    gradient nor stepping with it builds the [K, N] array.
+    a is an array, or the `_Windows` of a convolution's input grid, which
+    builds a's columns a block at a time. `built` tells that backward built
+    a for this product alone, so that keeping the product keeps a alive; an
+    a that the tape holds anyway (an op's input, a backward closure's array)
+    costs nothing.
     """
 
-    a: np.ndarray
+    a: np.ndarray | _Windows
     g: np.ndarray
+    built: bool = False
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.a.shape[1], self.g.shape[1]
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes that only this product keeps alive: g, and a when backward built it."""
+        return self.g.nbytes + (self.a.nbytes if self.built else 0)
+
+    def rows(self, span: slice) -> np.ndarray:
+        """Rows `span` of a.T @ g, equal to those rows of the whole product bit for bit."""
+        a = self.a.columns(span) if isinstance(self.a, _Windows) else self.a[:, span]
+        return a.T @ self.g
 
     def blocks(self):
-        """(rows, a.T[rows] @ g) for consecutive row blocks of about SGD_BLOCK elements.
+        """(rows, those rows of a.T @ g) for each of the `_row_spans` of the product."""
+        for span in _row_spans(*self.shape):
+            yield span, self.rows(span)
 
-        A block has 2 rows or more, unless the product has one row: numpy
-        takes a 1-row product through gemv, whose bits can differ from the
-        gemm of the whole, while blocks of 2 rows or more equal the rows of
-        the whole product bit for bit.
-        """
-        k = self.a.shape[1]
-        step = max(2, SGD_BLOCK // max(self.g.shape[1], 1))
-        bounds = [*range(0, k, step), k]
-        if len(bounds) > 2 and bounds[-1] - bounds[-2] < 2:
-            del bounds[-2]  # a last block of one row joins the one before it
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            yield slice(lo, hi), self.a.T[lo:hi] @ self.g
+    def reads(self, buffer: np.ndarray) -> bool:
+        """Whether a may be a view of buffer, so that a step of buffer would change it."""
+        return np.may_share_memory(self.a.x if isinstance(self.a, _Windows) else self.a, buffer)
+
+
+class _Sum(NamedTuple):
+    """The `_Product`s a leaf was handed, kept in order as their sum, its gradient.
+
+    `blocks` gives the sum a row block at a time: that block of the first
+    product, then `+=` that block of each later one, and `dense` writes the
+    blocks into one array. A block equals those rows of its whole product bit
+    for bit (`_row_spans`), so these are the additions of multiplying the
+    first product out whole and adding each later one into it.
+    """
+
+    products: list[_Product]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(p.nbytes for p in self.products)
+
+    def blocks(self):
+        first, *rest = self.products
+        for span in _row_spans(*first.shape):
+            block = first.rows(span)
+            for p in rest:
+                block += p.rows(span)
+            yield span, block
 
     def dense(self) -> np.ndarray:
-        return self.a.T @ self.g
+        dense = np.empty(self.products[0].shape)
+        for span, block in self.blocks():
+            dense[span] = block
+        return dense
 
 
 def _dense_grad(t: Tensor) -> np.ndarray:
     """t.grad as a dense array, which replaces it.
 
-    Zero-filled when absent, row segments scattered in order, a product multiplied out.
+    Zero-filled when absent, row segments scattered in order, a sum of products multiplied out.
     """
-    if isinstance(t.grad, _Product):
+    if isinstance(t.grad, _Sum):
         t.grad = t.grad.dense()
     elif not isinstance(t.grad, np.ndarray):
         dense = np.zeros_like(t.data)
@@ -290,18 +400,22 @@ def _accumulate(t: Tensor, g: np.ndarray | _Product) -> None:
     """Add g, a dense array or a `_Product`, to t.grad.
 
     A first dense g is stored as a copy, so t owns its gradient buffer (see
-    the module docstring). A product becomes the first gradient of a leaf as
-    it is when its factors hold fewer elements than t; any other first
-    product is multiplied out once. A product added to a gradient already
-    there goes in row block by row block, after that gradient is made dense.
-    Only a leaf keeps a product: an op's backward reads its gradient dense
-    anyway, and by then a parameter whose buffer is the product's factor a
-    may have stepped.
+    the module docstring). A leaf keeps the products it is handed as a `_Sum`
+    while the bytes only they keep alive (`_Product.nbytes`) stay below t's
+    own; past that, or on an op's output, whose backward reads its gradient
+    dense anyway, the sum or a first product is multiplied out once, and a
+    product added to a gradient already there goes in row block by row block,
+    after that gradient is made dense.
     """
     if isinstance(g, _Product):
+        if t._backward_fn is None and (t.grad is None or isinstance(t.grad, _Sum)):
+            kept = _Sum([]) if t.grad is None else t.grad
+            if kept.nbytes + g.nbytes < t.data.nbytes:
+                kept.products.append(g)
+                t.grad = kept
+                return
         if t.grad is None:
-            keep = t._backward_fn is None and g.a.size + g.g.size < t.data.size
-            t.grad = g if keep else g.dense()
+            t.grad = _Sum([g]).dense()
         else:
             dense = _dense_grad(t)
             for rows, block in g.blocks():
@@ -618,9 +732,11 @@ def conv2d(x, weight, bias, kernel: int, rows: int, cols: int) -> Tensor:
     Equal bit for bit to relu(linear(windows(x read as rows x cols, kernel, 2),
     weight, bias)) reshaped to the grid, but only the output is kept: the
     forward pass builds the edge-extended grid and its im2col rows for one
-    GEMM, adds the bias and takes the relu in place, and drops them; backward
-    builds them again for the weight gradient and folds the gradient of the
-    copied rows and columns into x's last row and column.
+    GEMM, adds the bias and takes the relu in place, and drops them. Backward
+    folds the gradient of the copied rows and columns into x's last row and
+    column, and hands the weight gradient over as a product whose a is x
+    read through `_Windows`, which builds the im2col columns again a row
+    block at a time.
     """
     x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
     _check_side("conv2d", x, rows, cols, kernel)
@@ -648,8 +764,7 @@ def conv2d(x, weight, bias, kernel: int, rows: int, cols: int) -> Tensor:
                 _add_window_grads(gx, g_rows, kernel, 2)
                 _accumulate(x, _fold_edges(gx, *x.data.shape[:2]))
         if _needs_grad(weight):
-            im2col = _window_rows(_edge_extended(x.data, rows, cols), kernel, 2)
-            _accumulate(weight, _Product(im2col, g))
+            _accumulate(weight, _Product(_Windows(x.data, kernel, rows, cols), g))
         if _needs_grad(bias):
             _accumulate(bias, g.sum(axis=0))
 
@@ -847,7 +962,7 @@ def gru_sequence(x, weights, biases, recurrent, reverse: bool = False) -> Tensor
             _accumulate(b, db[gate])
         _accumulate(v_z, _Product(prev, d_proj[:, :h]))
         _accumulate(v_r, _Product(prev, d_proj[:, h : 2 * h]))
-        _accumulate(v_h, _Product(r * prev, d_proj[:, 2 * h :]))
+        _accumulate(v_h, _Product(r * prev, d_proj[:, 2 * h :], built=True))
 
     return _node(out, (x, *weights, *biases, v_z, v_r, v_h), backward)
 
@@ -934,10 +1049,11 @@ def gradients(loss: Tensor, params: ParamStore, lr: float) -> None:
     Each parameter's gradient is complete right after the backward of its
     last consumer; it is then handed to `sgd_step` as the walk leaves it, in
     one of three forms (a dense array, `gather_rows` row segments, or a
-    `_Product` a.T @ g kept as its factors), and dropped. Of the parameters
-    complete at one node, those with a product step first: its factor a may
-    be the buffer of another of them. A parameter the loss does not reach is
-    left as it is.
+    `_Sum` of products a.T @ g kept as their factors), and dropped. A factor
+    a may be a parameter's buffer, so of the parameters complete at one node,
+    those with a sum step first, and before a parameter steps every sum
+    still kept that may read its buffer is multiplied out. A parameter the
+    loss does not reach is left as it is.
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -972,9 +1088,12 @@ def gradients(loss: Tensor, params: ParamStore, lr: float) -> None:
             if node is not loss:
                 node.grad = None  # free intermediate buffers early
         for name in sorted(complete_after.get(id(node), ()),
-                           key=lambda name: not isinstance(params[name].grad, _Product)):
+                           key=lambda name: not isinstance(params[name].grad, _Sum)):
             p = params[name]
             if p.grad is not None:
+                for _, q in params.items():
+                    if isinstance(q.grad, _Sum) and any(f.reads(p.data) for f in q.grad.products):
+                        _dense_grad(q)
                 sgd_step(p, p.grad, lr, name)
                 p.grad = None  # no other name holds the gradient: it is freed here
 
@@ -983,12 +1102,12 @@ SGD_BLOCK = 1 << 14  # elements of a dense update done at once: 128 KiB of lr * 
 LOAD_BLOCK = 1 << 16  # elements of a row-selected tensor read at once: 512 KiB
 
 
-def sgd_step(p: Tensor, g: np.ndarray | list | _Product, lr: float, name: str) -> None:
+def sgd_step(p: Tensor, g: np.ndarray | list | _Sum, lr: float, name: str) -> None:
     """p <- p - lr * g in place, with g as the backward walk leaves it on p.
 
     g is a dense array; the (indices, g) row segments that `gather_rows`
-    records, which update only the rows they touch; or a `_Product`, which
-    steps its row blocks one by one, each multiplied out as it is applied.
+    records, which update only the rows they touch; or a `_Sum` of products,
+    which steps its row blocks one by one, each summed as it is applied.
     A dense parameter is updated SGD_BLOCK elements at a time, so the
     temporary lr * g is one block, not a copy of the parameter; g is only
     read. A step that makes a value NaN or infinite raises FloatingPointError
@@ -996,7 +1115,7 @@ def sgd_step(p: Tensor, g: np.ndarray | list | _Product, lr: float, name: str) -
     catch it.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, not warned
-        if isinstance(g, _Product):
+        if isinstance(g, _Sum):
             for rows, block in g.blocks():
                 stepped = p.data[rows]
                 stepped -= lr * block

@@ -43,7 +43,7 @@ def sgd_hand_offs(loss, params: ParamStore) -> list[tuple[str, object]]:
     `nm.sgd_step` is replaced by a recorder for the walk, the same binding
     the benchmark's tracer wraps, so nothing steps. Each gradient is as the
     walk leaves it: a dense array, `gather_rows`'s (indices, g) segments, or
-    a `numeric._Product`.
+    a `numeric._Sum` of products.
     """
     handed = []
     step = nm.sgd_step
@@ -56,11 +56,11 @@ def sgd_hand_offs(loss, params: ParamStore) -> list[tuple[str, object]]:
 
 
 def dense_gradient(g, shape: tuple) -> np.ndarray:
-    """A handed-over gradient as a dense array: segments scattered in order, a product
-    multiplied out, None as zeros."""
+    """A handed-over gradient as a dense array: segments scattered in order, a sum of
+    products multiplied out, None as zeros."""
     if isinstance(g, np.ndarray):
         return g
-    if isinstance(g, nm._Product):
+    if isinstance(g, nm._Sum):
         return g.dense()
     dense = np.zeros(shape)
     for idx, segment in g or ():

@@ -9,8 +9,8 @@ windows from a flat index table and scatters backward with `np.add.at`;
 `layer1_grid` is the full [T, T, F] interaction grid of the coherence scorer,
 before the fused first pool; `two_pass_step` is training before parameters
 stepped inside backward: a walk of the whole tape that leaves every gradient
-on its parameter, each weight gradient dense rather than as the two factors of
-a `numeric._Product`, then one `nm.sgd_step` per parameter. The code in `cohsum`
+on its parameter, each weight gradient dense rather than as a sum of
+`numeric._Product`s kept as their factors, then one `nm.sgd_step` per parameter. The code in `cohsum`
 is tested against these functions. `sigmoid` is here because only the tests
 and the per-step policy reference use it.
 """
@@ -113,7 +113,7 @@ def two_pass_step(loss: Tensor, params: ParamStore, lr: float) -> ParamStore:
             if node is not loss:
                 node.grad = None
         for p in node._parents:
-            if isinstance(p.grad, nm._Product):
+            if isinstance(p.grad, nm._Sum):
                 nm._dense_grad(p)
     for name, p in params.items():
         g, p.grad = p.grad, None

@@ -130,6 +130,34 @@ def test_vocab_file_round_trip(tmp_path):
     assert load_vocab(path).id_to_token == vocab.id_to_token
 
 
+_HEADER = b"<PAD>\n<UNK>\n<BOUNDARY>\n"
+
+
+@pytest.mark.parametrize("blob, tokens", [
+    (_HEADER + b"a\rb\r\nc\r\r\n", ["a\rb", "c"]),  # a lone carriage return breaks no line
+    (_HEADER + b"a\nlast", ["a", "last"]),  # no final newline
+    (_HEADER.replace(b"\n", b"\r\n") + b"\xc3\xa9t\xc3\xa9\r\n\r", ["été", ""]),
+])
+def test_vocab_file_lines_end_at_newlines_only(tmp_path, blob, tokens):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(blob)
+    assert load_vocab(path).id_to_token[3:] == tokens
+
+
+@pytest.mark.parametrize("blob, line", [
+    (b"\xff" + _HEADER, 1),
+    (_HEADER + b"a\rb\n\xffc\n", 5),  # the line after a lone carriage return
+    (_HEADER + b"a\n\xc3\nb\n", 5),  # a sequence cut short by the newline
+    (_HEADER + b"a\nb\xc3", 5),  # and by the end of the file
+])
+def test_vocab_file_not_utf8_names_the_line(tmp_path, blob, line):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(blob)
+    with pytest.raises(CorpusFormatError) as err:
+        load_vocab(path)
+    assert str(err.value) == f"{path}: line {line}: not valid UTF-8"
+
+
 def test_vocab_file_rejects_bad_header(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("not\na\nheader\nw\n")

@@ -6,8 +6,16 @@ import math
 import numpy as np
 import pytest
 
+import reference_numeric
+from cohsum import numeric as nm
 from cohsum.corpus import Vocabulary, make_document, make_sentence
-from cohsum.extractor import encode_document, init_extractor_params, pretrain, pretrain_loss
+from cohsum.extractor import (
+    ExtractorConfig,
+    encode_document,
+    init_extractor_params,
+    pretrain,
+    pretrain_loss,
+)
 from cohsum.numeric import ParamStore, Tensor
 from reference_policy import (
     extraction_probability,
@@ -26,6 +34,7 @@ from conftest import (
     tape_holdings,
     tiny_extractor_config,
     toy_document,
+    traced_peak,
 )
 
 
@@ -303,6 +312,32 @@ def test_full_model_gradient_check_spec_dims(rng):
         lambda: pretrain_loss(doc, labels, params, config).item(), params
     )
     assert_grads_close(analytic, numeric_grads)
+
+
+# Bytes a paper-geometry 4-document pretraining batch step may allocate above what is
+# live before it (the parameters). Keeping each weight's products as a sum until it
+# steps peaks at about 37 MB; multiplying a weight's products out once its second
+# document's arrives, or applying every gradient after the walk, about 55 MB.
+PRETRAIN_STEP_PEAK_BOUND = 46_000_000
+
+
+def test_paper_geometry_pretrain_step_keeps_weight_gradients_factored():
+    words = [f"w{i}" for i in range(1997)]
+    vocab = Vocabulary(words)
+    config = ExtractorConfig(vocab_size=vocab.size)
+    rng = np.random.default_rng(2)
+    batch = []
+    for i in range(4):
+        sentences = [" ".join(rng.choice(words, size=rng.integers(15, 36))) for _ in range(30)]
+        doc = make_document(f"d{i}", sentences, sentences[:1], vocab=vocab,
+                            max_tokens=config.max_tokens)
+        batch.append((doc, [int(v) for v in rng.integers(0, 2, size=30)]))
+    params = init_extractor_params(config, rng)
+    batch_loss = lambda: sum(pretrain_loss(doc, labels, params, config)
+                             for doc, labels in batch) / len(batch)
+    fused = traced_peak(lambda: nm.gradients(batch_loss(), params, config.lr))
+    two_pass = traced_peak(lambda: reference_numeric.two_pass_step(batch_loss(), params, config.lr))
+    assert fused < PRETRAIN_STEP_PEAK_BOUND < two_pass, (fused, two_pass)
 
 
 # -- pretraining loop -------------------------------------------------------------------------

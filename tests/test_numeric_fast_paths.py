@@ -10,8 +10,9 @@ whole table in SGD, and gathers sliding windows through flat index tables;
 `gradients`, which steps each parameter once its last consumer's backward
 has run, is held to `two_pass_step`, every gradient first and then the
 steps; it hands each parameter it reaches to `sgd_step` exactly once. A
-weight gradient kept as the two factors of a `numeric._Product` is held to
-the dense product, in the step and when added into another gradient.
+weight gradient kept as a `numeric._Sum` of products, each kept as its two
+factors (a convolution's a as its input grid), is held to the dense sum of
+the dense products, in the step and when added into another gradient.
 The fast paths do the same arithmetic in the same order, so values and
 gradients must agree bit for bit; only the fused layer-1 pool sums its
 gradients over fewer (all-zero) terms, and over the copies of its tail row
@@ -393,27 +394,51 @@ def test_sparse_sgd_step_matches_dense(index_lists, lr, seed):
 # -- weight gradients kept as their two factors -------------------------------------------
 
 
-PRODUCT_SHAPES = {
-    # (a, g): the product a.T @ g has a's columns as rows and g's columns
-    "rows leave a remainder": ((3, 37), (3, 1000)),  # 16-row blocks, then 5 rows
-    "a last row joins its block": ((3, 33), (3, 1000)),  # 16 and 17 rows, never 1
-    "wider than a block": ((3, 5), (3, nm.SGD_BLOCK + 3)),  # 2-row blocks, then 3 rows
-    "one row": ((4, 1), (4, 9)),
-    "1-D a": ((7,), (9,)),  # contexts.mean(axis=0) @ doc_w
+def _matmul_product(a_shape, g_shape):
+    """Draws a `_Product` of the shapes and its dense form, as `matmul`'s backward pairs them."""
+    def make(rng):
+        a, g = rng.normal(size=a_shape), rng.normal(size=g_shape)
+        a2, g2 = a.reshape(-1, a.shape[-1]), g.reshape(-1, g.shape[-1])
+        return nm._Product(a2, g2), a2.T @ g2
+    return make
+
+
+def _conv_rows(x, side, kernel):
+    """The im2col rows of x read as side, its last row and column copied by `np.pad`."""
+    extra = [(0, n - m) for n, m in zip(side, x.shape[:2])] + [(0, 0)]
+    return nm._window_rows(np.pad(x, extra, mode="edge"), kernel, 2)
+
+
+def _conv_product(x_shape, side, kernel, n):
+    """Draws `conv2d`'s weight product over an x read as side, and the dense im2col product."""
+    def make(rng):
+        x = rng.normal(size=x_shape)
+        im2col = _conv_rows(x, side, kernel)
+        g = rng.normal(size=(len(im2col), n))
+        return nm._Product(nm._Windows(x, kernel, *side), g), im2col.T @ g
+    return make
+
+
+PRODUCTS = {
+    # the product a.T @ g has a's columns as rows and g's columns
+    "rows leave a remainder": _matmul_product((3, 37), (3, 1000)),  # 16-row blocks, then 5 rows
+    "a last row joins its block": _matmul_product((3, 33), (3, 1000)),  # 16 and 17 rows, never 1
+    "wider than a block": _matmul_product((3, 5), (3, nm.SGD_BLOCK + 3)),  # 2-row blocks, then 3
+    "one row": _matmul_product((4, 1), (4, 9)),
+    "1-D a": _matmul_product((7,), (9,)),  # contexts.mean(axis=0) @ doc_w
+    # conv2d's weight product, whose a is the im2col rows of its input grid
+    "conv blocks span window offsets": _conv_product((4, 5, 7), (6, 6), 3, 5000),  # 3-row blocks
+    "conv with no copied row": _conv_product((5, 4, 3), (5, 4), 2, 40),
+    "conv one window wide": _conv_product((3, 1, 2), (5, 3), 3, 4),  # overlapping window rows
+    "conv of one filter": _conv_product((4, 5, 3), (6, 6), 3, 1),
+    "conv2 at paper geometry": _conv_product((12, 22, 128), (22, 22), 3, 256),
+    "conv3 at paper geometry": _conv_product((7, 10, 256), (10, 10), 3, 512),
 }
 
 
-def _product(a_shape, g_shape, seed=0):
-    """A `_Product` of the shapes and its dense form, as `matmul`'s backward pairs them."""
-    rng = np.random.default_rng(seed)
-    a, g = rng.normal(size=a_shape), rng.normal(size=g_shape)
-    a2, g2 = a.reshape(-1, a.shape[-1]), g.reshape(-1, g.shape[-1])
-    return nm._Product(a2, g2), a2.T @ g2
-
-
-@pytest.mark.parametrize("shapes", PRODUCT_SHAPES.values(), ids=PRODUCT_SHAPES.keys())
-def test_product_blocks_cover_its_rows_with_two_or_more_each(shapes):
-    product, dense = _product(*shapes)
+@pytest.mark.parametrize("make", PRODUCTS.values(), ids=PRODUCTS.keys())
+def test_product_blocks_cover_its_rows_with_two_or_more_each(make):
+    product, dense = make(np.random.default_rng(0))
     spans = [(rows.start, rows.stop) for rows, _ in product.blocks()]
     assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
     assert spans[-1][1] == len(dense)
@@ -421,36 +446,67 @@ def test_product_blocks_cover_its_rows_with_two_or_more_each(shapes):
     assert spans[-1][1] - spans[-1][0] >= min(2, len(dense))
 
 
-@pytest.mark.parametrize("shapes", PRODUCT_SHAPES.values(), ids=PRODUCT_SHAPES.keys())
-def test_product_step_and_accumulation_match_the_dense_product(shapes):
-    product, dense = _product(*shapes)
-    start = np.random.default_rng(1).normal(size=dense.shape)
-    fused, reference = ParamStore().add("w", start), ParamStore().add("w", start)
-    nm.sgd_step(fused, product, 0.3, "w")
-    nm.sgd_step(reference, dense, 0.3, "w")
-    assert _bits(fused.data) == _bits(reference.data)
-    # into a dense gradient, and into a product already there, which is made dense first
-    other, other_dense = _product(*shapes, seed=2)
-    for first, first_dense in ((start.copy(), start), (other, other_dense)):
-        t = Tensor(np.zeros(dense.shape), requires_grad=True)
-        t.grad = first
-        nm._accumulate(t, product)
-        assert _bits(t.grad) == _bits(first_dense + dense)
-    assert _bits(dense_gradient(product, dense.shape)) == _bits(dense)
+@pytest.mark.parametrize("make", PRODUCTS.values(), ids=PRODUCTS.keys())
+def test_product_step_and_accumulation_match_the_dense_product(make):
+    made = [make(np.random.default_rng(seed)) for seed in range(4)]
+    if isinstance(made[0][0].a, nm._Windows):  # its column blocks are the im2col rows' columns
+        windows = made[0][0].a
+        im2col = _conv_rows(windows.x, (windows.rows, windows.cols), windows.kernel)
+        for span in nm._row_spans(*made[0][0].shape):
+            assert _bits(windows.columns(span)) == _bits(im2col[:, span])
+    start = np.random.default_rng(9).normal(size=made[0][1].shape)
+    for count in range(1, 5):  # sums of 1 to 4 products, against the sum of their dense forms
+        products = [product for product, _ in made[:count]]
+        dense = made[0][1].copy()
+        into_start = start + made[0][1]
+        for _, later in made[1:count]:
+            dense += later
+            into_start += later
+        fused, reference = Tensor(start.copy()), Tensor(start.copy())
+        nm.sgd_step(fused, nm._Sum(products), 0.3, "w")
+        nm.sgd_step(reference, dense, 0.3, "w")
+        assert _bits(fused.data) == _bits(reference.data), count
+        assert _bits(dense_gradient(nm._Sum(products), dense.shape)) == _bits(dense), count
+        # added into an op's gradient, which keeps no product: into none, whose
+        # first product is multiplied out, and into a dense one
+        for first in (None, start.copy()):
+            op_output = nm.tanh(Tensor(np.zeros(dense.shape), requires_grad=True))
+            op_output.grad = first
+            for product in products:
+                nm._accumulate(op_output, product)
+            assert _bits(op_output.grad) == _bits(dense if first is None else into_start)
 
 
 def test_a_leaf_keeps_a_first_product_only_when_its_factors_are_smaller():
-    small, dense = _product((2, 6), (2, 5))  # 12 + 10 factor elements for 30
-    large, large_dense = _product((6, 2), (6, 3))  # 12 + 18 for 6
+    # a leaf keeps its products while the bytes only they keep alive, each g and
+    # each a that backward built, stay below its own: a [6, 5] leaf holds 30 elements
+    rng = np.random.default_rng(0)
+    taped = lambda rows: nm._Product(rng.normal(size=(rows, 6)), rng.normal(size=(rows, 5)))
     leaf = Tensor(np.zeros((6, 5)), requires_grad=True)
-    nm._accumulate(leaf, small)
-    assert leaf.grad is small
-    op_output = nm.tanh(leaf)
-    nm._accumulate(op_output, small)
-    assert _bits(op_output.grad) == _bits(dense)
+    products = [taped(4), taped(1)]  # a tape-held a costs nothing: 20, then 25 elements
+    for product in products:
+        nm._accumulate(leaf, product)
+        assert isinstance(leaf.grad, nm._Sum)
+    assert leaf.grad.products == products
+    last = taped(1)  # 30 elements: the sum is multiplied out
+    nm._accumulate(leaf, last)
+    dense = products[0].a.T @ products[0].g
+    for product in (products[1], last):
+        dense += product.a.T @ product.g
+    assert _bits(leaf.grad) == _bits(dense)
+    built = nm._Product(rng.normal(size=(2, 6)), rng.normal(size=(2, 5)), built=True)
+    leaf = Tensor(np.zeros((6, 5)), requires_grad=True)
+    nm._accumulate(leaf, built)  # 12 + 10 elements
+    assert leaf.grad.products == [built]
+    nm._accumulate(leaf, built)  # 44
+    assert isinstance(leaf.grad, np.ndarray)
+    op_output = nm.tanh(Tensor(np.zeros((6, 5)), requires_grad=True))
+    nm._accumulate(op_output, products[1])
+    assert _bits(op_output.grad) == _bits(products[1].a.T @ products[1].g)
+    large = nm._Product(rng.normal(size=(6, 2)), rng.normal(size=(6, 3)))  # 18 for 6
     leaf = Tensor(np.zeros((2, 3)), requires_grad=True)
     nm._accumulate(leaf, large)
-    assert _bits(leaf.grad) == _bits(large_dense)
+    assert _bits(leaf.grad) == _bits(large.a.T @ large.g)
 
 
 def test_product_step_that_overflows_raises():
@@ -462,7 +518,7 @@ def test_product_step_that_overflows_raises():
     params.add("w", np.ones((6, nm.SGD_BLOCK)))
     with warnings.catch_warnings(), pytest.raises(FloatingPointError, match="'w'"):
         warnings.simplefilter("error")
-        nm.sgd_step(params["w"], product, 1e308, "w")
+        nm.sgd_step(params["w"], nm._Sum([product]), 1e308, "w")
 
 
 def _left_parameter_store():
@@ -477,8 +533,28 @@ def test_a_product_steps_before_the_parameter_its_factor_reads():
     # matmul: stepping x first would multiply out w's gradient with the stepped x
     params = _left_parameter_store()
     loss = lambda params: nm.tanh(params["x"] @ params["w"]).sum()
-    assert isinstance(gradients_of(loss(params), params, dense=False)["w"], nm._Product)
+    assert isinstance(gradients_of(loss(params), params, dense=False)["w"], nm._Sum)
     assert _assert_step_matches_two_pass(_left_parameter_store, loss) == ["x", "w"]
+
+
+@pytest.mark.parametrize("first", ["parameter", "constant"])
+def test_a_sum_that_reads_a_parameter_is_multiplied_out_before_that_parameter_steps(first):
+    # p2 gets the products p1.T @ g and q.T @ g; p1 completes, and steps, at the
+    # first matmul while the second still adds to p2's gradient, so a sum kept
+    # past p1's step would multiply out the stepped p1
+    def make_params():
+        params = ParamStore()
+        params.add("p1", np.random.default_rng(14).normal(size=(3, 4)))
+        params.add("p2", np.random.default_rng(15).normal(size=(4, 50)))
+        return params
+
+    q = Tensor(np.random.default_rng(16).normal(size=(3, 4)))
+
+    def loss(params):
+        terms = [(params["p1"] @ params["p2"]).sum(), (q @ params["p2"]).sum()]
+        return terms[0] + terms[1] if first == "parameter" else terms[1] + terms[0]
+
+    assert _assert_step_matches_two_pass(make_params, loss, lr=0.1) == ["p1", "p2"]
 
 
 # -- stepping each parameter inside backward vs the two-pass step -------------------------
@@ -575,7 +651,7 @@ def test_each_reached_parameter_is_handed_to_sgd_step_once(case):
     if case is _policy_case:
         assert isinstance(dict(handed)["embed"], list)
     else:  # the FC head's weight gradients stay two factors
-        assert isinstance(dict(handed)["fc1_w"], nm._Product)
+        assert isinstance(dict(handed)["fc1_w"], nm._Sum)
     before = {name: _bits(p.data) for name, p in params.items()}
     nm.gradients(build_loss(), params, 0.3)
     assert _bits(unused.data) == before["unused"]
