@@ -10,45 +10,40 @@ is 64-bit so finite-difference gradient checks are decisive.
   `SGD_BLOCK` elements is checked through its sum, which is finite only if
   every entry is, so no mask the size of a large result is made
   (`_all_finite`).
-- Row-sparse table gradients: `gather_rows` backward records (indices, g)
-  segments on the table instead of scattering into a zero-filled table. A
-  leaf reached only that way is handed to `sgd_step` as those segments,
-  which sums them per touched row with one `np.add.at` in the order they
-  were recorded, so every entry is bit-identical to the dense scatter, and
-  updates those rows only. A table that a dense op also reaches, that is not
-  a leaf, or whose segments hold as many rows as the table itself, is
-  densified first.
 - Forward-only mode: inside `no_tape()` every op result is a plain Tensor
   with no parents and no backward closure, so each intermediate is freed as
   soon as nothing reads it. Inference (beam decoding, the frozen coherence
   scorer) runs in it; a loss built there has no tape, and `gradients`
   rejects it.
-- Three gradient forms: a dense array; the (indices, g) row segments of
-  `gather_rows` (below); and a `_Sum` of `_Product`s (a, g), each the
-  weight gradient a.T @ g kept as its two factors. `matmul` (for its right
-  operand), `conv2d` (for its weight) and `gru_sequence` (for W_z, W_r, W_h,
-  V_z, V_r, V_h) hand their weight gradients over as products. `conv2d`'s
-  a is its input grid with the logical side (`_Windows`): the tape holds
-  that grid, and the im2col columns of a row block are copied from it when
-  the block is needed, so no product keeps an im2col matrix.
-- The keep rule: a leaf keeps the products it is handed, in order, as a
-  sum while the bytes that only they keep alive, each product's g and each
-  a that backward built for it (`_Product.nbytes`), stay below the leaf's
-  own bytes; an a that the tape holds anyway costs nothing. Past that, and
-  on an op's output, whose backward reads its gradient dense, the sum is
-  multiplied out once and each later product is added into it. Either way
-  a sum goes a row block of about `SGD_BLOCK` elements at a time, as
-  `sgd_step` steps with it: that block of the first product, then `+=`
-  that block of each later one. Blocks have 2 rows or more, and equal
-  those rows of the whole product bit for bit, so these are the additions
-  of the dense sum of dense products. So a batch's weight gradients are
-  not built: not the coherence scorer's [8192, 512] fc1 one (33.5 MB), nor
-  conv3's [2304, 512] one (9.4 MB, 16 products of at most 262 KB each for
-  an 8-triplet batch), nor the extractor's GRU and word-convolution ones.
-  `_dense_grad` multiplies a sum out where an op reads a gradient dense.
+- Deferred gradients: an op may hand `_accumulate` a term in place of a
+  gradient array. `gather_rows` hands a `_Rows(idx, g)` segment, g's rows
+  added into the table's rows idx. `matmul` (for its right operand),
+  `conv2d` (for its weight) and `gru_sequence` (for W_z, W_r, W_h, V_z,
+  V_r, V_h) hand a `_Product(a, g)`, the weight gradient a.T @ g kept as
+  its two factors; `conv2d`'s a is its input grid with the logical side
+  (`_Windows`), which the tape holds, and a row block's im2col columns are
+  copied from it when the block is needed. A leaf keeps the terms it is
+  handed, of one kind, in order, as a list, while the bytes only they keep
+  alive (`nbytes`: each g, and an a that backward built) stay below the
+  leaf's own: for segments, while they hold fewer rows than the table.
+  Past that, for a term of the other kind, and on an op's output, whose
+  backward reads its gradient dense, the gradient is made dense
+  (`_dense_grad`). One `_blocks` sums a list over disjoint rows, for
+  `sgd_step` to step and `_dense_grad` to write into zeros: segments as
+  one block, the rows they touch summed from 0.0 by one `np.add.at` in
+  the order they came, the additions of the dense scatter; products a row
+  block of about `SGD_BLOCK` elements at a time, that block of the first
+  product, then `+=` that block of each later one. A product's blocks have
+  2 rows or more and equal those rows of the whole product bit for bit, so
+  these are the additions of the dense sum of dense products. So a
+  gathered table's gradient is not zero-filled for the rows a batch reads,
+  and a batch's weight gradients are not built: not the coherence scorer's
+  [8192, 512] fc1 one (33.5 MB), nor conv3's [2304, 512] one (9.4 MB, 16
+  products of at most 262 KB each for an 8-triplet batch), nor the
+  extractor's GRU and word-convolution ones.
 - One owner per gradient buffer: every dense gradient a tensor stores is its
-  own array, a copy of the first one it is handed, a zero-filled array or a
-  product multiplied out, so no two tensors share a gradient buffer and an
+  own array, a copy of the first one it is handed or a zero-filled array
+  with terms written in, so no two tensors share a gradient buffer and an
   in-place add into one never changes another. A backward may hand the same
   array, or views of one, to several inputs.
 - Constant operands: `add`, `mul` and `matmul` skip the gradient of an
@@ -71,9 +66,10 @@ is 64-bit so finite-difference gradient checks are decisive.
 - No joined weight: `gru_sequence`, a whole GRU direction in one op, joins
   W_z | W_r | W_h and V_z | V_r for its GEMMs and again in backward, never on
   the tape, and drops the [n, 3h] input projection, which no backward reads.
-- Bounded optimizer temporaries: `sgd_step` updates a dense parameter
-  `SGD_BLOCK` elements at a time, so lr * g never takes a parameter's size in
-  memory, checks each block it writes to be finite, and only reads the
+- Bounded optimizer temporaries: `sgd_step` steps a parameter one `_blocks`
+  block at a time, a dense gradient's being row spans of its leading axis,
+  so lr * g never takes a parameter's size in memory; it checks each
+  stepped block to be finite before it writes it, and only reads the
   gradients it is handed.
 - Stepping inside backward: `gradients` is the one walk of the tape, and it
   is also the optimizer: it returns nothing. Before the walk it finds each
@@ -87,11 +83,11 @@ is 64-bit so finite-difference gradient checks are decisive.
   of it, consumes the parameter or lies downstream of a node that does, so
   its backward runs before the last consumer's. Nor does a product, whose
   factor a may be a parameter's buffer: only a leaf keeps one, a leaf with
-  a sum steps before the other parameters complete at the same node, and
-  before any parameter steps, every sum still kept that may read its buffer
-  is multiplied out. An exception part-way through backward leaves the
-  parameters stepped so far stepped and the rest not; the CLI then exits 1
-  and writes no checkpoint.
+  deferred terms steps before the other parameters complete at the same
+  node, and before any parameter steps, every gradient still kept as
+  products that may read its buffer is made dense. An exception part-way
+  through backward leaves the parameters stepped so far stepped and the
+  rest not; the CLI then exits 1 and writes no checkpoint.
 - Checkpoints (format v2, laid out in `save_checkpoint`) carry a JSON header,
   `ParamStore.meta`, before the tensors; `read_header` reads it alone. Each
   tensor is written from its own buffer and read straight into its own
@@ -254,7 +250,7 @@ def _wrap(x) -> Tensor:
 
 
 def _row_spans(k: int, n: int) -> list[slice]:
-    """Consecutive row blocks of about SGD_BLOCK elements of a [k, n] product.
+    """Consecutive row blocks of about SGD_BLOCK elements of a [k, n] product or array.
 
     A block has 2 rows or more, unless the product has one row: numpy takes a
     1-row product through gemv, whose bits can differ from the gemm of the
@@ -340,90 +336,90 @@ class _Product(NamedTuple):
         a = self.a.columns(span) if isinstance(self.a, _Windows) else self.a[:, span]
         return a.T @ self.g
 
-    def blocks(self):
-        """(rows, those rows of a.T @ g) for each of the `_row_spans` of the product."""
-        for span in _row_spans(*self.shape):
-            yield span, self.rows(span)
-
     def reads(self, buffer: np.ndarray) -> bool:
         """Whether a may be a view of buffer, so that a step of buffer would change it."""
         return np.may_share_memory(self.a.x if isinstance(self.a, _Windows) else self.a, buffer)
 
 
-class _Sum(NamedTuple):
-    """The `_Product`s a leaf was handed, kept in order as their sum, its gradient.
+class _Rows(NamedTuple):
+    """The gradient of a `gather_rows`: the rows of g added into the table's rows idx."""
 
-    `blocks` gives the sum a row block at a time: that block of the first
-    product, then `+=` that block of each later one, and `dense` writes the
-    blocks into one array. A block equals those rows of its whole product bit
-    for bit (`_row_spans`), so these are the additions of multiplying the
-    first product out whole and adding each later one into it.
-    """
-
-    products: list[_Product]
+    idx: np.ndarray
+    g: np.ndarray
 
     @property
     def nbytes(self) -> int:
-        return sum(p.nbytes for p in self.products)
+        """The bytes that only this segment keeps alive: g (the tape holds idx)."""
+        return self.g.nbytes
 
-    def blocks(self):
-        first, *rest = self.products
+
+def _blocks(grad):
+    """(rows, block) over disjoint rows of a gradient: a dense array or a list of terms of one kind.
+
+    A dense array gives the `_row_spans` of its leading axis. `_Rows`
+    segments give one block: the rows they touch, each summed from 0.0 by
+    one `np.add.at` in the order the segments came, as a scatter into a
+    zero-filled table adds them. `_Product`s give their `_row_spans`, that
+    block of the first product, then `+=` that block of each later one: the
+    additions of the dense sum of dense products.
+    """
+    if isinstance(grad, np.ndarray):
+        grad = np.atleast_1d(grad)
+        for span in _row_spans(len(grad), math.prod(grad.shape[1:])):
+            yield span, grad[span]
+    elif isinstance(grad[0], _Rows):
+        rows, where = np.unique(np.concatenate([s.idx for s in grad]), return_inverse=True)
+        block = np.zeros((len(rows),) + grad[0].g.shape[1:])
+        np.add.at(block, where, np.concatenate([s.g for s in grad]))
+        yield rows, block
+    else:
+        first, *rest = grad
         for span in _row_spans(*first.shape):
             block = first.rows(span)
             for p in rest:
                 block += p.rows(span)
             yield span, block
 
-    def dense(self) -> np.ndarray:
-        dense = np.empty(self.products[0].shape)
-        for span, block in self.blocks():
-            dense[span] = block
-        return dense
-
 
 def _dense_grad(t: Tensor) -> np.ndarray:
-    """t.grad as a dense array, which replaces it.
-
-    Zero-filled when absent, row segments scattered in order, a sum of products multiplied out.
-    """
-    if isinstance(t.grad, _Sum):
-        t.grad = t.grad.dense()
-    elif not isinstance(t.grad, np.ndarray):
+    """t.grad as a dense array, which replaces it: its terms' `_blocks` written into zeros."""
+    if not isinstance(t.grad, np.ndarray):
         dense = np.zeros_like(t.data)
-        for idx, g in t.grad or ():
-            np.add.at(dense, idx, g)
+        for rows, block in _blocks(t.grad) if t.grad else ():
+            dense[rows] = block
         t.grad = dense
     return t.grad
 
 
-def _accumulate(t: Tensor, g: np.ndarray | _Product) -> None:
-    """Add g, a dense array or a `_Product`, to t.grad.
+def _accumulate(t: Tensor, g: np.ndarray | _Rows | _Product) -> None:
+    """Add g, a dense array or a deferred term (`_Rows`, `_Product`), to t.grad.
 
     A first dense g is stored as a copy, so t owns its gradient buffer (see
-    the module docstring). A leaf keeps the products it is handed as a `_Sum`
-    while the bytes only they keep alive (`_Product.nbytes`) stay below t's
-    own; past that, or on an op's output, whose backward reads its gradient
-    dense anyway, the sum or a first product is multiplied out once, and a
-    product added to a gradient already there goes in row block by row block,
-    after that gradient is made dense.
+    the module docstring). A leaf keeps the terms it is handed, of one kind,
+    in order, as a list while their `nbytes` stay below t's own bytes; past
+    that, or on an op's output, whose backward reads its gradient dense,
+    the list is made dense, so a first term is written into zeros. A term
+    added into a dense gradient goes in as its own blocks, a segment by
+    `np.add.at`, so a row it repeats gets its additions in order.
     """
-    if isinstance(g, _Product):
-        if t._backward_fn is None and (t.grad is None or isinstance(t.grad, _Sum)):
-            kept = _Sum([]) if t.grad is None else t.grad
-            if kept.nbytes + g.nbytes < t.data.nbytes:
-                kept.products.append(g)
-                t.grad = kept
-                return
+    if not isinstance(g, (_Rows, _Product)):
         if t.grad is None:
-            t.grad = _Sum([g]).dense()
+            t.grad = np.array(g, dtype=np.float64)
         else:
-            dense = _dense_grad(t)
-            for rows, block in g.blocks():
-                dense[rows] += block
-    elif t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+            _dense_grad(t)[...] += g
+        return
+    terms = [] if t.grad is None else t.grad
+    if isinstance(terms, list) and (not terms or type(terms[0]) is type(g)):
+        terms.append(g)
+        t.grad = terms
+        if t._backward_fn is not None or sum(s.nbytes for s in terms) >= t.data.nbytes:
+            _dense_grad(t)
+    elif isinstance(g, _Rows):
+        np.add.at(_dense_grad(t), g.idx, g.g)
     else:
-        _dense_grad(t)[...] += g
+        dense = _dense_grad(t)
+        for rows, block in _blocks([g]):
+            dense[rows] += block
 
 
 def _needs_grad(*tensors: Tensor) -> bool:
@@ -607,11 +603,9 @@ def take_slice(x, key) -> Tensor:
 def gather_rows(table, indices) -> Tensor:
     """Rows of a 2-D table selected by an integer vector (embedding lookup).
 
-    Backward records (indices, g) as a row segment of the table's gradient
-    instead of scattering into a zero-filled [rows, d] array; `sgd_step`
-    steps only the rows a leaf's segments touch. Segments that hold as many
-    rows as the table are scattered into a dense gradient, which they would
-    outgrow.
+    Backward hands the table a `_Rows(idx, g)` segment instead of scattering
+    into a zero-filled [rows, d] array, so `sgd_step` steps only the rows a
+    leaf's segments touch (see the module docstring).
     """
     table = _wrap(table)
     idx = np.asarray(indices, dtype=np.intp)
@@ -620,14 +614,7 @@ def gather_rows(table, indices) -> Tensor:
     data = table.data[idx]
 
     def backward(g):
-        if table.grad is None:
-            table.grad = []
-        if isinstance(table.grad, list):
-            table.grad.append((idx, g))
-            if sum(len(i) for i, _ in table.grad) >= len(table.data):
-                _dense_grad(table)
-        else:
-            np.add.at(_dense_grad(table), idx, g)
+        _accumulate(table, _Rows(idx, g))
 
     return _node(data, (table,), backward)
 
@@ -996,6 +983,14 @@ class ParamStore:
         self.sources: dict[str, _RowSource] = {}  # tensors loaded with only some of their rows
 
     def add(self, name: str, data) -> Tensor:
+        """Add parameter `name` holding data, which must be finite.
+
+        A float64 array is kept as it is handed over, not copied, and
+        `sgd_step` writes that array in place: the caller must not hand one
+        array, or views of one, to two parameters or two stores. A copy here
+        would double the 150k-row policy embedding for a moment whenever a
+        model is initialized or loaded whole.
+        """
         if name in self._params:
             raise ValueError(f"parameter {name!r} already exists")
         t = Tensor(data, requires_grad=True)
@@ -1047,13 +1042,13 @@ def gradients(loss: Tensor, params: ParamStore, lr: float) -> None:
     """One SGD step of size lr on every parameter the loss reaches, in one walk of the tape.
 
     Each parameter's gradient is complete right after the backward of its
-    last consumer; it is then handed to `sgd_step` as the walk leaves it, in
-    one of three forms (a dense array, `gather_rows` row segments, or a
-    `_Sum` of products a.T @ g kept as their factors), and dropped. A factor
-    a may be a parameter's buffer, so of the parameters complete at one node,
-    those with a sum step first, and before a parameter steps every sum
-    still kept that may read its buffer is multiplied out. A parameter the
-    loss does not reach is left as it is.
+    last consumer; it is then handed to `sgd_step` as the walk leaves it, a
+    dense array or a list of deferred terms of one kind (`_Rows` segments or
+    `_Product`s), and dropped. A product's factor a may be a parameter's
+    buffer, so of the parameters complete at one node, those with a list
+    step first, and before a parameter steps every list of products still
+    kept that may read its buffer is made dense. A parameter the loss does
+    not reach is left as it is.
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -1088,11 +1083,12 @@ def gradients(loss: Tensor, params: ParamStore, lr: float) -> None:
             if node is not loss:
                 node.grad = None  # free intermediate buffers early
         for name in sorted(complete_after.get(id(node), ()),
-                           key=lambda name: not isinstance(params[name].grad, _Sum)):
+                           key=lambda name: not isinstance(params[name].grad, list)):
             p = params[name]
             if p.grad is not None:
                 for _, q in params.items():
-                    if isinstance(q.grad, _Sum) and any(f.reads(p.data) for f in q.grad.products):
+                    if isinstance(q.grad, list) and any(
+                            isinstance(f, _Product) and f.reads(p.data) for f in q.grad):
                         _dense_grad(q)
                 sgd_step(p, p.grad, lr, name)
                 p.grad = None  # no other name holds the gradient: it is freed here
@@ -1102,47 +1098,25 @@ SGD_BLOCK = 1 << 14  # elements of a dense update done at once: 128 KiB of lr * 
 LOAD_BLOCK = 1 << 16  # elements of a row-selected tensor read at once: 512 KiB
 
 
-def sgd_step(p: Tensor, g: np.ndarray | list | _Sum, lr: float, name: str) -> None:
-    """p <- p - lr * g in place, with g as the backward walk leaves it on p.
+def sgd_step(p: Tensor, g: np.ndarray | list, lr: float, name: str) -> None:
+    """p <- p - lr * g in place, one `_blocks` block of g at a time.
 
-    g is a dense array; the (indices, g) row segments that `gather_rows`
-    records, which update only the rows they touch; or a `_Sum` of products,
-    which steps its row blocks one by one, each summed as it is applied.
-    A dense parameter is updated SGD_BLOCK elements at a time, so the
-    temporary lr * g is one block, not a copy of the parameter; g is only
-    read. A step that makes a value NaN or infinite raises FloatingPointError
-    naming the parameter: the last step of a run has no next forward pass to
+    g is as the backward walk leaves it on p: a dense array, stepped in row
+    spans of its leading axis, or a list of `_Rows` segments, which step only
+    the rows they touch, or of `_Product`s, each block summed as it is
+    applied. The temporaries are about one block, not a copy of the
+    parameter, and g is only read. A block is written only once its stepped
+    rows are all finite; otherwise the step raises FloatingPointError naming
+    the parameter, for the last step of a run has no next forward pass to
     catch it.
     """
+    data = np.atleast_1d(p.data)  # a view: a 0-d parameter steps as one row
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, not warned
-        if isinstance(g, _Sum):
-            for rows, block in g.blocks():
-                stepped = p.data[rows]
-                stepped -= lr * block
-                if not _all_finite(stepped):
-                    raise FloatingPointError(_stepped_non_finite(name))
-            return
-        if isinstance(g, list):
-            rows, where = np.unique(np.concatenate([i for i, _ in g]), return_inverse=True)
-            values = np.zeros((len(rows),) + p.data.shape[1:])
-            # one add.at in segment order gives each row the same additions from
-            # 0.0, in the same order, as scattering the segments into a dense table
-            np.add.at(values, where, np.concatenate([s for _, s in g]))
-            stepped = p.data[rows] - lr * values
+        for rows, block in _blocks(g):
+            stepped = data[rows] - lr * block
             if not _all_finite(stepped):
-                raise FloatingPointError(_stepped_non_finite(name))
-            p.data[rows] = stepped
-            return
-        with np.nditer([p.data, g], flags=["external_loop", "buffered", "zerosize_ok"],
-                       op_flags=[["readwrite"], ["readonly"]], buffersize=SGD_BLOCK) as blocks:
-            for p_block, g_block in blocks:
-                p_block -= lr * g_block
-                if not _all_finite(p_block):
-                    raise FloatingPointError(_stepped_non_finite(name))
-
-
-def _stepped_non_finite(name: str) -> str:
-    return f"an SGD step made parameter {name!r} NaN or infinite"
+                raise FloatingPointError(f"an SGD step made parameter {name!r} NaN or infinite")
+            data[rows] = stepped
 
 
 def minibatch_sgd(items, loss_fn, params: ParamStore, rng: np.random.Generator, lr: float,

@@ -42,8 +42,9 @@ def sgd_hand_offs(loss, params: ParamStore) -> list[tuple[str, object]]:
 
     `nm.sgd_step` is replaced by a recorder for the walk, the same binding
     the benchmark's tracer wraps, so nothing steps. Each gradient is as the
-    walk leaves it: a dense array, `gather_rows`'s (indices, g) segments, or
-    a `numeric._Sum` of products.
+    walk leaves it: a dense array, or a list of deferred terms of one kind,
+    `gather_rows`'s `numeric._Rows` segments or `numeric._Product`s (see
+    `gradient_form`).
     """
     handed = []
     step = nm.sgd_step
@@ -55,17 +56,18 @@ def sgd_hand_offs(loss, params: ParamStore) -> list[tuple[str, object]]:
     return handed
 
 
-def dense_gradient(g, shape: tuple) -> np.ndarray:
-    """A handed-over gradient as a dense array: segments scattered in order, a sum of
-    products multiplied out, None as zeros."""
+def gradient_form(g) -> str:
+    """"dense", "rows" or "products": the form of a gradient as the walk hands it over."""
     if isinstance(g, np.ndarray):
-        return g
-    if isinstance(g, nm._Sum):
-        return g.dense()
-    dense = np.zeros(shape)
-    for idx, segment in g or ():
-        np.add.at(dense, idx, segment)
-    return dense
+        return "dense"
+    return {nm._Rows: "rows", nm._Product: "products"}[type(g[0])]
+
+
+def dense_gradient(g, shape: tuple) -> np.ndarray:
+    """A handed-over gradient as a dense array, as `numeric._dense_grad` makes it; None as zeros."""
+    holder = nm.Tensor(np.zeros(shape))
+    holder.grad = g
+    return nm._dense_grad(holder)
 
 
 def gradients_of(loss, params: ParamStore, dense: bool = True) -> dict:

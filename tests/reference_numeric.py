@@ -3,16 +3,17 @@
 These are the ops as they were before the fast paths: `max_pool_2x2` takes
 an argmax over a transposed copy of the 2x2 blocks and keeps flat winner
 indices for backward; `gather_rows` scatters every backward into a
-zero-filled dense table; `sgd_step` sweeps the whole dense gradient;
+zero-filled dense table; `matmul` hands its right operand the whole dense
+weight gradient; `sgd_step` sweeps the whole dense gradient;
 `gather_flat` with `window_indices` or `im2col_indices` builds sliding
 windows from a flat index table and scatters backward with `np.add.at`;
 `layer1_grid` is the full [T, T, F] interaction grid of the coherence scorer,
 before the fused first pool; `two_pass_step` is training before parameters
 stepped inside backward: a walk of the whole tape that leaves every gradient
-on its parameter, each weight gradient dense rather than as a sum of
-`numeric._Product`s kept as their factors, then one `nm.sgd_step` per parameter. The code in `cohsum`
-is tested against these functions. `sigmoid` is here because only the tests
-and the per-step policy reference use it.
+on its parameter, each weight gradient dense rather than as a list of
+`numeric._Product`s kept as their factors, then one `nm.sgd_step` per
+parameter. The code in `cohsum` is tested against these functions. `sigmoid`
+is here because only the tests and the per-step policy reference use it.
 """
 
 from __future__ import annotations
@@ -74,6 +75,20 @@ def gather_rows(table, indices) -> Tensor:
     return nm._node(data, (table,), backward)
 
 
+def matmul(a, b) -> Tensor:
+    """a @ b whose backward hands b its weight gradient a.T @ g built whole, as a dense array."""
+    a, b = nm._wrap(a), nm._wrap(b)
+
+    def backward(g):
+        if nm._needs_grad(a):
+            nm._accumulate(a, g @ b.data.T)
+        if nm._needs_grad(b):
+            a2, g2 = a.data.reshape(-1, a.data.shape[-1]), g.reshape(-1, b.data.shape[1])
+            nm._accumulate(b, a2.T @ g2)
+
+    return nm._node(a.data @ b.data, (a, b), backward)
+
+
 def sgd_step(params: ParamStore, grads: dict, lr: float) -> ParamStore:
     """p <- p - lr * g over the whole dense gradient of every parameter."""
     for name, p in params.items():
@@ -99,10 +114,11 @@ def two_pass_step(loss: Tensor, params: ParamStore, lr: float) -> ParamStore:
     """One backward walk that leaves every gradient on its parameter, then the steps.
 
     The walk runs every node's backward in reverse topological order, as
-    `gradients` does, but steps nothing until it ends. Each parameter
-    gradient is made dense as the walk leaves it, but a table reached only
-    through `gather_rows` keeps its row segments; then `nm.sgd_step` steps
-    each parameter the loss reached.
+    `gradients` does, but steps nothing until it ends. A parameter gradient
+    kept as `numeric._Product`s, whose factors may be parameters the steps
+    change, is made dense as the walk leaves it; a table reached only
+    through `gather_rows` keeps its `numeric._Rows` segments. Then
+    `nm.sgd_step` steps each parameter the loss reached.
     """
     params.zero_grads()
     loss.grad = np.ones_like(loss.data)
@@ -113,7 +129,7 @@ def two_pass_step(loss: Tensor, params: ParamStore, lr: float) -> ParamStore:
             if node is not loss:
                 node.grad = None
         for p in node._parents:
-            if isinstance(p.grad, nm._Sum):
+            if isinstance(p.grad, list) and isinstance(p.grad[0], nm._Product):
                 nm._dense_grad(p)
     for name, p in params.items():
         g, p.grad = p.grad, None

@@ -1004,6 +1004,11 @@ def stage_inputs(tmp_path_factory):
                 "--epochs", "0"] + TINY_COHERENCE[:-2]) == 0
     assert run(["pretrain", "--corpus", corpus, "--vocab", vocab, "--out", pre_ckpt,
                 "--epochs", "0"] + TINY_EXTRACTOR) == 0
+    assert run(["label", "--corpus", corpus, "--out", str(root / "labels.jsonl")]) == 0
+    assert run(["summarize", "--corpus", corpus, "--method", "lead3",
+                "--out", str(root / "system.jsonl")]) == 0
+    (root / "score_pairs.tsv").write_text("river stone wind\tlight cloud\n"
+                                          "wind shore\tvalley branch\nstone\triver light\n")
     return root, {
         "preprocess": ["preprocess", "--corpus", corpus],
         "label": ["label", "--corpus", corpus],
@@ -1066,23 +1071,26 @@ def test_any_flag_value_exits_0_or_1_with_one_error_line_and_no_output(stage_inp
     _assert_exits_0_or_1_cleanly(root, base + [f"{action.option_strings[0]}={value}"], caplog)
 
 
-def _assert_exits_0_or_1_cleanly(root, argv, caplog) -> None:
+def _assert_exits_0_or_1_cleanly(root, argv, caplog, out: bool = True) -> None:
     """Run argv with --out in a fresh directory under root, which is removed after.
 
     It must exit 0 with no error, writing only the output, or exit 1 with
-    one error line and no traceback, leaving no file.
+    one error line and no traceback, leaving no file. With out=False argv
+    gets no --out, for a command that only prints (`evaluate`).
     """
     out_dir = tempfile.mkdtemp(dir=root)
     caplog.clear()
-    code = run(argv + ["--out", os.path.join(out_dir, "out")])
+    code = run(argv + (["--out", os.path.join(out_dir, "out")] if out else []))
     left = os.listdir(out_dir)
     assert code in (0, 1)
     if code == 1:
         _one_error_line(caplog)
         assert left == []  # neither the output nor its temporary file
     else:
-        assert not [r for r in caplog.records if r.levelname == "ERROR"] and left == ["out"]
-        os.remove(os.path.join(out_dir, "out"))
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
+        assert left == (["out"] if out else [])
+        for name in left:
+            os.remove(os.path.join(out_dir, name))
     os.rmdir(out_dir)
 
 
@@ -1207,6 +1215,103 @@ def test_any_vocabulary_mutation_exits_0_or_1_with_one_error_line_and_no_output(
         ["score-coherence", "--checkpoint", str(root / "coh.ckpt"), "--pairs", str(pairs)],
     ]), label="stage")
     _assert_exits_0_or_1_cleanly(root, argv + ["--vocab", str(vocab)], caplog)
+
+
+JSON_VALUES = [None, True, 0, 1.5, "x", [], [1], ["x"], {}]
+
+
+def _mutated_records(blob: bytes, data) -> bytes:
+    """One drawn record-aware mutation of the JSON Lines bytes `blob`.
+
+    A record's field dropped or given a value of another JSON type, a
+    record given another record's id, a corpus record's `sentences` emptied,
+    or a label vector made one entry shorter or longer.
+    """
+    records = [json.loads(line) for line in blob.splitlines()]
+    record = records[data.draw(st.integers(0, len(records) - 1), label="record")]
+    kinds = ["drop field", "retype field", "repeat id"]
+    kinds += [kind for key, kind in (("sentences", "empty sentences"), ("labels", "label count"))
+              if key in record]
+    kind = data.draw(st.sampled_from(kinds), label="mutation")
+    if kind in ("drop field", "retype field"):
+        field = data.draw(st.sampled_from(sorted(record)), label="field")
+        if kind == "drop field":
+            del record[field]
+        else:
+            record[field] = data.draw(st.sampled_from(JSON_VALUES), label="value")
+    elif kind == "repeat id":
+        record["id"] = records[data.draw(st.integers(0, len(records) - 1), label="other")]["id"]
+    elif kind == "empty sentences":
+        record["sentences"] = []
+    elif data.draw(st.booleans(), label="shorter"):
+        record["labels"] = record["labels"][:-1]
+    else:
+        record["labels"] = record["labels"] + [0]
+    return b"".join(json.dumps(r).encode("utf-8") + b"\n" for r in records)
+
+
+def _mutated_pairs(blob: bytes, data) -> bytes:
+    """One drawn mutation of the tab-separated pairs `blob`: a side emptied, dropped or added."""
+    lines = blob.decode("utf-8").splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    sides = lines[i].split("\t")
+    kind = data.draw(st.sampled_from(["empty", "drop", "add"]), label="mutation")
+    side = data.draw(st.integers(0, 1), label="side")
+    if kind == "empty":
+        sides[side] = data.draw(st.sampled_from(["", " ", "!"]), label="text")
+    elif kind == "drop":
+        del sides[side]
+    else:
+        sides.insert(side, "wind")
+    lines[i] = "\t".join(sides)
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+# the stages that read a corpus, label, summary or pair file, and the files each reads
+RECORD_STAGES = {
+    "label": ["corpus"],
+    "pretrain --labels": ["corpus", "labels"],
+    "train-rnes": ["corpus"],
+    "summarize beam": ["corpus"],
+    "evaluate": ["corpus", "system"],
+    "score-coherence": ["pairs"],
+}
+
+
+# caplog is cleared at the start of each example
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_record_or_pair_mutation_exits_0_or_1_with_one_error_line_and_no_output(
+        stage_inputs, caplog, data):
+    root, _ = stage_inputs
+    stage, name = data.draw(st.sampled_from(
+        [(stage, name) for stage, names in RECORD_STAGES.items() for name in names]),
+        label="input")
+    good = {"corpus": "corpus.jsonl", "labels": "labels.jsonl", "system": "system.jsonl",
+            "pairs": "score_pairs.tsv"}
+    files = {key: str(root / file) for key, file in good.items()}
+    blob = (root / good[name]).read_bytes()
+    if data.draw(st.booleans(), label="by line"):
+        blob = _mutated_lines(blob, data)
+    else:
+        blob = (_mutated_pairs if name == "pairs" else _mutated_records)(blob, data)
+    files[name] = str(root / f"mutated.{name}")
+    (root / f"mutated.{name}").write_bytes(blob)
+    corpus, vocab, pre = ["--corpus", files["corpus"]], ["--vocab", str(root / "vocab.txt")], \
+        str(root / "pre.ckpt")
+    argv = {
+        "label": ["label"] + corpus,
+        "pretrain --labels": ["pretrain", "--labels", files["labels"], "--epochs", "1"]
+                             + TINY_EXTRACTOR + corpus + vocab,
+        "train-rnes": ["train-rnes", "--pretrain-checkpoint", pre, "--lambda", "0",
+                       "--steps", "1"] + corpus + vocab,
+        "summarize beam": ["summarize", "--checkpoint", pre] + corpus + vocab,
+        "evaluate": ["evaluate", "--reference", files["corpus"], "--system", files["system"]],
+        "score-coherence": ["score-coherence", "--checkpoint", str(root / "coh.ckpt"),
+                            "--pairs", files["pairs"]] + vocab,
+    }[stage]
+    _assert_exits_0_or_1_cleanly(root, argv, caplog, out=stage != "evaluate")
 
 
 @pytest.mark.parametrize("name", ["corpus", "labels", "system", "vocab", "pairs", "stdin"])

@@ -27,7 +27,15 @@ from cohsum.numeric import (
     sgd_step,
 )
 
-from conftest import assert_grads_close, finite_difference_grads, gradients_of, traced_peak
+from cohsum import coherence, extractor
+from conftest import (
+    assert_grads_close,
+    finite_difference_grads,
+    gradients_of,
+    tiny_coherence_config,
+    tiny_extractor_config,
+    traced_peak,
+)
 from reference_numeric import sigmoid
 
 
@@ -536,7 +544,7 @@ def test_sgd_step_needs_no_parameter_sized_temporary_and_leaves_the_gradients(rn
 
 def test_dense_sgd_step_that_overflows_raises():
     # the overflow is in the last of three blocks; the step must not pass
-    # silently, and it raises rather than warns
+    # silently, it raises rather than warns, and it writes no block it made non-finite
     params = ParamStore()
     params.add("w", np.ones(3 * nm.SGD_BLOCK))
     g = np.zeros(3 * nm.SGD_BLOCK)
@@ -544,12 +552,13 @@ def test_dense_sgd_step_that_overflows_raises():
     with warnings.catch_warnings(), pytest.raises(FloatingPointError, match="'w'"):
         warnings.simplefilter("error")
         sgd_step(params["w"], g, 1e308, "w")
+    assert np.isfinite(params["w"].data).all()
 
 
 def test_row_gradient_sgd_step_that_overflows_raises_and_writes_no_row():
     params = ParamStore()
     params.add("embed", np.ones((4, 2)))
-    g = [(np.array([0, 2]), np.array([[1.0, 1.0], [-1e308, 1.0]]))]  # row segments
+    g = [nm._Rows(np.array([0, 2]), np.array([[1.0, 1.0], [-1e308, 1.0]]))]
     with warnings.catch_warnings(), pytest.raises(FloatingPointError, match="'embed'"):
         warnings.simplefilter("error")
         sgd_step(params["embed"], g, 1e308, "embed")
@@ -1010,6 +1019,23 @@ def test_row_selected_save_never_allocates_the_whole_table(tmp_path):
     peak = traced_peak(lambda: save_checkpoint(params, tmp_path / "out.ckpt"))
     assert peak < 8 * nm.LOAD_BLOCK + (64 << 10)  # one block; the table is 10.24 MB
     assert (tmp_path / "out.ckpt").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("model", [coherence, extractor], ids=["coherence", "extractor"])
+def test_no_two_parameters_share_a_buffer(tmp_path, model):
+    # `ParamStore.add` keeps the array it is handed, and `sgd_step` writes that
+    # array in place: a step of one parameter must move no other
+    config = (tiny_coherence_config if model is coherence else tiny_extractor_config)(10)
+    layout = model.param_layout(config)
+    fresh = nm.init_params(layout, np.random.default_rng(0))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(fresh, path)
+    stores = [fresh, load_checkpoint(path, layout=layout),
+              load_checkpoint(path, rows={"embed": np.array([1, 4])}, layout=layout)]
+    buffers = [p.data for store in stores for _, p in store.items()]
+    assert len(buffers) == 3 * len(layout)
+    for i, a in enumerate(buffers):
+        assert not any(np.shares_memory(a, b) for b in buffers[i + 1:]), i
 
 
 def _tensor_record(name: bytes, values) -> bytes:

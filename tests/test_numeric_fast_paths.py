@@ -10,9 +10,11 @@ whole table in SGD, and gathers sliding windows through flat index tables;
 `gradients`, which steps each parameter once its last consumer's backward
 has run, is held to `two_pass_step`, every gradient first and then the
 steps; it hands each parameter it reaches to `sgd_step` exactly once. A
-weight gradient kept as a `numeric._Sum` of products, each kept as its two
+weight gradient kept as a list of `numeric._Product`s, each kept as its two
 factors (a convolution's a as its input grid), is held to the dense sum of
-the dense products, in the step and when added into another gradient.
+the dense products, in the step and when added into another gradient; a
+table's `numeric._Rows` segments are held to the dense scatter, also on a
+table that a product reaches too.
 The fast paths do the same arithmetic in the same order, so values and
 gradients must agree bit for bit; only the fused layer-1 pool sums its
 gradients over fewer (all-zero) terms, and over the copies of its tail row
@@ -37,6 +39,7 @@ from cohsum.reinforce import Episode, policy_gradient_step, surrogate_objective
 from conftest import (
     assert_grads_close,
     dense_gradient,
+    gradient_form,
     gradients_of,
     sgd_hand_offs,
     small_vocab,
@@ -355,10 +358,10 @@ def test_row_grad_matches_dense_scatter(index_lists, dense_use, through_op, seed
     for name in ("table", "w"):
         assert _bits(dense_gradient(sparse[name], params[name].data.shape)) == _bits(dense[name])
     if dense_use or through_op or sum(map(len, index_lists)) >= TABLE_ROWS:
-        assert isinstance(sparse["table"], np.ndarray)
+        assert gradient_form(sparse["table"]) == "dense"
     else:
         segments = sparse["table"]
-        assert isinstance(segments, list)
+        assert gradient_form(segments) == "rows"
         assert sorted(np.concatenate([idx for idx, _ in segments])) == sorted(
             np.concatenate(index_lists))
 
@@ -372,7 +375,7 @@ def test_gathers_with_as_many_ids_as_table_rows_give_a_dense_gradient(n_ids):
     sparse = gradients_of(_gather_loss(nm.gather_rows, params, index_lists), params,
                           dense=False)["table"]
     dense = gradients_of(_gather_loss(ref.gather_rows, params, index_lists), params)["table"]
-    assert isinstance(sparse, np.ndarray if n_ids >= TABLE_ROWS else list)
+    assert gradient_form(sparse) == ("dense" if n_ids >= TABLE_ROWS else "rows")
     assert _bits(dense_gradient(sparse, (TABLE_ROWS, 4))) == _bits(dense)
 
 
@@ -382,13 +385,47 @@ def test_sparse_sgd_step_matches_dense(index_lists, lr, seed):
     sparse_params, dense_params = _table_store(seed % 1000), _table_store(seed % 1000)
     grads = gradients_of(_gather_loss(nm.gather_rows, sparse_params, index_lists), sparse_params,
                          dense=False)
-    assert isinstance(grads["table"], list)
+    assert gradient_form(grads["table"]) == "rows"
     for name, g in grads.items():
         nm.sgd_step(sparse_params[name], g, lr, name)
     ref.sgd_step(dense_params, {name: dense_gradient(g, dense_params[name].data.shape)
                                 for name, g in grads.items()}, lr)
     for name, p in sparse_params.items():
         assert _bits(p.data) == _bits(dense_params[name].data)
+
+
+def _mixed_loss(gather, matmul, params, uses, through_op):
+    """A table reached by each of `uses` in turn: a `gather_rows`, a `matmul` and a dense op.
+
+    The gathers repeat a row within one segment, and the product's g is
+    smaller than the table, so a leaf would keep either kind alone.
+    """
+    table = params["table"] * 2.0 if through_op else params["table"]
+    x = Tensor(np.random.default_rng(3).normal(size=(3, TABLE_ROWS)))
+    build = {
+        "gather": lambda: nm.tanh(gather(table, [0, 2, 2, 5]) * params["w"]).sum(),
+        "matmul": lambda: nm.tanh(matmul(x, table) * params["w"]).sum(),
+        "dense": lambda: (table * table).sum() * 0.5,
+    }
+    loss = Tensor(0.0)
+    for use in uses:
+        loss = loss + build[use]()
+    return loss
+
+
+@pytest.mark.parametrize("through_op", [False, True], ids=["leaf", "through an op"])
+@pytest.mark.parametrize("uses", [("gather", "matmul"), ("matmul", "gather"),
+                                  ("gather", "dense", "matmul"), ("matmul", "dense", "gather"),
+                                  ("gather", "matmul", "gather")], ids="-".join)
+def test_segments_and_products_on_one_table_match_the_dense_scatter_and_product(uses,
+                                                                                 through_op):
+    # the backward walk hands the table its terms in the order of `uses`
+    params = _table_store(4)
+    fast = gradients_of(_mixed_loss(nm.gather_rows, nm.matmul, params, uses, through_op), params)
+    dense = gradients_of(_mixed_loss(ref.gather_rows, ref.matmul, params, uses, through_op),
+                         params)
+    for name in ("table", "w"):
+        assert _bits(fast[name]) == _bits(dense[name]), name
 
 
 # -- weight gradients kept as their two factors -------------------------------------------
@@ -439,7 +476,7 @@ PRODUCTS = {
 @pytest.mark.parametrize("make", PRODUCTS.values(), ids=PRODUCTS.keys())
 def test_product_blocks_cover_its_rows_with_two_or_more_each(make):
     product, dense = make(np.random.default_rng(0))
-    spans = [(rows.start, rows.stop) for rows, _ in product.blocks()]
+    spans = [(rows.start, rows.stop) for rows, _ in nm._blocks([product])]
     assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
     assert spans[-1][1] == len(dense)
     assert all(hi - lo == max(2, nm.SGD_BLOCK // dense.shape[1]) for lo, hi in spans[:-1])
@@ -463,10 +500,10 @@ def test_product_step_and_accumulation_match_the_dense_product(make):
             dense += later
             into_start += later
         fused, reference = Tensor(start.copy()), Tensor(start.copy())
-        nm.sgd_step(fused, nm._Sum(products), 0.3, "w")
+        nm.sgd_step(fused, products, 0.3, "w")
         nm.sgd_step(reference, dense, 0.3, "w")
         assert _bits(fused.data) == _bits(reference.data), count
-        assert _bits(dense_gradient(nm._Sum(products), dense.shape)) == _bits(dense), count
+        assert _bits(dense_gradient(products, dense.shape)) == _bits(dense), count
         # added into an op's gradient, which keeps no product: into none, whose
         # first product is multiplied out, and into a dense one
         for first in (None, start.copy()):
@@ -486,8 +523,8 @@ def test_a_leaf_keeps_a_first_product_only_when_its_factors_are_smaller():
     products = [taped(4), taped(1)]  # a tape-held a costs nothing: 20, then 25 elements
     for product in products:
         nm._accumulate(leaf, product)
-        assert isinstance(leaf.grad, nm._Sum)
-    assert leaf.grad.products == products
+        assert gradient_form(leaf.grad) == "products"
+    assert leaf.grad == products
     last = taped(1)  # 30 elements: the sum is multiplied out
     nm._accumulate(leaf, last)
     dense = products[0].a.T @ products[0].g
@@ -497,7 +534,7 @@ def test_a_leaf_keeps_a_first_product_only_when_its_factors_are_smaller():
     built = nm._Product(rng.normal(size=(2, 6)), rng.normal(size=(2, 5)), built=True)
     leaf = Tensor(np.zeros((6, 5)), requires_grad=True)
     nm._accumulate(leaf, built)  # 12 + 10 elements
-    assert leaf.grad.products == [built]
+    assert leaf.grad == [built]
     nm._accumulate(leaf, built)  # 44
     assert isinstance(leaf.grad, np.ndarray)
     op_output = nm.tanh(Tensor(np.zeros((6, 5)), requires_grad=True))
@@ -510,7 +547,8 @@ def test_a_leaf_keeps_a_first_product_only_when_its_factors_are_smaller():
 
 
 def test_product_step_that_overflows_raises():
-    # the overflow is in the last of three 2-row blocks; the step must raise, not warn
+    # the overflow is in the last of three 2-row blocks; the step must raise, not
+    # warn, and write no block it made non-finite
     a = np.ones((1, 6))
     a[0, -1] = -1e308
     product = nm._Product(a, np.ones((1, nm.SGD_BLOCK)))
@@ -518,7 +556,8 @@ def test_product_step_that_overflows_raises():
     params.add("w", np.ones((6, nm.SGD_BLOCK)))
     with warnings.catch_warnings(), pytest.raises(FloatingPointError, match="'w'"):
         warnings.simplefilter("error")
-        nm.sgd_step(params["w"], nm._Sum([product]), 1e308, "w")
+        nm.sgd_step(params["w"], [product], 1e308, "w")
+    assert np.isfinite(params["w"].data).all()
 
 
 def _left_parameter_store():
@@ -533,7 +572,7 @@ def test_a_product_steps_before_the_parameter_its_factor_reads():
     # matmul: stepping x first would multiply out w's gradient with the stepped x
     params = _left_parameter_store()
     loss = lambda params: nm.tanh(params["x"] @ params["w"]).sum()
-    assert isinstance(gradients_of(loss(params), params, dense=False)["w"], nm._Sum)
+    assert gradient_form(gradients_of(loss(params), params, dense=False)["w"]) == "products"
     assert _assert_step_matches_two_pass(_left_parameter_store, loss) == ["x", "w"]
 
 
@@ -610,7 +649,8 @@ def test_policy_gradient_step_matches_two_pass():
     surrogate = lambda params: surrogate_objective(
         params, doc, encode_document(doc, params, config), episode)
     fused, two_pass, before = make_params(), make_params(), make_params()
-    assert isinstance(gradients_of(-surrogate(before), before, dense=False)["embed"], list)
+    handed = gradients_of(-surrogate(before), before, dense=False)
+    assert gradient_form(handed["embed"]) == "rows"
     policy_gradient_step(fused, doc, encode_document(doc, fused, config), episode, 0.3)
     ref.two_pass_step(-surrogate(two_pass), two_pass, 0.3)
     for name, p in fused.items():
@@ -649,9 +689,9 @@ def test_each_reached_parameter_is_handed_to_sgd_step_once(case):
     names = [name for name, _ in handed]
     assert sorted(names) == sorted(set(params.names()) - {"unused"})
     if case is _policy_case:
-        assert isinstance(dict(handed)["embed"], list)
+        assert gradient_form(dict(handed)["embed"]) == "rows"
     else:  # the FC head's weight gradients stay two factors
-        assert isinstance(dict(handed)["fc1_w"], nm._Sum)
+        assert gradient_form(dict(handed)["fc1_w"]) == "products"
     before = {name: _bits(p.data) for name, p in params.items()}
     nm.gradients(build_loss(), params, 0.3)
     assert _bits(unused.data) == before["unused"]
