@@ -23,7 +23,7 @@ window, GRU step or decision:
   exclusive cumulative sum, so the head runs as three matmuls over all
   sentences. Sampling and decoding run the same head on arrays and add the
   history to the first layer's pre-activation: no product per step touches
-  the [select_dim, m1] block.
+  the [context_dim, m1] block.
 
 The per-step form this replaces (per-sentence word features, a GRU cell
 loop, a step-by-step head replay) is kept in tests/reference_policy.py as
@@ -78,11 +78,6 @@ class ExtractorConfig:
     def context_dim(self) -> int:
         return 2 * self.gru_hidden
 
-    @property
-    def select_dim(self) -> int:
-        # selection-history vector lives in the same space as the context
-        return self.context_dim
-
 
 _GRU_GATES = ("z", "r", "h")
 
@@ -99,12 +94,13 @@ def param_layout(config: ExtractorConfig) -> list[tuple[str, tuple, str]]:
             layout += [(f"{prefix}_w", (config.word_dim, config.gru_hidden), "uniform"),
                        (f"{prefix}_v", (config.gru_hidden, config.gru_hidden), "uniform"),
                        (f"{prefix}_b", (config.gru_hidden,), "zeros")]
-    mlp_in = config.context_dim + config.select_dim + config.doc_dim
+    # [context; selection history; document], the history in the context's space
+    mlp_in = 2 * config.context_dim + config.doc_dim
     m1, m2 = config.mlp_hidden
     return layout + [
         ("doc_w", (config.context_dim, config.doc_dim), "uniform"),
         ("doc_b", (config.doc_dim,), "zeros"),
-        ("select_w", (config.context_dim, config.select_dim), "uniform"),
+        ("select_w", (config.context_dim, config.context_dim), "uniform"),
         ("mlp_w1", (mlp_in, m1), "uniform"),
         ("mlp_b1", (m1,), "zeros"),
         ("mlp_w2", (m1, m2), "uniform"),

@@ -82,12 +82,11 @@ is 64-bit so finite-difference gradient checks are decisive.
   parameter's buffer, directly or through a `take_slice` or `reshape` view
   of it, consumes the parameter or lies downstream of a node that does, so
   its backward runs before the last consumer's. Nor does a product, whose
-  factor a may be a parameter's buffer: only a leaf keeps one, a leaf with
-  deferred terms steps before the other parameters complete at the same
-  node, and before any parameter steps, every gradient still kept as
-  products that may read its buffer is made dense. An exception part-way
-  through backward leaves the parameters stepped so far stepped and the
-  rest not; the CLI then exits 1 and writes no checkpoint.
+  factor a may be a parameter's buffer: only a leaf keeps one, and before
+  any parameter steps, every gradient still kept as products that may read
+  its buffer is made dense. An exception part-way through backward leaves
+  the parameters stepped so far stepped and the rest not; the CLI then
+  exits 1 and writes no checkpoint.
 - Checkpoints (format v2, laid out in `save_checkpoint`) carry a JSON header,
   `ParamStore.meta`, before the tensors; `read_header` reads it alone. Each
   tensor is written from its own buffer and read straight into its own
@@ -183,10 +182,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def size(self):
         return self.data.size
 
@@ -197,9 +192,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     # -- operators ----------------------------------------------------------
 
@@ -213,9 +205,6 @@ class Tensor:
 
     def __sub__(self, other):
         return add(self, -_wrap(other))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), -self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -234,8 +223,6 @@ class Tensor:
         return take_slice(self, key)
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         return reshape(self, shape)
 
     def sum(self, axis=None):
@@ -786,32 +773,31 @@ def relu_cross_sum(a, b, bias) -> Tensor:
     return _node(out, (a, b, bias), backward)
 
 
-def _block_max(x: Tensor, views_of, side=None) -> Tensor:
-    """Elementwise max over the same-shape strided views `views_of(array)` of x.
+def _block_max(x: Tensor, views_of, rows: int, cols: int) -> Tensor:
+    """Elementwise max over the same-shape strided views `views_of(a)` of x read as [rows, cols].
 
     Ties take the earliest view in the order views_of lists them, in value
     and in gradient. The forward pass keeps no winner indices: backward finds
     each output's winner as the first view equal to it, so a forward-only
-    pass never pays for the search. With side (rows, cols) the views are
-    taken of x read as `_edge_extended(x.data, rows, cols)`, which is built
-    again in backward, not kept.
+    pass never pays for the search. The views are taken of
+    `_edge_extended(x.data, rows, cols)`, which is built again in backward,
+    not kept; at x's own side that is x.data itself.
     """
-    source = (lambda: x.data) if side is None else (lambda: _edge_extended(x.data, *side))
-    views = views_of(source())
+    views = views_of(_edge_extended(x.data, rows, cols))
     data = views[0].copy()
     for v in views[1:]:
         np.copyto(data, v, where=v > data)  # strict: an equal later value never replaces
     del views
 
     def backward(g):
-        a = source()
+        a = _edge_extended(x.data, rows, cols)
         gx = np.zeros_like(a)
         open_ = np.ones(data.shape, dtype=bool)
         for gv, v in zip(views_of(gx), views_of(a)):
             win = open_ & (v == data)
             np.add(gv, g, out=gv, where=win)
             open_ &= ~win
-        _accumulate(x, gx if side is None else _fold_edges(gx, *x.data.shape[:2]))
+        _accumulate(x, _fold_edges(gx, *x.data.shape[:2]))
 
     return _node(data, (x,), backward)
 
@@ -828,19 +814,20 @@ def max_pool_2x2(x, rows: int, cols: int) -> Tensor:
     _check_side("max_pool_2x2", x, rows, cols, 2)
     even_h, even_w = rows - rows % 2, cols - cols % 2
     return _block_max(x, lambda a: [a[i:even_h:2, j:even_w:2] for i in (0, 1) for j in (0, 1)],
-                      (rows, cols))
+                      rows, cols)
 
 
 def pair_max(x) -> Tensor:
-    """Max of each disjoint pair of rows: out[i] = max(x[2i], x[2i + 1]), elementwise.
+    """Elementwise max of each disjoint pair of rows of an [n, F] x: out[i] = max(x[2i], x[2i + 1]).
 
     A trailing odd row is dropped; ties route gradient to the even row.
     """
     x = _wrap(x)
-    if x.data.ndim < 1 or x.data.shape[0] < 2:
-        raise ShapeError(f"pair_max: need at least 2 rows, got shape {x.data.shape}")
+    if x.data.ndim != 2 or x.data.shape[0] < 2:
+        raise ShapeError(f"pair_max: need an [n, F] input of at least 2 rows, "
+                         f"got shape {x.data.shape}")
     even = x.data.shape[0] - x.data.shape[0] % 2
-    return _block_max(x, lambda a: [a[0:even:2], a[1:even:2]])
+    return _block_max(x, lambda a: [a[0:even:2], a[1:even:2]], *x.data.shape)
 
 
 # -- fused sequence ops -------------------------------------------------------
@@ -1045,10 +1032,9 @@ def gradients(loss: Tensor, params: ParamStore, lr: float) -> None:
     last consumer; it is then handed to `sgd_step` as the walk leaves it, a
     dense array or a list of deferred terms of one kind (`_Rows` segments or
     `_Product`s), and dropped. A product's factor a may be a parameter's
-    buffer, so of the parameters complete at one node, those with a list
-    step first, and before a parameter steps every list of products still
-    kept that may read its buffer is made dense. A parameter the loss does
-    not reach is left as it is.
+    buffer, so before a parameter steps every list of products still kept
+    that may read its buffer is made dense. A parameter the loss does not
+    reach is left as it is.
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -1082,8 +1068,7 @@ def gradients(loss: Tensor, params: ParamStore, lr: float) -> None:
                 node._backward_fn(_dense_grad(node))
             if node is not loss:
                 node.grad = None  # free intermediate buffers early
-        for name in sorted(complete_after.get(id(node), ()),
-                           key=lambda name: not isinstance(params[name].grad, list)):
+        for name in complete_after.get(id(node), ()):
             p = params[name]
             if p.grad is not None:
                 for _, q in params.items():
@@ -1144,22 +1129,28 @@ def minibatch_sgd(items, loss_fn, params: ParamStore, rng: np.random.Generator, 
 
 
 def check_rate(name: str, value) -> None:
-    """Reject a float setting (a step size, a weight) that is negative, NaN or infinite."""
+    """Reject a rate (a step size, a weight) that is not a number, or is negative, NaN or infinite.
+
+    A bool is not a number here.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     if not 0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def check_config(config) -> None:
-    """Reject a model config with a size that is not an int >= 1, a bad `lr` or a bad `epochs`.
+    """Reject a model config with a bad rate, a bad `epochs` or a size that is not an int >= 1.
 
-    `lr` must be finite and >= 0 (`check_rate`), `epochs` an int >= 0. Every
-    other field is a size: an int, or a tuple of ints where the field's
-    default is a tuple, such as the per-layer filter counts; a bool is not an
-    int here. The error names the field.
+    A field whose default is a float, such as `lr`, is a rate (`check_rate`).
+    Every other field is an int, or a tuple of ints where the field's default
+    is a tuple, such as the per-layer filter counts; a bool is not an int
+    here. Each int is at least 1, a size, except `epochs`, which may be 0.
+    The error names the field.
     """
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
-        if f.name == "lr":
+        if isinstance(f.default, float):
             check_rate(f.name, value)
             continue
         tuple_field = isinstance(f.default, tuple)

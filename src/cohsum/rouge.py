@@ -43,6 +43,8 @@ class RewardWeights:
         # numeric.check_rate's test: corpus imports this module and must not load numeric
         for name in ("w1", "w2", "wl"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
 

@@ -52,7 +52,7 @@ def gru_cell(x: Tensor, h_prev: Tensor, params: ParamStore, direction: str) -> T
     z = sigmoid(nm.linear(x, p("z", "w"), p("z", "b")) + h_prev @ p("z", "v"))
     r = sigmoid(nm.linear(x, p("r", "w"), p("r", "b")) + h_prev @ p("r", "v"))
     h_hat = nm.tanh(nm.linear(x, p("h", "w"), p("h", "b")) + (r * h_prev) @ p("h", "v"))
-    return (1.0 - z) * h_hat + z * h_prev
+    return (-z + 1.0) * h_hat + z * h_prev
 
 
 @dataclass
@@ -100,7 +100,7 @@ def extraction_probability(h_t, g_prev, d, params: ParamStore) -> Tensor:
 
 
 def initial_selection(config: ExtractorConfig) -> Tensor:
-    return Tensor(np.zeros(config.select_dim))
+    return Tensor(np.zeros(config.context_dim))
 
 
 def selection_update(g_prev: Tensor, h_t: Tensor, y_t: int, params: ParamStore) -> Tensor:
@@ -170,28 +170,27 @@ class _FastPolicy:
         enc = encode_document(doc, params, config)
         self.contexts = np.stack([c.data for c in enc.contexts])  # [n, ctx]
         self.doc_vec = enc.doc.data
-        ctx, sel = config.context_dim, config.select_dim
+        ctx = config.context_dim  # the selection history lives in the context's space
         w1 = params["mlp_w1"].data
-        self._w1_sel = w1[ctx : ctx + sel]
+        self._w1_sel = w1[ctx : 2 * ctx]
         self._w2 = params["mlp_w2"].data
         self._b2 = params["mlp_b2"].data
         self._w3 = params["mlp_w3"].data
         self._b3 = params["mlp_b3"].data
         self._fixed = (
             self.contexts @ w1[:ctx]
-            + self.doc_vec @ w1[ctx + sel :]
+            + self.doc_vec @ w1[2 * ctx :]
             + params["mlp_b1"].data
         )  # [n, m1]
         # per-sentence increment applied to g when the sentence is selected
         self.increments = np.tanh(self.contexts @ params["select_w"].data)
-        self.select_dim = sel
 
     @property
     def n_sentences(self) -> int:
         return self.contexts.shape[0]
 
     def logits(self, t: int, g: np.ndarray) -> np.ndarray:
-        """Pre-sigmoid scores at step t for a [B, select_dim] batch of histories."""
+        """Pre-sigmoid scores at step t for a [B, context_dim] batch of histories."""
         a1 = np.tanh(self._fixed[t] + g @ self._w1_sel)
         a2 = np.tanh(a1 @ self._w2 + self._b2)
         return (a2 @ self._w3 + self._b3)[:, 0]
@@ -205,7 +204,7 @@ def beam_search(doc: Document, params: ParamStore, config: ExtractorConfig,
     k = min(max_selected, n)
     decisions = [()]
     scores = np.zeros(1)
-    histories = np.zeros((1, policy.select_dim))
+    histories = np.zeros((1, config.context_dim))
     selected = np.zeros(1, dtype=np.int64)
     for t in range(n):
         logits = policy.logits(t, histories)

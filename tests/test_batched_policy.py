@@ -162,7 +162,7 @@ def test_folded_head_matches_the_unfolded_reference_logits(sentences, seed, kind
     decisions = _decisions(doc.n_sentences, seed, kind)
     policy = ref._FastPolicy(doc, params, CONFIG)  # W1_sel applied to the history per step
     expected, scales = [], []
-    g = np.zeros(CONFIG.select_dim)
+    g = np.zeros(CONFIG.context_dim)
     for t, y in enumerate(decisions):
         expected.append(policy.logits(t, g[None, :])[0])
         scales.append(_logit_rounding_scale(policy, t, g))

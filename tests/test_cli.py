@@ -502,6 +502,7 @@ def test_evaluate_warns_of_the_empty_summaries_of_a_system_file(corpus, tmp_path
     ("word_kernels 3", "word_kernels must be a tuple, got 3"),
     ("lr NaN", "lr must be finite and >= 0, got nan"),
     ("lr Infinity", "lr must be finite and >= 0, got inf"),
+    ("lr true", "lr must be a number, got True"),
     ("epochs 1.5", "epochs must be int, got 1.5"),
 ])
 def test_bad_checkpoint_exits_1_with_one_error_line(corpus, tmp_path, caplog, monkeypatch, case,
@@ -1358,6 +1359,30 @@ def test_every_integer_flag_that_sets_no_config_field_has_a_least_value():
                  if action.type is int and action.dest not in fields}
     # load_corpus checks --max-sentences, and names the field
     assert unbounded - {"--max-sentences"} == set(cli.AT_LEAST)
+
+
+# every rate setting of every config: (config, field, the name its errors give)
+RATE_FIELDS = [(CoherenceConfig, "lr", "lr"), (ExtractorConfig, "lr", "lr"),
+               (RLConfig, "lam", "lambda"), (RLConfig, "alpha", "alpha"),
+               (RewardWeights, "w1", "w1"), (RewardWeights, "w2", "w2"),
+               (RewardWeights, "wl", "wl")]
+
+
+def test_the_rate_table_names_every_float_field():
+    floats = {(cls, f.name) for cls in (CoherenceConfig, ExtractorConfig, RLConfig, RewardWeights)
+              for f in dataclasses.fields(cls) if isinstance(f.default, float)}
+    assert floats == {(cls, field) for cls, field, _ in RATE_FIELDS}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0, True, "0.1"],
+                         ids=repr)
+@pytest.mark.parametrize("cls, field, name", RATE_FIELDS,
+                         ids=[f"{cls.__name__}.{field}" for cls, field, _ in RATE_FIELDS])
+def test_every_rate_setting_rejects_the_same_bad_values(cls, field, name, value):
+    # `RewardWeights` keeps its own copy of `numeric.check_rate`; this table keeps them equal
+    sizes = {"vocab_size": 10} if cls in (CoherenceConfig, ExtractorConfig) else {}
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        cls(**sizes, **{field: value})
 
 
 def test_lead3_rejects_a_beam_size_it_does_not_use(corpus, tmp_path, caplog):

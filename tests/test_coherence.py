@@ -397,7 +397,7 @@ def test_each_coherence_stage_leaves_one_array_on_the_tape(vocab, rng):
     stage_ops = {"relu_cross_sum", "conv2d", "_block_max"}  # _block_max builds the pools
     kept = {}
     for op, node, buffers in tape_holdings(loss, params):
-        if node.ndim == 3:  # a grid
+        if node.data.ndim == 3:  # a grid
             floats = [a for a in buffers if a.dtype == np.float64]
             assert len(floats) == (op in stage_ops), (op, node.shape)
             kept[op] = kept.get(op, 0) + len(floats)

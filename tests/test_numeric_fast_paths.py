@@ -196,7 +196,7 @@ def test_conv2d_matches_windows_and_linear(case, prefilled, seed):
     lean = nm.conv2d(x, w, b, kernel, rows, cols)
     out_shape = (rows - kernel + 1, cols - kernel + 1, out_ch)
     dense = nm.relu(nm.linear(nm.windows(repeat_tail(x, rows, cols), kernel, 2), w, b))
-    dense = dense.reshape(out_shape)
+    dense = dense.reshape(*out_shape)
     assert lean.shape == out_shape
     assert _bits(lean.data) == _bits(dense.data)
     weights = rng.normal(size=out_shape)
@@ -569,10 +569,10 @@ def _left_parameter_store():
 
 def test_a_product_steps_before_the_parameter_its_factor_reads():
     # w's gradient is the product x.T @ g, and x and w are complete at the same
-    # matmul: stepping x first would multiply out w's gradient with the stepped x
+    # matmul: x steps first, so w's gradient is multiplied out before x moves
     params = _left_parameter_store()
     loss = lambda params: nm.tanh(params["x"] @ params["w"]).sum()
-    assert gradient_form(gradients_of(loss(params), params, dense=False)["w"]) == "products"
+    assert gradient_form(gradients_of(loss(params), params, dense=False)["w"]) == "dense"
     assert _assert_step_matches_two_pass(_left_parameter_store, loss) == ["x", "w"]
 
 
