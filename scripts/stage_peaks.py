@@ -1,4 +1,4 @@
-"""Peak RSS of each benchmark stage run on its own, by default and with a fixed mmap threshold.
+"""Peak RSS and wall time of each benchmark stage alone, with and without a fixed mmap threshold.
 
     python3 scripts/stage_peaks.py ROOT
 
@@ -10,8 +10,11 @@ MALLOC_MMAP_THRESHOLD_=131072, which fixes glibc's dynamic mmap threshold.
 Each stage starts from a small launcher process, which reads the stage's
 `ru_maxrss` from `os.wait4`: a child's peak starts at the RSS of the process
 it was forked from, so a stage the benchmark starts inherits the benchmark's
-own high-water mark, and one the launcher starts does not. Prints each
-stage's median peak in MB, one line per stage.
+own high-water mark, and one the launcher starts does not. The launcher
+also times the stage from its start to its exit, start-up included, which
+a traced run (`run.py --trace 1`) cannot show: its tracer imports every
+module. Prints each stage's median peak in MB and median wall seconds, one
+line per stage.
 
 Exits 1, naming the stage, if a stage fails.
 """
@@ -32,18 +35,22 @@ SEED = 1
 REPEATS = 3
 ENVIRONMENTS = {"default": {}, "mmap_threshold": {"MALLOC_MMAP_THRESHOLD_": "131072"}}
 
-# Runs argv[1:], its stdout discarded, and prints its exit code and peak RSS
-# (KiB) as JSON. It imports nothing large, so the stage it forks starts small.
+# Runs argv[1:], its stdout discarded, and prints its exit code, peak RSS (KiB)
+# and wall seconds as JSON. It imports nothing large, so the stage it forks
+# starts small.
 LAUNCHER = """
-import json, os, subprocess, sys
+import json, os, subprocess, sys, time
+start = time.perf_counter()
 proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
 _, status, usage = os.wait4(proc.pid, 0)
-print(json.dumps({"code": os.waitstatus_to_exitcode(status), "maxrss_kb": usage.ru_maxrss}))
+wall = time.perf_counter() - start
+print(json.dumps({"code": os.waitstatus_to_exitcode(status), "maxrss_kb": usage.ru_maxrss,
+                  "wall_s": wall}))
 """
 
 
-def stage_peak(run, bench, stage, cwd: Path, extra_env: dict) -> float:
-    """Peak RSS in MB of one stage started by the launcher; raises if the stage fails."""
+def stage_run(run, bench, stage, cwd: Path, extra_env: dict) -> tuple[float, float]:
+    """(peak RSS in MB, wall seconds) of one stage started by the launcher; raises if it fails."""
     argv = [sys.executable, "-c", run.CONSOLE_SCRIPT, *map(str, stage.argv)]
     with open(cwd / f"{stage.id}.log", "ab") as log:
         launched = subprocess.run([sys.executable, "-c", LAUNCHER, *argv], cwd=cwd,
@@ -52,12 +59,12 @@ def stage_peak(run, bench, stage, cwd: Path, extra_env: dict) -> float:
     report = json.loads(launched.stdout)
     if report["code"] != 0:
         raise RuntimeError(f"{stage.id}: exit code {report['code']} (see {cwd / stage.id}.log)")
-    return report["maxrss_kb"] / 1024.0
+    return report["maxrss_kb"] / 1024.0, report["wall_s"]
 
 
-def workload_peaks(run, root: Path, workload) -> dict[str, dict[str, float]]:
-    """stage id -> environment name -> median peak RSS in MB over REPEATS runs."""
-    peaks: dict[str, dict[str, list[float]]] = {}
+def workload_peaks(run, root: Path, workload) -> dict[str, dict[str, tuple[float, float]]]:
+    """stage id -> environment name -> median (peak RSS in MB, wall s) over REPEATS runs."""
+    peaks: dict[str, dict[str, list[tuple[float, float]]]] = {}
     with tempfile.TemporaryDirectory(prefix="stage_peaks-") as tmp:
         work = Path(tmp)
         bench = run.Bench(root, run.PAPER, SEED, time.monotonic() + run.DEADLINE_S)
@@ -69,9 +76,10 @@ def workload_peaks(run, root: Path, workload) -> dict[str, dict[str, float]]:
                 r = work / f"{env_name}{k}"
                 r.mkdir()
                 for stage in workload.stages(bench, s, r):
-                    peak = stage_peak(run, bench, stage, r, extra_env)
-                    peaks.setdefault(stage.id, {}).setdefault(env_name, []).append(peak)
-    return {stage: {env: statistics.median(values) for env, values in by_env.items()}
+                    measured = stage_run(run, bench, stage, r, extra_env)
+                    peaks.setdefault(stage.id, {}).setdefault(env_name, []).append(measured)
+    return {stage: {env: tuple(map(statistics.median, zip(*values)))
+                    for env, values in by_env.items()}
             for stage, by_env in peaks.items()}
 
 
@@ -81,7 +89,8 @@ def main(argv: list[str]) -> int:
         return 2
     root = Path(argv[0]).resolve()
     run = load_run(root)
-    print(f"{'workload':<14}{'stage':<12}" + "".join(f"{env + ' MB':>20}" for env in ENVIRONMENTS))
+    print(f"{'workload':<14}{'stage':<12}" + "".join(f"{env + ' MB':>20}{env + ' s':>20}"
+                                                      for env in ENVIRONMENTS))
     for name, workload in sorted(run.WORKLOADS.items()):
         try:
             peaks = workload_peaks(run, root, workload)
@@ -90,7 +99,8 @@ def main(argv: list[str]) -> int:
             return 1
         for stage, by_env in peaks.items():
             print(f"{name:<14}{stage:<12}"
-                  + "".join(f"{by_env[env]:>20.1f}" for env in ENVIRONMENTS))
+                  + "".join(f"{by_env[env][0]:>20.1f}{by_env[env][1]:>20.3f}"
+                            for env in ENVIRONMENTS))
     return 0
 
 

@@ -56,6 +56,19 @@ trained policy is saved, so `--out` may name that checkpoint.
 Every output file is written through `atomic.atomic_write`, so a stage that
 fails leaves no partial output and no temporary file; `score-coherence
 --out -` streams to stdout instead.
+
+Imports come in two tiers. This module imports only the text tier at load:
+`corpus`, `rouge`, `atomic` and `config`, none of which imports numpy, so
+`preprocess`, `label`, `evaluate` and `--help` start without it (importing
+numpy is most of a text stage's start-up). Each tensor command imports the
+modules it calls at its own top, as does `child_rng`, and `_model_config`
+imports `numeric`: `summarize` imports `decode` (with `extractor` and
+`numeric` for beam decoding), and `train-rnes` imports `numeric`,
+`coherence`, `extractor` and `reinforce`. `_report_selected` and `evaluate`
+take their median and means in plain Python. The module's `__getattr__`
+keeps `cli.load_checkpoint` as a name for `numeric.load_checkpoint`,
+resolved when it is read, for code that finds the loader here; the
+commands call numeric's own.
 """
 
 from __future__ import annotations
@@ -68,20 +81,38 @@ import logging
 import sys
 import zlib
 from functools import partial
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-
-from . import coherence as coh
 from . import corpus as cp
-from . import decode as dc
-from . import extractor as ex
-from . import reinforce as rl
 from .atomic import atomic_write
-from .numeric import CheckpointError, load_checkpoint, read_header, save_checkpoint
-from .rouge import RewardWeights, rouge_l, rouge_n
+from .config import (
+    DEFAULT_MAX_SELECTED,
+    DEFAULT_MAX_SENTENCES,
+    CheckpointError,
+    CoherenceConfig,
+    ExtractorConfig,
+    RewardWeights,
+    RLConfig,
+)
+from .rouge import rouge_l, rouge_n
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
+
+
+def __getattr__(name: str):
+    """`cli.load_checkpoint` is `numeric.load_checkpoint`, read when it is asked for.
+
+    The commands call numeric's function; this keeps the name for code that
+    reads it here without importing numeric, and so numpy, with the CLI.
+    """
+    if name == "load_checkpoint":
+        from . import numeric as nm
+
+        return nm.load_checkpoint
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _int_tuple(text: str) -> tuple[int, ...]:
@@ -97,6 +128,8 @@ def child_rng(seed: int, label: str) -> np.random.Generator:
     The label is hashed with crc32 so the stream depends only on (seed, label),
     not on the order stages run in.
     """
+    import numpy as np
+
     return np.random.default_rng([seed, zlib.crc32(label.encode("utf-8"))])
 
 
@@ -112,6 +145,8 @@ def _model_config(path: str, kind: str, config_cls, vocab: cp.Vocabulary):
     Only the header is read, so a command rejects the wrong checkpoint before
     it reads any tensor.
     """
+    from .numeric import read_header
+
     meta = read_header(path)
     if meta.get("model") != kind:
         raise CheckpointError(f"{path}: holds a {meta.get('model')!r} model, expected {kind!r}")
@@ -212,8 +247,11 @@ def cmd_label(args) -> int:
 
 
 def cmd_train_coherence(args) -> int:
+    from . import coherence as coh
+    from . import numeric as nm
+
     vocab = cp.load_vocab(args.vocab)
-    config = _config(coh.CoherenceConfig, args, vocab_size=vocab.size)
+    config = _config(CoherenceConfig, args, vocab_size=vocab.size)
     docs = list(cp.load_corpus(args.corpus, vocab=vocab, max_tokens=config.max_tokens,
                                max_sentences=args.max_sentences))
     sample_rng = child_rng(args.seed, "coherence-triplets")
@@ -228,14 +266,17 @@ def cmd_train_coherence(args) -> int:
                                    f"coherence triplets from (each needs 3 sentences)")
     params = coh.train_coherence(triplets, config, child_rng(args.seed, "coherence-train"))
     _describe(params, "coherence", config, vocab)
-    save_checkpoint(params, args.out)
+    nm.save_checkpoint(params, args.out)
     log.info("trained on %d triplets; checkpoint at %s", len(triplets), args.out)
     return 0
 
 
 def cmd_pretrain(args) -> int:
+    from . import extractor as ex
+    from . import numeric as nm
+
     vocab = cp.load_vocab(args.vocab)
-    config = _config(ex.ExtractorConfig, args, vocab_size=vocab.size)
+    config = _config(ExtractorConfig, args, vocab_size=vocab.size)
     docs = list(cp.load_corpus(args.corpus, vocab=vocab, max_tokens=config.max_tokens,
                                max_sentences=config.max_sentences))
     if args.labels:
@@ -251,20 +292,26 @@ def cmd_pretrain(args) -> int:
         labeled = [(doc, cp.generate_oracle_labels(doc, weights, args.cap)) for doc in docs]
     params = ex.pretrain(labeled, config, child_rng(args.seed, "pretrain"))
     _describe(params, "extractor", config, vocab)
-    save_checkpoint(params, args.out)
+    nm.save_checkpoint(params, args.out)
     log.info("pretrained on %d documents; checkpoint at %s", len(labeled), args.out)
     return 0
 
 
 def cmd_train_rnes(args) -> int:
-    rl_config = _config(rl.RLConfig, args, weights=_config(RewardWeights, args))
+    import numpy as np
+
+    from . import coherence as coh
+    from . import extractor as ex
+    from . import numeric as nm
+    from . import reinforce as rl
+
+    rl_config = _config(RLConfig, args, weights=_config(RewardWeights, args))
     vocab = cp.load_vocab(args.vocab)
-    ext_config = _model_config(args.pretrain_checkpoint, "extractor", ex.ExtractorConfig, vocab)
+    ext_config = _model_config(args.pretrain_checkpoint, "extractor", ExtractorConfig, vocab)
     if rl_config.lam > 0:
         if not args.coherence_checkpoint:
             raise ValueError("--coherence-checkpoint is required when --lambda > 0")
-        coh_config = _model_config(args.coherence_checkpoint, "coherence", coh.CoherenceConfig,
-                                   vocab)
+        coh_config = _model_config(args.coherence_checkpoint, "coherence", CoherenceConfig, vocab)
         if coh_config.max_tokens != ext_config.max_tokens:
             raise CheckpointError(f"{args.coherence_checkpoint}: coherence model reads "
                                   f"{coh_config.max_tokens}-token sentences, "
@@ -281,30 +328,35 @@ def cmd_train_rnes(args) -> int:
     ends = np.cumsum([len(specials)] + [len(sent.ids) for sent in sentences])
     for sent, lo, hi in zip(sentences, ends[:-1], ends[1:]):
         sent.ids = rows[lo:hi]
-    params = load_checkpoint(args.pretrain_checkpoint, rows={"embed": used},
-                             layout=ex.param_layout(ext_config))
+    params = nm.load_checkpoint(args.pretrain_checkpoint, rows={"embed": used},
+                                layout=ex.param_layout(ext_config))
     scorer = None
     if rl_config.lam > 0:
-        coh_params = load_checkpoint(args.coherence_checkpoint, rows={"embed": used},
-                                     layout=coh.param_layout(coh_config))
+        coh_params = nm.load_checkpoint(args.coherence_checkpoint, rows={"embed": used},
+                                        layout=coh.param_layout(coh_config))
         scorer = partial(coh.coherence_forward, params=coh_params, config=coh_config)
     rl.train_rnes(docs, params, scorer, rl_config, ext_config, child_rng(args.seed, "train-rnes"))
-    save_checkpoint(params, args.out)  # params.meta still describes the model as loaded
+    nm.save_checkpoint(params, args.out)  # params.meta still describes the model as loaded
     log.info("policy checkpoint at %s", args.out)
     return 0
 
 
 def cmd_summarize(args) -> int:
+    from . import decode as dc
+
     if args.method == "beam":
+        from . import extractor as ex
+        from . import numeric as nm
+
         if not args.checkpoint:
             raise ValueError("--checkpoint is required for beam decoding")
         if not args.vocab:
             raise ValueError("--vocab is required for beam decoding")
         vocab = cp.load_vocab(args.vocab)
-        config = _model_config(args.checkpoint, "extractor", ex.ExtractorConfig, vocab)
+        config = _model_config(args.checkpoint, "extractor", ExtractorConfig, vocab)
         docs = list(cp.load_corpus(args.corpus, vocab=vocab, max_tokens=config.max_tokens,
                                    max_sentences=config.max_sentences))
-        params = load_checkpoint(args.checkpoint, layout=ex.param_layout(config))
+        params = nm.load_checkpoint(args.checkpoint, layout=ex.param_layout(config))
     else:
         docs = cp.load_corpus(args.corpus)
     counts = []
@@ -332,8 +384,19 @@ def _report_selected(counts: list[int]) -> None:
     empty = counts.count(0)
     if empty:
         log.warning("%d of %d summaries are empty", empty, len(counts))
+    ranked = sorted(counts)
+    middle = len(ranked) // 2
+    median = ranked[middle] if len(ranked) % 2 else (ranked[middle - 1] + ranked[middle]) / 2
     log.info("selected sentences per summary: min %d, median %g, max %d",
-             min(counts), np.median(counts), max(counts))
+             ranked[0], median, ranked[-1])
+
+
+def _column_means(table: list[list[float]]) -> list[float]:
+    """Each column's mean: its rows added in order, then divided by their count."""
+    totals = table[0]
+    for row in table[1:]:
+        totals = [total + v for total, v in zip(totals, row)]
+    return [total / len(table) for total in totals]
 
 
 def cmd_evaluate(args) -> int:
@@ -356,21 +419,21 @@ def cmd_evaluate(args) -> int:
     for variant in ("r1", "r2", "rl"):
         header += [f"{variant}_recall", f"{variant}_precision", f"{variant}_f1"]
     print("\t".join(header))
-    table = np.array(
-        [[v for s in scores for v in (s.recall, s.precision, s.f1)] for _, scores in rows]
-    )
+    table = [[v for s in scores for v in (s.recall, s.precision, s.f1)] for _, scores in rows]
     if args.per_doc:
         for (doc_id, _), values in zip(rows, table):
             print("\t".join([doc_id] + [f"{v:.4f}" for v in values]))
-    mean = table.mean(axis=0)
-    print("\t".join(["MEAN"] + [f"{v:.4f}" for v in mean]))
+    print("\t".join(["MEAN"] + [f"{v:.4f}" for v in _column_means(table)]))
     return 0
 
 
 def cmd_score_coherence(args) -> int:
+    from . import coherence as coh
+    from . import numeric as nm
+
     vocab = cp.load_vocab(args.vocab)
-    config = _model_config(args.checkpoint, "coherence", coh.CoherenceConfig, vocab)
-    params = load_checkpoint(args.checkpoint, layout=coh.param_layout(config))
+    config = _model_config(args.checkpoint, "coherence", CoherenceConfig, vocab)
+    params = nm.load_checkpoint(args.checkpoint, layout=coh.param_layout(config))
     name = "stdin" if args.pairs == "-" else args.pairs
     source = (contextlib.nullcontext(sys.stdin.buffer) if args.pairs == "-"
               else open(args.pairs, "rb"))
@@ -399,7 +462,7 @@ def cmd_score_coherence(args) -> int:
 
 def _add_corpus_flags(p):
     p.add_argument("--corpus", required=True, help="JSONL corpus file")
-    p.add_argument("--max-sentences", type=int, default=cp.DEFAULT_MAX_SENTENCES,
+    p.add_argument("--max-sentences", type=int, default=DEFAULT_MAX_SENTENCES,
                    help="sentence-count truncation (default %(default)s)")
 
 
@@ -453,35 +516,35 @@ def build_parser() -> argparse.ArgumentParser:
     _add_oracle_flags(p)
     p.set_defaults(func=cmd_label)
 
-    coherence = coh.CoherenceConfig
     p = sub.add_parser("train-coherence", help="train the sentence-pair coherence scorer")
     _add_corpus_flags(p)
-    _add_field_flag(p, "--max-tokens", coherence, "max_tokens", "encoded sentence length")
+    _add_field_flag(p, "--max-tokens", CoherenceConfig, "max_tokens", "encoded sentence length")
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True, help="checkpoint output path")
-    _add_training_flags(p, coherence)
-    _add_field_flag(p, "--window", coherence, "window", "layer-1 window per sentence")
-    _add_field_flag(p, "--filters", coherence, "conv_filters",
+    _add_training_flags(p, CoherenceConfig)
+    _add_field_flag(p, "--window", CoherenceConfig, "window", "layer-1 window per sentence")
+    _add_field_flag(p, "--filters", CoherenceConfig, "conv_filters",
                     "conv filter counts, comma-separated")
-    _add_field_flag(p, "--kernel", coherence, "conv_kernel", "spatial kernel of later convs")
-    _add_field_flag(p, "--fc", coherence, "fc_units", "fully-connected widths")
+    _add_field_flag(p, "--kernel", CoherenceConfig, "conv_kernel",
+                    "spatial kernel of later convs")
+    _add_field_flag(p, "--fc", CoherenceConfig, "fc_units", "fully-connected widths")
     p.add_argument("--triplets-per-doc", type=int, default=1)
     p.set_defaults(func=cmd_train_coherence)
 
-    extractor = ex.ExtractorConfig
     p = sub.add_parser("pretrain", help="supervised pretraining of the extractor")
     p.add_argument("--corpus", required=True, help="JSONL corpus file")
-    _add_field_flag(p, "--max-tokens", extractor, "max_tokens", "encoded sentence length")
-    _add_field_flag(p, "--max-sentences", extractor, "max_sentences", "sentence-count truncation")
+    _add_field_flag(p, "--max-tokens", ExtractorConfig, "max_tokens", "encoded sentence length")
+    _add_field_flag(p, "--max-sentences", ExtractorConfig, "max_sentences",
+                    "sentence-count truncation")
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--labels", help="labels JSONL; generated greedily when omitted")
-    _add_training_flags(p, extractor)
-    _add_field_flag(p, "--kernels", extractor, "word_kernels", "word conv kernel sizes")
-    _add_field_flag(p, "--filters", extractor, "word_filters", "word conv filter counts")
-    _add_field_flag(p, "--gru-hidden", extractor, "gru_hidden")
-    _add_field_flag(p, "--doc-dim", extractor, "doc_dim")
-    _add_field_flag(p, "--mlp", extractor, "mlp_hidden", "MLP hidden widths")
+    _add_training_flags(p, ExtractorConfig)
+    _add_field_flag(p, "--kernels", ExtractorConfig, "word_kernels", "word conv kernel sizes")
+    _add_field_flag(p, "--filters", ExtractorConfig, "word_filters", "word conv filter counts")
+    _add_field_flag(p, "--gru-hidden", ExtractorConfig, "gru_hidden")
+    _add_field_flag(p, "--doc-dim", ExtractorConfig, "doc_dim")
+    _add_field_flag(p, "--mlp", ExtractorConfig, "mlp_hidden", "MLP hidden widths")
     _add_oracle_flags(p)
     p.set_defaults(func=cmd_pretrain)
 
@@ -491,9 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pretrain-checkpoint", required=True)
     p.add_argument("--coherence-checkpoint", help="required unless --lambda is 0")
     p.add_argument("--out", required=True)
-    _add_field_flag(p, "--lambda", rl.RLConfig, "lam", "coherence reward weight")
-    _add_field_flag(p, "--alpha", rl.RLConfig, "alpha", "ascent step size")
-    _add_field_flag(p, "--steps", rl.RLConfig, "steps")
+    _add_field_flag(p, "--lambda", RLConfig, "lam", "coherence reward weight")
+    _add_field_flag(p, "--alpha", RLConfig, "alpha", "ascent step size")
+    _add_field_flag(p, "--steps", RLConfig, "steps")
     p.add_argument("--seed", type=int, default=0)
     _add_reward_flags(p)
     p.set_defaults(func=cmd_train_rnes)
@@ -505,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="summaries JSONL output path")
     p.add_argument("--method", choices=("beam", "lead3"), default="beam")
     p.add_argument("--beam", type=int, default=10, help="beam size (default %(default)s)")
-    p.add_argument("--cap", type=int, default=dc.DEFAULT_MAX_SELECTED,
+    p.add_argument("--cap", type=int, default=DEFAULT_MAX_SELECTED,
                    help="beam method: extract exactly min(cap, n) of a document's n sentences "
                         "(default %(default)s)")
     p.set_defaults(func=cmd_summarize)

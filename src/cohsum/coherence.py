@@ -72,39 +72,12 @@ each against its 2.4 MB weight, are multiplied out at the third pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import numeric as nm
-from .corpus import DEFAULT_MAX_TOKENS, CoherenceTriplet
+from .config import CoherenceConfig
+from .corpus import CoherenceTriplet
 from .numeric import ParamStore, Tensor
-
-
-@dataclass(frozen=True)
-class CoherenceConfig:
-    vocab_size: int
-    embed_dim: int = 64
-    window: int = 3
-    conv_filters: tuple[int, ...] = (128, 256, 512)
-    conv_kernel: int = 3
-    fc_units: tuple[int, ...] = (512, 256)
-    max_tokens: int = DEFAULT_MAX_TOKENS
-    lr: float = 0.1
-    batch_size: int = 64
-    epochs: int = 5
-
-    def __post_init__(self):
-        nm.check_config(self)
-        if self.max_tokens <= self.window:  # a grid of at least 2x2 starts with a pool
-            raise ValueError(f"max_tokens {self.max_tokens} must exceed the layer-1 window "
-                             f"{self.window}")
-        if not self.conv_filters:
-            raise ValueError("conv_filters must name at least the layer-1 filter count")
-
-    @property
-    def grid_size(self) -> int:
-        return self.max_tokens - self.window + 1
 
 
 def stack_plan(config: CoherenceConfig) -> tuple[list[tuple], int]:

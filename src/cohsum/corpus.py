@@ -14,12 +14,14 @@ import string
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .atomic import atomic_write
-from .rouge import RewardWeights, combined_rouge
+from .config import DEFAULT_MAX_SENTENCES, DEFAULT_MAX_TOKENS, RewardWeights
+from .rouge import combined_rouge
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PAD_ID = 0
 UNK_ID = 1
@@ -28,9 +30,6 @@ PAD_TOKEN = "<PAD>"
 UNK_TOKEN = "<UNK>"
 BOUNDARY_TOKEN = "<BOUNDARY>"
 _SPECIALS = (PAD_TOKEN, UNK_TOKEN, BOUNDARY_TOKEN)
-
-DEFAULT_MAX_TOKENS = 50  # fixed encoded sentence length
-DEFAULT_MAX_SENTENCES = 80  # documents truncated to this many sentences
 
 
 class CorpusFormatError(ValueError):
@@ -45,9 +44,17 @@ def _is_punct(ch: str) -> bool:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase, split on whitespace, and break punctuation into own tokens."""
+    """Lowercase, split on whitespace, and break punctuation into own tokens.
+
+    A chunk that is all letters and digits is one token whole: no
+    alphanumeric character is punctuation. Only the other chunks are read
+    a character at a time.
+    """
     out: list[str] = []
     for chunk in text.lower().split():
+        if chunk.isalnum():
+            out.append(chunk)
+            continue
         buf = ""
         for ch in chunk:
             if _is_punct(ch):
@@ -100,6 +107,8 @@ def build_vocab(documents: Iterable["Document"], max_size: int) -> Vocabulary:
 
 def encode_sentence(tokens: list[str], vocab: Vocabulary, max_tokens: int) -> np.ndarray:
     """Fixed-length id vector: truncate past max_tokens, PAD-fill the tail."""
+    import numpy as np  # the text stages never encode, and start without numpy
+
     ids = np.full(max_tokens, PAD_ID, dtype=np.int64)
     for i, token in enumerate(tokens[:max_tokens]):
         ids[i] = vocab.lookup(token)
@@ -133,6 +142,8 @@ def tokens_of(sentences: Iterable[Sentence]) -> list[str]:
 
 def placeholder_sentence(max_tokens: int = DEFAULT_MAX_TOKENS) -> Sentence:
     """The synthetic start sentence used before anything has been extracted."""
+    import numpy as np
+
     ids = np.full(max_tokens, PAD_ID, dtype=np.int64)
     ids[0] = BOUNDARY_ID
     return Sentence(text=BOUNDARY_TOKEN, tokens=[BOUNDARY_TOKEN], ids=ids)

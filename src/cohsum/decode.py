@@ -26,11 +26,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import numeric as nm
+from .config import DEFAULT_MAX_SELECTED, ExtractorConfig
 from .corpus import Document
-from .extractor import ExtractorConfig, encode_document, policy_head
+from .extractor import encode_document, policy_head
 from .numeric import ParamStore
-
-DEFAULT_MAX_SELECTED = 4
 
 
 def beam_search(

@@ -38,45 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numeric as nm
-from .corpus import DEFAULT_MAX_SENTENCES, DEFAULT_MAX_TOKENS, Document
+from .config import ExtractorConfig
+from .corpus import Document
 from .numeric import ParamStore, Tensor
-
-
-@dataclass(frozen=True)
-class ExtractorConfig:
-    vocab_size: int
-    embed_dim: int = 128
-    word_kernels: tuple[int, ...] = (3, 5, 7)
-    word_filters: tuple[int, ...] = (128, 256, 256)
-    gru_hidden: int = 256
-    doc_dim: int = 512
-    mlp_hidden: tuple[int, int] = (512, 256)
-    max_tokens: int = DEFAULT_MAX_TOKENS
-    max_sentences: int = DEFAULT_MAX_SENTENCES
-    lr: float = 0.1
-    batch_size: int = 64
-    epochs: int = 5
-
-    def __post_init__(self):
-        nm.check_config(self)
-        if len(self.mlp_hidden) != 2:
-            raise ValueError(f"mlp_hidden must be exactly two widths, got {self.mlp_hidden}")
-        if not self.word_kernels:
-            raise ValueError("word_kernels must name at least one kernel size")
-        if len(set(self.word_kernels)) != len(self.word_kernels):  # one conv{k}_* per size
-            raise ValueError(f"word_kernels must not repeat a size, got {self.word_kernels}")
-        if len(self.word_kernels) != len(self.word_filters):
-            raise ValueError(
-                f"word_kernels {self.word_kernels} and word_filters {self.word_filters} differ in length"
-            )
-
-    @property
-    def word_dim(self) -> int:
-        return sum(self.word_filters)
-
-    @property
-    def context_dim(self) -> int:
-        return 2 * self.gru_hidden
 
 
 _GRU_GATES = ("z", "r", "h")

@@ -110,7 +110,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import dataclasses
 import functools
 import itertools
 import json
@@ -123,16 +122,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .atomic import atomic_write
+from .config import CheckpointError
 
 log = logging.getLogger(__name__)
 
 
 class ShapeError(ValueError):
     """Operands have incompatible shapes for the requested op."""
-
-
-class CheckpointError(RuntimeError):
-    """Checkpoint file is missing, corrupt, or has the wrong version."""
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -1126,44 +1122,6 @@ def minibatch_sgd(items, loss_fn, params: ParamStore, rng: np.random.Generator, 
             del batch_loss
         log.info("%s epoch %d: mean loss %.6f", name, epoch + 1, epoch_total / len(items))
     return params
-
-
-def check_rate(name: str, value) -> None:
-    """Reject a rate (a step size, a weight) that is not a number, or is negative, NaN or infinite.
-
-    A bool is not a number here.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if not 0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
-
-def check_config(config) -> None:
-    """Reject a model config with a bad rate, a bad `epochs` or a size that is not an int >= 1.
-
-    A field whose default is a float, such as `lr`, is a rate (`check_rate`).
-    Every other field is an int, or a tuple of ints where the field's default
-    is a tuple, such as the per-layer filter counts; a bool is not an int
-    here. Each int is at least 1, a size, except `epochs`, which may be 0.
-    The error names the field.
-    """
-    for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        if isinstance(f.default, float):
-            check_rate(f.name, value)
-            continue
-        tuple_field = isinstance(f.default, tuple)
-        if isinstance(value, tuple) != tuple_field:
-            raise ValueError(f"{f.name} must be {'a tuple' if tuple_field else 'int'}, "
-                             f"got {value!r}")
-        entries = value if tuple_field else (value,)
-        what = f"{f.name} entries" if tuple_field else f.name
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in entries):
-            raise ValueError(f"{what} must be int, got {value!r}")
-        least = 0 if f.name == "epochs" else 1
-        if any(v < least for v in entries):
-            raise ValueError(f"{what} must be >= {least}, got {value}")
 
 
 # -- checkpoints --------------------------------------------------------------

@@ -22,16 +22,11 @@ from typing import Callable
 import numpy as np
 
 from . import numeric as nm
+from .config import ExtractorConfig, RewardWeights, RLConfig
 from .corpus import Document, placeholder_sentence, tokens_of
-from .extractor import (
-    DocumentEncoding,
-    ExtractorConfig,
-    decision_log_probs,
-    encode_document,
-    policy_head,
-)
+from .extractor import DocumentEncoding, decision_log_probs, encode_document, policy_head
 from .numeric import ParamStore, Tensor
-from .rouge import RewardWeights, combined_rouge
+from .rouge import combined_rouge
 
 log = logging.getLogger(__name__)
 
@@ -39,20 +34,6 @@ log = logging.getLogger(__name__)
 CoherenceScorer = Callable[[list[tuple[np.ndarray, np.ndarray]]], np.ndarray]
 
 MOVING_WINDOW = 100  # steps in the logged moving average of the combined reward
-
-
-@dataclass
-class RLConfig:
-    lam: float = 0.01  # weight of coherence rewards in the return
-    alpha: float = 0.001  # ascent step size
-    steps: int = 1000
-    weights: RewardWeights = field(default_factory=RewardWeights)
-
-    def __post_init__(self):
-        nm.check_rate("lambda", self.lam)
-        nm.check_rate("alpha", self.alpha)
-        if self.steps < 0:
-            raise ValueError(f"steps must be non-negative, got {self.steps}")
 
 
 @dataclass

@@ -11,9 +11,10 @@ programme gives, so every score, oracle label and reward is unchanged.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
+
+from .config import RewardWeights
 
 
 @dataclass(frozen=True)
@@ -29,24 +30,6 @@ class RougeScore:
         denom = precision + recall
         f1 = 2.0 * precision * recall / denom if denom > 0 else 0.0
         return cls(recall=recall, precision=precision, f1=f1)
-
-
-@dataclass(frozen=True)
-class RewardWeights:
-    """Mixing weights for the combined R-1 / R-2 / R-L reward."""
-
-    w1: float = 0.4
-    w2: float = 1.0
-    wl: float = 0.5
-
-    def __post_init__(self):
-        # numeric.check_rate's test: corpus imports this module and must not load numeric
-        for name in ("w1", "w2", "wl"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 DEFAULT_WEIGHTS = RewardWeights()

@@ -339,7 +339,7 @@ def _recorded_loads(monkeypatch) -> list:
         loads.append(str(path))
         return load_checkpoint(path, rows=rows, layout=layout)
 
-    monkeypatch.setattr(cli, "load_checkpoint", recording_load)
+    monkeypatch.setattr(cohsum.numeric, "load_checkpoint", recording_load)
     return loads
 
 
@@ -1026,7 +1026,7 @@ def stage_inputs(tmp_path_factory):
     }
 
 
-# least values of the config fields that are not sizes (`numeric.check_config`, `RLConfig`);
+# least values of the config fields that are not sizes (`config.check_config`, `RLConfig`);
 # every other config size is at least 1, and so is --max-sentences (`load_corpus`)
 LEAST_OF_FIELD = {"epochs": 0, "steps": 0}
 FLOAT_VALUES = ["-1", "0", "0.5", "nan", "inf", "-inf"]
@@ -1379,7 +1379,7 @@ def test_the_rate_table_names_every_float_field():
 @pytest.mark.parametrize("cls, field, name", RATE_FIELDS,
                          ids=[f"{cls.__name__}.{field}" for cls, field, _ in RATE_FIELDS])
 def test_every_rate_setting_rejects_the_same_bad_values(cls, field, name, value):
-    # `RewardWeights` keeps its own copy of `numeric.check_rate`; this table keeps them equal
+    # every rate, `RewardWeights`' included, goes through `config.check_rate`
     sizes = {"vocab_size": 10} if cls in (CoherenceConfig, ExtractorConfig) else {}
     with pytest.raises(ValueError, match=f"^{name} must be "):
         cls(**sizes, **{field: value})
@@ -1475,6 +1475,55 @@ def test_importing_corpus_loads_neither_hashlib_nor_the_autodiff_core():
     assert proc.stdout.strip() == "[]"
 
 
+# Runs the CLI on argv[1:] in this fresh interpreter, then prints its exit code
+# and the cohsum and numpy modules it loaded, as JSON.
+LOADED_MODULES = (
+    "import json, sys\n"
+    "from cohsum.cli import run\n"
+    "code = run(sys.argv[1:])\n"
+    "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('cohsum', 'numpy'))\n"
+    "print(json.dumps({'code': code, 'loaded': loaded}))\n"
+)
+
+
+def _modules_loaded_by(argv) -> set[str]:
+    package_root = os.path.dirname(os.path.dirname(cohsum.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, *map(str, argv)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=package_root),
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["code"] == 0, proc.stderr
+    return set(report["loaded"])
+
+
+def test_text_stages_and_help_start_without_numpy(corpus, tmp_path):
+    # preprocess, label and evaluate read only tokens, so they never import numpy
+    summaries = tmp_path / "lead3.jsonl"
+    assert run(["summarize", "--corpus", str(corpus), "--method", "lead3",
+                "--out", str(summaries)]) == 0
+    stages = {
+        "help": ["--help"],
+        "preprocess": ["preprocess", "--corpus", corpus, "--out", tmp_path / "vocab.txt"],
+        "label": ["label", "--corpus", corpus, "--out", tmp_path / "labels.jsonl"],
+        "evaluate": ["evaluate", "--system", summaries, "--reference", corpus, "--per-doc"],
+    }
+    for stage, argv in stages.items():
+        loaded = _modules_loaded_by(argv)
+        assert "cohsum.cli" in loaded, stage
+        assert not {"numpy", "cohsum.numeric"} & loaded, stage
+
+
+def test_beam_decoding_loads_neither_the_coherence_scorer_nor_reinforce(corpus, tmp_path):
+    ckpt = _pretrained(corpus, tmp_path)
+    loaded = _modules_loaded_by(["summarize", "--corpus", corpus, "--vocab",
+                                 tmp_path / "vocab.txt", "--checkpoint", ckpt,
+                                 "--out", tmp_path / "beam.jsonl"])
+    assert {"numpy", "cohsum.decode", "cohsum.extractor"} <= loaded
+    assert not {"cohsum.coherence", "cohsum.reinforce"} & loaded
+
+
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
 def test_importing_the_cli_defaults_blas_to_one_thread_and_keeps_a_set_value(preset, expected):
     package_root = os.path.dirname(os.path.dirname(cohsum.__file__))
@@ -1522,7 +1571,7 @@ def test_train_rnes_writes_the_policy_of_the_full_table_scorer(corpus, tmp_path,
         table_rows[str(path)] = len(params["embed"].data)
         return params
 
-    monkeypatch.setattr(cli, "load_checkpoint", recording_load)
+    monkeypatch.setattr(cohsum.numeric, "load_checkpoint", recording_load)
     out = tmp_path / "rl.ckpt"
     assert _train_rnes(corpus, larger_vocab, pre_ckpt, coh_ckpt, out) == 0
     vocab = load_vocab(larger_vocab)

@@ -29,7 +29,9 @@ from cohsum.corpus import (
     tokenize,
     tokens_of,
 )
+from cohsum.corpus import _is_punct
 from cohsum.rouge import RewardWeights, combined_rouge
+from reference_corpus import tokenize as tokenize_by_char
 from reference_rouge import lcs_length as lcs_by_dp
 
 WEIGHTS = RewardWeights()
@@ -53,6 +55,31 @@ def test_tokenize_deterministic_unicode():
     text = "Don't “panic”!"
     assert tokenize(text) == tokenize(text)
     assert "'" in tokenize(text)
+
+
+MIXED_TEXTS = [
+    "The cat sat.", "U.S. economy", "Don't “panic”!", "Ünïcode CAFÉ déjà-vu, naïve?",
+    "Zürich (Schweiz) — 3½ km², ¿qué? «ça» 東京都は首都です。", "x²+y²=z² ... 42nd [edit]",
+    "İstanbul ΣΊΣΥΦΟΣ ǅemal Ⅻ ٣٤ ١٢٫٥", "tab\tseparated\nlines\u00a0nbsp\u2003em",
+    "e-mail: a.b@c.org; #tag $5 100% ~ok~", "",
+]
+
+
+@pytest.mark.parametrize("text", MIXED_TEXTS)
+def test_tokenize_matches_the_character_at_a_time_reference(text):
+    assert tokenize(text) == tokenize_by_char(text)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.text(alphabet=st.characters(exclude_categories=("Cs",)), max_size=40))
+def test_tokenize_matches_the_reference_on_any_text(text):
+    assert tokenize(text) == tokenize_by_char(text)
+
+
+def test_no_alphanumeric_code_point_is_punctuation():
+    # what lets tokenize append an alphanumeric chunk whole
+    both = [cp for cp in range(0x110000) if chr(cp).isalnum() and _is_punct(chr(cp))]
+    assert both == []
 
 
 # -- vocabulary -----------------------------------------------------------------
