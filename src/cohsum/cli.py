@@ -59,12 +59,13 @@ fails leaves no partial output and no temporary file; `score-coherence
 
 Imports come in two tiers. This module imports only the text tier at load:
 `corpus`, `rouge`, `atomic` and `config`, none of which imports numpy, so
-`preprocess`, `label`, `evaluate` and `--help` start without it (importing
-numpy is most of a text stage's start-up). Each tensor command imports the
-modules it calls at its own top, as does `child_rng`, and `_model_config`
-imports `numeric`: `summarize` imports `decode` (with `extractor` and
-`numeric` for beam decoding), and `train-rnes` imports `numeric`,
-`coherence`, `extractor` and `reinforce`. `_report_selected` and `evaluate`
+`preprocess`, `label`, `evaluate`, `summarize --method lead3` (`corpus.lead3`)
+and `--help` start without it (importing numpy is most of a text stage's
+start-up). Each tensor command imports the modules it calls at its own top,
+as does `child_rng`, and `_model_config` imports `numeric`: `summarize
+--method beam` imports `decode`, `extractor` and `numeric`, and `train-rnes`
+imports `numeric`, `coherence`, `extractor` and `reinforce`.
+`_report_selected` and `evaluate`
 take their median and means in plain Python. The module's `__getattr__`
 keeps `cli.load_checkpoint` as a name for `numeric.load_checkpoint`,
 resolved when it is read, for code that finds the loader here; the
@@ -342,9 +343,8 @@ def cmd_train_rnes(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    from . import decode as dc
-
     if args.method == "beam":
+        from . import decode as dc
         from . import extractor as ex
         from . import numeric as nm
 
@@ -363,7 +363,7 @@ def cmd_summarize(args) -> int:
     with atomic_write(args.out) as fh:
         for doc in docs:
             if args.method == "lead3":
-                selected = dc.lead3(doc)
+                selected = cp.lead3(doc)
             else:
                 decisions = dc.beam_search(doc, params, config,
                                            beam_size=args.beam, max_selected=args.cap)

@@ -6,9 +6,14 @@ valid 3x3 convolution stages, two ReLU fully-connected layers, and a tanh
 readout in (-1, 1). Stages that no longer fit the shrinking grid are
 omitted, so small test geometries and the full-size stack share one code
 path. Each window of a sentence in layer 1 is a row of `numeric.windows`, a
-copy of a strided view. Each convolution and its relu is one `numeric.conv2d`,
-which builds its im2col rows from the same strided view for one GEMM and does
-not keep them on the tape.
+copy of a strided view. Each convolution, its relu and the 2x2 pool after it
+are one `numeric.conv2d_pool`, which builds its im2col rows from the same
+strided view for one GEMM and keeps neither them nor the convolution's output
+on the tape: only the pooled grid and each pooled value's winner as a uint8
+code. At paper geometry a pool follows every convolution. A convolution that
+leaves a grid below 2 x 2, which no pool follows, is a `numeric.conv2d`; a
+pool that follows a pool, when a grid too small for the convolution between
+them skips it, is a `numeric.max_pool_2x2`.
 
 Layer 1 and the first pool are fused. `max_tokens` must exceed the window, so
 the grid is at least 2 x 2 and the stack always starts with that pool. Cell
@@ -32,11 +37,12 @@ decides how many rows and columns each stage computes, layer 1 included:
 those up to and including its first all-tail row, no more than its reader
 needs, and, for the last stage, all that the head reads. Row i of a stage's logical grid is then row
 min(i, m - 1) of the m rows it computes, and the same holds for columns.
-`numeric.conv2d` and `numeric.max_pool_2x2` take the logical side of their
-input and read the rows and columns past its last ones as copies of them,
-from an edge-extended transient that they build, drop and build again in
-backward, so the tape keeps one array per stage, its output; backward adds
-the copies' gradients into the row or column they copy. The last stage
+`numeric.conv2d_pool` takes the logical side of its input and of the grid
+its pool reads, and reads the rows and columns past the last ones of each as
+copies of them, from edge-extended transients that it builds and drops, as
+`numeric.conv2d` and `numeric.max_pool_2x2` do with their input. So the tape
+keeps one float array per stage, its output; backward adds the copies'
+gradients into the row or column they copy. The last stage
 computes its whole grid from such copies, so the head sees the rows it always
 saw. A sentence with no tail computes every row of the logical grid. Each row
 that is kept is computed as before, and the gradients differ from an
@@ -193,21 +199,31 @@ def _pair_features(sa_ids, sb_ids, params: ParamStore, config: CoherenceConfig) 
     """Layer 1 and the pool/conv stack of one pair, flattened to a [1, flat] row.
 
     Every stage computes the side `_computed_side` gives it (see the module
-    docstring); the last computes the whole grid the head reads.
+    docstring); the last computes the whole grid the head reads. A
+    convolution and the pool after it are one `numeric.conv2d_pool`.
     """
     stages, _ = stack_plan(config)
     k = config.conv_kernel
     x = interaction_layer1(sa_ids, sb_ids, params, config)
-    for i, stage in enumerate(stages[1:], start=2):  # stages[0] is the pool that layer 1 fuses
-        # x's last row stands for every row past it, and its last column likewise
-        h, w = (_computed_side(stage[0], t - 1, stage[-1], i == len(stages))
-                for t in x.shape[:2])
-        if stage[0] == "pool":
+    sides = [x.shape[:2]]  # the rows and columns each stage computes, stages[0]'s by layer 1
+    for i, stage in enumerate(stages[1:], start=2):
+        # the last row computed stands for every row past it, and the last column likewise
+        sides.append(tuple(_computed_side(stage[0], t - 1, stage[-1], i == len(stages))
+                           for t in sides[-1]))
+    i = 1  # stages[0] is the pool that layer 1 fuses
+    while i < len(stages):
+        h, w = sides[i]
+        if stages[i][0] == "pool":
             x = nm.max_pool_2x2(x, 2 * h, 2 * w)
         else:
-            layer = stage[1]
-            x = nm.conv2d(x, params[f"conv{layer}_w"], params[f"conv{layer}_b"], k,
-                          h + k - 1, w + k - 1)
+            conv = (x, params[f"conv{stages[i][1]}_w"], params[f"conv{stages[i][1]}_b"], k,
+                    h + k - 1, w + k - 1)
+            if i + 1 < len(stages) and stages[i + 1][0] == "pool":
+                i += 1
+                x = nm.conv2d_pool(*conv, 2 * sides[i][0], 2 * sides[i][1])
+            else:
+                x = nm.conv2d(*conv)
+        i += 1
     return x.reshape(1, x.size)
 
 

@@ -1,4 +1,4 @@
-"""Corpus loading, tokenization, vocabulary, oracle labels, triplet sampling.
+"""Corpus loading, tokenization, vocabulary, oracle labels, Lead-3, triplet sampling.
 
 Corpus files are JSON Lines: one record per line with fields `id` (string,
 unique within the file), `sentences` (array of sentence strings) and
@@ -373,3 +373,8 @@ def generate_oracle_labels(doc: Document, weights: RewardWeights, max_selected: 
         selected.add(best_idx)
         best_score = best_total
     return [1 if i in selected else 0 for i in range(doc.n_sentences)]
+
+
+def lead3(doc: Document) -> list[int]:
+    """Indices of the first three sentences, the standard positional baseline."""
+    return list(range(min(3, doc.n_sentences)))

@@ -1,4 +1,4 @@
-"""Inference: beam search over binary extraction sequences, plus Lead-3.
+"""Inference: beam search over binary extraction sequences.
 
 The beam extracts a fixed budget of k = min(max_selected, n) sentences of
 an n-sentence document: a hypothesis that could no longer reach k
@@ -70,8 +70,3 @@ def beam_search(
         decisions[:, t] = y
         selected = selected[parent] + y
     return decisions[0].tolist()
-
-
-def lead3(doc: Document) -> list[int]:
-    """Indices of the first three sentences, the standard positional baseline."""
-    return list(range(min(3, doc.n_sentences)))

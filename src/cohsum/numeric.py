@@ -49,20 +49,29 @@ is 64-bit so finite-difference gradient checks are decisive.
 - Constant operands: `add`, `mul` and `matmul` skip the gradient of an
   operand that has no tape (no `requires_grad`, no parents), such as the
   returns of a policy-gradient surrogate; its `.grad` stays None.
-- Convolution without a kept im2col matrix: `conv2d` builds the window rows
-  of its input for one GEMM and drops them; its weight gradient builds them
-  again, a column block at a time (`_Windows`). It fuses the bias and the
-  relu, so the tape holds the input and the [h, w, N] output only: not the
-  [h * w, k * k * C] rows, not a pre-bias product and not a pre-relu one.
-- One array per coherence stage: `conv2d`, `max_pool_2x2` and
-  `relu_cross_sum` (layer 1's relu(P_A[i] + P_B[j] + b)) keep only their
-  output; backward recomputes what else it reads. `conv2d` and
-  `max_pool_2x2` take the logical side (rows, cols) of their input grid and
-  read rows and columns past its last ones as copies of them, from an
-  edge-extended transient (`_edge_extended`) that they build, drop, and
-  build again in backward, where the copies' gradients fold into the last
-  row and column. No op keeps such a copy: the last stage reads the copies
-  to compute the whole grid before the flatten.
+- Convolution without a kept im2col matrix or output: `conv2d` and
+  `conv2d_pool` build the window rows of their input for one GEMM and drop
+  them (`_conv_relu`); the weight gradient builds them again, a column block
+  at a time (`_Windows`), in the one backward both share (`_conv_backward`).
+  Both fuse the bias and the relu, and `conv2d_pool` the 2x2 max pool after
+  them, so the tape holds the input and the output only: not the
+  [h * w, k * k * C] rows, not a pre-bias product, not a pre-relu one, and
+  under `conv2d_pool` not the [h, w, N] convolution output either, only its
+  pooled grid.
+- One array per coherence stage: `relu_cross_sum` (layer 1's
+  relu(P_A[i] + P_B[j] + b)), `conv2d_pool`, `conv2d` and `max_pool_2x2`
+  keep only their output as floats; backward recomputes what else it reads.
+  A 2x2 max (`pair_max`, `max_pool_2x2`, `conv2d_pool`) also keeps, while
+  the tape records, each output's winner as a uint8 code, the first of the
+  values equal to it in block scan order (`_block_winners`); backward adds
+  the gradient at the winners the codes name, and a forward-only pass keeps
+  no codes. The grid ops take the logical side (rows, cols) of their input
+  grid, and `conv2d_pool` that of its convolution's grid too, and read rows
+  and columns past the last ones as copies of them, from an edge-extended
+  transient (`_edge_extended`) that they build and drop; backward folds the
+  copies' gradients into the last row and column (`_fold_edges`). No op
+  keeps such a copy: the last stage reads the copies to compute the whole
+  grid before the flatten.
 - No joined weight: `gru_sequence`, a whole GRU direction in one op, joins
   W_z | W_r | W_h and V_z | V_r for its GEMMs and again in backward, never on
   the tape, and drops the [n, 3h] input projection, which no backward reads.
@@ -426,9 +435,14 @@ def no_tape():
         _RECORDING.reset(token)
 
 
+def _recording(*parents: Tensor) -> bool:
+    """Whether an op on these parents goes on the tape: `_node` keeps its backward closure."""
+    return _RECORDING.get() and _needs_grad(*parents)
+
+
 def _node(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     out = Tensor(data)
-    if _RECORDING.get() and _needs_grad(*parents):
+    if _recording(*parents):
         out._parents = parents
         out._backward_fn = backward_fn
     return out
@@ -693,6 +707,54 @@ def _check_side(op: str, x: Tensor, rows: int, cols: int, least: int) -> None:
                          f"which must cover it and be at least {least} x {least}")
 
 
+def _check_conv(op: str, x: Tensor, weight: Tensor, bias: Tensor, kernel: int, rows: int,
+                cols: int) -> None:
+    _check_side(op, x, rows, cols, kernel)
+    if (
+        weight.data.ndim != 2
+        or weight.data.shape[0] != kernel * kernel * x.data.shape[2]
+        or bias.data.shape != (weight.data.shape[1],)
+    ):
+        raise ShapeError(f"{op}: kernel {kernel} over x {x.data.shape} "
+                         f"with W {weight.data.shape} + b {bias.data.shape}")
+
+
+def _conv_relu(x: Tensor, weight: Tensor, bias: Tensor, kernel: int, rows: int,
+               cols: int) -> np.ndarray:
+    """The [rows - k + 1, cols - k + 1, N] relu of the convolution, from one GEMM.
+
+    The edge-extended grid and its im2col rows are built for the GEMM and
+    dropped; the bias is added and the relu taken in place.
+    """
+    h, w = rows - kernel + 1, cols - kernel + 1
+    out = _window_rows(_edge_extended(x.data, rows, cols), kernel, 2) @ weight.data
+    out += bias.data
+    return np.maximum(out, 0.0, out=out).reshape(h, w, -1)
+
+
+def _conv_backward(x: Tensor, weight: Tensor, bias: Tensor, kernel: int, rows: int, cols: int,
+                   g: np.ndarray) -> None:
+    """Hand x, weight and bias their gradients from g, the [h, w, N] gradient after the relu mask.
+
+    The gradient of the copied rows and columns folds into x's last row and
+    column; the weight gradient is a product whose a is x read through
+    `_Windows`, which builds the im2col columns again a row block at a time.
+    """
+    g = g.reshape(-1, g.shape[2])
+    if _needs_grad(x):
+        g_rows = g @ weight.data.T
+        if (rows, cols) == x.data.shape[:2]:
+            _add_window_grads(_dense_grad(x), g_rows, kernel, 2)
+        else:
+            gx = np.zeros((rows, cols, x.data.shape[2]))
+            _add_window_grads(gx, g_rows, kernel, 2)
+            _accumulate(x, _fold_edges(gx, *x.data.shape[:2]))
+    if _needs_grad(weight):
+        _accumulate(weight, _Product(_Windows(x.data, kernel, rows, cols), g))
+    if _needs_grad(bias):
+        _accumulate(bias, g.sum(axis=0))
+
+
 def conv2d(x, weight, bias, kernel: int, rows: int, cols: int) -> Tensor:
     """relu of the valid kernel x kernel convolution of an [H, W, C] grid read as [rows, cols, C].
 
@@ -700,43 +762,16 @@ def conv2d(x, weight, bias, kernel: int, rows: int, cols: int) -> Tensor:
     logical side may exceed x's, never fall short of it). weight is
     [k * k * C, N], bias [N]; the result is [rows - k + 1, cols - k + 1, N].
     Equal bit for bit to relu(linear(windows(x read as rows x cols, kernel, 2),
-    weight, bias)) reshaped to the grid, but only the output is kept: the
-    forward pass builds the edge-extended grid and its im2col rows for one
-    GEMM, adds the bias and takes the relu in place, and drops them. Backward
-    folds the gradient of the copied rows and columns into x's last row and
-    column, and hands the weight gradient over as a product whose a is x
-    read through `_Windows`, which builds the im2col columns again a row
-    block at a time.
+    weight, bias)) reshaped to the grid, but only the output is kept
+    (`_conv_relu`, `_conv_backward`). A convolution that a 2x2 pool follows
+    is `conv2d_pool`, which keeps neither.
     """
     x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
-    _check_side("conv2d", x, rows, cols, kernel)
-    c = x.data.shape[2]
-    if (
-        weight.data.ndim != 2
-        or weight.data.shape[0] != kernel * kernel * c
-        or bias.data.shape != (weight.data.shape[1],)
-    ):
-        raise ShapeError(f"conv2d: kernel {kernel} over x {x.data.shape} "
-                         f"with W {weight.data.shape} + b {bias.data.shape}")
-    h, w = rows - kernel + 1, cols - kernel + 1
-    out = _window_rows(_edge_extended(x.data, rows, cols), kernel, 2) @ weight.data
-    out += bias.data
-    out = np.maximum(out, 0.0, out=out).reshape(h, w, -1)
+    _check_conv("conv2d", x, weight, bias, kernel, rows, cols)
+    out = _conv_relu(x, weight, bias, kernel, rows, cols)
 
     def backward(g):
-        g = (g * (out > 0)).reshape(h * w, -1)
-        if _needs_grad(x):
-            g_rows = g @ weight.data.T
-            if (rows, cols) == x.data.shape[:2]:
-                _add_window_grads(_dense_grad(x), g_rows, kernel, 2)
-            else:
-                gx = np.zeros((rows, cols, c))
-                _add_window_grads(gx, g_rows, kernel, 2)
-                _accumulate(x, _fold_edges(gx, *x.data.shape[:2]))
-        if _needs_grad(weight):
-            _accumulate(weight, _Product(_Windows(x.data, kernel, rows, cols), g))
-        if _needs_grad(bias):
-            _accumulate(bias, g.sum(axis=0))
+        _conv_backward(x, weight, bias, kernel, rows, cols, g * (out > 0))
 
     return _node(out, (x, weight, bias), backward)
 
@@ -769,33 +804,57 @@ def relu_cross_sum(a, b, bias) -> Tensor:
     return _node(out, (a, b, bias), backward)
 
 
+def _block_winners(views: list, codes: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """(max, codes) over same-shape views: the elementwise max and, if asked, each one's winner.
+
+    The max runs the views in order and a later value replaces only a strictly
+    greater one, so ties take the earliest view. The uint8 code of an output
+    is the index of the view it came from: the first view equal to it.
+    """
+    data = views[0].copy()
+    winners = np.zeros(data.shape, dtype=np.uint8) if codes else None
+    for i, v in enumerate(views[1:], start=1):
+        later = v > data  # strict: an equal later value never replaces
+        np.copyto(data, v, where=later)
+        if codes:
+            np.putmask(winners, later, i)
+    return data, winners
+
+
+def _to_winners(views: list, g: np.ndarray, codes: np.ndarray) -> None:
+    """Set each view to g at the outputs whose code names it (`_block_winners`), 0.0 elsewhere.
+
+    g goes in as 0.0 + g, what adding it into a zero-filled gradient gives,
+    so a -0.0 becomes +0.0.
+    """
+    g = g + 0.0
+    for i, v in enumerate(views):
+        v[...] = np.where(codes == i, g, 0.0)
+
+
 def _block_max(x: Tensor, views_of, rows: int, cols: int) -> Tensor:
     """Elementwise max over the same-shape strided views `views_of(a)` of x read as [rows, cols].
 
     Ties take the earliest view in the order views_of lists them, in value
-    and in gradient. The forward pass keeps no winner indices: backward finds
-    each output's winner as the first view equal to it, so a forward-only
-    pass never pays for the search. The views are taken of
-    `_edge_extended(x.data, rows, cols)`, which is built again in backward,
-    not kept; at x's own side that is x.data itself.
+    and in gradient. The views are taken of `_edge_extended(x.data, rows,
+    cols)`, which is not kept; at x's own side that is x.data itself. On the
+    tape the op keeps its output and each output's winner as a uint8 code;
+    a forward-only pass keeps no codes.
     """
-    views = views_of(_edge_extended(x.data, rows, cols))
-    data = views[0].copy()
-    for v in views[1:]:
-        np.copyto(data, v, where=v > data)  # strict: an equal later value never replaces
-    del views
+    data, codes = _block_winners(views_of(_edge_extended(x.data, rows, cols)), _recording(x))
 
     def backward(g):
-        a = _edge_extended(x.data, rows, cols)
-        gx = np.zeros_like(a)
-        open_ = np.ones(data.shape, dtype=bool)
-        for gv, v in zip(views_of(gx), views_of(a)):
-            win = open_ & (v == data)
-            np.add(gv, g, out=gv, where=win)
-            open_ &= ~win
+        gx = np.zeros((rows, cols) + x.data.shape[2:])
+        _to_winners(views_of(gx), g, codes)
         _accumulate(x, _fold_edges(gx, *x.data.shape[:2]))
 
     return _node(data, (x,), backward)
+
+
+def _pool_views(a: np.ndarray, rows: int, cols: int) -> list[np.ndarray]:
+    """The four cells of each disjoint 2x2 block of a's [rows, cols], in block scan order."""
+    even_h, even_w = rows - rows % 2, cols - cols % 2
+    return [a[i:even_h:2, j:even_w:2] for i in (0, 1) for j in (0, 1)]
 
 
 def max_pool_2x2(x, rows: int, cols: int) -> Tensor:
@@ -804,13 +863,51 @@ def max_pool_2x2(x, rows: int, cols: int) -> Tensor:
     Rows and columns past x's last one are copies of it, as in `conv2d`.
     A trailing odd row/column is dropped; ties route gradient to the first
     participant in block scan order (0,0), (0,1), (1,0), (1,1), and the
-    gradient of a copied row or column goes into the one it copies.
+    gradient of a copied row or column goes into the one it copies. The
+    coherence scorer pools a convolution's output with `conv2d_pool`; this
+    op pools a pool's, where a grid too small for a convolution skips it.
     """
     x = _wrap(x)
     _check_side("max_pool_2x2", x, rows, cols, 2)
-    even_h, even_w = rows - rows % 2, cols - cols % 2
-    return _block_max(x, lambda a: [a[i:even_h:2, j:even_w:2] for i in (0, 1) for j in (0, 1)],
-                      rows, cols)
+    return _block_max(x, lambda a: _pool_views(a, rows, cols), rows, cols)
+
+
+def conv2d_pool(x, weight, bias, kernel: int, rows: int, cols: int, pool_rows: int,
+                pool_cols: int) -> Tensor:
+    """max_pool_2x2(conv2d(x, weight, bias, kernel, rows, cols), pool_rows, pool_cols) as one op.
+
+    The pool reads the convolution's [rows - k + 1, cols - k + 1, N] grid as
+    [pool_rows, pool_cols, N], rows and columns past its last ones copies of
+    them. Forward runs the two ops' arithmetic: `_conv_relu`, then the strict
+    block max in block scan order. It keeps only the pooled output and, on
+    the tape, each output's winner as a uint8 code (`_block_winners`), not
+    the convolution's output; a forward-only pass keeps no codes. Backward
+    adds g at the winners, folds the copies' gradients into the last row and
+    column, and only then multiplies by the relu mask, which is pooled > 0 at
+    each winner, folded the same way: a cell that won no block has a zero
+    gradient under any mask, and every block a cell won pooled its value. So
+    the gradients equal the two ops' bit for bit, signed zeros included.
+    """
+    x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
+    _check_conv("conv2d_pool", x, weight, bias, kernel, rows, cols)
+    h, w = rows - kernel + 1, cols - kernel + 1
+    if not (h <= pool_rows and w <= pool_cols and min(pool_rows, pool_cols) >= 2):
+        raise ShapeError(f"conv2d_pool: a {h} x {w} convolution read as {pool_rows} x "
+                         f"{pool_cols} for the pool, which must cover it and be at least 2 x 2")
+    conv = _conv_relu(x, weight, bias, kernel, rows, cols)
+    out, codes = _block_winners(_pool_views(_edge_extended(conv, pool_rows, pool_cols),
+                                            pool_rows, pool_cols), _recording(x, weight, bias))
+
+    def backward(g):
+        side = (pool_rows, pool_cols, out.shape[2])
+        gc, positive = np.zeros(side), np.zeros(side)
+        _to_winners(_pool_views(gc, pool_rows, pool_cols), g, codes)
+        _to_winners(_pool_views(positive, pool_rows, pool_cols), out > 0, codes)
+        g = _fold_edges(gc, h, w) * (_fold_edges(positive, h, w) > 0)
+        del gc, positive  # freed before the GEMMs of backward
+        _conv_backward(x, weight, bias, kernel, rows, cols, g)
+
+    return _node(out, (x, weight, bias), backward)
 
 
 def pair_max(x) -> Tensor:

@@ -1499,20 +1499,20 @@ def _modules_loaded_by(argv) -> set[str]:
 
 
 def test_text_stages_and_help_start_without_numpy(corpus, tmp_path):
-    # preprocess, label and evaluate read only tokens, so they never import numpy
+    # preprocess, label, evaluate and Lead-3 read only tokens, so they never import numpy
     summaries = tmp_path / "lead3.jsonl"
-    assert run(["summarize", "--corpus", str(corpus), "--method", "lead3",
-                "--out", str(summaries)]) == 0
     stages = {
         "help": ["--help"],
         "preprocess": ["preprocess", "--corpus", corpus, "--out", tmp_path / "vocab.txt"],
         "label": ["label", "--corpus", corpus, "--out", tmp_path / "labels.jsonl"],
+        "summarize lead3": ["summarize", "--corpus", corpus, "--method", "lead3",
+                            "--out", summaries],
         "evaluate": ["evaluate", "--system", summaries, "--reference", corpus, "--per-doc"],
     }
-    for stage, argv in stages.items():
+    for stage, argv in stages.items():  # evaluate reads the Lead-3 summaries
         loaded = _modules_loaded_by(argv)
         assert "cohsum.cli" in loaded, stage
-        assert not {"numpy", "cohsum.numeric"} & loaded, stage
+        assert not {"numpy", "cohsum.numeric", "cohsum.decode"} & loaded, stage
 
 
 def test_beam_decoding_loads_neither_the_coherence_scorer_nor_reinforce(corpus, tmp_path):

@@ -324,24 +324,23 @@ def _rows_windowed(pair, params, config) -> dict:
     """GEMM rows while the pair is scored, by the axes windowed.
 
     Axis 1: the rows of each layer-1 `numeric.windows`; axes 2: the im2col rows
-    of each `numeric.conv2d`, one per output cell.
+    of each `numeric.conv2d_pool`, one per cell of the convolution before its pool.
     """
     rows = {1: [], 2: []}
-    windows, conv2d = nm.windows, nm.conv2d
+    windows, conv2d_pool = nm.windows, nm.conv2d_pool
 
     def spy_windows(x, kernel, axes):
         out = windows(x, kernel, axes)
         rows[axes].append(out.shape[0])
         return out
 
-    def spy_conv2d(x, weight, bias, kernel, *side):
-        out = conv2d(x, weight, bias, kernel, *side)
-        rows[2].append(out.shape[0] * out.shape[1])
-        return out
+    def spy_conv2d_pool(x, weight, bias, kernel, conv_rows, conv_cols, *pool_side):
+        rows[2].append((conv_rows - kernel + 1) * (conv_cols - kernel + 1))
+        return conv2d_pool(x, weight, bias, kernel, conv_rows, conv_cols, *pool_side)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nm, "windows", spy_windows)
-        mp.setattr(nm, "conv2d", spy_conv2d)
+        mp.setattr(nm, "conv2d_pool", spy_conv2d_pool)
         coherence_forward([pair], params, config)
     return rows
 
@@ -391,18 +390,20 @@ def test_taped_triplet_loss_holds_no_concat_but_the_batch_rows(vocab, rng):
 
 
 def test_each_coherence_stage_leaves_one_array_on_the_tape(vocab, rng):
-    # layer 1, each conv and each pool keep their output only: no sum before
-    # a relu, no separate relu output, no copy of a grid with its tail
+    # layer 1 and each conv with its pool keep their output only: no sum
+    # before a relu, no separate relu output, no convolution output before
+    # its pool, no copy of a grid with its tail; the pool's winners are uint8
     loss, params, config = _taped_one_triplet_loss(vocab, rng)
-    stage_ops = {"relu_cross_sum", "conv2d", "_block_max"}  # _block_max builds the pools
+    stage_ops = {"relu_cross_sum", "conv2d_pool"}
     kept = {}
     for op, node, buffers in tape_holdings(loss, params):
         if node.data.ndim == 3:  # a grid
             floats = [a for a in buffers if a.dtype == np.float64]
             assert len(floats) == (op in stage_ops), (op, node.shape)
+            assert all(a.dtype in (np.float64, np.uint8) for a in buffers), (op, node.shape)
             kept[op] = kept.get(op, 0) + len(floats)
-    # two pairs: layer 1, conv2, conv3 and two pools each
-    assert kept == {"relu_cross_sum": 2, "conv2d": 4, "_block_max": 4}
+    # two pairs: layer 1, then conv2 and conv3 each with the pool after it
+    assert kept == {"relu_cross_sum": 2, "conv2d_pool": 4}
 
 
 def test_triplet_of_padded_sentences_gradient_matches_finite_differences(vocab, rng):
@@ -560,11 +561,13 @@ def test_zero_lr_keeps_loss_trajectory_constant(vocab, caplog):
 
 # Bytes a paper-geometry 8-triplet batch step may allocate above what is live before it
 # (the parameters). Stepping each parameter as soon as its gradient is complete, with
-# fc1's product and conv3's 16 products kept as their factors, peaks at about 30 MB;
-# multiplying conv3's products out into its 9.4 MB gradient gave about 39 MB, building
-# fc1's 33.5 MB gradient dense too about 53 MB, and applying every gradient, made dense,
-# after the walk keeps them through the rest of backward, about 74 MB.
-BATCH_STEP_PEAK_BOUND = 35_000_000
+# fc1's product and conv3's 16 products kept as their factors, and each convolution fused
+# with the pool after it, so the tape keeps no convolution output, peaks at about 20.5 MB.
+# Keeping each convolution's output for a separate pool, it peaked at about 29.7 MB; with
+# conv3's products also multiplied out into its 9.4 MB gradient, about 39 MB; with fc1's
+# 33.5 MB gradient also built dense, about 53 MB. Applying every gradient, made dense,
+# after the walk (`two_pass_step`) keeps them through the rest of backward: about 62 MB.
+BATCH_STEP_PEAK_BOUND = 25_000_000
 
 
 def test_paper_geometry_batch_step_frees_each_gradient_once_applied():

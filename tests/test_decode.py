@@ -1,4 +1,4 @@
-"""Beam search, lead-3, and the fast policy evaluator."""
+"""Beam search, lead-3 (`corpus.lead3`), and the fast policy evaluator."""
 
 import itertools
 
@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from cohsum import decode
-from cohsum.decode import beam_search, lead3
+from cohsum.decode import beam_search
 from cohsum.extractor import PolicyHead, encode_document, init_extractor_params
-from cohsum.corpus import make_document
+from cohsum.corpus import lead3, make_document
 from reference_policy import (
     _FastPolicy,
     extraction_probability,

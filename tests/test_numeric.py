@@ -225,6 +225,25 @@ def test_fd_conv2d(rng):
     _fd_check(loss, params)
 
 
+def test_fd_conv2d_pool(rng):
+    params = ParamStore()
+    params.init_uniform("grid", (5, 4, 2), rng, scale=0.5)
+    params.init_uniform("w", (3 * 3 * 2, 3), rng, scale=0.5)
+    params.init_uniform("b", (3,), rng, scale=0.5)
+    weights = rng.normal(size=(4, 4, 3))
+
+    def loss():
+        grid, w, b = params["grid"], params["w"], params["b"]
+        # the pool at the convolution's own side, then reading copies past its
+        # last row and column, with odd sides; the convolution with tail rows
+        return sum((nm.tanh(nm.conv2d_pool(grid, w, b, 3, rows, cols, *pool))
+                    * weights[: pool[0] // 2, : pool[1] // 2]).sum()
+                   for (rows, cols), pool in (((5, 4), (3, 2)), ((5, 4), (5, 4)),
+                                              ((7, 6), (8, 7))))
+
+    _fd_check(loss, params)
+
+
 def test_fd_max_pool(rng):
     params = ParamStore()
     params.init_uniform("g", (5, 6, 2), rng, scale=1.0)

@@ -43,6 +43,7 @@ from conftest import (
     gradients_of,
     sgd_hand_offs,
     small_vocab,
+    tape_holdings,
     tiny_coherence_config,
     tiny_extractor_config,
     toy_document,
@@ -227,11 +228,103 @@ def test_conv2d_shape_errors_name_the_op(x_shape, w_shape, b_shape):
                   *x_shape[:2])
 
 
-@pytest.mark.parametrize("op", ["conv2d", "max_pool_2x2"])
+# -- a convolution fused with the 2x2 pool after it ---------------------------------------
+
+
+@st.composite
+def conv_pool_cases(draw):
+    """A `conv_cases` case and the side the pool reads the convolution's grid as.
+
+    From the grid's own side up to three rows and columns of copies past it,
+    odd sides among them, at least 2 x 2.
+    """
+    shape, side, out_ch, kernel = draw(conv_cases())
+    pool = tuple(draw(st.integers(min_value=max(n, 2), max_value=max(n, 2) + 3))
+                 for n in (side[0] - kernel + 1, side[1] - kernel + 1))
+    return shape, side, pool, out_ch, kernel
+
+
+def _conv_pool_params(shape, out_ch, kernel, kind, rng):
+    """x, w and b drawn from a normal, or from {-1, -0, 0, 1}: integer sums, many ties and cuts.
+
+    With a zero weight every cell of a channel is the relu of its bias, so
+    every block ties, cut to zero or not.
+    """
+    draw = rng.normal if kind == "normal" else (
+        lambda size: rng.choice([-1.0, -0.0, 0.0, 1.0], size=size))
+    params = ParamStore()
+    params.add("x", draw(size=shape))
+    params.add("w", draw(size=(kernel * kernel * shape[2], out_ch)) * (kind != "zero weight"))
+    params.add("b", draw(size=out_ch))
+    return params
+
+
+@given(conv_pool_cases(), st.sampled_from(["normal", "few values", "zero weight"]), seed_st)
+@example(((22, 22, 16), (22, 22), (20, 20), 8, 3), "normal", 0)  # conv2 and its pool, narrower
+@example(((3, 22, 4), (22, 22), (20, 20), 4, 3), "few values", 0)  # a short sentence's rows
+@example(((2, 3, 2), (4, 5), (3, 5), 2, 2), "few values", 1)  # odd pool sides, copies on both axes
+@example(((1, 1, 1), (3, 3), (2, 2), 1, 3), "few values", 2)  # one cell, copied into a block
+@example(((6, 5, 2), (8, 9), (8, 7), 3, 3), "zero weight", 3)
+@settings(max_examples=200, deadline=None)
+def test_conv2d_pool_matches_conv2d_then_max_pool(case, kind, seed):
+    shape, side, pool, out_ch, kernel = case
+    rng = np.random.default_rng(seed)
+    params = _conv_pool_params(shape, out_ch, kernel, kind, rng)
+    x, w, b = params["x"], params["w"], params["b"]
+    fused = nm.conv2d_pool(x, w, b, kernel, *side, *pool)
+    # the two ops, and the convolution's copied grid pooled by argmax
+    references = [nm.max_pool_2x2(nm.conv2d(x, w, b, kernel, *side), *pool),
+                  ref.max_pool_2x2(repeat_tail(nm.conv2d(x, w, b, kernel, *side), *pool))]
+    assert fused.shape == (pool[0] // 2, pool[1] // 2, out_ch)
+    # negative and signed-zero upstream gradients on blocks the relu cut to
+    # zero give signed zeros that only a mask taken after the fold keeps
+    weights = rng.choice([-2.0, -0.0, 0.0, 0.5], size=fused.shape) if kind != "normal" else (
+        rng.normal(size=fused.shape))
+    fused_grads = gradients_of((fused * weights).sum(), params)
+    for reference in references:
+        assert _bits(fused.data) == _bits(reference.data)
+        reference_grads = gradients_of((reference * weights).sum(), params)
+        for name in ("x", "w", "b"):
+            assert _bits(fused_grads[name]) == _bits(reference_grads[name]), name
+
+
+def test_conv2d_pool_keeps_uint8_winners_on_the_tape_and_none_without_it(rng, monkeypatch):
+    params = _conv_pool_params((5, 6, 2), 4, 3, "normal", rng)
+    args = (params["x"], params["w"], params["b"], 3, 7, 8, 6, 6)
+    taped = nm.conv2d_pool(*args)
+    ((op, node, buffers),) = [h for h in tape_holdings(taped.sum(), params) if h[1] is taped]
+    assert op == "conv2d_pool"
+    assert [(a.dtype, a.shape) for a in buffers] == [(np.float64, (3, 3, 4)),
+                                                      (np.uint8, (3, 3, 4))]
+    asked = []
+    winners = nm._block_winners
+    monkeypatch.setattr(nm, "_block_winners", lambda views, codes: (
+        asked.append(codes) or winners(views, codes)))
+    with nm.no_tape():
+        untaped = nm.conv2d_pool(*args)
+    assert asked == [False]
+    assert untaped._backward_fn is None
+    assert _bits(untaped.data) == _bits(taped.data)
+
+
+@pytest.mark.parametrize("side, pool", [
+    ((5, 5), (2, 4)),  # the pool reads fewer rows than the 3 x 3 convolution has
+    ((5, 5), (4, 2)),  # and fewer columns
+    ((3, 3), (1, 2)),  # a pool side below 2
+])
+def test_conv2d_pool_side_short_of_the_convolution_is_a_shape_error(side, pool):
+    x = Tensor(np.zeros((3, 3, 1)))
+    with pytest.raises(nm.ShapeError, match="conv2d_pool"):
+        nm.conv2d_pool(x, np.zeros((9, 2)), np.zeros(2), 3, *side, *pool)
+
+
+@pytest.mark.parametrize("op", ["conv2d", "conv2d_pool", "max_pool_2x2"])
 def test_a_logical_side_short_of_the_grid_is_a_shape_error(op):
     x = Tensor(np.zeros((4, 5, 1)))
     call = {
         "conv2d": lambda rows, cols: nm.conv2d(x, np.zeros((9, 2)), np.zeros(2), 3, rows, cols),
+        "conv2d_pool": lambda rows, cols: nm.conv2d_pool(x, np.zeros((9, 2)), np.zeros(2), 3,
+                                                         rows, cols, 4, 4),
         "max_pool_2x2": lambda rows, cols: nm.max_pool_2x2(x, rows, cols),
     }[op]
     call(4, 5)  # the grid's own side
