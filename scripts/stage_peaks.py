@@ -1,9 +1,10 @@
 """Peak RSS and wall time of each benchmark stage alone, with and without a fixed mmap threshold.
 
-    python3 scripts/stage_peaks.py ROOT
+    python3 scripts/stage_peaks.py ROOT [WORKLOAD ...]
 
 Loads ROOT/perfbench/run.py (as `artifact_sha256.py` does) and, for each
-workload at seed 1, runs its `set_up` once against the sources under
+named workload (every workload when none is named) at seed 1, runs its
+`set_up` once against the sources under
 ROOT/src, in a temporary directory. Then it runs the workload's stages in
 order, REPEATS times in the default environment and REPEATS times with
 MALLOC_MMAP_THRESHOLD_=131072, which fixes glibc's dynamic mmap threshold.
@@ -16,7 +17,7 @@ a traced run (`run.py --trace 1`) cannot show: its tracer imports every
 module. Prints each stage's median peak in MB and median wall seconds, one
 line per stage.
 
-Exits 1, naming the stage, if a stage fails.
+Exits 1, naming the stage, if a stage fails, and 2 on an unknown workload.
 """
 
 from __future__ import annotations
@@ -84,14 +85,21 @@ def workload_peaks(run, root: Path, workload) -> dict[str, dict[str, tuple[float
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
+    if not argv:
         print(__doc__.splitlines()[2].strip(), file=sys.stderr)
         return 2
     root = Path(argv[0]).resolve()
     run = load_run(root)
+    names = argv[1:] or sorted(run.WORKLOADS)
+    unknown = [name for name in names if name not in run.WORKLOADS]
+    if unknown:
+        print(f"stage_peaks: unknown workload {unknown[0]!r}; the workloads are "
+              f"{', '.join(sorted(run.WORKLOADS))}", file=sys.stderr)
+        return 2
     print(f"{'workload':<14}{'stage':<12}" + "".join(f"{env + ' MB':>20}{env + ' s':>20}"
                                                       for env in ENVIRONMENTS))
-    for name, workload in sorted(run.WORKLOADS.items()):
+    for name in names:
+        workload = run.WORKLOADS[name]
         try:
             peaks = workload_peaks(run, root, workload)
         except (RuntimeError, subprocess.CalledProcessError) as exc:

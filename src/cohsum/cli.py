@@ -42,16 +42,27 @@ the file and the id.
 
 `train-rnes` and `summarize --method beam` check their flags, then read
 the vocabulary, each checkpoint's header and the whole corpus before any
-tensor; `train-rnes` also checks the highlights. Each checkpoint is then
-loaded against the layout of its header's model, which checks every
-tensor's name and shape before its data is read. The policy and the frozen
-coherence scorer of `train-rnes` (read only with --lambda > 0) see nothing
-but the corpus sentences and the chain's BOUNDARY placeholder, so both keep
-only the embedding rows of the ids those hold, with PAD, UNK and BOUNDARY
-at rows 0, 1 and 2; one `np.unique` gives the kept rows and each
-sentence's ids as rows. The rows not kept are still checked to be finite,
-and the policy's are written back from its source checkpoint when the
-trained policy is saved, so `--out` may name that checkpoint.
+tensor, and fail in that order; `train-rnes` also checks the highlights.
+They read the vocabulary file in one pass (`corpus.vocab_lines`), which
+checks its UTF-8 and header lines; its line count and fingerprint
+(`corpus.vocab_fingerprint`) are matched with each checkpoint header. The
+corpus is then parsed once, unencoded, and encoded with the ids of its
+sentences' tokens only (`corpus.encode_sentences`), so no `Vocabulary` of
+every line is built. No repeated token is looked for: a file that matches
+a header is the token list that passed that check when `train-coherence`
+or `pretrain` wrote the checkpoint. Those two stages build a model from the
+whole vocabulary, and `score-coherence` streams its pairs, so it has no
+token set up front; they load it whole (`corpus.load_vocab`), with the
+check. Each checkpoint is then loaded against the layout of its header's
+model, which checks every tensor's name and shape before its data is read.
+The policy and the frozen coherence scorer of `train-rnes` (read only with
+--lambda > 0) see nothing but the corpus sentences and the chain's
+BOUNDARY placeholder, so both keep only the embedding rows of the ids
+those hold, with PAD, UNK and BOUNDARY at rows 0, 1 and 2; one `np.unique`
+gives the kept rows and each sentence's ids as rows. The rows not kept are
+still checked to be finite, and the policy's are written back from its
+source checkpoint when the trained policy is saved, so `--out` may name
+that checkpoint.
 
 Every output file is written through `atomic.atomic_write`, so a stage that
 fails leaves no partial output and no temporary file; `score-coherence
@@ -140,11 +151,12 @@ def _describe(params, kind: str, config, vocab: cp.Vocabulary) -> None:
                    "vocab": {"size": vocab.size, "sha256": vocab.fingerprint()}}
 
 
-def _model_config(path: str, kind: str, config_cls, vocab: cp.Vocabulary):
+def _model_config(path: str, kind: str, config_cls, vocab: tuple[int, str]):
     """The config in the header of checkpoint `path`, if it is a `kind` model of `vocab`.
 
-    Only the header is read, so a command rejects the wrong checkpoint before
-    it reads any tensor.
+    vocab is the vocabulary file's (size, fingerprint). Only the header is
+    read, so a command rejects the wrong checkpoint before it reads any
+    tensor.
     """
     from .numeric import read_header
 
@@ -160,10 +172,11 @@ def _model_config(path: str, kind: str, config_cls, vocab: cp.Vocabulary):
         digest = meta["vocab"]["sha256"]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad {kind} header ({type(exc).__name__}: {exc})") from None
-    if vocab.size != config.vocab_size:
+    size, fingerprint = vocab
+    if size != config.vocab_size:
         raise CheckpointError(f"{path}: model has a {config.vocab_size}-entry vocabulary, "
-                              f"the vocabulary file has {vocab.size} entries")
-    if vocab.fingerprint() != digest:
+                              f"the vocabulary file has {size} entries")
+    if fingerprint != digest:
         raise CheckpointError(f"{path}: model was trained on another vocabulary of the same size "
                               f"(the tokens or their order differ)")
     return config
@@ -307,7 +320,8 @@ def cmd_train_rnes(args) -> int:
     from . import reinforce as rl
 
     rl_config = _config(RLConfig, args, weights=_config(RewardWeights, args))
-    vocab = cp.load_vocab(args.vocab)
+    lines = cp.vocab_lines(args.vocab)
+    vocab = len(lines), cp.vocab_fingerprint(lines)
     ext_config = _model_config(args.pretrain_checkpoint, "extractor", ExtractorConfig, vocab)
     if rl_config.lam > 0:
         if not args.coherence_checkpoint:
@@ -317,13 +331,14 @@ def cmd_train_rnes(args) -> int:
             raise CheckpointError(f"{args.coherence_checkpoint}: coherence model reads "
                                   f"{coh_config.max_tokens}-token sentences, "
                                   f"{args.pretrain_checkpoint} reads {ext_config.max_tokens}")
-    docs = list(cp.load_corpus(args.corpus, vocab=vocab, max_tokens=ext_config.max_tokens,
-                               max_sentences=ext_config.max_sentences))
+    docs = list(cp.load_corpus(args.corpus, max_sentences=ext_config.max_sentences))
     _require_highlights(docs, args.corpus)
     # both models read only the corpus sentences and the chain's placeholder;
     # the highlights are compared by their tokens
-    specials = [cp.PAD_ID, cp.UNK_ID, cp.BOUNDARY_ID]
     sentences = [sent for doc in docs for sent in doc.sentences]
+    cp.encode_sentences(sentences, lines, ext_config.max_tokens)
+    del lines  # freed before the checkpoints load
+    specials = [cp.PAD_ID, cp.UNK_ID, cp.BOUNDARY_ID]
     used, rows = np.unique(np.concatenate([specials] + [sent.ids for sent in sentences]),
                            return_inverse=True)
     ends = np.cumsum([len(specials)] + [len(sent.ids) for sent in sentences])
@@ -352,10 +367,13 @@ def cmd_summarize(args) -> int:
             raise ValueError("--checkpoint is required for beam decoding")
         if not args.vocab:
             raise ValueError("--vocab is required for beam decoding")
-        vocab = cp.load_vocab(args.vocab)
-        config = _model_config(args.checkpoint, "extractor", ExtractorConfig, vocab)
-        docs = list(cp.load_corpus(args.corpus, vocab=vocab, max_tokens=config.max_tokens,
-                                   max_sentences=config.max_sentences))
+        lines = cp.vocab_lines(args.vocab)
+        config = _model_config(args.checkpoint, "extractor", ExtractorConfig,
+                               (len(lines), cp.vocab_fingerprint(lines)))
+        docs = list(cp.load_corpus(args.corpus, max_sentences=config.max_sentences))
+        cp.encode_sentences([sent for doc in docs for sent in doc.sentences], lines,
+                            config.max_tokens)
+        del lines  # freed before the checkpoint loads
         params = nm.load_checkpoint(args.checkpoint, layout=ex.param_layout(config))
     else:
         docs = cp.load_corpus(args.corpus)
@@ -432,7 +450,8 @@ def cmd_score_coherence(args) -> int:
     from . import numeric as nm
 
     vocab = cp.load_vocab(args.vocab)
-    config = _model_config(args.checkpoint, "coherence", CoherenceConfig, vocab)
+    config = _model_config(args.checkpoint, "coherence", CoherenceConfig,
+                           (vocab.size, vocab.fingerprint()))
     params = nm.load_checkpoint(args.checkpoint, layout=coh.param_layout(config))
     name = "stdin" if args.pairs == "-" else args.pairs
     source = (contextlib.nullcontext(sys.stdin.buffer) if args.pairs == "-"

@@ -57,26 +57,42 @@ below 2 x 2 has no final pool, and that convolution computes all it can;
 with a single `conv_filters` entry layer 1's pool is the only stage and
 computes its whole side.
 
-The conv stacks run one pair at a time and the FC head once per batch. Each
-pair's stack ends in a flattened [1, flat] row; the rows of a batch are
-stacked and go through `fc1`, `fc2` and the readout together, so the
-[flat, 512] `fc1` weight is read once per batch in a GEMM, not once per pair
-in a GEMV. Its gradient is one product, kept as its two factors, the
-[batch, flat] rows and their [batch, 512] gradient (`numeric._Product`), and
-applied a row block at a time, so the 33.5 MB [8192, 512] array is never
-built. The conv stacks stay per pair because a batched im2col over a whole
-RL episode is about 71 MB; it falls out of cache and ran slower than the
-per-pair stacks. So each pair's convolution hands its weight gradient over
-as its own product: its input grid, which the tape holds, and the [h * w, N]
+Each pair runs alone through every stage up to its last convolution, and
+the FC head runs once per batch. The last convolution, with its pool, runs
+over chunks of whole pairs, in pair order (`numeric.conv2d_pools`): a
+chunk's im2col rows are copied straight into one buffer for one GEMM, so
+the [k * k * C, N] weight (conv3's is 9.4 MB [2304, 512]) is read once per
+chunk, not once per pair for a GEMM of about 48 rows. A chunk holds at most
+N rows, so its buffer is never larger than the weight; a pair of more rows
+is a chunk on its own, and so is a pair of one row, whose product numpy
+computes with gemv, in other bits than a GEMM's. A pair's rows of a chunk's
+product equal those of its own product bit for bit, and each pair keeps its
+own `conv2d_pool` node, so a chunk changes no score and no gradient. The
+earlier convolutions stay per pair: a batched im2col over a whole RL
+episode is about 71 MB, which falls out of cache and ran slower than the
+per-pair stacks, and conv2's 150 or so rows per pair already amortize its
+2.4 MB weight.
+
+Each pair's stack ends in a flattened [1, flat] row; the rows of a batch
+are stacked and go through `fc1`, `fc2` and the readout together, so the
+[flat, 512] `fc1` weight is read once per batch in a GEMM, not once per
+pair in a GEMV. Its gradient is one product, kept as its two factors, the
+[batch, flat] rows and their [batch, 512] gradient (`numeric._Product`),
+and applied a row block at a time, so the 33.5 MB [8192, 512] array is
+never built. Each pair's convolution hands its weight gradient over as its
+own product: its input grid, which the tape holds, and the [h * w, N]
 gradient of its output. A batch's products are kept as a sum while their
 gradients take fewer bytes than the weight, and the step builds each row
 block's im2col columns from the grids (`numeric._Windows`). At paper
-geometry conv3's 16 products of an 8-triplet batch keep at most 262 KB each,
-so its 9.4 MB [2304, 512] gradient is never built; conv2's, about 800 KB
-each against its 2.4 MB weight, are multiplied out at the third pair.
+geometry conv3's 16 products of an 8-triplet batch keep at most 262 KB
+each, so its 9.4 MB [2304, 512] gradient is never built; conv2's, about
+800 KB each against its 2.4 MB weight, are multiplied out at the third
+pair.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -195,36 +211,74 @@ def interaction_layer1(sa_ids, sb_ids, params: ParamStore, config: CoherenceConf
     return nm.relu_cross_sum(pa, pb, params["layer1_b"])
 
 
-def _pair_features(sa_ids, sb_ids, params: ParamStore, config: CoherenceConfig) -> Tensor:
-    """Layer 1 and the pool/conv stack of one pair, flattened to a [1, flat] row.
+def _sides(stages: list[tuple], i: int, side: tuple) -> tuple[int, int]:
+    """The rows and columns stage i computes after a stage that computed `side` of them.
 
-    Every stage computes the side `_computed_side` gives it (see the module
-    docstring); the last computes the whole grid the head reads. A
-    convolution and the pool after it are one `numeric.conv2d_pool`.
+    The last row computed stands for every row past it, and the last column
+    likewise.
     """
-    stages, _ = stack_plan(config)
+    return tuple(_computed_side(stages[i][0], t - 1, stages[i][-1], i == len(stages) - 1)
+                 for t in side)
+
+
+def _conv_pool_grid(x: Tensor, stages: list[tuple], i: int, config: CoherenceConfig) -> tuple:
+    """(x, rows, cols, pool_rows, pool_cols): x's side for convolution i and its pool's."""
     k = config.conv_kernel
-    x = interaction_layer1(sa_ids, sb_ids, params, config)
-    sides = [x.shape[:2]]  # the rows and columns each stage computes, stages[0]'s by layer 1
-    for i, stage in enumerate(stages[1:], start=2):
-        # the last row computed stands for every row past it, and the last column likewise
-        sides.append(tuple(_computed_side(stage[0], t - 1, stage[-1], i == len(stages))
-                           for t in sides[-1]))
-    i = 1  # stages[0] is the pool that layer 1 fuses
-    while i < len(stages):
-        h, w = sides[i]
+    h, w = _sides(stages, i, x.shape[:2])
+    pool_h, pool_w = _sides(stages, i + 1, (h, w))
+    return x, h + k - 1, w + k - 1, 2 * pool_h, 2 * pool_w
+
+
+def _conv_weights(stages: list[tuple], i: int, params: ParamStore) -> tuple[Tensor, Tensor]:
+    return params[f"conv{stages[i][1]}_w"], params[f"conv{stages[i][1]}_b"]
+
+
+def _run_stages(x: Tensor, stages: list[tuple], lo: int, hi: int, params: ParamStore,
+                config: CoherenceConfig) -> Tensor:
+    """x through stages[lo:hi], each computing the side `_sides` gives it.
+
+    A convolution and the pool after it are one `numeric.conv2d_pool`.
+    """
+    k = config.conv_kernel
+    i = lo
+    while i < hi:
+        h, w = _sides(stages, i, x.shape[:2])
         if stages[i][0] == "pool":
             x = nm.max_pool_2x2(x, 2 * h, 2 * w)
+        elif i + 1 < len(stages) and stages[i + 1][0] == "pool":
+            _, *side = _conv_pool_grid(x, stages, i, config)
+            x = nm.conv2d_pool(x, *_conv_weights(stages, i, params), k, *side)
+            i += 1
         else:
-            conv = (x, params[f"conv{stages[i][1]}_w"], params[f"conv{stages[i][1]}_b"], k,
-                    h + k - 1, w + k - 1)
-            if i + 1 < len(stages) and stages[i + 1][0] == "pool":
-                i += 1
-                x = nm.conv2d_pool(*conv, 2 * sides[i][0], 2 * sides[i][1])
-            else:
-                x = nm.conv2d(*conv)
+            x = nm.conv2d(x, *_conv_weights(stages, i, params), k, h + k - 1, w + k - 1)
         i += 1
-    return x.reshape(1, x.size)
+    return x
+
+
+def _pair_features(pairs, params: ParamStore, config: CoherenceConfig) -> Iterator[Tensor]:
+    """Layer 1 and the pool/conv stack of each pair, flattened to a [1, flat] row, in pair order.
+
+    Every stage computes the side `_sides` gives it (see the module
+    docstring); the last computes the whole grid the head reads. Each pair
+    runs alone through every stage but the last convolution, when a pool
+    follows it: that convolution runs through `numeric.conv2d_pools`, over
+    chunks of whole pairs, read from `pairs` a pair at a time.
+    """
+    stages, _ = stack_plan(config)
+    # stages[0] is the pool that layer 1 fuses; every stage after the last convolution is a pool
+    last = max((i for i, stage in enumerate(stages) if stage[0] == "conv"), default=len(stages))
+    if last + 1 >= len(stages):  # no convolution, or none that a pool follows
+        for sa, sb in pairs:
+            x = _run_stages(interaction_layer1(sa, sb, params, config), stages, 1, len(stages),
+                            params, config)
+            yield x.reshape(1, x.size)
+        return
+    grids = (_conv_pool_grid(_run_stages(interaction_layer1(sa, sb, params, config), stages, 1,
+                                         last, params, config), stages, last, config)
+             for sa, sb in pairs)
+    for x in nm.conv2d_pools(grids, *_conv_weights(stages, last, params), config.conv_kernel):
+        x = _run_stages(x, stages, last + 2, len(stages), params, config)
+        yield x.reshape(1, x.size)
 
 
 def _head(rows, params: ParamStore, config: CoherenceConfig) -> Tensor:
@@ -240,19 +294,21 @@ def coherence_forward(pairs, params: ParamStore, config: CoherenceConfig) -> np.
     """Coherence of each ordered pair (S_A ids, S_B ids), strictly inside (-1, 1).
 
     A forward-only pass: it runs under `numeric.no_tape()`, so each op's
-    result is freed once the next op has read it, and only one pair's conv
-    stack is alive at a time.
+    result is freed once the next op has read it. One pair's conv stack is
+    alive at a time, up to the last convolution, and then one chunk of
+    pairs' inputs to it (`_pair_features`).
     """
     with nm.no_tape():
-        rows = np.concatenate([_pair_features(sa, sb, params, config).data for sa, sb in pairs])
+        rows = np.concatenate([row.data for row in _pair_features(pairs, params, config)])
         return _head(rows, params, config).data
 
 
 def triplet_loss(triplets: list[CoherenceTriplet], params: ParamStore,
                  config: CoherenceConfig) -> Tensor:
     """Hinge max(0, 1 - pos + neg) summed over the triplets, their 2T pairs through one head."""
-    rows = nm.concat([_pair_features(tr.anchor.ids, second.ids, params, config)
-                      for tr in triplets for second in (tr.positive, tr.negative)])
+    pairs = [(tr.anchor.ids, second.ids)
+             for tr in triplets for second in (tr.positive, tr.negative)]
+    rows = nm.concat(list(_pair_features(pairs, params, config)))
     scores = _head(rows, params, config).reshape(len(triplets), 2)
     return nm.relu(1.0 + scores[:, 1] - scores[:, 0]).sum()
 

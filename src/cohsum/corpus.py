@@ -88,11 +88,15 @@ class Vocabulary:
         return self.token_to_id.get(token, UNK_ID)
 
     def fingerprint(self) -> str:
-        """SHA-256 hex digest of the tokens in id order, as `save_vocab` writes them."""
-        import hashlib  # loads OpenSSL; only the stages that save or load a model need it
+        """SHA-256 hex digest of the tokens in id order (`vocab_fingerprint`)."""
+        return vocab_fingerprint(self.id_to_token)
 
-        text = "\n".join(self.id_to_token) + "\n"
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+def vocab_fingerprint(tokens: list[str]) -> str:
+    """SHA-256 hex digest of a vocabulary's tokens in id order, as `save_vocab` writes them."""
+    import hashlib  # loads OpenSSL; only the stages that save or load a model need it
+
+    return hashlib.sha256(("\n".join(tokens) + "\n").encode("utf-8")).hexdigest()
 
 
 def build_vocab(documents: Iterable["Document"], max_size: int) -> Vocabulary:
@@ -105,7 +109,7 @@ def build_vocab(documents: Iterable["Document"], max_size: int) -> Vocabulary:
     return Vocabulary(token for token, _ in ranked[: max_size - 3])
 
 
-def encode_sentence(tokens: list[str], vocab: Vocabulary, max_tokens: int) -> np.ndarray:
+def encode_sentence(tokens: list[str], vocab: Vocabulary | _KeptIds, max_tokens: int) -> np.ndarray:
     """Fixed-length id vector: truncate past max_tokens, PAD-fill the tail."""
     import numpy as np  # the text stages never encode, and start without numpy
 
@@ -277,13 +281,15 @@ def save_vocab(vocab: Vocabulary, path) -> None:
             fh.write(token + "\n")
 
 
-def load_vocab(path) -> Vocabulary:
-    """The vocabulary saved at path: the special tokens, then one token per line.
+def vocab_lines(path) -> list[str]:
+    """The lines of the vocabulary file at path: the special tokens, then one token per line.
 
     The file is decoded as UTF-8 whole, once, and split at each newline; a
     line's trailing carriage returns are dropped, so a CRLF file reads the
     same, and a carriage return elsewhere is part of the token. Bytes that are
-    not valid UTF-8 fail naming the line they are on, as `utf8_lines` does.
+    not valid UTF-8 fail naming the line they are on, as `utf8_lines` does,
+    and the first three lines must be the specials. No line is checked
+    against the others (`load_vocab` does that).
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -294,11 +300,18 @@ def load_vocab(path) -> Vocabulary:
     lines = text.split("\n")
     if not lines[-1]:  # the empty text after a final newline is no line
         lines.pop()
-    lines = [line.rstrip("\r") for line in lines]
+    if "\r" in text:  # an LF file has no line to strip
+        lines = [line.rstrip("\r") for line in lines]
     if tuple(lines[:3]) != _SPECIALS:
         raise CorpusFormatError(
             f"{path}: expected header lines {_SPECIALS}, got {tuple(lines[:3])}"
         )
+    return lines
+
+
+def load_vocab(path) -> Vocabulary:
+    """The vocabulary saved at path (`vocab_lines`), whose tokens must all differ."""
+    lines = vocab_lines(path)
     try:
         return Vocabulary(lines[3:])
     except ValueError:  # a repeated token: name the file and both of its lines
@@ -309,6 +322,29 @@ def load_vocab(path) -> Vocabulary:
                                         f"line {first_line[token]}") from None
             first_line[token] = lineno
         raise
+
+
+class _KeptIds(dict):
+    """The ids of some tokens of a vocabulary; `lookup` gives UNK for any other token."""
+
+    def lookup(self, token: str) -> int:
+        return self.get(token, UNK_ID)
+
+
+def encode_sentences(sentences: list[Sentence], lines: list[str], max_tokens: int) -> None:
+    """Set each sentence's ids (`encode_sentence`) from a vocabulary file's `vocab_lines`.
+
+    Only the ids of the sentences' own tokens are kept; a token the file
+    lacks is UNK, as in `Vocabulary.lookup`. Unlike `load_vocab`, this does
+    not check that no token is repeated: a caller first matches the file's
+    size and fingerprint with a checkpoint header's, so the file is the
+    token list that passed that check when `train-coherence` or `pretrain`
+    wrote the checkpoint.
+    """
+    used = set(tokens_of(sentences))
+    kept = _KeptIds((token, i) for i, token in enumerate(lines) if token in used)
+    for sent in sentences:
+        sent.ids = encode_sentence(sent.tokens, kept, max_tokens)
 
 
 @dataclass

@@ -57,7 +57,14 @@ is 64-bit so finite-difference gradient checks are decisive.
   them, so the tape holds the input and the output only: not the
   [h * w, k * k * C] rows, not a pre-bias product, not a pre-relu one, and
   under `conv2d_pool` not the [h, w, N] convolution output either, only its
-  pooled grid.
+  pooled grid. `conv2d_pools` runs `conv2d_pool` over a stream of grids,
+  a chunk of them per GEMM: the chunk's rows are copied straight into one
+  buffer of at most N rows, N the weight's output width, so the weight is
+  read once per chunk and the buffer is never larger than it. A grid of
+  more rows goes alone, and so does a grid of one row, since numpy computes
+  a 1-row product with gemv, in other bits; a grid's rows of a chunk's
+  product equal those of its own product bit for bit. Each grid keeps its
+  own node and backward.
 - One array per coherence stage: `relu_cross_sum` (layer 1's
   relu(P_A[i] + P_B[j] + b)), `conv2d_pool`, `conv2d` and `max_pool_2x2`
   keep only their output as floats; backward recomputes what else it reads.
@@ -616,17 +623,23 @@ def gather_rows(table, indices) -> Tensor:
     return _node(data, (table,), backward)
 
 
-def _window_rows(a: np.ndarray, kernel: int, axes: int) -> np.ndarray:
+def _window_rows(a: np.ndarray, kernel: int, axes: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """The windows of the leading `axes` axes of a, one row each: a copy of a strided view.
 
-    See `windows` for the layout. No index table is built.
+    See `windows` for the layout. No index table is built. Given `out`, a
+    C-contiguous array of the result's shape, the rows are copied into it.
     """
     positions = tuple(n - kernel + 1 for n in a.shape[:axes])
     view = np.lib.stride_tricks.sliding_window_view(a, (kernel,) * axes, axis=tuple(range(axes)))
     # view is [*positions, *rest, *offsets]; move the offsets in front of rest
     nd = a.ndim
     order = (*range(axes), *range(nd, nd + axes), *range(axes, nd))
-    return view.transpose(order).reshape(math.prod(positions), -1)
+    view = view.transpose(order)
+    if out is None:
+        return view.reshape(math.prod(positions), -1)
+    np.copyto(out.reshape(view.shape), view)
+    return out
 
 
 def _add_window_grads(gx: np.ndarray, g: np.ndarray, kernel: int, axes: int) -> None:
@@ -719,17 +732,30 @@ def _check_conv(op: str, x: Tensor, weight: Tensor, bias: Tensor, kernel: int, r
                          f"with W {weight.data.shape} + b {bias.data.shape}")
 
 
-def _conv_relu(x: Tensor, weight: Tensor, bias: Tensor, kernel: int, rows: int,
-               cols: int) -> np.ndarray:
-    """The [rows - k + 1, cols - k + 1, N] relu of the convolution, from one GEMM.
+def _conv_relu(grids: list, weight: Tensor, bias: Tensor, kernel: int) -> list[np.ndarray]:
+    """The [rows - k + 1, cols - k + 1, N] relu of the convolution of each (x, rows, cols) of grids.
 
-    The edge-extended grid and its im2col rows are built for the GEMM and
-    dropped; the bias is added and the relu taken in place.
+    One GEMM computes them all. A grid alone multiplies its im2col rows as
+    `_window_rows` gives them. Several grids copy theirs straight into one
+    buffer, in order; a grid's rows of that product equal its own product
+    bit for bit when it has 2 rows or more (numpy computes a 1-row product
+    with gemv), so a caller passes a 1-row grid alone. The edge-extended
+    grids and the rows are dropped; the bias is added and the relu taken in
+    place.
     """
-    h, w = rows - kernel + 1, cols - kernel + 1
-    out = _window_rows(_edge_extended(x.data, rows, cols), kernel, 2) @ weight.data
+    sides = [(rows - kernel + 1, cols - kernel + 1) for _, rows, cols in grids]
+    bounds = list(itertools.accumulate((h * w for h, w in sides), initial=0))
+    if len(grids) == 1:
+        x, rows, cols = grids[0]
+        a = _window_rows(_edge_extended(x, rows, cols), kernel, 2)
+    else:
+        a = np.empty((bounds[-1], weight.data.shape[0]))
+        for (x, rows, cols), lo, hi in zip(grids, bounds, bounds[1:]):
+            _window_rows(_edge_extended(x, rows, cols), kernel, 2, out=a[lo:hi])
+    out = a @ weight.data
     out += bias.data
-    return np.maximum(out, 0.0, out=out).reshape(h, w, -1)
+    np.maximum(out, 0.0, out=out)
+    return [out[lo:hi].reshape(h, w, -1) for (h, w), lo, hi in zip(sides, bounds, bounds[1:])]
 
 
 def _conv_backward(x: Tensor, weight: Tensor, bias: Tensor, kernel: int, rows: int, cols: int,
@@ -768,7 +794,7 @@ def conv2d(x, weight, bias, kernel: int, rows: int, cols: int) -> Tensor:
     """
     x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
     _check_conv("conv2d", x, weight, bias, kernel, rows, cols)
-    out = _conv_relu(x, weight, bias, kernel, rows, cols)
+    (out,) = _conv_relu([(x.data, rows, cols)], weight, bias, kernel)
 
     def backward(g):
         _conv_backward(x, weight, bias, kernel, rows, cols, g * (out > 0))
@@ -872,16 +898,27 @@ def max_pool_2x2(x, rows: int, cols: int) -> Tensor:
     return _block_max(x, lambda a: _pool_views(a, rows, cols), rows, cols)
 
 
+def _check_conv_pool(x: Tensor, weight: Tensor, bias: Tensor, kernel: int, rows: int, cols: int,
+                     pool_rows: int, pool_cols: int) -> None:
+    _check_conv("conv2d_pool", x, weight, bias, kernel, rows, cols)
+    h, w = rows - kernel + 1, cols - kernel + 1
+    if not (h <= pool_rows and w <= pool_cols and min(pool_rows, pool_cols) >= 2):
+        raise ShapeError(f"conv2d_pool: a {h} x {w} convolution read as {pool_rows} x "
+                         f"{pool_cols} for the pool, which must cover it and be at least 2 x 2")
+
+
 def conv2d_pool(x, weight, bias, kernel: int, rows: int, cols: int, pool_rows: int,
-                pool_cols: int) -> Tensor:
+                pool_cols: int, conv: np.ndarray | None = None) -> Tensor:
     """max_pool_2x2(conv2d(x, weight, bias, kernel, rows, cols), pool_rows, pool_cols) as one op.
 
     The pool reads the convolution's [rows - k + 1, cols - k + 1, N] grid as
     [pool_rows, pool_cols, N], rows and columns past its last ones copies of
     them. Forward runs the two ops' arithmetic: `_conv_relu`, then the strict
-    block max in block scan order. It keeps only the pooled output and, on
-    the tape, each output's winner as a uint8 code (`_block_winners`), not
-    the convolution's output; a forward-only pass keeps no codes. Backward
+    block max in block scan order. `conv`, when given, is that relu of the
+    convolution, which `conv2d_pools` computes for a chunk of grids in one
+    GEMM. The op keeps only the pooled output and, on the tape, each
+    output's winner as a uint8 code (`_block_winners`), not the
+    convolution's output; a forward-only pass keeps no codes. Backward
     adds g at the winners, folds the copies' gradients into the last row and
     column, and only then multiplies by the relu mask, which is pooled > 0 at
     each winner, folded the same way: a cell that won no block has a zero
@@ -889,12 +926,10 @@ def conv2d_pool(x, weight, bias, kernel: int, rows: int, cols: int, pool_rows: i
     the gradients equal the two ops' bit for bit, signed zeros included.
     """
     x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
-    _check_conv("conv2d_pool", x, weight, bias, kernel, rows, cols)
+    _check_conv_pool(x, weight, bias, kernel, rows, cols, pool_rows, pool_cols)
     h, w = rows - kernel + 1, cols - kernel + 1
-    if not (h <= pool_rows and w <= pool_cols and min(pool_rows, pool_cols) >= 2):
-        raise ShapeError(f"conv2d_pool: a {h} x {w} convolution read as {pool_rows} x "
-                         f"{pool_cols} for the pool, which must cover it and be at least 2 x 2")
-    conv = _conv_relu(x, weight, bias, kernel, rows, cols)
+    if conv is None:
+        (conv,) = _conv_relu([(x.data, rows, cols)], weight, bias, kernel)
     out, codes = _block_winners(_pool_views(_edge_extended(conv, pool_rows, pool_cols),
                                             pool_rows, pool_cols), _recording(x, weight, bias))
 
@@ -908,6 +943,41 @@ def conv2d_pool(x, weight, bias, kernel: int, rows: int, cols: int, pool_rows: i
         _conv_backward(x, weight, bias, kernel, rows, cols, g)
 
     return _node(out, (x, weight, bias), backward)
+
+
+def conv2d_pools(grids, weight, bias, kernel: int):
+    """Yield `conv2d_pool` of each (x, rows, cols, pool_rows, pool_cols) of grids, in order.
+
+    grids is read one grid at a time, into chunks of whole grids in order;
+    each chunk's convolutions are one GEMM (`_conv_relu`). A chunk holds at
+    most N im2col rows, N the weight's output width, so its rows never take
+    more bytes than the weight, which the GEMM reads once for the chunk. A
+    grid of more rows is a chunk on its own, and so is a grid of one row.
+    Each grid gets its own `conv2d_pool` node and backward, so the chunks
+    change no value and no gradient.
+    """
+    weight, bias = _wrap(weight), _wrap(bias)
+    chunk, room = [], 0
+    for x, rows, cols, pool_rows, pool_cols in grids:
+        x = _wrap(x)
+        _check_conv_pool(x, weight, bias, kernel, rows, cols, pool_rows, pool_cols)
+        size = (rows - kernel + 1) * (cols - kernel + 1)
+        if size > room or size == 1:
+            yield from _pooled_chunk(chunk, weight, bias, kernel)
+            chunk, room = [], weight.data.shape[1] if size > 1 else 0
+        chunk.append((x, rows, cols, pool_rows, pool_cols))
+        room -= size
+    yield from _pooled_chunk(chunk, weight, bias, kernel)
+
+
+def _pooled_chunk(chunk: list, weight: Tensor, bias: Tensor, kernel: int):
+    """`conv2d_pool` of each grid of a chunk, their convolutions from one GEMM."""
+    if not chunk:
+        return
+    convs = _conv_relu([(x.data, rows, cols) for x, rows, cols, _, _ in chunk], weight, bias,
+                       kernel)
+    for grid, conv in zip(chunk, convs):
+        yield conv2d_pool(grid[0], weight, bias, kernel, *grid[1:], conv)
 
 
 def pair_max(x) -> Tensor:

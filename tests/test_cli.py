@@ -21,7 +21,7 @@ import cohsum
 from cohsum import cli
 from cohsum.cli import _config, build_parser, child_rng, run
 from cohsum.coherence import CoherenceConfig, coherence_forward
-from cohsum.corpus import load_corpus, load_vocab
+from cohsum.corpus import CorpusFormatError, load_corpus, load_vocab
 from cohsum.extractor import ExtractorConfig, init_extractor_params
 from cohsum.numeric import ParamStore, load_checkpoint, read_header, save_checkpoint
 from cohsum.reinforce import RLConfig, train_rnes
@@ -1194,6 +1194,26 @@ def _mutated_lines(blob: bytes, data) -> bytes:
     else:
         lines[i], lines[j] = lines[j], lines[i]
     return b"".join(lines)
+
+
+@pytest.mark.parametrize("blob", [b"<PAD>\n<UNK>\n<BOUNDARY>\nriver\n\xffstone\n",
+                                  b"<PAD>\n<BOUNDARY>\n<UNK>\nriver\n"])
+@pytest.mark.parametrize("stage", ["train-rnes", "summarize beam"])
+def test_checkpoint_stages_fail_on_a_bad_vocabulary_as_load_vocab_does_before_the_corpus(
+        stage_inputs, tmp_path, caplog, blob, stage):
+    # these stages read the vocabulary file in one pass, keeping only the
+    # corpus's tokens; a bad file fails there, before a missing corpus does
+    root, bases = stage_inputs
+    vocab = tmp_path / "bad_vocab.txt"
+    vocab.write_bytes(blob)
+    with pytest.raises(CorpusFormatError) as expected:
+        load_vocab(vocab)
+    argv = bases[stage] + ["--vocab", str(vocab), "--corpus", str(tmp_path / "no-such.jsonl"),
+                           "--out", str(tmp_path / "out")]
+    caplog.clear()
+    assert run(argv) == 1
+    assert _one_error_line(caplog) == str(expected.value)
+    assert sorted(os.listdir(tmp_path)) == ["bad_vocab.txt"]
 
 
 # caplog is cleared at the start of each example

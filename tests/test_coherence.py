@@ -287,7 +287,7 @@ def test_forward_builds_no_tape_and_matches_the_taped_pass_bit_for_bit(pairs, se
         built = recording_nodes(mp)
         scores = coherence_forward(ids, params, config)
     assert built and all(t._parents == () and t._backward_fn is None for t in built)
-    rows = [coherence._pair_features(a, b, params, config) for a, b in ids]
+    rows = list(coherence._pair_features(ids, params, config))
     taped = coherence._head(np.concatenate([r.data for r in rows]), params, config)
     assert all(r._parents for r in rows) and taped._parents
     assert np.array_equal(scores, taped.data)
@@ -433,6 +433,114 @@ def test_scorer_keeps_one_pair_tape_alive_at_a_time(rng):
     assert sixteen < 2 * one
 
 
+# -- the last convolution over chunks of pairs --------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def paper_chain():
+    """(pairs, params, config): a 16-pair RL chain at paper geometry, from the BOUNDARY placeholder.
+
+    Its sentences run from one word to longer than max_tokens, so conv3
+    computes up to 8 x 8 rows per pair, 615 in all, more than one chunk of
+    N = 512 rows holds. Two sentences repeat one word past max_tokens, so
+    they have no row that differs: the pairs around them give conv3 one
+    row or one column of a grid, and the pair of the two one row.
+    """
+    words = [f"w{i}" for i in range(300)]
+    vocab = Vocabulary(words)
+    config = CoherenceConfig(vocab_size=vocab.size)
+    rng = np.random.default_rng(5)
+    texts = [" ".join(rng.choice(words, size=n)) for n in (1, 3, 12, 2, 50, 60, 48, 55, 60, 49,
+                                                             52, 58, 47, 51)]
+    texts[2:2] = ["w7 " * 60, "w8 " * 60]
+    chain = [placeholder_sentence(config.max_tokens)]
+    chain += [make_sentence(text, vocab, config.max_tokens) for text in texts]
+    pairs = [(a.ids, b.ids) for a, b in zip(chain, chain[1:])]
+    assert len(pairs) == 16
+    return pairs, init_coherence_params(config, rng), config
+
+
+def _last_conv_chunks(params, score) -> list[list[tuple]]:
+    """The (x, rows, cols) grids of each GEMM of the last convolution while score() runs."""
+    chunks = []
+    conv_relu = nm._conv_relu
+
+    def spy(grids, weight, bias, kernel):
+        if weight is params["conv3_w"]:
+            chunks.append(grids)
+        return conv_relu(grids, weight, bias, kernel)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nm, "_conv_relu", spy)
+        score()
+    return chunks
+
+
+def test_paper_geometry_chain_scores_bit_for_bit_as_its_pairs_one_at_a_time(paper_chain):
+    pairs, params, config = paper_chain
+    with nm.no_tape():
+        chunked = [row.data for row in coherence._pair_features(pairs, params, config)]
+        alone = [next(coherence._pair_features([pair], params, config)).data for pair in pairs]
+        one_at_a_time = coherence._head(np.concatenate(alone), params, config).data
+    assert all(np.array_equal(a, b) for a, b in zip(chunked, alone))
+    assert np.array_equal(coherence_forward(pairs, params, config), one_at_a_time)
+
+
+def test_each_last_convolution_gemm_holds_at_most_n_rows_unless_it_holds_one_pair(paper_chain):
+    pairs, params, config = paper_chain
+    n = config.conv_filters[-1]
+    chunks = _last_conv_chunks(params, lambda: coherence_forward(pairs, params, config))
+    rows = [[(r - 2) * (c - 2) for _, r, c in chunk] for chunk in chunks]
+    assert all(sum(sizes) <= n for sizes in rows if len(sizes) > 1)
+    assert [1] in rows and max(map(len, rows)) > 1  # the 1-row pair alone; others share
+    # every pair once, in order: the grids are those the pairs give alone
+    grids = [x for chunk in chunks for x, _, _ in chunk]
+    alone = [x for pair in pairs
+             for chunk in _last_conv_chunks(params, lambda: coherence_forward([pair], params,
+                                                                              config))
+             for x, _, _ in chunk]
+    assert len(grids) == len(alone) == len(pairs)
+    assert all(np.array_equal(a, b) for a, b in zip(grids, alone))
+
+
+def test_paper_geometry_chain_peaks_below_one_pair_plus_the_last_convolution_chunk(paper_chain):
+    # a chunk adds at most its im2col rows, no larger than the weight, and its
+    # [N, N] product to what the largest pair alone allocates
+    pairs, params, config = paper_chain
+    n = config.conv_filters[-1]
+    coherence_forward(pairs[:1], params, config)  # warm up before measuring
+    one = max(traced_peak(lambda: coherence_forward([pair], params, config)) for pair in pairs)
+    chain = traced_peak(lambda: coherence_forward(pairs, params, config))
+    assert chain < one + params["conv3_w"].data.nbytes + n * n * 8, (one, chain)
+
+
+def test_two_triplets_sharing_one_chunk_match_finite_differences(vocab, rng):
+    # grid 8, pool 4, conv2 2, pool 1: conv2 is the last convolution, 16 wide,
+    # so the four pairs' 2 x 2 or fewer rows each go into one GEMM
+    config = tiny_coherence_config(vocab.size, conv_filters=(4, 16))
+    params = _spread(init_coherence_params(config, rng), rng)
+    triplets = [_triplet(vocab, config, "alpha beta gamma delta", "beta gamma", "zeta eta theta"),
+                _triplet(vocab, config, "iota kappa", "delta delta epsilon", "theta beta")]
+    chunks = []
+    conv_relu = nm._conv_relu
+
+    def spy(grids, weight, bias, kernel):
+        chunks.append(len(grids))
+        return conv_relu(grids, weight, bias, kernel)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nm, "_conv_relu", spy)
+        loss = triplet_loss(triplets, params, config)
+    assert chunks == [4]
+    assert [reference_coherence.triplet_loss(t, params, config).item() > 0.0
+            for t in triplets] == [True, True]
+    analytic = gradients_of(loss, params)
+    numeric_grads = finite_difference_grads(
+        lambda: triplet_loss(triplets, params, config).item(), params
+    )
+    assert_grads_close(analytic, numeric_grads)
+
+
 # -- hinge loss --------------------------------------------------------------------------
 
 
@@ -562,7 +670,9 @@ def test_zero_lr_keeps_loss_trajectory_constant(vocab, caplog):
 # Bytes a paper-geometry 8-triplet batch step may allocate above what is live before it
 # (the parameters). Stepping each parameter as soon as its gradient is complete, with
 # fc1's product and conv3's 16 products kept as their factors, and each convolution fused
-# with the pool after it, so the tape keeps no convolution output, peaks at about 20.5 MB.
+# with the pool after it, so the tape keeps no convolution output, peaks at about 20.5 MB,
+# in backward. Running conv3 over chunks of pairs, each at most a [512, 2304] im2col and a
+# [512, 512] product, raises the forward pass's peak from about 10.7 to 16.0 MB, below it.
 # Keeping each convolution's output for a separate pool, it peaked at about 29.7 MB; with
 # conv3's products also multiplied out into its 9.4 MB gradient, about 39 MB; with fc1's
 # 33.5 MB gradient also built dense, about 53 MB. Applying every gradient, made dense,

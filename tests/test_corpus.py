@@ -1,7 +1,9 @@
 """Tokenizer, vocabulary, corpus IO, triplet sampling, oracle labels."""
 
 import json
+import tempfile
 from itertools import combinations
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,9 +18,11 @@ from cohsum.corpus import (
     UNK_ID,
     UNK_TOKEN,
     CorpusFormatError,
+    Sentence,
     Vocabulary,
     build_vocab,
     encode_sentence,
+    encode_sentences,
     generate_oracle_labels,
     load_corpus,
     load_vocab,
@@ -28,6 +32,8 @@ from cohsum.corpus import (
     save_vocab,
     tokenize,
     tokens_of,
+    vocab_fingerprint,
+    vocab_lines,
 )
 from cohsum.corpus import _is_punct
 from cohsum.rouge import RewardWeights, combined_rouge
@@ -190,6 +196,49 @@ def test_vocab_file_rejects_bad_header(tmp_path):
     path.write_text("not\na\nheader\nw\n")
     with pytest.raises(CorpusFormatError, match="header"):
         load_vocab(path)
+
+
+_TOKEN = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"),
+                 min_size=1, max_size=6)
+
+
+@given(st.lists(_TOKEN, unique=True, max_size=30), st.lists(_TOKEN, max_size=20),
+       st.sampled_from(["\n", "\r\n", "none"]), st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_one_pass_reader_gives_the_size_fingerprint_and_ids_of_load_vocab(tokens, words, ending,
+                                                                         max_tokens):
+    tokens = [t for t in tokens if t not in ("<PAD>", "<UNK>", "<BOUNDARY>")]
+    lines = ["<PAD>", "<UNK>", "<BOUNDARY>", *tokens]
+    blob = "".join(line + ("\n" if ending == "none" else ending) for line in lines)
+    if ending == "none":
+        blob = blob[:-1]  # no newline after the last line
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vocab.txt"
+        path.write_bytes(blob.encode("utf-8"))
+        vocab, read = load_vocab(path), vocab_lines(path)
+    assert len(read) == vocab.size and vocab_fingerprint(read) == vocab.fingerprint()
+    # sentences of the file's tokens and of others, which are UNK
+    sentences = [Sentence("", words[i:] + tokens[i:]) for i in range(3)]
+    encode_sentences(sentences, read, max_tokens)
+    for sent in sentences:
+        assert np.array_equal(sent.ids, encode_sentence(sent.tokens, vocab, max_tokens))
+
+
+@pytest.mark.parametrize("blob", [
+    b"\xff" + _HEADER,
+    _HEADER + b"a\rb\n\xffc\n",
+    _HEADER + b"a\nb\xc3",
+    b"not\na\nheader\nw\n",
+    b"<PAD>\n<UNK>\n",
+])
+def test_one_pass_reader_fails_as_load_vocab_does(tmp_path, blob):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(blob)
+    with pytest.raises(CorpusFormatError) as expected:
+        load_vocab(path)
+    with pytest.raises(CorpusFormatError) as err:
+        vocab_lines(path)
+    assert str(err.value) == str(expected.value) and str(path) in str(err.value)
 
 
 def test_placeholder_sentence_layout():
