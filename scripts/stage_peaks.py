@@ -4,18 +4,20 @@
 
 Loads ROOT/perfbench/run.py (as `artifact_sha256.py` does) and, for each
 named workload (every workload when none is named) at seed 1, runs its
-`set_up` once against the sources under
-ROOT/src, in a temporary directory. Then it runs the workload's stages in
-order, REPEATS times in the default environment and REPEATS times with
+`set_up` against the sources under ROOT/src, in a temporary directory, and
+then the workload's stages in order against the first set-up's files. Both
+run REPEATS times in the default environment and REPEATS times with
 MALLOC_MMAP_THRESHOLD_=131072, which fixes glibc's dynamic mmap threshold.
-Each stage starts from a small launcher process, which reads the stage's
-`ru_maxrss` from `os.wait4`: a child's peak starts at the RSS of the process
-it was forked from, so a stage the benchmark starts inherits the benchmark's
-own high-water mark, and one the launcher starts does not. The launcher
-also times the stage from its start to its exit, start-up included, which
-a traced run (`run.py --trace 1`) cannot show: its tracer imports every
-module. Prints each stage's median peak in MB and median wall seconds, one
-line per stage.
+Each stage, a set-up's CLI calls (`Bench.cli`) included, starts from a small
+launcher process, which reads the stage's `ru_maxrss` from `os.wait4`: a
+child's peak starts at the RSS of the process it was forked from, so a
+stage the benchmark starts inherits the benchmark's own high-water mark,
+and one the launcher starts does not. The launcher also times the stage
+from its start to its exit, start-up included, which a traced run
+(`run.py --trace 1`) cannot show: its tracer imports every module. Prints
+each stage's median peak in MB and median wall seconds, one line per stage:
+the set-up's stages first, under the names the set-up gives them, then the
+workload's own.
 
 Exits 1, naming the stage, if a stage fails, and 2 on an unknown workload.
 """
@@ -23,6 +25,7 @@ Exits 1, naming the stage, if a stage fails, and 2 on an unknown workload.
 from __future__ import annotations
 
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -50,35 +53,48 @@ print(json.dumps({"code": os.waitstatus_to_exitcode(status), "maxrss_kb": usage.
 """
 
 
-def stage_run(run, bench, stage, cwd: Path, extra_env: dict) -> tuple[float, float]:
+def stage_run(run, bench, stage_id: str, argv, cwd: Path, extra_env: dict) -> tuple[float, float]:
     """(peak RSS in MB, wall seconds) of one stage started by the launcher; raises if it fails."""
-    argv = [sys.executable, "-c", run.CONSOLE_SCRIPT, *map(str, stage.argv)]
-    with open(cwd / f"{stage.id}.log", "ab") as log:
+    argv = [sys.executable, "-c", run.CONSOLE_SCRIPT, *map(str, argv)]
+    with open(cwd / f"{stage_id}.log", "ab") as log:
         launched = subprocess.run([sys.executable, "-c", LAUNCHER, *argv], cwd=cwd,
                                   env={**bench.env, **extra_env}, stdout=subprocess.PIPE,
                                   stderr=log, check=True)
     report = json.loads(launched.stdout)
     if report["code"] != 0:
-        raise RuntimeError(f"{stage.id}: exit code {report['code']} (see {cwd / stage.id}.log)")
+        raise RuntimeError(f"{stage_id}: exit code {report['code']} (see {cwd / stage_id}.log)")
     return report["maxrss_kb"] / 1024.0, report["wall_s"]
 
 
 def workload_peaks(run, root: Path, workload) -> dict[str, dict[str, tuple[float, float]]]:
     """stage id -> environment name -> median (peak RSS in MB, wall s) over REPEATS runs."""
     peaks: dict[str, dict[str, list[tuple[float, float]]]] = {}
+
+    def measure(stage_id, argv, cwd, env_name):
+        measured = stage_run(run, bench, stage_id, argv, cwd, ENVIRONMENTS[env_name])
+        peaks.setdefault(stage_id, {}).setdefault(env_name, []).append(measured)
+
     with tempfile.TemporaryDirectory(prefix="stage_peaks-") as tmp:
         work = Path(tmp)
         bench = run.Bench(root, run.PAPER, SEED, time.monotonic() + run.DEADLINE_S)
-        s, _ = run.set_up(bench, workload, work, 1)
+        s = None  # the first set-up's directory; the others are removed
+        for env_name in ENVIRONMENTS:
+            for k in range(REPEATS):
+                bench.cli = lambda stage, argv, cwd, env=env_name, **_: measure(stage, argv,
+                                                                                cwd, env)
+                d, _ = run.set_up(bench, workload, work / f"setup-{env_name}{k}", 1)
+                if s is None:
+                    s = d
+                else:
+                    shutil.rmtree(d)
         if bench.problems:
             raise RuntimeError(f"set-up: {bench.problems[0]}")
-        for env_name, extra_env in ENVIRONMENTS.items():
+        for env_name in ENVIRONMENTS:
             for k in range(REPEATS):
                 r = work / f"{env_name}{k}"
                 r.mkdir()
                 for stage in workload.stages(bench, s, r):
-                    measured = stage_run(run, bench, stage, r, extra_env)
-                    peaks.setdefault(stage.id, {}).setdefault(env_name, []).append(measured)
+                    measure(stage.id, stage.argv, r, env_name)
     return {stage: {env: tuple(map(statistics.median, zip(*values)))
                     for env, values in by_env.items()}
             for stage, by_env in peaks.items()}
@@ -96,7 +112,7 @@ def main(argv: list[str]) -> int:
         print(f"stage_peaks: unknown workload {unknown[0]!r}; the workloads are "
               f"{', '.join(sorted(run.WORKLOADS))}", file=sys.stderr)
         return 2
-    print(f"{'workload':<14}{'stage':<12}" + "".join(f"{env + ' MB':>20}{env + ' s':>20}"
+    print(f"{'workload':<14}{'stage':<16}" + "".join(f"{env + ' MB':>20}{env + ' s':>20}"
                                                       for env in ENVIRONMENTS))
     for name in names:
         workload = run.WORKLOADS[name]
@@ -106,7 +122,7 @@ def main(argv: list[str]) -> int:
             print(f"stage_peaks: {name}: {exc}", file=sys.stderr)
             return 1
         for stage, by_env in peaks.items():
-            print(f"{name:<14}{stage:<12}"
+            print(f"{name:<14}{stage:<16}"
                   + "".join(f"{by_env[env][0]:>20.1f}{by_env[env][1]:>20.3f}"
                             for env in ENVIRONMENTS))
     return 0

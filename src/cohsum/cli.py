@@ -40,29 +40,38 @@ sentence count after truncation. The oracle of `label` and `pretrain`,
 they reject a corpus holding a document with none before any work, naming
 the file and the id.
 
-`train-rnes` and `summarize --method beam` check their flags, then read
-the vocabulary, each checkpoint's header and the whole corpus before any
-tensor, and fail in that order; `train-rnes` also checks the highlights.
-They read the vocabulary file in one pass (`corpus.vocab_lines`), which
-checks its UTF-8 and header lines; its line count and fingerprint
-(`corpus.vocab_fingerprint`) are matched with each checkpoint header. The
-corpus is then parsed once, unencoded, and encoded with the ids of its
-sentences' tokens only (`corpus.encode_sentences`), so no `Vocabulary` of
-every line is built. No repeated token is looked for: a file that matches
-a header is the token list that passed that check when `train-coherence`
-or `pretrain` wrote the checkpoint. Those two stages build a model from the
-whole vocabulary, and `score-coherence` streams its pairs, so it has no
-token set up front; they load it whole (`corpus.load_vocab`), with the
-check. Each checkpoint is then loaded against the layout of its header's
-model, which checks every tensor's name and shape before its data is read.
-The policy and the frozen coherence scorer of `train-rnes` (read only with
---lambda > 0) see nothing but the corpus sentences and the chain's
-BOUNDARY placeholder, so both keep only the embedding rows of the ids
-those hold, with PAD, UNK and BOUNDARY at rows 0, 1 and 2; one `np.unique`
-gives the kept rows and each sentence's ids as rows. The rows not kept are
-still checked to be finite, and the policy's are written back from its
-source checkpoint when the trained policy is saved, so `--out` may name
-that checkpoint.
+`train-coherence`, `pretrain`, `train-rnes` and `summarize --method beam`
+read the vocabulary file in one pass (`corpus.vocab_lines`), which checks
+its UTF-8 and header lines, and then the whole corpus before any tensor;
+they fail in that order. `train-coherence` and `pretrain` build a model
+from the file and write its size and fingerprint into the model's
+checkpoint header, so they also reject a repeated token, naming both of
+its lines (`corpus.check_distinct`, as `load_vocab` does). `train-rnes`
+and `summarize --method beam` check their flags first and match the file's
+line count and fingerprint (`corpus.vocab_fingerprint`) with each
+checkpoint header before the corpus, and `train-rnes` also checks the
+highlights; they look for no repeated token, since a file that matches a
+header is the token list that passed that check when the checkpoint was
+written. Each stage parses the corpus
+once, unencoded, and encodes it with the ids of its sentences' tokens only
+(`corpus.encode_sentences`), so no `Vocabulary` of every line is built.
+`score-coherence` streams its pairs, so it has no token set up front; it
+loads the vocabulary whole (`corpus.load_vocab`), with the check. Each
+checkpoint is loaded against the layout of its header's model, which
+checks every tensor's name and shape before its data is read.
+
+The models of the three training stages see nothing but the corpus
+sentences and, in `train-rnes`, the chain's BOUNDARY placeholder, so each
+holds only the embedding rows of the ids those hold, with PAD, UNK and
+BOUNDARY at rows 0, 1 and 2; one helper, `_encode_as_rows`, gives the kept
+rows and each sentence's ids as rows. The training stages draw only the kept rows of a
+fresh table (`numeric.init_params`' `rows`), and the checkpoint they save
+holds the whole draw, the other rows drawn again from the generator state.
+`train-rnes` loads only the kept rows of the policy and of the frozen
+coherence scorer (read only with --lambda > 0); the rows not kept are still
+checked to be finite, and the policy's are written back from its source
+checkpoint when the trained policy is saved, so `--out` may name that
+checkpoint.
 
 Every output file is written through `atomic.atomic_write`, so a stage that
 fails leaves no partial output and no temporary file; `score-coherence
@@ -73,8 +82,8 @@ Imports come in two tiers. This module imports only the text tier at load:
 `preprocess`, `label`, `evaluate`, `summarize --method lead3` (`corpus.lead3`)
 and `--help` start without it (importing numpy is most of a text stage's
 start-up). Each tensor command imports the modules it calls at its own top,
-as does `child_rng`, and `_model_config` imports `numeric`: `summarize
---method beam` imports `decode`, `extractor` and `numeric`, and `train-rnes`
+as do `child_rng` and `_encode_as_rows`, and `_model_config` imports
+`numeric`: `summarize --method beam` imports `decode`, `extractor` and `numeric`, and `train-rnes`
 imports `numeric`, `coherence`, `extractor` and `reinforce`.
 `_report_selected` and `evaluate`
 take their median and means in plain Python. The module's `__getattr__`
@@ -145,10 +154,32 @@ def child_rng(seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(label.encode("utf-8"))])
 
 
-def _describe(params, kind: str, config, vocab: cp.Vocabulary) -> None:
-    """Set the checkpoint header that `_model_config` reads back."""
+def _describe(params, kind: str, config, vocab: tuple[int, str]) -> None:
+    """Set the checkpoint header that `_model_config` reads back; vocab is (size, fingerprint)."""
+    size, fingerprint = vocab
     params.meta = {"model": kind, "config": dataclasses.asdict(config),
-                   "vocab": {"size": vocab.size, "sha256": vocab.fingerprint()}}
+                   "vocab": {"size": size, "sha256": fingerprint}}
+
+
+def _encode_as_rows(docs: list[cp.Document], lines: list[str], max_tokens: int) -> np.ndarray:
+    """Encode the documents' sentences (`corpus.encode_sentences`) as rows of a table of their ids.
+
+    Returns those ids, sorted: row k of the table is row used[k] of the
+    vocabulary's, and each sentence's ids become rows. PAD, UNK and BOUNDARY
+    are always kept, at rows 0, 1 and 2, so the padding and the RL chain's
+    placeholder read the same rows. One `np.unique` gives the rows.
+    """
+    import numpy as np
+
+    sentences = [sent for doc in docs for sent in doc.sentences]
+    cp.encode_sentences(sentences, lines, max_tokens)
+    specials = [cp.PAD_ID, cp.UNK_ID, cp.BOUNDARY_ID]
+    used, rows = np.unique(np.concatenate([specials] + [sent.ids for sent in sentences]),
+                           return_inverse=True)
+    ends = np.cumsum([len(specials)] + [len(sent.ids) for sent in sentences])
+    for sent, lo, hi in zip(sentences, ends[:-1], ends[1:]):
+        sent.ids = rows[lo:hi]
+    return used
 
 
 def _model_config(path: str, kind: str, config_cls, vocab: tuple[int, str]):
@@ -264,10 +295,13 @@ def cmd_train_coherence(args) -> int:
     from . import coherence as coh
     from . import numeric as nm
 
-    vocab = cp.load_vocab(args.vocab)
-    config = _config(CoherenceConfig, args, vocab_size=vocab.size)
-    docs = list(cp.load_corpus(args.corpus, vocab=vocab, max_tokens=config.max_tokens,
-                               max_sentences=args.max_sentences))
+    lines = cp.vocab_lines(args.vocab)
+    cp.check_distinct(lines, args.vocab)
+    config = _config(CoherenceConfig, args, vocab_size=len(lines))
+    docs = list(cp.load_corpus(args.corpus, max_sentences=args.max_sentences))
+    vocab = len(lines), cp.vocab_fingerprint(lines)
+    used = _encode_as_rows(docs, lines, config.max_tokens)
+    del lines
     sample_rng = child_rng(args.seed, "coherence-triplets")
     triplets = []
     for _ in range(args.triplets_per_doc):
@@ -278,7 +312,7 @@ def cmd_train_coherence(args) -> int:
     if not triplets:
         raise cp.CorpusFormatError(f"{args.corpus}: no documents long enough to sample "
                                    f"coherence triplets from (each needs 3 sentences)")
-    params = coh.train_coherence(triplets, config, child_rng(args.seed, "coherence-train"))
+    params = coh.train_coherence(triplets, config, child_rng(args.seed, "coherence-train"), used)
     _describe(params, "coherence", config, vocab)
     nm.save_checkpoint(params, args.out)
     log.info("trained on %d triplets; checkpoint at %s", len(triplets), args.out)
@@ -289,10 +323,13 @@ def cmd_pretrain(args) -> int:
     from . import extractor as ex
     from . import numeric as nm
 
-    vocab = cp.load_vocab(args.vocab)
-    config = _config(ExtractorConfig, args, vocab_size=vocab.size)
-    docs = list(cp.load_corpus(args.corpus, vocab=vocab, max_tokens=config.max_tokens,
-                               max_sentences=config.max_sentences))
+    lines = cp.vocab_lines(args.vocab)
+    cp.check_distinct(lines, args.vocab)
+    config = _config(ExtractorConfig, args, vocab_size=len(lines))
+    docs = list(cp.load_corpus(args.corpus, max_sentences=config.max_sentences))
+    vocab = len(lines), cp.vocab_fingerprint(lines)
+    used = _encode_as_rows(docs, lines, config.max_tokens)
+    del lines
     if args.labels:
         by_id = _read_by_id(args.labels, _labels, (doc.id for doc in docs))
         labeled = [(doc, by_id[doc.id]) for doc in docs]
@@ -304,7 +341,7 @@ def cmd_pretrain(args) -> int:
         _require_highlights(docs, args.corpus)
         weights = _config(RewardWeights, args)
         labeled = [(doc, cp.generate_oracle_labels(doc, weights, args.cap)) for doc in docs]
-    params = ex.pretrain(labeled, config, child_rng(args.seed, "pretrain"))
+    params = ex.pretrain(labeled, config, child_rng(args.seed, "pretrain"), used)
     _describe(params, "extractor", config, vocab)
     nm.save_checkpoint(params, args.out)
     log.info("pretrained on %d documents; checkpoint at %s", len(labeled), args.out)
@@ -312,8 +349,6 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_train_rnes(args) -> int:
-    import numpy as np
-
     from . import coherence as coh
     from . import extractor as ex
     from . import numeric as nm
@@ -335,15 +370,8 @@ def cmd_train_rnes(args) -> int:
     _require_highlights(docs, args.corpus)
     # both models read only the corpus sentences and the chain's placeholder;
     # the highlights are compared by their tokens
-    sentences = [sent for doc in docs for sent in doc.sentences]
-    cp.encode_sentences(sentences, lines, ext_config.max_tokens)
+    used = _encode_as_rows(docs, lines, ext_config.max_tokens)
     del lines  # freed before the checkpoints load
-    specials = [cp.PAD_ID, cp.UNK_ID, cp.BOUNDARY_ID]
-    used, rows = np.unique(np.concatenate([specials] + [sent.ids for sent in sentences]),
-                           return_inverse=True)
-    ends = np.cumsum([len(specials)] + [len(sent.ids) for sent in sentences])
-    for sent, lo, hi in zip(sentences, ends[:-1], ends[1:]):
-        sent.ids = rows[lo:hi]
     params = nm.load_checkpoint(args.pretrain_checkpoint, rows={"embed": used},
                                 layout=ex.param_layout(ext_config))
     scorer = None
@@ -445,6 +473,29 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+# lines that `score-coherence` scores in one `coherence_forward` call, which
+# batches the last convolution and the head over them
+SCORE_GROUP = 64
+
+
+def _coherence_pairs(pairs, name, vocab: cp.Vocabulary, max_tokens: int):
+    """The encoded (first, second) sentences of each non-blank line of a pairs file, checked."""
+    for lineno, line in cp.utf8_lines(pairs, name):
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise cp.CorpusFormatError(f"{name}: line {lineno}: expected two tab-separated "
+                                       f"sentences, got {len(parts)} fields")
+        tokens = [cp.tokenize(part) for part in parts]
+        for side, toks in zip(("first", "second"), tokens):
+            if not toks:
+                raise cp.CorpusFormatError(f"{name}: line {lineno}: the {side} sentence "
+                                           f"has no tokens")
+        yield tuple(cp.encode_sentence(toks, vocab, max_tokens) for toks in tokens)
+
+
 def cmd_score_coherence(args) -> int:
     from . import coherence as coh
     from . import numeric as nm
@@ -457,22 +508,24 @@ def cmd_score_coherence(args) -> int:
     source = (contextlib.nullcontext(sys.stdin.buffer) if args.pairs == "-"
               else open(args.pairs, "rb"))
     sink = contextlib.nullcontext(sys.stdout) if args.out == "-" else atomic_write(args.out)
+
+    def write(group):
+        if group:
+            scores = coh.coherence_forward(group, params, config)
+            out.writelines(f"{score:.6f}\n" for score in scores)
+
     with source as pairs, sink as out:
-        for lineno, line in cp.utf8_lines(pairs, name):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise cp.CorpusFormatError(f"{name}: line {lineno}: expected two tab-separated "
-                                           f"sentences, got {len(parts)} fields")
-            tokens = [cp.tokenize(part) for part in parts]
-            for side, toks in zip(("first", "second"), tokens):
-                if not toks:
-                    raise cp.CorpusFormatError(f"{name}: line {lineno}: the {side} sentence "
-                                               f"has no tokens")
-            sa, sb = (cp.encode_sentence(toks, vocab, config.max_tokens) for toks in tokens)
-            out.write(f"{coh.coherence_forward([(sa, sb)], params, config)[0]:.6f}\n")
+        group = []
+        try:
+            for pair in _coherence_pairs(pairs, name, vocab, config.max_tokens):
+                group.append(pair)
+                if len(group) == SCORE_GROUP:
+                    write(group)
+                    group = []
+        except cp.CorpusFormatError:  # a bad line fails after the scores of the lines before it
+            write(group)
+            raise
+        write(group)
     return 0
 
 

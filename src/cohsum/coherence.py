@@ -156,8 +156,10 @@ def param_layout(config: CoherenceConfig) -> list[tuple[str, tuple, str]]:
     return layout + [("out_w", (prev, 1), "uniform"), ("out_b", (1,), "zeros")]
 
 
-def init_coherence_params(config: CoherenceConfig, rng: np.random.Generator) -> ParamStore:
-    return nm.init_params(param_layout(config), rng)
+def init_coherence_params(config: CoherenceConfig, rng: np.random.Generator,
+                          rows: np.ndarray | None = None) -> ParamStore:
+    """Fresh parameters; `rows`, if given, are the only embedding rows drawn and kept."""
+    return nm.init_params(param_layout(config), rng, None if rows is None else {"embed": rows})
 
 
 def _check_ids(ids, config: CoherenceConfig, which: str) -> np.ndarray:
@@ -314,10 +316,15 @@ def triplet_loss(triplets: list[CoherenceTriplet], params: ParamStore,
 
 
 def train_coherence(
-    triplets: list[CoherenceTriplet], config: CoherenceConfig, rng: np.random.Generator
+    triplets: list[CoherenceTriplet], config: CoherenceConfig, rng: np.random.Generator,
+    rows: np.ndarray | None = None,
 ) -> ParamStore:
-    """Fresh parameters from `rng`, then SGD on the mean hinge loss for config.epochs."""
-    params = init_coherence_params(config, rng)
+    """Fresh parameters from `rng`, then SGD on the mean hinge loss for config.epochs.
+
+    With `rows`, the embedding holds only those rows of the table, and the
+    triplets' ids are rows of it (`init_coherence_params`).
+    """
+    params = init_coherence_params(config, rng, rows)
     return nm.minibatch_sgd(triplets, lambda batch, p: triplet_loss(batch, p, config), params,
                             rng, config.lr, config.batch_size, config.epochs, "coherence")
 

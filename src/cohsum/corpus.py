@@ -289,7 +289,7 @@ def vocab_lines(path) -> list[str]:
     same, and a carriage return elsewhere is part of the token. Bytes that are
     not valid UTF-8 fail naming the line they are on, as `utf8_lines` does,
     and the first three lines must be the specials. No line is checked
-    against the others (`load_vocab` does that).
+    against the others (`check_distinct` does that).
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -309,19 +309,23 @@ def vocab_lines(path) -> list[str]:
     return lines
 
 
+def check_distinct(lines: list[str], path) -> None:
+    """Fail, naming the file and both lines, if a token of `vocab_lines(path)` is repeated."""
+    if len(set(lines)) == len(lines):
+        return
+    first_line: dict[str, int] = {}
+    for lineno, token in enumerate(lines, start=1):
+        if token in first_line:
+            raise CorpusFormatError(f"{path}: line {lineno}: token {token!r} already used on "
+                                    f"line {first_line[token]}")
+        first_line[token] = lineno
+
+
 def load_vocab(path) -> Vocabulary:
-    """The vocabulary saved at path (`vocab_lines`), whose tokens must all differ."""
+    """The vocabulary saved at path (`vocab_lines`), its tokens all different (`check_distinct`)."""
     lines = vocab_lines(path)
-    try:
-        return Vocabulary(lines[3:])
-    except ValueError:  # a repeated token: name the file and both of its lines
-        first_line: dict[str, int] = {}
-        for lineno, token in enumerate(lines, start=1):
-            if token in first_line:
-                raise CorpusFormatError(f"{path}: line {lineno}: token {token!r} already used on "
-                                        f"line {first_line[token]}") from None
-            first_line[token] = lineno
-        raise
+    check_distinct(lines, path)
+    return Vocabulary(lines[3:])
 
 
 class _KeptIds(dict):
@@ -335,11 +339,13 @@ def encode_sentences(sentences: list[Sentence], lines: list[str], max_tokens: in
     """Set each sentence's ids (`encode_sentence`) from a vocabulary file's `vocab_lines`.
 
     Only the ids of the sentences' own tokens are kept; a token the file
-    lacks is UNK, as in `Vocabulary.lookup`. Unlike `load_vocab`, this does
-    not check that no token is repeated: a caller first matches the file's
-    size and fingerprint with a checkpoint header's, so the file is the
-    token list that passed that check when `train-coherence` or `pretrain`
-    wrote the checkpoint.
+    lacks is UNK, as in `Vocabulary.lookup`. A repeated token would take its
+    last id here, where `Vocabulary` rejects it, but no caller passes one:
+    `train-coherence` and `pretrain`, where a vocabulary file first meets a
+    model, check the file first (`check_distinct`), and a stage that loads a
+    checkpoint first matches the file's size and fingerprint with the
+    checkpoint header's, so the file is the token list that passed that
+    check when the checkpoint was written.
     """
     used = set(tokens_of(sentences))
     kept = _KeptIds((token, i) for i, token in enumerate(lines) if token in used)

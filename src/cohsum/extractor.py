@@ -74,9 +74,13 @@ def param_layout(config: ExtractorConfig) -> list[tuple[str, tuple, str]]:
     ]
 
 
-def init_extractor_params(config: ExtractorConfig, rng: np.random.Generator) -> ParamStore:
-    """Fresh parameters: uniform [-0.08, 0.08] weights, zero biases."""
-    return nm.init_params(param_layout(config), rng)
+def init_extractor_params(config: ExtractorConfig, rng: np.random.Generator,
+                          rows: np.ndarray | None = None) -> ParamStore:
+    """Fresh parameters: uniform [-0.08, 0.08] weights, zero biases.
+
+    `rows`, if given, are the only embedding rows drawn and kept.
+    """
+    return nm.init_params(param_layout(config), rng, None if rows is None else {"embed": rows})
 
 
 def sentence_vectors(doc: Document, params: ParamStore, config: ExtractorConfig) -> Tensor:
@@ -211,9 +215,14 @@ def pretrain(
     labeled_docs: list[tuple[Document, list[int]]],
     config: ExtractorConfig,
     rng: np.random.Generator,
+    rows: np.ndarray | None = None,
 ) -> ParamStore:
-    """Fresh parameters from `rng`, then SGD on the mean teacher-forced NLL for config.epochs."""
-    params = init_extractor_params(config, rng)
+    """Fresh parameters from `rng`, then SGD on the mean teacher-forced NLL for config.epochs.
+
+    With `rows`, the embedding holds only those rows of the table, and the
+    documents' ids are rows of it (`init_extractor_params`).
+    """
+    params = init_extractor_params(config, rng, rows)
     return nm.minibatch_sgd(labeled_docs,
                             lambda batch, p: sum(pretrain_loss(*item, p, config) for item in batch),
                             params, rng, config.lr, config.batch_size, config.epochs, "pretrain")

@@ -114,12 +114,20 @@ is 64-bit so finite-difference gradient checks are decisive.
   rows of a 2-D tensor (an embedding table, of which a corpus reads a few
   thousand rows) names them in `load_checkpoint`'s `rows`: the tensor then
   passes through one buffer of `LOAD_BLOCK` elements, every block is checked
-  to be finite, and only those rows are kept. The store records where the tensor came from, and
-  `save_checkpoint` writes it whole: the same block loop reads the source
-  again and writes each block with the kept rows over it, so a trained table
-  is never whole in memory either. Every load error is a `CheckpointError`
-  naming the file, and the tensor when there is one. Writes go through
-  `atomic.atomic_write`, a temporary file moved into place.
+  to be finite, and only those rows are kept. A model initialized for such
+  a corpus names them in `init_params`' `rows`: only those rows of the
+  uniform draw are drawn, each run of consecutive rows from a copy of the
+  generator advanced to it, and the generator is then advanced past the
+  whole draw, so every row and every later draw holds the bits of the whole
+  draw. The store records where such a tensor's other rows come from, in
+  `ParamStore.sources`, as one of two kinds: the file it was loaded from
+  (`_FileSource`) or the generator state it was drawn from (`_DrawSource`).
+  `save_checkpoint` writes it whole through one block loop: each block of the
+  source, read again from the file or drawn again from the state, is written
+  with the kept rows over it, so a trained table is never whole in memory
+  either. Every load error is a `CheckpointError` naming the file, and the
+  tensor when there is one. Writes go through `atomic.atomic_write`, a
+  temporary file moved into place.
 """
 
 from __future__ import annotations
@@ -1124,13 +1132,17 @@ def linear(x, weight, bias) -> Tensor:
 # -- parameters ---------------------------------------------------------------
 
 
+INIT_SCALE = 0.08  # "uniform" parameters are drawn in [-INIT_SCALE, INIT_SCALE]
+
+
 class ParamStore:
     """Named trainable tensors; names unique, shapes fixed at creation."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
         self.meta: dict = {}  # JSON-ready model description, a checkpoint's header
-        self.sources: dict[str, _RowSource] = {}  # tensors loaded with only some of their rows
+        # tensors that hold only some of their rows: where the others come from
+        self.sources: dict[str, _FileSource | _DrawSource] = {}
 
     def add(self, name: str, data) -> Tensor:
         """Add parameter `name` holding data, which must be finite.
@@ -1147,7 +1159,8 @@ class ParamStore:
         self._params[name] = t
         return t
 
-    def init_uniform(self, name: str, shape, rng: np.random.Generator, scale: float = 0.08) -> Tensor:
+    def init_uniform(self, name: str, shape, rng: np.random.Generator,
+                     scale: float = INIT_SCALE) -> Tensor:
         return self.add(name, rng.uniform(-scale, scale, size=shape))
 
     def init_zeros(self, name: str, shape) -> Tensor:
@@ -1173,18 +1186,34 @@ class ParamStore:
             p.grad = None
 
 
-def init_params(layout, rng: np.random.Generator) -> ParamStore:
+def init_params(layout, rng: np.random.Generator, rows: dict | None = None) -> ParamStore:
     """Fresh parameters from a model's (name, shape, init) layout, drawn from rng in its order.
 
     init is "uniform", weights uniform in [-0.08, 0.08], or "zeros", which
-    draws nothing.
+    draws nothing. `rows` maps the name of a 2-D "uniform" tensor to sorted
+    unique row ids: only those rows are drawn and kept, in order, and the
+    store's `sources` records the generator state the tensor was drawn from,
+    for `save_checkpoint` to write it whole (`_draw_rows`). Every tensor,
+    the kept rows included, holds the bits of the whole draw, and rng is
+    left as the whole draw leaves it.
     """
+    rows = rows or {}
     params = ParamStore()
     for name, shape, init in layout:
-        if init == "uniform":
+        if name in rows:
+            if init != "uniform":
+                raise ValueError(f"tensor {name!r} is {init}: it draws no rows to select")
+            kept = _check_rows("init_params", name, shape, rows[name])
+            source = _DrawSource(rng.bit_generator.state, shape, kept)
+            params.add(name, _draw_rows(rng, source))
+            params.sources[name] = source
+        elif init == "uniform":
             params.init_uniform(name, shape, rng)
         else:
             params.init_zeros(name, shape)
+    missing = sorted(set(rows) - set(params.names()))
+    if missing:
+        raise ValueError(f"no tensor {missing[0]!r} to draw rows of")
     return params
 
 
@@ -1297,7 +1326,7 @@ _CKPT_MAGIC = b"COHSUMCK"
 _CKPT_VERSION = 2
 
 
-class _RowSource(NamedTuple):
+class _FileSource(NamedTuple):
     """The checkpoint a row-selected tensor was loaded from, which holds its other rows."""
 
     path: str | os.PathLike
@@ -1305,6 +1334,71 @@ class _RowSource(NamedTuple):
     shape: tuple  # the whole tensor's, [n, d]
     rows: np.ndarray  # the rows kept, sorted and unique
     stamp: tuple  # the file's identity, size and mtime at the load
+
+    def blocks(self, name: str):
+        """The tensor read again from the file (`_file_blocks`), which must not have changed."""
+        with open(self.path, "rb") as fh:
+            if _stamp(os.fstat(fh.fileno())) != self.stamp:
+                raise CheckpointError(f"{self.path}: changed since tensor {name!r} was loaded "
+                                      f"from it, so the rows not loaded cannot be written back")
+            fh.seek(self.offset)
+            yield from _file_blocks(fh, self.path, name, self.shape)
+
+
+class _DrawSource(NamedTuple):
+    """The generator state a row-selected "uniform" tensor was drawn from: it gives the other rows.
+
+    The state is a PCG64's, whose `Generator.uniform` takes one 64-bit output
+    per double, so row r of the [n, d] draw is the d doubles drawn after
+    advancing a copy of the state by r * d outputs.
+    """
+
+    state: dict  # `bit_generator.state` before the draw
+    shape: tuple  # the whole tensor's, [n, d]
+    rows: np.ndarray  # the rows kept, sorted and unique
+
+    def generator(self) -> np.random.Generator:
+        """A new generator at the state, so drawing from it leaves the recorded state as it is."""
+        bit_generator = np.random.PCG64()
+        bit_generator.state = self.state
+        return np.random.Generator(bit_generator)
+
+    def blocks(self, name: str):
+        """The whole draw again, in blocks of about LOAD_BLOCK elements (`_block_rows`)."""
+        n, d = self.shape
+        gen, step = self.generator(), _block_rows(d)
+        for start in range(0, n, step):
+            yield gen.uniform(-INIT_SCALE, INIT_SCALE, size=(min(step, n - start), d))
+
+
+def _draw_rows(rng: np.random.Generator, source: _DrawSource) -> np.ndarray:
+    """Rows `source.rows` of rng.uniform(-INIT_SCALE, INIT_SCALE, size=source.shape), bit for bit.
+
+    Each run of consecutive kept rows is drawn in calls of at most a block of
+    rows (`_block_rows`), after a copy of rng's state is advanced to its
+    first row; so the temporaries are one block, also when every row is kept.
+    rng itself is then advanced past the whole draw, and every later draw
+    from it is the one that follows the whole draw. `advance` drops a
+    buffered 32-bit value that a double draw keeps, so it is copied back.
+    """
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise TypeError(f"rows are drawn alone from a PCG64, not a "
+                        f"{type(rng.bit_generator).__name__}")
+    (n, d), rows = source.shape, source.rows
+    out = np.empty((len(rows), d))
+    gen, at, step = source.generator(), 0, _block_rows(d)  # gen is at row `at`
+    starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1)  # of runs; -2, so row 0 starts one
+    for lo, hi in zip(starts, [*starts[1:], len(rows)]):
+        gen.bit_generator.advance(int(rows[lo] - at) * d)
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            out[a:b] = gen.uniform(-INIT_SCALE, INIT_SCALE, size=(b - a, d))
+        at = rows[hi - 1] + 1
+    rng.bit_generator.advance(n * d)
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = source.state["has_uint32"], source.state["uinteger"]
+    rng.bit_generator.state = state
+    return out
 
 
 def _stamp(stat: os.stat_result) -> tuple:
@@ -1317,12 +1411,16 @@ def save_checkpoint(params: ParamStore, path) -> None:
     Layout, integers `<I`: b"COHSUMCK", version 2, header byte count, header
     (UTF-8 JSON, keys sorted), tensor count, then per tensor the name byte
     count, UTF-8 name, rank, each dimension and the float64-LE values in C
-    order, each written from its own buffer. A tensor loaded with only some
-    of its rows (`load_checkpoint`'s `rows`) is written whole: its source is
-    read again block by block, each block checked to be finite, with the kept
-    rows written over it; a source that changed since the load raises
-    `CheckpointError`. The file is written through `atomic_write`, so a failed
-    write leaves any previous checkpoint intact, and the source may be `path`.
+    order, each written from its own buffer. A tensor that holds only some
+    of its rows is written whole (`_write_rows`), block by block from its
+    source, with the kept rows written over each block: a tensor loaded with
+    `load_checkpoint`'s `rows` is read again from its file, each block
+    checked to be finite, and a file that changed since the load raises
+    `CheckpointError`; one drawn with `init_params`' `rows` is drawn again
+    from the recorded generator state, so it is written as the whole draw
+    with the same edits would be. The file is written through
+    `atomic_write`, so a failed write leaves any previous checkpoint intact,
+    and the source may be `path`.
     """
     header = json.dumps(params.meta, sort_keys=True).encode("utf-8")
     with atomic_write(path, "wb") as fh:
@@ -1344,42 +1442,52 @@ def save_checkpoint(params: ParamStore, path) -> None:
                 _write_rows(fh, name, p.data, source)
 
 
-def _write_rows(out, name: str, kept: np.ndarray, source: _RowSource) -> None:
-    """Write tensor `name` whole: the rows of its source, with `kept` over the rows it holds."""
-    with open(source.path, "rb") as fh:
-        if _stamp(os.fstat(fh.fileno())) != source.stamp:
-            raise CheckpointError(f"{source.path}: changed since tensor {name!r} was loaded "
-                                  f"from it, so the rows not loaded cannot be written back")
-        fh.seek(source.offset)
-        for block, rows, span in _row_blocks(fh, source.path, name, source.shape, source.rows):
+def _write_rows(out, name: str, kept: np.ndarray, source: _FileSource | _DrawSource) -> None:
+    """Write tensor `name` whole: its source's blocks, with `kept` over the rows it holds."""
+    with contextlib.closing(source.blocks(name)) as blocks:  # a file source closes its file
+        for block, rows, span in _row_blocks(blocks, source.rows):
             block[rows] = kept[span]
             out.write(block.data)
 
 
-def _row_blocks(fh, path, name: str, shape: tuple, rows: np.ndarray):
-    """The [n, d] tensor `name` at fh, block by block, each with the kept rows that fall in it.
+def _block_rows(d: int) -> int:
+    """Rows of a [n, d] tensor in one block of about LOAD_BLOCK elements, at least one."""
+    return max(1, LOAD_BLOCK // max(d, 1))
 
-    Yields (block, rows in the block, their slice of `rows`) for consecutive
-    blocks of about LOAD_BLOCK elements, all read into one buffer, so the
-    whole tensor is never allocated. Every block is checked to be finite,
-    also where no row is kept. `rows` is sorted and unique.
+
+def _file_blocks(fh, path, name: str, shape: tuple):
+    """The [n, d] tensor `name` at fh, in consecutive blocks of `_block_rows` rows.
+
+    All are read into one buffer, so the whole tensor is never allocated, and
+    each is checked to be finite.
     """
     n, d = shape
-    buffer = np.empty((max(1, LOAD_BLOCK // max(d, 1)), d), dtype="<f8")
+    buffer = np.empty((_block_rows(d), d), dtype="<f8")
     for start in range(0, n, len(buffer)):
         block = buffer[: min(len(buffer), n - start)]
         if fh.readinto(block.reshape(-1).view(np.uint8)) != block.nbytes:
             raise CheckpointError(f"{path}: truncated while reading tensor {name!r} data")
         if not _all_finite(block):
             raise CheckpointError(_non_finite(path, name))
+        yield block
+
+
+def _row_blocks(blocks, rows: np.ndarray):
+    """(block, kept rows in the block, their slice of `rows`) of each of a tensor's row blocks.
+
+    `blocks` are the tensor's consecutive row blocks; `rows` is sorted and unique.
+    """
+    start = 0
+    for block in blocks:
         lo, hi = np.searchsorted(rows, (start, start + len(block)))
         yield block, rows[lo:hi] - start, slice(lo, hi)
+        start += len(block)
 
 
 def _read_rows(fh, path, name: str, shape: tuple, rows: np.ndarray) -> np.ndarray:
-    """Rows `rows` (sorted, unique) of the [n, d] tensor `name` at fh, in order (`_row_blocks`)."""
+    """Rows `rows` (sorted, unique) of the [n, d] tensor `name` at fh, in order (`_file_blocks`)."""
     out = np.empty((len(rows), shape[1]), dtype="<f8")
-    for block, kept, span in _row_blocks(fh, path, name, shape, rows):
+    for block, kept, span in _row_blocks(_file_blocks(fh, path, name, shape), rows):
         np.take(block, kept, axis=0, out=out[span])
     return out
 
@@ -1489,7 +1597,7 @@ def load_checkpoint(path, rows: dict | None = None, *, layout=None) -> ParamStor
             _need(fh, path, stat.st_size, 8 * math.prod(shape), f"tensor {name!r} data")
             if name in rows:
                 kept = _check_rows(path, name, shape, rows[name])
-                params.sources[name] = _RowSource(path, fh.tell(), shape, kept, _stamp(stat))
+                params.sources[name] = _FileSource(path, fh.tell(), shape, kept, _stamp(stat))
                 data = _read_rows(fh, path, name, shape, kept)
             else:
                 data = np.empty(shape, dtype="<f8")

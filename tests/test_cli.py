@@ -1198,12 +1198,25 @@ def _mutated_lines(blob: bytes, data) -> bytes:
 
 @pytest.mark.parametrize("blob", [b"<PAD>\n<UNK>\n<BOUNDARY>\nriver\n\xffstone\n",
                                   b"<PAD>\n<BOUNDARY>\n<UNK>\nriver\n"])
-@pytest.mark.parametrize("stage", ["train-rnes", "summarize beam"])
+@pytest.mark.parametrize("stage", ["train-rnes", "summarize beam", "train-coherence", "pretrain"])
 def test_checkpoint_stages_fail_on_a_bad_vocabulary_as_load_vocab_does_before_the_corpus(
         stage_inputs, tmp_path, caplog, blob, stage):
     # these stages read the vocabulary file in one pass, keeping only the
     # corpus's tokens; a bad file fails there, before a missing corpus does
-    root, bases = stage_inputs
+    _assert_fails_as_load_vocab_before_the_corpus(stage_inputs, tmp_path, caplog, blob, stage)
+
+
+@pytest.mark.parametrize("stage", ["train-coherence", "pretrain"])
+def test_training_stages_fail_on_a_repeated_vocabulary_token_naming_both_lines(
+        stage_inputs, tmp_path, caplog, stage):
+    # these stages build a model from the file, so a repeated token fails as
+    # in `load_vocab`, naming both of its lines, and before a missing corpus
+    blob = b"<PAD>\n<UNK>\n<BOUNDARY>\nriver\nstone\nriver\n"
+    _assert_fails_as_load_vocab_before_the_corpus(stage_inputs, tmp_path, caplog, blob, stage)
+
+
+def _assert_fails_as_load_vocab_before_the_corpus(stage_inputs, tmp_path, caplog, blob, stage):
+    _, bases = stage_inputs
     vocab = tmp_path / "bad_vocab.txt"
     vocab.write_bytes(blob)
     with pytest.raises(CorpusFormatError) as expected:
@@ -1214,6 +1227,73 @@ def test_checkpoint_stages_fail_on_a_bad_vocabulary_as_load_vocab_does_before_th
     assert run(argv) == 1
     assert _one_error_line(caplog) == str(expected.value)
     assert sorted(os.listdir(tmp_path)) == ["bad_vocab.txt"]
+
+
+def _encode_whole_table(docs, lines, max_tokens):
+    """`cli._encode_as_rows` as the whole table would read it: vocabulary ids, no rows."""
+    from cohsum import corpus as cp
+
+    cp.encode_sentences([sent for doc in docs for sent in doc.sentences], lines, max_tokens)
+    return None  # `init_params` then draws every row
+
+
+@pytest.mark.parametrize("epochs", ["0", "2"])
+@pytest.mark.parametrize("stage", ["train-coherence", "pretrain"])
+def test_training_stages_write_the_checkpoint_of_the_whole_table(corpus, larger_vocab, tmp_path,
+                                                                 monkeypatch, stage, epochs):
+    # the model holds only the rows of the corpus's ids; the words only the
+    # larger vocabulary has are drawn again into the checkpoint, as the whole
+    # table held them, and training moves the same kept rows by the same steps
+    flags = TINY_COHERENCE if stage == "train-coherence" else TINY_EXTRACTOR
+    argv = [stage, "--corpus", str(corpus), "--vocab", str(larger_vocab), "--seed", "5",
+            *flags, "--epochs", epochs, "--out"]
+    assert run(argv + [str(tmp_path / "rows.ckpt")]) == 0
+    monkeypatch.setattr(cli, "_encode_as_rows", _encode_whole_table)
+    assert run(argv + [str(tmp_path / "whole.ckpt")]) == 0
+    assert (tmp_path / "rows.ckpt").read_bytes() == (tmp_path / "whole.ckpt").read_bytes()
+
+
+def _scores_one_call_per_line(root, pairs: str) -> list[str]:
+    """The scores of `score-coherence` on the pairs, each line scored alone, 6 decimals."""
+    from cohsum import corpus as cp
+
+    vocab = load_vocab(root / "vocab.txt")
+    params = load_checkpoint(root / "coh.ckpt")
+    config = cli._model_config(root / "coh.ckpt", "coherence", CoherenceConfig,
+                               (vocab.size, vocab.fingerprint()))
+    scores = []
+    for line in pairs.splitlines():
+        sa, sb = (cp.encode_sentence(cp.tokenize(part), vocab, config.max_tokens)
+                  for part in line.split("\t"))
+        scores.append(f"{coherence_forward([(sa, sb)], params, config)[0]:.6f}")
+    return scores
+
+
+@pytest.mark.parametrize("bad_line", [None, 4, 5],
+                         ids=["all good", "in a group", "a group's first"])
+def test_score_coherence_scores_in_groups_what_it_scores_one_line_at_a_time(
+        stage_inputs, tmp_path, monkeypatch, capsys, caplog, bad_line):
+    # groups of 2: lines 1-2, 3-4, 5-6, 7; a bad line still fails naming
+    # itself, after the scores of every line before it
+    root, _ = stage_inputs
+    monkeypatch.setattr(cli, "SCORE_GROUP", 2)
+    good = ["river stone wind\tlight cloud", "wind shore\tvalley branch", "stone\triver light",
+            "cloud cloud\tshore", "valley\tbranch wind stone", "light\tlight", "shore\triver"]
+    lines = list(good)
+    if bad_line is not None:
+        lines[bad_line - 1] = "one field only"
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("\n".join(lines) + "\n")
+    caplog.clear()
+    code = run(["score-coherence", "--checkpoint", str(root / "coh.ckpt"),
+                "--vocab", str(root / "vocab.txt"), "--pairs", str(pairs)])
+    printed = capsys.readouterr().out.splitlines()
+    expected = _scores_one_call_per_line(root, "\n".join(good))
+    if bad_line is None:
+        assert code == 0 and printed == expected
+    else:
+        assert code == 1 and printed == expected[:bad_line - 1]
+        assert f"{pairs}: line {bad_line}: expected two tab-separated" in _one_error_line(caplog)
 
 
 # caplog is cleared at the start of each example

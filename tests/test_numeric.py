@@ -1040,6 +1040,93 @@ def test_row_selected_save_never_allocates_the_whole_table(tmp_path):
     assert (tmp_path / "out.ckpt").read_bytes() == path.read_bytes()
 
 
+# `_table_checkpoint`'s tensors, and a "zeros" one, as a model's layout
+TABLE_LAYOUT = [("first", (3,), "uniform"), ("embed", (10, 4), "uniform"),
+                ("bias", (4,), "zeros"), ("last", (2, 5), "uniform")]
+DRAWN_ROWS = {"specials": [0, 1, 2], "first": [0], "last": [9], "edge 3": [2, 3], "edge 6": [5, 6],
+              "runs": [0, 2, 3, 5, 6, 8, 9], "every": list(range(10)), "none": []}
+
+
+def _generator(buffered: bool) -> np.random.Generator:
+    """A PCG64 generator; a buffered one holds a 32-bit value, as a float32 draw leaves it."""
+    rng = np.random.default_rng(11)
+    if buffered:
+        rng.random(dtype=np.float32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+def _next_draws(rng: np.random.Generator) -> list[bytes]:
+    """The bytes of the draws that follow; the float32 one reads a buffered 32-bit value."""
+    return [draw.tobytes() for draw in (rng.random(1, dtype=np.float32), rng.random(3),
+                                        rng.integers(0, 1000, size=4), rng.permutation(12))]
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered"])
+@pytest.mark.parametrize("kept", DRAWN_ROWS.values(), ids=DRAWN_ROWS)
+def test_row_selected_init_holds_the_bits_of_the_whole_draw_and_leaves_rng_as_it(
+        monkeypatch, kept, buffered):
+    monkeypatch.setattr(nm, "LOAD_BLOCK", 3 * 4)  # draws of at most 3 rows: edges at rows 3 and 6
+    rows = np.array(kept, dtype=np.int64)
+    whole_rng, rows_rng = _generator(buffered), _generator(buffered)
+    whole = nm.init_params(TABLE_LAYOUT, whole_rng)
+    selected = nm.init_params(TABLE_LAYOUT, rows_rng, rows={"embed": rows})
+    assert selected.names() == whole.names()
+    for name, p in whole.items():
+        expected = p.data[rows] if name == "embed" else p.data
+        assert selected[name].data.tobytes() == expected.tobytes(), name
+    assert _next_draws(rows_rng) == _next_draws(whole_rng)
+
+
+@pytest.mark.parametrize("kept", DRAWN_ROWS.values(), ids=DRAWN_ROWS)
+def test_row_selected_init_saves_the_bytes_of_the_whole_draw_given_the_same_steps(
+        tmp_path, monkeypatch, kept):
+    monkeypatch.setattr(nm, "LOAD_BLOCK", 3 * 4)  # blocks of 3 rows: edges at rows 3 and 6
+    rows = np.array(kept, dtype=np.int64)
+    whole = nm.init_params(TABLE_LAYOUT, _generator(True))
+    selected = nm.init_params(TABLE_LAYOUT, _generator(True), rows={"embed": rows})
+    for step in range(2):  # the draw alone, then after an SGD step on the kept rows
+        save_checkpoint(whole, tmp_path / "whole.ckpt")
+        save_checkpoint(selected, tmp_path / "selected.ckpt")
+        assert (tmp_path / "selected.ckpt").read_bytes() == (tmp_path / "whole.ckpt").read_bytes()
+        g = np.random.default_rng(step).normal(size=(len(rows), 4))
+        sgd_step(selected["embed"], g, 0.1, "embed")
+        dense = np.zeros((10, 4))
+        dense[rows] = g
+        sgd_step(whole["embed"], dense, 0.1, "embed")
+        _edit(whole, rows)
+        _edit(selected, slice(None))
+
+
+def test_row_selected_init_and_save_never_allocate_the_whole_table(tmp_path):
+    n, d = 20000, 64
+    layout = [("embed", (n, d), "uniform")]
+    kept = np.unique(np.random.default_rng(1).integers(0, n, size=1500))
+    stores = []
+    peak = traced_peak(lambda: stores.append(
+        nm.init_params(layout, np.random.default_rng(0), rows={"embed": kept})))
+    assert 8 * nm.LOAD_BLOCK * 8 < n * d * 8  # the table is far larger than one block
+    assert peak < 8 * d * len(kept) + 8 * nm.LOAD_BLOCK + (64 << 10)  # the kept rows, one draw
+    peak = traced_peak(lambda: save_checkpoint(stores[0], tmp_path / "rows.ckpt"))
+    assert peak < 2 * 8 * nm.LOAD_BLOCK + (64 << 10)  # a drawn block and the one before it
+    save_checkpoint(nm.init_params(layout, np.random.default_rng(0)), tmp_path / "whole.ckpt")
+    assert (tmp_path / "rows.ckpt").read_bytes() == (tmp_path / "whole.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("rows, rng, error, message", [
+    ({"bias": [0]}, None, ValueError, "tensor 'bias' is zeros: it draws no rows to select"),
+    ({"absent": [0]}, None, ValueError, "no tensor 'absent' to draw rows of"),
+    ({"embed": [4, 2]}, None, CheckpointError,
+     "init_params: row ids for tensor 'embed' must be a sorted vector of unique integers"),
+    ({"embed": [3, 10]}, None, CheckpointError, "run from 3 to 10, outside its 10 rows"),
+    ({"embed": [0]}, np.random.Generator(np.random.MT19937(0)), TypeError,
+     "rows are drawn alone from a PCG64, not a MT19937"),
+], ids=["zeros", "absent", "unsorted", "out of range", "not PCG64"])
+def test_row_selected_init_rejects_rows_it_cannot_draw(rows, rng, error, message):
+    with pytest.raises(error, match=message):
+        nm.init_params(TABLE_LAYOUT, rng or _generator(False), rows=rows)
+
+
 @pytest.mark.parametrize("model", [coherence, extractor], ids=["coherence", "extractor"])
 def test_no_two_parameters_share_a_buffer(tmp_path, model):
     # `ParamStore.add` keeps the array it is handed, and `sgd_step` writes that
