@@ -12,13 +12,15 @@ from __future__ import annotations
 import json
 import string
 import unicodedata
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .atomic import atomic_write
 from .config import DEFAULT_MAX_SENTENCES, DEFAULT_MAX_TOKENS, RewardWeights
-from .rouge import combined_rouge
+from .rouge import (combined_rouge, f1_score, lcs_masks, lcs_step, matched_masks, ngram_counts,
+                    overlap_pr, weighted_f1)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -396,25 +398,140 @@ def generate_oracle_labels(doc: Document, weights: RewardWeights, max_selected: 
     """Greedy labels: repeatedly add the sentence that most improves the combined ROUGE.
 
     Stops when no addition strictly increases the score against the
-    highlights, or after max_selected sentences.
+    highlights, or after max_selected sentences. Sentences are tried in
+    document order, and a later one must gain strictly more to win.
+
+    Each candidate summary (the selection plus one sentence, in document
+    order) is scored as `combined_rouge` scores it joined, without joining it
+    (`_GreedySelection`). Every score is built from the same integers (the
+    n-gram matches, the token totals and the LCS length) by the same
+    divisions in `overlap_pr` and `f1_score`, which `RougeScore` uses, and
+    the same sum in `weighted_f1`, so each float, each tie and each label is
+    bit for bit the joined candidate's.
     """
     reference = doc.highlight_tokens()
-    selected: set[int] = set()
+    selection = _GreedySelection(doc.sentences, reference)
     best_score = combined_rouge([], reference, weights)
-    while len(selected) < max_selected:
+    while len(selection.chosen) < max_selected:
         best_gain, best_idx, best_total = 0.0, None, best_score
         for i in range(doc.n_sentences):
-            if i in selected:
+            if i in selection.members:
                 continue
-            candidate = tokens_of(doc.sentences[j] for j in sorted(selected | {i}))
-            score = combined_rouge(candidate, reference, weights)
+            score = selection.score(i, weights)
             if score - best_score > best_gain:
                 best_gain, best_idx, best_total = score - best_score, i, score
         if best_idx is None:
             break
-        selected.add(best_idx)
+        selection.add(best_idx)
         best_score = best_total
-    return [1 if i in selected else 0 for i in range(doc.n_sentences)]
+    return [1 if i in selection.members else 0 for i in range(doc.n_sentences)]
+
+
+class _GreedySelection:
+    """The greedy oracle's selection, kept as the counts that `combined_rouge` reads.
+
+    Once per document: the reference's unigram and bigram counts, its LCS
+    masks, and each sentence's n-grams that the reference contains (others
+    never match). Per round: the selection's clipped matches (the sum of
+    min(count, reference count) over its n-grams), its token total, and
+    the LCS state after each prefix of the selected sentences. A candidate's
+    matches then differ from the selection's only by its own n-grams and the
+    at most three bigrams across sentence boundaries that inserting it makes
+    or breaks, and its LCS state is stepped on from the prefix before it.
+    """
+
+    def __init__(self, sentences: list[Sentence], reference: list[str]):
+        self.sentences = sentences
+        self.ref1, self.ref2 = ngram_counts(reference, 1), ngram_counts(reference, 2)
+        self.ref_totals = (sum(self.ref1.values()), sum(self.ref2.values()), len(reference))
+        masks = lcs_masks(reference)
+        self.full = (1 << len(reference)) - 1
+        self.unigrams = [self._contained(sent.tokens, self.ref1, 1) for sent in sentences]
+        self.bigrams = [self._contained(sent.tokens, self.ref2, 2) for sent in sentences]
+        self.matched = [matched_masks(sent.tokens, masks) for sent in sentences]
+        self.chosen: list[int] = []  # selected sentences in document order
+        self.members: set[int] = set()
+        self.counts1: dict = {}  # the selection's n-grams that the reference contains
+        self.counts2: dict = {}
+        self.match1 = self.match2 = self.length = 0
+        self.states = [self.full]  # LCS state after each prefix of `chosen`
+        self._note_ends()
+
+    @staticmethod
+    def _contained(tokens: list[str], ref: Counter, n: int) -> dict:
+        return {gram: count for gram, count in ngram_counts(tokens, n).items() if gram in ref}
+
+    def _note_ends(self) -> None:
+        """Note, for each insertion point, the selected tokens just before and just after it.
+
+        No selected sentence is token-less: one adds nothing to the summary,
+        so it never gains, and is never chosen.
+        """
+        self.before = [None] + [self.sentences[j].tokens[-1] for j in self.chosen]
+        self.after = [self.sentences[j].tokens[0] for j in self.chosen] + [None]
+
+    def _bigram_change(self, i: int, p: int) -> dict:
+        """The selection's change in contained bigrams when sentence i goes in at position p."""
+        tokens = self.sentences[i].tokens
+        change = dict(self.bigrams[i])
+        if not tokens:
+            return change
+        before, after = self.before[p], self.after[p]
+        edges = []
+        if before is not None:
+            edges.append(((before, tokens[0]), 1))
+        if after is not None:
+            edges.append(((tokens[-1], after), 1))
+            if before is not None:
+                edges.append(((before, after), -1))
+        for gram, step in edges:
+            if gram in self.ref2:
+                change[gram] = change.get(gram, 0) + step
+        return change
+
+    @staticmethod
+    def _match_gain(change: dict, counts: dict, ref: Counter) -> int:
+        """Change in the clipped matches, sum(min(count, ref count)), as `change` is added."""
+        gain = 0
+        for gram, step in change.items():
+            have, cap = counts.get(gram, 0), ref[gram]
+            gain += min(have + step, cap) - min(have, cap)
+        return gain
+
+    @staticmethod
+    def _add(change: dict, counts: dict) -> None:
+        for gram, step in change.items():
+            counts[gram] = counts.get(gram, 0) + step
+
+    def score(self, i: int, weights: RewardWeights) -> float:
+        """`combined_rouge` of the selection with sentence i added, in document order."""
+        p = bisect_left(self.chosen, i)
+        match1 = self.match1 + self._match_gain(self.unigrams[i], self.counts1, self.ref1)
+        match2 = self.match2 + self._match_gain(self._bigram_change(i, p), self.counts2, self.ref2)
+        total = self.length + self.sentences[i].length
+        v = lcs_step(self.states[p], self.matched[i], self.full)
+        for j in self.chosen[p:]:
+            v = lcs_step(v, self.matched[j], self.full)
+        total1, total2, total_l = self.ref_totals
+        return weighted_f1(weights, f1_score(*overlap_pr(match1, total, total1)),
+                           f1_score(*overlap_pr(match2, max(total - 1, 0), total2)),
+                           f1_score(*overlap_pr(total_l - v.bit_count(), total, total_l)))
+
+    def add(self, i: int) -> None:
+        """Select sentence i."""
+        p = bisect_left(self.chosen, i)
+        change = self._bigram_change(i, p)
+        self.match1 += self._match_gain(self.unigrams[i], self.counts1, self.ref1)
+        self.match2 += self._match_gain(change, self.counts2, self.ref2)
+        self._add(self.unigrams[i], self.counts1)
+        self._add(change, self.counts2)
+        self.length += self.sentences[i].length
+        self.chosen.insert(p, i)
+        self.members.add(i)
+        del self.states[p + 1:]
+        for j in self.chosen[p:]:
+            self.states.append(lcs_step(self.states[-1], self.matched[j], self.full))
+        self._note_ends()
 
 
 def lead3(doc: Document) -> list[int]:

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 from unittest import mock
@@ -11,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohsum import rouge
+from cohsum import corpus, rouge
 from cohsum.corpus import (
     BOUNDARY_ID,
     PAD_ID,
     UNK_ID,
     UNK_TOKEN,
     CorpusFormatError,
+    Document,
     Sentence,
     Vocabulary,
     build_vocab,
@@ -35,8 +37,9 @@ from cohsum.corpus import (
     vocab_fingerprint,
     vocab_lines,
 )
-from cohsum.corpus import _is_punct
+from cohsum.corpus import _GreedySelection, _is_punct
 from cohsum.rouge import RewardWeights, combined_rouge
+from reference_corpus import generate_oracle_labels as labels_by_joining
 from reference_corpus import tokenize as tokenize_by_char
 from reference_rouge import lcs_length as lcs_by_dp
 
@@ -459,9 +462,94 @@ _sentence = st.lists(st.sampled_from("a b c d".split()), min_size=1, max_size=12
        st.integers(min_value=1, max_value=4))
 @settings(max_examples=150, deadline=None)
 def test_oracle_labels_are_those_of_the_dp_lcs(sentences, highlights, cap):
-    # a four-token alphabet makes repeated tokens and tied gains common
+    # a four-token alphabet makes repeated tokens and tied gains common; the
+    # labels are those of scoring each joined candidate with the DP LCS
     doc = make_document("d", sentences, highlights)
     labels = generate_oracle_labels(doc, WEIGHTS, cap)
     with mock.patch.object(rouge, "lcs_length", wraps=lcs_by_dp) as dp:
-        assert generate_oracle_labels(doc, WEIGHTS, cap) == labels
-    assert dp.called
+        assert labels_by_joining(doc, WEIGHTS, cap) == labels
+    assert dp.call_count > 1
+
+
+def _sentences(tokens):
+    """Sentences built directly, so a token-less one stays (`make_document` drops it)."""
+    return st.lists(st.lists(tokens, max_size=7), max_size=9).map(
+        lambda lists: [Sentence(" ".join(t), t) for t in lists])
+
+
+@st.composite
+def _oracle_cases(draw):
+    # three tokens repeat n-grams within and across sentence boundaries; the
+    # highlights may be empty or token-less, any weight may be 0, and the cap
+    # may reach or pass the sentence count
+    tokens = st.sampled_from("a b c".split())
+    sentences = draw(_sentences(tokens).filter(bool))
+    highlights = draw(_sentences(tokens).map(lambda s: s[:4]))
+    weights = RewardWeights(*draw(st.lists(st.sampled_from([0, 0.0, 0.4, 1.0, 0.5]),
+                                           min_size=3, max_size=3)))
+    cap = draw(st.integers(min_value=1, max_value=len(sentences) + 2))
+    return Document("d", sentences, highlights), weights, cap
+
+
+@given(_oracle_cases())
+@settings(max_examples=400, deadline=None)
+def test_oracle_labels_are_those_of_scoring_each_joined_candidate(case):
+    doc, weights, cap = case
+    assert generate_oracle_labels(doc, weights, cap) == labels_by_joining(doc, weights, cap)
+
+
+@given(_oracle_cases())
+@settings(max_examples=200, deadline=None)
+def test_every_candidate_score_is_the_joined_candidates_float(case):
+    # bit for bit, in every round of the greedy walk, the chosen sentence included
+    doc, weights, cap = case
+    reference = doc.highlight_tokens()
+    selection = _GreedySelection(doc.sentences, reference)
+    best = combined_rouge([], reference, weights)
+    for i in range(cap):
+        scores = {}
+        for j in range(doc.n_sentences):
+            if j not in selection.members:
+                joined = tokens_of(doc.sentences[k] for k in sorted(selection.members | {j}))
+                scores[j] = selection.score(j, weights)
+                assert scores[j] == combined_rouge(joined, reference, weights), (i, j)
+        if not scores or max(scores.values()) - best <= 0.0:
+            break  # where the oracle stops
+        chosen = max(scores, key=lambda j: (scores[j] - best, -j))
+        selection.add(chosen)
+        best = scores[chosen]
+
+
+def test_oracle_counts_bigrams_across_sentence_boundaries_past_empty_sentences():
+    # "x y" forms only where sentence 0 meets sentence 4, with no token between
+    # them; the empty sentences make no boundary of their own. ROUGE-1 picks
+    # one of the two first; ROUGE-2 alone finds no first sentence that gains
+    sentences = [Sentence(t, t.split()) for t in ["p x", "", "q r s", "", "y z", "s"]]
+    doc = Document("d", sentences, [Sentence("x y", ["x", "y"])])
+    for weights in (WEIGHTS, RewardWeights(0, 1, 0)):
+        labels = generate_oracle_labels(doc, weights, 6)
+        assert labels == labels_by_joining(doc, weights, 6)
+    assert generate_oracle_labels(doc, WEIGHTS, 6) == [1, 0, 0, 0, 1, 0]
+    assert generate_oracle_labels(doc, RewardWeights(0, 1, 0), 6) == [0, 0, 0, 0, 0, 0]
+
+
+def _count_calls(monkeypatch, name: str) -> mock.Mock:
+    """Wrap `rouge.<name>` wherever `rouge` and `corpus` bind it; the wrapper records each call."""
+    counted = mock.Mock(wraps=getattr(rouge, name))
+    for module in (rouge, corpus):
+        monkeypatch.setattr(module, name, counted, raising=False)
+    return counted
+
+
+def test_oracle_builds_the_reference_counts_and_masks_once_per_document(monkeypatch):
+    doc = make_document("d", [f"w{i} alpha beta w{i + 1} gamma" for i in range(12)],
+                        ["alpha beta w3 gamma", "w7 gamma delta beta alpha"])
+    reference = doc.highlight_tokens()
+    counts = _count_calls(monkeypatch, "ngram_counts")
+    masks = _count_calls(monkeypatch, "lcs_masks")
+    labels = generate_oracle_labels(doc, WEIGHTS, 12)
+    assert sum(labels) >= 2  # two rounds or more, each of 10 candidates or more
+    assert [c.args for c in masks.call_args_list] == [(reference,)]
+    on_reference = Counter(c.args[1] for c in counts.call_args_list if c.args[0] == reference)
+    # for the oracle's counts, and once more for the empty summary's `combined_rouge`
+    assert on_reference == {1: 2, 2: 2}

@@ -12,6 +12,9 @@ from cohsum.rouge import (
     RewardWeights,
     combined_rouge,
     lcs_length,
+    lcs_masks,
+    lcs_step,
+    matched_masks,
     ngram_counts,
     rouge_l,
     rouge_n,
@@ -177,6 +180,19 @@ def _word_boundary_cases():
 @pytest.mark.parametrize("a, b", list(_word_boundary_cases()))
 def test_lcs_matches_dp_across_word_boundaries(a, b):
     assert lcs_length(a, b) == lcs_by_dp(a, b)
+
+
+@given(st.lists(st.lists(st.sampled_from("abc"), max_size=8), max_size=5),
+       st.lists(st.sampled_from("abc"), max_size=20))
+@settings(max_examples=150)
+def test_lcs_state_stepped_piece_by_piece_is_that_of_the_whole(pieces, b):
+    # the greedy oracle steps a cached prefix state on over later sentences
+    masks, full = lcs_masks(b), (1 << len(b)) - 1
+    v = full
+    for piece in pieces:
+        v = lcs_step(v, matched_masks(piece, masks), full)
+    whole = [token for piece in pieces for token in piece]
+    assert len(b) - v.bit_count() == lcs_by_dp(whole, b) == lcs_length(whole, b)
 
 
 @given(tokens_strategy, tokens_strategy)

@@ -199,6 +199,48 @@ def test_one_function_joins_the_tokens_of_sentences():
     assert joins == [("corpus", "tokens_of")]
 
 
+def _rouge_math(node, module: str, func=None) -> list[tuple[str, str, str]]:
+    """(kind, module, innermost enclosing function) of each LCS step and guarded division under node.
+
+    The step is `(v + u) | (v - u)`; a guarded division is `x / y if ... else ...`,
+    the form of every ROUGE precision, recall and F1.
+    """
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        func = node.name
+    found = []
+    if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr)
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Add)
+            and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Sub)):
+        found.append(("lcs step", module, func))
+    if isinstance(node, ast.IfExp) and isinstance(node.body, ast.BinOp) and isinstance(
+            node.body.op, ast.Div):
+        found.append(("guarded division", module, func))
+    for child in ast.iter_child_nodes(node):
+        found += _rouge_math(child, module, func)
+    return found
+
+
+def test_the_rouge_math_guard_sees_a_step_and_a_guarded_division():
+    for source, kind in [("v = ((v + u) | (v - u)) & full", "lcs step"),
+                         ("s = (a + b) | (a - b)", "lcs step"),
+                         ("r = m / t if t > 0 else 0.0", "guarded division"),
+                         ("f = 2.0 * p * r / d if d else 0.0", "guarded division")]:
+        assert [k for k, _, _ in _rouge_math(ast.parse(f"def f():\n    {source}"), "m")] == [kind]
+    for source in ["v = (v + u) & full", "x = a | b", "r = m / t", "y = 1 if ok else 0"]:
+        assert not _rouge_math(ast.parse(f"def f():\n    {source}"), "m"), source
+
+
+def test_one_function_steps_the_lcs_and_two_divide_for_every_rouge_score():
+    # rouge_n, rouge_l and the greedy oracle's incremental scores all reach
+    # precision, recall and F1 through rouge.overlap_pr and rouge.f1_score, and
+    # lcs_length and the oracle step the LCS state through rouge.lcs_step
+    found = sorted({ref for path in SOURCES
+                    for ref in _rouge_math(ast.parse(path.read_text(encoding="utf-8")), path.stem)})
+    assert found == [("guarded division", "rouge", "f1_score"),
+                     ("guarded division", "rouge", "overlap_pr"),
+                     ("lcs step", "rouge", "lcs_step")]
+
+
 def _dense_weight_gradients(tree: ast.Module) -> list[int]:
     """Lines of each `_accumulate` call whose gradient argument is an `<x>.T @ ...` product."""
     return [node.lineno for node in ast.walk(tree)
