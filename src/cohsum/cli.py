@@ -21,8 +21,8 @@ without --labels. Sentence geometry comes from one place per stage:
   only --max-sentences; `train-coherence` also truncates documents at
   --max-sentences before it samples triplets.
 - `summarize --method lead3` reads only the text of the first three
-  sentences, so it loads the corpus unencoded at the default truncation
-  and reads no vocabulary; `--vocab` is required for beam decoding only.
+  sentences, so it loads the corpus at the default truncation and reads
+  no vocabulary; `--vocab` is required for beam decoding only.
 
 `summarize --method beam` extracts exactly min(--cap, n) sentences of an
 n-sentence document, so its summaries are never empty. Both methods give
@@ -43,35 +43,22 @@ the file and the id.
 `train-coherence`, `pretrain`, `train-rnes` and `summarize --method beam`
 read the vocabulary file in one pass (`corpus.vocab_lines`), which checks
 its UTF-8 and header lines, and then the whole corpus before any tensor;
-they fail in that order. `train-coherence` and `pretrain` build a model
-from the file and write its size and fingerprint into the model's
-checkpoint header, so they also reject a repeated token, naming both of
-its lines (`corpus.check_distinct`, as `load_vocab` does). `train-rnes`
-and `summarize --method beam` check their flags first and match the file's
-line count and fingerprint (`corpus.vocab_fingerprint`) with each
-checkpoint header before the corpus, and `train-rnes` also checks the
-highlights; they look for no repeated token, since a file that matches a
-header is the token list that passed that check when the checkpoint was
-written. Each stage parses the corpus
-once, unencoded, and encodes it with the ids of its sentences' tokens only
-(`corpus.encode_sentences`), so no `Vocabulary` of every line is built.
-`score-coherence` streams its pairs, so it has no token set up front; it
-loads the vocabulary whole (`corpus.load_vocab`), with the check. Each
-checkpoint is loaded against the layout of its header's model, which
-checks every tensor's name and shape before its data is read.
-
-The models of the three training stages see nothing but the corpus
-sentences and, in `train-rnes`, the chain's BOUNDARY placeholder, so each
-holds only the embedding rows of the ids those hold, with PAD, UNK and
-BOUNDARY at rows 0, 1 and 2; one helper, `_encode_as_rows`, gives the kept
-rows and each sentence's ids as rows. The training stages draw only the kept rows of a
-fresh table (`numeric.init_params`' `rows`), and the checkpoint they save
-holds the whole draw, the other rows drawn again from the generator state.
-`train-rnes` loads only the kept rows of the policy and of the frozen
-coherence scorer (read only with --lambda > 0); the rows not kept are still
-checked to be finite, and the policy's are written back from its source
-checkpoint when the trained policy is saved, so `--out` may name that
-checkpoint.
+they fail in that order. The two that build a model write the file's size
+and fingerprint into its checkpoint header, so they also reject a repeated
+token, naming both of its lines (`corpus.check_distinct`). The two that load
+a model check their flags first and match the file's size and fingerprint
+(`corpus.vocab_fingerprint`) with each checkpoint header before the corpus.
+Each of the four parses the corpus once and encodes its sentences with
+`corpus.encode_as_rows`, as rows of a table that keeps only the embedding
+rows they read, PAD, UNK and BOUNDARY at rows 0, 1 and 2. A training stage
+draws only those rows (`numeric.init_params`' `rows`) and saves the whole
+draw, the other rows drawn again. A loading stage reads only those rows
+(`numeric.load_checkpoint`'s `rows`), though every row is checked to be
+finite; `train-rnes` writes the policy's other rows back from its source,
+so `--out` may name that checkpoint. `score-coherence` streams its pairs,
+so it loads the vocabulary whole (`corpus.load_vocab`) and encodes each line
+with its ids. Every checkpoint is loaded against the layout of its header's
+model, which checks every tensor's name and shape before its data is read.
 
 Every output file is written through `atomic.atomic_write`, so a stage that
 fails leaves no partial output and no temporary file; `score-coherence
@@ -81,11 +68,10 @@ Imports come in two tiers. This module imports only the text tier at load:
 `corpus`, `rouge`, `atomic` and `config`, none of which imports numpy, so
 `preprocess`, `label`, `evaluate`, `summarize --method lead3` (`corpus.lead3`)
 and `--help` start without it (importing numpy is most of a text stage's
-start-up). Each tensor command imports the modules it calls at its own top,
-as do `child_rng` and `_encode_as_rows`, and `_model_config` imports
-`numeric`: `summarize --method beam` imports `decode`, `extractor` and `numeric`, and `train-rnes`
-imports `numeric`, `coherence`, `extractor` and `reinforce`.
-`_report_selected` and `evaluate`
+start-up). Each tensor command, `child_rng` and `_model_config` import what
+they call at their own top: `summarize --method beam` imports `decode`,
+`extractor` and `numeric`, and `train-rnes` `numeric`, `coherence`,
+`extractor` and `reinforce`. `_report_selected` and `evaluate`
 take their median and means in plain Python. The module's `__getattr__`
 keeps `cli.load_checkpoint` as a name for `numeric.load_checkpoint`,
 resolved when it is read, for code that finds the loader here; the
@@ -159,27 +145,6 @@ def _describe(params, kind: str, config, vocab: tuple[int, str]) -> None:
     size, fingerprint = vocab
     params.meta = {"model": kind, "config": dataclasses.asdict(config),
                    "vocab": {"size": size, "sha256": fingerprint}}
-
-
-def _encode_as_rows(docs: list[cp.Document], lines: list[str], max_tokens: int) -> np.ndarray:
-    """Encode the documents' sentences (`corpus.encode_sentences`) as rows of a table of their ids.
-
-    Returns those ids, sorted: row k of the table is row used[k] of the
-    vocabulary's, and each sentence's ids become rows. PAD, UNK and BOUNDARY
-    are always kept, at rows 0, 1 and 2, so the padding and the RL chain's
-    placeholder read the same rows. One `np.unique` gives the rows.
-    """
-    import numpy as np
-
-    sentences = [sent for doc in docs for sent in doc.sentences]
-    cp.encode_sentences(sentences, lines, max_tokens)
-    specials = [cp.PAD_ID, cp.UNK_ID, cp.BOUNDARY_ID]
-    used, rows = np.unique(np.concatenate([specials] + [sent.ids for sent in sentences]),
-                           return_inverse=True)
-    ends = np.cumsum([len(specials)] + [len(sent.ids) for sent in sentences])
-    for sent, lo, hi in zip(sentences, ends[:-1], ends[1:]):
-        sent.ids = rows[lo:hi]
-    return used
 
 
 def _model_config(path: str, kind: str, config_cls, vocab: tuple[int, str]):
@@ -300,7 +265,8 @@ def cmd_train_coherence(args) -> int:
     config = _config(CoherenceConfig, args, vocab_size=len(lines))
     docs = list(cp.load_corpus(args.corpus, max_sentences=args.max_sentences))
     vocab = len(lines), cp.vocab_fingerprint(lines)
-    used = _encode_as_rows(docs, lines, config.max_tokens)
+    used = cp.encode_as_rows([sent for doc in docs for sent in doc.sentences], lines,
+                             config.max_tokens)
     del lines
     sample_rng = child_rng(args.seed, "coherence-triplets")
     triplets = []
@@ -328,7 +294,8 @@ def cmd_pretrain(args) -> int:
     config = _config(ExtractorConfig, args, vocab_size=len(lines))
     docs = list(cp.load_corpus(args.corpus, max_sentences=config.max_sentences))
     vocab = len(lines), cp.vocab_fingerprint(lines)
-    used = _encode_as_rows(docs, lines, config.max_tokens)
+    used = cp.encode_as_rows([sent for doc in docs for sent in doc.sentences], lines,
+                             config.max_tokens)
     del lines
     if args.labels:
         by_id = _read_by_id(args.labels, _labels, (doc.id for doc in docs))
@@ -370,7 +337,8 @@ def cmd_train_rnes(args) -> int:
     _require_highlights(docs, args.corpus)
     # both models read only the corpus sentences and the chain's placeholder;
     # the highlights are compared by their tokens
-    used = _encode_as_rows(docs, lines, ext_config.max_tokens)
+    used = cp.encode_as_rows([sent for doc in docs for sent in doc.sentences], lines,
+                             ext_config.max_tokens)
     del lines  # freed before the checkpoints load
     params = nm.load_checkpoint(args.pretrain_checkpoint, rows={"embed": used},
                                 layout=ex.param_layout(ext_config))
@@ -399,10 +367,11 @@ def cmd_summarize(args) -> int:
         config = _model_config(args.checkpoint, "extractor", ExtractorConfig,
                                (len(lines), cp.vocab_fingerprint(lines)))
         docs = list(cp.load_corpus(args.corpus, max_sentences=config.max_sentences))
-        cp.encode_sentences([sent for doc in docs for sent in doc.sentences], lines,
-                            config.max_tokens)
+        used = cp.encode_as_rows([sent for doc in docs for sent in doc.sentences], lines,
+                                 config.max_tokens)
         del lines  # freed before the checkpoint loads
-        params = nm.load_checkpoint(args.checkpoint, layout=ex.param_layout(config))
+        params = nm.load_checkpoint(args.checkpoint, rows={"embed": used},
+                                    layout=ex.param_layout(config))
     else:
         docs = cp.load_corpus(args.corpus)
     counts = []
@@ -478,7 +447,7 @@ def cmd_evaluate(args) -> int:
 SCORE_GROUP = 64
 
 
-def _coherence_pairs(pairs, name, vocab: cp.Vocabulary, max_tokens: int):
+def _coherence_pairs(pairs, name, ids: dict[str, int], max_tokens: int):
     """The encoded (first, second) sentences of each non-blank line of a pairs file, checked."""
     for lineno, line in cp.utf8_lines(pairs, name):
         line = line.rstrip("\r\n")
@@ -493,7 +462,7 @@ def _coherence_pairs(pairs, name, vocab: cp.Vocabulary, max_tokens: int):
             if not toks:
                 raise cp.CorpusFormatError(f"{name}: line {lineno}: the {side} sentence "
                                            f"has no tokens")
-        yield tuple(cp.encode_sentence(toks, vocab, max_tokens) for toks in tokens)
+        yield tuple(cp.encode_sentence(toks, ids, max_tokens) for toks in tokens)
 
 
 def cmd_score_coherence(args) -> int:
@@ -502,7 +471,7 @@ def cmd_score_coherence(args) -> int:
 
     vocab = cp.load_vocab(args.vocab)
     config = _model_config(args.checkpoint, "coherence", CoherenceConfig,
-                           (vocab.size, vocab.fingerprint()))
+                           (vocab.size, cp.vocab_fingerprint(vocab.id_to_token)))
     params = nm.load_checkpoint(args.checkpoint, layout=coh.param_layout(config))
     name = "stdin" if args.pairs == "-" else args.pairs
     source = (contextlib.nullcontext(sys.stdin.buffer) if args.pairs == "-"
@@ -517,7 +486,7 @@ def cmd_score_coherence(args) -> int:
     with source as pairs, sink as out:
         group = []
         try:
-            for pair in _coherence_pairs(pairs, name, vocab, config.max_tokens):
+            for pair in _coherence_pairs(pairs, name, vocab.token_to_id, config.max_tokens):
                 group.append(pair)
                 if len(group) == SCORE_GROUP:
                     write(group)

@@ -2,9 +2,11 @@
 
 Corpus files are JSON Lines: one record per line with fields `id` (string,
 unique within the file), `sentences` (array of sentence strings) and
-`highlights` (array of strings).
+`highlights` (array of strings). Loading a corpus only tokenizes it.
 The vocabulary file is one token per line behind a three-line header for the
-PAD / UNK / BOUNDARY specials, so line number equals id.
+PAD / UNK / BOUNDARY specials, so line number equals id. A stage that trains
+or decodes encodes its corpus once, with `encode_as_rows`, as rows of a table
+that holds only the rows its sentences read.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .atomic import atomic_write
-from .config import DEFAULT_MAX_SENTENCES, DEFAULT_MAX_TOKENS, RewardWeights
+from .config import DEFAULT_MAX_SENTENCES, RewardWeights
 from .rouge import (combined_rouge, f1_score, lcs_masks, lcs_step, matched_masks, ngram_counts,
                     overlap_pr, weighted_f1)
 
@@ -89,10 +91,6 @@ class Vocabulary:
     def lookup(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 
-    def fingerprint(self) -> str:
-        """SHA-256 hex digest of the tokens in id order (`vocab_fingerprint`)."""
-        return vocab_fingerprint(self.id_to_token)
-
 
 def vocab_fingerprint(tokens: list[str]) -> str:
     """SHA-256 hex digest of a vocabulary's tokens in id order, as `save_vocab` writes them."""
@@ -111,19 +109,19 @@ def build_vocab(documents: Iterable["Document"], max_size: int) -> Vocabulary:
     return Vocabulary(token for token, _ in ranked[: max_size - 3])
 
 
-def encode_sentence(tokens: list[str], vocab: Vocabulary | _KeptIds, max_tokens: int) -> np.ndarray:
-    """Fixed-length id vector: truncate past max_tokens, PAD-fill the tail."""
+def encode_sentence(tokens: list[str], ids: dict[str, int], max_tokens: int) -> np.ndarray:
+    """Fixed-length vector of the tokens' ids, UNK where `ids` lacks one: truncated, PAD-filled."""
     import numpy as np  # the text stages never encode, and start without numpy
 
-    ids = np.full(max_tokens, PAD_ID, dtype=np.int64)
+    out = np.full(max_tokens, PAD_ID, dtype=np.int64)
     for i, token in enumerate(tokens[:max_tokens]):
-        ids[i] = vocab.lookup(token)
-    return ids
+        out[i] = ids.get(token, UNK_ID)
+    return out
 
 
 @dataclass
 class Sentence:
-    """One sentence: raw text, its tokens, and (once encoded) fixed-length ids."""
+    """One sentence: raw text, its tokens, and (once encoded, `encode_as_rows`) fixed-length ids."""
 
     text: str
     tokens: list[str]
@@ -134,11 +132,8 @@ class Sentence:
         return len(self.tokens)
 
 
-def make_sentence(text: str, vocab: Vocabulary | None = None,
-                  max_tokens: int = DEFAULT_MAX_TOKENS) -> Sentence:
-    tokens = tokenize(text)
-    ids = encode_sentence(tokens, vocab, max_tokens) if vocab is not None else None
-    return Sentence(text, tokens, ids)
+def make_sentence(text: str) -> Sentence:
+    return Sentence(text, tokenize(text))
 
 
 def tokens_of(sentences: Iterable[Sentence]) -> list[str]:
@@ -146,7 +141,7 @@ def tokens_of(sentences: Iterable[Sentence]) -> list[str]:
     return [token for sent in sentences for token in sent.tokens]
 
 
-def placeholder_sentence(max_tokens: int = DEFAULT_MAX_TOKENS) -> Sentence:
+def placeholder_sentence(max_tokens: int) -> Sentence:
     """The synthetic start sentence used before anything has been extracted."""
     import numpy as np
 
@@ -175,16 +170,10 @@ def make_document(
     doc_id: str,
     sentences: list[str],
     highlights: list[str] = (),
-    vocab: Vocabulary | None = None,
-    max_tokens: int = DEFAULT_MAX_TOKENS,
     max_sentences: int = DEFAULT_MAX_SENTENCES,
 ) -> Document:
-    """Tokenize, drop empty sentences, truncate, and optionally encode the sentences.
-
-    Highlights are only tokenized: ROUGE compares them by their tokens.
-    """
-    sents = [make_sentence(s, vocab, max_tokens) for s in sentences]
-    sents = [s for s in sents if s.tokens][:max_sentences]
+    """Tokenize, drop empty sentences and highlights, and keep the first max_sentences sentences."""
+    sents = [s for s in map(make_sentence, sentences) if s.tokens][:max_sentences]
     if not sents:
         raise CorpusFormatError(f"document {doc_id!r} has no non-empty sentences")
     highs = [h for h in map(make_sentence, highlights) if h.tokens]
@@ -244,13 +233,8 @@ def jsonl_records(path) -> Iterator[tuple[int, str, dict]]:
             yield lineno, doc_id, record
 
 
-def load_corpus(
-    path,
-    vocab: Vocabulary | None = None,
-    max_tokens: int = DEFAULT_MAX_TOKENS,
-    max_sentences: int = DEFAULT_MAX_SENTENCES,
-) -> Iterator[Document]:
-    """Yield documents in file order; ids stay unencoded when vocab is None.
+def load_corpus(path, max_sentences: int = DEFAULT_MAX_SENTENCES) -> Iterator[Document]:
+    """Yield the documents in file order, tokenized (`make_document`).
 
     A file with no record is a `CorpusFormatError` naming it, raised once
     the file is read to its end.
@@ -267,8 +251,6 @@ def load_corpus(
                 doc_id,
                 string_array(record, "sentences"),
                 string_array(record, "highlights"),
-                vocab=vocab,
-                max_tokens=max_tokens,
                 max_sentences=max_sentences,
             )
         except CorpusFormatError as exc:
@@ -330,29 +312,31 @@ def load_vocab(path) -> Vocabulary:
     return Vocabulary(lines[3:])
 
 
-class _KeptIds(dict):
-    """The ids of some tokens of a vocabulary; `lookup` gives UNK for any other token."""
+def encode_as_rows(sentences: list[Sentence], lines: list[str], max_tokens: int) -> np.ndarray:
+    """Set each sentence's ids (`encode_sentence`) as rows of a table of only the rows they read.
 
-    def lookup(self, token: str) -> int:
-        return self.get(token, UNK_ID)
+    `lines` is a vocabulary file's `vocab_lines`, so a token's id is its
+    line. The table keeps PAD, UNK and BOUNDARY as rows 0, 1 and 2, their
+    ids, then each token of the file that a sentence holds in its first
+    max_tokens positions, in file order; a token the file lacks is UNK.
+    Returns the kept rows' vocabulary ids, sorted: the `rows` of the table
+    (`numeric.init_params`, `numeric.load_checkpoint`).
 
-
-def encode_sentences(sentences: list[Sentence], lines: list[str], max_tokens: int) -> None:
-    """Set each sentence's ids (`encode_sentence`) from a vocabulary file's `vocab_lines`.
-
-    Only the ids of the sentences' own tokens are kept; a token the file
-    lacks is UNK, as in `Vocabulary.lookup`. A repeated token would take its
-    last id here, where `Vocabulary` rejects it, but no caller passes one:
-    `train-coherence` and `pretrain`, where a vocabulary file first meets a
-    model, check the file first (`check_distinct`), and a stage that loads a
-    checkpoint first matches the file's size and fingerprint with the
-    checkpoint header's, so the file is the token list that passed that
-    check when the checkpoint was written.
+    A repeated token would keep both of its rows and read the last, but no
+    caller passes one: a stage that builds a model checks the file first
+    (`check_distinct`), and one that loads a model matches the file's size
+    and fingerprint with its checkpoint header's, so the file is the token
+    list that passed that check.
     """
-    used = set(tokens_of(sentences))
-    kept = _KeptIds((token, i) for i, token in enumerate(lines) if token in used)
+    import numpy as np
+
+    read = {token for sent in sentences for token in sent.tokens[:max_tokens]}
+    kept = [PAD_ID, UNK_ID, BOUNDARY_ID]
+    kept += [i for i, token in enumerate(lines) if token in read and i > BOUNDARY_ID]
+    rows = {lines[i]: row for row, i in enumerate(kept)}
     for sent in sentences:
-        sent.ids = encode_sentence(sent.tokens, kept, max_tokens)
+        sent.ids = encode_sentence(sent.tokens, rows, max_tokens)
+    return np.array(kept, dtype=np.int64)
 
 
 @dataclass

@@ -95,7 +95,8 @@ def sentence_vectors(doc: Document, params: ParamStore, config: ExtractorConfig)
         if sent.length == 0:
             raise ValueError(f"document {doc.id!r}: cannot featurize an empty sentence")
         if sent.ids is None:
-            raise ValueError("sentence has no ids; encode the corpus with a vocabulary first")
+            raise ValueError("sentence has no ids; encode the corpus with "
+                             "corpus.encode_as_rows first")
     ids = np.stack([sent.ids for sent in doc.sentences])
     n, width = ids.shape
     lengths = [min(sent.length, config.max_tokens, width) for sent in doc.sentences]

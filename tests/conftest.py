@@ -9,7 +9,8 @@ import pytest
 
 from cohsum import numeric as nm
 from cohsum.coherence import CoherenceConfig
-from cohsum.corpus import Document, Vocabulary, make_document
+from cohsum.config import DEFAULT_MAX_TOKENS
+from cohsum.corpus import Document, Sentence, Vocabulary, encode_sentence, make_document
 from cohsum.extractor import ExtractorConfig
 from cohsum.numeric import ParamStore
 from reference_numeric import topological_order
@@ -161,7 +162,20 @@ def toy_document(doc_id: str, rng: np.random.Generator, vocab: Vocabulary | None
         for _ in range(n_sentences)
     ]
     highlights = [sentences[i] for i in highlight_sentences if i < n_sentences]
-    return make_document(doc_id, sentences, highlights, vocab=vocab, max_tokens=max_tokens)
+    doc = make_document(doc_id, sentences, highlights)
+    return doc if vocab is None else encoded(doc, vocab, max_tokens)
+
+
+def encoded(item: Document | Sentence, vocab: Vocabulary, max_tokens: int = DEFAULT_MAX_TOKENS):
+    """item, with the ids of each of its sentences set to their vocabulary ids, and returned.
+
+    The ids are rows of the whole table; the CLI's `corpus.encode_as_rows` gives
+    rows of a table of only the rows they read. A document's highlights stay
+    unencoded, as in the CLI.
+    """
+    for sent in item.sentences if isinstance(item, Document) else [item]:
+        sent.ids = encode_sentence(sent.tokens, vocab.token_to_id, max_tokens)
+    return item
 
 
 def logged_epoch_losses(caplog, name: str) -> list[float]:

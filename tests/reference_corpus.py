@@ -7,12 +7,21 @@ punctuation. `cohsum.corpus.tokenize` is tested against it.
 `generate_oracle_labels` is `corpus.generate_oracle_labels` as it was before
 the incremental form: each candidate summary is joined and scored whole by
 `combined_rouge`. `cohsum.corpus.generate_oracle_labels` is tested against it.
+
+`encode_as_rows` is the encode of the CLI's model stages as it was before
+tokens were mapped straight to rows: each sentence is encoded with the
+vocabulary ids of its tokens, and one `np.unique` of those ids then gives
+the kept rows and each id's row. `cohsum.corpus.encode_as_rows` is tested
+against it.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from cohsum.config import RewardWeights
-from cohsum.corpus import Document, _is_punct, tokens_of
+from cohsum.corpus import (BOUNDARY_ID, PAD_ID, UNK_ID, Document, Sentence, _is_punct,
+                           encode_sentence, tokens_of)
 from cohsum.rouge import combined_rouge
 
 
@@ -57,3 +66,21 @@ def generate_oracle_labels(doc: Document, weights: RewardWeights, max_selected: 
         selected.add(best_idx)
         best_score = best_total
     return [1 if i in selected else 0 for i in range(doc.n_sentences)]
+
+
+def encode_as_rows(sentences: list[Sentence], lines: list[str], max_tokens: int) -> np.ndarray:
+    """Set each sentence's ids as rows of a table of the ids they read; return those ids, sorted.
+
+    PAD, UNK and BOUNDARY are always kept, at rows 0, 1 and 2.
+    """
+    used = set(tokens_of(sentences))
+    kept = {token: i for i, token in enumerate(lines) if token in used}
+    for sent in sentences:
+        sent.ids = encode_sentence(sent.tokens, kept, max_tokens)
+    specials = [PAD_ID, UNK_ID, BOUNDARY_ID]
+    ids, rows = np.unique(np.concatenate([specials] + [sent.ids for sent in sentences]),
+                          return_inverse=True)
+    ends = np.cumsum([len(specials)] + [len(sent.ids) for sent in sentences])
+    for sent, lo, hi in zip(sentences, ends[:-1], ends[1:]):
+        sent.ids = rows[lo:hi]
+    return ids

@@ -34,7 +34,8 @@ def word_features(sentence, params: ParamStore, config: ExtractorConfig) -> tupl
     if sentence.length == 0:
         raise ValueError("cannot featurize an empty sentence")
     if sentence.ids is None:
-        raise ValueError("sentence has no ids; encode the corpus with a vocabulary first")
+        raise ValueError("sentence has no ids; encode the corpus with "
+                         "corpus.encode_as_rows first")
     m = min(sentence.length, config.max_tokens)
     embedded = nm.gather_rows(params["embed"], sentence.ids)
     per_kernel = []

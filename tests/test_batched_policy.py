@@ -29,6 +29,7 @@ from cohsum.reinforce import Episode, sample_episode, surrogate_objective
 
 from conftest import (
     assert_grads_close,
+    encoded,
     gradients_of,
     recording_nodes,
     small_vocab,
@@ -48,8 +49,8 @@ seed_st = st.integers(min_value=0, max_value=2**31)
 
 def _document(sentences):
     texts = [" ".join(tokens) for tokens in sentences]
-    return make_document("d", texts, texts[:1], vocab=VOCAB, max_tokens=CONFIG.max_tokens,
-                         max_sentences=CONFIG.max_sentences)
+    return encoded(make_document("d", texts, texts[:1], max_sentences=CONFIG.max_sentences),
+                   VOCAB, CONFIG.max_tokens)
 
 
 def _params(seed, scale=0.5):
@@ -212,8 +213,8 @@ def _long_document(seed):
     rng = np.random.default_rng(seed)
     texts = [" ".join(rng.choice(WORDS, size=rng.integers(1, LONG.max_tokens + 4)))
              for _ in range(rng.integers(60, 81))]
-    return make_document(f"long{seed}", texts, texts[:1], vocab=VOCAB,
-                         max_tokens=LONG.max_tokens, max_sentences=LONG.max_sentences)
+    return encoded(make_document(f"long{seed}", texts, texts[:1],
+                                 max_sentences=LONG.max_sentences), VOCAB, LONG.max_tokens)
 
 
 @pytest.mark.parametrize("kind", ["random", "zeros", "ones"])

@@ -21,13 +21,13 @@ import cohsum
 from cohsum import cli
 from cohsum.cli import _config, build_parser, child_rng, run
 from cohsum.coherence import CoherenceConfig, coherence_forward
-from cohsum.corpus import CorpusFormatError, load_corpus, load_vocab
+from cohsum.corpus import CorpusFormatError, load_corpus, load_vocab, vocab_fingerprint
 from cohsum.extractor import ExtractorConfig, init_extractor_params
 from cohsum.numeric import ParamStore, load_checkpoint, read_header, save_checkpoint
 from cohsum.reinforce import RLConfig, train_rnes
 from cohsum.rouge import RewardWeights
 
-from conftest import tiny_extractor_config, traced_peak
+from conftest import encoded, tiny_extractor_config, traced_peak
 
 
 WORDS = ["river", "stone", "wind", "light", "cloud", "branch", "valley", "shore"]
@@ -1229,12 +1229,18 @@ def _assert_fails_as_load_vocab_before_the_corpus(stage_inputs, tmp_path, caplog
     assert sorted(os.listdir(tmp_path)) == ["bad_vocab.txt"]
 
 
-def _encode_whole_table(docs, lines, max_tokens):
-    """`cli._encode_as_rows` as the whole table would read it: vocabulary ids, no rows."""
-    from cohsum import corpus as cp
+def _encode_whole_table(sentences, lines, max_tokens):
+    """`corpus.encode_as_rows` as the whole table would read it: vocabulary ids, no rows."""
+    ids = dict(zip(lines, range(len(lines))))
+    for sent in sentences:
+        sent.ids = cli.cp.encode_sentence(sent.tokens, ids, max_tokens)
+    return None  # `init_params` then draws every row, and `_load_whole_table` reads every row
 
-    cp.encode_sentences([sent for doc in docs for sent in doc.sentences], lines, max_tokens)
-    return None  # `init_params` then draws every row
+
+def _load_whole_table(path, rows=None, *, layout=None):
+    """`numeric.load_checkpoint` of every row, where `_encode_whole_table` selected none."""
+    assert rows == {"embed": None}
+    return load_checkpoint(path, layout=layout)
 
 
 @pytest.mark.parametrize("epochs", ["0", "2"])
@@ -1248,9 +1254,54 @@ def test_training_stages_write_the_checkpoint_of_the_whole_table(corpus, larger_
     argv = [stage, "--corpus", str(corpus), "--vocab", str(larger_vocab), "--seed", "5",
             *flags, "--epochs", epochs, "--out"]
     assert run(argv + [str(tmp_path / "rows.ckpt")]) == 0
-    monkeypatch.setattr(cli, "_encode_as_rows", _encode_whole_table)
+    monkeypatch.setattr(cli.cp, "encode_as_rows", _encode_whole_table)
     assert run(argv + [str(tmp_path / "whole.ckpt")]) == 0
     assert (tmp_path / "rows.ckpt").read_bytes() == (tmp_path / "whole.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("epochs", ["0", "2"])
+def test_summarize_writes_the_summaries_of_the_whole_table(corpus, larger_vocab, tmp_path,
+                                                           monkeypatch, epochs):
+    # beam decoding reads only the embedding rows of the corpus's tokens, and
+    # writes the summaries that the whole table, read by vocabulary id, gives
+    ckpt = tmp_path / "pre.ckpt"
+    assert run(["pretrain", "--corpus", str(corpus), "--vocab", str(larger_vocab), "--seed", "5",
+                *TINY_EXTRACTOR, "--epochs", epochs, "--out", str(ckpt)]) == 0
+    argv = ["summarize", "--corpus", str(corpus), "--vocab", str(larger_vocab),
+            "--checkpoint", str(ckpt), "--beam", "4", "--cap", "2", "--out"]
+    table_rows = []
+
+    def recording_load(path, rows=None, *, layout=None):
+        params = load_checkpoint(path, rows=rows, layout=layout)
+        table_rows.append(len(params["embed"].data))
+        return params
+
+    monkeypatch.setattr(cohsum.numeric, "load_checkpoint", recording_load)
+    assert run(argv + [str(tmp_path / "rows.jsonl")]) == 0
+    assert table_rows == [load_vocab(larger_vocab).size - 4]  # the 4 unused words are dropped
+    monkeypatch.setattr(cli.cp, "encode_as_rows", _encode_whole_table)
+    monkeypatch.setattr(cohsum.numeric, "load_checkpoint", _load_whole_table)
+    assert run(argv + [str(tmp_path / "whole.jsonl")]) == 0
+    assert (tmp_path / "rows.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("word", ["river", "ember"], ids=["kept row", "dropped row"])
+def test_summarize_exits_1_on_a_nan_in_any_policy_embedding_row(corpus, tmp_path, larger_vocab,
+                                                                caplog, word):
+    # "ember" is in no sentence of the corpus, so its row is checked but not kept
+    ckpt = tmp_path / "pre.ckpt"
+    assert run(["pretrain", "--corpus", str(corpus), "--vocab", str(larger_vocab),
+                "--out", str(ckpt), "--epochs", "0"] + TINY_EXTRACTOR) == 0
+    params = load_checkpoint(ckpt)
+    params["embed"].data[load_vocab(larger_vocab).token_to_id[word], 2] = np.nan
+    save_checkpoint(params, ckpt)
+    out = tmp_path / "s.jsonl"
+    caplog.clear()
+    assert run(["summarize", "--corpus", str(corpus), "--vocab", str(larger_vocab),
+                "--checkpoint", str(ckpt), "--out", str(out)]) == 1
+    message = _one_error_line(caplog)
+    assert str(ckpt) in message and "'embed'" in message
+    assert not out.exists()
 
 
 def _scores_one_call_per_line(root, pairs: str) -> list[str]:
@@ -1260,10 +1311,10 @@ def _scores_one_call_per_line(root, pairs: str) -> list[str]:
     vocab = load_vocab(root / "vocab.txt")
     params = load_checkpoint(root / "coh.ckpt")
     config = cli._model_config(root / "coh.ckpt", "coherence", CoherenceConfig,
-                               (vocab.size, vocab.fingerprint()))
+                               (vocab.size, vocab_fingerprint(vocab.id_to_token)))
     scores = []
     for line in pairs.splitlines():
-        sa, sb = (cp.encode_sentence(cp.tokenize(part), vocab, config.max_tokens)
+        sa, sb = (cp.encode_sentence(cp.tokenize(part), vocab.token_to_id, config.max_tokens)
                   for part in line.split("\t"))
         scores.append(f"{coherence_forward([(sa, sb)], params, config)[0]:.6f}")
     return scores
@@ -1686,8 +1737,8 @@ def test_train_rnes_writes_the_policy_of_the_full_table_scorer(corpus, tmp_path,
     coh_config = CoherenceConfig(**{k: tuple(v) if isinstance(v, list) else v
                                     for k, v in coh_params.meta["config"].items()})
     assert len(coh_params["embed"].data) == vocab.size
-    docs = list(load_corpus(corpus, vocab=vocab, max_tokens=ext_config.max_tokens,
-                            max_sentences=ext_config.max_sentences))
+    docs = [encoded(doc, vocab, ext_config.max_tokens)
+            for doc in load_corpus(corpus, max_sentences=ext_config.max_sentences)]
     scorer = partial(coherence_forward, params=coh_params, config=coh_config)
     train_rnes(docs, policy, scorer, RLConfig(lam=0.01, steps=6), ext_config,
                child_rng(3, "train-rnes"))
@@ -1807,7 +1858,7 @@ def test_train_rnes_rejects_a_coherence_model_of_a_smaller_vocabulary(corpus, tm
     params = load_checkpoint(coh_ckpt)
     vocab = load_vocab(larger_vocab)
     params.meta["config"]["vocab_size"] = vocab.size
-    params.meta["vocab"] = {"size": vocab.size, "sha256": vocab.fingerprint()}
+    params.meta["vocab"] = {"size": vocab.size, "sha256": vocab_fingerprint(vocab.id_to_token)}
     save_checkpoint(params, coh_ckpt)
     caplog.clear()
     assert _train_rnes(corpus, larger_vocab, pre_ckpt, coh_ckpt, tmp_path / "rl.ckpt") == 1

@@ -23,6 +23,7 @@ from cohsum.corpus import CoherenceTriplet, Vocabulary, make_sentence, placehold
 
 from conftest import (
     assert_grads_close,
+    encoded,
     finite_difference_grads,
     gradients_of,
     logged_epoch_losses,
@@ -58,7 +59,7 @@ def _full_text(config):
 
 
 def _ids(text, vocab, config):
-    return make_sentence(text, vocab, config.max_tokens).ids
+    return encoded(make_sentence(text), vocab, config.max_tokens).ids
 
 
 def _zeroed(params):
@@ -69,9 +70,9 @@ def _zeroed(params):
 
 def _triplet(vocab, config, anchor, pos, neg):
     return CoherenceTriplet(
-        anchor=make_sentence(anchor, vocab, config.max_tokens),
-        positive=make_sentence(pos, vocab, config.max_tokens),
-        negative=make_sentence(neg, vocab, config.max_tokens),
+        anchor=encoded(make_sentence(anchor), vocab, config.max_tokens),
+        positive=encoded(make_sentence(pos), vocab, config.max_tokens),
+        negative=encoded(make_sentence(neg), vocab, config.max_tokens),
         positions=(0, 1, 2),
     )
 
@@ -246,7 +247,7 @@ def _make(words, vocab, config):
     if words is None:
         return placeholder_sentence(config.max_tokens)
     text = _full_text(config) if words == "full" else " ".join(words)
-    return make_sentence(text, vocab, config.max_tokens)
+    return encoded(make_sentence(text), vocab, config.max_tokens)
 
 
 @given(st.lists(st.tuples(_sentence, _sentence), min_size=1, max_size=6),
@@ -411,8 +412,9 @@ def test_triplet_of_padded_sentences_gradient_matches_finite_differences(vocab, 
     config = tiny_coherence_config(vocab.size, max_tokens=30)
     params = _spread(init_coherence_params(config, rng), rng)
     triplet = CoherenceTriplet(placeholder_sentence(config.max_tokens),
-                               make_sentence("alpha beta gamma", vocab, config.max_tokens),
-                               make_sentence("delta epsilon epsilon", vocab, config.max_tokens),
+                               encoded(make_sentence("alpha beta gamma"), vocab, config.max_tokens),
+                               encoded(make_sentence("delta epsilon epsilon"), vocab,
+                                       config.max_tokens),
                                positions=(0, 1, 2))
     analytic = gradients_of(triplet_loss([triplet], params, config), params)
     numeric_grads = finite_difference_grads(
@@ -454,7 +456,7 @@ def paper_chain():
                                                              52, 58, 47, 51)]
     texts[2:2] = ["w7 " * 60, "w8 " * 60]
     chain = [placeholder_sentence(config.max_tokens)]
-    chain += [make_sentence(text, vocab, config.max_tokens) for text in texts]
+    chain += [encoded(make_sentence(text), vocab, config.max_tokens) for text in texts]
     pairs = [(a.ids, b.ids) for a, b in zip(chain, chain[1:])]
     assert len(pairs) == 16
     return pairs, init_coherence_params(config, rng), config
@@ -593,7 +595,7 @@ def test_batch_triplet_loss_gradient_matches_finite_differences(vocab, rng):
     params = _spread(init_coherence_params(config, rng), rng)
     texts = ["alpha beta gamma delta", "beta gamma", "zeta eta theta", "iota kappa alpha",
              "delta delta epsilon", "theta beta", "kappa zeta eta iota"]
-    sentences = [make_sentence(t, vocab, config.max_tokens) for t in texts]
+    sentences = [encoded(make_sentence(t), vocab, config.max_tokens) for t in texts]
     pairs = [(a, b) for a in sentences for b in sentences if a is not b]
     ids = [(a.ids, b.ids) for a, b in pairs]
     # centre the readout's logits over these pairs and stretch them to a range
@@ -685,8 +687,9 @@ def test_paper_geometry_batch_step_frees_each_gradient_once_applied():
     vocab = Vocabulary(words)
     config = CoherenceConfig(vocab_size=vocab.size)
     rng = np.random.default_rng(0)
-    sentence = lambda: make_sentence(" ".join(rng.choice(words, size=rng.integers(15, 36))),
-                                     vocab, config.max_tokens)
+    sentence = lambda: encoded(
+        make_sentence(" ".join(rng.choice(words, size=rng.integers(15, 36)))), vocab,
+        config.max_tokens)
     triplets = [CoherenceTriplet(sentence(), sentence(), sentence(), positions=(0, 1, 2))
                 for _ in range(8)]
     params = init_coherence_params(config, rng)

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohsum import corpus, rouge
@@ -23,8 +23,8 @@ from cohsum.corpus import (
     Sentence,
     Vocabulary,
     build_vocab,
+    encode_as_rows,
     encode_sentence,
-    encode_sentences,
     generate_oracle_labels,
     load_corpus,
     load_vocab,
@@ -39,6 +39,7 @@ from cohsum.corpus import (
 )
 from cohsum.corpus import _GreedySelection, _is_punct
 from cohsum.rouge import RewardWeights, combined_rouge
+from reference_corpus import encode_as_rows as encode_as_ids_then_rows
 from reference_corpus import generate_oracle_labels as labels_by_joining
 from reference_corpus import tokenize as tokenize_by_char
 from reference_rouge import lcs_length as lcs_by_dp
@@ -130,19 +131,19 @@ def test_vocab_inverse_mapping():
 
 def test_encode_sentence_pads():
     vocab = Vocabulary(["a", "b"])
-    assert list(encode_sentence(["a", "b"], vocab, 4)) == [3, 4, 0, 0]
+    assert list(encode_sentence(["a", "b"], vocab.token_to_id, 4)) == [3, 4, 0, 0]
 
 
 def test_encode_sentence_truncates():
     vocab = Vocabulary(["a"])
-    ids = encode_sentence(["a"] * 60, vocab, 50)
+    ids = encode_sentence(["a"] * 60, vocab.token_to_id, 50)
     assert len(ids) == 50
     assert all(i == 3 for i in ids)
 
 
 def test_encode_sentence_unknown_token():
     vocab = Vocabulary(["a"])
-    assert list(encode_sentence(["zzz"], vocab, 2)) == [UNK_ID, PAD_ID]
+    assert list(encode_sentence(["zzz"], vocab.token_to_id, 2)) == [UNK_ID, PAD_ID]
 
 
 @given(st.lists(st.sampled_from("red green blue violet".split()), min_size=1, max_size=12))
@@ -150,7 +151,7 @@ def test_encode_sentence_unknown_token():
 def test_encode_decode_round_trip(tokens):
     vocab = Vocabulary(["red", "green", "blue"])
     max_tokens = 8
-    decoded = [vocab.id_to_token[i] for i in encode_sentence(tokens, vocab, max_tokens)
+    decoded = [vocab.id_to_token[i] for i in encode_sentence(tokens, vocab.token_to_id, max_tokens)
                if i != PAD_ID]
     expected = [t if t in vocab.token_to_id else UNK_TOKEN for t in tokens[:max_tokens]]
     assert decoded == expected
@@ -219,12 +220,14 @@ def test_one_pass_reader_gives_the_size_fingerprint_and_ids_of_load_vocab(tokens
         path = Path(tmp) / "vocab.txt"
         path.write_bytes(blob.encode("utf-8"))
         vocab, read = load_vocab(path), vocab_lines(path)
-    assert len(read) == vocab.size and vocab_fingerprint(read) == vocab.fingerprint()
+    assert len(read) == vocab.size
+    assert vocab_fingerprint(read) == vocab_fingerprint(vocab.id_to_token)
     # sentences of the file's tokens and of others, which are UNK
     sentences = [Sentence("", words[i:] + tokens[i:]) for i in range(3)]
-    encode_sentences(sentences, read, max_tokens)
+    used = encode_as_rows(sentences, read, max_tokens)
     for sent in sentences:
-        assert np.array_equal(sent.ids, encode_sentence(sent.tokens, vocab, max_tokens))
+        assert np.array_equal(used[sent.ids], encode_sentence(sent.tokens, vocab.token_to_id,
+                                                              max_tokens))
 
 
 @pytest.mark.parametrize("blob", [
@@ -242,6 +245,32 @@ def test_one_pass_reader_fails_as_load_vocab_does(tmp_path, blob):
     with pytest.raises(CorpusFormatError) as err:
         vocab_lines(path)
     assert str(err.value) == str(expected.value) and str(path) in str(err.value)
+
+
+_WORDS = [f"w{i}" for i in range(8)]
+
+
+@given(st.permutations(_WORDS), st.integers(0, len(_WORDS)),
+       st.lists(st.lists(st.sampled_from(_WORDS), max_size=10), max_size=5), st.integers(1, 12))
+@example(_WORDS, 2, [["w0", "w1"]], 1)  # w1 is read only past max_tokens
+@example(_WORDS, 2, [["w5", "w6"], ["w7"]], 4)  # every token is UNK
+@example(_WORDS, 8, [["w3"] * 3, []], 12)  # max_tokens longer than every sentence
+@settings(max_examples=150, deadline=None)
+def test_encode_as_rows_gives_the_rows_and_ids_of_the_two_step_encode(order, n_file, texts,
+                                                                     max_tokens):
+    # the file holds the first n_file words of `order`; the others are UNK
+    lines = ["<PAD>", "<UNK>", "<BOUNDARY>", *order[:n_file]]
+    sentences, reference = ([Sentence("", list(tokens)) for tokens in texts] for _ in range(2))
+    used = encode_as_rows(sentences, lines, max_tokens)
+    assert np.array_equal(used, encode_as_ids_then_rows(reference, lines, max_tokens))
+    for sent, ref in zip(sentences, reference):
+        assert np.array_equal(sent.ids, ref.ids)
+    # the kept rows are the specials and the file's tokens read within max_tokens, in file order
+    read = {token for tokens in texts for token in tokens[:max_tokens]}
+    assert used.tolist() == [i for i, token in enumerate(lines) if i < 3 or token in read]
+    ids = dict(zip(lines, range(len(lines))))
+    for sent in sentences:
+        assert np.array_equal(used[sent.ids], encode_sentence(sent.tokens, ids, max_tokens))
 
 
 def test_placeholder_sentence_layout():
@@ -288,17 +317,16 @@ def test_load_corpus_reports_missing_field(tmp_path):
         list(load_corpus(path))
 
 
-def test_encoding_applied_when_vocab_given(tmp_path):
+def test_load_corpus_only_tokenizes(tmp_path):
     path = tmp_path / "c.jsonl"
     _write_jsonl(path, [{"id": "a", "sentences": ["red green"], "highlights": ["red"]}])
-    vocab = Vocabulary(["red", "green"])
-    doc = next(load_corpus(path, vocab=vocab, max_tokens=4))
-    assert list(doc.sentences[0].ids) == [3, 4, 0, 0]
+    doc = next(load_corpus(path))
+    assert [(s.tokens, s.ids) for s in doc.sentences] == [(["red", "green"], None)]
 
 
 def test_highlights_are_tokenized_but_not_encoded():
-    doc = make_document("d", ["red green", "blue"], ["Red, green!", "  "],
-                        vocab=Vocabulary(["red", "green"]), max_tokens=4)
+    doc = make_document("d", ["red green", "blue"], ["Red, green!", "  "])
+    encode_as_rows(doc.sentences, ["<PAD>", "<UNK>", "<BOUNDARY>", "red", "green"], 4)
     assert [(h.tokens, h.ids) for h in doc.highlights] == [(["red", ",", "green", "!"], None)]
     assert doc.highlight_tokens() == tokens_of(doc.highlights)
 
@@ -318,9 +346,8 @@ def test_make_document_rejects_all_empty():
 # -- triplet sampling --------------------------------------------------------------
 
 
-def _numbered_doc(n, vocab=None):
-    return make_document("d", [f"sentence number {i}" for i in range(n)], ["sentence number 0"],
-                         vocab=vocab)
+def _numbered_doc(n):
+    return make_document("d", [f"sentence number {i}" for i in range(n)], ["sentence number 0"])
 
 
 def test_triplet_constraints_ten_sentences():

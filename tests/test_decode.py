@@ -16,7 +16,7 @@ from reference_policy import (
     selection_update,
 )
 
-from conftest import small_vocab, tiny_extractor_config, toy_document
+from conftest import encoded, small_vocab, tiny_extractor_config, toy_document
 
 
 @pytest.fixture
@@ -80,8 +80,7 @@ def test_beam_size_one_is_greedy(vocab, config, params, rng):
 
 def test_single_sentence_document(vocab, config, params):
     params["mlp_b3"].data[:] = -25.0  # policy wants to skip everything
-    doc = make_document("d", ["alpha beta gamma"], ["alpha"], vocab=vocab,
-                        max_tokens=config.max_tokens)
+    doc = encoded(make_document("d", ["alpha beta gamma"], ["alpha"]), vocab, config.max_tokens)
     enc = encode_document(doc, params, config)
     assert extraction_probability(enc.contexts[0], initial_selection(config), enc.doc,
                                   params).item() < 1e-6
@@ -138,8 +137,7 @@ def test_tie_between_a_skip_and_a_selection_from_an_earlier_parent_prefers_the_s
     head = PolicyHead(fixed=np.array([[0.0], [5.0]]), increments=np.array([[-10.0], [0.0]]),
                       w2=np.eye(1), b2=np.zeros(1), w3=np.array([[1000.0]]), b3=np.zeros(1))
     monkeypatch.setattr(decode, "policy_head", lambda *args: head)
-    doc = make_document("d", ["alpha beta", "gamma"], ["alpha"], vocab=vocab,
-                        max_tokens=config.max_tokens)
+    doc = encoded(make_document("d", ["alpha beta", "gamma"], ["alpha"]), vocab, config.max_tokens)
     assert beam_search(doc, params, config, beam_size=2, max_selected=1) == [1, 0]
 
 
@@ -151,9 +149,9 @@ def test_cap_limits_selection_count(vocab, config, params, rng):
 
 
 def test_lead3_cases(vocab, config):
-    five = make_document("d", [f"sent {i} alpha" for i in range(5)], ["alpha"], vocab=vocab)
+    five = encoded(make_document("d", [f"sent {i} alpha" for i in range(5)], ["alpha"]), vocab)
     assert lead3(five) == [0, 1, 2]
-    two = make_document("d", ["one alpha", "two beta"], ["alpha"], vocab=vocab)
+    two = encoded(make_document("d", ["one alpha", "two beta"], ["alpha"]), vocab)
     assert lead3(two) == [0, 1]
-    one = make_document("d", ["only alpha"], ["alpha"], vocab=vocab)
+    one = encoded(make_document("d", ["only alpha"], ["alpha"]), vocab)
     assert lead3(one) == [0]

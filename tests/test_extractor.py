@@ -27,6 +27,7 @@ from reference_policy import (
 
 from conftest import (
     assert_grads_close,
+    encoded,
     finite_difference_grads,
     gradients_of,
     logged_epoch_losses,
@@ -60,7 +61,7 @@ def params(config, rng):
 
 
 def _sentence(text, vocab, config):
-    return make_sentence(text, vocab, config.max_tokens)
+    return encoded(make_sentence(text), vocab, config.max_tokens)
 
 
 # -- word features -----------------------------------------------------------------
@@ -90,7 +91,7 @@ def test_word_features_mean_of_rows(vocab, config, params):
 
 
 def test_word_features_rejects_empty_sentence(vocab, config, params):
-    empty = make_sentence("", vocab, config.max_tokens)
+    empty = encoded(make_sentence(""), vocab, config.max_tokens)
     with pytest.raises(ValueError, match="empty"):
         word_features(empty, params, config)
 
@@ -99,7 +100,7 @@ def test_word_features_uses_true_length_not_padding(vocab, config, params):
     # two sentences equal in their real tokens, different only in id padding length
     short = _sentence("alpha beta", vocab, config)
     longer_cfg = tiny_extractor_config(vocab.size, max_tokens=9)
-    short9 = make_sentence("alpha beta", vocab, 9)
+    short9 = encoded(make_sentence("alpha beta"), vocab, 9)
     _, v10 = word_features(short, params, config)
     _, v9 = word_features(short9, params, longer_cfg)
     assert np.allclose(v10.data, v9.data)
@@ -136,7 +137,7 @@ def test_gru_state_stays_in_open_unit_interval(config, rng):
 
 
 def test_encode_single_sentence_document(vocab, config, params):
-    doc = make_document("d", ["alpha beta"], ["alpha"], vocab=vocab, max_tokens=config.max_tokens)
+    doc = encoded(make_document("d", ["alpha beta"], ["alpha"]), vocab, config.max_tokens)
     enc = encode_document(doc, params, config)
     assert len(enc.contexts) == 1
     assert enc.doc.shape == (config.doc_dim,)
@@ -145,8 +146,7 @@ def test_encode_single_sentence_document(vocab, config, params):
 
 def test_encode_zero_params_zero_doc_vector(vocab, config):
     params = _zeroed(init_extractor_params(config, np.random.default_rng(0)))
-    doc = make_document("d", ["alpha beta", "gamma"], ["alpha"], vocab=vocab,
-                        max_tokens=config.max_tokens)
+    doc = encoded(make_document("d", ["alpha beta", "gamma"], ["alpha"]), vocab, config.max_tokens)
     enc = encode_document(doc, params, config)
     assert np.all(enc.doc.data == 0.0)
 
@@ -157,8 +157,8 @@ def test_reversed_document_swaps_directions(vocab, config, params):
         for kind in ("w", "v", "b"):
             params[f"gru_bwd_{gate}_{kind}"].data[:] = params[f"gru_fwd_{gate}_{kind}"].data
     texts = ["alpha beta", "gamma delta", "epsilon zeta", "eta theta"]
-    doc = make_document("d", texts, ["alpha"], vocab=vocab, max_tokens=config.max_tokens)
-    rev = make_document("r", texts[::-1], ["alpha"], vocab=vocab, max_tokens=config.max_tokens)
+    doc = encoded(make_document("d", texts, ["alpha"]), vocab, config.max_tokens)
+    rev = encoded(make_document("r", texts[::-1], ["alpha"]), vocab, config.max_tokens)
     h = config.gru_hidden
     enc, enc_rev = (encode_document(d, params, config) for d in (doc, rev))
     n = len(texts)
@@ -173,7 +173,7 @@ def test_reversed_document_swaps_directions(vocab, config, params):
 
 def test_probability_half_at_zero_params(vocab, config):
     params = _zeroed(init_extractor_params(config, np.random.default_rng(0)))
-    doc = make_document("d", ["alpha beta"], ["alpha"], vocab=vocab, max_tokens=config.max_tokens)
+    doc = encoded(make_document("d", ["alpha beta"], ["alpha"]), vocab, config.max_tokens)
     enc = encode_document(doc, params, config)
     p = extraction_probability(enc.contexts[0], initial_selection(config), enc.doc, params)
     assert p.item() == pytest.approx(0.5)
@@ -190,14 +190,14 @@ def test_probability_strictly_inside_unit_interval(vocab, config, params, rng):
 
 def test_probability_saturates_with_large_bias(vocab, config, params):
     params["mlp_b3"].data[:] = 20.0
-    doc = make_document("d", ["alpha"], ["alpha"], vocab=vocab, max_tokens=config.max_tokens)
+    doc = encoded(make_document("d", ["alpha"], ["alpha"]), vocab, config.max_tokens)
     enc = encode_document(doc, params, config)
     p = extraction_probability(enc.contexts[0], initial_selection(config), enc.doc, params)
     assert p.item() > 0.999
 
 
 def test_selection_update_identity_cases(vocab, config, params):
-    doc = make_document("d", ["alpha beta"], ["alpha"], vocab=vocab, max_tokens=config.max_tokens)
+    doc = encoded(make_document("d", ["alpha beta"], ["alpha"]), vocab, config.max_tokens)
     enc = encode_document(doc, params, config)
     g0 = initial_selection(config)
     assert selection_update(g0, enc.contexts[0], 0, params) is g0
@@ -226,7 +226,7 @@ def test_backward_context_feeds_earlier_probabilities(vocab, config, params):
     changed = ["alpha beta", "gamma delta", "kappa iota"]
 
     def p_first(texts, prms):
-        doc = make_document("d", texts, ["alpha"], vocab=vocab, max_tokens=config.max_tokens)
+        doc = encoded(make_document("d", texts, ["alpha"]), vocab, config.max_tokens)
         enc = encode_document(doc, prms, config)
         return extraction_probability(enc.contexts[0], initial_selection(config), enc.doc,
                                       prms).item()
@@ -245,8 +245,8 @@ def test_backward_context_feeds_earlier_probabilities(vocab, config, params):
 
 def test_pretrain_loss_zero_params_is_n_log2(vocab, config):
     params = _zeroed(init_extractor_params(config, np.random.default_rng(0)))
-    doc = make_document("d", ["alpha", "beta gamma", "delta"], ["alpha"], vocab=vocab,
-                        max_tokens=config.max_tokens)
+    doc = encoded(make_document("d", ["alpha", "beta gamma", "delta"], ["alpha"]), vocab,
+                  config.max_tokens)
     loss = pretrain_loss(doc, [1, 0, 1], params, config)
     assert loss.item() == pytest.approx(3 * math.log(2))
 
@@ -254,8 +254,7 @@ def test_pretrain_loss_zero_params_is_n_log2(vocab, config):
 def test_pretrain_loss_vanishes_when_saturated(vocab, config, params):
     # huge final bias forces p ~ 1 for every sentence; all-ones labels then cost ~0
     params["mlp_b3"].data[:] = 30.0
-    doc = make_document("d", ["alpha beta", "gamma"], ["alpha"], vocab=vocab,
-                        max_tokens=config.max_tokens)
+    doc = encoded(make_document("d", ["alpha beta", "gamma"], ["alpha"]), vocab, config.max_tokens)
     loss = pretrain_loss(doc, [1, 1], params, config)
     assert loss.item() < 1e-9
 
@@ -264,8 +263,8 @@ def test_pretrain_loss_gradient_matches_finite_differences(vocab, rng):
     config = tiny_extractor_config(vocab.size, word_kernels=(2, 3), word_filters=(3, 3),
                                    gru_hidden=3, doc_dim=4, mlp_hidden=(5, 3), max_tokens=6)
     params = init_extractor_params(config, rng)
-    doc = make_document("d", ["alpha beta gamma", "delta epsilon", "zeta eta theta"],
-                        ["alpha beta"], vocab=vocab, max_tokens=config.max_tokens)
+    doc = encoded(make_document("d", ["alpha beta gamma", "delta epsilon", "zeta eta theta"],
+                                ["alpha beta"]), vocab, config.max_tokens)
     labels = [1, 0, 1]
     analytic = gradients_of(pretrain_loss(doc, labels, params, config), params)
     numeric_grads = finite_difference_grads(
@@ -304,8 +303,8 @@ def test_full_model_gradient_check_spec_dims(rng):
     vocab = small_vocab()
     config = tiny_extractor_config(vocab.size)
     params = init_extractor_params(config, rng)
-    doc = make_document("d", ["alpha beta gamma delta", "epsilon zeta", "eta theta iota"],
-                        ["alpha beta"], vocab=vocab, max_tokens=config.max_tokens)
+    doc = encoded(make_document("d", ["alpha beta gamma delta", "epsilon zeta", "eta theta iota"],
+                                ["alpha beta"]), vocab, config.max_tokens)
     labels = [0, 1, 1]
     analytic = gradients_of(pretrain_loss(doc, labels, params, config), params)
     numeric_grads = finite_difference_grads(
@@ -329,8 +328,7 @@ def test_paper_geometry_pretrain_step_keeps_weight_gradients_factored():
     batch = []
     for i in range(4):
         sentences = [" ".join(rng.choice(words, size=rng.integers(15, 36))) for _ in range(30)]
-        doc = make_document(f"d{i}", sentences, sentences[:1], vocab=vocab,
-                            max_tokens=config.max_tokens)
+        doc = encoded(make_document(f"d{i}", sentences, sentences[:1]), vocab, config.max_tokens)
         batch.append((doc, [int(v) for v in rng.integers(0, 2, size=30)]))
     params = init_extractor_params(config, rng)
     batch_loss = lambda: sum(pretrain_loss(doc, labels, params, config)

@@ -39,6 +39,7 @@ from cohsum.reinforce import Episode, policy_gradient_step, surrogate_objective
 from conftest import (
     assert_grads_close,
     dense_gradient,
+    encoded,
     gradient_form,
     gradients_of,
     sgd_hand_offs,
@@ -397,8 +398,8 @@ def test_fused_layer1_pool_matches_pooling_the_full_grid(a_words, b_words, windo
     rng = np.random.default_rng(seed + 1)
     for _, p in params.items():
         p.data[:] = rng.uniform(-0.5, 0.5, size=p.data.shape)
-    a = make_sentence(" ".join(a_words), VOCAB, config.max_tokens).ids
-    b = make_sentence(" ".join(b_words), VOCAB, config.max_tokens).ids
+    a = encoded(make_sentence(" ".join(a_words)), VOCAB, config.max_tokens).ids
+    b = encoded(make_sentence(" ".join(b_words)), VOCAB, config.max_tokens).ids
     # layer 1 builds the pooled rows up to each sentence's tail; repeating the
     # tail row and column gives the pooled grid the next stage reads
     side = stack_plan(config)[0][0][-1]
@@ -708,7 +709,7 @@ def test_coherence_batch_step_matches_two_pass():
     # both convolutions run and every stage reads tail rows
     vocab = small_vocab()
     config = tiny_coherence_config(vocab.size, max_tokens=30, conv_filters=(4, 6, 8))
-    sentence = lambda text: make_sentence(text, vocab, config.max_tokens)
+    sentence = lambda text: encoded(make_sentence(text), vocab, config.max_tokens)
     triplets = [CoherenceTriplet(sentence(a), sentence(p), sentence(n), positions=(0, 1, 2))
                 for a, p, n in [("alpha beta gamma delta", "epsilon zeta", "eta"),
                                 ("theta iota kappa", "alpha alpha beta", "gamma delta zeta eta")]]
@@ -764,7 +765,7 @@ def _policy_case():
 def _coherence_case():
     vocab = small_vocab()
     config = tiny_coherence_config(vocab.size, max_tokens=30, conv_filters=(4, 6, 8))
-    sentence = lambda text: make_sentence(text, vocab, config.max_tokens)
+    sentence = lambda text: encoded(make_sentence(text), vocab, config.max_tokens)
     triplets = [CoherenceTriplet(sentence(a), sentence(p), sentence(n), positions=(0, 1, 2))
                 for a, p, n in [("alpha beta gamma", "delta epsilon", "zeta eta theta"),
                                 ("iota kappa", "alpha beta", "gamma")]]

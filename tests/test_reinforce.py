@@ -19,7 +19,7 @@ from cohsum.reinforce import (
 )
 from cohsum.rouge import RewardWeights
 
-from conftest import small_vocab, tiny_extractor_config, toy_document, traced_peak
+from conftest import encoded, small_vocab, tiny_extractor_config, toy_document, traced_peak
 from reference_policy import extraction_probability, initial_selection
 
 
@@ -39,7 +39,7 @@ def params(config, rng):
 
 
 def _doc(vocab, config, texts, highlights):
-    return make_document("d", texts, highlights, vocab=vocab, max_tokens=config.max_tokens)
+    return encoded(make_document("d", texts, highlights), vocab, config.max_tokens)
 
 
 # -- config invariants -------------------------------------------------------------

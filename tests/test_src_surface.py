@@ -199,6 +199,47 @@ def test_one_function_joins_the_tokens_of_sentences():
     assert joins == [("corpus", "tokens_of")]
 
 
+def _reads(node, name: str, module: str, func=None) -> list[tuple[str, str]]:
+    """(module, innermost enclosing function) of each read of `name` under node, not its definition.
+
+    A read is a call, any other use of the name or of an attribute of that
+    name, or an import of it.
+    """
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        func = node.name
+    found = []
+    if name in (getattr(node, "id", None), getattr(node, "attr", None)) or (
+            isinstance(node, ast.alias) and node.name.rsplit(".", 1)[-1] == name):
+        found.append((module, func))
+    for child in ast.iter_child_nodes(node):
+        found += _reads(child, name, module, func)
+    return found
+
+
+def test_the_encode_guard_sees_every_read_of_encode_sentence():
+    reads = ["ids = cp.encode_sentence(tokens, rows, 10)", "ids = encode_sentence(t, d, n)",
+             "out = list(map(cp.encode_sentence, texts))", "encode = encode_sentence",
+             "from .corpus import encode_sentence",
+             "from cohsum.corpus import encode_sentence as e"]
+    for source in reads:
+        assert _reads(ast.parse(f"def f():\n    {source}"), "encode_sentence", "m") == [
+            ("m", "f")], source
+    others = ["def encode_sentence(tokens, ids, n):\n    pass", "cp.encode_sentences(s, l, n)",
+              "name = 'encode_sentence'", "encode_sentence_ids = 1"]
+    for source in others:
+        assert not _reads(ast.parse(source), "encode_sentence", "m"), source
+
+
+def test_one_function_encodes_the_sentences_of_a_corpus():
+    # every model stage encodes its corpus with corpus.encode_as_rows, straight
+    # to rows of its table; score-coherence streams its pairs and encodes each
+    # line with the vocabulary's ids
+    reads = [ref for path in SOURCES
+             for ref in _reads(ast.parse(path.read_text(encoding="utf-8")), "encode_sentence",
+                               path.stem)]
+    assert reads == [("cli", "_coherence_pairs"), ("corpus", "encode_as_rows")]
+
+
 def _rouge_math(node, module: str, func=None) -> list[tuple[str, str, str]]:
     """(kind, module, innermost enclosing function) of each LCS step and guarded division under node.
 
